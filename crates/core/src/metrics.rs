@@ -94,6 +94,7 @@
 
 use crate::cache::CacheStats;
 use crate::report::{Incident, ModuleReport};
+use crate::trace::json_escape;
 use abcd_ir::CheckKind;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -216,12 +217,6 @@ impl RunInfo {
 
 // ---- JSON emission (no dependencies) -----------------------------------
 
-/// Escapes `s` as a JSON string literal body (the shared workspace
-/// helper, re-exported here for local use).
-fn escape(s: &str) -> String {
-    crate::trace::json_escape(s)
-}
-
 fn us(d: Duration) -> u128 {
     d.as_micros()
 }
@@ -257,7 +252,7 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"site\":\"{site}\",\"check\":\"{}\",\"fuel\":{fuel}",
-                escape(function.as_str()),
+                json_escape(function.as_str()),
                 kind_str(*kind),
             );
         }
@@ -269,9 +264,9 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"pass\":\"{}\",\"payload\":\"{}\"",
-                escape(function.as_str()),
-                escape(pass),
-                escape(payload),
+                json_escape(function.as_str()),
+                json_escape(pass),
+                json_escape(payload),
             );
         }
         Incident::VerifyFailed {
@@ -282,9 +277,9 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"pass\":\"{}\",\"error\":\"{}\"",
-                escape(function.as_str()),
-                escape(pass),
-                escape(error),
+                json_escape(function.as_str()),
+                json_escape(pass),
+                json_escape(error),
             );
         }
         Incident::ValidationReinstated {
@@ -295,7 +290,7 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"site\":\"{site}\",\"check\":\"{}\"",
-                escape(function.as_str()),
+                json_escape(function.as_str()),
                 kind_str(*kind),
             );
         }
@@ -303,8 +298,8 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"detail\":\"{}\"",
-                escape(function.as_str()),
-                escape(detail),
+                json_escape(function.as_str()),
+                json_escape(detail),
             );
         }
         Incident::SolverOverflow {
@@ -315,7 +310,7 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"site\":\"{site}\",\"check\":\"{}\"",
-                escape(function.as_str()),
+                json_escape(function.as_str()),
                 kind_str(*kind),
             );
         }
@@ -327,7 +322,7 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"deadline_ms\":{deadline_ms},\"elapsed_ms\":{elapsed_ms}",
-                escape(function.as_str()),
+                json_escape(function.as_str()),
             );
         }
     }
@@ -404,7 +399,7 @@ fn function_json(report: &crate::report::FunctionReport, det: bool, out: &mut St
          \"checks_validated\":{},\"checks_reinstated\":{},\"from_cache\":{},\
          \"memo_hits\":{},\"memo_misses\":{},\"memo_hit_rate\":{},\
          \"pre_memo_hits\":{},\"pre_memo_misses\":{}",
-        escape(report.name.as_str()),
+        json_escape(report.name.as_str()),
         report.checks_total,
         report.removed_fully(),
         report.hoisted(),
@@ -586,9 +581,9 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("x\ny"), "x\\ny");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("x\ny"), "x\\ny");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -253,12 +253,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(&b) if b < 0x20 => return Err("raw control character in string".to_string()),
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Append the whole run of plain bytes at once. It ends at
+                // an ASCII `"`, `\`, control byte or the end of input, so
+                // it ends on a scalar boundary; validating each run once
+                // keeps the reader linear in the frame size.
+                let start = *pos;
+                let len = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                    .unwrap_or(bytes.len() - start);
+                *pos += len;
+                let run = std::str::from_utf8(&bytes[start..*pos])
                     .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let ch = rest.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                out.push_str(run);
             }
         }
     }
@@ -274,13 +281,6 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
     let n = u32::from_str_radix(text, 16).map_err(|_| format!("bad \\u escape `{text}`"))?;
     *pos = end - 1;
     Ok(n)
-}
-
-/// Escapes `s` as a JSON string literal body. Delegates to the one shared
-/// escaper ([`abcd::json_escape`]) so every emitter in the workspace agrees
-/// with this parser, byte for byte.
-pub fn escape(s: &str) -> String {
-    abcd::json_escape(s)
 }
 
 #[cfg(test)]
@@ -309,7 +309,7 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parse() {
         let original = "quote \" slash \\ newline \n tab \t ctrl \u{1}";
-        let doc = format!("\"{}\"", escape(original));
+        let doc = format!("\"{}\"", abcd::json_escape(original));
         assert_eq!(Json::parse(&doc).unwrap().as_str(), Some(original));
     }
 
@@ -319,5 +319,65 @@ mod tests {
             Json::parse("\"\\u00e9\\ud83d\\ude00\"").unwrap().as_str(),
             Some("é😀")
         );
+    }
+
+    #[test]
+    fn multibyte_scalars_around_escapes() {
+        let escapes = [
+            ("\\n", "\n"),
+            ("\\\"", "\""),
+            ("\\u0041", "A"),
+            ("\\ud83d\\ude00", "😀"),
+        ];
+        for a in ["é", "😀"] {
+            assert_eq!(Json::parse(&format!("\"{a}\"")).unwrap().as_str(), Some(a));
+            for b in ["é", "😀"] {
+                for (wire, decoded) in escapes {
+                    let doc = format!("\"{a}{wire}{b}\"");
+                    let want = format!("{a}{decoded}{b}");
+                    assert_eq!(Json::parse(&doc).unwrap().as_str(), Some(&*want), "{doc}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_plain_runs_keep_every_check() {
+        let run = "é-x😀".repeat(4096);
+        let doc = format!("\"{run}\\ud83d\\ude00\"");
+        assert_eq!(
+            Json::parse(&doc).unwrap().as_str(),
+            Some(&*format!("{run}😀"))
+        );
+        let err = |doc: String| Json::parse(&doc).unwrap_err();
+        assert_eq!(err(format!("\"{run}\\ud83d\"")), "lone high surrogate");
+        assert_eq!(
+            err(format!("\"{run}\u{1}{run}\"")),
+            "raw control character in string"
+        );
+        assert_eq!(err(format!("\"{run}")), "unterminated string");
+        assert_eq!(err(format!("{{\"{run}")), "unterminated string");
+    }
+
+    #[test]
+    fn corpus_replies_round_trip_byte_identical() {
+        for (i, source) in abcd_loadgen::corpus(42, 24).iter().enumerate() {
+            let mut module = abcd_frontend::compile(source).unwrap();
+            let report = abcd::Optimizer::new().optimize_module(&mut module, None);
+            let ir = module.to_string();
+            let trace = abcd::module_trace_jsonl(&report, 1, true);
+            let reply = crate::proto::ok_response(&ir, &report, false, Some(&trace), None);
+            let doc = Json::parse(&reply).unwrap_or_else(|e| panic!("module {i}: {e}"));
+            assert_eq!(
+                doc.get("ir").and_then(Json::as_str),
+                Some(&*ir),
+                "module {i}"
+            );
+            assert_eq!(
+                doc.get("trace").and_then(Json::as_str),
+                Some(&*trace),
+                "module {i}"
+            );
+        }
     }
 }

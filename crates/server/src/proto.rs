@@ -81,8 +81,8 @@
 //! non-busy `"ok":false` is a terminal, structured error — resending the
 //! same request will fail the same way.
 
-use crate::json::{escape, Json};
-use abcd::{ModuleReport, OptimizerOptions};
+use crate::json::Json;
+use abcd::{json_escape, ModuleReport, OptimizerOptions};
 use abcd_ir::{Block, CheckSite, FuncId};
 use abcd_vm::Profile;
 use std::io::{Read, Write};
@@ -442,7 +442,7 @@ pub fn optimize_request_json(
         "{{\"cmd\":\"optimize\",\"{field}\":\"{}\",\"options\":{},\"profile\":{},\
          \"metrics\":{metrics},\"deterministic_metrics\":{deterministic_metrics},\
          \"trace\":{trace},\"deadline_ms\":{deadline}}}",
-        escape(text),
+        json_escape(text),
         options_json(options),
         profile.map_or_else(|| "null".to_string(), profile_json),
     )
@@ -461,13 +461,13 @@ pub fn ok_response(
     trace: Option<&str>,
     metrics: Option<&str>,
 ) -> String {
-    let trace = trace.map_or_else(|| "null".to_string(), |t| format!("\"{}\"", escape(t)));
+    let trace = trace.map_or_else(|| "null".to_string(), |t| format!("\"{}\"", json_escape(t)));
     format!(
         "{{\"ok\":true,\"ir\":\"{}\",\"checks_total\":{},\"removed_fully\":{},\
          \"hoisted\":{},\"incidents\":{},\"degraded_incidents\":{},\
          \"functions_from_cache\":{},\"deadline_exceeded\":{deadline_exceeded},\
          \"trace\":{trace},\"metrics\":{}}}",
-        escape(ir),
+        json_escape(ir),
         report.checks_total(),
         report.checks_removed_fully(),
         report.checks_hoisted(),
@@ -480,7 +480,7 @@ pub fn ok_response(
 
 /// Builds a terminal error response.
 pub fn error_response(message: &str) -> String {
-    format!("{{\"ok\":false,\"error\":\"{}\"}}", escape(message))
+    format!("{{\"ok\":false,\"error\":\"{}\"}}", json_escape(message))
 }
 
 /// Builds the load-shedding response (see the retry contract above).

@@ -893,7 +893,7 @@ fn metrics_response(shared: &Shared, deterministic: bool) -> String {
         .exposition("abcdd_queue_depth_at_dequeue", &mut text, deterministic);
     format!(
         "{{\"ok\":true,\"exposition\":\"{}\"}}",
-        crate::json::escape(&text)
+        abcd::json_escape(&text)
     )
 }
 

@@ -6,7 +6,9 @@
 //! socket, and a deadline tripping for one batch element only. Every
 //! case must produce a structured error (or a clean close for
 //! unanswerable garbage) and leave the daemon healthy — no wedged
-//! worker, no poisoned state.
+//! worker, no poisoned state. A multi-megabyte string field must also
+//! parse in time linear in its size, so no frame under the cap can pin
+//! a worker.
 
 use abcd_server::proto::MAX_FRAME;
 use abcd_server::ServerConfig;
@@ -126,6 +128,38 @@ fn frame_exactly_at_the_cap_is_read_and_parse_rejected() {
     );
     abcd_server::shutdown(&socket).unwrap();
     handle.join();
+}
+
+/// The wire reader is linear in the frame size: an 8 MiB `source` string
+/// parses in tens of milliseconds, where a reader that rescans the rest
+/// of the frame per character would pin the worker for days. The 2 s
+/// bound leaves ~100× margin either way.
+#[test]
+fn huge_string_field_parses_in_linear_time() {
+    let line = "// plain run é 😀 \"quoted\" \\ back\n";
+    let mut source = line.repeat((8 << 20) / line.len() + 1);
+    source.push_str(SRC);
+    assert!(source.len() >= 8 << 20);
+    let payload = abcd_server::proto::optimize_request_json(
+        (&source, false),
+        &abcd::OptimizerOptions::default(),
+        None,
+        false,
+        false,
+        false,
+        None,
+    );
+    let started = std::time::Instant::now();
+    let request = abcd_server::proto::parse_request(payload.as_bytes()).expect("parses");
+    let elapsed = started.elapsed();
+    let abcd_server::proto::Request::Optimize(req) = request else {
+        panic!("expected an optimize request");
+    };
+    assert_eq!(req.source.as_deref(), Some(source.as_str()));
+    assert!(
+        elapsed < std::time::Duration::from_secs(2),
+        "parsing an 8 MiB string took {elapsed:?}"
+    );
 }
 
 const SRC: &str = "fn f(a: int[]) -> int {
