@@ -1,8 +1,10 @@
-//! The steady-state allocation gate: once a prover's buffers are warm
-//! (one reserve pass over every query), re-deriving every verdict of every
+//! The allocation gates, the executable form of the allocation claims in
+//! `DESIGN.md` §5i.
+//!
+//! The steady-state prove gate: once a prover's buffers are warm (one
+//! reserve pass over every query), re-deriving every verdict of every
 //! benchsuite kernel — on all three backends — must perform **zero** heap
-//! allocations. This is the executable form of the zero-allocation
-//! prove-path claim in `DESIGN.md` §5i.
+//! allocations.
 //!
 //! Protocol per function × backend:
 //!
@@ -15,12 +17,29 @@
 //!    does not just replay memo hits;
 //! 4. pass 2 under the counting allocator: assert 0 allocations and
 //!    byte-identical verdicts.
+//!
+//! The VM gate: running every kernel's `main` on a fresh interpreter, in
+//! checked and in optimized form, stays within a quarter of the calibrated
+//! allocation total. What is left to allocate is the program's own arrays,
+//! output growth, the interpreter's stores reaching their high-water size
+//! and first-seen profile entries; an allocation per instruction, block or
+//! call would multiply the total by hundreds.
 
-use abcd::{AnyProver, InequalityGraph, Problem, ProverBackend, ScratchArena, Vertex};
+use abcd::{AnyProver, InequalityGraph, Optimizer, Problem, ProverBackend, ScratchArena, Vertex};
 use abcd_ir::{CheckKind, InstKind, Value};
+use std::sync::{Mutex, PoisonError};
 
 #[global_allocator]
 static ALLOC: abcd_alloc::CountingAlloc = abcd_alloc::CountingAlloc;
+
+/// The allocation counter is process-wide, so the gates take turns, each
+/// holding this lock from its first allocation to its last measurement.
+static COUNTER: Mutex<()> = Mutex::new(());
+
+/// The VM gate's calibrated total: 15 kernels, checked and optimized, each
+/// run once on a fresh `Vm` (before dense profile counters and the
+/// explicit frame stack, 417,485).
+const VM_RUN_ALLOCS: u64 = 919;
 
 /// Stages 1–3 of the driver pipeline, minus the optional cleanup: the
 /// e-SSA form the constraint graphs are defined over.
@@ -32,6 +51,7 @@ fn to_essa(func: &mut abcd_ir::Function) {
 
 #[test]
 fn steady_state_prove_allocates_nothing_on_any_backend() {
+    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let backends = [
         ProverBackend::Demand,
         ProverBackend::Batch,
@@ -132,5 +152,33 @@ fn steady_state_prove_allocates_nothing_on_any_backend() {
     assert!(
         gated_functions >= 15 && gated_queries > 100,
         "gate coverage collapsed: {gated_functions} functions, {gated_queries} queries"
+    );
+}
+
+#[test]
+fn vm_run_allocations_stay_within_the_calibrated_total() {
+    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut modules = Vec::new();
+    for bench in abcd_benchsuite::BENCHMARKS {
+        let checked = bench.compile().expect("benchmark compiles");
+        let mut optimized = checked.clone();
+        Optimizer::new().optimize_module(&mut optimized, None);
+        modules.push((bench.name, checked));
+        modules.push((bench.name, optimized));
+    }
+    let mut total = 0;
+    let mut per_run = Vec::new();
+    for (name, module) in &modules {
+        let before = abcd_alloc::snapshot();
+        let mut vm = abcd_vm::Vm::new(module);
+        vm.call_by_name("main", &[]).expect("benchmark runs");
+        let allocs = abcd_alloc::delta(before).allocs;
+        drop(vm);
+        total += allocs;
+        per_run.push((*name, allocs));
+    }
+    assert!(
+        total <= VM_RUN_ALLOCS * 5 / 4,
+        "running the benchsuite allocated {total} times, calibrated {VM_RUN_ALLOCS}: {per_run:?}"
     );
 }

@@ -3,9 +3,16 @@
 //! Executes every IR form — locals form, SSA, e-SSA, and ABCD-optimized
 //! code (including the speculative `spec_check`/`trap_if_flagged` pair) —
 //! which is what makes each compiler pass differentially testable.
+//!
+//! Execution allocates nothing per instruction, block or call. Calls run
+//! on an explicit frame stack whose frames own windows of one reused
+//! register, local and flag store, so recursion depth is bounded by
+//! [`VmOptions::call_depth_limit`] and not by the host thread's stack.
+//! Profile events bump dense per-function counters that are folded into
+//! the hashed [`Profile`] once, when the top-level call returns or traps.
 
 use crate::cost::CostModel;
-use crate::profile::Profile;
+use crate::profile::{Counters, Profile, Slots};
 use crate::trap::{Trap, TrapKind};
 use crate::value::{Heap, RtVal};
 use abcd_ir::{Block, CheckKind, FuncId, Function, InstKind, Module, Terminator, UnOp, Value};
@@ -16,7 +23,9 @@ pub struct VmOptions {
     /// Abort with [`TrapKind::StepLimitExceeded`] after this many
     /// instructions (guards generated test programs against divergence).
     pub step_limit: u64,
-    /// Maximum call depth.
+    /// Maximum call depth: the called function runs at depth 0, and a call
+    /// that would run deeper than this traps with
+    /// [`TrapKind::CallDepthExceeded`].
     pub call_depth_limit: usize,
     /// The cycle cost model.
     pub cost: CostModel,
@@ -104,8 +113,93 @@ pub struct Vm<'m> {
     heap: Heap,
     stats: ExecStats,
     profile: Profile,
+    counters: Counters,
+    stack: Stack,
     output: Vec<i64>,
     steps_left: u64,
+}
+
+/// A function activation. The active frame lives in the interpreter loop;
+/// suspended callers wait on [`Stack::frames`].
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    func: FuncId,
+    block: Block,
+    /// Index of the next instruction of `block` to execute.
+    pos: usize,
+    /// Where this frame's windows start in the register, local and flag
+    /// stores.
+    regs: usize,
+    locals: usize,
+    flags: usize,
+    /// For a suspended caller: the value that receives the callee's result.
+    dst: Option<Value>,
+}
+
+/// The call stack: suspended frames, one register, local and flag store
+/// that every frame owns a window of, and the φ staging buffer. All of it
+/// is reused from call to call, so execution itself allocates nothing once
+/// the stores have reached their high-water size.
+#[derive(Debug, Default)]
+struct Stack {
+    frames: Vec<Frame>,
+    regs: Vec<Option<RtVal>>,
+    locals: Vec<Option<RtVal>>,
+    flags: Vec<bool>,
+    phis: Vec<(Value, RtVal)>,
+}
+
+impl Stack {
+    fn clear(&mut self) {
+        self.frames.clear();
+        self.regs.clear();
+        self.locals.clear();
+        self.flags.clear();
+    }
+
+    /// Opens a frame for `id` whose arguments are the registers from
+    /// `regs` to the end of the store, at the depth of the suspended frames.
+    fn open(
+        &mut self,
+        module: &Module,
+        depth_limit: usize,
+        id: FuncId,
+        regs: usize,
+    ) -> Result<Frame, Trap> {
+        if self.frames.len() > depth_limit {
+            return Err(Trap {
+                kind: TrapKind::CallDepthExceeded,
+                func: id,
+            });
+        }
+        let func = module.function(id);
+        assert_eq!(
+            self.regs.len() - regs,
+            func.param_count(),
+            "call arity mismatch"
+        );
+        let frame = Frame {
+            func: id,
+            block: func.entry(),
+            pos: 0,
+            regs,
+            locals: self.locals.len(),
+            flags: self.flags.len(),
+            dst: None,
+        };
+        self.regs.resize(regs + func.value_count(), None);
+        self.locals.resize(frame.locals + func.local_count(), None);
+        self.flags
+            .resize(frame.flags + func.check_site_count(), false);
+        Ok(frame)
+    }
+
+    /// Releases the windows of `frame`, the innermost one.
+    fn close(&mut self, frame: &Frame) {
+        self.regs.truncate(frame.regs);
+        self.locals.truncate(frame.locals);
+        self.flags.truncate(frame.flags);
+    }
 }
 
 impl<'m> Vm<'m> {
@@ -122,6 +216,8 @@ impl<'m> Vm<'m> {
             heap: Heap::default(),
             stats: ExecStats::default(),
             profile: Profile::new(),
+            counters: Counters::default(),
+            stack: Stack::default(),
             output: Vec::new(),
             steps_left: options.step_limit,
         }
@@ -186,13 +282,18 @@ impl<'m> Vm<'m> {
         self.call(id, args)
     }
 
-    /// Calls a function by id.
+    /// Calls a function by id. The profile gains this call's counts when
+    /// it returns, whether with a value or a trap.
     ///
     /// # Errors
     ///
     /// Returns a [`Trap`] if execution traps.
     pub fn call(&mut self, func: FuncId, args: &[RtVal]) -> Result<Option<RtVal>, Trap> {
-        self.exec(func, args.to_vec(), 0)
+        let out = self.run(func, args);
+        if self.options.collect_profile {
+            self.counters.fold_into(self.module, &mut self.profile);
+        }
+        out
     }
 
     /// Statistics accumulated so far.
@@ -215,76 +316,85 @@ impl<'m> Vm<'m> {
         &self.output
     }
 
-    fn exec(
-        &mut self,
-        func_id: FuncId,
-        args: Vec<RtVal>,
-        depth: usize,
-    ) -> Result<Option<RtVal>, Trap> {
-        let trap = |kind: TrapKind| Trap {
-            kind,
-            func: func_id,
-        };
-        if depth > self.options.call_depth_limit {
-            return Err(trap(TrapKind::CallDepthExceeded));
-        }
-        let func: &Function = self.module.function(func_id);
-        assert_eq!(args.len(), func.param_count(), "call arity mismatch");
+    /// Runs `entry` to completion on the explicit frame stack: a call
+    /// suspends the caller's frame and a return resumes it, so the host
+    /// stack stays flat however deep the program recurses.
+    fn run(&mut self, entry: FuncId, args: &[RtVal]) -> Result<Option<RtVal>, Trap> {
+        let Vm {
+            module,
+            options,
+            heap,
+            stats,
+            counters,
+            stack,
+            output,
+            steps_left,
+            ..
+        } = self;
+        let module: &Module = module;
+        let profiling = options.collect_profile;
+        let trap = |kind: TrapKind, func: FuncId| Trap { kind, func };
 
-        let mut regs: Vec<Option<RtVal>> = vec![None; func.value_count()];
-        for (i, a) in args.into_iter().enumerate() {
-            regs[i] = Some(a);
+        // A panic in an earlier call may have left frames behind.
+        stack.clear();
+        stack.regs.extend(args.iter().map(|&a| Some(a)));
+        let mut fr = stack.open(module, options.call_depth_limit, entry, 0)?;
+        let mut func: &Function = module.function(entry);
+        let mut slots = Slots::default();
+        if profiling {
+            slots = counters.slots(module, entry);
+            counters.block(slots, fr.block);
         }
-        let mut locals: Vec<Option<RtVal>> = vec![None; func.local_count()];
-        let mut flags: Vec<bool> = vec![false; func.check_site_count()];
-
-        let mut block = func.entry();
         let mut came_from: Option<Block> = None;
-        if self.options.collect_profile {
-            self.profile.record_block(func_id, block);
+
+        macro_rules! get {
+            ($v:expr, $what:literal) => {
+                stack.regs[fr.regs + $v.index()].expect($what)
+            };
+            ($v:expr) => {
+                get!($v, "use of unset value")
+            };
         }
 
         'blocks: loop {
-            // Phase 1: φs evaluate in parallel against pre-transfer state.
-            let insts = func.block(block).insts();
-            let mut phi_updates: Vec<(Value, RtVal)> = Vec::new();
-            for &id in insts {
-                let inst = func.inst(id);
-                if let InstKind::Phi { args } = &inst.kind {
+            let insts = func.block(fr.block).insts();
+            if fr.pos == 0 {
+                // Phase 1: φs evaluate in parallel against pre-transfer state.
+                stack.phis.clear();
+                for &id in insts {
+                    let inst = func.inst(id);
+                    let InstKind::Phi { args } = &inst.kind else {
+                        break; // φs form a prefix
+                    };
                     let from = came_from.expect("phi in entry block");
                     let (_, v) = args
                         .iter()
                         .find(|(p, _)| *p == from)
                         .unwrap_or_else(|| panic!("phi {id} lacks arg for pred {from}"));
-                    let val = regs[v.index()].expect("phi argument unset");
-                    phi_updates.push((inst.result.expect("phi result"), val));
-                } else {
-                    break; // φs form a prefix
+                    let val = get!(v, "phi argument unset");
+                    stack.phis.push((inst.result.expect("phi result"), val));
                 }
-            }
-            for (r, v) in phi_updates {
-                regs[r.index()] = Some(v);
+                for &(r, v) in &stack.phis {
+                    stack.regs[fr.regs + r.index()] = Some(v);
+                }
             }
 
-            // Phase 2: straight-line execution.
-            for &id in insts {
+            // Phase 2: straight-line execution, resumed after a call.
+            while let Some(&id) = insts.get(fr.pos) {
+                fr.pos += 1;
                 let inst = func.inst(id);
-                if matches!(inst.kind, InstKind::Phi { .. }) {
-                    self.bump(&inst.kind, func_id)?;
-                    continue;
-                }
-                self.bump(&inst.kind, func_id)?;
-                let get = |v: Value| regs[v.index()].expect("use of unset value");
+                bump(stats, steps_left, &options.cost, &inst.kind, fr.func)?;
                 let result: Option<RtVal> = match &inst.kind {
+                    InstKind::Phi { .. } => continue,
                     InstKind::Const(c) => Some(RtVal::Int(*c)),
                     InstKind::BoolConst(c) => Some(RtVal::Bool(*c)),
                     InstKind::Unary { op, arg } => Some(match op {
-                        UnOp::Neg => RtVal::Int(get(*arg).as_int().wrapping_neg()),
-                        UnOp::Not => RtVal::Bool(!get(*arg).as_bool()),
+                        UnOp::Neg => RtVal::Int(get!(*arg).as_int().wrapping_neg()),
+                        UnOp::Not => RtVal::Bool(!get!(*arg).as_bool()),
                     }),
                     InstKind::Binary { op, lhs, rhs } => {
-                        let a = get(*lhs).as_int();
-                        let b = get(*rhs).as_int();
+                        let a = get!(*lhs).as_int();
+                        let b = get!(*rhs).as_int();
                         use abcd_ir::BinOp::*;
                         let v = match op {
                             Add => a.wrapping_add(b),
@@ -292,13 +402,13 @@ impl<'m> Vm<'m> {
                             Mul => a.wrapping_mul(b),
                             Div => {
                                 if b == 0 {
-                                    return Err(trap(TrapKind::DivisionByZero));
+                                    return Err(trap(TrapKind::DivisionByZero, fr.func));
                                 }
                                 a.wrapping_div(b)
                             }
                             Rem => {
                                 if b == 0 {
-                                    return Err(trap(TrapKind::DivisionByZero));
+                                    return Err(trap(TrapKind::DivisionByZero, fr.func));
                                 }
                                 a.wrapping_rem(b)
                             }
@@ -310,51 +420,49 @@ impl<'m> Vm<'m> {
                         };
                         Some(RtVal::Int(v))
                     }
-                    InstKind::Compare { op, lhs, rhs } => {
-                        Some(RtVal::Bool(op.eval(get(*lhs).as_int(), get(*rhs).as_int())))
-                    }
+                    InstKind::Compare { op, lhs, rhs } => Some(RtVal::Bool(
+                        op.eval(get!(*lhs).as_int(), get!(*rhs).as_int()),
+                    )),
                     InstKind::NewArray { elem, len } => {
-                        let n = get(*len).as_int();
+                        let n = get!(*len).as_int();
                         if n < 0 {
-                            return Err(trap(TrapKind::NegativeArrayLength(n)));
+                            return Err(trap(TrapKind::NegativeArrayLength(n), fr.func));
                         }
-                        self.stats.cycles = self
-                            .stats
+                        stats.cycles = stats
                             .cycles
-                            .saturating_add(self.options.cost.alloc_per_elem * n as u64);
-                        Some(RtVal::Ref(self.heap.alloc(elem, n as usize)))
+                            .saturating_add(options.cost.alloc_per_elem * n as u64);
+                        Some(RtVal::Ref(heap.alloc(elem, n as usize)))
                     }
                     InstKind::ArrayLen { array } => {
-                        Some(RtVal::Int(self.heap.len_of(get(*array).as_ref()) as i64))
+                        Some(RtVal::Int(heap.len_of(get!(*array).as_ref()) as i64))
                     }
                     InstKind::Load { array, index } => {
-                        let r = get(*array).as_ref();
-                        let i = get(*index).as_int();
-                        let len = self.heap.len_of(r) as i64;
+                        let r = get!(*array).as_ref();
+                        let i = get!(*index).as_int();
+                        let len = heap.len_of(r) as i64;
                         if i < 0 || i >= len {
-                            return Err(trap(TrapKind::UncheckedAccessOutOfBounds {
-                                index: i,
-                                len,
-                            }));
+                            return Err(trap(
+                                TrapKind::UncheckedAccessOutOfBounds { index: i, len },
+                                fr.func,
+                            ));
                         }
-                        Some(self.heap.get(r).data[i as usize])
+                        Some(heap.get(r).data[i as usize])
                     }
                     InstKind::Store {
                         array,
                         index,
                         value,
                     } => {
-                        let r = get(*array).as_ref();
-                        let i = get(*index).as_int();
-                        let len = self.heap.len_of(r) as i64;
+                        let r = get!(*array).as_ref();
+                        let i = get!(*index).as_int();
+                        let len = heap.len_of(r) as i64;
                         if i < 0 || i >= len {
-                            return Err(trap(TrapKind::UncheckedAccessOutOfBounds {
-                                index: i,
-                                len,
-                            }));
+                            return Err(trap(
+                                TrapKind::UncheckedAccessOutOfBounds { index: i, len },
+                                fr.func,
+                            ));
                         }
-                        let v = get(*value);
-                        self.heap.get_mut(r).data[i as usize] = v;
+                        heap.get_mut(r).data[i as usize] = get!(*value);
                         None
                     }
                     InstKind::BoundsCheck {
@@ -363,18 +471,21 @@ impl<'m> Vm<'m> {
                         index,
                         kind,
                     } => {
-                        let i = get(*index).as_int();
-                        let len = self.heap.len_of(get(*array).as_ref()) as i64;
-                        self.stats.checks[kind_index(*kind)] += 1;
-                        if self.options.collect_profile {
-                            self.profile.record_site(func_id, *site);
+                        let i = get!(*index).as_int();
+                        let len = heap.len_of(get!(*array).as_ref()) as i64;
+                        stats.checks[kind_index(*kind)] += 1;
+                        if profiling {
+                            counters.site(slots, *site);
                         }
                         if violates(*kind, i, len) {
-                            return Err(trap(TrapKind::BoundsCheckFailed {
-                                site: *site,
-                                index: i,
-                                len,
-                            }));
+                            return Err(trap(
+                                TrapKind::BoundsCheckFailed {
+                                    site: *site,
+                                    index: i,
+                                    len,
+                                },
+                                fr.func,
+                            ));
                         }
                         None
                     }
@@ -384,11 +495,11 @@ impl<'m> Vm<'m> {
                         index,
                         kind,
                     } => {
-                        let i = get(*index).as_int();
-                        let len = self.heap.len_of(get(*array).as_ref()) as i64;
-                        self.stats.spec_checks[kind_index(*kind)] += 1;
+                        let i = get!(*index).as_int();
+                        let len = heap.len_of(get!(*array).as_ref()) as i64;
+                        stats.spec_checks[kind_index(*kind)] += 1;
                         if violates(*kind, i, len) {
-                            flags[site.index()] = true;
+                            stack.flags[fr.flags + site.index()] = true;
                         }
                         None
                     }
@@ -398,95 +509,128 @@ impl<'m> Vm<'m> {
                         index,
                         kind,
                     } => {
-                        self.stats.trap_tests += 1;
-                        if flags[site.index()] {
+                        stats.trap_tests += 1;
+                        if stack.flags[fr.flags + site.index()] {
                             // Re-validate at the original exception point
                             // (the speculative failure may be spurious).
-                            let i = get(*index).as_int();
-                            let len = self.heap.len_of(get(*array).as_ref()) as i64;
+                            let i = get!(*index).as_int();
+                            let len = heap.len_of(get!(*array).as_ref()) as i64;
                             if violates(*kind, i, len) {
-                                return Err(trap(TrapKind::BoundsCheckFailed {
-                                    site: *site,
-                                    index: i,
-                                    len,
-                                }));
+                                return Err(trap(
+                                    TrapKind::BoundsCheckFailed {
+                                        site: *site,
+                                        index: i,
+                                        len,
+                                    },
+                                    fr.func,
+                                ));
                             }
                         }
                         None
                     }
-                    InstKind::Phi { .. } => unreachable!("handled above"),
-                    InstKind::Pi { input, .. } => Some(get(*input)),
-                    InstKind::Copy { arg } => Some(get(*arg)),
+                    InstKind::Pi { input, .. } => Some(get!(*input)),
+                    InstKind::Copy { arg } => Some(get!(*arg)),
                     InstKind::Call { func: callee, args } => {
-                        let argv: Vec<RtVal> = args.iter().map(|a| get(*a)).collect();
-                        self.exec(*callee, argv, depth + 1)?
+                        // The arguments become the callee's parameter
+                        // registers, which start where the store ends.
+                        let base = stack.regs.len();
+                        for a in args {
+                            let v = get!(*a);
+                            stack.regs.push(Some(v));
+                        }
+                        stack.frames.push(Frame {
+                            dst: inst.result,
+                            ..fr
+                        });
+                        fr = stack.open(module, options.call_depth_limit, *callee, base)?;
+                        func = module.function(*callee);
+                        if profiling {
+                            slots = counters.slots(module, *callee);
+                            counters.block(slots, fr.block);
+                        }
+                        came_from = None;
+                        continue 'blocks;
                     }
                     InstKind::Output { arg } => {
-                        self.output.push(get(*arg).as_int());
+                        output.push(get!(*arg).as_int());
                         None
                     }
-                    InstKind::GetLocal { local } => {
-                        Some(locals[local.index()].expect("read of uninitialized local"))
-                    }
+                    InstKind::GetLocal { local } => Some(
+                        stack.locals[fr.locals + local.index()]
+                            .expect("read of uninitialized local"),
+                    ),
                     InstKind::SetLocal { local, value } => {
-                        locals[local.index()] = Some(get(*value));
+                        stack.locals[fr.locals + local.index()] = Some(get!(*value));
                         None
                     }
                 };
-                if let Some(r) = inst.result {
-                    if let Some(v) = result {
-                        regs[r.index()] = Some(v);
-                    }
+                if let (Some(r), Some(v)) = (inst.result, result) {
+                    stack.regs[fr.regs + r.index()] = Some(v);
                 }
             }
 
             // Phase 3: control transfer.
-            let term = func.block(block).terminator();
-            let next = match term {
-                Terminator::Jump(d) => *d,
+            let (next, slot) = match func.block(fr.block).terminator() {
+                Terminator::Jump(d) => (*d, 0),
                 Terminator::Branch {
                     cond,
                     then_dst,
                     else_dst,
                 } => {
-                    if regs[cond.index()].expect("branch cond unset").as_bool() {
-                        *then_dst
+                    if get!(*cond, "branch cond unset").as_bool() {
+                        (*then_dst, 0)
                     } else {
-                        *else_dst
+                        (*else_dst, 1)
                     }
                 }
                 Terminator::Return(v) => {
-                    let out = v.map(|v| regs[v.index()].expect("return value unset"));
-                    return Ok(out);
+                    let out = v.map(|v| get!(v, "return value unset"));
+                    stack.close(&fr);
+                    let Some(caller) = stack.frames.pop() else {
+                        return Ok(out);
+                    };
+                    fr = caller;
+                    func = module.function(fr.func);
+                    if profiling {
+                        slots = counters.slots(module, fr.func);
+                    }
+                    if let (Some(r), Some(v)) = (fr.dst, out) {
+                        stack.regs[fr.regs + r.index()] = Some(v);
+                    }
+                    continue 'blocks;
                 }
             };
-            if self.options.collect_profile {
-                self.profile.record_edge(func_id, block, next);
-                self.profile.record_block(func_id, next);
+            if profiling {
+                counters.edge(slots, fr.block, slot);
+                counters.block(slots, next);
             }
-            came_from = Some(block);
-            block = next;
-            continue 'blocks;
+            came_from = Some(fr.block);
+            fr.block = next;
+            fr.pos = 0;
         }
     }
+}
 
-    /// Accounts one instruction execution; errors out when the step budget
-    /// is exhausted.
-    fn bump(&mut self, kind: &InstKind, func: FuncId) -> Result<(), Trap> {
-        self.stats.insts += 1;
-        self.stats.cycles = self
-            .stats
-            .cycles
-            .saturating_add(self.options.cost.cost_of(kind));
-        if self.steps_left == 0 {
-            return Err(Trap {
-                kind: TrapKind::StepLimitExceeded,
-                func,
-            });
-        }
-        self.steps_left -= 1;
-        Ok(())
+/// Accounts one instruction execution; errors out when the step budget is
+/// exhausted.
+#[inline]
+fn bump(
+    stats: &mut ExecStats,
+    steps_left: &mut u64,
+    cost: &CostModel,
+    kind: &InstKind,
+    func: FuncId,
+) -> Result<(), Trap> {
+    stats.insts += 1;
+    stats.cycles = stats.cycles.saturating_add(cost.cost_of(kind));
+    if *steps_left == 0 {
+        return Err(Trap {
+            kind: TrapKind::StepLimitExceeded,
+            func,
+        });
     }
+    *steps_left -= 1;
+    Ok(())
 }
 
 /// Does `index` violate `kind` for an array of length `len`?
@@ -591,60 +735,60 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn spec_check_defers_to_residual_trap() {
-        // spec_check (fails, sets flag) … trap_if_flagged re-validates:
-        // with an in-bounds index at the original point, execution continues;
-        // with an out-of-bounds one it traps there.
-        let mut m = Module::new();
-        let b = FunctionBuilder::new(
+    /// `f(a, i)`: a `spec_check` at site 0 that always fails (index 100),
+    /// its residual `trap_if_flagged` on `i`, then `a[i]`. The builder has
+    /// no spec helpers (only the optimizer emits them), so the pair is
+    /// appended through the low-level function API.
+    fn spec_module() -> Module {
+        let mut b = FunctionBuilder::new(
             "f",
             vec![Type::array_of(Type::Int), Type::Int],
             Some(Type::Int),
         );
         let a = b.param(0);
         let orig_index = b.param(1);
-        let func = {
-            let mut f = b;
-            let site = CheckSite::new(0);
-            let hoisted = f.iconst(100); // always-failing compensating index
-            let id = f.func().value_count(); // keep clippy quiet
-            let _ = id;
-            // Manually append spec_check + trap_if_flagged.
-            let spec = InstKind::SpecCheck {
-                site,
-                array: a,
-                index: hoisted,
-                kind: CheckKind::Upper,
-            };
-            let residual = InstKind::TrapIfFlagged {
-                site,
+        let site = CheckSite::new(0);
+        let hoisted = b.iconst(100); // always-failing compensating index
+        let spec = InstKind::SpecCheck {
+            site,
+            array: a,
+            index: hoisted,
+            kind: CheckKind::Upper,
+        };
+        let residual = InstKind::TrapIfFlagged {
+            site,
+            array: a,
+            index: orig_index,
+            kind: CheckKind::Upper,
+        };
+        let mut raw = b.finish_unverified();
+        raw.new_check_site();
+        let entry = raw.entry();
+        let s = raw.create_inst(spec, None);
+        raw.append_inst(entry, s);
+        let t = raw.create_inst(residual, None);
+        raw.append_inst(entry, t);
+        let l = raw.create_inst(
+            InstKind::Load {
                 array: a,
                 index: orig_index,
-                kind: CheckKind::Upper,
-            };
-            // builder has no spec helpers (only the optimizer emits them);
-            // use the low-level function API.
-            let mut raw = f.finish_unverified();
-            raw.new_check_site();
-            let entry = raw.entry();
-            let s = raw.create_inst(spec, None);
-            raw.append_inst(entry, s);
-            let t = raw.create_inst(residual, None);
-            raw.append_inst(entry, t);
-            let l = raw.create_inst(
-                InstKind::Load {
-                    array: a,
-                    index: orig_index,
-                },
-                Some(Type::Int),
-            );
-            raw.append_inst(entry, l);
-            let lv = raw.inst(l).result.unwrap();
-            raw.set_terminator(entry, Terminator::Return(Some(lv)));
-            raw
-        };
-        m.add_function(func);
+            },
+            Some(Type::Int),
+        );
+        raw.append_inst(entry, l);
+        let lv = raw.inst(l).result.unwrap();
+        raw.set_terminator(entry, Terminator::Return(Some(lv)));
+        let mut m = Module::new();
+        m.add_function(raw);
+        m
+    }
+
+    #[test]
+    fn spec_check_defers_to_residual_trap() {
+        // spec_check (fails, sets flag) … trap_if_flagged re-validates:
+        // with an in-bounds index at the original point, execution continues;
+        // with an out-of-bounds one it traps there.
+        let m = spec_module();
 
         // Spurious speculative failure: original index in bounds → no trap.
         let mut vm = Vm::new(&m);
@@ -662,6 +806,20 @@ mod tests {
             err.kind,
             TrapKind::BoundsCheckFailed { index: 5, .. }
         ));
+    }
+
+    #[test]
+    fn spec_check_is_not_a_profiled_site() {
+        // Profile site counts are `bounds_check` executions only.
+        let m = spec_module();
+        let mut vm = Vm::new(&m);
+        let arr = vm.alloc_int_array(&[7, 8]);
+        vm.call_by_name("f", &[arr, RtVal::Int(1)]).unwrap();
+        assert_eq!(vm.stats().spec_checks, [0, 1, 0]);
+        let f = m.function_by_name("f").unwrap();
+        assert_eq!(vm.profile().site_count(f, CheckSite::new(0)), 0);
+        assert_eq!(vm.profile().total_site_count(), 0);
+        assert_eq!(vm.profile().block_count(f, Block::new(0)), 1);
     }
 
     #[test]

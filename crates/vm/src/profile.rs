@@ -6,7 +6,7 @@
 //! of the partially redundant check" (§6.1). This module records exactly
 //! those frequencies.
 
-use abcd_ir::{Block, CheckSite, FuncId};
+use abcd_ir::{Block, CheckSite, FuncId, Module, Terminator};
 use std::collections::HashMap;
 
 /// Dynamic execution counts gathered by the interpreter.
@@ -23,18 +23,6 @@ impl Profile {
         Profile::default()
     }
 
-    pub(crate) fn record_edge(&mut self, func: FuncId, from: Block, to: Block) {
-        *self.edge_counts.entry((func, from, to)).or_insert(0) += 1;
-    }
-
-    pub(crate) fn record_block(&mut self, func: FuncId, block: Block) {
-        *self.block_counts.entry((func, block)).or_insert(0) += 1;
-    }
-
-    pub(crate) fn record_site(&mut self, func: FuncId, site: CheckSite) {
-        *self.site_counts.entry((func, site)).or_insert(0) += 1;
-    }
-
     /// Executions of CFG edge `from → to` in `func`.
     pub fn edge_count(&self, func: FuncId, from: Block, to: Block) -> u64 {
         self.edge_counts
@@ -48,8 +36,9 @@ impl Profile {
         self.block_counts.get(&(func, block)).copied().unwrap_or(0)
     }
 
-    /// Dynamic executions of the check at `site` in `func`
-    /// (sums `bounds_check` and `spec_check` executions attributed to it).
+    /// Dynamic executions of the `bounds_check` at `site` in `func`.
+    /// `spec_check` and `trap_if_flagged` executions carrying the same site
+    /// are not counted here; [`ExecStats`](crate::ExecStats) counts them.
     pub fn site_count(&self, func: FuncId, site: CheckSite) -> u64 {
         self.site_counts.get(&(func, site)).copied().unwrap_or(0)
     }
@@ -63,7 +52,7 @@ impl Profile {
         v
     }
 
-    /// Total dynamic check executions recorded.
+    /// Total `bounds_check` executions recorded.
     pub fn total_site_count(&self) -> u64 {
         self.site_counts.values().sum()
     }
@@ -117,6 +106,109 @@ impl Profile {
     }
 }
 
+/// Where one function's counters start in [`Counters`]: `blocks` holds one
+/// count per block; `edges` two per block, the jump or branch-then slot and
+/// the branch-else slot; `sites` one per check site.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Slots {
+    blocks: usize,
+    edges: usize,
+    sites: usize,
+}
+
+/// The interpreter's dense profile counters, indexed rather than hashed.
+///
+/// A function's counters are laid out in one shared buffer the first time
+/// it is entered and stay there for the life of the interpreter;
+/// [`Counters::fold_into`] moves the nonzero ones into a [`Profile`] and
+/// zeroes them, so the profile gains one count per event and never an
+/// entry with a zero count.
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
+    /// Per function, where its counters start (`usize::MAX`: not entered).
+    start: Vec<usize>,
+    /// Functions entered so far, in first-entry order.
+    entered: Vec<FuncId>,
+    counts: Vec<u64>,
+}
+
+impl Counters {
+    /// The counter slots of `id`, laid out on its first entry.
+    pub(crate) fn slots(&mut self, module: &Module, id: FuncId) -> Slots {
+        if self.start.is_empty() {
+            self.start = vec![usize::MAX; module.function_count()];
+        }
+        let func = module.function(id);
+        let blocks = func.block_count();
+        let mut start = self.start[id.index()];
+        if start == usize::MAX {
+            start = self.counts.len();
+            self.counts
+                .resize(start + 3 * blocks + func.check_site_count(), 0);
+            self.start[id.index()] = start;
+            self.entered.push(id);
+        }
+        Slots {
+            blocks: start,
+            edges: start + blocks,
+            sites: start + 3 * blocks,
+        }
+    }
+
+    /// Counts one execution of `block`.
+    #[inline]
+    pub(crate) fn block(&mut self, at: Slots, block: Block) {
+        self.counts[at.blocks + block.index()] += 1;
+    }
+
+    /// Counts one traversal of `from`'s successor `slot` (0: jump or
+    /// branch-then, 1: branch-else).
+    #[inline]
+    pub(crate) fn edge(&mut self, at: Slots, from: Block, slot: usize) {
+        self.counts[at.edges + 2 * from.index() + slot] += 1;
+    }
+
+    /// Counts one `bounds_check` execution at `site`.
+    #[inline]
+    pub(crate) fn site(&mut self, at: Slots, site: CheckSite) {
+        self.counts[at.sites + site.index()] += 1;
+    }
+
+    /// Adds every nonzero counter to `profile` and zeroes it.
+    pub(crate) fn fold_into(&mut self, module: &Module, profile: &mut Profile) {
+        for &id in &self.entered {
+            let func = module.function(id);
+            let at = self.start[id.index()];
+            let n = func.block_count();
+            let counts = &mut self.counts[at..at + 3 * n + func.check_site_count()];
+            let (blocks, rest) = counts.split_at_mut(n);
+            let (edges, sites) = rest.split_at_mut(2 * n);
+            for (b, c) in blocks.iter_mut().enumerate() {
+                if *c > 0 {
+                    profile.add_block_count(id, Block::new(b), std::mem::take(c));
+                }
+            }
+            for (i, c) in edges.iter_mut().enumerate() {
+                if *c > 0 {
+                    let from = Block::new(i / 2);
+                    let to = match (func.block(from).terminator(), i % 2) {
+                        (Terminator::Jump(to), 0) => *to,
+                        (Terminator::Branch { then_dst, .. }, 0) => *then_dst,
+                        (Terminator::Branch { else_dst, .. }, _) => *else_dst,
+                        (t, slot) => unreachable!("{from} has no successor slot {slot}: {t:?}"),
+                    };
+                    profile.add_edge_count(id, from, to, std::mem::take(c));
+                }
+            }
+            for (s, c) in sites.iter_mut().enumerate() {
+                if *c > 0 {
+                    profile.add_site_count(id, CheckSite::new(s), std::mem::take(c));
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,10 +217,8 @@ mod tests {
     fn hot_sites_sorted_by_count() {
         let mut p = Profile::new();
         let f = FuncId::new(0);
-        for _ in 0..3 {
-            p.record_site(f, CheckSite::new(1));
-        }
-        p.record_site(f, CheckSite::new(0));
+        p.add_site_count(f, CheckSite::new(1), 3);
+        p.add_site_count(f, CheckSite::new(0), 1);
         let hot = p.hot_sites();
         assert_eq!(hot[0], ((f, CheckSite::new(1)), 3));
         assert_eq!(hot[1], ((f, CheckSite::new(0)), 1));
@@ -140,10 +230,10 @@ mod tests {
         let f = FuncId::new(0);
         let (b0, b1) = (Block::new(0), Block::new(1));
         let mut a = Profile::new();
-        a.record_edge(f, b0, b1);
+        a.add_edge_count(f, b0, b1, 1);
         let mut b = Profile::new();
-        b.record_edge(f, b0, b1);
-        b.record_block(f, b0);
+        b.add_edge_count(f, b0, b1, 1);
+        b.add_block_count(f, b0, 1);
         a.merge(&b);
         assert_eq!(a.edge_count(f, b0, b1), 2);
         assert_eq!(a.block_count(f, b0), 1);

@@ -8,7 +8,7 @@
 use abcd::oracle::{differential, run_entry, Divergence};
 use abcd::{Optimizer, OptimizerOptions};
 use abcd_ir::{InstKind, Module};
-use abcd_vm::TrapKind;
+use abcd_vm::{RtVal, TrapKind};
 
 fn optimized(source: &str) -> (Module, abcd::ModuleReport) {
     let mut module = abcd_frontend::compile(source).expect("program compiles");
@@ -166,6 +166,41 @@ fn hoisted_checks_keep_trap_fidelity() {
         "residual trap lost fidelity: {:?}",
         trap.kind
     );
+}
+
+/// Recursion runs on the interpreter's frame stack, not the host's, so the
+/// call-depth limit (10,000) is what stops it, even on a 2 MiB thread (the
+/// default size of a spawned thread). `main` runs at depth 0, so `f(9_999)`
+/// reaches depth 10,000 and returns, and `f(10_000)` goes one deeper and
+/// traps — before and after optimization alike.
+#[test]
+fn deep_recursion_traps_at_the_depth_limit_not_the_host_stack() {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            for n in [9_999, 10_000] {
+                let source = format!(
+                    "fn f(n: int) -> int {{ if (n <= 0) {{ return 0; }} return f(n - 1) + 1; }}
+                     fn main() -> int {{ return f({n}); }}"
+                );
+                let reference = abcd_frontend::compile(&source).unwrap();
+                let module = assert_preserved(&source);
+                let f = reference.function_by_name("f").unwrap();
+                for m in [&reference, &module] {
+                    let result = run_entry(m, "main").result;
+                    if n == 9_999 {
+                        assert_eq!(result, Ok(Some(RtVal::Int(9_999))));
+                    } else {
+                        let trap = result.unwrap_err();
+                        assert_eq!(trap.kind, TrapKind::CallDepthExceeded);
+                        assert_eq!(trap.func, f);
+                    }
+                }
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
 }
 
 /// The oracle has teeth: delete an unprovable bounds check by hand (the
