@@ -24,7 +24,15 @@
 //! output growth, the interpreter's stores reaching their high-water size
 //! and first-seen profile entries; an allocation per instruction, block or
 //! call would multiply the total by hundreds.
+//!
+//! The IR text gate: deriving the cache key of every benchsuite function
+//! (locals form, e-SSA form with its value and block holes, and optimized)
+//! allocates at most the two canonical numbering maps, whatever the
+//! function's size, and printing a function into a `String` reserved to
+//! its length allocates nothing. A `fmt` call or hash map per operand
+//! would show as thousands.
 
+use abcd::cache::{canonical_text_hash, key_from_text_hash};
 use abcd::{AnyProver, InequalityGraph, Optimizer, Problem, ProverBackend, ScratchArena, Vertex};
 use abcd_ir::{CheckKind, InstKind, Value};
 use std::sync::{Mutex, PoisonError};
@@ -180,5 +188,60 @@ fn vm_run_allocations_stay_within_the_calibrated_total() {
     assert!(
         total <= VM_RUN_ALLOCS * 5 / 4,
         "running the benchsuite allocated {total} times, calibrated {VM_RUN_ALLOCS}: {per_run:?}"
+    );
+}
+
+#[test]
+fn key_derivation_and_printing_allocate_only_the_numbering() {
+    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut modules = Vec::new();
+    for bench in abcd_benchsuite::BENCHMARKS {
+        let locals = bench.compile().expect("benchmark compiles");
+        let mut essa = locals.clone();
+        for (_, func) in essa.functions_mut() {
+            to_essa(func);
+        }
+        let mut optimized = locals.clone();
+        Optimizer::new().optimize_module(&mut optimized, None);
+        modules.extend([
+            (bench.name, locals),
+            (bench.name, essa),
+            (bench.name, optimized),
+        ]);
+    }
+    let mut functions = 0;
+    for (name, module) in &modules {
+        for (_, func) in module.functions() {
+            functions += 1;
+            let before = abcd_alloc::snapshot();
+            let key = key_from_text_hash(canonical_text_hash(func), 1, 2, 3);
+            let d = abcd_alloc::delta(before);
+            assert!(
+                d.allocs <= 2,
+                "{name}/{}: deriving key {key} allocated {} times ({} bytes)",
+                func.name(),
+                d.allocs,
+                d.bytes,
+            );
+
+            let expected = func.to_string();
+            let mut text = String::with_capacity(expected.len());
+            let before = abcd_alloc::snapshot();
+            abcd_ir::print_function(func, &mut text);
+            let d = abcd_alloc::delta(before);
+            assert_eq!(text, expected);
+            assert_eq!(
+                d.allocs,
+                0,
+                "{name}/{}: printing {} bytes allocated {} times",
+                func.name(),
+                text.len(),
+                d.allocs,
+            );
+        }
+    }
+    assert!(
+        functions >= 45,
+        "gate coverage collapsed: {functions} functions"
     );
 }

@@ -52,7 +52,7 @@ use crate::driver::OptimizerOptions;
 use crate::faults::{ChaosPlan, ChaosSite};
 use crate::interproc::ParamFact;
 use crate::report::CheckOutcome;
-use abcd_ir::{CheckKind, CheckSite, FuncId};
+use abcd_ir::{CheckKind, CheckSite, Fnv1a, FuncId, Function};
 use abcd_vm::Profile;
 use std::collections::HashMap;
 use std::fmt;
@@ -73,22 +73,16 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// FNV-1a 64-bit — dependency-free, stable across platforms and runs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 fn mix(h: u64, v: u64) -> u64 {
-    // Feed the value through the same FNV stream byte by byte.
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    // Continue the FNV stream of `h` with `v`'s bytes.
+    let mut h = Fnv1a::from_state(h);
+    h.write(&v.to_le_bytes());
+    h.finish()
 }
 
 /// A content-addressed cache key (see the module docs for what it hashes).
@@ -110,8 +104,33 @@ impl fmt::Display for CacheKey {
 
 /// Derives the cache key for one function from its four components.
 pub fn cache_key(canonical_ir: &str, options_fp: u64, facts_fp: u64, profile_fp: u64) -> CacheKey {
-    let h = fnv1a64(canonical_ir.as_bytes());
-    CacheKey(mix(mix(mix(h, options_fp), facts_fp), profile_fp))
+    key_from_text_hash(
+        fnv1a64(canonical_ir.as_bytes()),
+        options_fp,
+        facts_fp,
+        profile_fp,
+    )
+}
+
+/// The FNV-1a of `func`'s canonical print — [`cache_key`]'s text
+/// component — streamed through the IR printer without building the
+/// canonical function or its text.
+pub fn canonical_text_hash(func: &Function) -> u64 {
+    let mut h = Fnv1a::new();
+    abcd_ir::print_canonical(func, &mut h);
+    h.finish()
+}
+
+/// [`cache_key`] from an already-hashed text component:
+/// `key_from_text_hash(canonical_text_hash(f), …)` equals
+/// `cache_key(&canonicalize(f).to_string(), …)`.
+pub fn key_from_text_hash(
+    text_hash: u64,
+    options_fp: u64,
+    facts_fp: u64,
+    profile_fp: u64,
+) -> CacheKey {
+    CacheKey(mix(mix(mix(text_hash, options_fp), facts_fp), profile_fp))
 }
 
 /// Fingerprints every [`OptimizerOptions`] knob. All knobs participate —

@@ -242,6 +242,7 @@ impl Optimizer {
             .unwrap_or_else(|| Arc::new(ScratchPool::new()));
         let pool = &pool;
         if !self.options.interprocedural {
+            let facts_fp = crate::cache::facts_fingerprint(&[]);
             report.functions = self.map_functions(module, |id, func| {
                 if let Some(r) = self.cold_skip_report(func, id, profile) {
                     return r;
@@ -252,11 +253,10 @@ impl Optimizer {
                 // interproc facts in this mode, so that component is the
                 // fingerprint of the empty fact set.
                 let keyed = self.effective_cache().map(|cache| {
-                    let canon = abcd_ir::canonicalize(func).to_string();
-                    let key = crate::cache::cache_key(
-                        &canon,
+                    let key = crate::cache::key_from_text_hash(
+                        crate::cache::canonical_text_hash(func),
                         options_fp,
-                        crate::cache::facts_fingerprint(&[]),
+                        facts_fp,
                         crate::cache::profile_fingerprint(profile, id, self.options.hot_threshold),
                     );
                     (cache, key)
@@ -298,30 +298,31 @@ impl Optimizer {
         // its verified assumptions. Each phase is panic-isolated per
         // function; a function whose prepare failed ships as-is and is
         // skipped by analyze.
-        // The cache key needs the *input* text, so canonicalize before
-        // prepare mutates anything. The interproc-fact component of the
-        // key is only known after inference, which is what gives editing
-        // one function its transitive reach: callees whose verified
-        // parameter facts change get new keys and recompile cold.
+        // The cache key needs the *input* text, so hash its canonical
+        // print before prepare mutates anything. The interproc-fact
+        // component of the key is only known after inference, which is
+        // what gives editing one function its transitive reach: callees
+        // whose verified parameter facts change get new keys and
+        // recompile cold.
         let caching = self.effective_cache().is_some();
         let prepared = self.map_functions(module, |_, func| {
-            let canon = caching.then(|| abcd_ir::canonicalize(func).to_string());
-            (canon, self.isolated(func, |f| self.prepare_function(f)))
+            let text_hash = caching.then(|| crate::cache::canonical_text_hash(func));
+            (text_hash, self.isolated(func, |f| self.prepare_function(f)))
         });
         let facts = crate::interproc::infer_param_facts(module);
         let facts = &facts;
         let prepared: Vec<PreparedSlot> =
             prepared.into_iter().map(|g| Mutex::new(Some(g))).collect();
         report.functions = self.map_functions(module, |id, func| {
-            let (canon, prep) = prepared[id.index()]
+            let (text_hash, prep) = prepared[id.index()]
                 .lock()
                 .expect("prepared state lock")
                 .take()
                 .expect("each function analyzed once");
-            let keyed = match (self.effective_cache(), canon) {
-                (Some(cache), Some(canon)) => {
-                    let key = crate::cache::cache_key(
-                        &canon,
+            let keyed = match (self.effective_cache(), text_hash) {
+                (Some(cache), Some(text_hash)) => {
+                    let key = crate::cache::key_from_text_hash(
+                        text_hash,
                         options_fp,
                         crate::cache::facts_fingerprint(facts.of(id)),
                         crate::cache::profile_fingerprint(profile, id, self.options.hot_threshold),
@@ -591,10 +592,12 @@ impl Optimizer {
         if !rep.incidents.is_empty() || rep.from_cache {
             return;
         }
+        let mut ir_text = String::new();
+        abcd_ir::print_function(func, &mut ir_text);
         cache.insert(
             key,
             CacheEntry {
-                ir_text: func.to_string(),
+                ir_text,
                 checks_total: rep.checks_total,
                 outcomes: rep.outcomes.clone(),
                 steps: rep.steps,
@@ -1480,11 +1483,11 @@ struct PreparedGvn {
     pi_time: std::time::Duration,
 }
 
-/// A prepared function's analysis state — its canonical *input* text (for
-/// cache keying, captured before prepare mutated anything) and the prepare
-/// outcome — handed from the parallel prepare phase to the parallel
-/// analyze phase of interprocedural mode.
-type PreparedSlot = Mutex<Option<(Option<String>, FailOpen<Result<PreparedGvn, Incident>>)>>;
+/// A prepared function's analysis state — the hash of its canonical
+/// *input* text (for cache keying, captured before prepare mutated
+/// anything) and the prepare outcome — handed from the parallel prepare
+/// phase to the parallel analyze phase of interprocedural mode.
+type PreparedSlot = Mutex<Option<(Option<u64>, FailOpen<Result<PreparedGvn, Incident>>)>>;
 
 /// Result of an isolated pipeline run: the work's own output, or the
 /// fail-open report of a function whose pipeline panicked.

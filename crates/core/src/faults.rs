@@ -46,6 +46,7 @@
 //! frame_truncate:40,frame_slow:40,disconnect:50
 //! ```
 
+use crate::cache::fnv1a64;
 use crate::graph::InequalityGraph;
 use std::cell::Cell;
 use std::fmt;
@@ -191,7 +192,7 @@ impl FaultPlan {
             } = f
             {
                 if Fault::matches(target, function) {
-                    let mut rng = Lcg::new(*seed ^ fnv1a(function));
+                    let mut rng = Lcg::new(*seed ^ fnv1a64(function.as_bytes()));
                     // Perturb whichever graph the draw lands on; the edge is
                     // strengthened (see `perturb_random_edge`), which is the
                     // dangerous direction — proofs get easier, so a wrong
@@ -362,7 +363,7 @@ impl ChaosPlan {
             return false;
         }
         let seq = self.seqs[i].fetch_add(1, Ordering::Relaxed);
-        let draw = Lcg::new(self.seed ^ fnv1a(site.name()) ^ seq).next();
+        let draw = Lcg::new(self.seed ^ fnv1a64(site.name().as_bytes()) ^ seq).next();
         let fire = draw % 1000 < u64::from(rate);
         if fire {
             self.injected[i].fetch_add(1, Ordering::Relaxed);
@@ -380,7 +381,7 @@ impl ChaosPlan {
             return None;
         }
         let seq = self.seqs[i].fetch_add(1, Ordering::Relaxed);
-        let mut rng = Lcg::new(self.seed ^ fnv1a(site.name()) ^ seq);
+        let mut rng = Lcg::new(self.seed ^ fnv1a64(site.name().as_bytes()) ^ seq);
         if rng.next() % 1000 < u64::from(rate) {
             self.injected[i].fetch_add(1, Ordering::Relaxed);
             Some(rng.next())
@@ -433,17 +434,6 @@ impl Lcg {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
         z ^ (z >> 31)
     }
-}
-
-/// FNV-1a over the function name, so `edge:*:S` picks a different edge per
-/// function but always the same one for a given name.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 thread_local! {

@@ -12,11 +12,83 @@
 //! produces. On canonical functions `print` and `parse` are mutual
 //! inverses byte-for-byte, which is what makes printed IR usable as a
 //! content-addressed cache payload: `print(parse(text)) == text`.
+//!
+//! One numbering pass — two dense maps, values and blocks — serves
+//! [`canonicalize`], [`print_canonical`] (the canonical text without the
+//! rebuild) and [`is_canonical`] (is the numbering the identity?).
 
 use crate::entities::{Block, Value};
 use crate::function::Function;
 use crate::inst::{InstKind, PiGuard};
-use std::collections::HashMap;
+use crate::print::{is_printed, print_numbered, Numbering, Sink};
+
+/// Marks an entity the canonical numbering does not reach.
+const UNNUMBERED: u32 = u32::MAX;
+
+/// Walks `func` in canonical order: each printed block with its dense
+/// number, then each result it defines with its dense number (parameters
+/// keep `0..param_count`). Never-filled blocks are skipped.
+fn number(
+    func: &Function,
+    mut on_block: impl FnMut(Block, u32),
+    mut on_value: impl FnMut(Value, u32),
+) {
+    let mut next_value = func.param_count() as u32;
+    let mut next_block = 0u32;
+    for b in func.blocks() {
+        let data = func.block(b);
+        if !is_printed(data) {
+            continue;
+        }
+        on_block(b, next_block);
+        next_block += 1;
+        for &id in data.insts() {
+            if let Some(r) = func.inst(id).result {
+                on_value(r, next_value);
+                next_value += 1;
+            }
+        }
+    }
+}
+
+/// The canonical numbering of one function: dense maps from old value and
+/// block indices to the numbers the parser would assign.
+struct Canonical {
+    values: Vec<u32>,
+    blocks: Vec<u32>,
+}
+
+impl Canonical {
+    fn of(func: &Function) -> Canonical {
+        let mut values = vec![UNNUMBERED; func.value_count()];
+        let mut blocks = vec![UNNUMBERED; func.block_count()];
+        for (i, slot) in values.iter_mut().take(func.param_count()).enumerate() {
+            *slot = i as u32;
+        }
+        number(
+            func,
+            |b, n| blocks[b.index()] = n,
+            |v, n| values[v.index()] = n,
+        );
+        Canonical { values, blocks }
+    }
+}
+
+impl Numbering for Canonical {
+    #[inline]
+    fn value(&self, v: Value) -> u32 {
+        let n = self.values[v.index()];
+        assert!(n != UNNUMBERED, "{v} is not defined in a printed block");
+        n
+    }
+
+    #[inline]
+    fn block(&self, b: Block) -> u32 {
+        let n = self.blocks[b.index()];
+        assert!(n != UNNUMBERED, "{b} is never filled");
+        n
+    }
+}
 
 /// Returns `func` rebuilt with dense, parser-identical numbering: values
 /// in definition order (parameters first), blocks in appearance order with
@@ -27,8 +99,9 @@ use std::collections::HashMap;
 /// instruction sequence, same operands up to renaming) and printing it is
 /// a fixpoint of `parse` ∘ `print`.
 pub fn canonicalize(func: &Function) -> Function {
+    let num = Canonical::of(func);
     let mut out = Function::new(
-        func.name().to_string(),
+        func.name_symbol(),
         func.param_types().to_vec(),
         func.ret_type().cloned(),
     );
@@ -38,92 +111,71 @@ pub fn canonicalize(func: &Function) -> Function {
     while out.check_site_count() < func.check_site_count() {
         out.new_check_site();
     }
-
-    // Blocks in appearance order, skipping never-filled ones (the printer
-    // omits them, and nothing reachable may target them).
-    let mut block_map: HashMap<Block, Block> = HashMap::new();
-    let mut live_blocks: Vec<Block> = Vec::new();
-    for b in func.blocks() {
+    // Every block exists before any is filled: terminators and φs refer
+    // forward. The entry block is the first printed one.
+    let printed = num.blocks.iter().filter(|&&n| n != UNNUMBERED).count();
+    for _ in 1..printed {
+        out.new_block();
+    }
+    for b in func.blocks().filter(|&b| is_printed(func.block(b))) {
+        let nb = Block::new(num.block(b) as usize);
         let data = func.block(b);
-        if data.insts().is_empty() && data.terminator_opt().is_none() {
-            continue;
-        }
-        let nb = if live_blocks.is_empty() {
-            out.entry()
-        } else {
-            out.new_block()
-        };
-        block_map.insert(b, nb);
-        live_blocks.push(b);
-    }
-
-    // Pre-scan: assign dense value ids in definition order. Parameters map
-    // to themselves; instruction results get ids in program order. The map
-    // must be complete before any instruction is rebuilt because phi
-    // operands may reference values defined later (loop back-edges).
-    let mut value_map: HashMap<Value, Value> = HashMap::new();
-    for i in 0..func.param_count() {
-        value_map.insert(Value::new(i), Value::new(i));
-    }
-    let mut next = func.param_count();
-    for &b in &live_blocks {
-        for &id in func.block(b).insts() {
-            if let Some(r) = func.inst(id).result {
-                value_map.insert(r, Value::new(next));
-                next += 1;
-            }
-        }
-    }
-
-    // Rebuild instructions and terminators with remapped operands.
-    for &b in &live_blocks {
-        let nb = block_map[&b];
-        for &id in func.block(b).insts() {
+        let mut ids = Vec::with_capacity(data.insts().len());
+        for &id in data.insts() {
             let inst = func.inst(id);
             let mut kind = inst.kind.clone();
-            kind.map_uses(|v| value_map[&v]);
-            remap_blocks(&mut kind, &block_map);
-            let ty = inst.result.map(|r| func.value_type(r).clone());
-            let nid = out.create_inst(kind, ty);
-            out.append_inst(nb, nid);
+            kind.map_uses(|v| Value::new(num.value(v) as usize));
+            match &mut kind {
+                InstKind::Phi { args } => {
+                    for (b, _) in args.iter_mut() {
+                        *b = Block::new(num.block(*b) as usize);
+                    }
+                }
+                InstKind::Pi {
+                    guard: PiGuard::Branch { block, .. },
+                    ..
+                } => *block = Block::new(num.block(*block) as usize),
+                _ => {}
+            }
+            let nid = out.create_inst(kind, inst.result.map(|r| func.value_type(r).clone()));
             // create_inst allocates results in creation order, which is the
-            // pre-scan order — the mapping must agree.
-            debug_assert_eq!(out.inst(nid).result, inst.result.map(|r| value_map[&r]));
+            // numbering's order — the two must agree.
+            debug_assert_eq!(
+                out.inst(nid).result.map(Value::index),
+                inst.result.map(|r| num.value(r) as usize)
+            );
+            ids.push(nid);
         }
-        if let Some(term) = func.block(b).terminator_opt() {
+        out.set_block_insts(nb, ids);
+        if let Some(term) = data.terminator_opt() {
             let mut t = term.clone();
-            t.map_uses(|v| value_map[&v]);
-            t.map_successors(|s| block_map[&s]);
+            t.map_uses(|v| Value::new(num.value(v) as usize));
+            t.map_successors(|s| Block::new(num.block(s) as usize));
             out.set_terminator(nb, t);
         }
     }
-    debug_assert_eq!(out.value_count(), next);
     out
 }
 
-/// Remaps the block references embedded in instruction kinds (φ incoming
-/// edges and π branch guards); everything else is block-free.
-fn remap_blocks(kind: &mut InstKind, map: &HashMap<Block, Block>) {
-    match kind {
-        InstKind::Phi { args } => {
-            for (b, _) in args.iter_mut() {
-                *b = map[b];
-            }
-        }
-        InstKind::Pi {
-            guard: PiGuard::Branch { block, .. },
-            ..
-        } => {
-            *block = map[block];
-        }
-        _ => {}
-    }
+/// Prints `canonicalize(func)` into `out` without building it: the same
+/// printer, under the canonical numbering. Streamed into an
+/// [`Fnv1a`](crate::Fnv1a), this is a cache key's text component. Its
+/// only allocations are the two numbering maps.
+pub fn print_canonical(func: &Function, out: &mut impl Sink) {
+    print_numbered(func, &Canonical::of(func), out);
 }
 
-/// Is `func` already in canonical form? (Cheap check: rebuilding and
-/// comparing the printed text; used by tests and debug assertions.)
+/// Is `func` already in canonical form — does the canonical numbering map
+/// every printed value and block to itself? One pass, no allocation;
+/// equivalent to `canonicalize(func).to_string() == func.to_string()`.
 pub fn is_canonical(func: &Function) -> bool {
-    canonicalize(func).to_string() == func.to_string()
+    let (mut blocks_fixed, mut values_fixed) = (true, true);
+    number(
+        func,
+        |b, n| blocks_fixed &= b.index() == n as usize,
+        |v, n| values_fixed &= v.index() == n as usize,
+    );
+    blocks_fixed && values_fixed
 }
 
 #[cfg(test)]

@@ -55,6 +55,16 @@ pub enum UnOp {
     Not,
 }
 
+impl UnOp {
+    /// The textual mnemonic used by the printer.
+    pub fn mnemonic(self) -> &'static str {
+        match self {
+            UnOp::Neg => "Neg",
+            UnOp::Not => "Not",
+        }
+    }
+}
+
 /// A comparison operator producing a [`Type::Bool`](crate::Type::Bool).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CmpOp {

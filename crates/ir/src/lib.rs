@@ -53,7 +53,7 @@ mod types;
 mod verify;
 
 pub use builder::FunctionBuilder;
-pub use canon::{canonicalize, is_canonical};
+pub use canon::{canonicalize, is_canonical, print_canonical};
 pub use cfg::{postorder, predecessors, reverse_postorder, successors};
 pub use entities::{Block, CheckSite, FuncId, InstId, Local, Value};
 pub use function::{BlockData, Function, ValueDef};
@@ -61,5 +61,6 @@ pub use inst::{BinOp, CheckKind, CmpOp, Inst, InstKind, PiGuard, Terminator, UnO
 pub use intern::Symbol;
 pub use module::Module;
 pub use parse::{parse_function_text, parse_module, ParseIrError};
+pub use print::{print_function, Fnv1a, Sink};
 pub use types::Type;
 pub use verify::{verify_function, verify_module, VerifyError};

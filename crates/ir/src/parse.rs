@@ -154,12 +154,19 @@ impl<'a> P<'a> {
         }
         let digits = &body[..end];
         let consumed = end + usize::from(neg);
-        let v: i64 = digits.parse().map_err(|_| ParseIrError {
-            line: self.line_no,
-            message: format!("integer `{digits}` out of range"),
-        })?;
+        // The magnitude parses unsigned so `-9223372036854775808` (i64::MIN,
+        // whose magnitude is one past i64::MAX) is in range.
+        let magnitude = digits.parse::<u64>().ok();
+        let v = match magnitude {
+            Some(m) if neg => 0i64.checked_sub_unsigned(m),
+            Some(m) => i64::try_from(m).ok(),
+            None => None,
+        };
+        let Some(v) = v else {
+            return self.err(format!("integer `{digits}` out of range"));
+        };
         self.rest = &self.rest[consumed..];
-        Ok(if neg { -v } else { v })
+        Ok(v)
     }
 
     fn index_of(&mut self, prefix: &str) -> Result<usize, ParseIrError> {
@@ -730,6 +737,36 @@ bb3:
         // site ids up to ck2 must be allocated
         assert_eq!(f.check_site_count(), 3);
         assert_eq!(f.to_string(), text.trim_end());
+    }
+
+    #[test]
+    fn constants_at_the_i64_extremes_round_trip() {
+        for c in [i64::MIN, i64::MIN + 1, -1, 0, i64::MAX] {
+            let text =
+                format!("func @k() -> int {{\nbb0:\n    v0: int = const {c}\n    ret v0\n}}");
+            let f = parse_function_text(&text).unwrap_or_else(|e| panic!("{c}: {e}"));
+            assert_eq!(f.to_string(), text, "print ∘ parse at {c}");
+            let printed = f.to_string();
+            let again = parse_function_text(&printed).unwrap();
+            assert_eq!(
+                again.inst(again.block(again.entry()).insts()[0]).kind,
+                InstKind::Const(c)
+            );
+        }
+    }
+
+    #[test]
+    fn constants_past_the_i64_range_are_rejected() {
+        for lit in [
+            "-9223372036854775809",
+            "9223372036854775808",
+            "99999999999999999999",
+        ] {
+            let text =
+                format!("func @k() -> int {{\nbb0:\n    v0: int = const {lit}\n    ret v0\n}}");
+            let err = parse_function_text(&text).unwrap_err();
+            assert!(err.message.contains("out of range"), "{lit}: {err}");
+        }
     }
 
     #[test]

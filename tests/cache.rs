@@ -297,3 +297,37 @@ fn disk_entries_survive_restart() {
     assert!(cache.stats().disk_hits > 0, "{:?}", cache.stats());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Constant folding can produce `i64::MIN`, whose printed literal
+/// `-9223372036854775808` must parse back: otherwise every stored entry of
+/// such a function is unreadable, each warm lookup reports `CacheCorrupt`
+/// and recompiles cold, and the cache never heals.
+#[test]
+fn folded_i64_min_constant_replays_from_cache() {
+    const MIN_PROGRAM: &str = r#"
+        fn main() -> int {
+            let m: int = 0 - 9223372036854775807 - 1;
+            return m;
+        }
+    "#;
+    let assert_warm = |(ir, report): (String, abcd::ModuleReport), cold_ir: &str| {
+        assert_eq!(ir, cold_ir);
+        assert!(report.functions.iter().all(|f| f.from_cache));
+        let incidents: Vec<_> = report.incidents().collect();
+        assert!(incidents.is_empty(), "{incidents:?}");
+    };
+    // In memory: the second run replays the first run's entry.
+    let cache = Arc::new(AnalysisCache::in_memory(1 << 20));
+    let (cold_ir, cold) = optimize_with(Some(&cache), 1, MIN_PROGRAM);
+    assert!(cold_ir.contains("const -9223372036854775808"), "{cold_ir}");
+    assert_eq!(cold.incident_count(), 0);
+    assert_warm(optimize_with(Some(&cache), 1, MIN_PROGRAM), &cold_ir);
+    // On disk: a fresh cache over the directory replays the stored entry.
+    let dir = scratch_dir("i64-min");
+    let cache = Arc::new(AnalysisCache::with_dir(&dir, 1 << 20).unwrap());
+    optimize_with(Some(&cache), 1, MIN_PROGRAM);
+    let cache = Arc::new(AnalysisCache::with_dir(&dir, 1 << 20).unwrap());
+    assert_warm(optimize_with(Some(&cache), 1, MIN_PROGRAM), &cold_ir);
+    assert!(cache.stats().disk_hits > 0, "{:?}", cache.stats());
+    let _ = std::fs::remove_dir_all(&dir);
+}
