@@ -83,10 +83,54 @@ pub fn delta(before: Snapshot) -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
-    // The test binary registers the allocator itself so the counters move.
+    thread_local! {
+        /// Allocations made by the current thread. Const-initialized with
+        /// no destructor, so reading it never allocates.
+        static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The test binary's allocator: [`CountingAlloc`] plus a per-thread
+    /// count, so a measurement on one test thread ignores what the
+    /// harness's other threads allocate meanwhile.
+    struct PerThread;
+
+    fn count_on_this_thread() {
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    fn thread_allocs() -> u64 {
+        THREAD_ALLOCS.with(Cell::get)
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to
+    // `CountingAlloc`, so it meets `GlobalAlloc`'s contract whenever
+    // `CountingAlloc` does; the per-thread count is a const-initialized
+    // `Cell` that never allocates.
+    unsafe impl GlobalAlloc for PerThread {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count_on_this_thread();
+            CountingAlloc.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count_on_this_thread();
+            CountingAlloc.alloc_zeroed(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            CountingAlloc.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count_on_this_thread();
+            CountingAlloc.realloc(ptr, layout, new_size)
+        }
+    }
+
     #[global_allocator]
-    static ALLOC: CountingAlloc = CountingAlloc;
+    static ALLOC: PerThread = PerThread;
 
     #[test]
     fn counts_a_vec_allocation() {
@@ -103,9 +147,12 @@ mod tests {
         let mut v: Vec<u64> = Vec::with_capacity(1024);
         v.extend(0..1024);
         v.clear();
-        let before = snapshot();
+        let before = thread_allocs();
         v.extend(0..1024); // into retained capacity
-        let d = delta(before);
-        assert_eq!(d.allocs, 0, "{d:?}");
+        assert_eq!(thread_allocs() - before, 0);
+        // The per-thread count sees this thread's allocations.
+        let grown: Vec<u64> = Vec::with_capacity(1);
+        assert_eq!(thread_allocs() - before, 1);
+        drop(grown);
     }
 }

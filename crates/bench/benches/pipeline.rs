@@ -6,17 +6,16 @@
 //! Run with: `cargo bench -p abcd-bench --bench pipeline`
 //!
 //! With `BENCH_PIPELINE_JSON=path` set, the run additionally persists its
-//! numbers — including the per-`--prover`-backend sweep and the per-phase
+//! numbers — including the suite's solver-step total and the per-phase
 //! allocation counts from the counting global allocator — as a JSON
 //! document (the committed `BENCH_pipeline.json` perf trajectory,
-//! schema `abcd-bench-pipeline/2`). The `phases.steady_prove.allocs`
+//! schema `abcd-bench-pipeline/3`). The `phases.steady_prove.allocs`
 //! entry is the headline: a warm prover re-deriving every verdict in the
 //! suite performs **zero** heap allocations (`tests/alloc_gate.rs` is the
 //! assertion-backed twin of this number).
 
 use abcd::{
-    AnyProver, InequalityGraph, Optimizer, OptimizerOptions, Problem, ProverBackend, ScratchArena,
-    ScratchPool, Vertex,
+    DemandProver, InequalityGraph, Optimizer, OptimizerOptions, Problem, ScratchPool, Vertex,
 };
 use abcd_bench::micro::bench;
 use abcd_ir::{CheckKind, InstKind, Value};
@@ -114,49 +113,19 @@ fn bench_parallel_driver(results: &mut Vec<(String, f64, u64)>) {
     }
 }
 
-/// One `--prover` backend over the whole suite: wall time (ns/iter) plus
-/// the deterministic solver-step total, which is what the regression gate
-/// in `tests/regressions.rs` pins.
-fn bench_backends(results: &mut Vec<(String, f64, u64)>) -> Vec<(&'static str, f64, u64)> {
-    let mut rows = Vec::new();
-    for backend in [
-        ProverBackend::Demand,
-        ProverBackend::Batch,
-        ProverBackend::Dbm,
-        ProverBackend::Auto,
-    ] {
-        let opts = OptimizerOptions {
-            prover: backend,
-            ..OptimizerOptions::default()
-        };
-        let name = format!("pipeline/abcd_suite_prover/{}", backend.name());
-        let (ns, allocs) = counted(&name, || {
-            let mut removed = 0usize;
-            for b in abcd_benchsuite::BENCHMARKS {
-                let mut m = b.compile().unwrap();
-                removed += Optimizer::with_options(opts)
-                    .with_scratch_pool(shared_pool())
-                    .optimize_module(&mut m, None)
-                    .checks_removed_fully();
-            }
-            removed
-        });
-        results.push((name, ns, allocs));
-        let mut steps = 0u64;
-        for b in abcd_benchsuite::BENCHMARKS {
-            let mut m = b.compile().unwrap();
-            let report = Optimizer::with_options(opts)
-                .with_scratch_pool(shared_pool())
-                .optimize_module(&mut m, None);
-            steps += report
-                .functions
-                .iter()
-                .map(|f| f.metrics.backend_steps.iter().sum::<u64>())
-                .sum::<u64>();
-        }
-        rows.push((backend.name(), ns, steps));
+/// The suite's solver-step total under the default options —
+/// deterministic, so the CI gate pins it exactly (as does
+/// `tests/regressions.rs`).
+fn suite_solver_steps() -> u64 {
+    let mut steps = 0u64;
+    for b in abcd_benchsuite::BENCHMARKS {
+        let mut m = b.compile().unwrap();
+        steps += Optimizer::new()
+            .with_scratch_pool(shared_pool())
+            .optimize_module(&mut m, None)
+            .steps();
     }
-    rows
+    steps
 }
 
 /// A function's constraint graphs plus its check queries, prepared once so
@@ -210,7 +179,7 @@ fn prepare_suite() -> Vec<PreparedFn> {
 
 /// The four pipeline phases with wall time and allocation counts:
 /// `compile`, `essa`, `optimize` (all allocate — they build fresh IR each
-/// iteration), and `steady_prove`, where warm arena-backed provers
+/// iteration), and `steady_prove`, where warm provers
 /// re-derive every verdict of every benchsuite kernel with **zero** heap
 /// allocations.
 fn bench_phases() -> Vec<(&'static str, f64, u64)> {
@@ -254,29 +223,15 @@ fn bench_phases() -> Vec<(&'static str, f64, u64)> {
     phases.push(("optimize", ns, allocs));
 
     let prepared = prepare_suite();
-    let mut arena = ScratchArena::new();
-    let mut provers: Vec<(Vec<AnyProver>, AnyProver)> = prepared
+    let mut provers: Vec<(Vec<DemandProver>, DemandProver)> = prepared
         .iter()
         .map(|p| {
             let uppers = p
                 .arrays
                 .iter()
-                .map(|&a| {
-                    AnyProver::with_arena(
-                        &p.upper,
-                        Vertex::ArrayLen(a),
-                        ProverBackend::Demand,
-                        &mut arena,
-                    )
-                })
+                .map(|&a| DemandProver::new(&p.upper, Vertex::ArrayLen(a)))
                 .collect();
-            let lower = AnyProver::with_arena(
-                &p.lower,
-                Vertex::Const(0),
-                ProverBackend::Demand,
-                &mut arena,
-            );
-            (uppers, lower)
+            (uppers, DemandProver::new(&p.lower, Vertex::Const(0)))
         })
         .collect();
     let (ns, allocs) = counted("pipeline/phase/steady_prove", || {
@@ -284,9 +239,9 @@ fn bench_phases() -> Vec<(&'static str, f64, u64)> {
         for (p, (uppers, lower)) in prepared.iter().zip(provers.iter_mut()) {
             // Forget verdicts, keep capacity: each iteration re-traverses.
             for u in uppers.iter_mut() {
-                u.reset_warm();
+                u.reset_memo();
             }
-            lower.reset_warm();
+            lower.reset_memo();
             for &(array, index, kind) in &p.checks {
                 if matches!(kind, CheckKind::Upper | CheckKind::Both) {
                     let i = p.arrays.binary_search(&array).unwrap();
@@ -304,32 +259,27 @@ fn bench_phases() -> Vec<(&'static str, f64, u64)> {
         proven
     });
     phases.push(("steady_prove", ns, allocs));
-    for (uppers, lower) in provers {
-        for u in uppers {
-            u.reclaim(&mut arena);
-        }
-        lower.reclaim(&mut arena);
-    }
 
     phases
 }
 
-/// Renders the committed perf-trajectory document (schema 2). Wall times
+/// Renders the committed perf-trajectory document (schema 3). Wall times
 /// vary by host, so the schema separates them from the deterministic
 /// quantities the CI gate pins exactly: solver-step totals and the
 /// zero-allocation steady-prove count.
 fn render_json(
     results: &[(String, f64, u64)],
-    backends: &[(&'static str, f64, u64)],
+    suite_solver_steps: u64,
     phases: &[(&'static str, f64, u64)],
 ) -> String {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = format!(
-        "{{\"schema\":\"abcd-bench-pipeline/2\",\"host_cpus\":{host_cpus},\
+        "{{\"schema\":\"abcd-bench-pipeline/3\",\"host_cpus\":{host_cpus},\
          \"notes\":{{\"parallel\":\"abcd_suite_threads rows beyond host_cpus \
          document the oversubscription regression (extra workers only add \
          contention); mjc/abcdd clamp worker counts to the available \
-         parallelism via abcd::clamp_jobs\"}},\"phases\":{{"
+         parallelism via abcd::clamp_jobs\"}},\
+         \"suite_solver_steps\":{suite_solver_steps},\"phases\":{{"
     );
     for (i, (name, ns, allocs)) in phases.iter().enumerate() {
         if i > 0 {
@@ -337,15 +287,6 @@ fn render_json(
         }
         out.push_str(&format!(
             "\"{name}\":{{\"ns\":{ns:.0},\"allocs\":{allocs}}}"
-        ));
-    }
-    out.push_str("},\"backends\":{");
-    for (i, (name, ns, steps)) in backends.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{name}\":{{\"suite_ns_per_iter\":{ns:.0},\"suite_solver_steps\":{steps}}}"
         ));
     }
     out.push_str("},\"benchmarks\":{");
@@ -368,10 +309,10 @@ fn main() {
     bench_full_abcd(&mut results);
     bench_abcd_without_pre(&mut results);
     bench_parallel_driver(&mut results);
-    let backends = bench_backends(&mut results);
     let phases = bench_phases();
     if let Ok(path) = std::env::var("BENCH_PIPELINE_JSON") {
-        std::fs::write(&path, render_json(&results, &backends, &phases)).expect("write bench json");
+        let json = render_json(&results, suite_solver_steps(), &phases);
+        std::fs::write(&path, json).expect("write bench json");
         println!("wrote {path}");
     }
 }

@@ -11,9 +11,9 @@ use abcd::{ExhaustiveDistances, InequalityGraph, OptimizerOptions, Problem, Vert
 use abcd_bench::{evaluate_all, print_incident_summary};
 use abcd_ir::InstKind;
 
-/// Relaxation steps an exhaustive single-source pass would spend: one pass
+/// Vertex relaxations an exhaustive single-source pass would spend: one pass
 /// per distinct array-length source (plus the constant-0 source for lower
-/// checks), per function — the batch alternative §5 rejects for JIT use.
+/// checks), per function — the exhaustive alternative §5 rejects for JIT use.
 fn exhaustive_steps(bench: &abcd_benchsuite::Benchmark) -> u64 {
     let mut module = bench.compile().unwrap();
     abcd_ssa::module_to_essa(&mut module).unwrap();

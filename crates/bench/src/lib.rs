@@ -220,7 +220,7 @@ pub fn stress_module() -> abcd_ir::Module {
 
 /// Measures the optimize phase of `benches` at one worker and at
 /// `threads` workers and renders the comparison — plus each benchmark's
-/// `abcd-metrics/6` object from the parallel run — as one JSON document
+/// `abcd-metrics/7` object from the parallel run — as one JSON document
 /// (schema `abcd-bench-metrics/4`).
 ///
 /// Version 3 adds a `"cache"` object comparing a cold run against a warm
@@ -490,9 +490,9 @@ mod tests {
         assert!(json.contains("\"sequential_wall_us\":"), "{json}");
         assert!(json.contains("\"parallel_wall_us\":"), "{json}");
         assert!(json.contains("\"speedup\":\""), "{json}");
-        // Each of the two benchmarks embeds a full abcd-metrics/6 object.
+        // Each of the two benchmarks embeds a full abcd-metrics/7 object.
         assert_eq!(
-            json.matches("\"metrics\":{\"schema\":\"abcd-metrics/6\"")
+            json.matches("\"metrics\":{\"schema\":\"abcd-metrics/7\"")
                 .count(),
             2,
             "{json}"

@@ -3,18 +3,16 @@
 //!
 //! The steady-state prove gate: once a prover's buffers are warm (one
 //! reserve pass over every query), re-deriving every verdict of every
-//! benchsuite kernel — on all three backends — must perform **zero** heap
-//! allocations.
+//! benchsuite kernel must perform **zero** heap allocations.
 //!
-//! Protocol per function × backend:
+//! Protocol per function:
 //!
-//! 1. build the upper/lower graphs and arena-backed provers (the
-//!    per-function *reserve* — allocation here is expected and unmeasured);
-//! 2. pass 1: answer every check query, warming memo tables / sweep
-//!    distance buffers to their high-water capacity;
-//! 3. `reset_warm()`: forget the verdicts but keep every buffer — the next
-//!    pass re-traverses (demand) or re-sweeps (batch/dbm) for real, it
-//!    does not just replay memo hits;
+//! 1. build the upper/lower graphs and their provers (the per-function
+//!    *reserve* — allocation here is expected and unmeasured);
+//! 2. pass 1: answer every check query, warming the memo tables to their
+//!    high-water capacity;
+//! 3. `reset_memo()`: forget the verdicts but keep every buffer — the next
+//!    pass re-traverses for real, it does not just replay memo hits;
 //! 4. pass 2 under the counting allocator: assert 0 allocations and
 //!    byte-identical verdicts.
 //!
@@ -33,7 +31,7 @@
 //! would show as thousands.
 
 use abcd::cache::{canonical_text_hash, key_from_text_hash};
-use abcd::{AnyProver, InequalityGraph, Optimizer, Problem, ProverBackend, ScratchArena, Vertex};
+use abcd::{DemandProver, InequalityGraph, Optimizer, Problem, Vertex};
 use abcd_ir::{CheckKind, InstKind, Value};
 use std::sync::{Mutex, PoisonError};
 
@@ -58,14 +56,8 @@ fn to_essa(func: &mut abcd_ir::Function) {
 }
 
 #[test]
-fn steady_state_prove_allocates_nothing_on_any_backend() {
+fn steady_state_prove_allocates_nothing() {
     let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
-    let backends = [
-        ProverBackend::Demand,
-        ProverBackend::Batch,
-        ProverBackend::Dbm,
-    ];
-    let mut arena = ScratchArena::new();
     let mut gated_queries = 0u64;
     let mut gated_functions = 0u64;
     for bench in abcd_benchsuite::BENCHMARKS {
@@ -98,62 +90,51 @@ fn steady_state_prove_allocates_nothing_on_any_backend() {
             arrays.dedup();
             let upper = InequalityGraph::build(func, Problem::Upper, None);
             let lower = InequalityGraph::build(func, Problem::Lower, None);
-            for backend in backends {
-                let mut upper_provers: Vec<AnyProver> = arrays
-                    .iter()
-                    .map(|&a| {
-                        AnyProver::with_arena(&upper, Vertex::ArrayLen(a), backend, &mut arena)
-                    })
-                    .collect();
-                let mut lower_prover =
-                    AnyProver::with_arena(&lower, Vertex::Const(0), backend, &mut arena);
-                let run = |ups: &mut [AnyProver], low: &mut AnyProver| -> u64 {
-                    let mut proven = 0;
-                    for &(array, index, kind) in &checks {
-                        if matches!(kind, CheckKind::Upper | CheckKind::Both) {
-                            let i = arrays.binary_search(&array).expect("prover exists");
-                            if ups[i].demand_prove(Vertex::Value(index), -1) {
-                                proven += 1;
-                            }
-                        }
-                        if matches!(kind, CheckKind::Lower | CheckKind::Both)
-                            && low.demand_prove(Vertex::Value(index), 0)
-                        {
+            let mut upper_provers: Vec<DemandProver> = arrays
+                .iter()
+                .map(|&a| DemandProver::new(&upper, Vertex::ArrayLen(a)))
+                .collect();
+            let mut lower_prover = DemandProver::new(&lower, Vertex::Const(0));
+            let run = |ups: &mut [DemandProver], low: &mut DemandProver| -> u64 {
+                let mut proven = 0;
+                for &(array, index, kind) in &checks {
+                    if matches!(kind, CheckKind::Upper | CheckKind::Both) {
+                        let i = arrays.binary_search(&array).expect("prover exists");
+                        if ups[i].demand_prove(Vertex::Value(index), -1) {
                             proven += 1;
                         }
                     }
-                    proven
-                };
-                // Pass 1: the reserve — warms every table to its final size.
-                let warm = run(&mut upper_provers, &mut lower_prover);
-                // Forget verdicts, keep capacity: pass 2 does real work.
-                for p in upper_provers.iter_mut() {
-                    p.reset_warm();
+                    if matches!(kind, CheckKind::Lower | CheckKind::Both)
+                        && low.demand_prove(Vertex::Value(index), 0)
+                    {
+                        proven += 1;
+                    }
                 }
-                lower_prover.reset_warm();
-                // Pass 2: the measured steady state.
-                let before = abcd_alloc::snapshot();
-                let again = run(&mut upper_provers, &mut lower_prover);
-                let d = abcd_alloc::delta(before);
-                assert_eq!(
-                    d.allocs,
-                    0,
-                    "{}/{}: {} backend allocated {} times ({} bytes) re-proving \
-                     {} checks in steady state",
-                    bench.name,
-                    func.name(),
-                    backend.name(),
-                    d.allocs,
-                    d.bytes,
-                    checks.len(),
-                );
-                assert_eq!(warm, again, "verdicts changed across the reset");
-                gated_queries += u64::try_from(checks.len()).unwrap();
-                for p in upper_provers {
-                    p.reclaim(&mut arena);
-                }
-                lower_prover.reclaim(&mut arena);
+                proven
+            };
+            // Pass 1: the reserve — warms every table to its final size.
+            let warm = run(&mut upper_provers, &mut lower_prover);
+            // Forget verdicts, keep capacity: pass 2 does real work.
+            for p in upper_provers.iter_mut() {
+                p.reset_memo();
             }
+            lower_prover.reset_memo();
+            // Pass 2: the measured steady state.
+            let before = abcd_alloc::snapshot();
+            let again = run(&mut upper_provers, &mut lower_prover);
+            let d = abcd_alloc::delta(before);
+            assert_eq!(
+                d.allocs,
+                0,
+                "{}/{}: allocated {} times ({} bytes) re-proving {} checks in steady state",
+                bench.name,
+                func.name(),
+                d.allocs,
+                d.bytes,
+                checks.len(),
+            );
+            assert_eq!(warm, again, "verdicts changed across the reset");
+            gated_queries += u64::try_from(checks.len()).unwrap();
         }
     }
     // The gate must have exercised real work on every kernel.

@@ -95,58 +95,25 @@ fn bytemark_keeps_the_largest_partial_redundancy() {
     );
 }
 
-/// Suite-wide solver-step total for one backend — deterministic, so the
-/// gates below can pin it exactly enough to catch traversal regressions
-/// before the wall-clock numbers in `BENCH_pipeline.json` drift.
-fn suite_steps(backend: abcd::ProverBackend) -> u64 {
+/// Suite-wide solver-step total under the default options, summed over
+/// `FunctionReport::steps` — deterministic, so the gate below pins it
+/// exactly to catch traversal regressions before the wall-clock numbers
+/// in `BENCH_pipeline.json` drift.
+fn suite_steps() -> u64 {
     use abcd::Optimizer;
-    let opts = OptimizerOptions {
-        prover: backend,
-        ..OptimizerOptions::default()
-    };
     let mut steps = 0u64;
     for b in abcd_benchsuite::BENCHMARKS {
         let mut m = b.compile().unwrap();
-        let report = Optimizer::with_options(opts).optimize_module(&mut m, None);
-        steps += report
-            .functions
-            .iter()
-            .map(|f| f.metrics.backend_steps.iter().sum::<u64>())
-            .sum::<u64>();
+        let report = Optimizer::new().optimize_module(&mut m, None);
+        steps += report.functions.iter().map(|f| f.steps).sum::<u64>();
     }
     steps
 }
 
 #[test]
-fn demand_backend_step_count_stays_flat() {
-    // The demand prover is the oracle backend and the default engine; any
-    // solver change that makes it traverse more is a regression this gate
-    // catches. Calibrated at 2314 steps with ~12% headroom.
-    let steps = suite_steps(abcd::ProverBackend::Demand);
-    assert!(
-        steps <= 2600,
-        "demand backend suite steps regressed: {steps} (calibrated: 2314)"
-    );
-    assert!(steps > 0, "step accounting broke: no steps recorded");
-}
-
-#[test]
-fn sweep_backend_step_counts_stay_flat() {
-    // The sweep backends do orders of magnitude more (relaxation) steps by
-    // design — batch visits edges per sparse pass, dbm relaxes the dense
-    // matrix — but their totals are just as deterministic. Calibrated at
-    // 93_809 (batch) and 7_743_036 (dbm) with ~12% headroom, matching the
-    // `backends.*.suite_solver_steps` rows of BENCH_pipeline.json.
-    let batch = suite_steps(abcd::ProverBackend::Batch);
-    assert!(
-        batch <= 105_000,
-        "batch backend suite steps regressed: {batch} (calibrated: 93809)"
-    );
-    assert!(batch > 0, "batch step accounting broke");
-    let dbm = suite_steps(abcd::ProverBackend::Dbm);
-    assert!(
-        dbm <= 8_670_000,
-        "dbm backend suite steps regressed: {dbm} (calibrated: 7743036)"
-    );
-    assert!(dbm > batch, "dbm should dominate batch in raw steps");
+fn demand_step_count_stays_flat() {
+    // Any solver change that makes the demand prover traverse more (or
+    // less) moves this total; `tools/bench_gate.py` pins the same number
+    // in BENCH_pipeline.json.
+    assert_eq!(suite_steps(), 2314, "demand prover suite steps moved");
 }

@@ -136,13 +136,14 @@ pub fn key_from_text_hash(
 /// Fingerprints every [`OptimizerOptions`] knob. All knobs participate —
 /// even ones (like `isolate_panics`) that cannot change a healthy run's
 /// output — because a byte of hash is cheaper than an argument about
-/// which knob is observable.
+/// which knob is observable. The trailing `prover=demand` names the one
+/// query engine; it stays so keys match entries already on disk.
 pub fn options_fingerprint(o: &OptimizerOptions) -> u64 {
     let text = format!(
         "upper={} lower={} cleanup={} pre={} gvn_hook={} merge_checks={} \
          classify_local={} hot_threshold={:?} interprocedural={} \
          fuel_per_query={:?} fuel_per_function={:?} verify_ir={} validate={} \
-         isolate_panics={} prover={}",
+         isolate_panics={} prover=demand",
         o.upper,
         o.lower,
         o.cleanup,
@@ -157,7 +158,6 @@ pub fn options_fingerprint(o: &OptimizerOptions) -> u64 {
         o.verify_ir,
         o.validate,
         o.isolate_panics,
-        o.prover.name(),
     );
     fnv1a64(text.as_bytes())
 }
@@ -377,7 +377,7 @@ fn kind_str(kind: CheckKind) -> &'static str {
 
 // ---- the cache ----------------------------------------------------------
 
-/// Counters exposed in `abcd-metrics/6` and the server `stats` command.
+/// Counters exposed in `abcd-metrics/7` and the server `stats` command.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries currently resident in memory.

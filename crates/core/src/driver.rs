@@ -15,7 +15,7 @@ use crate::report::{
     CheckOutcome, EliminatedCheck, FunctionReport, HoistedCheck, Incident, ModuleReport,
 };
 use crate::scratch::{ScratchArena, ScratchPool};
-use crate::solver::{AnyProver, DemandProver, PreOutcome, PreProver, ProverBackend};
+use crate::solver::{DemandProver, PreOutcome, PreProver, ProverBackend};
 use crate::trace::{FunctionTrace, PreInsertionRecord, Span};
 use abcd_ir::{Block, CheckKind, CheckSite, FuncId, Function, InstId, InstKind, Module, Value};
 use abcd_ssa::DomTree;
@@ -72,9 +72,7 @@ pub struct OptimizerOptions {
     /// function ships unoptimized ([`Incident::PassPanic`]) while the rest
     /// of the module proceeds.
     pub isolate_panics: bool,
-    /// Which engine answers difference queries (`--prover`). All backends
-    /// compute identical verdicts; [`ProverBackend::Auto`] picks per
-    /// function (and per problem) by graph shape.
+    /// Always `Demand`, not a knob; stays only for the frozen benchmark replay.
     pub prover: ProverBackend,
 }
 
@@ -166,7 +164,7 @@ impl Optimizer {
     }
 
     /// Attaches a shared scratch pool: workers draw their per-function
-    /// arenas (graph shells, prover memo tables, sweep buffers) from it, so
+    /// arenas (graph shells, prover memo tables, PRE worklists) from it, so
     /// the warm capacity survives across modules and — in the server —
     /// across requests. Steady state allocates nothing on the prove path.
     pub fn with_scratch_pool(mut self, pool: Arc<ScratchPool>) -> Self {
@@ -813,29 +811,6 @@ impl Optimizer {
             });
         }
 
-        // Resolve the query engine per problem graph: `auto` inspects each
-        // graph's shape, concrete backends pass through unchanged.
-        let upper_backend = opts.prover.resolve(&upper_graph);
-        let lower_backend = opts.prover.resolve(&lower_graph);
-        report.metrics.upper_backend = upper_backend.name();
-        report.metrics.lower_backend = lower_backend.name();
-        if let Some(t) = &mut ftrace {
-            for (problem, graph, resolved) in [
-                ("upper", &upper_graph, upper_backend),
-                ("lower", &lower_graph, lower_backend),
-            ] {
-                let shape = graph.shape();
-                t.push(Span::Backend {
-                    problem,
-                    requested: opts.prover.name(),
-                    backend: resolved.name(),
-                    vertices: shape.vertices,
-                    edges: shape.edges,
-                    cycles: shape.cycles,
-                });
-            }
-        }
-
         // The checks, in program order, hottest-first when profiled.
         let mut checks: Vec<(Block, InstId, CheckSite, Value, Value, CheckKind)> = Vec::new();
         for b in func.blocks() {
@@ -861,9 +836,9 @@ impl Optimizer {
         // Provers are cached per source vertex so memoization spans all
         // checks against the same array (or the constant 0) — including the
         // PRE provers, whose exact-match memo is equally reusable.
-        let mut upper_provers: HashMap<Value, AnyProver> = HashMap::new();
+        let mut upper_provers: HashMap<Value, DemandProver> = HashMap::new();
         let mut lower_prover =
-            AnyProver::with_arena(&lower_graph, Vertex::Const(0), lower_backend, arena);
+            DemandProver::with_scratch(&lower_graph, Vertex::Const(0), arena.take_demand());
         if self.trace {
             lower_prover.enable_trace();
         }
@@ -939,10 +914,8 @@ impl Optimizer {
             let mut proven = match kind {
                 CheckKind::Upper => prove_upper(
                     &upper_graph,
-                    upper_backend,
                     &mut upper_provers,
                     arena,
-                    &mut report.metrics,
                     &mut spent_steps,
                     &mut exhausted,
                     &mut overflowed,
@@ -954,7 +927,6 @@ impl Optimizer {
                 ),
                 CheckKind::Lower => prove_lower(
                     &mut lower_prover,
-                    &mut report.metrics,
                     &mut spent_steps,
                     &mut exhausted,
                     &mut overflowed,
@@ -966,10 +938,8 @@ impl Optimizer {
                 CheckKind::Both => {
                     prove_upper(
                         &upper_graph,
-                        upper_backend,
                         &mut upper_provers,
                         arena,
-                        &mut report.metrics,
                         &mut spent_steps,
                         &mut exhausted,
                         &mut overflowed,
@@ -980,7 +950,6 @@ impl Optimizer {
                         &mut ftrace,
                     ) && prove_lower(
                         &mut lower_prover,
-                        &mut report.metrics,
                         &mut spent_steps,
                         &mut exhausted,
                         &mut overflowed,
@@ -1001,10 +970,8 @@ impl Optimizer {
                 for other in abcd_analysis::congruent_arrays(func, &gvn, &dt, array, block) {
                     if prove_upper(
                         &upper_graph,
-                        upper_backend,
                         &mut upper_provers,
                         arena,
-                        &mut report.metrics,
                         &mut spent_steps,
                         &mut exhausted,
                         &mut overflowed,
@@ -1135,22 +1102,19 @@ impl Optimizer {
             report.record(site, kind, outcome);
         }
 
-        for p in upper_provers.values() {
-            report.metrics.memo_hits += p.memo_hits();
-            report.metrics.memo_misses += p.memo_misses();
+        for p in upper_provers.values().chain([&lower_prover]) {
+            report.metrics.memo_hits += p.memo_hits;
+            report.metrics.memo_misses += p.memo_misses;
         }
-        report.metrics.memo_hits += lower_prover.memo_hits();
-        report.metrics.memo_misses += lower_prover.memo_misses();
         for p in pre_provers.values() {
             report.metrics.pre_memo_hits += p.memo_hits;
             report.metrics.pre_memo_misses += p.memo_misses;
         }
         // Retire every prover and graph into the arena: their warm tables
         // and shells seed the next function's analysis.
-        for (_, p) in upper_provers {
-            p.reclaim(arena);
+        for p in upper_provers.into_values().chain([lower_prover]) {
+            arena.put_demand(p.into_scratch());
         }
-        lower_prover.reclaim(arena);
         for (_, p) in pre_provers {
             arena.put_pre(p.into_scratch());
         }
@@ -1358,15 +1322,12 @@ impl Optimizer {
 
 /// Runs an upper-bound query against the (memoized) prover for `array`,
 /// accounting the solver steps it spends into `spent`, budget trips into
-/// `exhausted`, and arithmetic saturation into `overflowed`. Steps and
-/// wall time also land in the per-backend metrics slots.
+/// `exhausted`, and arithmetic saturation into `overflowed`.
 #[allow(clippy::too_many_arguments)]
 fn prove_upper<'g>(
     graph: &'g InequalityGraph,
-    backend: ProverBackend,
-    provers: &mut HashMap<Value, AnyProver<'g>>,
+    provers: &mut HashMap<Value, DemandProver<'g>>,
     arena: &mut ScratchArena,
-    metrics: &mut crate::metrics::FunctionMetrics,
     spent: &mut u64,
     exhausted: &mut bool,
     overflowed: &mut bool,
@@ -1378,25 +1339,21 @@ fn prove_upper<'g>(
 ) -> bool {
     let tracing = trace.is_some();
     let p = provers.entry(array).or_insert_with(|| {
-        let mut p = AnyProver::with_arena(graph, Vertex::ArrayLen(array), backend, arena);
+        let mut p = DemandProver::with_scratch(graph, Vertex::ArrayLen(array), arena.take_demand());
         if tracing {
             p.enable_trace();
         }
         p
     });
-    let started = Instant::now();
-    let before = p.steps();
+    let before = p.steps;
     if let Some(f) = fuel {
         p.set_query_fuel(f);
     }
     let ok = p.demand_prove(Vertex::Value(index), -1);
-    let steps = p.steps() - before;
+    let steps = p.steps - before;
     *spent += steps;
     *exhausted |= p.last_query_exhausted();
     *overflowed |= p.last_query_overflowed();
-    let slot = p.backend().index();
-    metrics.backend_steps[slot] += steps;
-    metrics.backend_time[slot] += started.elapsed();
     if let Some(t) = trace {
         t.push(Span::Prove {
             site,
@@ -1417,8 +1374,7 @@ fn prove_upper<'g>(
 /// prover).
 #[allow(clippy::too_many_arguments)]
 fn prove_lower(
-    prover: &mut AnyProver,
-    metrics: &mut crate::metrics::FunctionMetrics,
+    prover: &mut DemandProver,
     spent: &mut u64,
     exhausted: &mut bool,
     overflowed: &mut bool,
@@ -1427,19 +1383,15 @@ fn prove_lower(
     site: CheckSite,
     trace: &mut Option<Box<FunctionTrace>>,
 ) -> bool {
-    let started = Instant::now();
-    let before = prover.steps();
+    let before = prover.steps;
     if let Some(f) = fuel {
         prover.set_query_fuel(f);
     }
     let ok = prover.demand_prove(Vertex::Value(index), 0);
-    let steps = prover.steps() - before;
+    let steps = prover.steps - before;
     *spent += steps;
     *exhausted |= prover.last_query_exhausted();
     *overflowed |= prover.last_query_overflowed();
-    let slot = prover.backend().index();
-    metrics.backend_steps[slot] += steps;
-    metrics.backend_time[slot] += started.elapsed();
     if let Some(t) = trace {
         t.push(Span::Prove {
             site,

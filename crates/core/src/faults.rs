@@ -48,6 +48,7 @@
 
 use crate::cache::fnv1a64;
 use crate::graph::InequalityGraph;
+use abcd_ir::SplitMix64;
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -192,13 +193,13 @@ impl FaultPlan {
             } = f
             {
                 if Fault::matches(target, function) {
-                    let mut rng = Lcg::new(*seed ^ fnv1a64(function.as_bytes()));
+                    let mut rng = SplitMix64::new(*seed ^ fnv1a64(function.as_bytes()));
                     // Perturb whichever graph the draw lands on; the edge is
                     // strengthened (see `perturb_random_edge`), which is the
                     // dangerous direction — proofs get easier, so a wrong
                     // elimination becomes possible and the validation layer
                     // must catch it.
-                    let g = if rng.next().is_multiple_of(2) {
+                    let g = if rng.next_u64().is_multiple_of(2) {
                         &mut *upper
                     } else {
                         &mut *lower
@@ -363,7 +364,7 @@ impl ChaosPlan {
             return false;
         }
         let seq = self.seqs[i].fetch_add(1, Ordering::Relaxed);
-        let draw = Lcg::new(self.seed ^ fnv1a64(site.name().as_bytes()) ^ seq).next();
+        let draw = SplitMix64::new(self.seed ^ fnv1a64(site.name().as_bytes()) ^ seq).next_u64();
         let fire = draw % 1000 < u64::from(rate);
         if fire {
             self.injected[i].fetch_add(1, Ordering::Relaxed);
@@ -381,10 +382,10 @@ impl ChaosPlan {
             return None;
         }
         let seq = self.seqs[i].fetch_add(1, Ordering::Relaxed);
-        let mut rng = Lcg::new(self.seed ^ fnv1a64(site.name().as_bytes()) ^ seq);
-        if rng.next() % 1000 < u64::from(rate) {
+        let mut rng = SplitMix64::new(self.seed ^ fnv1a64(site.name().as_bytes()) ^ seq);
+        if rng.next_u64() % 1000 < u64::from(rate) {
             self.injected[i].fetch_add(1, Ordering::Relaxed);
-            Some(rng.next())
+            Some(rng.next_u64())
         } else {
             None
         }
@@ -414,25 +415,6 @@ impl fmt::Display for ChaosPlan {
             }
         }
         Ok(())
-    }
-}
-
-/// A tiny deterministic generator (SplitMix64) for fault-site selection.
-/// Not for cryptography — for reproducible sabotage.
-#[derive(Clone, Debug)]
-pub(crate) struct Lcg(u64);
-
-impl Lcg {
-    pub(crate) fn new(seed: u64) -> Lcg {
-        Lcg(seed)
-    }
-
-    pub(crate) fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
     }
 }
 
@@ -557,15 +539,5 @@ mod tests {
             .collect();
         assert_eq!(sa, sb);
         assert!(sa.iter().all(|s| s.is_some()));
-    }
-
-    #[test]
-    fn lcg_is_deterministic() {
-        let mut a = Lcg::new(7);
-        let mut b = Lcg::new(7);
-        for _ in 0..8 {
-            assert_eq!(a.next(), b.next());
-        }
-        assert_ne!(Lcg::new(1).next(), Lcg::new(2).next());
     }
 }

@@ -78,20 +78,6 @@ pub struct InEdge {
     pub weight: i64,
 }
 
-/// Vertex/edge/cycle summary of one graph — what `--prover auto` consults
-/// to pick a backend per function (see
-/// [`ProverBackend::resolve`](crate::ProverBackend::resolve)).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct GraphShape {
-    /// Number of vertices.
-    pub vertices: usize,
-    /// Number of edges.
-    pub edges: usize,
-    /// Back edges found by one DFS over the in-edge direction — a cheap
-    /// proxy for the number of independent cycles.
-    pub cycles: usize,
-}
-
 /// FxHash-style mix of one vertex — cheap, and good enough for the
 /// open-addressed vertex table (distinct vertices differ in low bits).
 fn vertex_hash(v: Vertex) -> u64 {
@@ -178,7 +164,7 @@ impl VertexTable {
 /// open-addressed [`VertexTable`], and edges are kept twice — an
 /// insertion-ordered flat log (`building`, the source of truth every
 /// mutation appends to) and CSR-packed in/out adjacency derived from it by
-/// [`refresh`](Self::refresh). All prover backends read the CSR slices;
+/// [`refresh`](Self::refresh). The provers read the CSR slices;
 /// nothing on the prove path chases per-vertex `Vec`s or hashes a key.
 #[derive(Clone, Debug)]
 pub struct InequalityGraph {
@@ -195,7 +181,7 @@ pub struct InequalityGraph {
     /// CSR out-neighbor offsets (same indexing).
     out_off: Vec<u32>,
     /// CSR-packed out-neighbors (destination vertex ids), source-major —
-    /// what the sweep backend's reachability pass walks.
+    /// what the exhaustive solver's reachability pass walks.
     out_dst: Vec<u32>,
     /// Whether the CSR views are current with `building`.
     finalized: bool,
@@ -441,8 +427,8 @@ impl InequalityGraph {
     }
 
     /// Out-neighbors of `v` (vertices `v` constrains), as a CSR slice of
-    /// destination ids — the adjacency the sweep backend's reachability
-    /// pass walks without rebuilding per-vertex vectors.
+    /// destination ids — the adjacency the exhaustive solver's
+    /// reachability pass walks without rebuilding per-vertex vectors.
     pub fn out_neighbors(&self, v: VertexId) -> &[u32] {
         debug_assert!(self.finalized, "graph read before CSR refresh");
         let lo = self.out_off[v.0 as usize] as usize;
@@ -490,45 +476,6 @@ impl InequalityGraph {
         self.building.len()
     }
 
-    /// Computes the [`GraphShape`] summary (O(V + E): one DFS counting
-    /// back edges).
-    pub fn shape(&self) -> GraphShape {
-        let n = self.vertex_count();
-        let mut color = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
-        let mut cycles = 0;
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        for root in 0..n {
-            if color[root] != 0 {
-                continue;
-            }
-            color[root] = 1;
-            stack.push((root, 0));
-            while let Some((v, ei)) = stack.last().copied() {
-                let edges = self.in_edges(VertexId::from_index(v));
-                if ei < edges.len() {
-                    stack.last_mut().expect("stack nonempty").1 += 1;
-                    let u = edges[ei].src.index();
-                    match color[u] {
-                        0 => {
-                            color[u] = 1;
-                            stack.push((u, 0));
-                        }
-                        1 => cycles += 1, // back edge closes a cycle
-                        _ => {}
-                    }
-                } else {
-                    color[v] = 2;
-                    stack.pop();
-                }
-            }
-        }
-        GraphShape {
-            vertices: n,
-            edges: self.edge_count(),
-            cycles,
-        }
-    }
-
     /// Adds an *assumed* fact `v ≤ u + c` (upper graph) / `v ≥ u + c`
     /// (lower graph) to the system — used by the interprocedural extension
     /// to inject verified parameter facts (see [`crate::interproc`]).
@@ -564,13 +511,13 @@ impl InequalityGraph {
     /// unjustified fact, the *dangerous* direction — proofs get easier, so
     /// a wrong elimination becomes possible and translation validation must
     /// catch it. No-op on an edgeless graph.
-    pub(crate) fn perturb_random_edge(&mut self, rng: &mut crate::faults::Lcg, max_delta: i64) {
+    pub(crate) fn perturb_random_edge(&mut self, rng: &mut abcd_ir::SplitMix64, max_delta: i64) {
         let total = self.edge_count();
         if total == 0 {
             return;
         }
-        let pick = (rng.next() % total as u64) as usize;
-        let delta = 1 + (rng.next() % max_delta.max(1) as u64) as i64;
+        let pick = (rng.next_u64() % total as u64) as usize;
+        let delta = 1 + (rng.next_u64() % max_delta.max(1) as u64) as i64;
         // The canonical log and the CSR share flat indices (vertex-major
         // order); mutate both so later refreshes keep the perturbation.
         self.csr[pick].weight -= delta;
@@ -1094,30 +1041,5 @@ mod tests {
             nonempty += usize::from(!p1.is_empty());
         }
         assert!(nonempty >= 2, "loop φs must have recorded predecessors");
-    }
-
-    #[test]
-    fn shape_reports_cycles_for_loops_only() {
-        let straight = essa(
-            "fn f(a: int[], i: int) -> int {
-                if (i < a.length) { if (i >= 0) { return a[i]; } }
-                return 0;
-            }",
-        );
-        let g = InequalityGraph::build(&straight, Problem::Upper, None);
-        let s = g.shape();
-        assert_eq!(s.vertices, g.vertex_count());
-        assert_eq!(s.edges, g.edge_count());
-        assert_eq!(s.cycles, 0, "branch-only code has an acyclic graph");
-
-        let looped = essa(
-            "fn f(a: int[]) -> int {
-                let s: int = 0;
-                for (let i: int = 0; i < a.length; i = i + 1) { s = s + a[i]; }
-                return s;
-            }",
-        );
-        let gl = InequalityGraph::build(&looped, Problem::Upper, None);
-        assert!(gl.shape().cycles >= 1, "loop φ must close a cycle");
     }
 }

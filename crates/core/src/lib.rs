@@ -71,9 +71,9 @@ pub mod versioning;
 
 pub use cache::{AnalysisCache, CacheEntry, CacheKey, CacheStats};
 pub use driver::{clamp_jobs, Optimizer, OptimizerOptions};
-pub use exhaustive::{ExhaustiveDistances, Relaxation, SweepScratch};
+pub use exhaustive::ExhaustiveDistances;
 pub use faults::{ChaosPlan, ChaosSite, Fault, FaultPlan, CHAOS_SITES};
-pub use graph::{GraphShape, InEdge, InequalityGraph, Problem, Vertex, VertexId};
+pub use graph::{InEdge, InequalityGraph, Problem, Vertex, VertexId};
 pub use interproc::{infer_param_facts, ModuleFacts, ParamFact};
 pub use metrics::{module_metrics_json, FunctionMetrics, RunInfo};
 pub use pre::{apply_insertions, compensation_delta, merge_remaining_checks};
@@ -83,7 +83,7 @@ pub use report::{
 pub use scratch::{ScratchArena, ScratchPool};
 pub use solver::{
     AnyProver, DemandProver, DemandScratch, InsertionPoint, Lattice, PreOutcome, PreProver,
-    PreScratch, Prover, ProverBackend, SweepProver,
+    PreScratch, ProverBackend,
 };
 pub use trace::{
     explain_function, json_escape, module_trace_jsonl, request_span_jsonl, witness_path,

@@ -5,14 +5,14 @@
 //! The driver fills a [`FunctionMetrics`] per function (stored on its
 //! [`FunctionReport`](crate::report::FunctionReport)); [`module_metrics_json`]
 //! renders the whole run — including the worker-thread count and measured
-//! wall-clock time — in the stable `abcd-metrics/6` schema consumed by the
+//! wall-clock time — in the stable `abcd-metrics/7` schema consumed by the
 //! `mjc` CLI, the `abcdd` server, and the bench binaries.
 //!
-//! # Schema (`abcd-metrics/6`)
+//! # Schema (`abcd-metrics/7`)
 //!
 //! ```json
 //! {
-//!   "schema": "abcd-metrics/6",
+//!   "schema": "abcd-metrics/7",
 //!   "threads": 2,
 //!   "wall_time_us": 1234,
 //!   "deterministic": false,
@@ -24,9 +24,7 @@
 //!     "functions_from_cache": 1,
 //!     "memo_hits": 20, "memo_misses": 37, "memo_hit_rate": 0.3508,
 //!     "prepare_us": 10, "graph_build_us": 5, "solve_us": 3,
-//!     "pre_us": 2, "transform_us": 1,
-//!     "backend_steps": { "demand": 57, "batch": 0, "dbm": 0 },
-//!     "backend_times_us": { "demand": 3, "batch": 0, "dbm": 0 }
+//!     "pre_us": 2, "transform_us": 1
 //!   },
 //!   "cache": { "hits": 1, "misses": 2, "stores": 2, "evictions": 0,
 //!              "corrupt": 0, "recovered": 0, "write_errors": 0,
@@ -44,12 +42,14 @@
 //!                                    "kept": 3, "kept_exhausted": 0,
 //!                                    "skipped": 0, "reinstated": 0 },
 //!                    "incidents": [...], "graph": {...},
-//!                    "backend": { "upper": "demand", "lower": "demand",
-//!                                 "steps": { "demand": 57, "batch": 0, "dbm": 0 },
-//!                                 "times_us": { "demand": 3, "batch": 0, "dbm": 0 } },
 //!                    "times_us": {...} } ]
 //! }
 //! ```
+//!
+//! Relative to `abcd-metrics/6`, version 7 drops the per-backend solver
+//! accounting: the per-function `backend` object and the two module-wide
+//! per-engine totals of steps and query time. The demand prover is the
+//! only query engine, so `steps` and `solve_us` already carry them.
 //!
 //! Relative to `abcd-metrics/5`, version 6 adds the service-hardening
 //! surface: the non-degraded `deadline_exceeded` incident kind (a request
@@ -60,13 +60,9 @@
 //! persists that failed and were rolled back; the entry stays in-memory
 //! only). Both are operational signals, never correctness ones.
 //!
-//! Relative to `abcd-metrics/4`, version 5 adds per-backend solver
-//! accounting for the pluggable prover engines (`--prover
-//! demand|batch|dbm|auto`): the per-function `backend` object names the
-//! resolved engine per problem (empty strings on cache replays — no solver
-//! ran) and splits steps and query wall time by engine, and the totals
-//! gain the module-wide `backend_steps` / `backend_times_us` sums. The
-//! `solver_overflow` incident kind (non-degraded: the check was kept
+//! Relative to `abcd-metrics/4`, version 5 added per-backend solver
+//! accounting for the then-selectable prover engines (removed again in
+//! version 7). The `solver_overflow` incident kind (non-degraded: the check was kept
 //! conservatively after path-weight arithmetic saturated) is also new.
 //!
 //! Relative to `abcd-metrics/3`, version 4 adds the per-function
@@ -129,16 +125,6 @@ pub struct FunctionMetrics {
     pub pre_memo_hits: u64,
     /// Memo misses of the PRE provers.
     pub pre_memo_misses: u64,
-    /// Resolved backend that answered this function's upper-bound queries
-    /// (`""` on cache replays and fail-open reports — no solver ran).
-    pub upper_backend: &'static str,
-    /// Resolved backend that answered the lower-bound queries.
-    pub lower_backend: &'static str,
-    /// Solver steps spent per backend, indexed by
-    /// [`crate::ProverBackend::index`] (demand, batch, dbm).
-    pub backend_steps: [u64; 3],
-    /// Query wall time per backend, same indexing.
-    pub backend_time: [Duration; 3],
 }
 
 impl FunctionMetrics {
@@ -426,23 +412,12 @@ fn function_json(report: &crate::report::FunctionReport, det: bool, out: &mut St
         out,
         ",\"graph\":{{\"upper_vertices\":{},\"upper_edges\":{},\
          \"lower_vertices\":{},\"lower_edges\":{}}},\
-         \"backend\":{{\"upper\":\"{}\",\"lower\":\"{}\",\
-         \"steps\":{{\"demand\":{},\"batch\":{},\"dbm\":{}}},\
-         \"times_us\":{{\"demand\":{},\"batch\":{},\"dbm\":{}}}}},\
          \"times_us\":{{\"prepare\":{},\"graph_build\":{},\"solve\":{},\
          \"pre\":{},\"transform\":{},\"total\":{}}}}}",
         m.upper_vertices,
         m.upper_edges,
         m.lower_vertices,
         m.lower_edges,
-        m.upper_backend,
-        m.lower_backend,
-        m.backend_steps[0],
-        m.backend_steps[1],
-        m.backend_steps[2],
-        us(m.backend_time[0]),
-        us(m.backend_time[1]),
-        us(m.backend_time[2]),
         us(m.prepare_time),
         us(m.graph_build_time),
         us(m.solve_time),
@@ -452,7 +427,7 @@ fn function_json(report: &crate::report::FunctionReport, det: bool, out: &mut St
     );
 }
 
-/// Renders the `abcd-metrics/6` JSON document for one optimized module.
+/// Renders the `abcd-metrics/7` JSON document for one optimized module.
 pub fn module_metrics_json(report: &ModuleReport, run: RunInfo) -> String {
     let mut hits = 0u64;
     let mut misses = 0u64;
@@ -461,8 +436,6 @@ pub fn module_metrics_json(report: &ModuleReport, run: RunInfo) -> String {
     let mut solve = Duration::ZERO;
     let mut pre = Duration::ZERO;
     let mut transform = Duration::ZERO;
-    let mut backend_steps = [0u64; 3];
-    let mut backend_time = [Duration::ZERO; 3];
     for f in &report.functions {
         hits += f.metrics.memo_hits + f.metrics.pre_memo_hits;
         misses += f.metrics.memo_misses + f.metrics.pre_memo_misses;
@@ -471,17 +444,13 @@ pub fn module_metrics_json(report: &ModuleReport, run: RunInfo) -> String {
         solve += f.metrics.solve_time;
         pre += f.metrics.pre_time;
         transform += f.metrics.transform_time;
-        for slot in 0..3 {
-            backend_steps[slot] += f.metrics.backend_steps[slot];
-            backend_time[slot] += f.metrics.backend_time[slot];
-        }
     }
     let det = run.deterministic;
     let us = |d: Duration| if det { 0 } else { us(d) };
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"schema\":\"abcd-metrics/6\",\"threads\":{},\"wall_time_us\":{},\
+        "{{\"schema\":\"abcd-metrics/7\",\"threads\":{},\"wall_time_us\":{},\
          \"deterministic\":{},\
          \"totals\":{{\"functions\":{},\"checks_total\":{},\"removed_fully\":{},\
          \"hoisted\":{},\"reinstated\":{},\"steps\":{},\"pre_steps\":{},\
@@ -489,9 +458,7 @@ pub fn module_metrics_json(report: &ModuleReport, run: RunInfo) -> String {
          \"incidents\":{},\"degraded_incidents\":{},\"functions_from_cache\":{},\
          \"memo_hits\":{},\"memo_misses\":{},\"memo_hit_rate\":{},\
          \"prepare_us\":{},\"graph_build_us\":{},\"solve_us\":{},\
-         \"pre_us\":{},\"transform_us\":{},\
-         \"backend_steps\":{{\"demand\":{},\"batch\":{},\"dbm\":{}}},\
-         \"backend_times_us\":{{\"demand\":{},\"batch\":{},\"dbm\":{}}}}},\"cache\":",
+         \"pre_us\":{},\"transform_us\":{}}},\"cache\":",
         run.threads,
         us(run.wall_time),
         det,
@@ -520,12 +487,6 @@ pub fn module_metrics_json(report: &ModuleReport, run: RunInfo) -> String {
         us(solve),
         us(pre),
         us(transform),
-        backend_steps[0],
-        backend_steps[1],
-        backend_steps[2],
-        us(backend_time[0]),
-        us(backend_time[1]),
-        us(backend_time[2]),
     );
     match run.cache {
         None => out.push_str("null"),
@@ -602,10 +563,9 @@ mod tests {
         f.metrics.memo_misses = 1;
         report.functions.push(f);
         let json = module_metrics_json(&report, RunInfo::new(2, Duration::from_micros(7)));
-        assert!(json.starts_with("{\"schema\":\"abcd-metrics/6\""));
+        assert!(json.starts_with("{\"schema\":\"abcd-metrics/7\""));
         assert!(json.contains("\"provenance\":{\"removed_local\":0"));
-        assert!(json.contains("\"backend_steps\":{\"demand\":0,\"batch\":0,\"dbm\":0}"));
-        assert!(json.contains("\"backend\":{\"upper\":\"\",\"lower\":\"\""));
+        assert!(!json.contains("backend"));
         assert!(json.contains("\"threads\":2"));
         assert!(json.contains("\"wall_time_us\":7"));
         assert!(json.contains("\"deterministic\":false"));

@@ -1,7 +1,7 @@
 //! Pooled per-worker scratch for the zero-allocation prove path.
 //!
 //! Everything the analysis allocates per function — graph shells, demand
-//! memo tables, sweep distance buffers, PRE worklists — lives in a
+//! memo tables, PRE worklists — lives in a
 //! [`ScratchArena`] that a worker checks out of a [`ScratchPool`] once and
 //! reuses across every function it analyzes. After the first few functions
 //! warm the buffers to the module's high-water capacities, steady-state
@@ -13,19 +13,14 @@
 //! pool loses capacity but never observes torn state.
 
 use crate::graph::{InequalityGraph, Problem, Vertex};
-use crate::solver::{
-    AnyProver, DemandProver, DemandScratch, PreScratch, ProverBackend, SweepProver,
-};
+use crate::solver::{DemandProver, DemandScratch, PreScratch, ProverBackend};
 use std::sync::Mutex;
-
-use crate::exhaustive::SweepScratch;
 
 /// One worker's reusable analysis storage.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     graphs: Vec<InequalityGraph>,
     demand: Vec<DemandScratch>,
-    sweep: Vec<SweepScratch>,
     pre: Vec<PreScratch>,
 }
 
@@ -58,16 +53,6 @@ impl ScratchArena {
         self.demand.push(scratch);
     }
 
-    /// Takes a donated sweep scratch.
-    pub(crate) fn take_sweep(&mut self) -> SweepScratch {
-        self.sweep.pop().unwrap_or_default()
-    }
-
-    /// Returns a sweep scratch.
-    pub(crate) fn put_sweep(&mut self, scratch: SweepScratch) {
-        self.sweep.push(scratch);
-    }
-
     /// Takes a donated PRE scratch.
     pub(crate) fn take_pre(&mut self) -> PreScratch {
         self.pre.pop().unwrap_or_default()
@@ -79,35 +64,20 @@ impl ScratchArena {
     }
 }
 
-impl<'g> AnyProver<'g> {
-    /// Like [`AnyProver::new`], drawing the engine's working storage from
-    /// `arena` instead of allocating cold tables. Pair with
-    /// [`AnyProver::reclaim`] to return the storage once the prover
-    /// retires.
+impl<'g> DemandProver<'g> {
+    /// `with_scratch` on a table from `arena`; stays only for the frozen benchmark replay.
     pub fn with_arena(
         graph: &'g InequalityGraph,
         source: Vertex,
-        backend: ProverBackend,
+        _backend: ProverBackend,
         arena: &mut ScratchArena,
-    ) -> AnyProver<'g> {
-        match backend.resolve(graph) {
-            kind @ (ProverBackend::Batch | ProverBackend::Dbm) => AnyProver::Sweep(
-                SweepProver::with_scratch(graph, source, kind, arena.take_sweep()),
-            ),
-            _ => AnyProver::Demand(DemandProver::with_scratch(
-                graph,
-                source,
-                arena.take_demand(),
-            )),
-        }
+    ) -> DemandProver<'g> {
+        DemandProver::with_scratch(graph, source, arena.take_demand())
     }
 
-    /// Retires the prover, donating its scratch back to `arena`.
+    /// Puts the table back into `arena`; stays only for the frozen benchmark replay.
     pub fn reclaim(self, arena: &mut ScratchArena) {
-        match self {
-            AnyProver::Demand(p) => arena.put_demand(p.into_scratch()),
-            AnyProver::Sweep(p) => arena.put_sweep(p.into_scratch()),
-        }
+        arena.put_demand(self.into_scratch());
     }
 }
 

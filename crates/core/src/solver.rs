@@ -22,7 +22,6 @@
 //! proves every weaker query, and one refuted with a larger bound refutes
 //! every stronger query.
 
-use crate::exhaustive::{ExhaustiveDistances, Relaxation, SweepScratch};
 use crate::graph::{InequalityGraph, Vertex, VertexId};
 use crate::trace::ProveEvent;
 use abcd_ir::{Block, Value};
@@ -972,497 +971,28 @@ impl<'g, 'f> PreProver<'g, 'f> {
     }
 }
 
-/// Which engine answers difference queries (`--prover`).
-///
-/// Every backend computes the same sound verdict function over the §4
-/// least-fixpoint semantics — they differ only in how the work is
-/// scheduled, so switching backends must never change a verdict (the
-/// differential parity suite enforces this with the demand prover as the
-/// oracle).
+/// The one query engine's name; stays only for the frozen benchmark replay.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum ProverBackend {
-    /// Figure 5's demand-driven DFS — the oracle backend. Work is
-    /// proportional to the queried region of the graph (amortized under
-    /// ten steps per check in the paper's measurements).
+    /// Figure 5's demand-driven DFS.
     #[default]
     Demand,
-    /// One budgeted single-source sweep per `(graph, source)` pair — the
-    /// WALA-style batch mode. The sweep costs O(rounds · E); every
-    /// subsequent check of the function is answered from the distance
-    /// table in O(1).
-    Batch,
-    /// The same fixpoint via dense difference-bound-matrix relaxation:
-    /// parallel edges collapse into a closure matrix and each Kleene round
-    /// scans whole rows — O(V²) per round, which amortizes better than
-    /// edge-list chasing on dense graphs (Miné's octagon closure applied
-    /// to our one-sided difference constraints).
-    Dbm,
-    /// Pick per function by graph shape (see [`ProverBackend::resolve`]).
-    Auto,
 }
 
 impl ProverBackend {
-    /// Parses a `--prover` flag value.
-    pub fn parse(s: &str) -> Option<ProverBackend> {
-        match s {
-            "demand" => Some(ProverBackend::Demand),
-            "batch" => Some(ProverBackend::Batch),
-            "dbm" => Some(ProverBackend::Dbm),
-            "auto" => Some(ProverBackend::Auto),
-            _ => None,
-        }
-    }
-
-    /// Stable lower-case name (flag value, metrics, trace schemas).
-    pub fn name(self) -> &'static str {
-        match self {
-            ProverBackend::Demand => "demand",
-            ProverBackend::Batch => "batch",
-            ProverBackend::Dbm => "dbm",
-            ProverBackend::Auto => "auto",
-        }
-    }
-
-    /// Dense index for per-backend accounting arrays (`Auto` resolves
-    /// before any accounting happens, so it shares slot 0 harmlessly).
-    pub fn index(self) -> usize {
-        match self {
-            ProverBackend::Demand | ProverBackend::Auto => 0,
-            ProverBackend::Batch => 1,
-            ProverBackend::Dbm => 2,
-        }
-    }
-
-    /// Resolves `Auto` against a concrete graph's shape; concrete backends
-    /// return themselves.
-    ///
-    /// Heuristic: dense graphs (average in-degree ≥ V/4, at least 16
-    /// vertices) amortize the O(V²)-per-round matrix relaxation → `Dbm`;
-    /// acyclic graphs with more edges than vertices converge in few sweep
-    /// rounds and likely face many queries → `Batch`; everything else —
-    /// small, sparse, or cyclic — stays with the demand DFS, whose work
-    /// tracks the queried region rather than the whole graph.
-    pub fn resolve(self, graph: &InequalityGraph) -> ProverBackend {
-        if self != ProverBackend::Auto {
-            return self;
-        }
-        let shape = graph.shape();
-        let v = shape.vertices as u64;
-        let e = shape.edges as u64;
-        if v == 0 {
-            ProverBackend::Demand
-        } else if v >= 16 && e.saturating_mul(4) >= v.saturating_mul(v) {
-            ProverBackend::Dbm
-        } else if shape.cycles == 0 && e > v {
-            ProverBackend::Batch
-        } else {
-            ProverBackend::Demand
-        }
+    /// Returns `self`; stays only for the frozen benchmark replay.
+    pub fn resolve(self, _graph: &InequalityGraph) -> ProverBackend {
+        self
     }
 }
 
-/// The interface every query engine implements.
-///
-/// `demand_prove` must be sound (never claims an unprovable difference)
-/// and conservative under resource pressure: fuel exhaustion and
-/// arithmetic overflow both answer `false` (the check stays) and raise the
-/// corresponding `last_query_*` flag for the driver's incident log.
-pub trait Prover {
-    /// Which engine this is (never [`ProverBackend::Auto`]).
-    fn backend(&self) -> ProverBackend;
-    /// Is `target − source ≤ c` implied by the constraint system?
-    fn demand_prove(&mut self, target: Vertex, c: i64) -> bool;
-    /// Budgets every subsequent query (per-query allowance).
-    fn set_query_fuel(&mut self, fuel: u64);
-    /// Did the most recent query trip its fuel budget?
-    fn last_query_exhausted(&self) -> bool;
-    /// Did the most recent query answer conservatively due to overflow?
-    fn last_query_overflowed(&self) -> bool;
-    /// Analysis steps spent so far (the paper's cost metric).
-    fn steps(&self) -> u64;
-    /// Queries answered from memoized/tabled state.
-    fn memo_hits(&self) -> u64;
-    /// Queries that had to traverse or sweep.
-    fn memo_misses(&self) -> u64;
-    /// Arms the traversal recorder.
-    fn enable_trace(&mut self);
-    /// Drains recorded events.
-    fn take_trace(&mut self) -> Vec<ProveEvent>;
-}
+/// [`DemandProver`] by its old name; stays only for the frozen benchmark replay.
+pub type AnyProver<'g> = DemandProver<'g>;
 
-impl<'g> Prover for DemandProver<'g> {
-    fn backend(&self) -> ProverBackend {
-        ProverBackend::Demand
-    }
-    fn demand_prove(&mut self, target: Vertex, c: i64) -> bool {
-        DemandProver::demand_prove(self, target, c)
-    }
-    fn set_query_fuel(&mut self, fuel: u64) {
-        DemandProver::set_query_fuel(self, fuel)
-    }
-    fn last_query_exhausted(&self) -> bool {
-        DemandProver::last_query_exhausted(self)
-    }
-    fn last_query_overflowed(&self) -> bool {
-        DemandProver::last_query_overflowed(self)
-    }
-    fn steps(&self) -> u64 {
-        self.steps
-    }
-    fn memo_hits(&self) -> u64 {
-        self.memo_hits
-    }
-    fn memo_misses(&self) -> u64 {
-        self.memo_misses
-    }
-    fn enable_trace(&mut self) {
-        DemandProver::enable_trace(self)
-    }
-    fn take_trace(&mut self) -> Vec<ProveEvent> {
-        DemandProver::take_trace(self)
-    }
-}
-
-/// The sweep-based engines ([`ProverBackend::Batch`] and
-/// [`ProverBackend::Dbm`]): one budgeted single-source fixpoint
-/// computation, then O(1) probes per query.
-///
-/// Fail-open contract: a sweep that runs out of fuel is discarded — the
-/// triggering query reports exhaustion (conservative `false`) and a later
-/// query (possibly with a larger budget) retries the sweep. A sweep whose
-/// arithmetic saturated reports *every* query as an overflow-refutation:
-/// saturated distances are not trustworthy in either direction.
-pub struct SweepProver<'g> {
-    graph: &'g InequalityGraph,
-    source: Vertex,
-    kind: ProverBackend,
-    relaxation: Relaxation,
-    table: Option<ExhaustiveDistances>,
-    scratch: SweepScratch,
-    query_fuel: u64,
-    exhausted_in_query: bool,
-    overflow_in_query: bool,
-    /// Relaxation steps (sweep) plus one per probe.
-    pub steps: u64,
-    /// Probes answered from an already-computed table.
-    pub memo_hits: u64,
-    /// Queries that had to (re)run the sweep.
-    pub memo_misses: u64,
-    /// Queries that tripped their fuel budget.
-    pub exhausted_queries: u64,
-    trace: Option<Vec<ProveEvent>>,
-}
-
-impl<'g> SweepProver<'g> {
-    /// Creates a sweep prover. `kind` selects the relaxation strategy:
-    /// [`ProverBackend::Dbm`] uses the dense matrix, anything else the
-    /// sparse edge lists.
-    pub fn new(graph: &'g InequalityGraph, source: Vertex, kind: ProverBackend) -> Self {
-        Self::with_scratch(graph, source, kind, SweepScratch::default())
-    }
-
-    /// Like [`SweepProver::new`], adopting donated sweep buffers so a warm
-    /// scratch makes the sweep itself allocation-free.
-    pub fn with_scratch(
-        graph: &'g InequalityGraph,
-        source: Vertex,
-        kind: ProverBackend,
-        scratch: SweepScratch,
-    ) -> Self {
-        let relaxation = match kind {
-            ProverBackend::Dbm => Relaxation::Dense,
-            _ => Relaxation::Sparse,
-        };
-        SweepProver {
-            graph,
-            source,
-            kind,
-            relaxation,
-            table: None,
-            scratch,
-            query_fuel: u64::MAX,
-            exhausted_in_query: false,
-            overflow_in_query: false,
-            steps: 0,
-            memo_hits: 0,
-            memo_misses: 0,
-            exhausted_queries: 0,
-            trace: None,
-        }
-    }
-
-    /// Retires the prover, returning its scratch (including the table's
-    /// distance storage) for reuse by a later prover.
-    pub fn into_scratch(mut self) -> SweepScratch {
-        if let Some(table) = self.table.take() {
-            self.scratch.adopt(table);
-        }
-        self.scratch
-    }
-
-    /// Retires the current table into the scratch so the next query
-    /// recomputes the sweep — into the now-warm buffers.
-    pub fn reset_table(&mut self) {
-        if let Some(table) = self.table.take() {
-            self.scratch.adopt(table);
-        }
-    }
-
-    /// Budgets every subsequent query (see
-    /// [`DemandProver::set_query_fuel`]). For a sweep backend the first
-    /// query pays for the whole sweep, so the budget gates the sweep
-    /// itself.
-    pub fn set_query_fuel(&mut self, fuel: u64) {
-        self.query_fuel = fuel;
-    }
-
-    /// Did the most recent query trip its fuel budget?
-    pub fn last_query_exhausted(&self) -> bool {
-        self.exhausted_in_query
-    }
-
-    /// Did the most recent query answer conservatively due to overflow?
-    pub fn last_query_overflowed(&self) -> bool {
-        self.overflow_in_query
-    }
-
-    /// Arms the traversal recorder (sweep backends record only fuel
-    /// events; there is no DFS to narrate).
-    pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Vec::new());
-        }
-    }
-
-    /// Drains the recorded events (see [`DemandProver::take_trace`]).
-    pub fn take_trace(&mut self) -> Vec<ProveEvent> {
-        match &mut self.trace {
-            Some(buf) => std::mem::take(buf),
-            None => Vec::new(),
-        }
-    }
-
-    /// Is `target − source ≤ c` implied? Sound and conservative exactly
-    /// like [`DemandProver::demand_prove`].
-    pub fn demand_prove(&mut self, target: Vertex, c: i64) -> bool {
-        self.exhausted_in_query = false;
-        self.overflow_in_query = false;
-        if self.table.is_none() {
-            self.memo_misses += 1;
-            let sweep = ExhaustiveDistances::compute_with(
-                self.graph,
-                self.source,
-                self.query_fuel,
-                self.relaxation,
-                &mut self.scratch,
-            );
-            self.steps += sweep.steps;
-            if sweep.aborted() {
-                // Fail-open: discard the partial table so a later query
-                // (possibly refueled) can retry the sweep from scratch.
-                self.exhausted_in_query = true;
-                self.exhausted_queries += 1;
-                if let Some(buf) = &mut self.trace {
-                    buf.push(ProveEvent::Fuel { d: 0 });
-                }
-                self.scratch.adopt(sweep);
-                return false;
-            }
-            self.table = Some(sweep);
-        } else {
-            self.memo_hits += 1;
-        }
-        self.steps += 1;
-        let table = self.table.as_ref().expect("table computed above");
-        if table.overflowed() {
-            self.overflow_in_query = true;
-            return false;
-        }
-        table.proves(self.graph, target, c)
-    }
-}
-
-impl<'g> Prover for SweepProver<'g> {
-    fn backend(&self) -> ProverBackend {
-        self.kind
-    }
-    fn demand_prove(&mut self, target: Vertex, c: i64) -> bool {
-        SweepProver::demand_prove(self, target, c)
-    }
-    fn set_query_fuel(&mut self, fuel: u64) {
-        SweepProver::set_query_fuel(self, fuel)
-    }
-    fn last_query_exhausted(&self) -> bool {
-        SweepProver::last_query_exhausted(self)
-    }
-    fn last_query_overflowed(&self) -> bool {
-        SweepProver::last_query_overflowed(self)
-    }
-    fn steps(&self) -> u64 {
-        self.steps
-    }
-    fn memo_hits(&self) -> u64 {
-        self.memo_hits
-    }
-    fn memo_misses(&self) -> u64 {
-        self.memo_misses
-    }
-    fn enable_trace(&mut self) {
-        SweepProver::enable_trace(self)
-    }
-    fn take_trace(&mut self) -> Vec<ProveEvent> {
-        SweepProver::take_trace(self)
-    }
-}
-
-/// Enum dispatch over the concrete engines — what the driver stores per
-/// `(graph, source)` pair (avoids boxing on the hot path; the [`Prover`]
-/// trait remains available for generic callers).
-pub enum AnyProver<'g> {
-    /// Figure 5's demand-driven DFS.
-    Demand(DemandProver<'g>),
-    /// Batch or dbm sweep.
-    Sweep(SweepProver<'g>),
-}
-
-impl<'g> AnyProver<'g> {
-    /// Creates the prover selected by `backend` (resolving
-    /// [`ProverBackend::Auto`] against the graph's shape).
-    pub fn new(
-        graph: &'g InequalityGraph,
-        source: Vertex,
-        backend: ProverBackend,
-    ) -> AnyProver<'g> {
-        match backend.resolve(graph) {
-            kind @ (ProverBackend::Batch | ProverBackend::Dbm) => {
-                AnyProver::Sweep(SweepProver::new(graph, source, kind))
-            }
-            _ => AnyProver::Demand(DemandProver::new(graph, source)),
-        }
-    }
-
-    /// The resolved backend actually answering queries.
-    pub fn backend(&self) -> ProverBackend {
-        match self {
-            AnyProver::Demand(_) => ProverBackend::Demand,
-            AnyProver::Sweep(p) => p.kind,
-        }
-    }
-
-    /// Forgets memoized answers while keeping every buffer's capacity:
-    /// the next query re-traverses (demand) or re-sweeps (batch/dbm)
-    /// into warm storage. This is what the steady-state allocation gate
-    /// exercises.
-    pub fn reset_warm(&mut self) {
-        match self {
-            AnyProver::Demand(p) => p.reset_memo(),
-            AnyProver::Sweep(p) => p.reset_table(),
-        }
-    }
-
-    /// See [`DemandProver::demand_prove`].
-    pub fn demand_prove(&mut self, target: Vertex, c: i64) -> bool {
-        match self {
-            AnyProver::Demand(p) => p.demand_prove(target, c),
-            AnyProver::Sweep(p) => p.demand_prove(target, c),
-        }
-    }
-
-    /// See [`DemandProver::set_query_fuel`].
-    pub fn set_query_fuel(&mut self, fuel: u64) {
-        match self {
-            AnyProver::Demand(p) => p.set_query_fuel(fuel),
-            AnyProver::Sweep(p) => p.set_query_fuel(fuel),
-        }
-    }
-
-    /// See [`DemandProver::last_query_exhausted`].
-    pub fn last_query_exhausted(&self) -> bool {
-        match self {
-            AnyProver::Demand(p) => p.last_query_exhausted(),
-            AnyProver::Sweep(p) => p.last_query_exhausted(),
-        }
-    }
-
-    /// See [`DemandProver::last_query_overflowed`].
-    pub fn last_query_overflowed(&self) -> bool {
-        match self {
-            AnyProver::Demand(p) => p.last_query_overflowed(),
-            AnyProver::Sweep(p) => p.last_query_overflowed(),
-        }
-    }
-
-    /// Analysis steps spent so far.
+impl<'g> DemandProver<'g> {
+    /// The `steps` field; stays only for the frozen benchmark replay.
     pub fn steps(&self) -> u64 {
-        match self {
-            AnyProver::Demand(p) => p.steps,
-            AnyProver::Sweep(p) => p.steps,
-        }
-    }
-
-    /// Queries answered from memoized/tabled state.
-    pub fn memo_hits(&self) -> u64 {
-        match self {
-            AnyProver::Demand(p) => p.memo_hits,
-            AnyProver::Sweep(p) => p.memo_hits,
-        }
-    }
-
-    /// Queries that had to traverse or sweep.
-    pub fn memo_misses(&self) -> u64 {
-        match self {
-            AnyProver::Demand(p) => p.memo_misses,
-            AnyProver::Sweep(p) => p.memo_misses,
-        }
-    }
-
-    /// See [`DemandProver::enable_trace`].
-    pub fn enable_trace(&mut self) {
-        match self {
-            AnyProver::Demand(p) => p.enable_trace(),
-            AnyProver::Sweep(p) => p.enable_trace(),
-        }
-    }
-
-    /// See [`DemandProver::take_trace`].
-    pub fn take_trace(&mut self) -> Vec<ProveEvent> {
-        match self {
-            AnyProver::Demand(p) => p.take_trace(),
-            AnyProver::Sweep(p) => p.take_trace(),
-        }
-    }
-}
-
-impl<'g> Prover for AnyProver<'g> {
-    fn backend(&self) -> ProverBackend {
-        AnyProver::backend(self)
-    }
-    fn demand_prove(&mut self, target: Vertex, c: i64) -> bool {
-        AnyProver::demand_prove(self, target, c)
-    }
-    fn set_query_fuel(&mut self, fuel: u64) {
-        AnyProver::set_query_fuel(self, fuel)
-    }
-    fn last_query_exhausted(&self) -> bool {
-        AnyProver::last_query_exhausted(self)
-    }
-    fn last_query_overflowed(&self) -> bool {
-        AnyProver::last_query_overflowed(self)
-    }
-    fn steps(&self) -> u64 {
-        AnyProver::steps(self)
-    }
-    fn memo_hits(&self) -> u64 {
-        AnyProver::memo_hits(self)
-    }
-    fn memo_misses(&self) -> u64 {
-        AnyProver::memo_misses(self)
-    }
-    fn enable_trace(&mut self) {
-        AnyProver::enable_trace(self)
-    }
-    fn take_trace(&mut self) -> Vec<ProveEvent> {
-        AnyProver::take_trace(self)
+        self.steps
     }
 }
 
@@ -2113,102 +1643,5 @@ mod tests {
         let mut pp = PreProver::new(&g, src, None);
         assert_eq!(pp.demand_prove(t, -2), PreOutcome::Failed);
         assert!(pp.last_query_overflowed());
-    }
-
-    #[test]
-    fn backend_parse_and_names_roundtrip() {
-        for b in [
-            ProverBackend::Demand,
-            ProverBackend::Batch,
-            ProverBackend::Dbm,
-            ProverBackend::Auto,
-        ] {
-            assert_eq!(ProverBackend::parse(b.name()), Some(b));
-        }
-        assert_eq!(ProverBackend::parse("octagon"), None);
-        assert!(ProverBackend::Demand.index() != ProverBackend::Batch.index());
-        assert!(ProverBackend::Batch.index() != ProverBackend::Dbm.index());
-    }
-
-    /// All three engines agree check-by-check on the canonical shapes, and
-    /// `auto` resolves to a concrete backend.
-    #[test]
-    fn backends_agree_on_suite_shapes() {
-        let sources = [
-            "fn f(a: int[]) -> int {
-                let s: int = 0;
-                for (let i: int = 0; i < a.length; i = i + 1) { s = s + a[i]; }
-                return s;
-            }",
-            "fn f(a: int[], i: int) -> int {
-                if (0 <= i) { if (i < a.length) { return a[i]; } }
-                return 0;
-            }",
-            "fn f(a: int[], n: int) -> int {
-                let s: int = 0;
-                for (let i: int = 0; i < n; i = i + 1) { s = s + a[i]; }
-                return s;
-            }",
-            "fn f() -> int { let a: int[] = new int[10]; return a[9] + a[0]; }",
-        ];
-        for src in sources {
-            let f = essa(src);
-            for problem in [Problem::Upper, Problem::Lower] {
-                let g = InequalityGraph::build(&f, problem, None);
-                for (a, idx) in upper_checks(&f) {
-                    let source = match problem {
-                        Problem::Upper => Vertex::ArrayLen(a),
-                        Problem::Lower => Vertex::Const(0),
-                    };
-                    let c = match problem {
-                        Problem::Upper => -1,
-                        Problem::Lower => 0,
-                    };
-                    let oracle = DemandProver::new(&g, source).demand_prove(Vertex::Value(idx), c);
-                    for backend in [
-                        ProverBackend::Demand,
-                        ProverBackend::Batch,
-                        ProverBackend::Dbm,
-                        ProverBackend::Auto,
-                    ] {
-                        let mut p = AnyProver::new(&g, source, backend);
-                        assert_ne!(p.backend(), ProverBackend::Auto);
-                        assert_eq!(
-                            p.demand_prove(Vertex::Value(idx), c),
-                            oracle,
-                            "{backend:?} diverged from demand on {idx} ({problem:?})\n{src}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sweep backends honour the per-query fuel contract: a starved sweep
-    /// fails conservatively and a refueled retry succeeds.
-    #[test]
-    fn sweep_backend_fuel_exhaustion_is_conservative() {
-        let f = essa(
-            "fn f(a: int[]) -> int {
-                let s: int = 0;
-                for (let i: int = 0; i < a.length; i = i + 1) { s = s + a[i]; }
-                return s;
-            }",
-        );
-        let g = InequalityGraph::build(&f, Problem::Upper, None);
-        let (a, i) = upper_checks(&f)[0];
-        for kind in [ProverBackend::Batch, ProverBackend::Dbm] {
-            let mut p = SweepProver::new(&g, Vertex::ArrayLen(a), kind);
-            p.set_query_fuel(0);
-            assert!(!p.demand_prove(Vertex::Value(i), -1), "{kind:?}");
-            assert!(p.last_query_exhausted(), "{kind:?}");
-            assert_eq!(p.exhausted_queries, 1);
-            p.set_query_fuel(u64::MAX);
-            assert!(p.demand_prove(Vertex::Value(i), -1), "{kind:?} refueled");
-            assert!(!p.last_query_exhausted());
-            // Second probe hits the table.
-            assert!(p.demand_prove(Vertex::Value(i), -1));
-            assert!(p.memo_hits >= 1, "{kind:?} table probe not counted");
-        }
     }
 }

@@ -18,12 +18,12 @@
 //! [`FunctionReport`](crate::report::FunctionReport)), so a parallel run
 //! emits the same trace as a sequential one.
 //!
-//! # Schema (`abcd-trace/3`)
+//! # Schema (`abcd-trace/4`)
 //!
 //! [`module_trace_jsonl`] renders one JSON object per line:
 //!
 //! ```json
-//! {"schema":"abcd-trace/3","threads":1,"deterministic":true,"functions":1}
+//! {"schema":"abcd-trace/4","threads":1,"deterministic":true,"functions":1}
 //! {"span":"pass","function":"f","pass":"insert_pi","dur_us":0}
 //! {"span":"graph_build","function":"f","dur_us":0,"upper_vertices":9,...}
 //! {"span":"prove","function":"f","site":"ck0","check":"upper",
@@ -37,9 +37,7 @@
 //! ```
 //!
 //! Span taxonomy: `pass` (one per timed pipeline stage), `graph_build`,
-//! `backend` (one per inequality problem: which prover engine the
-//! `--prover` request resolved to, with the graph-shape inputs the `auto`
-//! heuristic consulted), `prove` (one per `demandProve` query, §5), `pre`
+//! `prove` (one per `demandProve` query, §5), `pre`
 //! (one per PRE decision, §6), `cache` (content-addressed lookup result),
 //! `incident` (always rendered last for a function), `dropped` (ring-buffer
 //! overflow marker) and — appended by the `abcdd` server only — `request`
@@ -47,12 +45,16 @@
 //! if any). With `deterministic` set, every duration renders as `0` so
 //! traces are byte-comparable across runs and thread counts.
 //!
+//! Relative to `abcd-trace/3`, version 4 drops the `backend` span: the
+//! demand prover is the only query engine, so there is no choice to record.
+//!
 //! Relative to `abcd-trace/2`, version 3 adds the `deadline_ms` field to
 //! the `request` span (`null` when the request carried no deadline) and
 //! the `deadline_exceeded` incident kind (attributed to the `request`
 //! pass: the cut-off happened in the service layer, not a compiler stage).
 //!
-//! Relative to `abcd-trace/1`, version 2 added the `backend` span.
+//! Relative to `abcd-trace/1`, version 2 added the `backend` span (removed
+//! again in version 4).
 
 use crate::report::{FunctionReport, ModuleReport};
 use abcd_ir::CheckSite;
@@ -61,7 +63,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 /// The trace schema identifier emitted in the header line.
-pub const TRACE_SCHEMA: &str = "abcd-trace/3";
+pub const TRACE_SCHEMA: &str = "abcd-trace/4";
 
 /// Ring capacity per function: oldest spans are dropped (and counted) once
 /// a function records more than this many.
@@ -322,23 +324,6 @@ pub enum Span {
         /// Whether the lookup hit (the pipeline was replayed, not run).
         hit: bool,
     },
-    /// Prover-backend resolution for one problem graph (`--prover`):
-    /// what was requested, what `auto` (or the explicit choice) resolved
-    /// to, and the graph shape the heuristic saw.
-    Backend {
-        /// `upper` / `lower`.
-        problem: &'static str,
-        /// The configured backend (may be `auto`).
-        requested: &'static str,
-        /// The engine actually answering queries (never `auto`).
-        backend: &'static str,
-        /// Graph vertex count.
-        vertices: usize,
-        /// Graph edge count.
-        edges: usize,
-        /// Back-edge count of a DFS over the graph (0 = acyclic).
-        cycles: usize,
-    },
 }
 
 impl Span {
@@ -436,22 +421,6 @@ impl Span {
                     "{{\"span\":\"cache\",\"function\":\"{func}\",\"hit\":{hit}}}"
                 );
             }
-            Span::Backend {
-                problem,
-                requested,
-                backend,
-                vertices,
-                edges,
-                cycles,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"span\":\"backend\",\"function\":\"{func}\",\
-                     \"problem\":\"{problem}\",\"requested\":\"{requested}\",\
-                     \"backend\":\"{backend}\",\"vertices\":{vertices},\
-                     \"edges\":{edges},\"cycles\":{cycles}}}"
-                );
-            }
         }
     }
 }
@@ -509,7 +478,7 @@ impl FunctionTrace {
     }
 }
 
-/// Renders the `abcd-trace/3` JSONL document for one optimized module:
+/// Renders the `abcd-trace/4` JSONL document for one optimized module:
 /// a header line, then every function's spans in module order, each
 /// function's incidents last. With `deterministic` set, every duration is
 /// emitted as `0` (the trace differential tests compare these bytes).
@@ -946,7 +915,7 @@ mod tests {
         let jsonl = module_trace_jsonl(&report, 2, false);
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("{\"schema\":\"abcd-trace/3\""));
+        assert!(lines[0].starts_with("{\"schema\":\"abcd-trace/4\""));
         assert!(lines[1].contains("\"function\":\"weird\\\"name\""));
         assert!(lines[2].contains("\"span\":\"prove\""));
         for line in &lines {

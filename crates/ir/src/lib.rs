@@ -49,6 +49,7 @@ mod intern;
 mod module;
 mod parse;
 mod print;
+mod splitmix;
 mod types;
 mod verify;
 
@@ -62,5 +63,6 @@ pub use intern::Symbol;
 pub use module::Module;
 pub use parse::{parse_function_text, parse_module, ParseIrError};
 pub use print::{print_function, Fnv1a, Sink};
+pub use splitmix::SplitMix64;
 pub use types::Type;
 pub use verify::{verify_function, verify_module, VerifyError};

@@ -40,31 +40,9 @@ use std::time::{Duration, Instant};
 /// The schema identifier pinned by `BENCH_abcdd.json` and the gate.
 pub const SCHEMA: &str = "abcd-bench-abcdd/1";
 
-/// SplitMix64 — the repo's standard small seeded generator (also behind
-/// the client's retry jitter and the chaos plan), here as a stream.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// A stream seeded with `seed`; identical seeds replay identically.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64(seed)
-    }
-
-    /// The next 64 uniform bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform draw in `[0, 1)` with 53 significant bits.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
+/// The repository's seeded generator, re-exported for the load
+/// generator's users.
+pub use abcd_ir::SplitMix64;
 
 /// Builds `n` self-contained MJ modules with deliberately imbalanced
 /// optimization cost: index 0 (the zipf head) is the cheapest, and cost

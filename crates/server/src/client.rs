@@ -18,6 +18,7 @@ use crate::json::Json;
 use crate::proto::{batch_request_json, optimize_request_json, read_frame, write_frame};
 use crate::transport::{Conn, Endpoint};
 use abcd::OptimizerOptions;
+use abcd_ir::SplitMix64;
 use abcd_vm::Profile;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -46,11 +47,11 @@ pub enum Reply {
 /// Per-request observation knobs for [`optimize`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CallOptions {
-    /// Attach the `abcd-metrics/6` blob to the reply.
+    /// Attach the `abcd-metrics/7` blob to the reply.
     pub metrics: bool,
     /// Zero all durations in the metrics/trace blobs.
     pub deterministic_metrics: bool,
-    /// Attach the `abcd-trace/3` JSONL document to the reply.
+    /// Attach the `abcd-trace/4` JSONL document to the reply.
     pub trace: bool,
     /// Per-request deadline, in milliseconds from server admission;
     /// `None` inherits the server's default. Tripping it fails open.
@@ -117,16 +118,13 @@ impl RetryPolicy {
     }
 }
 
-/// Deterministic jitter: uniform in `[delay/2, delay]` via SplitMix64 on
-/// `(seed, attempt)`.
+/// Deterministic jitter: uniform in `[delay/2, delay]` via the SplitMix64
+/// finalizer on `(seed, attempt)`.
 fn jitter(seed: u64, attempt: u32, delay: u64) -> u64 {
     if delay <= 1 {
         return delay;
     }
-    let mut z = seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = SplitMix64::mix(seed ^ u64::from(attempt).wrapping_mul(SplitMix64::GAMMA));
     let floor = delay / 2;
     floor + z % (delay - floor + 1)
 }
@@ -145,10 +143,10 @@ pub struct Optimized {
     /// True when the server blew the deadline and failed open: `ir` is
     /// the compiled but unoptimized module, every check kept.
     pub deadline_exceeded: bool,
-    /// The `abcd-metrics/6` document, verbatim as the server emitted it,
+    /// The `abcd-metrics/7` document, verbatim as the server emitted it,
     /// when requested.
     pub metrics: Option<String>,
-    /// The `abcd-trace/3` JSONL document, when requested.
+    /// The `abcd-trace/4` JSONL document, when requested.
     pub trace: Option<String>,
 }
 

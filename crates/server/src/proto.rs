@@ -31,7 +31,7 @@
 //!  "profile":{"sites":[[0,0,500]],"blocks":[[0,1,500]],"edges":[]},
 //!  "metrics":true, "deterministic_metrics":false,
 //!  "deadline_ms":250,            // per-request deadline (null = server default)
-//!  "trace":false}                // attach an `abcd-trace/3` JSONL document
+//!  "trace":false}                // attach an `abcd-trace/4` JSONL document
 //! {"cmd":"ping"}
 //! {"cmd":"stats"}
 //! {"cmd":"metrics","deterministic":false}   // Prometheus-style exposition
@@ -133,12 +133,12 @@ pub struct OptimizeRequest {
     pub options: OptimizerOptions,
     /// Optional execution profile.
     pub profile: Option<Profile>,
-    /// Attach the `abcd-metrics/6` blob to the response.
+    /// Attach the `abcd-metrics/7` blob to the response.
     pub metrics: bool,
     /// Zero all durations in the metrics blob (byte-comparable output).
     /// Also zeroes trace durations when `trace` is set.
     pub deterministic_metrics: bool,
-    /// Attach an `abcd-trace/3` JSONL document to the response. Tracing is
+    /// Attach an `abcd-trace/4` JSONL document to the response. Tracing is
     /// a per-request observation knob, deliberately *not* an optimizer
     /// option: it must never change cache keys or analysis results.
     pub trace: bool,
@@ -291,13 +291,6 @@ fn parse_options(doc: &Json) -> Result<OptimizerOptions, String> {
             "hot_threshold" => o.hot_threshold = count()?,
             "fuel_per_query" => o.fuel_per_query = count()?,
             "fuel_per_function" => o.fuel_per_function = count()?,
-            "prover" => {
-                let name = value
-                    .as_str()
-                    .ok_or_else(|| format!("option `{key}` must be a string"))?;
-                o.prover = abcd::ProverBackend::parse(name)
-                    .ok_or_else(|| format!("unknown prover `{name}`"))?;
-            }
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -405,8 +398,7 @@ pub fn options_json(o: &OptimizerOptions) -> String {
         "{{\"upper\":{},\"lower\":{},\"cleanup\":{},\"pre\":{},\"gvn_hook\":{},\
          \"merge_checks\":{},\"classify_local\":{},\"hot_threshold\":{},\
          \"interprocedural\":{},\"fuel_per_query\":{},\"fuel_per_function\":{},\
-         \"verify_ir\":{},\"validate\":{},\"isolate_panics\":{},\
-         \"prover\":\"{}\"}}",
+         \"verify_ir\":{},\"validate\":{},\"isolate_panics\":{}}}",
         o.upper,
         o.lower,
         o.cleanup,
@@ -421,7 +413,6 @@ pub fn options_json(o: &OptimizerOptions) -> String {
         o.verify_ir,
         o.validate,
         o.isolate_panics,
-        o.prover.name(),
     )
 }
 
@@ -449,8 +440,8 @@ pub fn optimize_request_json(
 }
 
 /// Builds the success response for an optimized module. `metrics` is a
-/// pre-rendered `abcd-metrics/6` document spliced in verbatim; `trace` is
-/// a pre-rendered `abcd-trace/3` JSONL document attached as a string.
+/// pre-rendered `abcd-metrics/7` document spliced in verbatim; `trace` is
+/// a pre-rendered `abcd-trace/4` JSONL document attached as a string.
 /// `deadline_exceeded` marks a fail-open reply whose `ir` is the compiled
 /// but unoptimized module. `metrics` must stay the final field — clients
 /// locate it by scanning from the end of the frame.
@@ -568,7 +559,6 @@ mod tests {
             pre: false,
             hot_threshold: Some(7),
             fuel_per_query: Some(1000),
-            prover: abcd::ProverBackend::Auto,
             ..OptimizerOptions::default()
         };
         let mut profile = Profile::new();
@@ -593,7 +583,6 @@ mod tests {
         assert!(!o.options.pre);
         assert_eq!(o.options.hot_threshold, Some(7));
         assert_eq!(o.options.fuel_per_query, Some(1000));
-        assert_eq!(o.options.prover, abcd::ProverBackend::Auto);
         let p = o.profile.unwrap();
         assert_eq!(p.site_count(FuncId::new(0), CheckSite::new(2)), 41);
         assert_eq!(p.block_count(FuncId::new(1), Block::new(3)), 9);

@@ -6,36 +6,19 @@
 //! Random CFGs come from a fixed-seed SplitMix64 stream, so the corpus is
 //! deterministic and the suite needs no external crates.
 
-use abcd_ir::{Block, Function, FunctionBuilder, Type};
+use abcd_ir::{Block, Function, FunctionBuilder, SplitMix64, Type};
 use abcd_ssa::DomTree;
 use std::collections::HashSet;
 
-/// SplitMix64 — deterministic PRNG for corpus generation.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    /// A random CFG shape: block count in `[1, max_n)` and up to
-    /// `max_edges` random (source, target) byte pairs.
-    fn cfg_shape(&mut self, max_n: u64, max_edges: u64) -> (usize, Vec<(u8, u8)>) {
-        let n = 1 + self.below(max_n - 1) as usize;
-        let e = self.below(max_edges + 1) as usize;
-        let edges = (0..e)
-            .map(|_| (self.next() as u8, self.next() as u8))
-            .collect();
-        (n, edges)
-    }
+/// A random CFG shape: block count in `[1, max_n)` and up to `max_edges`
+/// random (source, target) byte pairs.
+fn cfg_shape(rng: &mut SplitMix64, max_n: u64, max_edges: u64) -> (usize, Vec<(u8, u8)>) {
+    let n = 1 + (rng.next_u64() % (max_n - 1)) as usize;
+    let e = (rng.next_u64() % (max_edges + 1)) as usize;
+    let edges = (0..e)
+        .map(|_| (rng.next_u64() as u8, rng.next_u64() as u8))
+        .collect();
+    (n, edges)
 }
 
 /// Builds a random CFG with `n` blocks; each block ends in a return, jump,
@@ -105,9 +88,9 @@ fn naive_dominators(func: &Function) -> Vec<Option<HashSet<Block>>> {
 
 #[test]
 fn chk_agrees_with_naive_dominators() {
-    let mut rng = Rng(0xd0b1_0001);
+    let mut rng = SplitMix64::new(0xd0b1_0001);
     for _ in 0..192 {
-        let (n, edges) = rng.cfg_shape(12, 20);
+        let (n, edges) = cfg_shape(&mut rng, 12, 20);
         let func = build_cfg(n, &edges);
         let dt = DomTree::compute(&func);
         let naive = naive_dominators(&func);
@@ -139,9 +122,9 @@ fn chk_agrees_with_naive_dominators() {
 
 #[test]
 fn dominance_frontier_matches_definition() {
-    let mut rng = Rng(0xd0b1_0002);
+    let mut rng = SplitMix64::new(0xd0b1_0002);
     for _ in 0..192 {
-        let (n, edges) = rng.cfg_shape(10, 16);
+        let (n, edges) = cfg_shape(&mut rng, 10, 16);
         let func = build_cfg(n, &edges);
         let dt = DomTree::compute(&func);
         let df = dt.dominance_frontiers(&func);
@@ -170,9 +153,9 @@ fn dominance_frontier_matches_definition() {
 
 #[test]
 fn critical_edge_split_leaves_no_critical_edges() {
-    let mut rng = Rng(0xd0b1_0003);
+    let mut rng = SplitMix64::new(0xd0b1_0003);
     for _ in 0..192 {
-        let (n, edges) = rng.cfg_shape(10, 16);
+        let (n, edges) = cfg_shape(&mut rng, 10, 16);
         let mut func = build_cfg(n, &edges);
         abcd_ssa::split_critical_edges(&mut func);
         abcd_ir::verify_function(&func, None).expect("still verifies");

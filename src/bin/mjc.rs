@@ -16,9 +16,8 @@
 //! `--no-cleanup`, `--no-gvn-hook`, `--merge`, `--ipa` (closed-world
 //! interprocedural facts), `--version-fns` (guarded fast/slow clones),
 //! `--hot N` (with `--profile`), `--jobs N` (parallel driver),
-//! `--prover demand|batch|dbm|auto` (query-engine selection),
-//! `--metrics`/`--metrics-out FILE` (`abcd-metrics/6` JSON),
-//! `--trace-out FILE` (`abcd-trace/3` JSONL structured trace),
+//! `--metrics`/`--metrics-out FILE` (`abcd-metrics/7` JSON),
+//! `--trace-out FILE` (`abcd-trace/4` JSONL structured trace),
 //! `--deterministic-metrics` (zero every duration for byte-comparable
 //! output), `--cache-dir DIR`/`--cache-bytes N` (content-addressed analysis
 //! cache), and the fail-open controls `--fuel N`, `--fuel-fn N`,
@@ -85,13 +84,9 @@ PASS FLAGS (for `opt`, `run --opt` and `client <file>`):
     --jobs N           optimize functions on N worker threads (default and
                        ceiling: all host CPUs — requests are clamped to the
                        available parallelism)
-    --prover ENGINE    query engine: demand (default, the paper's DFS),
-                       batch (one shortest-path sweep per source), dbm
-                       (dense difference-bound relaxation), or auto (pick
-                       per function by graph shape); verdicts are identical
-    --metrics          emit abcd-metrics/6 JSON (stdout for opt, stderr for run)
+    --metrics          emit abcd-metrics/7 JSON (stdout for opt, stderr for run)
     --metrics-out F    write the metrics JSON to file F
-    --trace-out F      record an abcd-trace/3 JSONL structured trace to F
+    --trace-out F      record an abcd-trace/4 JSONL structured trace to F
                        (spans for every pass, prove query, PRE decision and
                        cache lookup; zero overhead when absent)
     --deterministic-metrics
@@ -239,14 +234,6 @@ fn parse_options(rest: &[String]) -> Result<OptimizerOptions, String> {
                     .ok_or("`--fuel-fn` needs a step count")?;
                 o.fuel_per_function = Some(n);
             }
-            "--prover" => {
-                i += 1;
-                let v = rest
-                    .get(i)
-                    .ok_or("`--prover` needs an engine (demand|batch|dbm|auto)")?;
-                o.prover = abcd::ProverBackend::parse(v)
-                    .ok_or_else(|| format!("unknown prover `{v}` (demand|batch|dbm|auto)"))?;
-            }
             // run/dump/serve/client flags handled by callers
             "--opt"
             | "--stats"
@@ -350,7 +337,7 @@ fn incident_exit(report: &abcd::ModuleReport) -> ExitCode {
     }
 }
 
-/// Emits the `abcd-metrics/6` JSON if `--metrics` or `--metrics-out` was
+/// Emits the `abcd-metrics/7` JSON if `--metrics` or `--metrics-out` was
 /// given. `to_stderr` keeps `run`'s program output clean on stdout.
 fn emit_metrics(
     report: &abcd::ModuleReport,
@@ -385,7 +372,7 @@ fn emit_metrics(
     Ok(())
 }
 
-/// Writes the `abcd-trace/3` JSONL document if `--trace-out` was given.
+/// Writes the `abcd-trace/4` JSONL document if `--trace-out` was given.
 fn emit_trace(report: &abcd::ModuleReport, threads: usize, rest: &[String]) -> Result<(), String> {
     let Some(path) = value_of(rest, "--trace-out") else {
         return Ok(());

@@ -47,7 +47,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// Acceptance (b): the warm run is byte-identical to the cold run, with
-/// `hits > 0` visible in the `abcd-metrics/6` cache object, and the
+/// `hits > 0` visible in the `abcd-metrics/7` cache object, and the
 /// deterministic metrics documents (cache counters aside) match too.
 #[test]
 fn warm_run_is_byte_identical_to_cold_with_hits() {
@@ -91,7 +91,7 @@ fn warm_run_is_byte_identical_to_cold_with_hits() {
     let a = det(&warm_report, stats_now);
     let b = det(&rerun_report, stats_now);
     assert_eq!(a, b, "deterministic metrics must be byte-identical");
-    assert!(a.contains("\"schema\":\"abcd-metrics/6\""), "{a}");
+    assert!(a.contains("\"schema\":\"abcd-metrics/7\""), "{a}");
     assert!(a.contains(&format!("\"hits\":{}", stats_now.hits)), "{a}");
     assert!(stats_now.hits > stats.hits);
 }

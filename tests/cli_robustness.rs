@@ -53,7 +53,7 @@ fn help_exits_zero() {
         "mjc client",
         "--cache-dir",
         "--deterministic-metrics",
-        "abcd-metrics/6",
+        "abcd-metrics/7",
         "EXIT CODES",
         "0  success",
         "2  degraded",
@@ -255,7 +255,7 @@ fn full_fail_open_flags_run_clean() {
     ]);
     assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
     let err = stderr(&out);
-    assert!(err.contains("\"schema\":\"abcd-metrics/6\""), "{err}");
+    assert!(err.contains("\"schema\":\"abcd-metrics/7\""), "{err}");
     assert!(err.contains("\"incidents\":[]"), "{err}");
 }
 

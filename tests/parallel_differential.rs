@@ -152,7 +152,7 @@ fn thread_count_edge_cases() {
 }
 
 /// Deterministic traces are part of the differential guarantee: with
-/// timestamps zeroed, a pool run's `abcd-trace/3` document is
+/// timestamps zeroed, a pool run's `abcd-trace/4` document is
 /// byte-identical to the sequential one after the header line (the header
 /// legitimately embeds the thread count).
 #[test]
@@ -190,7 +190,7 @@ fn metrics_json_reports_parallel_run() {
         .with_threads(2)
         .optimize_module(&mut m, None);
     let json = abcd::module_metrics_json(&report, abcd::RunInfo::new(2, started.elapsed()));
-    assert!(json.starts_with("{\"schema\":\"abcd-metrics/6\""), "{json}");
+    assert!(json.starts_with("{\"schema\":\"abcd-metrics/7\""), "{json}");
     assert!(json.contains("\"threads\":2"), "{json}");
     assert!(json.contains("\"memo_hits\":"), "{json}");
     assert!(json.contains("\"graph\":"), "{json}");

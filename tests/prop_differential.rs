@@ -21,37 +21,33 @@
 
 use abcd::{Optimizer, OptimizerOptions};
 use abcd_frontend::compile;
+use abcd_ir::SplitMix64;
 use abcd_vm::{RtVal, TrapKind, Vm, VmOptions};
 
-/// SplitMix64 — a tiny deterministic PRNG so the corpus needs no crates.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
+/// The corpus draws, over the repository's seeded SplitMix64 stream.
+trait Draw {
     /// Uniform in `[0, n)` (n > 0).
+    fn below(&mut self, n: u64) -> u64;
+    /// Uniform in `[lo, hi)`.
+    fn range(&mut self, lo: i64, hi: i64) -> i64;
+    /// Up to `max_len` random bytes.
+    fn bytes(&mut self, max_len: usize) -> Vec<u8>;
+    /// Up to `max_len` array elements in `[-50, 50)`.
+    fn data(&mut self, max_len: usize) -> Vec<i64>;
+}
+
+impl Draw for SplitMix64 {
     fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
+        self.next_u64() % n
     }
 
-    /// Uniform in `[lo, hi)`.
     fn range(&mut self, lo: i64, hi: i64) -> i64 {
         lo + self.below((hi - lo) as u64) as i64
     }
 
     fn bytes(&mut self, max_len: usize) -> Vec<u8> {
         let len = self.below(max_len as u64 + 1) as usize;
-        (0..len).map(|_| self.next() as u8).collect()
+        (0..len).map(|_| self.next_u64() as u8).collect()
     }
 
     fn data(&mut self, max_len: usize) -> Vec<i64> {
@@ -304,7 +300,7 @@ fn check_observational_equivalence(bytes: &[u8], data: &[i64], x: i64) {
 fn optimized_program_is_observationally_equivalent() {
     // Override the corpus size with ABCD_FUZZ_CASES for deeper sweeps.
     let cases = fuzz_cases(96);
-    let mut rng = Rng::new(0xabcd_0001);
+    let mut rng = SplitMix64::new(0xabcd_0001);
     for case in 0..cases {
         let bytes = rng.bytes(160);
         let data = rng.data(7);
@@ -321,7 +317,7 @@ fn optimized_program_is_observationally_equivalent() {
 #[test]
 fn pipeline_stages_all_verify() {
     let cases = fuzz_cases(64);
-    let mut rng = Rng::new(0xabcd_0002);
+    let mut rng = SplitMix64::new(0xabcd_0002);
     for _ in 0..cases {
         let bytes = rng.bytes(120);
         check_pipeline_stages(&bytes);
@@ -348,7 +344,7 @@ fn check_pipeline_stages(bytes: &[u8]) {
 #[test]
 fn printed_ir_reparses_and_behaves_identically() {
     let cases = fuzz_cases(48);
-    let mut rng = Rng::new(0xabcd_0003);
+    let mut rng = SplitMix64::new(0xabcd_0003);
     for _ in 0..cases {
         let bytes = rng.bytes(120);
         let data = rng.data(6);
@@ -381,7 +377,7 @@ fn check_reparse(bytes: &[u8], data: &[i64], x: i64) {
 #[test]
 fn demand_prover_never_exceeds_exhaustive_distances() {
     let cases = fuzz_cases(48);
-    let mut rng = Rng::new(0xabcd_0004);
+    let mut rng = SplitMix64::new(0xabcd_0004);
     for _ in 0..cases {
         let bytes = rng.bytes(140);
         check_demand_vs_exhaustive(&bytes);
@@ -427,7 +423,7 @@ fn check_demand_vs_exhaustive(bytes: &[u8]) {
 #[test]
 fn range_baseline_is_also_sound() {
     let cases = fuzz_cases(48);
-    let mut rng = Rng::new(0xabcd_0005);
+    let mut rng = SplitMix64::new(0xabcd_0005);
     for _ in 0..cases {
         let bytes = rng.bytes(120);
         let data = rng.data(6);
@@ -458,47 +454,104 @@ fn check_range_baseline(bytes: &[u8], data: &[i64], x: i64) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend parity. The `--prover` engines (demand DFS, batch sweep, DBM
-// relaxation, auto selection) are interchangeable by contract: on the same
-// options they must produce byte-identical optimized IR and identical
-// per-check outcome vectors. The demand prover — the paper's algorithm — is
-// the oracle; every other backend is compared against it, across the
-// benchsuite kernels, a dedicated fuzz corpus (≥1000 generated functions),
-// armed fault plans, and thread counts. Fuel starvation is the one
-// dimension where backends legitimately diverge in *cost* (a sweep spends
-// its budget differently than a DFS), so there the property is per-backend
-// fail-open soundness rather than cross-backend byte-identity.
+// Oracle agreement. The demand prover must give exactly the verdict of the
+// exhaustive least-fixpoint distances (`ExhaustiveDistances`, the
+// alternative §5 rejects for JIT use) on every bounds check, in both
+// problems, across the benchsuite kernels and a dedicated fuzz corpus
+// (≥1000 generated functions). Memoization is on: one prover per
+// `(problem, source)` answers every check of a function in program order,
+// as in the driver, so a memo entry that outlives its context shows up as
+// a disagreement.
 // ---------------------------------------------------------------------------
 
-use abcd::{FaultPlan, ProverBackend};
+/// Compares the demand prover with the exhaustive oracle on every bounds
+/// check of every function of `src`, in both problems; returns how many
+/// queries were compared.
+fn assert_demand_matches_exhaustive(src: &str) -> usize {
+    use abcd::{DemandProver, ExhaustiveDistances, InequalityGraph, Problem, Vertex};
+    use std::collections::HashMap;
+    let mut module = compile(src).expect("program compiles");
+    let mut compared = 0;
+    for (_, func) in module.functions_mut() {
+        abcd_ssa::split_critical_edges(func);
+        abcd_ssa::promote_locals(func).expect("ssa construction");
+        abcd_analysis::cleanup(func);
+        abcd_ssa::insert_pi_nodes(func);
+        let func = &*func;
+        for problem in [Problem::Upper, Problem::Lower] {
+            let graph = InequalityGraph::build(func, problem, None);
+            let mut provers: HashMap<Vertex, (DemandProver, ExhaustiveDistances)> = HashMap::new();
+            for b in func.blocks() {
+                for &iid in func.block(b).insts() {
+                    let abcd_ir::InstKind::BoundsCheck { array, index, .. } = func.inst(iid).kind
+                    else {
+                        continue;
+                    };
+                    let (source, c) = match problem {
+                        Problem::Upper => (Vertex::ArrayLen(array), -1),
+                        Problem::Lower => (Vertex::Const(0), 0),
+                    };
+                    let (demand, oracle) = provers.entry(source).or_insert_with(|| {
+                        (
+                            DemandProver::new(&graph, source),
+                            ExhaustiveDistances::compute(&graph, source),
+                        )
+                    });
+                    let target = Vertex::Value(index);
+                    assert_eq!(
+                        demand.demand_prove(target, c),
+                        oracle.proves(&graph, target, c),
+                        "demand and exhaustive disagree ({problem:?}, {index} vs {source}) \
+                         in\n{src}\n{func}"
+                    );
+                    compared += 1;
+                }
+            }
+        }
+    }
+    compared
+}
 
-const ALL_BACKENDS: [ProverBackend; 4] = [
-    ProverBackend::Demand,
-    ProverBackend::Batch,
-    ProverBackend::Dbm,
-    ProverBackend::Auto,
-];
+/// Every benchsuite kernel: the demand verdict equals the oracle's.
+#[test]
+fn demand_agrees_with_exhaustive_on_the_benchsuite() {
+    let compared: usize = abcd_benchsuite::BENCHMARKS
+        .iter()
+        .map(|bench| assert_demand_matches_exhaustive(bench.source))
+        .sum();
+    assert!(compared >= 600, "too few kernel queries: {compared}");
+}
 
-/// One full pipeline run of `module` under `backend`; returns the
+/// The headline oracle sweep: ≥1000 generated functions. (Each generated
+/// program holds three functions — `guarded`, `raw`, and the fuzzed `f` —
+/// so the default 340 cases cover 1020 functions.)
+#[test]
+fn demand_agrees_with_exhaustive_on_the_fuzz_corpus() {
+    let cases = fuzz_cases(340);
+    let mut rng = SplitMix64::new(0xabcd_0006);
+    let mut functions = 0usize;
+    for case in 0..cases {
+        let bytes = rng.bytes(160);
+        let src = Gen::new(&bytes).program();
+        functions += compile(&src).expect("compiles").functions().count();
+        let result = std::panic::catch_unwind(|| assert_demand_matches_exhaustive(&src));
+        if let Err(e) = result {
+            panic!("case {case} failed (bytes={bytes:?}): {e:?}");
+        }
+    }
+    if std::env::var("ABCD_FUZZ_CASES").is_err() {
+        assert!(functions >= 1000, "corpus too small: {functions} functions");
+    }
+}
+
+/// One full pipeline run of `src` on `threads` workers; returns the
 /// byte-comparable artifacts: optimized IR text, per-function outcome
 /// vectors, and the incident-kind sequence.
-fn pipeline_artifacts(
-    src: &str,
-    backend: ProverBackend,
-    threads: usize,
-    fault: Option<&FaultPlan>,
-    options: OptimizerOptions,
-) -> (String, Vec<String>, Vec<String>) {
+fn pipeline_artifacts(src: &str, threads: usize) -> (String, Vec<String>, Vec<String>) {
     let mut module = compile(src).expect("program compiles");
-    let opts = OptimizerOptions {
-        prover: backend,
-        ..options
-    };
-    let mut optimizer = Optimizer::with_options(opts).with_threads(threads);
-    if let Some(plan) = fault {
-        optimizer = optimizer.with_fault_plan(plan.clone());
-    }
-    let report = optimizer.optimize_module(&mut module, None);
+    let report = Optimizer::new()
+        .with_threads(threads)
+        .optimize_module(&mut module, None);
     let outcomes = report
         .functions
         .iter()
@@ -512,107 +565,13 @@ fn pipeline_artifacts(
     (module.to_string(), outcomes, incidents)
 }
 
-/// Asserts that every backend reproduces the demand oracle's artifacts
-/// byte-for-byte on `src` under `options` (and optional fault plan).
-fn assert_backend_parity(src: &str, fault: Option<&FaultPlan>, options: OptimizerOptions) {
-    let oracle = pipeline_artifacts(src, ProverBackend::Demand, 1, fault, options);
-    for backend in ALL_BACKENDS {
-        let got = pipeline_artifacts(src, backend, 1, fault, options);
-        assert_eq!(
-            oracle.0,
-            got.0,
-            "optimized IR diverged: demand vs {}\n{src}",
-            backend.name()
-        );
-        assert_eq!(
-            oracle.1,
-            got.1,
-            "check outcomes diverged: demand vs {}\n{src}",
-            backend.name()
-        );
-        assert_eq!(
-            oracle.2,
-            got.2,
-            "incidents diverged: demand vs {}\n{src}",
-            backend.name()
-        );
-    }
-}
-
-/// Every benchsuite kernel, every backend: byte-identical IR and verdicts.
-#[test]
-fn all_backends_agree_on_the_benchsuite() {
-    for bench in abcd_benchsuite::BENCHMARKS {
-        assert_backend_parity(bench.source, None, OptimizerOptions::default());
-    }
-}
-
-/// The headline parity sweep: ≥1000 generated functions through all four
-/// backends, demanding byte-identical optimized IR, outcome vectors, and
-/// incident sequences. (Each generated program holds three functions —
-/// `guarded`, `raw`, and the fuzzed `f` — so the default 340 cases cover
-/// 1020 functions.)
-#[test]
-fn all_backends_agree_on_the_fuzz_corpus() {
-    let cases = fuzz_cases(340);
-    let mut rng = Rng::new(0xabcd_0006);
-    let mut functions = 0usize;
-    for case in 0..cases {
-        let bytes = rng.bytes(160);
-        let src = Gen::new(&bytes).program();
-        functions += compile(&src).expect("compiles").functions().count();
-        let result = std::panic::catch_unwind(|| {
-            assert_backend_parity(&src, None, OptimizerOptions::default());
-        });
-        if let Err(e) = result {
-            panic!("case {case} failed (bytes={bytes:?}): {e:?}");
-        }
-    }
-    if std::env::var("ABCD_FUZZ_CASES").is_err() {
-        assert!(functions >= 1000, "corpus too small: {functions} functions");
-    }
-}
-
-/// Armed fault plans must not break parity: driver-level faults (fuel
-/// starvation, pass panics, edge perturbation caught by translation
-/// validation) hit every backend identically, because they fire before or
-/// after the prover — never inside it.
-#[test]
-fn all_backends_agree_under_armed_fault_plans() {
-    let plans = [
-        "fuel:*",
-        "panic:*:solve",
-        "edge:*:7",
-        "fuel:f,panic:guarded:transform",
-    ];
-    let cases = fuzz_cases(16);
-    let mut rng = Rng::new(0xabcd_0007);
-    for _ in 0..cases {
-        let bytes = rng.bytes(140);
-        let src = Gen::new(&bytes).program();
-        for spec in plans {
-            let plan = FaultPlan::parse(spec).unwrap();
-            // Translation validation on, so perturbed-edge runs exercise
-            // the reinstatement path in every backend.
-            let options = OptimizerOptions {
-                validate: true,
-                ..OptimizerOptions::default()
-            };
-            assert_backend_parity(&src, Some(&plan), options);
-        }
-    }
-}
-
-/// Fuel starvation is fail-open for every backend individually: however a
-/// backend spends its budget, the optimized program must stay
-/// observationally equivalent to the baseline and never admit an unchecked
-/// out-of-bounds access. (Cross-backend byte-identity is *not* required
-/// here — a sweep's cost model differs from a DFS's, so different checks
-/// may starve.)
+/// Fuel starvation is fail-open: however the budget cuts the prover off,
+/// the optimized program must stay observationally equivalent to the
+/// baseline and never admit an unchecked out-of-bounds access.
 #[test]
 fn fuel_starved_backends_stay_fail_open() {
     let cases = fuzz_cases(24);
-    let mut rng = Rng::new(0xabcd_0008);
+    let mut rng = SplitMix64::new(0xabcd_0008);
     for _ in 0..cases {
         let bytes = rng.bytes(140);
         let data = rng.data(6);
@@ -620,51 +579,41 @@ fn fuel_starved_backends_stay_fail_open() {
         let src = Gen::new(&bytes).program();
         let baseline = compile(&src).unwrap();
         let (r1, out1, _) = run(&baseline, &data, x);
-        for backend in ALL_BACKENDS {
-            for (per_query, per_function) in [(Some(3), None), (None, Some(5)), (Some(2), Some(4))]
-            {
-                let mut optimized = compile(&src).unwrap();
-                let opts = OptimizerOptions {
-                    prover: backend,
-                    fuel_per_query: per_query,
-                    fuel_per_function: per_function,
-                    ..OptimizerOptions::default()
-                };
-                Optimizer::with_options(opts).optimize_module(&mut optimized, None);
-                let (r2, out2, _) = run(&optimized, &data, x);
-                if let Err(k) = &r2 {
-                    assert!(
-                        !k.contains("UncheckedAccess"),
-                        "unsound removal under starved {} backend\n{src}",
-                        backend.name()
-                    );
-                }
-                assert_eq!(r1, r2, "starved {} backend diverged\n{src}", backend.name());
-                assert_eq!(out1, out2);
+        for (per_query, per_function) in [(Some(3), None), (None, Some(5)), (Some(2), Some(4))] {
+            let mut optimized = compile(&src).unwrap();
+            let opts = OptimizerOptions {
+                fuel_per_query: per_query,
+                fuel_per_function: per_function,
+                ..OptimizerOptions::default()
+            };
+            Optimizer::with_options(opts).optimize_module(&mut optimized, None);
+            let (r2, out2, _) = run(&optimized, &data, x);
+            if let Err(k) = &r2 {
+                assert!(
+                    !k.contains("UncheckedAccess"),
+                    "unsound removal under starved fuel\n{src}"
+                );
             }
+            assert_eq!(r1, r2, "starved run diverged\n{src}");
+            assert_eq!(out1, out2);
         }
     }
 }
 
-/// `--jobs` parallelism is a no-op for every backend: a pooled run emits
-/// byte-identical IR, outcomes, and incidents to a sequential one.
+/// `--jobs` parallelism is a no-op: a pooled run emits byte-identical IR,
+/// outcomes, and incidents to a sequential one.
 #[test]
 fn every_backend_is_thread_invariant() {
     let cases = fuzz_cases(12);
-    let mut rng = Rng::new(0xabcd_0009);
+    let mut rng = SplitMix64::new(0xabcd_0009);
     for _ in 0..cases {
         let bytes = rng.bytes(140);
         let src = Gen::new(&bytes).program();
-        for backend in ALL_BACKENDS {
-            let seq = pipeline_artifacts(&src, backend, 1, None, OptimizerOptions::default());
-            let par = pipeline_artifacts(&src, backend, 4, None, OptimizerOptions::default());
-            assert_eq!(
-                seq,
-                par,
-                "parallel {} run diverged from sequential\n{src}",
-                backend.name()
-            );
-        }
+        assert_eq!(
+            pipeline_artifacts(&src, 1),
+            pipeline_artifacts(&src, 4),
+            "parallel run diverged from sequential\n{src}"
+        );
     }
 }
 

@@ -349,7 +349,7 @@ fn partial_batch_deadline_trip_fails_open_per_element() {
         &items,
         &abcd_server::RetryPolicy::default(),
     )
-    .expect("batch");
+    .expect("batch frame answers");
     assert_eq!(replies.len(), 3);
     let replies: Vec<_> = replies
         .into_iter()
@@ -361,6 +361,43 @@ fn partial_batch_deadline_trip_fails_open_per_element() {
     assert_eq!(replies[1].ir, unoptimized, "element 1 unoptimized bytes");
     assert!(!replies[2].deadline_exceeded, "element 2 unaffected");
     assert_eq!(replies[2].ir, optimized, "element 2 optimized");
+
+    abcd_server::shutdown(&socket).unwrap();
+    handle.join();
+}
+
+/// The query engine is no longer selectable: a request that still names
+/// one (`"prover":"demand"`) gets the structured `unknown option` error,
+/// and the daemon goes on serving optimize requests.
+#[test]
+fn prover_option_is_an_unknown_option() {
+    let socket = sock("prover");
+    let handle = abcd_server::start(ServerConfig::new(&socket)).unwrap();
+    assert!(ping_eventually(&socket), "server must come up");
+
+    let body =
+        optimize_body(None).replacen("\"options\":{", "\"options\":{\"prover\":\"demand\",", 1);
+    assert!(body.contains("\"prover\":\"demand\""), "{body}");
+    let mut framed = Vec::new();
+    abcd_server::proto::write_frame(&mut framed, body.as_bytes()).unwrap();
+    let reply = send_raw(&socket, &framed);
+    assert_error_frame(&reply, "unknown option `prover`", "prover option");
+
+    let reference = {
+        let mut module = abcd_frontend::compile(SRC).unwrap();
+        abcd::Optimizer::new().optimize_module(&mut module, None);
+        module.to_string()
+    };
+    let reply = abcd_server::optimize(
+        &socket,
+        (SRC, false),
+        &abcd::OptimizerOptions::default(),
+        None,
+        &abcd_server::CallOptions::default(),
+        &abcd_server::RetryPolicy::default(),
+    )
+    .expect("optimize after the rejected option");
+    assert_eq!(reply.ir, reference);
 
     abcd_server::shutdown(&socket).unwrap();
     handle.join();

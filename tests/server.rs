@@ -70,11 +70,11 @@ fn served_output_is_byte_identical_to_local() {
         assert_eq!(reply.ir, reference, "pass {pass}");
         assert_eq!(reply.incidents, (0, 0), "pass {pass}");
         let trace = reply.trace.expect("trace requested");
-        assert!(trace.starts_with("{\"schema\":\"abcd-trace/3\""), "{trace}");
+        assert!(trace.starts_with("{\"schema\":\"abcd-trace/4\""), "{trace}");
         assert!(trace.contains("\"span\":\"request\""), "{trace}");
         let metrics = reply.metrics.expect("metrics requested");
         assert!(
-            metrics.contains("\"schema\":\"abcd-metrics/6\""),
+            metrics.contains("\"schema\":\"abcd-metrics/7\""),
             "{metrics}"
         );
         assert!(metrics.contains("\"deterministic\":true"), "{metrics}");

@@ -1,4 +1,4 @@
-//! End-to-end tests for the `abcd-trace/3` structured-tracing layer: the
+//! End-to-end tests for the `abcd-trace/4` structured-tracing layer: the
 //! witness-path certificates re-verify against the inequality graph, every
 //! emitted artifact is valid JSON even under hostile function names, the
 //! schema is pinned by a golden file, fault injections surface in the
@@ -150,7 +150,7 @@ fn hostile_function_names_stay_valid_json_in_every_artifact() {
     assert!(doc.get("trace").and_then(Json::as_str).is_some());
 }
 
-/// Satellite: golden-file pin of the `abcd-trace/3` schema. Deterministic
+/// Satellite: golden-file pin of the `abcd-trace/4` schema. Deterministic
 /// mode must render the example module byte-identically to the checked-in
 /// document; a diff here means the schema changed and needs a version bump
 /// (and a regenerated golden file).
@@ -164,7 +164,7 @@ fn trace_schema_v1_matches_the_golden_file() {
     let golden = include_str!("golden/observability_trace.jsonl");
     assert_eq!(
         trace, golden,
-        "abcd-trace/3 drifted from tests/golden/observability_trace.jsonl; \
+        "abcd-trace/4 drifted from tests/golden/observability_trace.jsonl; \
          if intentional, bump TRACE_SCHEMA and regenerate with \
          `mjc opt examples/observability.mj --trace-out tests/golden/observability_trace.jsonl --deterministic-metrics`"
     );
@@ -249,7 +249,7 @@ fn provenance_object_reports_verdicts_per_function() {
         .iter()
         .find(|f| f.get("name").and_then(Json::as_str) == Some("sum"))
         .unwrap();
-    let prov = sum.get("provenance").expect("abcd-metrics/6 provenance");
+    let prov = sum.get("provenance").expect("abcd-metrics/7 provenance");
     let n = |key: &str| prov.get(key).and_then(Json::as_u64).unwrap();
     assert_eq!(
         n("removed_local") + n("removed_global") + n("removed_congruent"),

@@ -5,10 +5,11 @@ Usage: bench_gate.py COMMITTED.json REGENERATED.json
 
 The schema field of the committed document selects the gate:
 
-abcd-bench-pipeline/2 (BENCH_pipeline.json)
+abcd-bench-pipeline/3 (BENCH_pipeline.json)
   * schema                      — exact
-  * backends.*.suite_solver_steps — exact: solver traversal is deterministic,
-                                  any drift is an algorithm change
+  * suite_solver_steps          — exact: the demand prover's traversal is
+                                  deterministic, any drift is an algorithm
+                                  change
   * phases.steady_prove.allocs  — exactly 0: the zero-allocation prove-path
                                   claim, in both files
   * other alloc counts          — regression-banded (x1.25): allocation
@@ -60,18 +61,11 @@ def banded(name, old, new, band):
 def gate_pipeline(old, new):
     check(new.get("schema") == old.get("schema"), "regenerated schema differs")
 
-    for name, row in old.get("backends", {}).items():
-        got = new.get("backends", {}).get(name)
-        check(got is not None, f"backends.{name}: missing from regenerated run")
-        if got is None:
-            continue
-        check(
-            got["suite_solver_steps"] == row["suite_solver_steps"],
-            f"backends.{name}.suite_solver_steps: {got['suite_solver_steps']} "
-            f"vs committed {row['suite_solver_steps']} (must match exactly)",
-        )
-        banded(f"backends.{name}.suite_ns_per_iter",
-               row["suite_ns_per_iter"], got["suite_ns_per_iter"], WALL_BAND)
+    check(
+        new.get("suite_solver_steps") == old.get("suite_solver_steps"),
+        f"suite_solver_steps: {new.get('suite_solver_steps')} vs committed "
+        f"{old.get('suite_solver_steps')} (must match exactly)",
+    )
 
     for name, row in old.get("phases", {}).items():
         got = new.get("phases", {}).get(name)
@@ -155,7 +149,7 @@ def main(committed_path, regenerated_path):
     new = json.load(open(regenerated_path))
 
     schema = old.get("schema")
-    if schema == "abcd-bench-pipeline/2":
+    if schema == "abcd-bench-pipeline/3":
         gate_pipeline(old, new)
     elif schema == "abcd-bench-abcdd/1":
         gate_abcdd(old, new)
