@@ -107,6 +107,18 @@ pub fn evaluate_with_versioning(bench: &Benchmark, options: OptimizerOptions) ->
     evaluate_inner(bench, options, true)
 }
 
+/// The baseline configuration of `options`: the host compiler's basic
+/// optimizations with every check kept (ABCD, PRE and check merging off).
+pub fn baseline_options(options: OptimizerOptions) -> OptimizerOptions {
+    OptimizerOptions {
+        upper: false,
+        lower: false,
+        pre: false,
+        merge_checks: false,
+        ..options
+    }
+}
+
 fn evaluate_inner(bench: &Benchmark, options: OptimizerOptions, versioning: bool) -> BenchResult {
     // 1. Training run. The baseline has the host compiler's *basic*
     //    optimizations applied but every check intact — the paper's
@@ -114,14 +126,7 @@ fn evaluate_inner(bench: &Benchmark, options: OptimizerOptions, versioning: bool
     //    … local common subexpression elimination …" with ABCD off) — so
     //    speedups measure check removal, not unrelated cleanup.
     let mut baseline_module = bench.compile().expect("benchmark compiles");
-    let baseline_opts = OptimizerOptions {
-        upper: false,
-        lower: false,
-        pre: false,
-        merge_checks: false,
-        ..options
-    };
-    Optimizer::with_options(baseline_opts).optimize_module(&mut baseline_module, None);
+    Optimizer::with_options(baseline_options(options)).optimize_module(&mut baseline_module, None);
     let mut vm = Vm::new(&baseline_module);
     vm.call_by_name("main", &[]).expect("baseline run");
     let baseline = *vm.stats();

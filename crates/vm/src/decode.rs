@@ -1,0 +1,465 @@
+//! The decoded form the interpreter runs on.
+//!
+//! The first time a [`Vm`](crate::Vm) enters a function it appends the
+//! function to one flat op array: every instruction becomes one [`Op`]
+//! whose operands are `u32` register indices (a value's register is its
+//! index) and whose cycle cost [`CostModel::cost_of`] has already priced,
+//! and every block ends in one terminator op. A φ decodes to a no-op that
+//! only counts: its value travels on the CFG edge instead, as one move of
+//! the parallel move list that the edge's jump or branch carries.
+//!
+//! Everything an op refers to by position lives in one `u32` side table:
+//! per function its block start table, per call its argument list and per
+//! CFG edge an edge record,
+//!
+//! ```text
+//! [target pc, target block, edge counter slot, head, (dst, src)*]
+//! ```
+//!
+//! whose `head` is the number of moves, with [`STAGED`] set when a move
+//! reads a register an earlier move of the list writes (the list then
+//! runs through staging registers, keeping its parallel semantics), or
+//! [`FAULTY`] when some φ of the target has no argument for the edge.
+//!
+//! Malformed IR decodes without complaint, to ops that fail only if
+//! executed: an unterminated block ends in [`Fault::MissingTerminator`],
+//! a function whose entry block starts with a φ enters through
+//! [`Fault::PhiInEntry`], and a [`FAULTY`] edge replays the φ lookup that
+//! finds the missing argument.
+
+use crate::cost::CostModel;
+use abcd_ir::{
+    BinOp, Block, CheckKind, CheckSite, CmpOp, FuncId, Function, InstId, InstKind, Module,
+    Terminator, UnOp, Value,
+};
+
+/// A register: an index into the active frame's register window.
+pub(crate) type Reg = u32;
+
+/// The `value` of a `return` without a value.
+pub(crate) const NO_REG: Reg = u32::MAX;
+
+/// Edge-record `head` flag: the moves run through staging registers.
+pub(crate) const STAGED: u32 = 1 << 31;
+
+/// Edge-record `head`: some φ of the target lacks an argument for the
+/// edge, so taking it panics.
+pub(crate) const FAULTY: u32 = u32::MAX;
+
+/// Why an op panics when executed.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Fault {
+    /// The entry block starts with a φ, which has no incoming edge.
+    PhiInEntry,
+    /// The block has no terminator.
+    MissingTerminator,
+}
+
+/// One decoded operation.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum OpKind {
+    /// A φ: its value arrived with the edge's moves.
+    Phi,
+    Const {
+        dst: Reg,
+        val: i64,
+    },
+    BoolConst {
+        dst: Reg,
+        val: bool,
+    },
+    Neg {
+        dst: Reg,
+        arg: Reg,
+    },
+    Not {
+        dst: Reg,
+        arg: Reg,
+    },
+    Binary {
+        op: BinOp,
+        dst: Reg,
+        lhs: Reg,
+        rhs: Reg,
+    },
+    Compare {
+        op: CmpOp,
+        dst: Reg,
+        lhs: Reg,
+        rhs: Reg,
+    },
+    /// `inst` is the `new_array` instruction, which holds the element type.
+    NewArray {
+        dst: Reg,
+        len: Reg,
+        inst: InstId,
+    },
+    ArrayLen {
+        dst: Reg,
+        array: Reg,
+    },
+    Load {
+        dst: Reg,
+        array: Reg,
+        index: Reg,
+    },
+    Store {
+        array: Reg,
+        index: Reg,
+        value: Reg,
+    },
+    BoundsCheck {
+        site: CheckSite,
+        array: Reg,
+        index: Reg,
+        kind: CheckKind,
+    },
+    SpecCheck {
+        site: CheckSite,
+        array: Reg,
+        index: Reg,
+        kind: CheckKind,
+    },
+    TrapIfFlagged {
+        site: CheckSite,
+        array: Reg,
+        index: Reg,
+        kind: CheckKind,
+    },
+    /// A π or a copy.
+    Copy {
+        dst: Reg,
+        src: Reg,
+    },
+    /// `args` is the side-table index of `[n, arg*]`.
+    Call {
+        dst: Reg,
+        callee: u32,
+        args: u32,
+    },
+    Output {
+        arg: Reg,
+    },
+    GetLocal {
+        dst: Reg,
+        local: u32,
+    },
+    SetLocal {
+        local: u32,
+        value: Reg,
+    },
+    /// `edge` is the side-table index of the edge record.
+    Jump {
+        edge: u32,
+    },
+    Branch {
+        cond: Reg,
+        then_edge: u32,
+        else_edge: u32,
+    },
+    /// `value` is [`NO_REG`] for a `return` without a value.
+    Return {
+        value: Reg,
+    },
+    Fail(Fault),
+}
+
+/// An op and, for an instruction, its precomputed cycle cost
+/// (terminators cost nothing and are not counted).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Op {
+    pub(crate) kind: OpKind,
+    pub(crate) cost: u64,
+}
+
+/// What a frame needs to know about a decoded function.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Decoded {
+    /// Where execution starts.
+    pub(crate) entry: usize,
+    /// Register window size: one register per value, plus one that
+    /// receives the results no value is named for.
+    pub(crate) regs: usize,
+    pub(crate) params: usize,
+    pub(crate) locals: usize,
+    pub(crate) sites: usize,
+}
+
+/// The decoded functions of one module, filled in as they are entered.
+#[derive(Debug, Default)]
+pub(crate) struct Code {
+    pub(crate) ops: Vec<Op>,
+    pub(crate) side: Vec<u32>,
+    funcs: Vec<Option<Decoded>>,
+}
+
+fn reg(v: Value) -> Reg {
+    v.index() as Reg
+}
+
+fn index(i: usize) -> u32 {
+    u32::try_from(i).expect("decoded code exceeds u32 indices")
+}
+
+impl Code {
+    /// Function `id`, decoded on its first entry.
+    pub(crate) fn enter(&mut self, module: &Module, cost: &CostModel, id: FuncId) -> Decoded {
+        if self.funcs.is_empty() {
+            self.funcs = vec![None; module.function_count()];
+        }
+        if let Some(d) = self.funcs[id.index()] {
+            return d;
+        }
+        let d = self.decode(module.function(id), cost);
+        self.funcs[id.index()] = Some(d);
+        d
+    }
+
+    fn decode(&mut self, func: &Function, cost: &CostModel) -> Decoded {
+        let phi_in_entry = func
+            .block(func.entry())
+            .insts()
+            .first()
+            .is_some_and(|&id| matches!(func.inst(id).kind, InstKind::Phi { .. }));
+        // Both buffers grow by at most one allocation per function.
+        let (mut ops, mut side) = (usize::from(phi_in_entry), func.block_count());
+        for b in func.blocks() {
+            let block = func.block(b);
+            ops += block.insts().len() + 1;
+            for &id in block.insts() {
+                if let InstKind::Call { args, .. } = &func.inst(id).kind {
+                    side += 1 + args.len();
+                }
+            }
+            let mut edge = |to: &Block| {
+                let phis = (to.index() < func.block_count()).then(|| {
+                    func.block(*to)
+                        .insts()
+                        .iter()
+                        .take_while(|&&id| matches!(func.inst(id).kind, InstKind::Phi { .. }))
+                        .count()
+                });
+                side += 4 + 2 * phis.unwrap_or(0);
+            };
+            match block.terminator_opt() {
+                Some(Terminator::Jump(to)) => edge(to),
+                Some(Terminator::Branch {
+                    then_dst, else_dst, ..
+                }) => {
+                    edge(then_dst);
+                    edge(else_dst);
+                }
+                _ => {}
+            }
+        }
+        self.ops.reserve(ops);
+        self.side.reserve(side);
+        // Block start table: each block is its instructions plus one
+        // terminator, so every start is known before any edge is decoded.
+        let starts = self.side.len();
+        let base = self.ops.len() + usize::from(phi_in_entry);
+        let mut pc = base;
+        for b in func.blocks() {
+            self.side.push(index(pc));
+            pc += func.block(b).insts().len() + 1;
+        }
+        let entry = if phi_in_entry {
+            self.ops.push(Op {
+                kind: OpKind::Fail(Fault::PhiInEntry),
+                cost: 0,
+            });
+            base - 1
+        } else {
+            self.side[starts + func.entry().index()] as usize
+        };
+        let discard = index(func.value_count());
+        for b in func.blocks() {
+            for &id in func.block(b).insts() {
+                let inst = func.inst(id);
+                let dst = inst.result.map_or(discard, reg);
+                let kind = self.decode_inst(&inst.kind, dst, id);
+                self.ops.push(Op {
+                    kind,
+                    cost: cost.cost_of(&inst.kind),
+                });
+            }
+            let kind = match func.block(b).terminator_opt() {
+                None => OpKind::Fail(Fault::MissingTerminator),
+                Some(Terminator::Jump(to)) => OpKind::Jump {
+                    edge: self.edge(func, starts, b, *to, 0),
+                },
+                Some(Terminator::Branch {
+                    cond,
+                    then_dst,
+                    else_dst,
+                }) => OpKind::Branch {
+                    cond: reg(*cond),
+                    then_edge: self.edge(func, starts, b, *then_dst, 0),
+                    else_edge: self.edge(func, starts, b, *else_dst, 1),
+                },
+                Some(Terminator::Return(v)) => OpKind::Return {
+                    value: v.map_or(NO_REG, reg),
+                },
+            };
+            self.ops.push(Op { kind, cost: 0 });
+        }
+        debug_assert_eq!(self.ops.len(), pc);
+        Decoded {
+            entry,
+            regs: func.value_count() + 1,
+            params: func.param_count(),
+            locals: func.local_count(),
+            sites: func.check_site_count(),
+        }
+    }
+
+    fn decode_inst(&mut self, kind: &InstKind, dst: Reg, id: InstId) -> OpKind {
+        match kind {
+            InstKind::Phi { .. } => OpKind::Phi,
+            InstKind::Const(val) => OpKind::Const { dst, val: *val },
+            InstKind::BoolConst(val) => OpKind::BoolConst { dst, val: *val },
+            InstKind::Unary { op, arg } => match op {
+                UnOp::Neg => OpKind::Neg {
+                    dst,
+                    arg: reg(*arg),
+                },
+                UnOp::Not => OpKind::Not {
+                    dst,
+                    arg: reg(*arg),
+                },
+            },
+            InstKind::Binary { op, lhs, rhs } => OpKind::Binary {
+                op: *op,
+                dst,
+                lhs: reg(*lhs),
+                rhs: reg(*rhs),
+            },
+            InstKind::Compare { op, lhs, rhs } => OpKind::Compare {
+                op: *op,
+                dst,
+                lhs: reg(*lhs),
+                rhs: reg(*rhs),
+            },
+            InstKind::NewArray { len, .. } => OpKind::NewArray {
+                dst,
+                len: reg(*len),
+                inst: id,
+            },
+            InstKind::ArrayLen { array } => OpKind::ArrayLen {
+                dst,
+                array: reg(*array),
+            },
+            InstKind::Load { array, index } => OpKind::Load {
+                dst,
+                array: reg(*array),
+                index: reg(*index),
+            },
+            InstKind::Store {
+                array,
+                index,
+                value,
+            } => OpKind::Store {
+                array: reg(*array),
+                index: reg(*index),
+                value: reg(*value),
+            },
+            InstKind::BoundsCheck {
+                site,
+                array,
+                index,
+                kind,
+            } => OpKind::BoundsCheck {
+                site: *site,
+                array: reg(*array),
+                index: reg(*index),
+                kind: *kind,
+            },
+            InstKind::SpecCheck {
+                site,
+                array,
+                index,
+                kind,
+            } => OpKind::SpecCheck {
+                site: *site,
+                array: reg(*array),
+                index: reg(*index),
+                kind: *kind,
+            },
+            InstKind::TrapIfFlagged {
+                site,
+                array,
+                index,
+                kind,
+            } => OpKind::TrapIfFlagged {
+                site: *site,
+                array: reg(*array),
+                index: reg(*index),
+                kind: *kind,
+            },
+            InstKind::Pi { input: src, .. } | InstKind::Copy { arg: src } => OpKind::Copy {
+                dst,
+                src: reg(*src),
+            },
+            InstKind::Call { func, args } => {
+                let at = index(self.side.len());
+                self.side.push(index(args.len()));
+                self.side.extend(args.iter().map(|&a| reg(a)));
+                OpKind::Call {
+                    dst,
+                    callee: index(func.index()),
+                    args: at,
+                }
+            }
+            InstKind::Output { arg } => OpKind::Output { arg: reg(*arg) },
+            InstKind::GetLocal { local } => OpKind::GetLocal {
+                dst,
+                local: index(local.index()),
+            },
+            InstKind::SetLocal { local, value } => OpKind::SetLocal {
+                local: index(local.index()),
+                value: reg(*value),
+            },
+        }
+    }
+
+    /// Appends the record of edge `from → to`, `from`'s successor `slot`,
+    /// and returns its side-table index.
+    fn edge(&mut self, func: &Function, starts: usize, from: Block, to: Block, slot: usize) -> u32 {
+        let at = self.side.len();
+        let known = to.index() < func.block_count();
+        let pc = if known {
+            self.side[starts + to.index()]
+        } else {
+            u32::MAX
+        };
+        self.side
+            .extend([pc, index(to.index()), index(2 * from.index() + slot), 0]);
+        if !known {
+            self.side[at + 3] = FAULTY;
+            return index(at);
+        }
+        let mut head = 0;
+        for &id in func.block(to).insts() {
+            let inst = func.inst(id);
+            let InstKind::Phi { args } = &inst.kind else {
+                break; // φs form a prefix
+            };
+            let arg = args.iter().find(|(p, _)| *p == from);
+            let (Some(dst), Some(&(_, src))) = (inst.result, arg) else {
+                head = FAULTY;
+                break;
+            };
+            let src = reg(src);
+            if self.side[at + 4..].chunks_exact(2).any(|m| m[0] == src) {
+                head |= STAGED;
+            }
+            self.side.extend([reg(dst), src]);
+            head += 1;
+        }
+        if head == FAULTY {
+            self.side.truncate(at + 4);
+        }
+        self.side[at + 3] = head;
+        index(at)
+    }
+}

@@ -4,18 +4,28 @@
 //! code (including the speculative `spec_check`/`trap_if_flagged` pair) —
 //! which is what makes each compiler pass differentially testable.
 //!
-//! Execution allocates nothing per instruction, block or call. Calls run
-//! on an explicit frame stack whose frames own windows of one reused
+//! It runs on the decoded form of the `decode` module, not on the
+//! `Function` arena: the first time a function is entered it is decoded,
+//! once per `Vm`, into ops with resolved registers and precomputed cycle
+//! costs, and φs into parallel move lists on the CFG edges, which a jump
+//! or branch runs as it transfers. Decoding is lazy because a caller may
+//! build a fresh `Vm` per call over a large module and enter only a few of
+//! its functions.
+//!
+//! Execution allocates nothing per instruction, block or call; what
+//! allocates is decoding, a few times per entered function. Calls run on
+//! an explicit frame stack whose frames own windows of one reused
 //! register, local and flag store, so recursion depth is bounded by
 //! [`VmOptions::call_depth_limit`] and not by the host thread's stack.
 //! Profile events bump dense per-function counters that are folded into
 //! the hashed [`Profile`] once, when the top-level call returns or traps.
 
 use crate::cost::CostModel;
+use crate::decode::{Code, Decoded, Fault, OpKind, Reg, FAULTY, NO_REG, STAGED};
 use crate::profile::{Counters, Profile, Slots};
 use crate::trap::{Trap, TrapKind};
-use crate::value::{Heap, RtVal};
-use abcd_ir::{Block, CheckKind, FuncId, Function, InstKind, Module, Terminator, UnOp, Value};
+use crate::value::{Heap, RtVal, MAX_ARRAY_LEN};
+use abcd_ir::{Block, CheckKind, FuncId, Function, InstKind, Module};
 
 /// Interpreter configuration.
 #[derive(Clone, Copy, Debug)]
@@ -114,6 +124,7 @@ pub struct Vm<'m> {
     stats: ExecStats,
     profile: Profile,
     counters: Counters,
+    code: Code,
     stack: Stack,
     output: Vec<i64>,
     steps_left: u64,
@@ -124,29 +135,28 @@ pub struct Vm<'m> {
 #[derive(Clone, Copy, Debug)]
 struct Frame {
     func: FuncId,
-    block: Block,
-    /// Index of the next instruction of `block` to execute.
-    pos: usize,
+    /// The next op to execute.
+    pc: usize,
     /// Where this frame's windows start in the register, local and flag
     /// stores.
     regs: usize,
     locals: usize,
     flags: usize,
-    /// For a suspended caller: the value that receives the callee's result.
-    dst: Option<Value>,
+    /// For a suspended caller: the register that receives the callee's
+    /// result.
+    dst: Reg,
 }
 
-/// The call stack: suspended frames, one register, local and flag store
-/// that every frame owns a window of, and the φ staging buffer. All of it
-/// is reused from call to call, so execution itself allocates nothing once
-/// the stores have reached their high-water size.
+/// The call stack: suspended frames and one register, local and flag
+/// store that every frame owns a window of. All of it is reused from call
+/// to call, so execution itself allocates nothing once the stores have
+/// reached their high-water size.
 #[derive(Debug, Default)]
 struct Stack {
     frames: Vec<Frame>,
     regs: Vec<Option<RtVal>>,
     locals: Vec<Option<RtVal>>,
     flags: Vec<bool>,
-    phis: Vec<(Value, RtVal)>,
 }
 
 impl Stack {
@@ -157,11 +167,12 @@ impl Stack {
         self.flags.clear();
     }
 
-    /// Opens a frame for `id` whose arguments are the registers from
-    /// `regs` to the end of the store, at the depth of the suspended frames.
+    /// Opens a frame for `id`, decoded as `func`, whose arguments are the
+    /// registers from `regs` to the end of the store, at the depth of the
+    /// suspended frames.
     fn open(
         &mut self,
-        module: &Module,
+        func: Decoded,
         depth_limit: usize,
         id: FuncId,
         regs: usize,
@@ -172,25 +183,18 @@ impl Stack {
                 func: id,
             });
         }
-        let func = module.function(id);
-        assert_eq!(
-            self.regs.len() - regs,
-            func.param_count(),
-            "call arity mismatch"
-        );
+        assert_eq!(self.regs.len() - regs, func.params, "call arity mismatch");
         let frame = Frame {
             func: id,
-            block: func.entry(),
-            pos: 0,
+            pc: func.entry,
             regs,
             locals: self.locals.len(),
             flags: self.flags.len(),
-            dst: None,
+            dst: 0,
         };
-        self.regs.resize(regs + func.value_count(), None);
-        self.locals.resize(frame.locals + func.local_count(), None);
-        self.flags
-            .resize(frame.flags + func.check_site_count(), false);
+        self.regs.resize(regs + func.regs, None);
+        self.locals.resize(frame.locals + func.locals, None);
+        self.flags.resize(frame.flags + func.sites, false);
         Ok(frame)
     }
 
@@ -200,6 +204,57 @@ impl Stack {
         self.locals.truncate(frame.locals);
         self.flags.truncate(frame.flags);
     }
+
+    /// Runs the moves of the edge record at `side[at..]` in the window at
+    /// `base`, as one parallel assignment.
+    fn moves(&mut self, side: &[u32], at: usize, base: usize, func: &Function) {
+        let head = side[at + 3];
+        if head == FAULTY {
+            let from = Block::new(side[at + 2] as usize / 2);
+            let to = Block::new(side[at + 1] as usize);
+            phi_fault(func, &self.regs[base..], from, to);
+        }
+        let n = (head & !STAGED) as usize;
+        let moves = side[at + 4..at + 4 + 2 * n].chunks_exact(2);
+        let regs = &mut self.regs;
+        if head & STAGED == 0 {
+            for m in moves {
+                let v = regs[base + m[1] as usize].expect("phi argument unset");
+                regs[base + m[0] as usize] = Some(v);
+            }
+        } else {
+            // Read every source before writing any destination: the
+            // staging registers sit past the end of the innermost window.
+            let top = regs.len();
+            for m in moves.clone() {
+                let v = regs[base + m[1] as usize].expect("phi argument unset");
+                regs.push(Some(v));
+            }
+            for (k, m) in moves.enumerate() {
+                regs[base + m[0] as usize] = regs[top + k];
+            }
+            regs.truncate(top);
+        }
+    }
+}
+
+/// Panics as evaluating the φs of `to` on entry from `from` does: the edge
+/// decoded as [`FAULTY`] because one of them has no argument for it.
+#[cold]
+fn phi_fault(func: &Function, regs: &[Option<RtVal>], from: Block, to: Block) -> ! {
+    for &id in func.block(to).insts() {
+        let inst = func.inst(id);
+        let InstKind::Phi { args } = &inst.kind else {
+            break;
+        };
+        let (_, v) = args
+            .iter()
+            .find(|(p, _)| *p == from)
+            .unwrap_or_else(|| panic!("phi {id} lacks arg for pred {from}"));
+        regs[v.index()].expect("phi argument unset");
+        inst.result.expect("phi result");
+    }
+    unreachable!("edge {from} -> {to} decoded as faulty, yet every phi has an argument")
 }
 
 impl<'m> Vm<'m> {
@@ -217,6 +272,7 @@ impl<'m> Vm<'m> {
             stats: ExecStats::default(),
             profile: Profile::new(),
             counters: Counters::default(),
+            code: Code::default(),
             stack: Stack::default(),
             output: Vec::new(),
             steps_left: options.step_limit,
@@ -326,6 +382,7 @@ impl<'m> Vm<'m> {
             heap,
             stats,
             counters,
+            code,
             stack,
             output,
             steps_left,
@@ -338,253 +395,280 @@ impl<'m> Vm<'m> {
         // A panic in an earlier call may have left frames behind.
         stack.clear();
         stack.regs.extend(args.iter().map(|&a| Some(a)));
-        let mut fr = stack.open(module, options.call_depth_limit, entry, 0)?;
+        let decoded = code.enter(module, &options.cost, entry);
+        let mut fr = stack.open(decoded, options.call_depth_limit, entry, 0)?;
         let mut func: &Function = module.function(entry);
         let mut slots = Slots::default();
         if profiling {
             slots = counters.slots(module, entry);
-            counters.block(slots, fr.block);
+            counters.block(slots, func.entry());
         }
-        let mut came_from: Option<Block> = None;
 
         macro_rules! get {
-            ($v:expr, $what:literal) => {
-                stack.regs[fr.regs + $v.index()].expect($what)
+            ($r:expr, $what:literal) => {
+                stack.regs[fr.regs + $r as usize].expect($what)
             };
-            ($v:expr) => {
-                get!($v, "use of unset value")
+            ($r:expr) => {
+                get!($r, "use of unset value")
             };
         }
-
-        'blocks: loop {
-            let insts = func.block(fr.block).insts();
-            if fr.pos == 0 {
-                // Phase 1: φs evaluate in parallel against pre-transfer state.
-                stack.phis.clear();
-                for &id in insts {
-                    let inst = func.inst(id);
-                    let InstKind::Phi { args } = &inst.kind else {
-                        break; // φs form a prefix
-                    };
-                    let from = came_from.expect("phi in entry block");
-                    let (_, v) = args
-                        .iter()
-                        .find(|(p, _)| *p == from)
-                        .unwrap_or_else(|| panic!("phi {id} lacks arg for pred {from}"));
-                    let val = get!(v, "phi argument unset");
-                    stack.phis.push((inst.result.expect("phi result"), val));
+        macro_rules! set {
+            ($r:expr, $v:expr) => {{
+                let v = $v;
+                stack.regs[fr.regs + $r as usize] = Some(v);
+            }};
+        }
+        macro_rules! check_trap {
+            ($site:expr, $index:expr, $len:expr) => {
+                Err(trap(
+                    TrapKind::BoundsCheckFailed {
+                        site: $site,
+                        index: $index,
+                        len: $len,
+                    },
+                    fr.func,
+                ))
+            };
+        }
+        // Takes the edge whose record starts at `side[$edge]`.
+        macro_rules! transfer {
+            ($edge:expr) => {{
+                let at = $edge as usize;
+                if profiling {
+                    counters.edge(slots, code.side[at + 2]);
+                    counters.block(slots, Block::new(code.side[at + 1] as usize));
                 }
-                for &(r, v) in &stack.phis {
-                    stack.regs[fr.regs + r.index()] = Some(v);
+                if code.side[at + 3] != 0 {
+                    stack.moves(&code.side, at, fr.regs, func);
                 }
-            }
+                fr.pc = code.side[at] as usize;
+            }};
+        }
 
-            // Phase 2: straight-line execution, resumed after a call.
-            while let Some(&id) = insts.get(fr.pos) {
-                fr.pos += 1;
-                let inst = func.inst(id);
-                bump(stats, steps_left, &options.cost, &inst.kind, fr.func)?;
-                let result: Option<RtVal> = match &inst.kind {
-                    InstKind::Phi { .. } => continue,
-                    InstKind::Const(c) => Some(RtVal::Int(*c)),
-                    InstKind::BoolConst(c) => Some(RtVal::Bool(*c)),
-                    InstKind::Unary { op, arg } => Some(match op {
-                        UnOp::Neg => RtVal::Int(get!(*arg).as_int().wrapping_neg()),
-                        UnOp::Not => RtVal::Bool(!get!(*arg).as_bool()),
-                    }),
-                    InstKind::Binary { op, lhs, rhs } => {
-                        let a = get!(*lhs).as_int();
-                        let b = get!(*rhs).as_int();
-                        use abcd_ir::BinOp::*;
-                        let v = match op {
-                            Add => a.wrapping_add(b),
-                            Sub => a.wrapping_sub(b),
-                            Mul => a.wrapping_mul(b),
-                            Div => {
-                                if b == 0 {
-                                    return Err(trap(TrapKind::DivisionByZero, fr.func));
-                                }
-                                a.wrapping_div(b)
-                            }
-                            Rem => {
-                                if b == 0 {
-                                    return Err(trap(TrapKind::DivisionByZero, fr.func));
-                                }
-                                a.wrapping_rem(b)
-                            }
-                            And => a & b,
-                            Or => a | b,
-                            Xor => a ^ b,
-                            Shl => a.wrapping_shl(b as u32 & 63),
-                            Shr => a.wrapping_shr(b as u32 & 63),
-                        };
-                        Some(RtVal::Int(v))
+        loop {
+            let op = code.ops[fr.pc];
+            fr.pc += 1;
+            // Every op but a terminator is one instruction execution.
+            macro_rules! step {
+                () => {
+                    stats.insts += 1;
+                    stats.cycles = stats.cycles.saturating_add(op.cost);
+                    if *steps_left == 0 {
+                        return Err(trap(TrapKind::StepLimitExceeded, fr.func));
                     }
-                    InstKind::Compare { op, lhs, rhs } => Some(RtVal::Bool(
-                        op.eval(get!(*lhs).as_int(), get!(*rhs).as_int()),
-                    )),
-                    InstKind::NewArray { elem, len } => {
-                        let n = get!(*len).as_int();
-                        if n < 0 {
-                            return Err(trap(TrapKind::NegativeArrayLength(n), fr.func));
-                        }
-                        stats.cycles = stats
-                            .cycles
-                            .saturating_add(options.cost.alloc_per_elem * n as u64);
-                        Some(RtVal::Ref(heap.alloc(elem, n as usize)))
-                    }
-                    InstKind::ArrayLen { array } => {
-                        Some(RtVal::Int(heap.len_of(get!(*array).as_ref()) as i64))
-                    }
-                    InstKind::Load { array, index } => {
-                        let r = get!(*array).as_ref();
-                        let i = get!(*index).as_int();
-                        let len = heap.len_of(r) as i64;
-                        if i < 0 || i >= len {
-                            return Err(trap(
-                                TrapKind::UncheckedAccessOutOfBounds { index: i, len },
-                                fr.func,
-                            ));
-                        }
-                        Some(heap.get(r).data[i as usize])
-                    }
-                    InstKind::Store {
-                        array,
-                        index,
-                        value,
-                    } => {
-                        let r = get!(*array).as_ref();
-                        let i = get!(*index).as_int();
-                        let len = heap.len_of(r) as i64;
-                        if i < 0 || i >= len {
-                            return Err(trap(
-                                TrapKind::UncheckedAccessOutOfBounds { index: i, len },
-                                fr.func,
-                            ));
-                        }
-                        heap.get_mut(r).data[i as usize] = get!(*value);
-                        None
-                    }
-                    InstKind::BoundsCheck {
-                        site,
-                        array,
-                        index,
-                        kind,
-                    } => {
-                        let i = get!(*index).as_int();
-                        let len = heap.len_of(get!(*array).as_ref()) as i64;
-                        stats.checks[kind_index(*kind)] += 1;
-                        if profiling {
-                            counters.site(slots, *site);
-                        }
-                        if violates(*kind, i, len) {
-                            return Err(trap(
-                                TrapKind::BoundsCheckFailed {
-                                    site: *site,
-                                    index: i,
-                                    len,
-                                },
-                                fr.func,
-                            ));
-                        }
-                        None
-                    }
-                    InstKind::SpecCheck {
-                        site,
-                        array,
-                        index,
-                        kind,
-                    } => {
-                        let i = get!(*index).as_int();
-                        let len = heap.len_of(get!(*array).as_ref()) as i64;
-                        stats.spec_checks[kind_index(*kind)] += 1;
-                        if violates(*kind, i, len) {
-                            stack.flags[fr.flags + site.index()] = true;
-                        }
-                        None
-                    }
-                    InstKind::TrapIfFlagged {
-                        site,
-                        array,
-                        index,
-                        kind,
-                    } => {
-                        stats.trap_tests += 1;
-                        if stack.flags[fr.flags + site.index()] {
-                            // Re-validate at the original exception point
-                            // (the speculative failure may be spurious).
-                            let i = get!(*index).as_int();
-                            let len = heap.len_of(get!(*array).as_ref()) as i64;
-                            if violates(*kind, i, len) {
-                                return Err(trap(
-                                    TrapKind::BoundsCheckFailed {
-                                        site: *site,
-                                        index: i,
-                                        len,
-                                    },
-                                    fr.func,
-                                ));
-                            }
-                        }
-                        None
-                    }
-                    InstKind::Pi { input, .. } => Some(get!(*input)),
-                    InstKind::Copy { arg } => Some(get!(*arg)),
-                    InstKind::Call { func: callee, args } => {
-                        // The arguments become the callee's parameter
-                        // registers, which start where the store ends.
-                        let base = stack.regs.len();
-                        for a in args {
-                            let v = get!(*a);
-                            stack.regs.push(Some(v));
-                        }
-                        stack.frames.push(Frame {
-                            dst: inst.result,
-                            ..fr
-                        });
-                        fr = stack.open(module, options.call_depth_limit, *callee, base)?;
-                        func = module.function(*callee);
-                        if profiling {
-                            slots = counters.slots(module, *callee);
-                            counters.block(slots, fr.block);
-                        }
-                        came_from = None;
-                        continue 'blocks;
-                    }
-                    InstKind::Output { arg } => {
-                        output.push(get!(*arg).as_int());
-                        None
-                    }
-                    InstKind::GetLocal { local } => Some(
-                        stack.locals[fr.locals + local.index()]
-                            .expect("read of uninitialized local"),
-                    ),
-                    InstKind::SetLocal { local, value } => {
-                        stack.locals[fr.locals + local.index()] = Some(get!(*value));
-                        None
-                    }
+                    *steps_left -= 1;
                 };
-                if let (Some(r), Some(v)) = (inst.result, result) {
-                    stack.regs[fr.regs + r.index()] = Some(v);
-                }
             }
-
-            // Phase 3: control transfer.
-            let (next, slot) = match func.block(fr.block).terminator() {
-                Terminator::Jump(d) => (*d, 0),
-                Terminator::Branch {
-                    cond,
-                    then_dst,
-                    else_dst,
+            match op.kind {
+                OpKind::Phi => {
+                    step!();
+                }
+                OpKind::Const { dst, val } => {
+                    step!();
+                    set!(dst, RtVal::Int(val));
+                }
+                OpKind::BoolConst { dst, val } => {
+                    step!();
+                    set!(dst, RtVal::Bool(val));
+                }
+                OpKind::Neg { dst, arg } => {
+                    step!();
+                    set!(dst, RtVal::Int(get!(arg).as_int().wrapping_neg()));
+                }
+                OpKind::Not { dst, arg } => {
+                    step!();
+                    set!(dst, RtVal::Bool(!get!(arg).as_bool()));
+                }
+                OpKind::Binary { op, dst, lhs, rhs } => {
+                    step!();
+                    let a = get!(lhs).as_int();
+                    let b = get!(rhs).as_int();
+                    use abcd_ir::BinOp::*;
+                    let v = match op {
+                        Add => a.wrapping_add(b),
+                        Sub => a.wrapping_sub(b),
+                        Mul => a.wrapping_mul(b),
+                        Div => {
+                            if b == 0 {
+                                return Err(trap(TrapKind::DivisionByZero, fr.func));
+                            }
+                            a.wrapping_div(b)
+                        }
+                        Rem => {
+                            if b == 0 {
+                                return Err(trap(TrapKind::DivisionByZero, fr.func));
+                            }
+                            a.wrapping_rem(b)
+                        }
+                        And => a & b,
+                        Or => a | b,
+                        Xor => a ^ b,
+                        Shl => a.wrapping_shl(b as u32 & 63),
+                        Shr => a.wrapping_shr(b as u32 & 63),
+                    };
+                    set!(dst, RtVal::Int(v));
+                }
+                OpKind::Compare { op, dst, lhs, rhs } => {
+                    step!();
+                    set!(
+                        dst,
+                        RtVal::Bool(op.eval(get!(lhs).as_int(), get!(rhs).as_int()))
+                    );
+                }
+                OpKind::NewArray { dst, len, inst } => {
+                    step!();
+                    let n = get!(len).as_int();
+                    if n < 0 {
+                        return Err(trap(TrapKind::NegativeArrayLength(n), fr.func));
+                    }
+                    if n > MAX_ARRAY_LEN {
+                        return Err(trap(TrapKind::ArrayTooLarge(n), fr.func));
+                    }
+                    stats.cycles = stats
+                        .cycles
+                        .saturating_add(options.cost.alloc_per_elem.saturating_mul(n as u64));
+                    let InstKind::NewArray { elem, .. } = &func.inst(inst).kind else {
+                        unreachable!("new_array op decoded from {inst}");
+                    };
+                    set!(dst, RtVal::Ref(heap.alloc(elem, n as usize)));
+                }
+                OpKind::ArrayLen { dst, array } => {
+                    step!();
+                    set!(dst, RtVal::Int(heap.len_of(get!(array).as_ref()) as i64));
+                }
+                OpKind::Load { dst, array, index } => {
+                    step!();
+                    let r = get!(array).as_ref();
+                    let i = get!(index).as_int();
+                    let len = heap.len_of(r) as i64;
+                    if i < 0 || i >= len {
+                        return Err(trap(
+                            TrapKind::UncheckedAccessOutOfBounds { index: i, len },
+                            fr.func,
+                        ));
+                    }
+                    set!(dst, heap.get(r).data[i as usize]);
+                }
+                OpKind::Store {
+                    array,
+                    index,
+                    value,
                 } => {
-                    if get!(*cond, "branch cond unset").as_bool() {
-                        (*then_dst, 0)
-                    } else {
-                        (*else_dst, 1)
+                    step!();
+                    let r = get!(array).as_ref();
+                    let i = get!(index).as_int();
+                    let len = heap.len_of(r) as i64;
+                    if i < 0 || i >= len {
+                        return Err(trap(
+                            TrapKind::UncheckedAccessOutOfBounds { index: i, len },
+                            fr.func,
+                        ));
+                    }
+                    heap.get_mut(r).data[i as usize] = get!(value);
+                }
+                OpKind::BoundsCheck {
+                    site,
+                    array,
+                    index,
+                    kind,
+                } => {
+                    step!();
+                    let i = get!(index).as_int();
+                    let len = heap.len_of(get!(array).as_ref()) as i64;
+                    stats.checks[kind_index(kind)] += 1;
+                    if profiling {
+                        counters.site(slots, site);
+                    }
+                    if violates(kind, i, len) {
+                        return check_trap!(site, i, len);
                     }
                 }
-                Terminator::Return(v) => {
-                    let out = v.map(|v| get!(v, "return value unset"));
+                OpKind::SpecCheck {
+                    site,
+                    array,
+                    index,
+                    kind,
+                } => {
+                    step!();
+                    let i = get!(index).as_int();
+                    let len = heap.len_of(get!(array).as_ref()) as i64;
+                    stats.spec_checks[kind_index(kind)] += 1;
+                    if violates(kind, i, len) {
+                        stack.flags[fr.flags + site.index()] = true;
+                    }
+                }
+                OpKind::TrapIfFlagged {
+                    site,
+                    array,
+                    index,
+                    kind,
+                } => {
+                    step!();
+                    stats.trap_tests += 1;
+                    if stack.flags[fr.flags + site.index()] {
+                        // Re-validate at the original exception point
+                        // (the speculative failure may be spurious).
+                        let i = get!(index).as_int();
+                        let len = heap.len_of(get!(array).as_ref()) as i64;
+                        if violates(kind, i, len) {
+                            return check_trap!(site, i, len);
+                        }
+                    }
+                }
+                OpKind::Copy { dst, src } => {
+                    step!();
+                    set!(dst, get!(src));
+                }
+                OpKind::Call { dst, callee, args } => {
+                    step!();
+                    // The arguments become the callee's parameter
+                    // registers, which start where the store ends.
+                    let base = stack.regs.len();
+                    let at = args as usize + 1;
+                    for &a in &code.side[at..at + code.side[at - 1] as usize] {
+                        let v = get!(a);
+                        stack.regs.push(Some(v));
+                    }
+                    stack.frames.push(Frame { dst, ..fr });
+                    let callee = FuncId::new(callee as usize);
+                    let decoded = code.enter(module, &options.cost, callee);
+                    fr = stack.open(decoded, options.call_depth_limit, callee, base)?;
+                    func = module.function(callee);
+                    if profiling {
+                        slots = counters.slots(module, callee);
+                        counters.block(slots, func.entry());
+                    }
+                }
+                OpKind::Output { arg } => {
+                    step!();
+                    output.push(get!(arg).as_int());
+                }
+                OpKind::GetLocal { dst, local } => {
+                    step!();
+                    set!(
+                        dst,
+                        stack.locals[fr.locals + local as usize]
+                            .expect("read of uninitialized local")
+                    );
+                }
+                OpKind::SetLocal { local, value } => {
+                    step!();
+                    stack.locals[fr.locals + local as usize] = Some(get!(value));
+                }
+                OpKind::Jump { edge } => transfer!(edge),
+                OpKind::Branch {
+                    cond,
+                    then_edge,
+                    else_edge,
+                } => {
+                    if get!(cond, "branch cond unset").as_bool() {
+                        transfer!(then_edge)
+                    } else {
+                        transfer!(else_edge)
+                    }
+                }
+                OpKind::Return { value } => {
+                    let out = (value != NO_REG).then(|| get!(value, "return value unset"));
                     stack.close(&fr);
                     let Some(caller) = stack.frames.pop() else {
                         return Ok(out);
@@ -594,43 +678,15 @@ impl<'m> Vm<'m> {
                     if profiling {
                         slots = counters.slots(module, fr.func);
                     }
-                    if let (Some(r), Some(v)) = (fr.dst, out) {
-                        stack.regs[fr.regs + r.index()] = Some(v);
+                    if let Some(v) = out {
+                        set!(fr.dst, v);
                     }
-                    continue 'blocks;
                 }
-            };
-            if profiling {
-                counters.edge(slots, fr.block, slot);
-                counters.block(slots, next);
+                OpKind::Fail(Fault::PhiInEntry) => panic!("phi in entry block"),
+                OpKind::Fail(Fault::MissingTerminator) => panic!("block missing terminator"),
             }
-            came_from = Some(fr.block);
-            fr.block = next;
-            fr.pos = 0;
         }
     }
-}
-
-/// Accounts one instruction execution; errors out when the step budget is
-/// exhausted.
-#[inline]
-fn bump(
-    stats: &mut ExecStats,
-    steps_left: &mut u64,
-    cost: &CostModel,
-    kind: &InstKind,
-    func: FuncId,
-) -> Result<(), Trap> {
-    stats.insts += 1;
-    stats.cycles = stats.cycles.saturating_add(cost.cost_of(kind));
-    if *steps_left == 0 {
-        return Err(Trap {
-            kind: TrapKind::StepLimitExceeded,
-            func,
-        });
-    }
-    *steps_left -= 1;
-    Ok(())
 }
 
 /// Does `index` violate `kind` for an array of length `len`?
@@ -645,7 +701,7 @@ fn violates(kind: CheckKind, index: i64, len: i64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abcd_ir::{BinOp, CheckSite, CmpOp, FunctionBuilder, Type};
+    use abcd_ir::{BinOp, CheckSite, CmpOp, FunctionBuilder, Terminator, Type};
 
     /// sum(a) with full checks, in locals form.
     fn checked_sum_module() -> Module {
@@ -864,6 +920,50 @@ mod tests {
         assert_eq!(hot[0].1, 3); // each executed once per element
                                  // Loop head executed 4 times (3 iterations + exit test).
         assert_eq!(vm.profile().block_count(f, Block::new(1)), 4);
+    }
+
+    #[test]
+    fn phi_moves_on_an_edge_assign_in_parallel() {
+        // swap(n): (a, b) = (1, 2), then n times (a, b) = (b, a); returns
+        // 10a + b. The back edge's moves `a <- b, b <- a` read a register
+        // an earlier move writes, so they must run as one assignment.
+        let mut b = FunctionBuilder::new("swap", vec![Type::Int], Some(Type::Int));
+        let n = b.param(0);
+        let (x, y, zero) = (b.iconst(1), b.iconst(2), b.iconst(0));
+        let entry = b.current_block();
+        let (head, body, exit) = (b.new_block(), b.new_block(), b.new_block());
+        b.jump(head);
+        b.switch_to_block(head);
+        let a = b.phi(vec![(entry, x)]);
+        let bv = b.phi(vec![(entry, y), (body, a)]);
+        let i = b.phi(vec![(entry, zero)]);
+        let c = b.compare(CmpOp::Lt, i, n);
+        b.branch(c, body, exit);
+        b.switch_to_block(body);
+        let one = b.iconst(1);
+        let i1 = b.binary(BinOp::Add, i, one);
+        b.jump(head);
+        b.switch_to_block(exit);
+        let ten = b.iconst(10);
+        let t = b.binary(BinOp::Mul, a, ten);
+        let r = b.binary(BinOp::Add, t, bv);
+        b.ret(Some(r));
+        let mut f = b.finish_unverified();
+        let phis = f.block(head).insts().to_vec();
+        for (id, arg) in [(phis[0], bv), (phis[2], i1)] {
+            let InstKind::Phi { args } = &mut f.inst_mut(id).kind else {
+                unreachable!()
+            };
+            args.push((body, arg));
+        }
+        abcd_ir::verify_function(&f, None).unwrap();
+        let mut m = Module::new();
+        m.add_function(f);
+        for (n, expected) in [(0, 12), (1, 21), (2, 12), (3, 21)] {
+            let mut vm = Vm::new(&m);
+            let r = vm.call_by_name("swap", &[RtVal::Int(n)]).unwrap();
+            assert_eq!(r, Some(RtVal::Int(expected)), "n={n}");
+        }
     }
 
     #[test]

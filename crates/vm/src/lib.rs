@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 
 mod cost;
+mod decode;
 mod interp;
 mod profile;
 mod trap;
@@ -26,4 +27,4 @@ pub use cost::CostModel;
 pub use interp::{ExecStats, Vm, VmOptions};
 pub use profile::Profile;
 pub use trap::{Trap, TrapKind};
-pub use value::{ArrayRef, Heap, HeapArray, RtVal};
+pub use value::{ArrayRef, Heap, HeapArray, RtVal, MAX_ARRAY_LEN};

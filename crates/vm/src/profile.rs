@@ -161,11 +161,11 @@ impl Counters {
         self.counts[at.blocks + block.index()] += 1;
     }
 
-    /// Counts one traversal of `from`'s successor `slot` (0: jump or
-    /// branch-then, 1: branch-else).
+    /// Counts one traversal of edge slot `2 * from + successor` (successor
+    /// 0: jump or branch-then, 1: branch-else).
     #[inline]
-    pub(crate) fn edge(&mut self, at: Slots, from: Block, slot: usize) {
-        self.counts[at.edges + 2 * from.index() + slot] += 1;
+    pub(crate) fn edge(&mut self, at: Slots, slot: u32) {
+        self.counts[at.edges + slot as usize] += 1;
     }
 
     /// Counts one `bounds_check` execution at `site`.

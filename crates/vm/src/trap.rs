@@ -29,6 +29,8 @@ pub enum TrapKind {
     },
     /// `new_array` with a negative length.
     NegativeArrayLength(i64),
+    /// `new_array` with a length above [`MAX_ARRAY_LEN`](crate::MAX_ARRAY_LEN).
+    ArrayTooLarge(i64),
     /// Integer division or remainder by zero.
     DivisionByZero,
     /// The call stack exceeded the configured limit.
@@ -49,6 +51,11 @@ impl fmt::Display for TrapKind {
                 "unchecked access out of bounds: index {index}, length {len} (optimizer bug?)"
             ),
             TrapKind::NegativeArrayLength(n) => write!(f, "negative array length {n}"),
+            TrapKind::ArrayTooLarge(n) => write!(
+                f,
+                "array length {n} exceeds the maximum {}",
+                crate::MAX_ARRAY_LEN
+            ),
             TrapKind::DivisionByZero => write!(f, "division by zero"),
             TrapKind::CallDepthExceeded => write!(f, "call depth exceeded"),
             TrapKind::StepLimitExceeded => write!(f, "step limit exceeded"),

@@ -63,6 +63,11 @@ impl fmt::Display for RtVal {
     }
 }
 
+/// The longest array a `new_array` may allocate: 2³¹ − 1 elements, Java's
+/// array length limit and so the paper's setting. A longer one traps with
+/// [`TrapKind::ArrayTooLarge`](crate::TrapKind::ArrayTooLarge).
+pub const MAX_ARRAY_LEN: i64 = (1 << 31) - 1;
+
 /// An opaque handle to a heap array.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ArrayRef(pub(crate) usize);

@@ -281,3 +281,24 @@ fn trapping_program_exits_one_with_trap_message() {
         assert!(!err.contains("panicked"), "{err}");
     }
 }
+
+#[test]
+fn huge_array_length_traps_instead_of_aborting() {
+    // One length would abort on a failed 1.6 TB allocation, the other
+    // overflow the element vector's capacity: both must be ordinary traps.
+    let file = scratch(
+        "huge_array.mj",
+        "fn main(n: int) -> int { let a: int[] = new int[n]; return a.length; }",
+    );
+    for n in ["100000000000", "9223372036854775807"] {
+        let out = mjc(&["run", file.to_str().unwrap(), "--arg", n]);
+        assert_eq!(exit_code(&out), 1, "--arg {n}");
+        let err = stderr(&out);
+        assert!(
+            err.lines()
+                .any(|l| l.starts_with("mjc: ") && l.contains("trap") && l.contains(n)),
+            "{err}"
+        );
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
