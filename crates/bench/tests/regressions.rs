@@ -95,19 +95,21 @@ fn bytemark_keeps_the_largest_partial_redundancy() {
     );
 }
 
-/// Suite-wide solver-step total under the default options, summed over
-/// `FunctionReport::steps` — deterministic, so the gate below pins it
-/// exactly to catch traversal regressions before the wall-clock numbers
-/// in `BENCH_pipeline.json` drift.
-fn suite_steps() -> u64 {
+/// Suite-wide primary and PRE solver-step totals under the default
+/// options, summed over `FunctionReport::{steps, pre_steps}` —
+/// deterministic, so the gates below pin them exactly to catch traversal
+/// regressions before the wall-clock numbers in `BENCH_pipeline.json`
+/// drift.
+fn suite_steps() -> (u64, u64) {
     use abcd::Optimizer;
-    let mut steps = 0u64;
+    let (mut steps, mut pre_steps) = (0u64, 0u64);
     for b in abcd_benchsuite::BENCHMARKS {
         let mut m = b.compile().unwrap();
         let report = Optimizer::new().optimize_module(&mut m, None);
-        steps += report.functions.iter().map(|f| f.steps).sum::<u64>();
+        steps += report.steps();
+        pre_steps += report.pre_steps();
     }
-    steps
+    (steps, pre_steps)
 }
 
 #[test]
@@ -115,5 +117,12 @@ fn demand_step_count_stays_flat() {
     // Any solver change that makes the demand prover traverse more (or
     // less) moves this total; `tools/bench_gate.py` pins the same number
     // in BENCH_pipeline.json.
-    assert_eq!(suite_steps(), 2314, "demand prover suite steps moved");
+    assert_eq!(suite_steps().0, 2314, "demand prover suite steps moved");
+}
+
+#[test]
+fn pre_step_count_stays_flat() {
+    // The PRE mode of the same traversal, run only for checks the primary
+    // query kept.
+    assert_eq!(suite_steps().1, 689, "PRE suite steps moved");
 }
