@@ -1,5 +1,5 @@
-//! The demand-driven constraint solver (Figure 5 of the paper), and its
-//! extension that collects PRE insertion points (§6.1).
+//! The demand-driven constraint solver: one Figure 5 `demandProve`
+//! traversal, run in one of two modes.
 //!
 //! `demandProve(G, t)` asks whether the distance from a source vertex `a`
 //! (an array length, or the constant 0 for lower-bound checks) to a target
@@ -18,14 +18,25 @@
 //!   — and **join** at min vertices — any path suffices — over the lattice
 //!   `True > Reduced > False`.
 //!
-//! Memoization uses subsumption: a difference proven with a smaller bound
-//! proves every weaker query, and one refuted with a larger bound refutes
-//! every stronger query.
+//! The traversal — fuel gate, memo probe, the source, potential,
+//! unconstrained and cycle leaves, the active set, the trace events and
+//! the rule for what may be memoized — exists once, in `Prover::prove`.
+//! A [`Mode`] supplies only the verdict type, the memo probe and the
+//! in-edge merge:
+//!
+//! * [`Demand`] (Figure 5, [`DemandProver`]) returns a [`Lattice`] and
+//!   short-circuits at max and min vertices. Its memo uses subsumption: a
+//!   difference proven with a smaller bound proves every weaker query, and
+//!   one refuted with a larger bound refutes every stronger query.
+//! * [`Pre`] (§6.1, [`PreProver`]) collects insertion points: a `False`
+//!   verdict carries, when possible, the φ in-edges where compensating
+//!   checks would make the query provable — the edges are "discovered
+//!   during backtracking" of the same traversal. Its memo matches slacks
+//!   exactly (subsumption is unsound for insertion sets).
 
-use crate::graph::{InequalityGraph, Vertex, VertexId};
+use crate::graph::{InEdge, InequalityGraph, Vertex, VertexId};
 use crate::trace::ProveEvent;
 use abcd_ir::{Block, Value};
-use std::collections::HashMap;
 
 /// The three-point result lattice (`True > Reduced > False`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -90,15 +101,15 @@ pub enum PreOutcome {
 /// context-free fact about the constraint system and safe to memoize.
 const NO_DEP: u32 = u32::MAX;
 
-/// Reusable dense state for [`DemandProver`] — the per-worker scratch the
+/// Reusable dense state for a [`Prover`] — the per-worker scratch the
 /// zero-allocation prove path is built on. Every table is indexed by
 /// `VertexId` and sized once per function ([`attach`](Self::attach));
 /// clearing between functions is O(touched vertices), and clearing the
 /// active set between queries is O(1) (an epoch bump).
-#[derive(Debug, Default)]
-pub struct DemandScratch {
-    /// memo[v] = (c, verdict) entries, consulted with subsumption.
-    memo: Vec<Vec<(i64, Lattice)>>,
+#[derive(Debug)]
+pub struct ProverScratch<V> {
+    /// memo[v] = (c, verdict) entries, consulted by [`Mode::probe`].
+    memo: Vec<Vec<(i64, V)>>,
     /// Vertices holding at least one memo entry (bounds the reset walk).
     touched: Vec<u32>,
     /// Active DFS entry slack, valid where `mark == epoch`.
@@ -110,7 +121,20 @@ pub struct DemandScratch {
     epoch: u32,
 }
 
-impl DemandScratch {
+impl<V> Default for ProverScratch<V> {
+    fn default() -> Self {
+        ProverScratch {
+            memo: Vec::new(),
+            touched: Vec::new(),
+            active_c: Vec::new(),
+            active_d: Vec::new(),
+            mark: Vec::new(),
+            epoch: 0,
+        }
+    }
+}
+
+impl<V> ProverScratch<V> {
     /// Sizes the tables for a graph of `n` vertices and clears leftovers
     /// from the previous function. Growth allocates (that is the
     /// per-function reserve); re-attachment at steady-state sizes does not.
@@ -147,7 +171,37 @@ impl DemandScratch {
     }
 }
 
-/// A demand-driven prover for one `(graph, source)` pair.
+/// The scratch of a [`DemandProver`].
+pub type DemandScratch = ProverScratch<Lattice>;
+/// The scratch of a [`PreProver`], pooled across functions like
+/// [`DemandScratch`]. (The PRE mode returns owned [`InsertionPoint`] sets
+/// by design and is therefore outside the zero-allocation gate.)
+pub type PreScratch = ProverScratch<PreVerdict>;
+
+/// What one traversal mode contributes to the shared `Prover::prove`.
+pub trait Mode: Sized {
+    /// What one `prove` call returns.
+    type Verdict: Clone;
+    /// A verdict carrying nothing but `lat` (the leaves' answers).
+    fn leaf(lat: Lattice) -> Self::Verdict;
+    /// The verdict's lattice point.
+    fn lattice(verdict: &Self::Verdict) -> Lattice;
+    /// Lines 3–5: the memoized verdict of a vertex (its `(c, verdict)`
+    /// entries) that answers slack `c`, if any.
+    fn probe(entries: &[(i64, Self::Verdict)], c: i64) -> Option<Self::Verdict>;
+    /// Lines 12–18: visits the in-edges of `v` (entered with slack `c` at
+    /// stack depth `depth`) and merges their verdicts. Returns the verdict
+    /// and the depth of the shallowest active ancestor it depends on.
+    fn merge(
+        p: &mut Prover<'_, Self>,
+        v: VertexId,
+        c: i64,
+        edges: &[InEdge],
+        depth: u32,
+    ) -> (Self::Verdict, u32);
+}
+
+/// A demand-driven prover for one `(graph, source)` pair, in mode `M`.
 ///
 /// The memo table persists across queries against the same source (e.g. all
 /// checks of the same array), which is how the paper's "fewer than 10
@@ -166,16 +220,17 @@ impl DemandScratch {
 /// only memoizes verdicts that are self-contained (depend on no ancestor
 /// above the vertex itself).
 #[derive(Debug)]
-pub struct DemandProver<'g> {
+pub struct Prover<'g, M: Mode> {
     graph: &'g InequalityGraph,
     source: Option<VertexId>,
     source_vertex: Vertex,
-    /// Dense memo/active tables, possibly donated by a [`super::scratch::ScratchArena`]
-    /// and reclaimable via [`DemandProver::into_scratch`].
-    scratch: DemandScratch,
-    /// Per-query fuel allowance (`u64::MAX` = unbudgeted). Every call to
-    /// [`DemandProver::demand_prove`] starts with a fresh allowance of this
-    /// many steps, so one query's spend never starves the next.
+    mode: M,
+    /// Dense memo/active tables, possibly donated by a
+    /// [`crate::ScratchArena`] and reclaimable via [`Prover::into_scratch`].
+    scratch: ProverScratch<M::Verdict>,
+    /// Per-query fuel allowance (`u64::MAX` = unbudgeted). Every query
+    /// starts with a fresh allowance of this many steps, so one query's
+    /// spend never starves the next.
     query_fuel: u64,
     /// Step count at which the *current* query's fuel runs out; derived
     /// from `query_fuel` at the start of every query.
@@ -190,7 +245,7 @@ pub struct DemandProver<'g> {
     overflow_in_query: bool,
     /// Invocations of `prove` — the paper's "analysis steps".
     pub steps: u64,
-    /// Queries answered from the memo table (subsumption hits).
+    /// Queries answered from the memo table.
     pub memo_hits: u64,
     /// Queries that had to traverse (memo misses at interned vertices).
     pub memo_misses: u64,
@@ -198,29 +253,29 @@ pub struct DemandProver<'g> {
     pub exhausted_queries: u64,
     /// Traversal recorder: `None` (the default) keeps the hot path a
     /// single untaken branch per record point — no allocation, no
-    /// formatting. [`DemandProver::enable_trace`] arms it.
+    /// formatting. [`Prover::enable_trace`] arms it.
     trace: Option<Vec<ProveEvent>>,
 }
 
-impl<'g> DemandProver<'g> {
-    /// Creates a prover for queries from `source` (e.g. `ArrayLen(a)` for
-    /// upper-bound checks, `Const(0)` for lower-bound checks).
-    pub fn new(graph: &'g InequalityGraph, source: Vertex) -> Self {
-        Self::with_scratch(graph, source, DemandScratch::default())
-    }
+/// The Figure 5 prover: is `target − source ≤ c`?
+pub type DemandProver<'g> = Prover<'g, Demand>;
+/// The §6.1 PRE-collecting prover: which φ in-edges would make
+/// `target − source ≤ c` provable?
+pub type PreProver<'g, 'f> = Prover<'g, Pre<'f>>;
 
-    /// Like [`DemandProver::new`], reusing a donated scratch: warm tables
-    /// make prover construction and the queries themselves allocation-free.
-    pub fn with_scratch(
+impl<'g, M: Mode> Prover<'g, M> {
+    fn with_mode(
         graph: &'g InequalityGraph,
         source: Vertex,
-        mut scratch: DemandScratch,
+        mode: M,
+        mut scratch: ProverScratch<M::Verdict>,
     ) -> Self {
         scratch.attach(graph.vertex_count());
-        DemandProver {
+        Prover {
             graph,
             source: graph.lookup(source),
             source_vertex: source,
+            mode,
             scratch,
             query_fuel: u64::MAX,
             fuel_stop: u64::MAX,
@@ -236,13 +291,13 @@ impl<'g> DemandProver<'g> {
 
     /// Retires the prover, handing its scratch back for reuse (typically
     /// into a [`crate::ScratchArena`]).
-    pub fn into_scratch(self) -> DemandScratch {
+    pub fn into_scratch(self) -> ProverScratch<M::Verdict> {
         self.scratch
     }
 
     /// Drops memoized verdicts while keeping every buffer's capacity, so
     /// subsequent queries re-traverse without allocating (see
-    /// [`DemandScratch::reset_memo`]).
+    /// [`ProverScratch::reset_memo`]).
     pub fn reset_memo(&mut self) {
         self.scratch.reset_memo();
     }
@@ -268,7 +323,7 @@ impl<'g> DemandProver<'g> {
     }
 
     /// Arms the traversal recorder: subsequent queries append their events
-    /// to an internal buffer drained by [`DemandProver::take_trace`].
+    /// to an internal buffer drained by [`Prover::take_trace`].
     pub fn enable_trace(&mut self) {
         if self.trace.is_none() {
             self.trace = Some(Vec::new());
@@ -285,42 +340,30 @@ impl<'g> DemandProver<'g> {
         }
     }
 
-    /// `demandProve`: is `target − source ≤ c` implied by the constraint
-    /// system? (Figure 5: returns true iff the result is `True` or
-    /// `Reduced`.)
-    pub fn demand_prove(&mut self, target: Vertex, c: i64) -> bool {
+    /// The `steps` field; stays only for the frozen benchmark replay.
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Arms a query and runs it from `target`. `None` when `target` occurs
+    /// in no constraint; a query that trips its fuel answers `False`.
+    fn query(&mut self, target: Vertex, c: i64) -> Option<M::Verdict> {
         self.exhausted_in_query = false;
         self.overflow_in_query = false;
         self.fuel_stop = self.steps.saturating_add(self.query_fuel);
-        let Some(t) = self.graph.lookup(target) else {
-            // A value with no constraints at all can still be the source
-            // itself, or a constant comparable by potentials.
-            return self.trivial(target, c).unwrap_or(false);
-        };
+        let t = self.graph.lookup(target)?;
         self.scratch.begin_query();
-        let (result, _) = self.prove(t, c, 0);
+        let (verdict, _) = self.prove(t, c, 0);
         if self.exhausted_in_query {
             self.exhausted_queries += 1;
-            return false; // conservative: keep the check
+            return Some(M::leaf(Lattice::False)); // conservative: keep the check
         }
-        matches!(result, Lattice::True | Lattice::Reduced)
+        Some(verdict)
     }
 
-    /// Source/constant fast path for vertices missing from the graph.
-    fn trivial(&self, target: Vertex, c: i64) -> Option<bool> {
-        if target == self.source_vertex {
-            return Some(c >= 0);
-        }
-        // Comparisons run in i128: constants near the i64 boundary must
-        // not wrap (satellite overflow audit).
-        let pot = |v: Vertex| match (v, self.graph.problem()) {
-            (Vertex::Const(k), crate::graph::Problem::Upper) => Some(k as i128),
-            (Vertex::Const(k), crate::graph::Problem::Lower) => Some(-(k as i128)),
-            _ => None,
-        };
-        match (pot(target), pot(self.source_vertex)) {
-            (Some(pv), Some(pa)) => Some(pv - pa <= c as i128),
-            _ => None,
+    fn record(&mut self, event: impl FnOnce(String) -> ProveEvent, v: VertexId) {
+        if let Some(buf) = &mut self.trace {
+            buf.push(event(self.graph.vertex(v).to_string()));
         }
     }
 
@@ -329,131 +372,155 @@ impl<'g> DemandProver<'g> {
     /// when it depends on none). Only verdicts whose dependency is not
     /// shallower than the vertex's own stack position are memoized; the
     /// rest are valid only within the enclosing traversal.
-    fn prove(&mut self, v: VertexId, c: i64, depth: u32) -> (Lattice, u32) {
+    fn prove(&mut self, v: VertexId, c: i64, d: u32) -> (M::Verdict, u32) {
         // Fuel gate: past the budget every verdict is a conservative False
         // ("cannot prove"), which keeps the check — never unsound, never an
         // unbounded walk.
         if self.steps >= self.fuel_stop {
             self.exhausted_in_query = true;
             if let Some(buf) = &mut self.trace {
-                buf.push(ProveEvent::Fuel { d: depth });
+                buf.push(ProveEvent::Fuel { d });
             }
-            return (Lattice::False, NO_DEP);
+            return (M::leaf(Lattice::False), NO_DEP);
         }
         self.steps += 1;
-        let g = self.graph;
 
-        // Lines 3–5: memoized subsumption.
-        let entries = &self.scratch.memo[v.0 as usize];
-        if !entries.is_empty() {
-            let mut hit = None;
-            for &(c2, l) in entries {
-                match l {
-                    Lattice::True if c2 <= c => hit = Some(Lattice::True),
-                    Lattice::False if c2 >= c => hit = Some(Lattice::False),
-                    Lattice::Reduced if c2 <= c => hit = Some(Lattice::Reduced),
-                    _ => continue,
-                }
-                break;
-            }
-            if let Some(l) = hit {
-                self.memo_hits += 1;
-                if let Some(buf) = &mut self.trace {
-                    buf.push(ProveEvent::MemoHit {
-                        v: g.vertex(v).to_string(),
-                        c,
-                        d: depth,
-                        verdict: l.name(),
-                    });
-                }
-                return (l, NO_DEP);
-            }
+        // Lines 3–5: the memo.
+        if let Some(hit) = M::probe(&self.scratch.memo[v.0 as usize], c) {
+            self.memo_hits += 1;
+            let verdict = M::lattice(&hit).name();
+            self.record(|v| ProveEvent::MemoHit { v, c, d, verdict }, v);
+            return (hit, NO_DEP);
         }
         // Line 6: reached the source with enough slack.
         if Some(v) == self.source && c >= 0 {
-            if let Some(buf) = &mut self.trace {
-                buf.push(ProveEvent::Source {
-                    v: g.vertex(v).to_string(),
-                    c,
-                    d: depth,
-                });
-            }
-            return (Lattice::True, NO_DEP);
+            self.record(|v| ProveEvent::Source { v, c, d }, v);
+            return (M::leaf(Lattice::True), NO_DEP);
         }
         // Fall through: the source may itself be constrained (only
-        // possible for constant sources; array lengths have no
-        // in-edges).
+        // possible for constant sources; array lengths have no in-edges).
         // Constants compare numerically against constant sources.
         if let (Some(pv), Some(pa)) = (
             self.graph.potential(v),
             self.source.and_then(|s| self.graph.potential(s)),
         ) {
-            let l = if pv as i128 - pa as i128 <= c as i128 {
+            let proven = pv as i128 - pa as i128 <= c as i128;
+            self.record(|v| ProveEvent::Potential { v, c, d, proven }, v);
+            let l = if proven {
                 Lattice::True
             } else {
                 Lattice::False
             };
-            if let Some(buf) = &mut self.trace {
-                buf.push(ProveEvent::Potential {
-                    v: g.vertex(v).to_string(),
-                    c,
-                    d: depth,
-                    proven: l == Lattice::True,
-                });
-            }
-            return (l, NO_DEP);
+            return (M::leaf(l), NO_DEP);
         }
         // Line 7: no constraint bounds v. (`self.graph` is a shared
         // reference copied out of `self`, so `edges` borrows the graph for
-        // `'g` — not `self` — and the recursive calls below stay legal
-        // without cloning the edge list.)
-        let edges: &'g [crate::graph::InEdge] = self.graph.in_edges(v);
+        // `'g` — not `self` — and the recursive calls stay legal without
+        // cloning the edge list.)
+        let edges: &'g [InEdge] = self.graph.in_edges(v);
         if edges.is_empty() {
-            if let Some(buf) = &mut self.trace {
-                buf.push(ProveEvent::Unconstrained {
-                    v: g.vertex(v).to_string(),
-                    c,
-                    d: depth,
-                });
-            }
-            return (Lattice::False, NO_DEP);
+            self.record(|v| ProveEvent::Unconstrained { v, c, d }, v);
+            return (M::leaf(Lattice::False), NO_DEP);
         }
         // Lines 8–11: cycle detection. The verdict is relative to the
         // ancestor's entry slack, so it depends on that ancestor's depth.
-        if self.scratch.mark[v.0 as usize] == self.scratch.epoch {
-            let (ac, ad) = (
-                self.scratch.active_c[v.0 as usize],
-                self.scratch.active_d[v.0 as usize],
-            );
-            let l = if c < ac {
-                Lattice::False // amplifying cycle
-            } else {
-                Lattice::Reduced // harmless cycle
-            };
-            if let Some(buf) = &mut self.trace {
-                buf.push(ProveEvent::Cycle {
-                    v: g.vertex(v).to_string(),
+        // (Cycles are never salvaged by insertion.)
+        let at = v.0 as usize;
+        if self.scratch.mark[at] == self.scratch.epoch {
+            let (entry_c, ad) = (self.scratch.active_c[at], self.scratch.active_d[at]);
+            let amplifying = c < entry_c;
+            self.record(
+                |v| ProveEvent::Cycle {
+                    v,
                     c,
-                    entry_c: ac,
-                    amplifying: c < ac,
-                    d: depth,
-                });
-            }
-            return (l, ad);
+                    entry_c,
+                    amplifying,
+                    d,
+                },
+                v,
+            );
+            let l = if amplifying {
+                Lattice::False
+            } else {
+                Lattice::Reduced
+            };
+            return (M::leaf(l), ad);
         }
         self.memo_misses += 1;
         // Lines 12–18: recurse over in-edges, merging per vertex kind.
-        self.scratch.mark[v.0 as usize] = self.scratch.epoch;
-        self.scratch.active_c[v.0 as usize] = c;
-        self.scratch.active_d[v.0 as usize] = depth;
-        if let Some(buf) = &mut self.trace {
-            buf.push(ProveEvent::Visit {
-                v: g.vertex(v).to_string(),
-                c,
-                d: depth,
-            });
+        self.scratch.mark[at] = self.scratch.epoch;
+        self.scratch.active_c[at] = c;
+        self.scratch.active_d[at] = d;
+        self.record(|v| ProveEvent::Visit { v, c, d }, v);
+        let (result, dep) = M::merge(self, v, c, edges, d);
+        self.scratch.mark[at] = 0;
+        let verdict = M::lattice(&result).name();
+        self.record(|v| ProveEvent::Resolved { v, d, verdict }, v);
+        if dep >= d && !self.exhausted_in_query && !self.overflow_in_query {
+            // Self-contained: any cycle the sub-traversal closed bottoms
+            // out at this vertex, which is now fully resolved. (Verdicts
+            // tainted by fuel exhaustion or arithmetic overflow are
+            // placeholders, not facts, and must not outlive the query.)
+            let slot = &mut self.scratch.memo[at];
+            if slot.is_empty() {
+                self.scratch.touched.push(v.0);
+            }
+            slot.push((c, result.clone()));
+            (result, NO_DEP)
+        } else {
+            // Depends on an ancestor still on the stack — valid only in
+            // this traversal context; do not memoize.
+            (result, dep)
         }
-        let is_max = self.graph.is_max(v);
+    }
+
+    /// Proves in-edge `e` with the slack left after its weight, or `None`
+    /// (flagging the overflow) when that slack leaves the `i64` range —
+    /// adversarial constants can do that; the edge then refutes
+    /// conservatively (the check stays) and the driver records an
+    /// incident.
+    fn prove_edge(&mut self, e: &InEdge, c: i64, depth: u32) -> Option<(i64, M::Verdict, u32)> {
+        let Some(slack) = c.checked_sub(e.weight) else {
+            self.overflow_in_query = true;
+            return None;
+        };
+        let (r, d) = self.prove(e.src, slack, depth + 1);
+        Some((slack, r, d))
+    }
+}
+
+/// Figure 5's mode: a [`Lattice`] verdict, a subsuming memo, and merges
+/// that short-circuit.
+#[derive(Clone, Copy, Debug)]
+pub struct Demand;
+
+impl Mode for Demand {
+    type Verdict = Lattice;
+
+    fn leaf(lat: Lattice) -> Lattice {
+        lat
+    }
+
+    fn lattice(verdict: &Lattice) -> Lattice {
+        *verdict
+    }
+
+    fn probe(entries: &[(i64, Lattice)], c: i64) -> Option<Lattice> {
+        entries.iter().find_map(|&(c2, l)| match l {
+            Lattice::True | Lattice::Reduced if c2 <= c => Some(l),
+            Lattice::False if c2 >= c => Some(l),
+            _ => None,
+        })
+    }
+
+    fn merge(
+        p: &mut DemandProver<'_>,
+        v: VertexId,
+        c: i64,
+        edges: &[InEdge],
+        depth: u32,
+    ) -> (Lattice, u32) {
+        let is_max = p.graph.is_max(v);
         let mut result = if is_max {
             Lattice::True
         } else {
@@ -461,15 +528,9 @@ impl<'g> DemandProver<'g> {
         };
         let mut dep = NO_DEP;
         for e in edges {
-            // Adversarial constants can push the slack out of the i64
-            // range; the edge is then treated as refuting — conservative
-            // (the check stays) — and the driver records an incident.
-            let (r, d) = match c.checked_sub(e.weight) {
-                Some(slack) => self.prove(e.src, slack, depth + 1),
-                None => {
-                    self.overflow_in_query = true;
-                    (Lattice::False, NO_DEP)
-                }
+            let (r, d) = match p.prove_edge(e, c, depth) {
+                Some((_, r, d)) => (r, d),
+                None => (Lattice::False, NO_DEP),
             };
             dep = dep.min(d);
             result = if is_max {
@@ -481,101 +542,229 @@ impl<'g> DemandProver<'g> {
                 break; // short-circuit
             }
         }
-        self.scratch.mark[v.0 as usize] = 0;
-        if let Some(buf) = &mut self.trace {
-            buf.push(ProveEvent::Resolved {
-                v: g.vertex(v).to_string(),
-                d: depth,
-                verdict: result.name(),
-            });
+        (result, dep)
+    }
+}
+
+impl<'g> DemandProver<'g> {
+    /// Creates a prover for queries from `source` (e.g. `ArrayLen(a)` for
+    /// upper-bound checks, `Const(0)` for lower-bound checks).
+    pub fn new(graph: &'g InequalityGraph, source: Vertex) -> Self {
+        Self::with_scratch(graph, source, DemandScratch::default())
+    }
+
+    /// Like [`DemandProver::new`], reusing a donated scratch: warm tables
+    /// make prover construction and the queries themselves allocation-free.
+    pub fn with_scratch(
+        graph: &'g InequalityGraph,
+        source: Vertex,
+        scratch: DemandScratch,
+    ) -> Self {
+        Self::with_mode(graph, source, Demand, scratch)
+    }
+
+    /// `demandProve`: is `target − source ≤ c` implied by the constraint
+    /// system? (Figure 5: returns true iff the result is `True` or
+    /// `Reduced`.)
+    pub fn demand_prove(&mut self, target: Vertex, c: i64) -> bool {
+        match self.query(target, c) {
+            Some(l) => l != Lattice::False,
+            // A value with no constraints at all can still be the source
+            // itself, or a constant comparable by potentials.
+            None => self.trivial(target, c).unwrap_or(false),
         }
-        if dep >= depth && !self.exhausted_in_query && !self.overflow_in_query {
-            // Self-contained: any cycle the sub-traversal closed bottoms
-            // out at this vertex, which is now fully resolved. (Verdicts
-            // tainted by fuel exhaustion or arithmetic overflow are
-            // placeholders, not facts, and must not outlive the query.)
-            let slot = &mut self.scratch.memo[v.0 as usize];
-            if slot.is_empty() {
-                self.scratch.touched.push(v.0);
-            }
-            slot.push((c, result));
-            (result, NO_DEP)
-        } else {
-            // Depends on an ancestor still on the stack — valid only in
-            // this traversal context; do not memoize.
-            (result, dep)
+    }
+
+    /// Source/constant fast path for vertices missing from the graph.
+    fn trivial(&self, target: Vertex, c: i64) -> Option<bool> {
+        if target == self.source_vertex {
+            return Some(c >= 0);
+        }
+        // Comparisons run in i128: constants near the i64 boundary must
+        // not wrap.
+        let pot = |v: Vertex| match (v, self.graph.problem()) {
+            (Vertex::Const(k), crate::graph::Problem::Upper) => Some(k as i128),
+            (Vertex::Const(k), crate::graph::Problem::Lower) => Some(-(k as i128)),
+            _ => None,
+        };
+        match (pot(target), pot(self.source_vertex)) {
+            (Some(pv), Some(pa)) => Some(pv - pa <= c as i128),
+            _ => None,
         }
     }
 }
 
-/// The PRE-collecting prover (§6.1).
-///
-/// Identical traversal, but `False` results carry — when possible — the set
-/// of φ in-edges where compensating checks would make the query provable.
-/// Per the paper, a direct insertion at a φ in-edge is considered "exactly
-/// when some of the φ-node's arguments were proven and some were not"; where
-/// a failing argument is itself salvageable deeper, the deeper set is used.
-pub struct PreProver<'g, 'f> {
-    graph: &'g InequalityGraph,
-    source: Option<VertexId>,
-    /// Pooled memo/worklist tables (see [`PreScratch`]).
-    scratch: PreScratch,
+/// The §6.1 mode: verdicts carry insertion points, the memo matches
+/// slacks exactly, and min vertices price salvages with `freq`.
+pub struct Pre<'f> {
     /// Edge-frequency oracle for choosing the cheapest salvage at min
     /// vertices (block execution counts from the profile; `None` = count
     /// insertion points).
     freq: Option<&'f dyn Fn(Block) -> u64>,
-    /// Per-query fuel allowance (see [`DemandProver`]).
-    query_fuel: u64,
-    /// Step count at which the current query's fuel runs out.
-    fuel_stop: u64,
-    /// Budget tripped in the current query (see [`DemandProver`]).
-    exhausted_in_query: bool,
-    /// Arithmetic overflow in the current query (see [`DemandProver`]).
-    overflow_in_query: bool,
-    /// Invocations of `prove`.
-    pub steps: u64,
-    /// Queries answered from the memo table.
-    pub memo_hits: u64,
-    /// Queries that had to traverse.
-    pub memo_misses: u64,
-    /// Queries that tripped their fuel budget.
-    pub exhausted_queries: u64,
-    /// Traversal recorder (see [`DemandProver`]): `None` keeps the hot
-    /// path allocation-free.
-    trace: Option<Vec<ProveEvent>>,
 }
 
+/// A [`Pre`]-mode verdict.
 #[derive(Clone, PartialEq, Eq, Debug)]
-struct Res {
+pub struct PreVerdict {
     lat: Lattice,
     /// Meaningful when `lat == False`: insertion points that would flip the
     /// result to proven.
     ins: Option<Vec<InsertionPoint>>,
 }
 
-impl Res {
-    fn proven(lat: Lattice) -> Res {
-        Res { lat, ins: None }
+const PRE_FAILED: PreVerdict = PreVerdict {
+    lat: Lattice::False,
+    ins: None,
+};
+
+impl Pre<'_> {
+    fn cost(&self, points: &[InsertionPoint]) -> u64 {
+        match self.freq {
+            Some(f) => points.iter().map(|p| f(p.pred)).sum(),
+            None => points.len() as u64,
+        }
     }
 }
 
-/// Reusable tables for [`PreProver`] — pooled across functions so the PRE
-/// worklists reuse map capacity. (The PRE path returns owned
-/// [`InsertionPoint`] sets by design and is therefore outside the
-/// zero-allocation gate; pooling still removes the per-function churn.)
-#[derive(Debug, Default)]
-pub struct PreScratch {
-    /// Exact-match memo (subsumption is unsound for insertion sets).
-    memo: HashMap<(VertexId, i64), Res>,
-    /// Active DFS vertices: entry slack and stack depth.
-    active: HashMap<VertexId, (i64, u32)>,
+impl Mode for Pre<'_> {
+    type Verdict = PreVerdict;
+
+    fn leaf(lat: Lattice) -> PreVerdict {
+        PreVerdict { lat, ins: None }
+    }
+
+    fn lattice(verdict: &PreVerdict) -> Lattice {
+        verdict.lat
+    }
+
+    fn probe(entries: &[(i64, PreVerdict)], c: i64) -> Option<PreVerdict> {
+        entries
+            .iter()
+            .find(|(c2, _)| *c2 == c)
+            .map(|(_, r)| r.clone())
+    }
+
+    fn merge(
+        p: &mut Prover<'_, Self>,
+        v: VertexId,
+        c: i64,
+        edges: &[InEdge],
+        depth: u32,
+    ) -> (PreVerdict, u32) {
+        if p.graph.is_max(v) {
+            pre_max(p, v, c, edges, depth)
+        } else {
+            pre_min(p, c, edges, depth)
+        }
+    }
 }
 
-impl PreScratch {
-    fn attach(&mut self) {
-        self.memo.clear();
-        self.active.clear();
+/// Max (φ) vertex: all arguments must prove; failing arguments may be
+/// compensated on their in-edge. Per the paper, a direct insertion at a φ
+/// in-edge is considered "exactly when some of the φ-node's arguments were
+/// proven and some were not"; where a failing argument is itself
+/// salvageable deeper, the deeper set is used.
+fn pre_max(
+    p: &mut PreProver<'_, '_>,
+    v: VertexId,
+    c: i64,
+    edges: &[InEdge],
+    depth: u32,
+) -> (PreVerdict, u32) {
+    let mut lat = Lattice::True;
+    let mut proven_args = 0usize;
+    let mut salvages: Vec<Vec<InsertionPoint>> = Vec::new();
+    let mut direct_needed: Vec<(VertexId, i64)> = Vec::new();
+    let mut dep = NO_DEP;
+    for e in edges {
+        // Overflowed slack refutes the argument and cannot be salvaged by
+        // insertion (the compensating check's `c_prime` would not be
+        // representable either).
+        let Some((slack, r, d)) = p.prove_edge(e, c, depth) else {
+            return (PRE_FAILED, dep);
+        };
+        dep = dep.min(d);
+        match r.lat {
+            Lattice::True | Lattice::Reduced => {
+                proven_args += 1;
+                lat = lat.meet(r.lat);
+            }
+            Lattice::False => match r.ins.filter(|i| !i.is_empty()) {
+                Some(ins) => salvages.push(ins),
+                None => direct_needed.push((e.src, slack)),
+            },
+        }
     }
+    if direct_needed.is_empty() && salvages.is_empty() {
+        return (Pre::leaf(lat), dep); // all arguments proven
+    }
+    // Direct insertion at this φ's in-edges is allowed only in the paper's
+    // mixed case: at least one argument proven outright.
+    if !direct_needed.is_empty() && proven_args == 0 {
+        return (PRE_FAILED, dep);
+    }
+    let mut ins: Vec<InsertionPoint> = Vec::new();
+    for (arg, c_prime) in direct_needed {
+        // Only value arguments of a value φ can be compensated with an
+        // index expression, and only over a recorded φ in-edge. The same
+        // argument value may arrive over several edges; all of them must
+        // be compensated for the φ to become proven.
+        let (Vertex::Value(u), Vertex::Value(phi)) = (p.graph.vertex(arg), p.graph.vertex(v))
+        else {
+            return (PRE_FAILED, dep);
+        };
+        let before = ins.len();
+        ins.extend(p.graph.phi_pred(phi, u).map(|pred| InsertionPoint {
+            pred,
+            arg: u,
+            c_prime,
+        }));
+        if ins.len() == before {
+            return (PRE_FAILED, dep);
+        }
+    }
+    for s in salvages {
+        ins.extend(s);
+    }
+    ins.sort_by_key(|p| (p.pred, p.arg, p.c_prime));
+    ins.dedup();
+    let verdict = PreVerdict {
+        lat: Lattice::False,
+        ins: Some(ins),
+    };
+    (verdict, dep)
+}
+
+/// Min vertex: any in-edge suffices; choose the cheapest salvage among
+/// failing alternatives.
+fn pre_min(p: &mut PreProver<'_, '_>, c: i64, edges: &[InEdge], depth: u32) -> (PreVerdict, u32) {
+    let mut lat = Lattice::False;
+    let mut best: Option<Vec<InsertionPoint>> = None;
+    let mut dep = NO_DEP;
+    for e in edges {
+        // Overflowed slack: this alternative refutes (join with False is a
+        // no-op); other in-edges may still prove the vertex.
+        let Some((_, r, d)) = p.prove_edge(e, c, depth) else {
+            continue;
+        };
+        dep = dep.min(d);
+        lat = lat.join(r.lat);
+        if lat == Lattice::True {
+            return (Pre::leaf(Lattice::True), dep);
+        }
+        if r.lat == Lattice::False {
+            if let Some(ins) = r.ins.filter(|i| !i.is_empty()) {
+                if best
+                    .as_ref()
+                    .is_none_or(|b| p.mode.cost(&ins) < p.mode.cost(b))
+                {
+                    best = Some(ins);
+                }
+            }
+        }
+    }
+    let ins = if lat == Lattice::False { best } else { None };
+    (PreVerdict { lat, ins }, dep)
 }
 
 impl<'g, 'f> PreProver<'g, 'f> {
@@ -593,381 +782,23 @@ impl<'g, 'f> PreProver<'g, 'f> {
         graph: &'g InequalityGraph,
         source: Vertex,
         freq: Option<&'f dyn Fn(Block) -> u64>,
-        mut scratch: PreScratch,
+        scratch: PreScratch,
     ) -> Self {
-        scratch.attach();
-        PreProver {
-            graph,
-            source: graph.lookup(source),
-            scratch,
-            freq,
-            query_fuel: u64::MAX,
-            fuel_stop: u64::MAX,
-            exhausted_in_query: false,
-            overflow_in_query: false,
-            steps: 0,
-            memo_hits: 0,
-            memo_misses: 0,
-            exhausted_queries: 0,
-            trace: None,
-        }
-    }
-
-    /// Retires the prover, handing its tables back for reuse.
-    pub fn into_scratch(self) -> PreScratch {
-        self.scratch
-    }
-
-    /// Budgets every subsequent query, re-armed per query
-    /// (see [`DemandProver::set_query_fuel`]).
-    pub fn set_query_fuel(&mut self, fuel: u64) {
-        self.query_fuel = fuel;
-        self.fuel_stop = self.steps.saturating_add(fuel);
-    }
-
-    /// Did the most recent `demand_prove` trip its fuel budget?
-    pub fn last_query_exhausted(&self) -> bool {
-        self.exhausted_in_query
-    }
-
-    /// Did the most recent `demand_prove` answer conservatively because a
-    /// path-weight accumulation overflowed `i64`?
-    pub fn last_query_overflowed(&self) -> bool {
-        self.overflow_in_query
-    }
-
-    /// Arms the traversal recorder (see [`DemandProver::enable_trace`]).
-    pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Vec::new());
-        }
-    }
-
-    /// Drains the recorded events (see [`DemandProver::take_trace`]).
-    pub fn take_trace(&mut self) -> Vec<ProveEvent> {
-        match &mut self.trace {
-            Some(buf) => std::mem::take(buf),
-            None => Vec::new(),
-        }
-    }
-
-    fn cost(&self, points: &[InsertionPoint]) -> u64 {
-        match self.freq {
-            Some(f) => points.iter().map(|p| f(p.pred)).sum(),
-            None => points.len() as u64,
-        }
+        Self::with_mode(graph, source, Pre { freq }, scratch)
     }
 
     /// Runs the query; see [`PreOutcome`].
     pub fn demand_prove(&mut self, target: Vertex, c: i64) -> PreOutcome {
-        self.exhausted_in_query = false;
-        self.overflow_in_query = false;
-        self.fuel_stop = self.steps.saturating_add(self.query_fuel);
-        let Some(t) = self.graph.lookup(target) else {
-            return PreOutcome::Failed;
-        };
-        self.scratch.active.clear();
-        let (res, _) = self.prove(t, c, 0);
-        if self.exhausted_in_query {
-            self.exhausted_queries += 1;
-            return PreOutcome::Failed; // conservative: keep the check
-        }
-        match (res.lat, res.ins) {
-            (Lattice::True | Lattice::Reduced, _) => PreOutcome::Proven,
-            (Lattice::False, Some(ins)) if !ins.is_empty() => PreOutcome::ProvenWithInsertions(ins),
+        match self.query(target, c) {
+            Some(PreVerdict {
+                lat: Lattice::True | Lattice::Reduced,
+                ..
+            }) => PreOutcome::Proven,
+            Some(PreVerdict { ins: Some(ins), .. }) if !ins.is_empty() => {
+                PreOutcome::ProvenWithInsertions(ins)
+            }
             _ => PreOutcome::Failed,
         }
-    }
-
-    fn prove(&mut self, v: VertexId, c: i64, depth: u32) -> (Res, u32) {
-        if self.steps >= self.fuel_stop {
-            self.exhausted_in_query = true;
-            if let Some(buf) = &mut self.trace {
-                buf.push(ProveEvent::Fuel { d: depth });
-            }
-            return (
-                Res {
-                    lat: Lattice::False,
-                    ins: None,
-                },
-                NO_DEP,
-            );
-        }
-        self.steps += 1;
-        let g = self.graph;
-        if let Some(r) = self.scratch.memo.get(&(v, c)) {
-            self.memo_hits += 1;
-            let r = r.clone();
-            if let Some(buf) = &mut self.trace {
-                buf.push(ProveEvent::MemoHit {
-                    v: g.vertex(v).to_string(),
-                    c,
-                    d: depth,
-                    verdict: r.lat.name(),
-                });
-            }
-            return (r, NO_DEP);
-        }
-        if Some(v) == self.source && c >= 0 {
-            if let Some(buf) = &mut self.trace {
-                buf.push(ProveEvent::Source {
-                    v: g.vertex(v).to_string(),
-                    c,
-                    d: depth,
-                });
-            }
-            return (Res::proven(Lattice::True), NO_DEP);
-        }
-        if let (Some(pv), Some(pa)) = (
-            self.graph.potential(v),
-            self.source.and_then(|s| self.graph.potential(s)),
-        ) {
-            let r = if pv as i128 - pa as i128 <= c as i128 {
-                Res::proven(Lattice::True)
-            } else {
-                Res {
-                    lat: Lattice::False,
-                    ins: None,
-                }
-            };
-            if let Some(buf) = &mut self.trace {
-                buf.push(ProveEvent::Potential {
-                    v: g.vertex(v).to_string(),
-                    c,
-                    d: depth,
-                    proven: r.lat == Lattice::True,
-                });
-            }
-            return (r, NO_DEP);
-        }
-        let edges: &'g [crate::graph::InEdge] = self.graph.in_edges(v);
-        if edges.is_empty() {
-            if let Some(buf) = &mut self.trace {
-                buf.push(ProveEvent::Unconstrained {
-                    v: g.vertex(v).to_string(),
-                    c,
-                    d: depth,
-                });
-            }
-            return (
-                Res {
-                    lat: Lattice::False,
-                    ins: None,
-                },
-                NO_DEP,
-            );
-        }
-        if let Some(&(ac, ad)) = self.scratch.active.get(&v) {
-            let r = if c < ac {
-                Res {
-                    lat: Lattice::False,
-                    ins: None, // cycles are never salvaged by insertion
-                }
-            } else {
-                Res::proven(Lattice::Reduced)
-            };
-            if let Some(buf) = &mut self.trace {
-                buf.push(ProveEvent::Cycle {
-                    v: g.vertex(v).to_string(),
-                    c,
-                    entry_c: ac,
-                    amplifying: c < ac,
-                    d: depth,
-                });
-            }
-            return (r, ad);
-        }
-        self.memo_misses += 1;
-
-        self.scratch.active.insert(v, (c, depth));
-        if let Some(buf) = &mut self.trace {
-            buf.push(ProveEvent::Visit {
-                v: g.vertex(v).to_string(),
-                c,
-                d: depth,
-            });
-        }
-        let (result, dep) = if self.graph.is_max(v) {
-            self.prove_max(v, c, edges, depth)
-        } else {
-            self.prove_min(c, edges, depth)
-        };
-        self.scratch.active.remove(&v);
-        if let Some(buf) = &mut self.trace {
-            buf.push(ProveEvent::Resolved {
-                v: g.vertex(v).to_string(),
-                d: depth,
-                verdict: result.lat.name(),
-            });
-        }
-        if dep >= depth && !self.exhausted_in_query && !self.overflow_in_query {
-            // Self-contained (see DemandProver::prove): safe to memoize.
-            // Exhaustion- and overflow-tainted verdicts never enter the
-            // memo.
-            self.scratch.memo.insert((v, c), result.clone());
-            (result, NO_DEP)
-        } else {
-            (result, dep)
-        }
-    }
-
-    /// Max (φ) vertex: all arguments must prove; failing arguments may be
-    /// compensated on their in-edge.
-    fn prove_max(
-        &mut self,
-        v: VertexId,
-        c: i64,
-        edges: &[crate::graph::InEdge],
-        depth: u32,
-    ) -> (Res, u32) {
-        let mut lat = Lattice::True;
-        let mut proven_args = 0usize;
-        let mut salvages: Vec<Vec<InsertionPoint>> = Vec::new();
-        let mut direct_needed: Vec<(VertexId, i64)> = Vec::new();
-        let mut dep = NO_DEP;
-
-        for e in edges {
-            // Overflowed slack refutes the argument and cannot be salvaged
-            // by insertion (the compensating check's `c_prime` would not be
-            // representable either).
-            let Some(slack) = c.checked_sub(e.weight) else {
-                self.overflow_in_query = true;
-                return (
-                    Res {
-                        lat: Lattice::False,
-                        ins: None,
-                    },
-                    dep,
-                );
-            };
-            let (r, d) = self.prove(e.src, slack, depth + 1);
-            dep = dep.min(d);
-            match r.lat {
-                Lattice::True | Lattice::Reduced => {
-                    proven_args += 1;
-                    lat = lat.meet(r.lat);
-                }
-                Lattice::False => {
-                    if let Some(ins) = r.ins.filter(|i| !i.is_empty()) {
-                        salvages.push(ins);
-                    } else {
-                        direct_needed.push((e.src, slack));
-                    }
-                }
-            }
-        }
-
-        if direct_needed.is_empty() && salvages.is_empty() {
-            return (Res::proven(lat), dep); // all arguments proven
-        }
-
-        // Direct insertion at this φ's in-edges is allowed only in the
-        // paper's mixed case: at least one argument proven outright.
-        if !direct_needed.is_empty() && proven_args == 0 {
-            return (
-                Res {
-                    lat: Lattice::False,
-                    ins: None,
-                },
-                dep,
-            );
-        }
-        let mut ins: Vec<InsertionPoint> = Vec::new();
-        for (arg, c_prime) in direct_needed {
-            let Vertex::Value(u) = self.graph.vertex(arg) else {
-                // Only value arguments can be compensated with an index
-                // expression.
-                return (
-                    Res {
-                        lat: Lattice::False,
-                        ins: None,
-                    },
-                    dep,
-                );
-            };
-            let preds = self.phi_pred_of(v, arg);
-            if preds.is_empty() {
-                return (
-                    Res {
-                        lat: Lattice::False,
-                        ins: None,
-                    },
-                    dep,
-                );
-            }
-            // The same argument value may arrive over several edges; all of
-            // them must be compensated for the φ to become proven.
-            for pred in preds {
-                ins.push(InsertionPoint {
-                    pred,
-                    arg: u,
-                    c_prime,
-                });
-            }
-        }
-        for s in salvages {
-            ins.extend(s);
-        }
-        ins.sort_by_key(|p| (p.pred, p.arg, p.c_prime));
-        ins.dedup();
-        (
-            Res {
-                lat: Lattice::False,
-                ins: Some(ins),
-            },
-            dep,
-        )
-    }
-
-    /// Min vertex: any in-edge suffices; choose the cheapest salvage among
-    /// failing alternatives.
-    fn prove_min(&mut self, c: i64, edges: &[crate::graph::InEdge], depth: u32) -> (Res, u32) {
-        let mut lat = Lattice::False;
-        let mut best: Option<Vec<InsertionPoint>> = None;
-        let mut dep = NO_DEP;
-        for e in edges {
-            // Overflowed slack: this alternative refutes (join with False
-            // is a no-op); other in-edges may still prove the vertex.
-            let Some(slack) = c.checked_sub(e.weight) else {
-                self.overflow_in_query = true;
-                continue;
-            };
-            let (r, d) = self.prove(e.src, slack, depth + 1);
-            dep = dep.min(d);
-            lat = lat.join(r.lat);
-            if lat == Lattice::True {
-                return (Res::proven(Lattice::True), dep);
-            }
-            if r.lat == Lattice::False {
-                if let Some(ins) = r.ins.filter(|i| !i.is_empty()) {
-                    let better = match &best {
-                        None => true,
-                        Some(b) => self.cost(&ins) < self.cost(b),
-                    };
-                    if better {
-                        best = Some(ins);
-                    }
-                }
-            }
-        }
-        let res = if lat == Lattice::False {
-            Res { lat, ins: best }
-        } else {
-            Res::proven(lat)
-        };
-        (res, dep)
-    }
-
-    /// Which φ in-edges (predecessor blocks) contribute `arg` to max vertex
-    /// `v`? Recovered from the graph's φ-argument records.
-    fn phi_pred_of(&self, v: VertexId, arg: VertexId) -> Vec<Block> {
-        let Vertex::Value(phi_val) = self.graph.vertex(v) else {
-            return Vec::new();
-        };
-        let Vertex::Value(arg_val) = self.graph.vertex(arg) else {
-            return Vec::new();
-        };
-        self.graph.phi_pred(phi_val, arg_val).collect()
     }
 }
 
@@ -988,13 +819,6 @@ impl ProverBackend {
 
 /// [`DemandProver`] by its old name; stays only for the frozen benchmark replay.
 pub type AnyProver<'g> = DemandProver<'g>;
-
-impl<'g> DemandProver<'g> {
-    /// The `steps` field; stays only for the frozen benchmark replay.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-}
 
 #[cfg(test)]
 mod tests {
