@@ -836,12 +836,11 @@ impl Optimizer {
         // Provers are cached per source vertex so memoization spans all
         // checks against the same array (or the constant 0) — including the
         // PRE provers, whose exact-match memo is equally reusable.
-        let mut upper_provers: HashMap<Value, DemandProver> = HashMap::new();
-        let mut lower_prover =
-            DemandProver::with_scratch(&lower_graph, Vertex::Const(0), arena.take_demand());
-        if self.trace {
-            lower_prover.enable_trace();
-        }
+        let mut provers: HashMap<Vertex, DemandProver> = HashMap::new();
+        let graph_of = |problem| match problem {
+            Problem::Upper => &upper_graph,
+            Problem::Lower => &lower_graph,
+        };
         let freq_fn = profile.map(|p| move |b: Block| p.block_count(func_id, b));
         let freq_dyn: Option<&dyn Fn(Block) -> u64> = match &freq_fn {
             Some(f) => Some(f),
@@ -903,18 +902,14 @@ impl Optimizer {
             let mut exhausted = false;
             let mut overflowed = false;
 
-            let (problem, source, c, graph): (Problem, Vertex, i64, &InequalityGraph) = match kind {
-                CheckKind::Upper | CheckKind::Both => {
-                    (Problem::Upper, Vertex::ArrayLen(array), -1, &upper_graph)
-                }
-                CheckKind::Lower => (Problem::Lower, Vertex::Const(0), 0, &lower_graph),
-            };
-            // `Both` checks need both proofs; handle the common single-kind
-            // cases first and fall back for Both.
-            let mut proven = match kind {
-                CheckKind::Upper => prove_upper(
-                    &upper_graph,
-                    &mut upper_provers,
+            // `Both` checks need both proofs; PRE and the local/global split
+            // treat them as upper checks.
+            let problem = Problem::of_check(kind)[0];
+            let (source, c) = problem.check_query(array);
+            let mut proven = Problem::of_check(kind).iter().all(|&problem| {
+                prove_check(
+                    graph_of(problem),
+                    &mut provers,
                     arena,
                     &mut spent_steps,
                     &mut exhausted,
@@ -924,42 +919,8 @@ impl Optimizer {
                     index,
                     site,
                     &mut ftrace,
-                ),
-                CheckKind::Lower => prove_lower(
-                    &mut lower_prover,
-                    &mut spent_steps,
-                    &mut exhausted,
-                    &mut overflowed,
-                    query_fuel,
-                    index,
-                    site,
-                    &mut ftrace,
-                ),
-                CheckKind::Both => {
-                    prove_upper(
-                        &upper_graph,
-                        &mut upper_provers,
-                        arena,
-                        &mut spent_steps,
-                        &mut exhausted,
-                        &mut overflowed,
-                        query_fuel,
-                        array,
-                        index,
-                        site,
-                        &mut ftrace,
-                    ) && prove_lower(
-                        &mut lower_prover,
-                        &mut spent_steps,
-                        &mut exhausted,
-                        &mut overflowed,
-                        query_fuel,
-                        index,
-                        site,
-                        &mut ftrace,
-                    )
-                }
-            };
+                )
+            });
             let mut via_congruence = false;
 
             // §7.1: on upper-check failure, retry against congruent arrays.
@@ -968,9 +929,9 @@ impl Optimizer {
             // records its own prove span (against the congruent array).
             if !proven && !exhausted && opts.gvn_hook && matches!(kind, CheckKind::Upper) {
                 for other in abcd_analysis::congruent_arrays(func, &gvn, &dt, array, block) {
-                    if prove_upper(
+                    if prove_check(
                         &upper_graph,
-                        &mut upper_provers,
+                        &mut provers,
                         arena,
                         &mut spent_steps,
                         &mut exhausted,
@@ -1047,6 +1008,7 @@ impl Optimizer {
                 let pre_started = Instant::now();
                 let tracing = self.trace;
                 let prover = pre_provers.entry((problem, source)).or_insert_with(|| {
+                    let graph = graph_of(problem);
                     let mut p = PreProver::with_scratch(graph, source, freq_dyn, arena.take_pre());
                     if tracing {
                         p.enable_trace();
@@ -1102,7 +1064,7 @@ impl Optimizer {
             report.record(site, kind, outcome);
         }
 
-        for p in upper_provers.values().chain([&lower_prover]) {
+        for p in provers.values() {
             report.metrics.memo_hits += p.memo_hits;
             report.metrics.memo_misses += p.memo_misses;
         }
@@ -1112,7 +1074,7 @@ impl Optimizer {
         }
         // Retire every prover and graph into the arena: their warm tables
         // and shells seed the next function's analysis.
-        for p in upper_provers.into_values().chain([lower_prover]) {
+        for p in provers.into_values() {
             arena.put_demand(p.into_scratch());
         }
         for (_, p) in pre_provers {
@@ -1278,10 +1240,7 @@ impl Optimizer {
         if let Some(t) = trace {
             t.push(Span::Pre {
                 site,
-                check: match problem {
-                    Problem::Upper => "upper",
-                    Problem::Lower => "lower",
-                },
+                check: problem.name(),
                 outcome: span_outcome,
                 steps,
                 insertions,
@@ -1320,13 +1279,14 @@ impl Optimizer {
     }
 }
 
-/// Runs an upper-bound query against the (memoized) prover for `array`,
-/// accounting the solver steps it spends into `spent`, budget trips into
-/// `exhausted`, and arithmetic saturation into `overflowed`.
+/// Runs a check's query on `graph` (upper or lower, by the graph's
+/// problem) against the memoized prover of its source, accounting the
+/// solver steps it spends into `spent`, budget trips into `exhausted`, and
+/// arithmetic saturation into `overflowed`.
 #[allow(clippy::too_many_arguments)]
-fn prove_upper<'g>(
+fn prove_check<'g>(
     graph: &'g InequalityGraph,
-    provers: &mut HashMap<Value, DemandProver<'g>>,
+    provers: &mut HashMap<Vertex, DemandProver<'g>>,
     arena: &mut ScratchArena,
     spent: &mut u64,
     exhausted: &mut bool,
@@ -1337,9 +1297,11 @@ fn prove_upper<'g>(
     site: CheckSite,
     trace: &mut Option<Box<FunctionTrace>>,
 ) -> bool {
+    let problem = graph.problem();
+    let (source, c) = problem.check_query(array);
     let tracing = trace.is_some();
-    let p = provers.entry(array).or_insert_with(|| {
-        let mut p = DemandProver::with_scratch(graph, Vertex::ArrayLen(array), arena.take_demand());
+    let p = provers.entry(source).or_insert_with(|| {
+        let mut p = DemandProver::with_scratch(graph, source, arena.take_demand());
         if tracing {
             p.enable_trace();
         }
@@ -1349,7 +1311,7 @@ fn prove_upper<'g>(
     if let Some(f) = fuel {
         p.set_query_fuel(f);
     }
-    let ok = p.demand_prove(Vertex::Value(index), -1);
+    let ok = p.demand_prove(Vertex::Value(index), c);
     let steps = p.steps - before;
     *spent += steps;
     *exhausted |= p.last_query_exhausted();
@@ -1357,52 +1319,14 @@ fn prove_upper<'g>(
     if let Some(t) = trace {
         t.push(Span::Prove {
             site,
-            check: "upper",
+            check: problem.name(),
             target: Vertex::Value(index).to_string(),
-            source: Vertex::ArrayLen(array).to_string(),
-            c: -1,
+            source: source.to_string(),
+            c,
             proven: ok,
             exhausted: p.last_query_exhausted(),
             steps,
             events: p.take_trace(),
-        });
-    }
-    ok
-}
-
-/// The lower-bound analogue of [`prove_upper`] (one shared constant-0
-/// prover).
-#[allow(clippy::too_many_arguments)]
-fn prove_lower(
-    prover: &mut DemandProver,
-    spent: &mut u64,
-    exhausted: &mut bool,
-    overflowed: &mut bool,
-    fuel: Option<u64>,
-    index: Value,
-    site: CheckSite,
-    trace: &mut Option<Box<FunctionTrace>>,
-) -> bool {
-    let before = prover.steps;
-    if let Some(f) = fuel {
-        prover.set_query_fuel(f);
-    }
-    let ok = prover.demand_prove(Vertex::Value(index), 0);
-    let steps = prover.steps - before;
-    *spent += steps;
-    *exhausted |= prover.last_query_exhausted();
-    *overflowed |= prover.last_query_overflowed();
-    if let Some(t) = trace {
-        t.push(Span::Prove {
-            site,
-            check: "lower",
-            target: Vertex::Value(index).to_string(),
-            source: Vertex::Const(0).to_string(),
-            c: 0,
-            proven: ok,
-            exhausted: prover.last_query_exhausted(),
-            steps,
-            events: prover.take_trace(),
         });
     }
     ok

@@ -32,7 +32,7 @@
 use crate::graph::{InequalityGraph, Problem, Vertex};
 use crate::report::{FunctionReport, Incident};
 use crate::solver::{DemandProver, PreOutcome, PreProver};
-use abcd_ir::{CheckKind, CheckSite, Function, InstKind, PiGuard};
+use abcd_ir::{CheckSite, Function, InstKind, PiGuard};
 use abcd_ssa::DomTree;
 
 /// Re-justifies every elimination and hoist recorded in `report`,
@@ -62,19 +62,25 @@ pub(crate) fn validate_function(
         let mut lower = InequalityGraph::build_excluding(func, Problem::Lower, None, excluded);
         crate::interproc::apply_facts(facts, func, &mut upper);
         crate::interproc::apply_facts(facts, func, &mut lower);
+        let graph_of = |problem| match problem {
+            Problem::Upper => &upper,
+            Problem::Lower => &lower,
+        };
 
         let mut progress = false;
         pending_elim.retain(|e| {
-            let ok = match e.kind {
-                CheckKind::Upper => {
-                    prove_upper_clean(func, &upper, gvn, dt, gvn_hook, e.array, e.index, e.block)
-                }
-                CheckKind::Lower => prove_lower_clean(&lower, e.index),
-                CheckKind::Both => {
-                    prove_upper_clean(func, &upper, gvn, dt, gvn_hook, e.array, e.index, e.block)
-                        && prove_lower_clean(&lower, e.index)
-                }
-            };
+            let ok = Problem::of_check(e.kind).iter().all(|&problem| {
+                prove_clean(
+                    func,
+                    graph_of(problem),
+                    gvn,
+                    dt,
+                    gvn_hook,
+                    e.array,
+                    e.index,
+                    e.block,
+                )
+            });
             if ok {
                 report.checks_validated += 1;
                 progress = true;
@@ -82,11 +88,10 @@ pub(crate) fn validate_function(
             !ok
         });
         pending_hoist.retain(|h| {
-            let (graph, source, c) = match h.kind {
-                CheckKind::Upper | CheckKind::Both => (&upper, Vertex::ArrayLen(h.array), -1i64),
-                CheckKind::Lower => (&lower, Vertex::Const(0), 0),
-            };
-            let mut prover = PreProver::new(graph, source, None);
+            // PRE hoists single-kind checks only.
+            let problem = Problem::of_check(h.kind)[0];
+            let (source, c) = problem.check_query(h.array);
+            let mut prover = PreProver::new(graph_of(problem), source, None);
             let ok = match prover.demand_prove(Vertex::Value(h.index), c) {
                 // Fully redundant on the clean graph: the residual trap can
                 // only fire spuriously (it re-validates before trapping).
@@ -160,11 +165,12 @@ pub(crate) fn validate_function(
     }
 }
 
-/// Upper-bound query on the clean graph, with the same §7.1 congruence
-/// fallback the driver used (a removal proven via a congruent array must be
+/// A check's query on the clean graph (upper or lower, by the graph's
+/// problem), with the same §7.1 congruence fallback the driver used for
+/// upper queries (a removal proven via a congruent array must be
 /// re-provable the same way).
 #[allow(clippy::too_many_arguments)]
-fn prove_upper_clean(
+fn prove_clean(
     func: &Function,
     graph: &InequalityGraph,
     gvn: &abcd_analysis::GvnResult,
@@ -174,24 +180,17 @@ fn prove_upper_clean(
     index: abcd_ir::Value,
     block: abcd_ir::Block,
 ) -> bool {
-    let mut p = DemandProver::new(graph, Vertex::ArrayLen(array));
-    if p.demand_prove(Vertex::Value(index), -1) {
-        return true;
-    }
-    if gvn_hook {
-        for other in abcd_analysis::congruent_arrays(func, gvn, dt, array, block) {
-            let mut p = DemandProver::new(graph, Vertex::ArrayLen(other));
-            if p.demand_prove(Vertex::Value(index), -1) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-fn prove_lower_clean(graph: &InequalityGraph, index: abcd_ir::Value) -> bool {
-    let mut p = DemandProver::new(graph, Vertex::Const(0));
-    p.demand_prove(Vertex::Value(index), 0)
+    let problem = graph.problem();
+    let prove = |array| {
+        let (source, c) = problem.check_query(array);
+        DemandProver::new(graph, source).demand_prove(Vertex::Value(index), c)
+    };
+    prove(array)
+        || (gvn_hook
+            && problem == Problem::Upper
+            && abcd_analysis::congruent_arrays(func, gvn, dt, array, block)
+                .into_iter()
+                .any(prove))
 }
 
 /// Re-inserts an eliminated bounds check at its original program point:

@@ -141,18 +141,14 @@ fn plan_for(func: &Function) -> Option<Plan> {
         apply_facts(facts, func, &mut lower);
         let mut out = Vec::new();
         for (b, id, array, index, kind) in &checks {
-            let ok = match kind {
-                CheckKind::Upper => DemandProver::new(&upper, Vertex::ArrayLen(*array))
-                    .demand_prove(Vertex::Value(*index), -1),
-                CheckKind::Lower => DemandProver::new(&lower, Vertex::Const(0))
-                    .demand_prove(Vertex::Value(*index), 0),
-                CheckKind::Both => {
-                    DemandProver::new(&upper, Vertex::ArrayLen(*array))
-                        .demand_prove(Vertex::Value(*index), -1)
-                        && DemandProver::new(&lower, Vertex::Const(0))
-                            .demand_prove(Vertex::Value(*index), 0)
-                }
-            };
+            let ok = Problem::of_check(*kind).iter().all(|&problem| {
+                let graph = match problem {
+                    Problem::Upper => &upper,
+                    Problem::Lower => &lower,
+                };
+                let (source, c) = problem.check_query(*array);
+                DemandProver::new(graph, source).demand_prove(Vertex::Value(*index), c)
+            });
             if ok {
                 out.push((*b, *id));
             }
