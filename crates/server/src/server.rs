@@ -161,7 +161,6 @@ impl ServerConfig {
 struct Counters {
     accepted: AtomicU64,
     served: AtomicU64,
-    shed: AtomicU64,
     errors: AtomicU64,
     deadline_exceeded: AtomicU64,
     worker_restarts: AtomicU64,
@@ -508,7 +507,6 @@ fn accept_loop(shared: &Shared, listener: Listener) {
             enqueued: Instant::now(),
         };
         if let Err((job, position)) = shared.shards.admit(job) {
-            shared.counters.shed.fetch_add(1, Ordering::Relaxed);
             let hint = busy_hint_ms(shared.shards.total_load());
             // Backpressure without reading the request: tiny frame, the
             // socket buffer absorbs it even if the client is mid-write.
@@ -754,14 +752,14 @@ fn stats_response(shared: &Shared) -> String {
          \"cache\":{cache}}}",
         c.accepted.load(Ordering::Relaxed),
         c.served.load(Ordering::Relaxed),
-        c.shed.load(Ordering::Relaxed),
+        shared.shards.queued_replies.load(Ordering::Relaxed),
         c.errors.load(Ordering::Relaxed),
         c.deadline_exceeded.load(Ordering::Relaxed),
         c.worker_restarts.load(Ordering::Relaxed),
         c.worker_kicks.load(Ordering::Relaxed),
         shared.shards.total_depth(),
         shared.shards.queued_replies.load(Ordering::Relaxed),
-        shared.shards.steals.load(Ordering::Relaxed),
+        shared.shards.steals(),
         shared.config.workers.max(1),
         shared.config.queue,
         shared.shards.shard_count(),
@@ -783,7 +781,7 @@ fn metrics_response(shared: &Shared, deterministic: bool) -> String {
     for (outcome, n) in [
         ("accepted", c.accepted.load(Ordering::Relaxed)),
         ("served", c.served.load(Ordering::Relaxed)),
-        ("shed", c.shed.load(Ordering::Relaxed)),
+        ("shed", shared.shards.queued_replies.load(Ordering::Relaxed)),
         ("errors", c.errors.load(Ordering::Relaxed)),
     ] {
         let _ = writeln!(
@@ -811,11 +809,7 @@ fn metrics_response(shared: &Shared, deterministic: bool) -> String {
         v(c.worker_kicks.load(Ordering::Relaxed))
     );
     let _ = writeln!(text, "# TYPE abcdd_steals_total counter");
-    let _ = writeln!(
-        text,
-        "abcdd_steals_total {}",
-        v(shared.shards.steals.load(Ordering::Relaxed))
-    );
+    let _ = writeln!(text, "abcdd_steals_total {}", v(shared.shards.steals()));
     let _ = writeln!(text, "# TYPE abcdd_queued_replies_total counter");
     let _ = writeln!(
         text,

@@ -80,10 +80,9 @@ pub(crate) struct ShardSet {
     /// admitted only when one of the shard's workers is idle.
     capacity: usize,
     workers_per_shard: usize,
-    /// Total queue-position (backpressure) replies issued.
+    /// Total queue-position (backpressure) replies issued: one per shed
+    /// connection.
     pub queued_replies: AtomicU64,
-    /// Total jobs stolen across shards.
-    pub steals: AtomicU64,
 }
 
 impl ShardSet {
@@ -102,8 +101,16 @@ impl ShardSet {
             capacity,
             workers_per_shard: workers_per_shard.max(1),
             queued_replies: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
         }
+    }
+
+    /// Total jobs stolen across shards: the sum of every shard's
+    /// `stolen_from`.
+    pub fn steals(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.stolen_from.load(Ordering::Relaxed))
+            .sum()
     }
 
     pub fn shard_count(&self) -> usize {
@@ -218,7 +225,6 @@ impl ShardSet {
                         shard.depth.store(queue.len(), Ordering::SeqCst);
                         drop(queue);
                         shard.stolen_from.fetch_add(1, Ordering::Relaxed);
-                        self.steals.fetch_add(1, Ordering::Relaxed);
                         own.busy.fetch_add(1, Ordering::SeqCst);
                         return Dequeue::Job(job, true);
                     }
@@ -288,7 +294,7 @@ mod tests {
         // first drains its own queue, then steals from shard 0.
         assert!(matches!(set.next_job(1, false), Dequeue::Job(_, false)));
         assert!(matches!(set.next_job(1, false), Dequeue::Job(_, true)));
-        assert_eq!(set.steals.load(Ordering::Relaxed), 1);
+        assert_eq!(set.steals(), 1);
         assert_eq!(set.shard(0).stolen_from.load(Ordering::Relaxed), 1);
         assert!(matches!(set.next_job(0, false), Dequeue::Job(_, false)));
         // Empty everywhere + drain requested = drained.

@@ -151,6 +151,23 @@ fn idle_shard_steals_the_queued_job_of_a_pinned_shard() {
         "an idle shard must have stolen queued work: {:?}",
         abcd_server::stats_at(&uds)
     );
+    // Each counter is stored once: `steals` is the sum of the per-shard
+    // `stolen_from`, and `shed` counts the queue-position replies.
+    let doc = abcd_server::stats_at(&uds).unwrap();
+    let count = |key: &str| doc.get(key).and_then(abcd_server::json::Json::as_u64);
+    let stolen_from: u64 = doc
+        .get("shards")
+        .and_then(abcd_server::json::Json::as_arr)
+        .expect("per-shard stats")
+        .iter()
+        .map(|s| {
+            s.get("stolen_from")
+                .and_then(abcd_server::json::Json::as_u64)
+                .unwrap()
+        })
+        .sum();
+    assert_eq!(count("steals"), Some(stolen_from), "{doc:?}");
+    assert_eq!(count("shed"), count("queued_replies"), "{doc:?}");
     // The exposition carries the same counter (non-deterministic mode).
     let exposition = abcd_server::metrics_at(&uds, false).unwrap();
     let steals_line = exposition
