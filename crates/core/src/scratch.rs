@@ -1,7 +1,7 @@
 //! Pooled per-worker scratch for the zero-allocation prove path.
 //!
-//! Everything the analysis allocates per function — graph shells, demand
-//! memo tables, PRE worklists — lives in a
+//! Everything the analysis allocates per function — graph shells, the
+//! demand and PRE provers' memo tables — lives in a
 //! [`ScratchArena`] that a worker checks out of a [`ScratchPool`] once and
 //! reuses across every function it analyzes. After the first few functions
 //! warm the buffers to the module's high-water capacities, steady-state
