@@ -29,11 +29,17 @@
 //! function's size, and printing a function into a `String` reserved to
 //! its length allocates nothing. A `fmt` call or hash map per operand
 //! would show as thousands.
+//!
+//! The warm-replay gate: once an in-memory cache holds every benchsuite
+//! function and one hit pass has memoized every parse, one more
+//! `optimize_module` pass over the 15 kernels stays within a quarter of
+//! the calibrated allocation total. A hit clones the memoized function;
+//! re-parsing the cached text on every hit would multiply the total.
 
-use abcd::cache::{canonical_text_hash, key_from_text_hash};
-use abcd::{DemandProver, InequalityGraph, Optimizer, Problem, Vertex};
+use abcd::cache::{canonical_text_hash, key_from_text_hash, DEFAULT_CACHE_BYTES};
+use abcd::{AnalysisCache, DemandProver, InequalityGraph, Optimizer, Problem, Vertex};
 use abcd_ir::{CheckKind, InstKind, Value};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 #[global_allocator]
 static ALLOC: abcd_alloc::CountingAlloc = abcd_alloc::CountingAlloc;
@@ -46,6 +52,11 @@ static COUNTER: Mutex<()> = Mutex::new(());
 /// run once on a fresh `Vm` (before dense profile counters and the
 /// explicit frame stack, 417,485).
 const VM_RUN_ALLOCS: u64 = 919;
+
+/// The warm-replay gate's calibrated total: one `optimize_module` pass
+/// over the 15 kernels (46 functions), every function a memoized cache
+/// hit (12,465 when every hit re-parsed the cached text).
+const WARM_REPLAY_ALLOCS: u64 = 4_266;
 
 /// Stages 1–3 of the driver pipeline, minus the optional cleanup: the
 /// e-SSA form the constraint graphs are defined over.
@@ -224,5 +235,39 @@ fn key_derivation_and_printing_allocate_only_the_numbering() {
     assert!(
         functions >= 45,
         "gate coverage collapsed: {functions} functions"
+    );
+}
+
+#[test]
+fn warm_replay_allocations_stay_within_the_calibrated_total() {
+    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
+    let cache = Arc::new(AnalysisCache::in_memory(DEFAULT_CACHE_BYTES));
+    let optimizer = Optimizer::new().with_cache(Arc::clone(&cache));
+    let inputs: Vec<_> = abcd_benchsuite::BENCHMARKS
+        .iter()
+        .map(|bench| bench.compile().expect("benchmark compiles"))
+        .collect();
+    // Pass 1 stores every function; pass 2 hits and memoizes every parse.
+    for _ in 0..2 {
+        for input in &inputs {
+            optimizer.optimize_module(&mut input.clone(), None);
+        }
+    }
+    let mut modules = inputs.clone();
+    let mut reports = Vec::with_capacity(modules.len());
+    let before = abcd_alloc::snapshot();
+    for module in &mut modules {
+        reports.push(optimizer.optimize_module(module, None));
+    }
+    let total = abcd_alloc::delta(before).allocs;
+    let functions: usize = reports.iter().map(|r| r.functions.len()).sum();
+    let replayed: usize = reports.iter().map(|r| r.functions_from_cache()).sum();
+    assert!(
+        functions >= 45 && replayed == functions,
+        "gate coverage collapsed: {replayed} of {functions} functions replayed"
+    );
+    assert!(
+        total <= WARM_REPLAY_ALLOCS * 5 / 4,
+        "a warm replay of the benchsuite allocated {total} times, calibrated {WARM_REPLAY_ALLOCS}"
     );
 }

@@ -20,9 +20,13 @@
 //!
 //! The cached value is the *canonical printed optimized IR* plus the
 //! summary counters needed to reconstruct the [`FunctionReport`]. Replay
-//! is therefore a parse, never a re-proof. Because the driver's final
-//! pipeline stage canonicalizes, cached text is a `print ∘ parse`
-//! fixpoint: warm and cold runs produce byte-identical modules.
+//! never re-proves: the first hit parses; later hits clone the memoized
+//! function. Each in-memory slot keeps the [`Function`] parsed from its
+//! text (a disk load hands over the one its re-verification parsed), and
+//! the memo's estimated size counts against the byte budget. Because the
+//! driver's final pipeline stage canonicalizes, cached text is a
+//! `print ∘ parse` fixpoint: warm and cold runs produce byte-identical
+//! modules.
 //!
 //! The profile fingerprint is a deliberate approximation: counts are
 //! bucketed so that run-to-run jitter in a stable workload still hits,
@@ -37,7 +41,11 @@
 //! cached IR parses, re-verifies, and is a print fixpoint. Any mismatch
 //! is reported as [`Incident::CacheCorrupt`](crate::Incident), the entry
 //! is deleted, and the function is recompiled cold — cache corruption is
-//! an incident, never a miscompile and never a crash.
+//! an incident, never a miscompile and never a crash. An in-memory entry
+//! that fails replay (its text does not parse, or the replaying driver
+//! rejects the parsed function) is handled the same way: counted as
+//! corrupt plus a miss, evicted from memory and deleted from disk, and
+//! never memoized.
 //!
 //! **Crash safety.** Disk persists are write-to-temp → `fsync` → atomic
 //! rename (plus a best-effort directory fsync), so a published entry is
@@ -382,19 +390,21 @@ fn kind_str(kind: CheckKind) -> &'static str {
 pub struct CacheStats {
     /// Entries currently resident in memory.
     pub entries: usize,
-    /// Bytes currently resident in memory.
+    /// Bytes currently resident in memory: entries plus the estimated
+    /// size of their memoized parsed functions.
     pub bytes: usize,
     /// Configured in-memory byte budget.
     pub budget_bytes: usize,
     /// Lookups answered from memory or disk.
     pub hits: u64,
-    /// Lookups that found nothing (or only a corrupt disk entry).
+    /// Lookups that found nothing (or only a corrupt entry).
     pub misses: u64,
     /// Entries written (memory, and disk when persistent).
     pub stores: u64,
     /// Entries evicted from memory by the byte budget.
     pub evictions: u64,
-    /// Disk entries rejected by re-verification and deleted.
+    /// Entries rejected by re-verification or replay and evicted (from
+    /// memory and disk).
     pub corrupt: u64,
     /// Hits served by re-reading and re-verifying a disk entry.
     pub disk_hits: u64,
@@ -419,8 +429,40 @@ pub enum Lookup {
     Corrupt(String),
 }
 
+/// One [`AnalysisCache::replay`] verdict.
+#[derive(Debug)]
+pub enum Replay<T> {
+    /// The entry was accepted; `T` is what the acceptor built from it.
+    Hit(T),
+    /// Nothing cached under this key.
+    Miss,
+    /// The entry failed re-verification or was rejected by the acceptor.
+    /// It has been evicted (and deleted from disk); the function must be
+    /// recompiled cold. The string is the reason, surfaced as an incident.
+    Corrupt(String),
+}
+
+/// Estimated heap bytes of a memoized function, per instruction: the
+/// `Inst` (40), its `InstId` in the block list, its result's `ValueDef`
+/// and `Type`, plus an allowance for operand vectors and array types.
+const MEMO_BYTES_PER_INST: usize = 96;
+/// Estimated heap bytes of a memoized function, per block (`BlockData`
+/// plus its instruction-list allocation).
+const MEMO_BYTES_PER_BLOCK: usize = 64;
+/// Estimated fixed heap bytes of a memoized function (its arena vectors).
+const MEMO_BYTES_FIXED: usize = 128;
+
+/// The size a memoized parse of `func` adds to its slot.
+fn memo_byte_size(func: &Function) -> usize {
+    let insts: usize = func.blocks().map(|b| func.block(b).insts().len()).sum();
+    MEMO_BYTES_FIXED + insts * MEMO_BYTES_PER_INST + func.block_count() * MEMO_BYTES_PER_BLOCK
+}
+
 struct Slot {
-    entry: CacheEntry,
+    entry: Arc<CacheEntry>,
+    /// The function parsed from `entry.ir_text`, once a replay accepted
+    /// it; its estimated size is included in `size`.
+    parsed: Option<Arc<Function>>,
     size: usize,
     last_used: u64,
 }
@@ -437,6 +479,68 @@ struct Inner {
     corrupt: u64,
     disk_hits: u64,
     write_errors: u64,
+}
+
+/// Where a [`AnalysisCache::replay`] got its parsed function.
+enum Source {
+    /// The slot's memo.
+    Memo,
+    /// A parse of the resident slot's text, memoized once accepted.
+    Text,
+    /// The disk tier's re-verification parse.
+    Disk,
+}
+
+impl Inner {
+    /// Marks `key`'s slot used and returns its entry and memo, if resident.
+    fn touch(&mut self, key: CacheKey) -> Option<(Arc<CacheEntry>, Option<Arc<Function>>)> {
+        self.tick += 1;
+        let tick = self.tick;
+        let slot = self.map.get_mut(&key.0)?;
+        slot.last_used = tick;
+        Some((Arc::clone(&slot.entry), slot.parsed.clone()))
+    }
+
+    /// Memoizes `func` (of estimated size `extra`) in `key`'s slot, if the
+    /// slot still holds `entry` unmemoized and the grown slot fits the
+    /// budget; evicts LRU slots past the budget.
+    fn fill_memo(
+        &mut self,
+        key: u64,
+        entry: &Arc<CacheEntry>,
+        func: Arc<Function>,
+        extra: usize,
+        budget: usize,
+    ) {
+        let Some(slot) = self.map.get_mut(&key) else {
+            return;
+        };
+        if !Arc::ptr_eq(&slot.entry, entry) || slot.parsed.is_some() || slot.size + extra > budget {
+            return;
+        }
+        slot.parsed = Some(func);
+        slot.size += extra;
+        self.bytes += extra;
+        self.evict_past(budget, key);
+    }
+
+    /// Evicts least-recently-used slots other than `keep` until the
+    /// stripe is within `budget`.
+    fn evict_past(&mut self, budget: usize, keep: u64) {
+        while self.bytes > budget {
+            let Some((&victim, _)) = self
+                .map
+                .iter()
+                .filter(|(k, _)| **k != keep)
+                .min_by_key(|(_, s)| s.last_used)
+            else {
+                break;
+            };
+            let slot = self.map.remove(&victim).expect("victim present");
+            self.bytes -= slot.size;
+            self.evictions += 1;
+        }
+    }
 }
 
 /// The function-level analysis cache: in-memory LRU under a byte budget,
@@ -571,13 +675,9 @@ impl AnalysisCache {
     pub fn lookup(&self, key: CacheKey) -> Lookup {
         {
             let mut inner = self.stripe(key).lock().expect("cache lock");
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(slot) = inner.map.get_mut(&key.0) {
-                slot.last_used = tick;
-                let entry = slot.entry.clone();
+            if let Some((entry, _)) = inner.touch(key) {
                 inner.hits += 1;
-                return Lookup::Hit(Box::new(entry));
+                return Lookup::Hit(Box::new((*entry).clone()));
             }
         }
         match self.load_disk(key) {
@@ -585,27 +685,113 @@ impl AnalysisCache {
                 self.stripe(key).lock().expect("cache lock").misses += 1;
                 Lookup::Miss
             }
-            Some(Ok(entry)) => {
-                {
-                    let mut inner = self.stripe(key).lock().expect("cache lock");
-                    inner.hits += 1;
-                    inner.disk_hits += 1;
-                }
-                self.insert_memory(key, entry.clone());
-                Lookup::Hit(Box::new(entry))
+            Some(Ok((entry, func))) => {
+                let hit = Box::new(entry.clone());
+                self.admit_disk_hit(key, Arc::new(entry), Arc::new(func));
+                Lookup::Hit(hit)
             }
             Some(Err(reason)) => {
-                {
-                    let mut inner = self.stripe(key).lock().expect("cache lock");
-                    inner.misses += 1;
-                    inner.corrupt += 1;
-                }
-                // Quarantine: a corrupt entry must not be served twice.
-                if let Some(path) = self.disk_path(key) {
-                    let _ = std::fs::remove_file(path);
-                }
+                self.quarantine(key, None);
                 Lookup::Corrupt(reason)
             }
+        }
+    }
+
+    /// Looks `key` up for replay and hands the entry and the function
+    /// parsed from its text to `accept`, which checks them against the
+    /// function being compiled. The first hit on a slot parses the text
+    /// (a disk load reuses the parse its re-verification made); once
+    /// `accept` succeeds the parse is memoized, and later hits share it.
+    /// An entry whose text does not parse, or that `accept` rejects, is
+    /// corrupt: counted as corrupt plus a miss, evicted from memory,
+    /// deleted from disk, and never memoized.
+    pub fn replay<T>(
+        &self,
+        key: CacheKey,
+        accept: impl FnOnce(&CacheEntry, &Arc<Function>) -> Result<T, String>,
+    ) -> Replay<T> {
+        let resident = self.stripe(key).lock().expect("cache lock").touch(key);
+        let (entry, parsed, source) = match resident {
+            Some((entry, Some(func))) => (entry, Ok(func), Source::Memo),
+            Some((entry, None)) => {
+                let parsed = parse_cached_ir(&entry.ir_text).map(Arc::new);
+                (entry, parsed, Source::Text)
+            }
+            None => match self.load_disk(key) {
+                None => {
+                    self.stripe(key).lock().expect("cache lock").misses += 1;
+                    return Replay::Miss;
+                }
+                Some(Err(reason)) => {
+                    self.quarantine(key, None);
+                    return Replay::Corrupt(reason);
+                }
+                Some(Ok((entry, func))) => (Arc::new(entry), Ok(Arc::new(func)), Source::Disk),
+            },
+        };
+        let accepted = parsed.and_then(|func| Ok((accept(&entry, &func)?, func)));
+        let (out, func) = match accepted {
+            Ok(accepted) => accepted,
+            Err(reason) => {
+                self.quarantine(key, Some(&entry));
+                return Replay::Corrupt(reason);
+            }
+        };
+        match source {
+            Source::Memo => self.stripe(key).lock().expect("cache lock").hits += 1,
+            Source::Text => {
+                let extra = memo_byte_size(&func);
+                let budget = self.stripe_budget();
+                let mut inner = self.stripe(key).lock().expect("cache lock");
+                inner.hits += 1;
+                inner.fill_memo(key.0, &entry, func, extra, budget);
+            }
+            Source::Disk => self.admit_disk_hit(key, entry, func),
+        }
+        Replay::Hit(out)
+    }
+
+    /// Whether `key`'s in-memory slot holds a memoized parsed function.
+    pub fn is_memoized(&self, key: CacheKey) -> bool {
+        let inner = self.stripe(key).lock().expect("cache lock");
+        inner
+            .map
+            .get(&key.0)
+            .is_some_and(|slot| slot.parsed.is_some())
+    }
+
+    /// Counts a verified disk hit and makes the entry resident, memoizing
+    /// the function its re-verification parsed.
+    fn admit_disk_hit(&self, key: CacheKey, entry: Arc<CacheEntry>, func: Arc<Function>) {
+        {
+            let mut inner = self.stripe(key).lock().expect("cache lock");
+            inner.hits += 1;
+            inner.disk_hits += 1;
+        }
+        self.insert_memory(key, entry, Some(func));
+    }
+
+    /// Counts a corrupt entry (a corrupt verdict plus a miss), evicts the
+    /// resident slot if it still holds `resident`, and deletes the disk
+    /// copy: a corrupt entry must not be served twice.
+    fn quarantine(&self, key: CacheKey, resident: Option<&Arc<CacheEntry>>) {
+        {
+            let mut inner = self.stripe(key).lock().expect("cache lock");
+            inner.misses += 1;
+            inner.corrupt += 1;
+            let stale = resident.is_some_and(|entry| {
+                inner
+                    .map
+                    .get(&key.0)
+                    .is_some_and(|slot| Arc::ptr_eq(&slot.entry, entry))
+            });
+            if stale {
+                let slot = inner.map.remove(&key.0).expect("slot present");
+                inner.bytes -= slot.size;
+            }
+        }
+        if let Some(path) = self.disk_path(key) {
+            let _ = std::fs::remove_file(path);
         }
     }
 
@@ -613,25 +799,31 @@ impl AnalysisCache {
     /// the byte budget) and on disk when persistent.
     pub fn insert(&self, key: CacheKey, entry: CacheEntry) {
         self.store_disk(key, &entry);
-        self.insert_memory(key, entry);
+        self.insert_memory(key, Arc::new(entry), None);
         self.stripe(key).lock().expect("cache lock").stores += 1;
     }
 
-    fn insert_memory(&self, key: CacheKey, entry: CacheEntry) {
-        let size = entry.byte_size();
+    fn insert_memory(&self, key: CacheKey, entry: Arc<CacheEntry>, parsed: Option<Arc<Function>>) {
+        let bare = entry.byte_size();
         let budget = self.stripe_budget();
-        let mut inner = self.stripe(key).lock().expect("cache lock");
-        if size > budget {
+        if bare > budget {
             // Oversized for the memory tier entirely; the disk tier (if
             // any) still has it.
             return;
         }
+        // A memo that does not fit is dropped; hits then parse the text.
+        let (parsed, size) = match parsed.map(|f| (bare + memo_byte_size(&f), f)) {
+            Some((size, f)) if size <= budget => (Some(f), size),
+            _ => (None, bare),
+        };
+        let mut inner = self.stripe(key).lock().expect("cache lock");
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner.map.insert(
             key.0,
             Slot {
                 entry,
+                parsed,
                 size,
                 last_used: tick,
             },
@@ -639,19 +831,7 @@ impl AnalysisCache {
             inner.bytes -= old.size;
         }
         inner.bytes += size;
-        while inner.bytes > budget {
-            let Some((&victim, _)) = inner
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key.0)
-                .min_by_key(|(_, s)| s.last_used)
-            else {
-                break;
-            };
-            let slot = inner.map.remove(&victim).expect("victim present");
-            inner.bytes -= slot.size;
-            inner.evictions += 1;
-        }
+        inner.evict_past(budget, key.0);
     }
 
     fn disk_path(&self, key: CacheKey) -> Option<PathBuf> {
@@ -662,7 +842,7 @@ impl AnalysisCache {
 
     /// Reads and fully re-verifies a disk entry. `None`: no file.
     /// `Some(Err)`: the file exists but failed verification.
-    fn load_disk(&self, key: CacheKey) -> Option<Result<CacheEntry, String>> {
+    fn load_disk(&self, key: CacheKey) -> Option<Result<(CacheEntry, Function), String>> {
         let path = self.disk_path(key)?;
         let bytes = std::fs::read(&path).ok()?;
         Some(parse_disk_entry(key, &bytes))
@@ -797,7 +977,7 @@ fn recovery_sweep(dir: &Path) -> u64 {
 
 /// Parses and re-verifies one on-disk entry. Every failure mode returns a
 /// reason string; the caller turns it into an incident.
-fn parse_disk_entry(key: CacheKey, bytes: &[u8]) -> Result<CacheEntry, String> {
+fn parse_disk_entry(key: CacheKey, bytes: &[u8]) -> Result<(CacheEntry, Function), String> {
     let text = std::str::from_utf8(bytes).map_err(|_| "entry is not UTF-8".to_string())?;
     let (header, payload) = text
         .split_once('\n')
@@ -835,14 +1015,21 @@ fn parse_disk_entry(key: CacheKey, bytes: &[u8]) -> Result<CacheEntry, String> {
     }
     // Semantic re-verification: the IR must parse, pass the verifier, and
     // be the canonical print fixpoint it was stored as.
-    let func = abcd_ir::parse_function_text(ir_text)
-        .map_err(|e| format!("cached IR does not parse: {e}"))?;
+    let func = parse_cached_ir(ir_text)?;
     abcd_ir::verify_function(&func, None)
         .map_err(|e| format!("cached IR fails verification: {e}"))?;
     if func.to_string() != ir_text.trim_end() {
         return Err("cached IR is not a print fixpoint".to_string());
     }
-    CacheEntry::parse_summary(ir_text.to_string(), summary)
+    Ok((
+        CacheEntry::parse_summary(ir_text.to_string(), summary)?,
+        func,
+    ))
+}
+
+/// Parses a cached entry's IR text back into its function.
+fn parse_cached_ir(ir_text: &str) -> Result<Function, String> {
+    abcd_ir::parse_function_text(ir_text).map_err(|e| format!("cached IR does not parse: {e}"))
 }
 
 #[cfg(test)]
@@ -927,6 +1114,106 @@ bb0:
         assert!(matches!(cache.lookup(keys[2]), Lookup::Hit(_)));
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.stats().bytes <= cache.stats().budget_bytes);
+    }
+
+    /// Replays `key`, accepting whatever parsed, and returns the shared
+    /// parsed function.
+    fn replay_parsed(cache: &AnalysisCache, key: CacheKey) -> Arc<Function> {
+        match cache.replay(key, |_, f| Ok(Arc::clone(f))) {
+            Replay::Hit(f) => f,
+            other => panic!("expected hit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn later_hits_share_the_memoized_parse() {
+        let cache = AnalysisCache::in_memory(1 << 20);
+        let key = cache_key("text", 1, 2, 3);
+        cache.insert(key, entry(FUNC));
+        assert!(!cache.is_memoized(key), "an insert does not parse");
+        let first = replay_parsed(&cache, key);
+        assert!(cache.is_memoized(key));
+        let second = replay_parsed(&cache, key);
+        assert!(Arc::ptr_eq(&first, &second), "the second hit parsed again");
+        assert_eq!(first.to_string(), FUNC);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.corrupt), (2, 0, 0));
+
+        // A disk load hands its re-verification parse to the slot: the
+        // memory hit after it shares the same function.
+        let dir = std::env::temp_dir().join(format!("abcd-cache-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        AnalysisCache::with_dir(&dir, 1 << 20)
+            .unwrap()
+            .insert(key, entry(FUNC));
+        let reopened = AnalysisCache::with_dir(&dir, 1 << 20).unwrap();
+        let from_disk = replay_parsed(&reopened, key);
+        let from_memory = replay_parsed(&reopened, key);
+        assert!(Arc::ptr_eq(&from_disk, &from_memory));
+        let s = reopened.stats();
+        assert_eq!((s.hits, s.disk_hits), (2, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memo_counts_against_the_byte_budget() {
+        let bare = entry(FUNC).byte_size();
+        let memo = memo_byte_size(&abcd_ir::parse_function_text(FUNC).unwrap());
+        let key = cache_key("t", 0, 0, 0);
+        let cache = AnalysisCache::in_memory(1 << 20);
+        cache.insert(key, entry(FUNC));
+        assert_eq!(cache.stats().bytes, bare);
+        replay_parsed(&cache, key);
+        assert_eq!(
+            cache.stats().bytes,
+            bare + memo,
+            "a memoized slot counts more"
+        );
+
+        // Room for two memoized slots, which also holds three bare slots
+        // and one memo (the memo outweighs the text): memoizing a second
+        // slot evicts the least recently used one.
+        assert!(bare <= memo);
+        let cache = AnalysisCache::in_memory(2 * (bare + memo));
+        let keys: Vec<CacheKey> = (0..3).map(|i| cache_key("t", i, 0, 0)).collect();
+        for &k in &keys {
+            cache.insert(k, entry(FUNC));
+        }
+        replay_parsed(&cache, keys[0]);
+        assert_eq!(cache.stats().evictions, 0);
+        replay_parsed(&cache, keys[1]);
+        let s = cache.stats();
+        assert_eq!(s.evictions, 1);
+        assert!(s.bytes <= s.budget_bytes, "{s:?}");
+        assert!(cache.is_memoized(keys[0]) && cache.is_memoized(keys[1]));
+        assert!(matches!(cache.lookup(keys[2]), Lookup::Miss));
+
+        // A memo that would not fit the budget is not kept.
+        let cache = AnalysisCache::in_memory(bare + memo - 1);
+        cache.insert(key, entry(FUNC));
+        replay_parsed(&cache, key);
+        assert!(!cache.is_memoized(key));
+        assert_eq!(cache.stats().bytes, bare);
+    }
+
+    #[test]
+    fn rejected_memory_entry_is_corrupt_and_evicted() {
+        let cache = AnalysisCache::in_memory(1 << 20);
+        let key = cache_key("t", 0, 0, 0);
+        cache.insert(key, entry("not ir"));
+        match cache.replay(key, |_, _| Ok(())) {
+            Replay::Corrupt(reason) => assert!(reason.contains("does not parse"), "{reason}"),
+            other => panic!("expected corrupt, got {other:?}"),
+        }
+        cache.insert(key, entry(FUNC));
+        match cache.replay(key, |_, _| Err::<(), _>("wrong function".to_string())) {
+            Replay::Corrupt(reason) => assert_eq!(reason, "wrong function"),
+            other => panic!("expected corrupt, got {other:?}"),
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.corrupt), (0, 2, 2));
+        assert_eq!((s.entries, s.bytes), (0, 0), "rejected entries are evicted");
+        assert!(matches!(cache.replay(key, |_, _| Ok(())), Replay::Miss));
     }
 
     #[test]

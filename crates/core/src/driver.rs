@@ -7,7 +7,7 @@
 //! `demandProve` per bounds check — hottest first when a profile is given,
 //! exactly the demand-driven discipline the paper designed for.
 
-use crate::cache::{AnalysisCache, CacheEntry, CacheKey, Lookup};
+use crate::cache::{AnalysisCache, CacheEntry, CacheKey, Replay};
 use crate::faults::{current_pass, set_current_pass, FaultPlan};
 use crate::graph::{InequalityGraph, Problem, Vertex};
 use crate::pre::{apply_insertions, merge_remaining_checks};
@@ -514,8 +514,8 @@ impl Optimizer {
 
     /// Attempts to replay a cached result for `func`. `Ok(Some(report))`:
     /// hit, `func` replaced by the cached optimized IR. `Ok(None)`: miss.
-    /// `Err(incident)`: a disk entry existed but failed re-verification
-    /// (already quarantined by the cache) — recompile cold and surface the
+    /// `Err(incident)`: the entry failed re-verification or replay
+    /// (already evicted by the cache) — recompile cold and surface the
     /// incident.
     fn try_replay(
         &self,
@@ -523,33 +523,25 @@ impl Optimizer {
         key: CacheKey,
         func: &mut Function,
     ) -> Result<Option<FunctionReport>, Incident> {
-        match cache.lookup(key) {
-            Lookup::Miss => Ok(None),
-            Lookup::Corrupt(detail) => Err(Incident::CacheCorrupt {
+        match cache.replay(key, |entry, parsed| self.replay_entry(func, entry, parsed)) {
+            Replay::Hit(report) => Ok(Some(report)),
+            Replay::Miss => Ok(None),
+            Replay::Corrupt(detail) => Err(Incident::CacheCorrupt {
                 function: func.name_symbol(),
                 detail,
             }),
-            Lookup::Hit(entry) => match self.replay_entry(func, &entry) {
-                Ok(report) => Ok(Some(report)),
-                // An in-memory entry that fails replay is equally a
-                // corruption event; fall back to cold.
-                Err(detail) => Err(Incident::CacheCorrupt {
-                    function: func.name_symbol(),
-                    detail,
-                }),
-            },
         }
     }
 
-    /// Replaces `func` with a cached optimized body and reconstructs its
-    /// report from the entry's summary.
+    /// Replaces `func` with a clone of the cached optimized body `parsed`
+    /// (parsed from `entry.ir_text`) and reconstructs its report from the
+    /// entry's summary. Every hit re-checks the name and re-verifies.
     fn replay_entry(
         &self,
         func: &mut Function,
         entry: &CacheEntry,
+        parsed: &Function,
     ) -> Result<FunctionReport, String> {
-        let parsed = abcd_ir::parse_function_text(&entry.ir_text)
-            .map_err(|e| format!("cached IR does not parse: {e}"))?;
         if parsed.name() != func.name() {
             return Err(format!(
                 "cached IR names `{}`, expected `{}`",
@@ -557,9 +549,9 @@ impl Optimizer {
                 func.name()
             ));
         }
-        abcd_ir::verify_function(&parsed, None)
+        abcd_ir::verify_function(parsed, None)
             .map_err(|e| format!("cached IR fails verification: {e}"))?;
-        *func = parsed;
+        *func = parsed.clone();
         let mut report = FunctionReport::new(func.name());
         report.from_cache = true;
         report.checks_total = entry.checks_total;

@@ -5,8 +5,14 @@
 //! never miscompiled), and invalidation is exactly function-granular plus
 //! interprocedural dependents.
 
-use abcd::{AnalysisCache, Optimizer, OptimizerOptions, RunInfo};
+use abcd::cache::{
+    canonical_text_hash, facts_fingerprint, key_from_text_hash, options_fingerprint,
+    profile_fingerprint,
+};
+use abcd::{AnalysisCache, CacheEntry, CacheKey, Optimizer, OptimizerOptions, RunInfo};
 use abcd_frontend::compile;
+use abcd_ir::Module;
+use abcd_vm::{RtVal, Vm};
 use std::sync::Arc;
 
 const PROGRAM: &str = r#"
@@ -26,18 +32,70 @@ const PROGRAM: &str = r#"
     }
 "#;
 
-fn optimize_with(
+fn optimize_module_with(
     cache: Option<&Arc<AnalysisCache>>,
     threads: usize,
     src: &str,
-) -> (String, abcd::ModuleReport) {
+) -> (Module, abcd::ModuleReport) {
     let mut module = compile(src).expect("compiles");
     let mut optimizer = Optimizer::new().with_threads(threads);
     if let Some(cache) = cache {
         optimizer = optimizer.with_cache(Arc::clone(cache));
     }
     let report = optimizer.optimize_module(&mut module, None);
+    (module, report)
+}
+
+fn optimize_with(
+    cache: Option<&Arc<AnalysisCache>>,
+    threads: usize,
+    src: &str,
+) -> (String, abcd::ModuleReport) {
+    let (module, report) = optimize_module_with(cache, threads, src);
     (module.to_string(), report)
+}
+
+fn run_main(module: &Module) -> Option<RtVal> {
+    Vm::new(module)
+        .call_by_name("main", &[])
+        .expect("main runs")
+}
+
+/// The key the driver derives for `name` in `src` under default options
+/// and no profile.
+fn key_of(src: &str, name: &str) -> CacheKey {
+    let module = compile(src).expect("compiles");
+    let (id, func) = module
+        .functions()
+        .find(|(_, f)| f.name() == name)
+        .expect("function exists");
+    key_from_text_hash(
+        canonical_text_hash(func),
+        options_fingerprint(&OptimizerOptions::default()),
+        facts_fingerprint(&[]),
+        profile_fingerprint(None, id, None),
+    )
+}
+
+/// A run over a cache whose every entry is already memoized: it must
+/// replay every function and match the cold run's IR bytes, verdicts,
+/// steps and `main()` result.
+fn assert_memoized_run_matches_cold(
+    cache: &Arc<AnalysisCache>,
+    threads: usize,
+    cold: &(Module, abcd::ModuleReport),
+) {
+    for name in ["sum", "rev", "main"] {
+        assert!(cache.is_memoized(key_of(PROGRAM, name)), "{name}");
+    }
+    let (module, report) = optimize_module_with(Some(cache), threads, PROGRAM);
+    assert_eq!(module.to_string(), cold.0.to_string(), "threads={threads}");
+    assert_eq!(report.functions_from_cache(), report.functions.len());
+    for (cold_fn, memo_fn) in cold.1.functions.iter().zip(&report.functions) {
+        assert_eq!(cold_fn.outcomes, memo_fn.outcomes, "{}", cold_fn.name);
+        assert_eq!(cold_fn.steps, memo_fn.steps, "{}", cold_fn.name);
+    }
+    assert_eq!(run_main(&module), run_main(&cold.0), "threads={threads}");
 }
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -94,6 +152,12 @@ fn warm_run_is_byte_identical_to_cold_with_hits() {
     assert!(a.contains("\"schema\":\"abcd-metrics/7\""), "{a}");
     assert!(a.contains(&format!("\"hits\":{}", stats_now.hits)), "{a}");
     assert!(stats_now.hits > stats.hits);
+
+    // The first warm run memoized every parse; a memoized run replays
+    // exactly what the cold run produced.
+    let cold = optimize_module_with(None, 1, PROGRAM);
+    assert_eq!(cold.0.to_string(), cold_ir);
+    assert_memoized_run_matches_cold(&cache, 1, &cold);
 }
 
 /// Acceptance (a)-adjacent: a parallel warm run over a shared cache is
@@ -108,6 +172,70 @@ fn parallel_warm_run_matches_sequential_cold() {
         let (warm_ir, report) = optimize_with(Some(&cache), threads, PROGRAM);
         assert_eq!(cold_ir, warm_ir, "threads={threads}");
         assert!(report.functions_from_cache() > 0, "threads={threads}");
+    }
+    // Every parse is memoized by now; memoized replays on any thread count
+    // match the sequential cold run.
+    let cold = optimize_module_with(None, 1, PROGRAM);
+    for threads in [1, 2, 4] {
+        assert_memoized_run_matches_cold(&cache, threads, &cold);
+    }
+}
+
+/// An in-memory entry that fails replay — its text does not parse, or it
+/// names another function — is counted as corrupt (not as a hit), raised
+/// as a `cache_corrupt` incident, evicted, and healed by the cold
+/// recompile; the healed entry then replays from the memo.
+#[test]
+fn corrupt_memory_entry_is_counted_evicted_and_healed() {
+    let (cold_module, cold_report) = optimize_module_with(None, 1, PROGRAM);
+    let cold_ir = cold_module.to_string();
+    let (_, rev) = cold_module
+        .functions()
+        .find(|(_, f)| f.name() == "rev")
+        .unwrap();
+    let rev_ir = rev.to_string();
+    let key = key_of(PROGRAM, "sum");
+    let bad = |ir_text: String| CacheEntry {
+        ir_text,
+        checks_total: 0,
+        outcomes: Vec::new(),
+        steps: 0,
+        pre_steps: 0,
+        spec_checks_inserted: 0,
+        checks_merged: 0,
+        checks_validated: 0,
+    };
+    for (what, entry) in [
+        ("unparseable", bad("func @sum(".to_string())),
+        ("names another function", bad(rev_ir)),
+    ] {
+        let cache = Arc::new(AnalysisCache::in_memory(1 << 20));
+        cache.insert(key, entry);
+        let before = cache.stats();
+        let (ir, report) = optimize_with(Some(&cache), 1, PROGRAM);
+        assert_eq!(ir, cold_ir, "{what}: corruption must never change output");
+        assert_eq!(report.functions_from_cache(), 0, "{what}");
+        let incidents: Vec<_> = report.incidents().collect();
+        assert!(
+            incidents.len() == 1 && incidents[0].kind_name() == "cache_corrupt",
+            "{what}: {incidents:?}"
+        );
+        let after = cache.stats();
+        assert_eq!(after.corrupt, before.corrupt + 1, "{what}: {after:?}");
+        assert_eq!(after.hits, before.hits, "{what}: {after:?}");
+        assert_eq!(after.misses, before.misses + 3, "{what}: {after:?}");
+
+        // The cold recompile re-stored a healthy entry: the next run
+        // parses and memoizes it, the one after replays from the memo.
+        for run in ["parse", "memo"] {
+            let (ir, report) = optimize_with(Some(&cache), 1, PROGRAM);
+            assert_eq!(ir, cold_ir, "{what}/{run}");
+            assert_eq!(report.incident_count(), 0, "{what}/{run}");
+            assert_eq!(report.functions_from_cache(), report.functions.len());
+            assert_eq!(report.steps(), cold_report.steps(), "{what}/{run}");
+            assert!(cache.is_memoized(key), "{what}/{run}");
+        }
+        assert_eq!(cache.stats().corrupt, after.corrupt, "{what}");
     }
 }
 
