@@ -416,6 +416,30 @@ pub struct CacheStats {
     pub write_errors: u64,
 }
 
+impl CacheStats {
+    /// How many leading [`CacheStats::fields`] count events; the rest are
+    /// gauges and the configured budget.
+    pub const EVENTS: usize = 8;
+
+    /// Every field as `(name, value)`, in the one order that every
+    /// rendering of cache statistics (`abcd-metrics/7`, `abcdd`) iterates.
+    pub fn fields(&self) -> [(&'static str, u64); 11] {
+        [
+            ("hits", self.hits),
+            ("misses", self.misses),
+            ("stores", self.stores),
+            ("evictions", self.evictions),
+            ("corrupt", self.corrupt),
+            ("recovered", self.recovered),
+            ("write_errors", self.write_errors),
+            ("disk_hits", self.disk_hits),
+            ("entries", self.entries as u64),
+            ("bytes", self.bytes as u64),
+            ("budget_bytes", self.budget_bytes as u64),
+        ]
+    }
+}
+
 /// One lookup's verdict.
 #[derive(Debug)]
 pub enum Lookup {

@@ -491,24 +491,8 @@ pub fn module_metrics_json(report: &ModuleReport, run: RunInfo) -> String {
     match run.cache {
         None => out.push_str("null"),
         Some(c) => {
-            let _ = write!(
-                out,
-                "{{\"hits\":{},\"misses\":{},\"stores\":{},\"evictions\":{},\
-                 \"corrupt\":{},\"recovered\":{},\"write_errors\":{},\
-                 \"disk_hits\":{},\"entries\":{},\"bytes\":{},\
-                 \"budget_bytes\":{}}}",
-                c.hits,
-                c.misses,
-                c.stores,
-                c.evictions,
-                c.corrupt,
-                c.recovered,
-                c.write_errors,
-                c.disk_hits,
-                c.entries,
-                c.bytes,
-                c.budget_bytes,
-            );
+            let fields = c.fields().map(|(name, n)| format!("\"{name}\":{n}"));
+            let _ = write!(out, "{{{}}}", fields.join(","));
         }
     }
     out.push_str(",\"server\":");

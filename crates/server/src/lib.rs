@@ -29,6 +29,7 @@
 pub mod client;
 pub mod json;
 pub mod proto;
+mod registry;
 pub mod server;
 mod shard;
 pub mod transport;

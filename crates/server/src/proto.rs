@@ -33,8 +33,8 @@
 //!  "deadline_ms":250,            // per-request deadline (null = server default)
 //!  "trace":false}                // attach an `abcd-trace/4` JSONL document
 //! {"cmd":"ping"}
-//! {"cmd":"stats"}
-//! {"cmd":"metrics","deterministic":false}   // Prometheus-style exposition
+//! {"cmd":"stats"}                          // every series, `abcdd-stats/2`
+//! {"cmd":"metrics","deterministic":false}   // the same, Prometheus-style
 //! {"cmd":"sleep","ms":100}      // diagnostic: occupy a worker (tests)
 //! {"cmd":"shutdown"}
 //! ```
@@ -158,11 +158,13 @@ pub enum Request {
     Batch(Vec<OptimizeRequest>),
     /// Liveness probe.
     Ping,
-    /// Server + cache counters.
+    /// Every series of the server's one registry as `abcdd-stats/2` JSON.
+    /// Added under the same schema: the `request_latency_us` and
+    /// `queue_depth_at_dequeue` histograms, `chaos` and `cache.budget_bytes`.
     Stats,
-    /// Prometheus-style text exposition of the server's counters and
-    /// histograms; `deterministic` zeroes every sampled value so the
-    /// exposition *format* can be golden-tested.
+    /// The same series as a Prometheus-style text exposition;
+    /// `deterministic` zeroes every sampled value so the format can be
+    /// golden-tested.
     Metrics {
         /// Zero histogram samples and counters that depend on timing.
         deterministic: bool,

@@ -77,18 +77,18 @@ use crate::proto::{
     error_response, ok_response, parse_request, queued_response, read_frame, write_frame,
     OptimizeRequest, Request,
 };
+use crate::registry::{self, Registry, Snapshot, Sources};
 use crate::shard::{Dequeue, Job, ShardSet};
 use crate::transport::{self, Conn, ListenAddr, Listener};
 use abcd::{
     module_metrics_json, AnalysisCache, ChaosPlan, ChaosSite, ModuleReport, Optimizer, RunInfo,
-    CHAOS_SITES,
 };
 use abcd_frontend::compile;
 use abcd_ir::Module;
 use std::io::Write as _;
 use std::net::Shutdown;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -155,76 +155,10 @@ impl ServerConfig {
     }
 }
 
-/// Counters shared by the acceptors and workers, reported by `stats` and
-/// exposed by `metrics`.
-#[derive(Debug, Default)]
-struct Counters {
-    accepted: AtomicU64,
-    served: AtomicU64,
-    errors: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    worker_restarts: AtomicU64,
-    worker_kicks: AtomicU64,
-    /// Request latency (enqueue → response written), microseconds.
-    latency: Hist,
-    /// Total queued backlog observed at each dequeue.
-    queue_hist: Hist,
-}
-
-/// A lock-free log2-bucketed histogram. Bucket 0 counts zero samples;
-/// bucket `i ≥ 1` counts samples in `[2^(i-1), 2^i − 1]`, so the
-/// Prometheus `le` bound of bucket `i` is `2^i − 1`; the last bucket
-/// additionally absorbs everything larger.
-#[derive(Debug, Default)]
-struct Hist {
-    buckets: [AtomicU64; 32],
-    sum: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Hist {
-    fn observe(&self, v: u64) {
-        let b = (64 - v.leading_zeros()).min(31) as usize;
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Appends the Prometheus exposition lines for this histogram.
-    /// `deterministic` renders the full bucket ladder with every sample
-    /// zeroed, so the *format* is byte-stable across runs.
-    fn exposition(&self, name: &str, out: &mut String, deterministic: bool) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            if !deterministic {
-                cumulative += bucket.load(Ordering::Relaxed);
-            }
-            let le = if i == 31 {
-                "+Inf".to_string()
-            } else {
-                ((1u64 << i) - 1).to_string()
-            };
-            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-        }
-        let (sum, count) = if deterministic {
-            (0, 0)
-        } else {
-            (
-                self.sum.load(Ordering::Relaxed),
-                self.count.load(Ordering::Relaxed),
-            )
-        };
-        let _ = writeln!(out, "{name}_sum {sum}");
-        let _ = writeln!(out, "{name}_count {count}");
-    }
-}
-
 struct Shared {
     config: ServerConfig,
     stop: AtomicBool,
-    counters: Counters,
+    registry: Registry,
     shards: ShardSet,
     /// The addresses actually bound (TCP ephemeral ports resolved) —
     /// what shutdown wakes and [`ServerHandle::endpoints`] reports.
@@ -355,7 +289,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let shards = ShardSet::new(shard_count, config.queue, workers);
     let shared = Arc::new(Shared {
         stop: AtomicBool::new(false),
-        counters: Counters::default(),
+        registry: Registry::new(),
         shards,
         resolved,
         acceptors_live: AtomicUsize::new(listeners.len()),
@@ -419,10 +353,7 @@ fn supervise(shared: &Arc<Shared>, mut cells: Vec<WorkerCell>) {
                 }
                 if !clean {
                     rescue_inflight(shared, cell, "worker panicked; request failed");
-                    shared
-                        .counters
-                        .worker_restarts
-                        .fetch_add(1, Ordering::Relaxed);
+                    shared.registry.inc(registry::WORKER_RESTARTS);
                     *cell = spawn_worker(shared, cell.shard);
                     alive = true;
                 }
@@ -441,7 +372,7 @@ fn supervise(shared: &Arc<Shared>, mut cells: Vec<WorkerCell>) {
                                 let _ = c.shutdown(Shutdown::Both);
                             }
                             inf.kicked = true;
-                            shared.counters.worker_kicks.fetch_add(1, Ordering::Relaxed);
+                            shared.registry.inc(registry::WORKER_KICKS);
                         }
                         // Kicked and *still* wedged: stuck in compute,
                         // which nothing can interrupt — abandon the thread
@@ -454,10 +385,7 @@ fn supervise(shared: &Arc<Shared>, mut cells: Vec<WorkerCell>) {
             if detach {
                 cell.slot.detached.store(true, Ordering::SeqCst);
                 drop(cell.handle.take()); // never joined; exits on its own if it ever unsticks
-                shared
-                    .counters
-                    .worker_restarts
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.registry.inc(registry::WORKER_RESTARTS);
                 *cell = spawn_worker(shared, cell.shard);
             }
         }
@@ -478,7 +406,7 @@ fn rescue_inflight(shared: &Shared, cell: &WorkerCell, message: &str) {
             let _ = write_frame(conn, error_response(message).as_bytes());
             let _ = conn.shutdown(Shutdown::Both);
         }
-        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+        shared.registry.inc(registry::ERRORS);
         shared.shards.finish(cell.shard);
     }
 }
@@ -501,7 +429,7 @@ fn accept_loop(shared: &Shared, listener: Listener) {
             // `conn` is the self-connect wake-up (or a late client).
             break;
         }
-        shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
+        shared.registry.inc(registry::ACCEPTED);
         let job = Job {
             conn,
             enqueued: Instant::now(),
@@ -544,10 +472,10 @@ fn worker_loop(shared: &Shared, shard: usize, slot: &SlotState) {
 /// chaos, dispatch, reply frame(s), latency accounting.
 fn serve_job(shared: &Shared, shard: usize, slot: &SlotState, job: Job) {
     let Job { mut conn, enqueued } = job;
+    let depth = shared.shards.total_depth() as u64;
     shared
-        .counters
-        .queue_hist
-        .observe(shared.shards.total_depth() as u64);
+        .registry
+        .observe(registry::QUEUE_DEPTH_AT_DEQUEUE, depth);
     // Register the request before any fallible work, so a panic anywhere
     // below still gets the client a structured error.
     *lock_tolerant(&slot.inflight) = Some(Inflight {
@@ -564,7 +492,7 @@ fn serve_job(shared: &Shared, shard: usize, slot: &SlotState, job: Job) {
         // Simulated mid-request disconnect: hang up without reading a
         // byte; the client sees EOF where a reply should be.
         let _ = conn.shutdown(Shutdown::Both);
-        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+        shared.registry.inc(registry::ERRORS);
         *lock_tolerant(&slot.inflight) = None;
         return;
     }
@@ -573,10 +501,10 @@ fn serve_job(shared: &Shared, shard: usize, slot: &SlotState, job: Job) {
     }
     handle_connection(shared, shard, &mut conn, enqueued);
     *lock_tolerant(&slot.inflight) = None;
+    let latency_us = enqueued.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
     shared
-        .counters
-        .latency
-        .observe(enqueued.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+        .registry
+        .observe(registry::REQUEST_LATENCY_US, latency_us);
 }
 
 /// Writes one response frame, applying frame-level chaos when armed:
@@ -622,7 +550,7 @@ fn handle_connection(shared: &Shared, shard: usize, conn: &mut Conn, enqueued: I
     let payload = match read_frame(conn) {
         Ok(p) => p,
         Err(e) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+            shared.registry.inc(registry::ERRORS);
             let _ = write_response(shared, conn, &error_response(&format!("bad frame: {e}")));
             return;
         }
@@ -630,7 +558,7 @@ fn handle_connection(shared: &Shared, shard: usize, conn: &mut Conn, enqueued: I
     let request = match parse_request(&payload) {
         Ok(r) => r,
         Err(e) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+            shared.registry.inc(registry::ERRORS);
             let _ = write_response(shared, conn, &error_response(&e));
             return;
         }
@@ -638,42 +566,34 @@ fn handle_connection(shared: &Shared, shard: usize, conn: &mut Conn, enqueued: I
     let response = match request {
         Request::Batch(reqs) => {
             for req in &reqs {
-                let reply = match handle_optimize(shared, shard, req, enqueued) {
-                    Ok(reply) => {
-                        shared.counters.served.fetch_add(1, Ordering::Relaxed);
-                        reply
-                    }
-                    Err(e) => {
-                        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        error_response(&e)
-                    }
-                };
+                let reply = optimize_reply(shared, shard, req, enqueued);
                 if write_response(shared, conn, &reply).is_err() {
                     // The stream is broken; later elements cannot be
                     // delivered in order, so stop rather than desync.
-                    shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+                    shared.registry.inc(registry::ERRORS);
                     return;
                 }
             }
             return;
         }
         Request::Ping => {
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
+            shared.registry.inc(registry::SERVED);
             "{\"ok\":true,\"pong\":true}".to_string()
         }
         Request::Stats => {
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
-            stats_response(shared)
+            shared.registry.inc(registry::SERVED);
+            snapshot(shared, false).stats()
         }
         Request::Metrics { deterministic } => {
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
-            metrics_response(shared, deterministic)
+            shared.registry.inc(registry::SERVED);
+            let text = abcd::json_escape(&snapshot(shared, deterministic).exposition());
+            format!("{{\"ok\":true,\"exposition\":\"{text}\"}}")
         }
         Request::Sleep(ms) => {
             // Diagnostic: lets tests pin a worker deterministically to
             // exercise the busy path. Capped at parse time.
             std::thread::sleep(std::time::Duration::from_millis(ms));
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
+            shared.registry.inc(registry::SERVED);
             "{\"ok\":true,\"slept\":true}".to_string()
         }
         Request::Shutdown => {
@@ -684,211 +604,35 @@ fn handle_connection(shared: &Shared, shard: usize, conn: &mut Conn, enqueued: I
                 transport::wake(addr);
             }
             shared.shards.wake_all();
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
+            shared.registry.inc(registry::SERVED);
             "{\"ok\":true,\"shutting_down\":true}".to_string()
         }
-        Request::Optimize(req) => match handle_optimize(shared, shard, &req, enqueued) {
-            Ok(response) => {
-                shared.counters.served.fetch_add(1, Ordering::Relaxed);
-                response
-            }
-            Err(e) => {
-                shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                error_response(&e)
-            }
-        },
+        Request::Optimize(req) => optimize_reply(shared, shard, &req, enqueued),
     };
     if write_response(shared, conn, &response).is_err() {
-        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+        shared.registry.inc(registry::ERRORS);
     }
 }
 
-fn stats_response(shared: &Shared) -> String {
-    use std::fmt::Write as _;
-    let c = &shared.counters;
-    let cache = match &shared.config.cache {
-        None => "null".to_string(),
-        Some(cache) => {
-            let s = cache.stats();
-            format!(
-                "{{\"hits\":{},\"misses\":{},\"stores\":{},\"evictions\":{},\
-                 \"corrupt\":{},\"recovered\":{},\"write_errors\":{},\
-                 \"disk_hits\":{},\"entries\":{},\"bytes\":{}}}",
-                s.hits,
-                s.misses,
-                s.stores,
-                s.evictions,
-                s.corrupt,
-                s.recovered,
-                s.write_errors,
-                s.disk_hits,
-                s.entries,
-                s.bytes,
-            )
-        }
+/// Samples every series of the registry; see [`Snapshot::take`].
+fn snapshot(shared: &Shared, deterministic: bool) -> Snapshot {
+    let sources = Sources {
+        registry: &shared.registry,
+        shards: &shared.shards,
+        cache: shared.config.cache.as_ref().map(|cache| cache.stats()),
+        chaos: shared.config.chaos.as_deref(),
     };
-    let mut shards_json = String::from("[");
-    for id in 0..shared.shards.shard_count() {
-        let s = shared.shards.shard(id);
-        if id > 0 {
-            shards_json.push(',');
-        }
-        let _ = write!(
-            shards_json,
-            "{{\"shard\":{id},\"queue_depth\":{},\"busy\":{},\
-             \"enqueued\":{},\"stolen_from\":{}}}",
-            s.depth.load(Ordering::SeqCst),
-            s.busy.load(Ordering::SeqCst),
-            s.enqueued_total.load(Ordering::Relaxed),
-            s.stolen_from.load(Ordering::Relaxed),
-        );
-    }
-    shards_json.push(']');
-    format!(
-        "{{\"ok\":true,\"schema\":\"abcdd-stats/2\",\"accepted\":{},\"served\":{},\
-         \"shed\":{},\"errors\":{},\"deadline_exceeded\":{},\"worker_restarts\":{},\
-         \"worker_kicks\":{},\"queue_depth\":{},\"queued_replies\":{},\"steals\":{},\
-         \"workers\":{},\"queue\":{},\"shard_count\":{},\"shards\":{shards_json},\
-         \"cache\":{cache}}}",
-        c.accepted.load(Ordering::Relaxed),
-        c.served.load(Ordering::Relaxed),
-        shared.shards.queued_replies.load(Ordering::Relaxed),
-        c.errors.load(Ordering::Relaxed),
-        c.deadline_exceeded.load(Ordering::Relaxed),
-        c.worker_restarts.load(Ordering::Relaxed),
-        c.worker_kicks.load(Ordering::Relaxed),
-        shared.shards.total_depth(),
-        shared.shards.queued_replies.load(Ordering::Relaxed),
-        shared.shards.steals(),
-        shared.config.workers.max(1),
-        shared.config.queue,
-        shared.shards.shard_count(),
-    )
+    Snapshot::take(&sources, deterministic)
 }
 
-/// Renders the Prometheus-style text exposition and wraps it in the JSON
-/// reply. `deterministic` zeroes every sampled value (counters, gauges,
-/// histogram buckets, sums, counts) while keeping the full line set —
-/// configuration gauges (`abcdd_workers`, `abcdd_shards`) keep their real
-/// values — so tests can compare the exposition byte-for-byte.
-fn metrics_response(shared: &Shared, deterministic: bool) -> String {
-    use std::fmt::Write as _;
-    let c = &shared.counters;
-    let v = |n: u64| if deterministic { 0 } else { n };
-    let g = |n: usize| if deterministic { 0 } else { n };
-    let mut text = String::new();
-    let _ = writeln!(text, "# TYPE abcdd_requests_total counter");
-    for (outcome, n) in [
-        ("accepted", c.accepted.load(Ordering::Relaxed)),
-        ("served", c.served.load(Ordering::Relaxed)),
-        ("shed", shared.shards.queued_replies.load(Ordering::Relaxed)),
-        ("errors", c.errors.load(Ordering::Relaxed)),
-    ] {
-        let _ = writeln!(
-            text,
-            "abcdd_requests_total{{outcome=\"{outcome}\"}} {}",
-            v(n)
-        );
-    }
-    let _ = writeln!(text, "# TYPE abcdd_deadline_exceeded_total counter");
-    let _ = writeln!(
-        text,
-        "abcdd_deadline_exceeded_total {}",
-        v(c.deadline_exceeded.load(Ordering::Relaxed))
-    );
-    let _ = writeln!(text, "# TYPE abcdd_worker_restarts_total counter");
-    let _ = writeln!(
-        text,
-        "abcdd_worker_restarts_total {}",
-        v(c.worker_restarts.load(Ordering::Relaxed))
-    );
-    let _ = writeln!(text, "# TYPE abcdd_worker_kicks_total counter");
-    let _ = writeln!(
-        text,
-        "abcdd_worker_kicks_total {}",
-        v(c.worker_kicks.load(Ordering::Relaxed))
-    );
-    let _ = writeln!(text, "# TYPE abcdd_steals_total counter");
-    let _ = writeln!(text, "abcdd_steals_total {}", v(shared.shards.steals()));
-    let _ = writeln!(text, "# TYPE abcdd_queued_replies_total counter");
-    let _ = writeln!(
-        text,
-        "abcdd_queued_replies_total {}",
-        v(shared.shards.queued_replies.load(Ordering::Relaxed))
-    );
-    let _ = writeln!(text, "# TYPE abcdd_queue_depth gauge");
-    let _ = writeln!(text, "abcdd_queue_depth {}", g(shared.shards.total_depth()));
-    let _ = writeln!(text, "# TYPE abcdd_shard_queue_depth gauge");
-    for id in 0..shared.shards.shard_count() {
-        let _ = writeln!(
-            text,
-            "abcdd_shard_queue_depth{{shard=\"{id}\"}} {}",
-            g(shared.shards.shard(id).depth.load(Ordering::SeqCst))
-        );
-    }
-    let _ = writeln!(text, "# TYPE abcdd_shard_busy gauge");
-    for id in 0..shared.shards.shard_count() {
-        let _ = writeln!(
-            text,
-            "abcdd_shard_busy{{shard=\"{id}\"}} {}",
-            g(shared.shards.shard(id).busy.load(Ordering::SeqCst))
-        );
-    }
-    let _ = writeln!(text, "# TYPE abcdd_shard_steals_total counter");
-    for id in 0..shared.shards.shard_count() {
-        let _ = writeln!(
-            text,
-            "abcdd_shard_steals_total{{shard=\"{id}\"}} {}",
-            v(shared.shards.shard(id).stolen_from.load(Ordering::Relaxed))
-        );
-    }
-    let _ = writeln!(text, "# TYPE abcdd_workers gauge");
-    let _ = writeln!(text, "abcdd_workers {}", shared.config.workers.max(1));
-    let _ = writeln!(text, "# TYPE abcdd_shards gauge");
-    let _ = writeln!(text, "abcdd_shards {}", shared.shards.shard_count());
-    if let Some(cache) = &shared.config.cache {
-        let s = cache.stats();
-        let _ = writeln!(text, "# TYPE abcdd_cache_events_total counter");
-        for (event, n) in [
-            ("hits", s.hits),
-            ("misses", s.misses),
-            ("stores", s.stores),
-            ("evictions", s.evictions),
-            ("corrupt", s.corrupt),
-            ("recovered", s.recovered),
-            ("write_errors", s.write_errors),
-            ("disk_hits", s.disk_hits),
-        ] {
-            let _ = writeln!(
-                text,
-                "abcdd_cache_events_total{{event=\"{event}\"}} {}",
-                v(n)
-            );
-        }
-        let _ = writeln!(text, "# TYPE abcdd_cache_entries gauge");
-        let _ = writeln!(text, "abcdd_cache_entries {}", g(s.entries));
-        let _ = writeln!(text, "# TYPE abcdd_cache_bytes gauge");
-        let _ = writeln!(text, "abcdd_cache_bytes {}", g(s.bytes));
-    }
-    if let Some(plan) = &shared.config.chaos {
-        let _ = writeln!(text, "# TYPE abcdd_chaos_injections_total counter");
-        for site in CHAOS_SITES {
-            let _ = writeln!(
-                text,
-                "abcdd_chaos_injections_total{{site=\"{}\"}} {}",
-                site.name(),
-                v(plan.injected(site))
-            );
-        }
-    }
-    c.latency
-        .exposition("abcdd_request_latency_us", &mut text, deterministic);
-    c.queue_hist
-        .exposition("abcdd_queue_depth_at_dequeue", &mut text, deterministic);
-    format!(
-        "{{\"ok\":true,\"exposition\":\"{}\"}}",
-        abcd::json_escape(&text)
-    )
+/// Serves one optimize request, counting it as served or as an error.
+fn optimize_reply(shared: &Shared, shard: usize, req: &OptimizeRequest, at: Instant) -> String {
+    let reply = handle_optimize(shared, shard, req, at);
+    shared.registry.inc(match reply {
+        Ok(_) => registry::SERVED,
+        Err(_) => registry::ERRORS,
+    });
+    reply.unwrap_or_else(|e| error_response(&e))
 }
 
 fn handle_optimize(
@@ -904,9 +648,7 @@ fn handle_optimize(
             _ => unreachable!("validated by parse_request"),
         }
     };
-    let deadline_ms = req
-        .deadline_ms
-        .or_else(|| shared.config.request_timeout.map(|d| d.as_millis() as u64));
+    let deadline_ms = deadline_ms(shared, req);
     let over_deadline = |d: u64| enqueued.elapsed() > Duration::from_millis(d);
     let mut module = front()?;
     if let Some(d) = deadline_ms {
@@ -937,40 +679,8 @@ fn handle_optimize(
             return Ok(deadline_reply(shared, req, &module, d, enqueued));
         }
     }
-    let ir = module.to_string();
-    let trace = if req.trace {
-        let mut doc = abcd::module_trace_jsonl(&report, threads, req.deterministic_metrics);
-        doc.push_str(&abcd::request_span_jsonl(
-            shared.shards.total_depth(),
-            enqueued.elapsed(),
-            deadline_ms,
-            req.deterministic_metrics,
-        ));
-        Some(doc)
-    } else {
-        None
-    };
-    let metrics = if req.metrics {
-        let mut run = RunInfo::new(threads, wall);
-        if let Some(cache) = &shared.config.cache {
-            run = run.with_cache(cache.stats());
-        }
-        run.queue_depth = Some(shared.shards.total_depth());
-        run.request_latency = Some(enqueued.elapsed());
-        if req.deterministic_metrics {
-            run = run.deterministic();
-        }
-        Some(module_metrics_json(&report, run))
-    } else {
-        None
-    };
-    Ok(ok_response(
-        &ir,
-        &report,
-        false,
-        trace.as_deref(),
-        metrics.as_deref(),
-    ))
+    let run = RunInfo::new(threads, wall);
+    Ok(reply(shared, req, &module, &report, run, false, enqueued))
 }
 
 /// Builds the fail-open reply for a blown deadline: the module exactly as
@@ -983,43 +693,48 @@ fn deadline_reply(
     deadline_ms: u64,
     enqueued: Instant,
 ) -> String {
-    shared
-        .counters
-        .deadline_exceeded
-        .fetch_add(1, Ordering::Relaxed);
+    shared.registry.inc(registry::DEADLINE_EXCEEDED);
     let elapsed_ms = if req.deterministic_metrics {
         0
     } else {
         enqueued.elapsed().as_millis().min(u128::from(u64::MAX)) as u64
     };
     let report = ModuleReport::deadline_fail_open(module, deadline_ms, elapsed_ms);
+    let run = RunInfo::new(1, Duration::ZERO);
+    reply(shared, req, module, &report, run, true, enqueued)
+}
+
+/// Renders the `ok` reply for `module` with the trace and metrics documents
+/// the request asked for; `fail_open` marks a blown deadline.
+fn reply(
+    shared: &Shared,
+    req: &OptimizeRequest,
+    module: &Module,
+    report: &ModuleReport,
+    mut run: RunInfo,
+    fail_open: bool,
+    enqueued: Instant,
+) -> String {
     let ir = module.to_string();
-    let depth = shared.shards.total_depth();
-    let trace = if req.trace {
-        let mut doc = abcd::module_trace_jsonl(&report, 1, req.deterministic_metrics);
-        doc.push_str(&abcd::request_span_jsonl(
-            depth,
-            enqueued.elapsed(),
-            Some(deadline_ms),
-            req.deterministic_metrics,
-        ));
-        Some(doc)
-    } else {
-        None
-    };
-    let metrics = if req.metrics {
-        let mut run = RunInfo::new(1, Duration::ZERO);
-        if let Some(cache) = &shared.config.cache {
-            run = run.with_cache(cache.stats());
-        }
+    let det = req.deterministic_metrics;
+    let (depth, deadline) = (shared.shards.total_depth(), deadline_ms(shared, req));
+    let trace = req.trace.then(|| {
+        let mut doc = abcd::module_trace_jsonl(report, run.threads, det);
+        doc += &abcd::request_span_jsonl(depth, enqueued.elapsed(), deadline, det);
+        doc
+    });
+    let metrics = req.metrics.then(|| {
+        run.cache = shared.config.cache.as_ref().map(|cache| cache.stats());
         run.queue_depth = Some(depth);
         run.request_latency = Some(enqueued.elapsed());
-        if req.deterministic_metrics {
-            run = run.deterministic();
-        }
-        Some(module_metrics_json(&report, run))
-    } else {
-        None
-    };
-    ok_response(&ir, &report, true, trace.as_deref(), metrics.as_deref())
+        run.deterministic = det;
+        module_metrics_json(report, run)
+    });
+    ok_response(&ir, report, fail_open, trace.as_deref(), metrics.as_deref())
+}
+
+/// The request's deadline, or the server's default.
+fn deadline_ms(shared: &Shared, req: &OptimizeRequest) -> Option<u64> {
+    req.deadline_ms
+        .or_else(|| shared.config.request_timeout.map(|d| d.as_millis() as u64))
 }

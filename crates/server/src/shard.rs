@@ -78,8 +78,8 @@ pub(crate) struct ShardSet {
     shards: Vec<Shard>,
     /// Per-shard queue capacity. `0` is rendezvous admission: a job is
     /// admitted only when one of the shard's workers is idle.
-    capacity: usize,
-    workers_per_shard: usize,
+    pub capacity: usize,
+    pub workers_per_shard: usize,
     /// Total queue-position (backpressure) replies issued: one per shed
     /// connection.
     pub queued_replies: AtomicU64,

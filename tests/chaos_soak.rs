@@ -319,6 +319,14 @@ fn chaos_soak_no_wrong_bytes_no_deadlock_healthy_after_storm() {
         cn("write_errors") > 0,
         "disk_short/disk_full must have fired: {stats:?}"
     );
+    let panics = stats
+        .get("chaos")
+        .and_then(|chaos| chaos.get("worker_panic"))
+        .and_then(abcd_server::json::Json::as_u64);
+    assert!(
+        panics.is_some_and(|n| n > 0),
+        "stats must count the injected worker panics: {stats:?}"
+    );
     let exposition = loop {
         match abcd_server::metrics(&socket, false) {
             Ok(e) => break e,

@@ -432,3 +432,21 @@ fn shutdown_drains_admitted_requests() {
     assert!(!socket.exists(), "socket file removed after join");
     assert!(!abcd_server::ping(&socket), "server is gone");
 }
+
+/// `abcd_loadgen::service_counters` and perfbench's `server_counters` read
+/// these top-level `stats` keys and take a missing one as 0, so renaming a
+/// series would silently zero the server columns of `BENCH_abcdd.json` and
+/// perfbench's `server.*` rows.
+#[test]
+fn stats_has_every_key_loadgen_and_perfbench_read() {
+    let socket = sock("stats-keys");
+    let handle = abcd_server::start(ServerConfig::new(&socket)).unwrap();
+    assert!(ping_eventually(&socket), "server must come up");
+    let stats = abcd_server::stats(&socket).unwrap();
+    for key in ["steals", "queued_replies", "shed", "deadline_exceeded"] {
+        let value = stats.get(key).and_then(abcd_server::json::Json::as_u64);
+        assert!(value.is_some(), "stats lacks `{key}`: {stats:?}");
+    }
+    abcd_server::shutdown(&socket).unwrap();
+    handle.join();
+}
