@@ -59,7 +59,12 @@ impl GvnResult {
 
 /// Runs GVN over `func`; rewrites uses and unlinks redundant instructions.
 pub fn value_number(func: &mut Function) -> GvnResult {
-    let dt = DomTree::compute(func);
+    value_number_with_tree(func, &DomTree::compute(func))
+}
+
+/// [`value_number`] over `func`'s dominator tree `dt`, which GVN leaves
+/// valid: it never changes the CFG.
+pub fn value_number_with_tree(func: &mut Function, dt: &DomTree) -> GvnResult {
     let mut result = GvnResult::default();
     // Scoped expression table: stack of (key, value) undo entries per block.
     let mut table: HashMap<ExprKey, Value> = HashMap::new();

@@ -20,10 +20,13 @@ mod range;
 
 pub use constfold::fold_constants;
 pub use dce::eliminate_dead_code;
-pub use gvn::{congruent_arrays, record_load_congruence, value_number, GvnResult};
+pub use gvn::{
+    congruent_arrays, record_load_congruence, value_number, value_number_with_tree, GvnResult,
+};
 pub use range::{eliminate_checks_by_range, Bound, Range, RangeStats};
 
 use abcd_ir::Function;
+use abcd_ssa::DomTree;
 
 /// Statistics from the [`cleanup`] pipeline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -41,14 +44,20 @@ pub struct CleanupStats {
 ///
 /// Returns the last GVN result so ABCD's §7.1 hook can query congruence.
 pub fn cleanup(func: &mut Function) -> (CleanupStats, GvnResult) {
+    cleanup_with_tree(func, &DomTree::compute(func))
+}
+
+/// [`cleanup`] over `func`'s dominator tree `dt`. No cleanup pass changes
+/// the CFG, so `dt` stays valid throughout (and after).
+pub fn cleanup_with_tree(func: &mut Function, dt: &DomTree) -> (CleanupStats, GvnResult) {
     let mut stats = CleanupStats::default();
     stats.folded += fold_constants(func);
-    let mut gvn = value_number(func);
+    let mut gvn = value_number_with_tree(func, dt);
     stats.value_numbered += gvn.removed;
     let folded2 = fold_constants(func);
     if folded2 > 0 {
         stats.folded += folded2;
-        let g2 = value_number(func);
+        let g2 = value_number_with_tree(func, dt);
         stats.value_numbered += g2.removed;
         // Keep the union of congruence facts (later leaders win).
         for (k, v) in g2.leader {

@@ -35,10 +35,20 @@
 //! `optimize_module` pass over the 15 kernels stays within a quarter of
 //! the calibrated allocation total. A hit clones the memoized function;
 //! re-parsing the cached text on every hit would multiply the total.
+//!
+//! The SSA gate: once an `SsaScratch` has built e-SSA for every input,
+//! building it again — CFG normalization, local promotion and π insertion
+//! over the 15 kernels and a 24-module generated corpus — stays within a
+//! quarter of the calibrated allocation total. The scratch's tables are
+//! reused, so what allocates is the IR the construction creates (edge
+//! blocks, φs and πs, φ argument lists) and the verifier's marks; a
+//! per-function dominator tree, hash map or cloned instruction list would
+//! multiply the total.
 
 use abcd::cache::{canonical_text_hash, key_from_text_hash, DEFAULT_CACHE_BYTES};
 use abcd::{AnalysisCache, DemandProver, InequalityGraph, Optimizer, Problem, Vertex};
-use abcd_ir::{CheckKind, InstKind, Value};
+use abcd_ir::{CheckKind, InstKind, Module, Value};
+use abcd_ssa::SsaScratch;
 use std::sync::{Arc, Mutex, PoisonError};
 
 #[global_allocator]
@@ -57,6 +67,13 @@ const VM_RUN_ALLOCS: u64 = 919;
 /// over the 15 kernels (46 functions), every function a memoized cache
 /// hit (12,465 when every hit re-parsed the cached text).
 const WARM_REPLAY_ALLOCS: u64 = 4_266;
+
+/// The SSA gate's calibrated total: one warm split + promote + π pass over
+/// the 15 kernels and `abcd_loadgen::corpus(1, 24)` (154 functions, 10,392
+/// instructions), 0.33 allocations per instruction. The same pass through
+/// the free functions, a fresh scratch per call, allocates 12,347 times;
+/// before the scratch it allocated 114,557 times (11.0 per instruction).
+const WARM_SSA_ALLOCS: u64 = 3_458;
 
 /// Stages 1–3 of the driver pipeline, minus the optional cleanup: the
 /// e-SSA form the constraint graphs are defined over.
@@ -269,5 +286,60 @@ fn warm_replay_allocations_stay_within_the_calibrated_total() {
     assert!(
         total <= WARM_REPLAY_ALLOCS * 5 / 4,
         "a warm replay of the benchsuite allocated {total} times, calibrated {WARM_REPLAY_ALLOCS}"
+    );
+}
+
+#[test]
+fn warm_ssa_construction_stays_within_the_calibrated_total() {
+    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
+    let inputs: Vec<Module> = abcd_benchsuite::BENCHMARKS
+        .iter()
+        .map(|bench| bench.compile().expect("benchmark compiles"))
+        .chain(
+            abcd_loadgen::corpus(1, 24)
+                .iter()
+                .map(|src| abcd_frontend::compile(src).expect("corpus module compiles")),
+        )
+        .collect();
+    let mut scratch = SsaScratch::new();
+    let mut build = |modules: &mut [Module]| {
+        for module in modules {
+            for (_, func) in module.functions_mut() {
+                scratch.normalize(func);
+                scratch
+                    .promote_locals(func)
+                    .expect("frontend guarantees definite assignment");
+                scratch.insert_pi_nodes(func);
+            }
+        }
+    };
+    // Warm-up: the scratch's tables reach the inputs' high-water sizes.
+    build(&mut inputs.clone());
+    let mut modules = inputs.clone();
+    let before = abcd_alloc::snapshot();
+    build(&mut modules);
+    let total = abcd_alloc::delta(before).allocs;
+
+    let (mut functions, mut insts) = (0u64, 0u64);
+    for (_, func) in inputs.iter().flat_map(Module::functions) {
+        functions += 1;
+        insts += func
+            .blocks()
+            .map(|b| func.block(b).insts().len() as u64)
+            .sum::<u64>();
+    }
+    let per_inst = total as f64 / insts as f64;
+    println!(
+        "SSA construction: {total} allocations over {functions} functions, \
+         {insts} instructions ({per_inst:.2} per instruction)"
+    );
+    assert!(
+        functions >= 120 && insts > 5_000,
+        "gate coverage collapsed: {functions} functions, {insts} instructions"
+    );
+    assert!(
+        total <= WARM_SSA_ALLOCS * 5 / 4,
+        "warm SSA construction allocated {total} times ({per_inst:.2} per input \
+         instruction), calibrated {WARM_SSA_ALLOCS}"
     );
 }

@@ -18,7 +18,7 @@ use crate::scratch::{ScratchArena, ScratchPool};
 use crate::solver::{DemandProver, PreOutcome, PreProver, ProverBackend};
 use crate::trace::{FunctionTrace, PreInsertionRecord, Span};
 use abcd_ir::{Block, CheckKind, CheckSite, FuncId, Function, InstId, InstKind, Module, Value};
-use abcd_ssa::DomTree;
+use abcd_ssa::{DomTree, SsaScratch};
 use abcd_vm::Profile;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -305,7 +305,10 @@ impl Optimizer {
         let caching = self.effective_cache().is_some();
         let prepared = self.map_functions(module, |_, func| {
             let text_hash = caching.then(|| crate::cache::canonical_text_hash(func));
-            (text_hash, self.isolated(func, |f| self.prepare_function(f)))
+            let mut arena = pool.checkout();
+            let prep = self.isolated(func, |f| self.prepare_function(f, &mut arena.ssa));
+            pool.checkin(arena);
+            (text_hash, prep)
         });
         let facts = crate::interproc::infer_param_facts(module);
         let facts = &facts;
@@ -628,7 +631,7 @@ impl Optimizer {
         profile: Option<&Profile>,
         arena: &mut ScratchArena,
     ) -> FunctionReport {
-        match self.prepare_function(func) {
+        match self.prepare_function(func, &mut arena.ssa) {
             Ok(gvn) => self.analyze_function(func, func_id, profile, gvn, &[], arena),
             Err(incident) => fail_open_report(func, incident),
         }
@@ -685,20 +688,30 @@ impl Optimizer {
 
     /// Stages 1–3 of Figure 2: SSA construction, basic cleanup, e-SSA.
     /// Fails open: a verifier rejection ships the pre-pass function.
-    fn prepare_function(&self, func: &mut Function) -> Result<PreparedGvn, Incident> {
+    ///
+    /// The dominator tree `ssa` builds after CFG normalization serves
+    /// promotion, cleanup, π insertion and then, carried in the returned
+    /// [`PreparedGvn`], the analysis: no later stage adds or retargets a
+    /// reachable edge.
+    fn prepare_function(
+        &self,
+        func: &mut Function,
+        ssa: &mut SsaScratch,
+    ) -> Result<PreparedGvn, Incident> {
         let prepare_started = Instant::now();
         let opts = &self.options;
         let mut cleanup_stats = abcd_analysis::CleanupStats::default();
         self.run_stage(func, "split_critical_edges", false, |f| {
-            abcd_ssa::split_critical_edges(f);
+            ssa.normalize(f);
         })?;
         self.run_stage(func, "promote_locals", true, |f| {
-            abcd_ssa::promote_locals(f).expect("frontend guarantees definite assignment");
+            ssa.promote_locals(f)
+                .expect("frontend guarantees definite assignment");
         })?;
         let mut gvn = abcd_analysis::GvnResult::default();
         if opts.cleanup {
             self.run_stage(func, "cleanup", true, |f| {
-                let (stats, g) = abcd_analysis::cleanup(f);
+                let (stats, g) = abcd_analysis::cleanup_with_tree(f, ssa.dom_tree());
                 cleanup_stats = stats;
                 gvn = g;
             })?;
@@ -707,24 +720,22 @@ impl Optimizer {
             // value-number a throwaway clone (value ids are stable) and keep
             // only the congruence classes.
             let mut scratch = func.clone();
-            gvn = abcd_analysis::value_number(&mut scratch);
+            gvn = abcd_analysis::value_number_with_tree(&mut scratch, ssa.dom_tree());
         }
         if opts.gvn_hook {
             // Loads of the same array slot yield the same reference (and
             // hence the same length) — congruence no rewriting CSE can see.
             abcd_analysis::record_load_congruence(func, &mut gvn);
         }
-        let already_essa = has_pi(func);
         let pi_started = Instant::now();
-        if !already_essa {
-            self.run_stage(func, "insert_pi", true, |f| {
-                abcd_ssa::insert_pi_nodes(f);
-            })?;
-        }
+        self.run_stage(func, "insert_pi", true, |f| {
+            ssa.insert_pi_nodes(f);
+        })?;
         let pi_time = pi_started.elapsed();
         debug_assert_eq!(abcd_ssa::verify_ssa(func), Ok(()));
         Ok(PreparedGvn {
             gvn,
+            dt: ssa.take_dom_tree(),
             cleanup: cleanup_stats,
             prepare_time: prepare_started.elapsed(),
             pi_time,
@@ -749,7 +760,7 @@ impl Optimizer {
         report.param_facts_used = facts.len();
         report.metrics.prepare_time = prepared.prepare_time;
         report.fuel_limit = opts.fuel_per_function.or(opts.fuel_per_query);
-        let gvn = prepared.gvn;
+        let PreparedGvn { gvn, dt, .. } = prepared;
         let mut ftrace: Option<Box<FunctionTrace>> = self.trace.then(Box::default);
         if let Some(t) = &mut ftrace {
             t.push(Span::Pass {
@@ -782,7 +793,6 @@ impl Optimizer {
         }
         let upper_graph = upper_graph;
         let lower_graph = lower_graph;
-        let dt = DomTree::compute(func);
         // A fuel fault starves every query of this function outright.
         let fuel_fault = self
             .fault_plan
@@ -1139,6 +1149,7 @@ impl Optimizer {
             }
             crate::validate::validate_function(func, &mut report, facts, &gvn, &dt, opts.gvn_hook);
         }
+        arena.ssa.put_dom_tree(dt);
 
         // Final stage, always on: renumber into the parser's canonical
         // form. This makes the printed module a `print ∘ parse` fixpoint —
@@ -1342,9 +1353,13 @@ pub fn clamp_jobs(requested: usize) -> usize {
     }
 }
 
-/// GVN result plus cleanup statistics, carried from prepare to analyze.
+/// GVN result, the dominator tree and cleanup statistics, carried from
+/// prepare to analyze.
 struct PreparedGvn {
     gvn: abcd_analysis::GvnResult,
+    /// The tree built after CFG normalization; the analysis returns its
+    /// tables to the arena when done.
+    dt: DomTree,
     cleanup: abcd_analysis::CleanupStats,
     prepare_time: std::time::Duration,
     /// The π-insertion slice of `prepare_time`, for its trace span.
@@ -1398,15 +1413,6 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
-}
-
-fn has_pi(func: &Function) -> bool {
-    func.blocks().any(|b| {
-        func.block(b)
-            .insts()
-            .iter()
-            .any(|&id| matches!(func.inst(id).kind, InstKind::Pi { .. }))
-    })
 }
 
 #[cfg(test)]

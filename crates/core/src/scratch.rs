@@ -1,7 +1,8 @@
 //! Pooled per-worker scratch for the zero-allocation prove path.
 //!
-//! Everything the analysis allocates per function — graph shells, the
-//! demand and PRE provers' memo tables — lives in a
+//! Everything the analysis allocates per function — SSA construction's
+//! tables and dominator tree, graph shells, the demand and PRE provers'
+//! memo tables — lives in a
 //! [`ScratchArena`] that a worker checks out of a [`ScratchPool`] once and
 //! reuses across every function it analyzes. After the first few functions
 //! warm the buffers to the module's high-water capacities, steady-state
@@ -14,11 +15,15 @@
 
 use crate::graph::{InequalityGraph, Problem, Vertex};
 use crate::solver::{DemandProver, DemandScratch, PreScratch, ProverBackend};
+use abcd_ssa::SsaScratch;
 use std::sync::Mutex;
 
 /// One worker's reusable analysis storage.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
+    /// SSA and e-SSA construction tables, including the dominator tree the
+    /// analysis borrows for a function and hands back.
+    pub(crate) ssa: SsaScratch,
     graphs: Vec<InequalityGraph>,
     demand: Vec<DemandScratch>,
     pre: Vec<PreScratch>,

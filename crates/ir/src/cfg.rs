@@ -3,16 +3,74 @@
 use crate::entities::Block;
 use crate::function::Function;
 use crate::inst::Terminator;
+use std::fmt;
+use std::ops::Deref;
+
+/// The successor blocks of one block — none, one or two — held inline, so
+/// asking for them never allocates. Derefs to a slice in terminator order
+/// (then-destination before else-destination).
+#[derive(Clone, Copy)]
+pub struct Successors {
+    blocks: [Block; 2],
+    len: u8,
+}
+
+impl Successors {
+    /// The successors as a slice.
+    pub fn as_slice(&self) -> &[Block] {
+        &self.blocks[..usize::from(self.len)]
+    }
+}
+
+impl Deref for Successors {
+    type Target = [Block];
+
+    fn deref(&self) -> &[Block] {
+        self.as_slice()
+    }
+}
+
+impl IntoIterator for Successors {
+    type Item = Block;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Block, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.blocks.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl PartialEq for Successors {
+    fn eq(&self, other: &Successors) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Successors {}
+
+impl fmt::Debug for Successors {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
 
 /// The successor blocks of `b`, in terminator order
 /// (then-destination before else-destination).
-pub fn successors(func: &Function, b: Block) -> Vec<Block> {
+pub fn successors(func: &Function, b: Block) -> Successors {
     match func.block(b).terminator_opt() {
-        None | Some(Terminator::Return(_)) => Vec::new(),
-        Some(Terminator::Jump(d)) => vec![*d],
+        None | Some(Terminator::Return(_)) => Successors {
+            blocks: [b, b],
+            len: 0,
+        },
+        Some(Terminator::Jump(d)) => Successors {
+            blocks: [*d, *d],
+            len: 1,
+        },
         Some(Terminator::Branch {
             then_dst, else_dst, ..
-        }) => vec![*then_dst, *else_dst],
+        }) => Successors {
+            blocks: [*then_dst, *else_dst],
+            len: 2,
+        },
     }
 }
 

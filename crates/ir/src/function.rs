@@ -173,6 +173,12 @@ impl Function {
         &self.insts[id.index()]
     }
 
+    /// Number of instructions ever created (dense index space, including
+    /// unlinked ones).
+    pub fn inst_count(&self) -> usize {
+        self.insts.len()
+    }
+
     /// Mutable access to instruction `id`.
     pub fn inst_mut(&mut self, id: InstId) -> &mut Inst {
         &mut self.insts[id.index()]
@@ -256,6 +262,12 @@ impl Function {
         } else {
             false
         }
+    }
+
+    /// Unlinks every instruction of block `b` for which `keep` returns
+    /// `false`, in one pass that keeps the order of the rest.
+    pub fn retain_insts(&mut self, b: Block, keep: impl FnMut(&InstId) -> bool) {
+        self.blocks[b.index()].insts.retain(keep);
     }
 
     /// Replaces the instruction list of block `b` wholesale.
@@ -392,6 +404,22 @@ mod tests {
         assert!(f.remove_inst(entry, id));
         assert!(!f.remove_inst(entry, id));
         assert!(f.block(entry).insts().is_empty());
+    }
+
+    #[test]
+    fn retain_insts_filters_in_order() {
+        let mut f = sample();
+        let entry = f.entry();
+        let ids: Vec<InstId> = (0..4)
+            .map(|c| {
+                let id = f.create_inst(InstKind::Const(c), Some(Type::Int));
+                f.append_inst(entry, id);
+                id
+            })
+            .collect();
+        assert_eq!(f.inst_count(), 4);
+        f.retain_insts(entry, |id| id.index() % 2 == 1);
+        assert_eq!(f.block(entry).insts(), &[ids[1], ids[3]]);
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod verify;
 
 pub use builder::FunctionBuilder;
 pub use canon::{canonicalize, is_canonical, print_canonical};
-pub use cfg::{postorder, predecessors, reverse_postorder, successors};
+pub use cfg::{postorder, predecessors, reverse_postorder, successors, Successors};
 pub use entities::{Block, CheckSite, FuncId, InstId, Local, Value};
 pub use function::{BlockData, Function, ValueDef};
 pub use inst::{BinOp, CheckKind, CmpOp, Inst, InstKind, PiGuard, Terminator, UnOp};

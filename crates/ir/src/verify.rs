@@ -6,13 +6,12 @@
 //! ("every use is dominated by its definition") is checked by
 //! `abcd_ssa::verify_ssa`, which owns the dominator tree.
 
-use crate::cfg::{postorder, predecessors};
+use crate::cfg::successors;
 use crate::entities::{Block, InstId, Value};
 use crate::function::Function;
 use crate::inst::{BinOp, InstKind, Terminator, UnOp};
 use crate::module::Module;
 use crate::types::Type;
-use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -95,13 +94,50 @@ fn expect_ty(
     Ok(())
 }
 
-fn expect_array(func: &Function, inst: InstId, v: Value) -> Result<Type, VerifyError> {
-    match func.value_type(v).elem() {
-        Some(e) => Ok(e.clone()),
-        None => Err(VerifyError::TypeMismatch {
+fn expect_array(func: &Function, inst: InstId, v: Value) -> Result<&Type, VerifyError> {
+    func.value_type(v)
+        .elem()
+        .ok_or_else(|| VerifyError::TypeMismatch {
             inst,
             detail: format!("expected array, found {}", func.value_type(v)),
-        }),
+        })
+}
+
+/// Dense CFG facts the verifier needs: which blocks the entry reaches, and
+/// how many CFG edges enter each block (from any terminated block).
+struct CfgMarks {
+    reachable: Vec<bool>,
+    in_edges: Vec<u32>,
+}
+
+impl CfgMarks {
+    /// Successor references to nonexistent blocks are skipped here; the
+    /// per-block terminator check reports them as [`VerifyError::BadBlockRef`].
+    fn compute(func: &Function) -> CfgMarks {
+        let n = func.block_count();
+        let mut in_edges = vec![0u32; n];
+        for b in func.blocks() {
+            for s in successors(func, b) {
+                if let Some(count) = in_edges.get_mut(s.index()) {
+                    *count += 1;
+                }
+            }
+        }
+        let mut reachable = vec![false; n];
+        let mut stack = vec![func.entry()];
+        reachable[func.entry().index()] = true;
+        while let Some(b) = stack.pop() {
+            for s in successors(func, b) {
+                if let Some(seen @ false) = reachable.get_mut(s.index()) {
+                    *seen = true;
+                    stack.push(s);
+                }
+            }
+        }
+        CfgMarks {
+            reachable,
+            in_edges,
+        }
     }
 }
 
@@ -116,12 +152,11 @@ fn expect_array(func: &Function, inst: InstId, v: Value) -> Result<Type, VerifyE
 pub fn verify_function(func: &Function, module: Option<&Module>) -> Result<(), VerifyError> {
     let block_count = func.block_count();
     let value_count = func.value_count();
-    let preds = predecessors(func);
-    let reachable: BTreeSet<Block> = postorder(func).into_iter().collect();
+    let cfg = CfgMarks::compute(func);
 
     for b in func.blocks() {
         let data = func.block(b);
-        if reachable.contains(&b) && data.terminator_opt().is_none() {
+        if cfg.reachable[b.index()] && data.terminator_opt().is_none() {
             return Err(VerifyError::UnterminatedBlock(b));
         }
 
@@ -144,7 +179,7 @@ pub fn verify_function(func: &Function, module: Option<&Module>) -> Result<(), V
                 return Err(VerifyError::BadValueRef(id));
             }
 
-            verify_inst(func, module, b, id, &preds)?;
+            verify_inst(func, module, b, id, &cfg.in_edges)?;
         }
 
         if let Some(term) = data.terminator_opt() {
@@ -210,7 +245,7 @@ fn verify_inst(
     module: Option<&Module>,
     block: Block,
     id: InstId,
-    preds: &[Vec<Block>],
+    in_edges: &[u32],
 ) -> Result<(), VerifyError> {
     let inst = func.inst(id);
     let has_result = inst.result.is_some();
@@ -228,43 +263,46 @@ fn verify_inst(
         return Err(VerifyError::BadResult(id));
     }
 
-    let result_ty = |want: Type| -> Result<(), VerifyError> {
+    let result_ty = |want: &Type| -> Result<(), VerifyError> {
         match inst.result {
-            Some(r) if *func.value_type(r) == want => Ok(()),
+            Some(r) if func.value_type(r) == want => Ok(()),
             _ => Err(VerifyError::BadResult(id)),
         }
     };
 
     match &inst.kind {
-        InstKind::Const(_) => result_ty(Type::Int)?,
-        InstKind::BoolConst(_) => result_ty(Type::Bool)?,
+        InstKind::Const(_) => result_ty(&Type::Int)?,
+        InstKind::BoolConst(_) => result_ty(&Type::Bool)?,
         InstKind::Unary { op, arg } => {
             let ty = match op {
                 UnOp::Neg => Type::Int,
                 UnOp::Not => Type::Bool,
             };
             expect_ty(func, id, *arg, &ty, "unary operand")?;
-            result_ty(ty)?;
+            result_ty(&ty)?;
         }
         InstKind::Binary { op: _, lhs, rhs } => {
             // All BinOps are int → int → int.
             let _ = BinOp::Add;
             expect_ty(func, id, *lhs, &Type::Int, "binary lhs")?;
             expect_ty(func, id, *rhs, &Type::Int, "binary rhs")?;
-            result_ty(Type::Int)?;
+            result_ty(&Type::Int)?;
         }
         InstKind::Compare { lhs, rhs, .. } => {
             expect_ty(func, id, *lhs, &Type::Int, "compare lhs")?;
             expect_ty(func, id, *rhs, &Type::Int, "compare rhs")?;
-            result_ty(Type::Bool)?;
+            result_ty(&Type::Bool)?;
         }
         InstKind::NewArray { elem, len } => {
             expect_ty(func, id, *len, &Type::Int, "array length")?;
-            result_ty(Type::array_of(elem.clone()))?;
+            match inst.result {
+                Some(r) if func.value_type(r).elem() == Some(elem) => {}
+                _ => return Err(VerifyError::BadResult(id)),
+            }
         }
         InstKind::ArrayLen { array } => {
             expect_array(func, id, *array)?;
-            result_ty(Type::Int)?;
+            result_ty(&Type::Int)?;
         }
         InstKind::Load { array, index } => {
             let elem = expect_array(func, id, *array)?;
@@ -278,7 +316,7 @@ fn verify_inst(
         } => {
             let elem = expect_array(func, id, *array)?;
             expect_ty(func, id, *index, &Type::Int, "store index")?;
-            expect_ty(func, id, *value, &elem, "stored value")?;
+            expect_ty(func, id, *value, elem, "stored value")?;
         }
         InstKind::BoundsCheck { array, index, .. }
         | InstKind::SpecCheck { array, index, .. }
@@ -288,20 +326,23 @@ fn verify_inst(
         }
         InstKind::Phi { args } => {
             let r = inst.result.ok_or(VerifyError::BadResult(id))?;
-            let want = func.value_type(r).clone();
+            let want = func.value_type(r);
             for (p, v) in args {
                 if p.index() >= func.block_count() {
                     return Err(VerifyError::BadBlockRef(*p));
                 }
-                expect_ty(func, id, *v, &want, "phi argument")?;
+                expect_ty(func, id, *v, want, "phi argument")?;
             }
             // φ arguments must cover exactly the CFG predecessors (as a
-            // multiset; duplicate predecessor blocks require duplicate args).
-            let mut phi_preds: Vec<Block> = args.iter().map(|(p, _)| *p).collect();
-            let mut cfg_preds = preds[block.index()].clone();
-            phi_preds.sort();
-            cfg_preds.sort();
-            if phi_preds != cfg_preds {
+            // multiset; duplicate predecessor blocks require duplicate args):
+            // as many arguments as in-edges, and per argument block as many
+            // arguments as it has edges into this block.
+            let covers = args.len() == in_edges[block.index()] as usize
+                && args.iter().all(|(p, _)| {
+                    let edges = successors(func, *p).iter().filter(|&&s| s == block).count();
+                    args.iter().filter(|(q, _)| q == p).count() == edges
+                });
+            if !covers {
                 return Err(VerifyError::PhiPredecessorMismatch(id));
             }
         }
@@ -362,14 +403,13 @@ fn verify_inst(
             if local.index() >= func.local_count() {
                 return Err(VerifyError::BadLocalRef(id));
             }
-            result_ty(func.local_type(*local).clone())?;
+            result_ty(func.local_type(*local))?;
         }
         InstKind::SetLocal { local, value } => {
             if local.index() >= func.local_count() {
                 return Err(VerifyError::BadLocalRef(id));
             }
-            let want = func.local_type(*local).clone();
-            expect_ty(func, id, *value, &want, "set_local value")?;
+            expect_ty(func, id, *value, func.local_type(*local), "set_local value")?;
         }
     }
     Ok(())

@@ -22,11 +22,11 @@
 //! the rare case of identical checks on distinct paths; forgoing it is sound
 //! (constraints are only dropped, never invented).
 
-use crate::dom::DomTree;
-use abcd_ir::{
-    predecessors, successors, Block, Function, InstId, InstKind, PiGuard, Terminator, Type, Value,
-};
-use std::collections::HashMap;
+use crate::dom::reset;
+use crate::scratch::{ScopedTable, SsaScratch, NONE};
+use crate::split::count_preds;
+use abcd_ir::{successors, Block, Function, InstKind, PiGuard, Terminator, Type, Value, ValueDef};
+use std::convert::Infallible;
 
 /// Statistics returned by [`insert_pi_nodes`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -39,212 +39,173 @@ pub struct PiStats {
 
 /// Converts an SSA-form function to e-SSA by inserting and threading
 /// π-assignments. Requires critical edges to be split; branch out-edges
-/// whose target has several predecessors are (soundly) skipped.
+/// whose target has several predecessors are (soundly) skipped. Runs
+/// [`SsaScratch::insert_pi_nodes`] on a fresh scratch.
 pub fn insert_pi_nodes(func: &mut Function) -> PiStats {
-    let mut stats = PiStats::default();
-    // Idempotence guard: a function already in e-SSA form would otherwise
-    // silently receive a second, chained layer of π-assignments.
-    let already_essa = func.blocks().any(|b| {
-        func.block(b)
-            .insts()
-            .iter()
-            .any(|&id| matches!(func.inst(id).kind, InstKind::Pi { .. }))
-    });
-    if already_essa {
-        return stats;
-    }
-    let preds = predecessors(func);
+    SsaScratch::new().insert_pi_nodes(func)
+}
 
-    // ---- Phase A: create π instructions (inputs still the original names).
-
-    // Branch πs: at the top of each branch target.
-    for b in func.blocks().collect::<Vec<_>>() {
-        let term = match func.block(b).terminator_opt() {
-            Some(t) => t.clone(),
-            None => continue,
-        };
-        let Terminator::Branch {
-            cond,
-            then_dst,
-            else_dst,
-        } = term
-        else {
-            continue;
-        };
-        // The condition must be a direct integer comparison.
-        let (lhs, rhs) = match value_def_kind(func, cond) {
-            Some(InstKind::Compare { lhs, rhs, .. }) => (lhs, rhs),
-            _ => continue,
-        };
-        for (target, taken) in [(then_dst, true), (else_dst, false)] {
-            if preds[target.index()].len() != 1 {
-                continue; // unsplit critical edge: skip soundly
-            }
-            // One π per distinct integer operand (lhs may equal rhs).
-            let mut operands = vec![lhs];
-            if rhs != lhs {
-                operands.push(rhs);
-            }
-            let mut pos = 0;
-            for op in operands {
-                if func.value_type(op) != &Type::Int {
-                    continue;
-                }
-                let id = func.create_inst(
-                    InstKind::Pi {
-                        input: op,
-                        guard: PiGuard::Branch { block: b, taken },
-                    },
-                    Some(Type::Int),
-                );
-                func.insert_inst(target, pos, id);
-                pos += 1;
-                stats.branch_pis += 1;
-            }
+impl SsaScratch {
+    /// Inserts and threads π-assignments (see [`insert_pi_nodes`]). A
+    /// function that already holds a π is left alone: e-SSA construction
+    /// is idempotent.
+    pub fn insert_pi_nodes(&mut self, func: &mut Function) -> PiStats {
+        let mut stats = PiStats::default();
+        // Idempotence guard: a function already in e-SSA form would otherwise
+        // silently receive a second, chained layer of π-assignments.
+        let already_essa = func.blocks().any(|b| {
+            func.block(b)
+                .insts()
+                .iter()
+                .any(|&id| matches!(func.inst(id).kind, InstKind::Pi { .. }))
+        });
+        if already_essa {
+            return stats;
         }
-    }
+        self.ensure_tree(func);
+        count_preds(func, &mut self.pred_count);
 
-    // Check πs: immediately after each bounds check, renaming the index.
-    for b in func.blocks().collect::<Vec<_>>() {
-        let ids: Vec<InstId> = func.block(b).insts().to_vec();
-        let mut offset = 0usize;
-        for (pos, id) in ids.iter().enumerate() {
-            let InstKind::BoundsCheck {
-                site,
-                array,
-                index,
-                kind,
-            } = func.inst(*id).kind.clone()
+        // ---- Phase A: create π instructions (inputs still the original names).
+
+        // Branch πs: at the top of each branch target.
+        for b in 0..func.block_count() {
+            let b = Block::new(b);
+            let Some(&Terminator::Branch {
+                cond,
+                then_dst,
+                else_dst,
+            }) = func.block(b).terminator_opt()
             else {
                 continue;
             };
-            let pi = func.create_inst(
-                InstKind::Pi {
-                    input: index,
-                    guard: PiGuard::Check { site, array, kind },
-                },
-                Some(Type::Int),
-            );
-            func.insert_inst(b, pos + offset + 1, pi);
-            offset += 1;
-            stats.check_pis += 1;
-        }
-    }
-
-    // ---- Phase B: thread the π versions through dominated uses.
-    rename_pi_versions(func);
-    stats
-}
-
-/// Returns the defining instruction kind of `v`, if it is an instruction
-/// result.
-fn value_def_kind(func: &Function, v: Value) -> Option<InstKind> {
-    match func.value_def(v) {
-        abcd_ir::ValueDef::Inst(id) => Some(func.inst(id).kind.clone()),
-        abcd_ir::ValueDef::Param(_) => None,
-    }
-}
-
-/// Dominator-tree renaming walk: every use sees the innermost π version of
-/// its value family that dominates it. φ-arguments are rewritten per edge.
-fn rename_pi_versions(func: &mut Function) {
-    let dt = DomTree::compute(func);
-
-    // Family roots: π results belong to the family of their (root) input.
-    let mut root: HashMap<Value, Value> = HashMap::new();
-    let root_of = |root: &HashMap<Value, Value>, v: Value| -> Value { *root.get(&v).unwrap_or(&v) };
-
-    // Stacks of active versions per family root.
-    let mut stacks: HashMap<Value, Vec<Value>> = HashMap::new();
-
-    enum Step {
-        Enter(Block),
-        Exit(Vec<Value>), // roots to pop once
-    }
-    let mut work = vec![Step::Enter(func.entry())];
-
-    while let Some(step) = work.pop() {
-        match step {
-            Step::Exit(pops) => {
-                for r in pops {
-                    stacks.get_mut(&r).expect("stack exists").pop();
+            // The condition must be a direct integer comparison.
+            let ValueDef::Inst(def) = func.value_def(cond) else {
+                continue;
+            };
+            let InstKind::Compare { lhs, rhs, .. } = func.inst(def).kind else {
+                continue;
+            };
+            // One π per distinct integer operand (lhs may equal rhs).
+            let operands: &[Value] = if rhs != lhs { &[lhs, rhs] } else { &[lhs] };
+            for (target, taken) in [(then_dst, true), (else_dst, false)] {
+                if self.pred_count[target.index()] != 1 {
+                    continue; // unsplit critical edge: skip soundly
+                }
+                let mut pos = 0;
+                for &op in operands {
+                    if func.value_type(op) != &Type::Int {
+                        continue;
+                    }
+                    let id = func.create_inst(
+                        InstKind::Pi {
+                            input: op,
+                            guard: PiGuard::Branch { block: b, taken },
+                        },
+                        Some(Type::Int),
+                    );
+                    func.insert_inst(target, pos, id);
+                    pos += 1;
+                    stats.branch_pis += 1;
                 }
             }
-            Step::Enter(b) => {
-                let mut pops: Vec<Value> = Vec::new();
-                let ids: Vec<InstId> = func.block(b).insts().to_vec();
-                for id in ids {
-                    let is_pi = matches!(func.inst(id).kind, InstKind::Pi { .. });
-                    // Rewrite uses to the innermost active version.
-                    // (φ argument rewriting happens on the predecessor's
-                    // edge below, so skip φs here.)
-                    if !matches!(func.inst(id).kind, InstKind::Phi { .. }) {
-                        let stacks_ref = &stacks;
-                        let root_ref = &root;
-                        func.inst_mut(id).kind.map_uses(|v| {
-                            let r = root_of(root_ref, v);
-                            stacks_ref
-                                .get(&r)
-                                .and_then(|s| s.last())
-                                .copied()
-                                .unwrap_or(v)
-                        });
-                    }
-                    if is_pi {
-                        let (input, result) = match &func.inst(id).kind {
-                            InstKind::Pi { input, .. } => {
-                                (*input, func.inst(id).result.expect("pi has result"))
-                            }
-                            _ => unreachable!(),
-                        };
-                        let r = root_of(&root, input);
-                        root.insert(result, r);
-                        stacks.entry(r).or_default().push(result);
-                        pops.push(r);
-                    }
-                }
+        }
 
-                // Terminator uses.
-                {
-                    let stacks_ref = &stacks;
-                    let root_ref = &root;
-                    if let Some(term) = func.block(b).terminator_opt() {
-                        let mut t = term.clone();
-                        t.map_uses(|v| {
-                            let r = root_of(root_ref, v);
-                            stacks_ref
-                                .get(&r)
-                                .and_then(|s| s.last())
-                                .copied()
-                                .unwrap_or(v)
-                        });
-                        func.set_terminator(b, t);
-                    }
-                }
+        // Check πs: immediately after each bounds check, renaming the index.
+        for b in 0..func.block_count() {
+            let b = Block::new(b);
+            let mut pos = 0;
+            while pos < func.block(b).insts().len() {
+                let id = func.block(b).insts()[pos];
+                pos += 1;
+                let InstKind::BoundsCheck {
+                    site,
+                    array,
+                    index,
+                    kind,
+                } = func.inst(id).kind
+                else {
+                    continue;
+                };
+                let pi = func.create_inst(
+                    InstKind::Pi {
+                        input: index,
+                        guard: PiGuard::Check { site, array, kind },
+                    },
+                    Some(Type::Int),
+                );
+                func.insert_inst(b, pos, pi);
+                pos += 1;
+                stats.check_pis += 1;
+            }
+        }
 
-                // φ arguments along each out-edge.
-                for s in successors(func, b) {
-                    let ids: Vec<InstId> = func.block(s).insts().to_vec();
-                    for id in ids {
-                        if let InstKind::Phi { args } = &mut func.inst_mut(id).kind {
-                            for (p, v) in args.iter_mut() {
-                                if *p == b {
-                                    let r = root_of(&root, *v);
-                                    if let Some(top) = stacks.get(&r).and_then(|s| s.last()) {
-                                        *v = *top;
-                                    }
-                                }
+        // ---- Phase B: thread the π versions through dominated uses.
+        self.rename_pi_versions(func);
+        stats
+    }
+
+    /// Dominator-tree renaming walk: every use sees the innermost π version
+    /// of its value family that dominates it. φ-arguments are rewritten per
+    /// edge.
+    fn rename_pi_versions(&mut self, func: &mut Function) {
+        let SsaScratch {
+            tree,
+            value_map: root,
+            table,
+            ..
+        } = self;
+        // Family roots: π results belong to the family of their (root) input.
+        reset(root, func.value_count(), NONE);
+        let root_of = |root: &[u32], v: Value| match root[v.index()] {
+            NONE => v.index(),
+            r => r as usize,
+        };
+        // The innermost active version of `v`'s family.
+        let current =
+            |table: &ScopedTable, root: &[u32], v: Value| table.get(root_of(root, v)).unwrap_or(v);
+
+        let entry = func.entry();
+        let walked = table.walk(func.value_count(), tree, entry, |table, b| {
+            for pos in 0..func.block(b).insts().len() {
+                let id = func.block(b).insts()[pos];
+                let inst = func.inst_mut(id);
+                // Rewrite uses to the innermost active version. (φ argument
+                // rewriting happens on the predecessor's edge below, so skip
+                // φs here.)
+                if !matches!(inst.kind, InstKind::Phi { .. }) {
+                    inst.kind.map_uses(|v| current(table, root, v));
+                }
+                if let InstKind::Pi { input, .. } = inst.kind {
+                    let result = inst.result.expect("pi has result");
+                    let r = root_of(root, input);
+                    root[result.index()] = r as u32;
+                    table.set(r, result);
+                }
+            }
+
+            // Terminator uses.
+            if let Some(term) = func.block(b).terminator_opt() {
+                let mut t = term.clone();
+                t.map_uses(|v| current(table, root, v));
+                func.set_terminator(b, t);
+            }
+
+            // φ arguments along each out-edge.
+            for s in successors(func, b) {
+                for pos in 0..func.block(s).insts().len() {
+                    let id = func.block(s).insts()[pos];
+                    if let InstKind::Phi { args } = &mut func.inst_mut(id).kind {
+                        for (p, v) in args.iter_mut() {
+                            if *p == b {
+                                *v = current(table, root, *v);
                             }
                         }
                     }
                 }
-
-                work.push(Step::Exit(pops));
-                for &c in dt.children(b) {
-                    work.push(Step::Enter(c));
-                }
             }
-        }
+            Ok::<(), Infallible>(())
+        });
+        let Ok(()) = walked;
     }
 }
 

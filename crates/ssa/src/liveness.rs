@@ -5,68 +5,84 @@
 
 use abcd_ir::{Block, Function, InstKind, Local};
 
-/// Per-block live-in information for locals.
-#[derive(Clone, Debug)]
+/// Per-block live-in information for locals, one bit row per block.
+#[derive(Clone, Debug, Default)]
 pub struct LocalLiveness {
-    /// `live_in[b][l]` — is local `l` live at entry of block `b`?
-    live_in: Vec<Vec<bool>>,
+    /// `u64` words per row.
+    words: usize,
+    /// Row `b` is the live-in set of block `b`.
+    live_in: Vec<u64>,
+    /// Dataflow scratch, kept for reuse: live-out, upward-exposed uses
+    /// (gen) and definitions (kill) per block.
+    live_out: Vec<u64>,
+    gen: Vec<u64>,
+    kill: Vec<u64>,
 }
 
 impl LocalLiveness {
     /// Computes liveness of all locals via iterative backward dataflow.
     pub fn compute(func: &Function) -> LocalLiveness {
-        let nb = func.block_count();
-        let nl = func.local_count();
-        // Per-block gen (upward-exposed use) and kill (def) sets.
-        let mut gen = vec![vec![false; nl]; nb];
-        let mut kill = vec![vec![false; nl]; nb];
+        let mut live = LocalLiveness::default();
+        live.recompute(func);
+        live
+    }
+
+    /// Recomputes liveness for `func` in place, reusing every row.
+    pub(crate) fn recompute(&mut self, func: &Function) {
+        let words = func.local_count().div_ceil(64);
+        let len = func.block_count() * words;
+        self.words = words;
+        for rows in [&mut self.gen, &mut self.kill, &mut self.live_out] {
+            crate::dom::reset(rows, len, 0);
+        }
         for b in func.blocks() {
+            let row = b.index() * words;
             for &id in func.block(b).insts() {
                 match &func.inst(id).kind {
-                    InstKind::GetLocal { local } if !kill[b.index()][local.index()] => {
-                        gen[b.index()][local.index()] = true;
+                    InstKind::GetLocal { local } => {
+                        let (w, bit) = (row + local.index() / 64, 1u64 << (local.index() % 64));
+                        if self.kill[w] & bit == 0 {
+                            self.gen[w] |= bit;
+                        }
                     }
                     InstKind::SetLocal { local, .. } => {
-                        kill[b.index()][local.index()] = true;
+                        self.kill[row + local.index() / 64] |= 1u64 << (local.index() % 64);
                     }
                     _ => {}
                 }
             }
         }
 
-        let mut live_in = gen.clone();
-        let mut live_out = vec![vec![false; nl]; nb];
+        self.live_in.clear();
+        self.live_in.extend_from_slice(&self.gen);
         let mut changed = true;
         while changed {
             changed = false;
             // Backward problem: iterate in reverse block order (any order
             // converges; reverse tends to converge fast).
             for b in func.blocks().rev() {
-                let bi = b.index();
-                // live_out[b] = union of live_in of successors.
+                let row = b.index() * words;
                 for s in abcd_ir::successors(func, b) {
-                    for l in 0..nl {
-                        if live_in[s.index()][l] && !live_out[bi][l] {
-                            live_out[bi][l] = true;
-                            changed = true;
-                        }
+                    let succ = s.index() * words;
+                    for w in 0..words {
+                        self.live_out[row + w] |= self.live_in[succ + w];
                     }
                 }
-                for l in 0..nl {
-                    let v = gen[bi][l] || (live_out[bi][l] && !kill[bi][l]);
-                    if v != live_in[bi][l] {
-                        live_in[bi][l] = v;
+                for w in row..row + words {
+                    let v = self.gen[w] | (self.live_out[w] & !self.kill[w]);
+                    if v != self.live_in[w] {
+                        self.live_in[w] = v;
                         changed = true;
                     }
                 }
             }
         }
-        LocalLiveness { live_in }
     }
 
     /// Is local `l` live at the entry of block `b`?
     pub fn is_live_in(&self, b: Block, l: Local) -> bool {
-        self.live_in[b.index()][l.index()]
+        let w = b.index() * self.words + l.index() / 64;
+        self.live_in[w] & (1u64 << (l.index() % 64)) != 0
     }
 }
 

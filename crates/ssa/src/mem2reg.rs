@@ -5,10 +5,9 @@
 //! frontier of each local's definition blocks (pruned by liveness), then a
 //! dominator-tree walk renames `get_local`/`set_local` into pure value flow.
 
-use crate::dom::{iterated_dominance_frontier, DomTree};
-use crate::liveness::LocalLiveness;
-use abcd_ir::{successors, Block, Function, InstId, InstKind, Local, Value, VerifyError};
-use std::collections::HashMap;
+use crate::dom::{iterated_frontier_into, reset};
+use crate::scratch::{SsaScratch, NONE};
+use abcd_ir::{successors, Block, Function, InstKind, Local, Value, VerifyError};
 use std::error::Error;
 use std::fmt;
 
@@ -53,180 +52,169 @@ impl From<VerifyError> for SsaError {
 ///
 /// Critical edges should be split first (see
 /// [`split_critical_edges`](crate::split_critical_edges)) so that later
-/// passes can attribute φ-arguments to unique edges.
+/// passes can attribute φ-arguments to unique edges. Runs
+/// [`SsaScratch::promote_locals`] on a fresh scratch.
 ///
 /// # Errors
 ///
 /// Returns [`SsaError::UndefinedLocal`] if any path reads an unwritten local,
 /// or [`SsaError::Malformed`] if the input fails structural verification.
 pub fn promote_locals(func: &mut Function) -> Result<(), SsaError> {
-    abcd_ir::verify_function(func, None)?;
-    if func.local_count() == 0 {
-        return Ok(());
-    }
-    // A φ can never live in the entry block (there is no incoming edge for
-    // the function-entry path); split a self-looping entry first.
-    crate::split::split_looping_entry(func);
+    SsaScratch::new().promote_locals(func)
+}
 
-    let dt = DomTree::compute(func);
-    let df = dt.dominance_frontiers(func);
-    let live = LocalLiveness::compute(func);
+/// The `inst_tag` of a `get_local`/`set_local` to unlink.
+const PROMOTED: u32 = NONE - 1;
 
-    // 1. Definition blocks per local.
-    let mut def_blocks: Vec<Vec<Block>> = vec![Vec::new(); func.local_count()];
-    for b in func.blocks() {
-        for &id in func.block(b).insts() {
-            if let InstKind::SetLocal { local, .. } = func.inst(id).kind {
-                if def_blocks[local.index()].last() != Some(&b) {
-                    def_blocks[local.index()].push(b);
+impl SsaScratch {
+    /// Promotes every local slot to SSA values, placing pruned φs and
+    /// removing all `get_local`/`set_local` instructions (see
+    /// [`promote_locals`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`promote_locals`]. The function is verified before and after.
+    pub fn promote_locals(&mut self, func: &mut Function) -> Result<(), SsaError> {
+        abcd_ir::verify_function(func, None)?;
+        if func.local_count() == 0 {
+            return Ok(());
+        }
+        // A φ can never live in the entry block (there is no incoming edge
+        // for the function-entry path): the tree is built after a looping
+        // entry is split.
+        self.ensure_tree(func);
+        let SsaScratch {
+            tree,
+            live,
+            frontiers,
+            idf,
+            defs,
+            def_blocks,
+            phi_blocks,
+            inst_tag,
+            value_map: rename,
+            table,
+            dirty,
+            ..
+        } = self;
+        live.recompute(func);
+        frontiers.recompute(tree, func);
+
+        // 1. Definition blocks per local, sorted by local, then block.
+        defs.clear();
+        for b in func.blocks() {
+            for &id in func.block(b).insts() {
+                if let InstKind::SetLocal { local, .. } = func.inst(id).kind {
+                    defs.push((local, b));
                 }
             }
         }
-    }
+        defs.sort_unstable();
+        defs.dedup();
 
-    // 2. φ placement at liveness-pruned iterated dominance frontiers.
-    let mut phi_of: HashMap<(Block, Local), InstId> = HashMap::new();
-    for (l, defs) in def_blocks.iter().enumerate() {
-        let local = Local::new(l);
-        let ty = func.local_type(local).clone();
-        for b in iterated_dominance_frontier(&df, defs) {
-            if !dt.is_reachable(b) || !live.is_live_in(b, local) {
-                continue;
-            }
-            let id = func.create_inst(InstKind::Phi { args: Vec::new() }, Some(ty.clone()));
-            func.insert_inst(b, 0, id);
-            phi_of.insert((b, local), id);
-        }
-    }
-
-    // 3. Renaming walk over the dominator tree.
-    let mut rename: Vec<Option<Value>> = vec![None; func.value_count() * 2];
-    let resolve = |rename: &Vec<Option<Value>>, v: Value| -> Value {
-        rename.get(v.index()).copied().flatten().unwrap_or(v)
-    };
-    let mut stacks: Vec<Vec<Value>> = vec![Vec::new(); func.local_count()];
-    // (block, pushes-per-local) frames for popping on dom-tree exit.
-    enum Step {
-        Enter(Block),
-        Exit(Vec<(Local, usize)>),
-    }
-    let mut work = vec![Step::Enter(func.entry())];
-    let mut removed: Vec<(Block, InstId)> = Vec::new();
-
-    while let Some(step) = work.pop() {
-        match step {
-            Step::Exit(pushes) => {
-                for (l, n) in pushes {
-                    let s = &mut stacks[l.index()];
-                    s.truncate(s.len() - n);
+        // 2. φ placement at liveness-pruned iterated dominance frontiers.
+        reset(inst_tag, func.inst_count(), NONE);
+        for group in defs.chunk_by(|a, b| a.0 == b.0) {
+            let local = group[0].0;
+            def_blocks.clear();
+            def_blocks.extend(group.iter().map(|&(_, b)| b));
+            iterated_frontier_into(frontiers, def_blocks, idf, phi_blocks);
+            for &b in phi_blocks.iter() {
+                if !tree.is_reachable(b) || !live.is_live_in(b, local) {
+                    continue;
                 }
-            }
-            Step::Enter(b) => {
-                let mut pushes: Vec<(Local, usize)> = Vec::new();
-                let push = |stacks: &mut Vec<Vec<Value>>,
-                            pushes: &mut Vec<(Local, usize)>,
-                            l: Local,
-                            v: Value| {
-                    stacks[l.index()].push(v);
-                    if let Some(entry) = pushes.iter_mut().find(|(pl, _)| *pl == l) {
-                        entry.1 += 1;
-                    } else {
-                        pushes.push((l, 1));
-                    }
-                };
-
-                let ids: Vec<InstId> = func.block(b).insts().to_vec();
-                for id in ids {
-                    // φs placed by step 2 define their local.
-                    if let Some(((_, local), _)) = phi_of
-                        .iter()
-                        .find(|(_, pid)| **pid == id)
-                        .map(|(k, v)| (*k, *v))
-                    {
-                        let result = func.inst(id).result.expect("phi has result");
-                        push(&mut stacks, &mut pushes, local, result);
-                        continue;
-                    }
-                    // Rewrite uses first (operands refer to earlier defs).
-                    if rename.len() < func.value_count() {
-                        rename.resize(func.value_count(), None);
-                    }
-                    let r = &rename;
-                    func.inst_mut(id).kind.map_uses(|v| resolve(r, v));
-
-                    match func.inst(id).kind.clone() {
-                        InstKind::GetLocal { local } => {
-                            let cur = *stacks[local.index()]
-                                .last()
-                                .ok_or(SsaError::UndefinedLocal { local, block: b })?;
-                            let result = func.inst(id).result.expect("get_local has result");
-                            if rename.len() <= result.index() {
-                                rename.resize(func.value_count(), None);
-                            }
-                            rename[result.index()] = Some(cur);
-                            removed.push((b, id));
-                        }
-                        InstKind::SetLocal { local, value } => {
-                            push(&mut stacks, &mut pushes, local, value);
-                            removed.push((b, id));
-                        }
-                        _ => {}
-                    }
-                }
-
-                // Rewrite terminator uses.
-                if rename.len() < func.value_count() {
-                    rename.resize(func.value_count(), None);
-                }
-                {
-                    let r = rename.clone();
-                    if let Some(term) = func.block(b).terminator_opt() {
-                        let mut t = term.clone();
-                        t.map_uses(|v| resolve(&r, v));
-                        func.set_terminator(b, t);
-                    }
-                }
-
-                // Fill φ arguments of successors for this edge.
-                for s in successors(func, b) {
-                    let phis: Vec<(Local, InstId)> = phi_of
-                        .iter()
-                        .filter(|((blk, _), _)| *blk == s)
-                        .map(|((_, l), id)| (*l, *id))
-                        .collect();
-                    for (local, id) in phis {
-                        let cur = *stacks[local.index()]
-                            .last()
-                            .ok_or(SsaError::UndefinedLocal { local, block: s })?;
-                        if let InstKind::Phi { args } = &mut func.inst_mut(id).kind {
-                            args.push((b, cur));
-                        }
-                    }
-                }
-
-                work.push(Step::Exit(pushes));
-                for &c in dt.children(b) {
-                    work.push(Step::Enter(c));
-                }
+                let ty = func.local_type(local).clone();
+                let id = func.create_inst(InstKind::Phi { args: Vec::new() }, Some(ty));
+                func.insert_inst(b, 0, id);
+                debug_assert_eq!(id.index(), inst_tag.len());
+                inst_tag.push(local.index() as u32);
             }
         }
-    }
 
-    // 4. Unlink the promoted instructions.
-    for (b, id) in removed {
-        func.remove_inst(b, id);
-    }
+        // 3. Renaming walk over the dominator tree.
+        reset(rename, func.value_count(), NONE);
+        let resolve = |rename: &[u32], v: Value| match rename[v.index()] {
+            NONE => v,
+            r => Value::new(r as usize),
+        };
+        dirty.clear();
+        let entry = func.entry();
+        table.walk(func.local_count(), tree, entry, |table, b| {
+            let mut promoted = false;
+            for pos in 0..func.block(b).insts().len() {
+                let id = func.block(b).insts()[pos];
+                let tag = inst_tag[id.index()];
+                // φs placed by step 2 define their local.
+                if tag < PROMOTED {
+                    let result = func.inst(id).result.expect("phi has result");
+                    table.set(tag as usize, result);
+                    continue;
+                }
+                // Rewrite uses first (operands refer to earlier defs).
+                func.inst_mut(id).kind.map_uses(|v| resolve(rename, v));
+                match func.inst(id).kind {
+                    InstKind::GetLocal { local } => {
+                        let cur = table
+                            .get(local.index())
+                            .ok_or(SsaError::UndefinedLocal { local, block: b })?;
+                        let result = func.inst(id).result.expect("get_local has result");
+                        rename[result.index()] = cur.index() as u32;
+                    }
+                    InstKind::SetLocal { local, value } => table.set(local.index(), value),
+                    _ => continue,
+                }
+                inst_tag[id.index()] = PROMOTED;
+                promoted = true;
+            }
+            if promoted {
+                dirty.push(b);
+            }
 
-    // Unreachable blocks were never renamed (stale locals ops, and their
-    // out-edges would confuse φ/predecessor agreement): clear them.
-    for b in func.blocks().collect::<Vec<_>>() {
-        if !dt.is_reachable(b) {
-            func.clear_block(b);
+            // Rewrite terminator uses.
+            if let Some(term) = func.block(b).terminator_opt() {
+                let mut t = term.clone();
+                t.map_uses(|v| resolve(rename, v));
+                func.set_terminator(b, t);
+            }
+
+            // Fill φ arguments of successors for this edge. Placed φs lead
+            // their block.
+            for s in successors(func, b) {
+                for pos in 0..func.block(s).insts().len() {
+                    let id = func.block(s).insts()[pos];
+                    let tag = inst_tag[id.index()];
+                    if tag >= PROMOTED {
+                        break;
+                    }
+                    let local = Local::new(tag as usize);
+                    let cur = table
+                        .get(local.index())
+                        .ok_or(SsaError::UndefinedLocal { local, block: s })?;
+                    if let InstKind::Phi { args } = &mut func.inst_mut(id).kind {
+                        args.push((b, cur));
+                    }
+                }
+            }
+            Ok::<(), SsaError>(())
+        })?;
+
+        // 4. Unlink the promoted instructions, one filter per block.
+        for &b in dirty.iter() {
+            func.retain_insts(b, |id| inst_tag[id.index()] != PROMOTED);
         }
-    }
 
-    abcd_ir::verify_function(func, None)?;
-    Ok(())
+        // Unreachable blocks were never renamed (stale locals ops, and their
+        // out-edges would confuse φ/predecessor agreement): clear them.
+        for b in 0..func.block_count() {
+            let b = Block::new(b);
+            if !tree.is_reachable(b) {
+                func.clear_block(b);
+            }
+        }
+
+        abcd_ir::verify_function(func, None)?;
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -1,70 +1,90 @@
-//! Critical-edge splitting.
+//! CFG normalization: a looping entry and critical edges get blocks of
+//! their own.
 //!
 //! A CFG edge is *critical* when its source has several successors and its
 //! target has several predecessors. ABCD needs split edges twice over:
 //! π-assignments conceptually live **on** branch out-edges (§3 of the paper),
 //! and partial-redundancy elimination inserts compensating checks **on**
 //! φ in-edges (§6). After splitting, both kinds of edge own a block.
+//!
+//! The entry block must have no predecessors: a φ there would have no
+//! argument for the function-entry path, and a branch π there would hold
+//! its guard on that path too, where nothing established it.
 
-use abcd_ir::{predecessors, Block, Function, InstKind, Terminator};
+use abcd_ir::{successors, Block, Function, InstKind, Terminator};
 
-/// Splits every critical edge, returning the number of edges split.
+/// Normalizes the CFG for SSA construction — splits a looping entry (see
+/// [`split_looping_entry`]), then every critical edge — and returns the
+/// number of critical edges split.
 ///
 /// For each critical edge `p → s` a fresh block `n` is created with a single
 /// `jump s`; `p`'s terminator is retargeted to `n`, and φ-arguments in `s`
 /// that named `p` are renamed to `n`.
 pub fn split_critical_edges(func: &mut Function) -> usize {
-    let preds = predecessors(func);
+    normalize_cfg(func, &mut Vec::new())
+}
+
+/// [`split_critical_edges`] with its predecessor counts in `pred_count`.
+pub(crate) fn normalize_cfg(func: &mut Function, pred_count: &mut Vec<u32>) -> usize {
+    split_looping_entry(func);
+    count_preds(func, pred_count);
     let mut split = 0;
 
-    for b in func.blocks().collect::<Vec<_>>() {
-        let term = match func.block(b).terminator_opt() {
-            Some(t) => t.clone(),
-            None => continue,
-        };
-        let (then_dst, else_dst) = match term {
-            Terminator::Branch {
-                then_dst, else_dst, ..
-            } => (then_dst, else_dst),
-            _ => continue, // jumps/returns have at most one successor
+    for b in 0..func.block_count() {
+        let b = Block::new(b);
+        let Some(&Terminator::Branch {
+            cond,
+            then_dst,
+            else_dst,
+        }) = func.block(b).terminator_opt()
+        else {
+            continue; // jumps/returns have at most one successor
         };
 
         // Split each target separately; `both same target` splits twice,
         // yielding two distinct edge blocks.
         let mut new_then = then_dst;
         let mut new_else = else_dst;
-        if preds[then_dst.index()].len() > 1 || then_dst == else_dst {
-            new_then = split_one(func, b, then_dst, true);
+        if pred_count[then_dst.index()] > 1 || then_dst == else_dst {
+            new_then = split_one(func, b, then_dst);
             split += 1;
         }
-        if preds[else_dst.index()].len() > 1 || then_dst == else_dst {
-            new_else = split_one(func, b, else_dst, false);
+        if pred_count[else_dst.index()] > 1 || then_dst == else_dst {
+            new_else = split_one(func, b, else_dst);
             split += 1;
         }
         if new_then != then_dst || new_else != else_dst {
-            if let Terminator::Branch { cond, .. } = term {
-                func.set_terminator(
-                    b,
-                    Terminator::Branch {
-                        cond,
-                        then_dst: new_then,
-                        else_dst: new_else,
-                    },
-                );
-            }
+            func.set_terminator(
+                b,
+                Terminator::Branch {
+                    cond,
+                    then_dst: new_then,
+                    else_dst: new_else,
+                },
+            );
         }
     }
     split
 }
 
-fn split_one(func: &mut Function, pred: Block, succ: Block, _taken: bool) -> Block {
+/// Refills `pred_count` with the number of CFG edges entering each block.
+pub(crate) fn count_preds(func: &Function, pred_count: &mut Vec<u32>) {
+    crate::dom::reset(pred_count, func.block_count(), 0);
+    for b in func.blocks() {
+        for s in successors(func, b) {
+            pred_count[s.index()] += 1;
+        }
+    }
+}
+
+fn split_one(func: &mut Function, pred: Block, succ: Block) -> Block {
     let n = func.new_block();
     func.set_terminator(n, Terminator::Jump(succ));
     // Rename ONE φ-argument occurrence of `pred` in `succ` to `n` (edges are
     // split one at a time, so each call may only consume one occurrence).
-    for &id in func.block(succ).insts().to_vec().iter() {
-        let inst = func.inst_mut(id);
-        if let InstKind::Phi { args } = &mut inst.kind {
+    for pos in 0..func.block(succ).insts().len() {
+        let id = func.block(succ).insts()[pos];
+        if let InstKind::Phi { args } = &mut func.inst_mut(id).kind {
             if let Some(slot) = args.iter_mut().find(|(p, _)| *p == pred) {
                 slot.0 = n;
             }
@@ -80,7 +100,7 @@ fn split_one(func: &mut Function, pred: Block, succ: Block, _taken: bool) -> Blo
 /// `None` if no split was needed.
 pub fn split_looping_entry(func: &mut Function) -> Option<Block> {
     let entry = func.entry();
-    if predecessors(func)[entry.index()].is_empty() {
+    if !func.blocks().any(|b| successors(func, b).contains(&entry)) {
         return None;
     }
     // Move the entry's contents into a fresh block.
@@ -120,7 +140,7 @@ pub fn split_looping_entry(func: &mut Function) -> Option<Block> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abcd_ir::{successors, verify_function, CmpOp, FunctionBuilder, Type};
+    use abcd_ir::{predecessors, verify_function, CmpOp, FunctionBuilder, Type};
 
     #[test]
     fn looping_entry_is_split() {
@@ -138,7 +158,7 @@ mod tests {
 
         let moved = split_looping_entry(&mut f).expect("split happened");
         verify_function(&f, None).unwrap();
-        assert_eq!(successors(&f, f.entry()), vec![moved]);
+        assert_eq!(successors(&f, f.entry()).as_slice(), [moved]);
         assert!(predecessors(&f)[f.entry().index()].is_empty());
         // The loop edge now targets the moved block.
         assert!(successors(&f, moved).contains(&moved));
@@ -170,7 +190,7 @@ mod tests {
         assert_eq!(succs[0], a);
         let edge_block = succs[1];
         assert_ne!(edge_block, join);
-        assert_eq!(successors(&f, edge_block), vec![join]);
+        assert_eq!(successors(&f, edge_block).as_slice(), [join]);
         // Re-splitting does nothing.
         assert_eq!(split_critical_edges(&mut f), 0);
     }
@@ -188,8 +208,8 @@ mod tests {
         verify_function(&f, None).unwrap();
         let succs = successors(&f, f.entry());
         assert_ne!(succs[0], succs[1]);
-        assert_eq!(successors(&f, succs[0]), vec![t]);
-        assert_eq!(successors(&f, succs[1]), vec![t]);
+        assert_eq!(successors(&f, succs[0]).as_slice(), [t]);
+        assert_eq!(successors(&f, succs[1]).as_slice(), [t]);
     }
 
     #[test]

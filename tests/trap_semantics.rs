@@ -203,6 +203,59 @@ fn deep_recursion_traps_at_the_depth_limit_not_the_host_stack() {
         .unwrap();
 }
 
+/// A self-looping entry block reaches the optimizer from IR text (`mjc`
+/// and abcdd's `ir` field). CFG normalization moves the entry's code into a
+/// fresh block, so the loop's branch πs land on split edges instead of the
+/// top of the entry, where they would read values defined later in the
+/// block and assert their guard on the function-entry path. The optimized
+/// module stays well-formed and traps exactly where the original does.
+#[test]
+fn self_looping_entry_keeps_its_trap() {
+    let text = "func @main(v0: int) -> int {
+bb0:
+    v1: int = const 3
+    v2: int[] = newarray int, v1
+    v3: int = const 0
+    v4: bool = cmp.lt v0, v3
+    br v4, bb0, bb1
+bb1:
+    check.upper v2[v0] @ck0
+    v5: int = load v2[v0]
+    ret v5
+}
+";
+    let reference = abcd_ir::parse_module(text).expect("IR parses");
+    let mut module = reference.clone();
+    let report = Optimizer::with_options(OptimizerOptions {
+        verify_ir: true,
+        validate: true,
+        ..OptimizerOptions::default()
+    })
+    .optimize_module(&mut module, None);
+    assert!(report.incidents().next().is_none(), "{report:?}");
+    for (_, func) in module.functions() {
+        abcd_ir::verify_function(func, Some(&module)).expect("optimized IR verifies");
+        abcd_ssa::verify_ssa(func).expect("optimized IR is in SSA form");
+    }
+    for m in [&reference, &module] {
+        let trap = abcd_vm::Vm::new(m)
+            .call_by_name("main", &[RtVal::Int(5)])
+            .expect_err("index 5 of a 3-element array traps");
+        assert!(
+            matches!(
+                trap.kind,
+                TrapKind::BoundsCheckFailed {
+                    site,
+                    index: 5,
+                    len: 3,
+                } if site.index() == 0
+            ),
+            "expected bounds check ck0 to fail, got {:?}",
+            trap.kind
+        );
+    }
+}
+
 /// The oracle has teeth: delete an unprovable bounds check by hand (the
 /// miscompilation a buggy optimizer would commit) and the differential
 /// reports it — the sabotaged module raises the unchecked-access variant
