@@ -21,7 +21,8 @@ mod range;
 pub use constfold::fold_constants;
 pub use dce::eliminate_dead_code;
 pub use gvn::{
-    congruent_arrays, record_load_congruence, value_number, value_number_with_tree, GvnResult,
+    congruent_arrays, congruent_arrays_in, record_load_congruence, value_number,
+    value_number_with_tree, GvnResult,
 };
 pub use range::{eliminate_checks_by_range, Bound, Range, RangeStats};
 

@@ -852,6 +852,10 @@ impl Optimizer {
         // Block-restricted graphs for the local/global classification.
         let mut local_graphs: HashMap<(Block, Problem), InequalityGraph> = HashMap::new();
 
+        // Definition sites for the §7.1 retries, found once: the function
+        // does not change until the transform.
+        let mut locations: Option<Vec<Option<(Block, usize)>>> = None;
+
         let mut to_remove: Vec<(Block, InstId)> = Vec::new();
         let mut pre_jobs: Vec<(Block, InstId, Vec<crate::solver::InsertionPoint>, Problem)> =
             Vec::new();
@@ -930,7 +934,10 @@ impl Optimizer {
             // artifact, and the check is being kept anyway. Each retry
             // records its own prove span (against the congruent array).
             if !proven && !exhausted && opts.gvn_hook && matches!(kind, CheckKind::Upper) {
-                for other in abcd_analysis::congruent_arrays(func, &gvn, &dt, array, block) {
+                let locations = locations.get_or_insert_with(|| func.inst_locations());
+                for other in
+                    abcd_analysis::congruent_arrays_in(func, locations, &gvn, &dt, array, block)
+                {
                     if prove_check(
                         &upper_graph,
                         &mut provers,
@@ -1157,7 +1164,7 @@ impl Optimizer {
         // and what keeps batch, served, warm, and cold outputs
         // byte-identical to each other.
         if let Err(incident) = self.run_stage(func, "canonicalize", true, |f| {
-            *f = abcd_ir::canonicalize(f);
+            f.canonicalize_in_place(&mut arena.canon);
         }) {
             report.incidents.push(incident);
         }

@@ -2,7 +2,7 @@
 //!
 //! Everything the analysis allocates per function — SSA construction's
 //! tables and dominator tree, graph shells, the demand and PRE provers'
-//! memo tables — lives in a
+//! memo tables, the canonical-numbering maps — lives in a
 //! [`ScratchArena`] that a worker checks out of a [`ScratchPool`] once and
 //! reuses across every function it analyzes. After the first few functions
 //! warm the buffers to the module's high-water capacities, steady-state
@@ -15,6 +15,7 @@
 
 use crate::graph::{InequalityGraph, Problem, Vertex};
 use crate::solver::{DemandProver, DemandScratch, PreScratch, ProverBackend};
+use abcd_ir::CanonScratch;
 use abcd_ssa::SsaScratch;
 use std::sync::Mutex;
 
@@ -24,6 +25,8 @@ pub struct ScratchArena {
     /// SSA and e-SSA construction tables, including the dominator tree the
     /// analysis borrows for a function and hands back.
     pub(crate) ssa: SsaScratch,
+    /// The canonical-numbering maps of the driver's final stage.
+    pub(crate) canon: CanonScratch,
     graphs: Vec<InequalityGraph>,
     demand: Vec<DemandScratch>,
     pre: Vec<PreScratch>,

@@ -51,6 +51,8 @@ pub(crate) fn validate_function(
         return;
     }
 
+    // Nothing below changes `func` until the reinstatements.
+    let locations = func.inst_locations();
     loop {
         let excluded: Vec<CheckSite> = pending_elim
             .iter()
@@ -72,6 +74,7 @@ pub(crate) fn validate_function(
             let ok = Problem::of_check(e.kind).iter().all(|&problem| {
                 prove_clean(
                     func,
+                    &locations,
                     graph_of(problem),
                     gvn,
                     dt,
@@ -172,6 +175,7 @@ pub(crate) fn validate_function(
 #[allow(clippy::too_many_arguments)]
 fn prove_clean(
     func: &Function,
+    locations: &[Option<(abcd_ir::Block, usize)>],
     graph: &InequalityGraph,
     gvn: &abcd_analysis::GvnResult,
     dt: &DomTree,
@@ -188,7 +192,7 @@ fn prove_clean(
     prove(array)
         || (gvn_hook
             && problem == Problem::Upper
-            && abcd_analysis::congruent_arrays(func, gvn, dt, array, block)
+            && abcd_analysis::congruent_arrays_in(func, locations, gvn, dt, array, block)
                 .into_iter()
                 .any(prove))
 }

@@ -6,19 +6,21 @@
 //! gaps (`v7` missing, `bb1` skipped), and — because the IR parser
 //! renumbers densely — `parse(print(f))` prints *differently* from `f`.
 //!
-//! [`canonicalize`] rebuilds the function with values numbered densely in
-//! definition order and blocks numbered densely in appearance order
-//! (never-filled blocks dropped), exactly the numbering the parser
+//! [`Function::canonicalize_in_place`] renumbers the function's own
+//! arenas: values densely in definition order and blocks densely in
+//! appearance order (never-filled blocks dropped), instructions in program
+//! order with unlinked ones dropped — exactly the numbering the parser
 //! produces. On canonical functions `print` and `parse` are mutual
 //! inverses byte-for-byte, which is what makes printed IR usable as a
 //! content-addressed cache payload: `print(parse(text)) == text`.
 //!
-//! One numbering pass — two dense maps, values and blocks — serves
-//! [`canonicalize`], [`print_canonical`] (the canonical text without the
-//! rebuild) and [`is_canonical`] (is the numbering the identity?).
+//! One numbering pass — dense maps for values and blocks — serves the
+//! renumbering, [`canonicalize`] (the same on a copy), [`print_canonical`]
+//! (the canonical text without touching the function) and
+//! [`is_canonical`] (is the numbering the identity?).
 
-use crate::entities::{Block, Value};
-use crate::function::Function;
+use crate::entities::{Block, InstId, Value};
+use crate::function::{Function, ValueDef};
 use crate::inst::{InstKind, PiGuard};
 use crate::print::{is_printed, print_numbered, Numbering, Sink};
 
@@ -51,109 +53,182 @@ fn number(
     }
 }
 
-/// The canonical numbering of one function: dense maps from old value and
-/// block indices to the numbers the parser would assign.
-struct Canonical {
+/// The canonical numbering of one function: dense maps from old value,
+/// block and instruction indices to the numbers the parser would assign.
+/// Reusable: [`Function::canonicalize_in_place`] refills the maps in
+/// place, so a warm `CanonScratch` makes renumbering allocation-free.
+#[derive(Clone, Debug, Default)]
+pub struct CanonScratch {
     values: Vec<u32>,
     blocks: Vec<u32>,
+    insts: Vec<u32>,
 }
 
-impl Canonical {
-    fn of(func: &Function) -> Canonical {
-        let mut values = vec![UNNUMBERED; func.value_count()];
-        let mut blocks = vec![UNNUMBERED; func.block_count()];
-        for (i, slot) in values.iter_mut().take(func.param_count()).enumerate() {
+impl CanonScratch {
+    /// Fills the value and block maps for `func`; the instruction map
+    /// only when `insts` is set (printing needs no instruction numbers).
+    fn fill(&mut self, func: &Function, insts: bool) {
+        reset(&mut self.values, func.value_count());
+        reset(&mut self.blocks, func.block_count());
+        for (i, slot) in self.values.iter_mut().take(func.param_count()).enumerate() {
             *slot = i as u32;
         }
         number(
             func,
-            |b, n| blocks[b.index()] = n,
-            |v, n| values[v.index()] = n,
+            |b, n| self.blocks[b.index()] = n,
+            |v, n| self.values[v.index()] = n,
         );
-        Canonical { values, blocks }
+        if insts {
+            reset(&mut self.insts, func.inst_count());
+            let mut next = 0u32;
+            for data in func.blocks.iter().filter(|d| is_printed(d)) {
+                for &id in data.insts() {
+                    self.insts[id.index()] = next;
+                    next += 1;
+                }
+            }
+        }
     }
 }
 
-impl Numbering for Canonical {
+fn reset(map: &mut Vec<u32>, len: usize) {
+    map.clear();
+    map.resize(len, UNNUMBERED);
+}
+
+fn value_number(values: &[u32], v: Value) -> Value {
+    let n = values[v.index()];
+    assert!(n != UNNUMBERED, "{v} is not defined in a printed block");
+    Value::new(n as usize)
+}
+
+fn block_number(blocks: &[u32], b: Block) -> Block {
+    let n = blocks[b.index()];
+    assert!(n != UNNUMBERED, "{b} is never filled");
+    Block::new(n as usize)
+}
+
+impl Numbering for CanonScratch {
     #[inline]
     fn value(&self, v: Value) -> u32 {
-        let n = self.values[v.index()];
-        assert!(n != UNNUMBERED, "{v} is not defined in a printed block");
-        n
+        value_number(&self.values, v).index() as u32
     }
 
     #[inline]
     fn block(&self, b: Block) -> u32 {
-        let n = self.blocks[b.index()];
-        assert!(n != UNNUMBERED, "{b} is never filled");
-        n
+        block_number(&self.blocks, b).index() as u32
     }
 }
 
-/// Returns `func` rebuilt with dense, parser-identical numbering: values
-/// in definition order (parameters first), blocks in appearance order with
-/// never-filled blocks removed, instructions re-created in program order.
-/// Locals, parameter/return types, and the check-site count are preserved.
-///
-/// The result is semantically identical to `func` (same CFG, same
-/// instruction sequence, same operands up to renaming) and printing it is
-/// a fixpoint of `parse` ∘ `print`.
-pub fn canonicalize(func: &Function) -> Function {
-    let num = Canonical::of(func);
-    let mut out = Function::new(
-        func.name_symbol(),
-        func.param_types().to_vec(),
-        func.ret_type().cloned(),
-    );
-    for i in 0..func.local_count() {
-        out.new_local(func.local_type(crate::Local::new(i)).clone());
+/// Gives every `UNNUMBERED` slot of `map` the next number after the
+/// numbered ones, turning it into a permutation of `0..map.len()`, and
+/// returns how many slots were numbered before.
+fn complete(map: &mut [u32]) -> usize {
+    let kept = map.iter().filter(|&&n| n != UNNUMBERED).count();
+    let unnumbered = map.iter_mut().filter(|n| **n == UNNUMBERED);
+    for (next, n) in (kept as u32..).zip(unnumbered) {
+        *n = next;
     }
-    while out.check_site_count() < func.check_site_count() {
-        out.new_check_site();
-    }
-    // Every block exists before any is filled: terminators and φs refer
-    // forward. The entry block is the first printed one.
-    let printed = num.blocks.iter().filter(|&&n| n != UNNUMBERED).count();
-    for _ in 1..printed {
-        out.new_block();
-    }
-    for b in func.blocks().filter(|&b| is_printed(func.block(b))) {
-        let nb = Block::new(num.block(b) as usize);
-        let data = func.block(b);
-        let mut ids = Vec::with_capacity(data.insts().len());
-        for &id in data.insts() {
-            let inst = func.inst(id);
-            let mut kind = inst.kind.clone();
-            kind.map_uses(|v| Value::new(num.value(v) as usize));
-            match &mut kind {
-                InstKind::Phi { args } => {
-                    for (b, _) in args.iter_mut() {
-                        *b = Block::new(num.block(*b) as usize);
-                    }
-                }
-                InstKind::Pi {
-                    guard: PiGuard::Branch { block, .. },
-                    ..
-                } => *block = Block::new(num.block(*block) as usize),
-                _ => {}
+    kept
+}
+
+/// Moves `items[i]` to `items[to[i]]` for every `i`, by swaps along the
+/// permutation's cycles. Consumes `to` (it ends as the identity).
+fn permute<T>(items: &mut [T], to: &mut [u32]) {
+    for i in 0..items.len() {
+        loop {
+            let j = to[i] as usize;
+            if j == i {
+                break;
             }
-            let nid = out.create_inst(kind, inst.result.map(|r| func.value_type(r).clone()));
-            // create_inst allocates results in creation order, which is the
-            // numbering's order — the two must agree.
-            debug_assert_eq!(
-                out.inst(nid).result.map(Value::index),
-                inst.result.map(|r| num.value(r) as usize)
-            );
-            ids.push(nid);
-        }
-        out.set_block_insts(nb, ids);
-        if let Some(term) = data.terminator_opt() {
-            let mut t = term.clone();
-            t.map_uses(|v| Value::new(num.value(v) as usize));
-            t.map_successors(|s| Block::new(num.block(s) as usize));
-            out.set_terminator(nb, t);
+            items.swap(i, j);
+            to.swap(i, j);
         }
     }
+}
+
+impl Function {
+    /// Renumbers the function into canonical form in its own arenas:
+    /// values in definition order (parameters first), blocks in appearance
+    /// order with never-filled blocks removed, instructions in program
+    /// order with unlinked ones removed. Locals, parameter/return types,
+    /// and the check-site count are preserved.
+    ///
+    /// The result is semantically identical (same CFG, same instruction
+    /// sequence, same operands up to renaming) and printing it is a
+    /// fixpoint of `parse` ∘ `print`. The maps live in `scratch`; once it
+    /// has seen a function this large, renumbering allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a printed instruction or terminator uses a value that no
+    /// printed block defines, or targets a never-filled block. The
+    /// function is then left partly renumbered.
+    pub fn canonicalize_in_place(&mut self, scratch: &mut CanonScratch) {
+        scratch.fill(self, true);
+        let CanonScratch {
+            values,
+            blocks,
+            insts,
+        } = scratch;
+
+        // Operands, results, block lists and terminators of everything
+        // that stays, under the new numbers.
+        for (data, _) in self
+            .blocks
+            .iter_mut()
+            .zip(blocks.iter())
+            .filter(|(_, &n)| n != UNNUMBERED)
+        {
+            for id in &mut data.insts {
+                let inst = &mut self.insts[id.index()];
+                inst.kind.map_uses(|v| value_number(values, v));
+                match &mut inst.kind {
+                    InstKind::Phi { args } => {
+                        for (b, _) in args.iter_mut() {
+                            *b = block_number(blocks, *b);
+                        }
+                    }
+                    InstKind::Pi {
+                        guard: PiGuard::Branch { block, .. },
+                        ..
+                    } => *block = block_number(blocks, *block),
+                    _ => {}
+                }
+                inst.result = inst.result.map(|r| value_number(values, r));
+                *id = InstId::new(insts[id.index()] as usize);
+            }
+            if let Some(term) = &mut data.term {
+                term.map_uses(|v| value_number(values, v));
+                term.map_successors(|s| block_number(blocks, s));
+            }
+        }
+
+        // Reorder the arenas; what nothing printed refers to sorts last
+        // and is cut off.
+        let kept_insts = complete(insts);
+        permute(&mut self.insts, insts);
+        self.insts.truncate(kept_insts);
+        let kept_values = complete(values);
+        permute(&mut self.value_types, values);
+        self.value_types.truncate(kept_values);
+        self.values.truncate(kept_values);
+        for (i, inst) in self.insts.iter().enumerate() {
+            if let Some(r) = inst.result {
+                self.values[r.index()] = ValueDef::Inst(InstId::new(i));
+            }
+        }
+        let mut map = blocks.iter();
+        self.blocks
+            .retain(|_| map.next().is_some_and(|&n| n != UNNUMBERED));
+    }
+}
+
+/// Returns a copy of `func` in canonical form: the clone, renumbered by
+/// [`Function::canonicalize_in_place`].
+pub fn canonicalize(func: &Function) -> Function {
+    let mut out = func.clone();
+    out.canonicalize_in_place(&mut CanonScratch::default());
     out
 }
 
@@ -162,7 +237,9 @@ pub fn canonicalize(func: &Function) -> Function {
 /// [`Fnv1a`](crate::Fnv1a), this is a cache key's text component. Its
 /// only allocations are the two numbering maps.
 pub fn print_canonical(func: &Function, out: &mut impl Sink) {
-    print_numbered(func, &Canonical::of(func), out);
+    let mut num = CanonScratch::default();
+    num.fill(func, false);
+    print_numbered(func, &num, out);
 }
 
 /// Is `func` already in canonical form — does the canonical numbering map
@@ -237,6 +314,40 @@ mod tests {
         assert_eq!(c1.count_checks(), f.count_checks());
         // Dense: every value is either a param or a linked instruction.
         assert_eq!(c1.value_count(), f.value_count() - 1); // dead add gone
+    }
+
+    #[test]
+    fn in_place_renumbering_reorders_the_arenas() {
+        // An instruction created last but placed first (as PRE and π
+        // insertion do), next to a hole and a never-filled block.
+        let mut f = holey();
+        let entry = f.entry();
+        let late = f.create_inst(InstKind::Const(7), Some(Type::Int));
+        f.insert_inst(entry, 0, late);
+        let expected = canonicalize(&f).to_string();
+        let mut scratch = CanonScratch::default();
+        f.canonicalize_in_place(&mut scratch);
+        assert_eq!(f.to_string(), expected);
+        verify_function(&f, None).unwrap();
+        assert!(is_canonical(&f));
+        // Dense arenas: instruction ids run in program order, every value
+        // is a parameter or the result of a linked instruction.
+        let order: Vec<usize> = f
+            .blocks()
+            .flat_map(|b| f.block(b).insts().to_vec())
+            .map(InstId::index)
+            .collect();
+        assert_eq!(order, (0..f.inst_count()).collect::<Vec<_>>());
+        assert_eq!(f.block_count(), 2);
+        for v in f.values().skip(f.param_count()) {
+            let ValueDef::Inst(id) = f.value_def(v) else {
+                panic!("{v} is not an instruction result")
+            };
+            assert_eq!(f.inst(id).result, Some(v));
+        }
+        // Renumbering a canonical function changes nothing.
+        f.canonicalize_in_place(&mut scratch);
+        assert_eq!(f.to_string(), expected);
     }
 
     #[test]
