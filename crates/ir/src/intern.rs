@@ -50,6 +50,13 @@ impl Symbol {
         Symbol(id)
     }
 
+    /// The symbol of `s` if it was ever interned: a lookup that, unlike
+    /// [`Symbol::intern`], never adds (or leaks) a name.
+    pub fn find(s: &str) -> Option<Symbol> {
+        let i = interner().lock().expect("interner poisoned");
+        i.map.get(s).map(|&id| Symbol(id))
+    }
+
     /// The interned text. O(1); no allocation.
     pub fn as_str(self) -> &'static str {
         let i = interner().lock().expect("interner poisoned");
@@ -127,6 +134,8 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.as_str(), "main");
         assert_ne!(Symbol::intern("other"), a);
+        assert_eq!(Symbol::find("main"), Some(a));
+        assert_eq!(Symbol::find("never interned anywhere"), None);
     }
 
     #[test]

@@ -49,11 +49,14 @@ impl Module {
         self.functions.len()
     }
 
-    /// Looks a function up by name.
+    /// Looks a function up by name: one interner lookup, then integer
+    /// compares (resolving every function's name would take the
+    /// interner's lock once per function).
     pub fn function_by_name(&self, name: &str) -> Option<FuncId> {
+        let name = crate::Symbol::find(name)?;
         self.functions
             .iter()
-            .position(|f| f.name() == name)
+            .position(|f| f.name_symbol() == name)
             .map(FuncId::new)
     }
 

@@ -1,6 +1,7 @@
 //! The IR type system: integers, booleans, and (possibly nested) arrays.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A value type.
 ///
@@ -8,6 +9,10 @@ use std::fmt;
 /// array loads/stores are typed, and bounds checks only apply to array
 /// references. Arrays may nest (`int[][]`), which the benchmark kernels
 /// (e.g. the DCT-style `mpeg` kernel) use.
+///
+/// An array type shares its element type: every value, local and
+/// instruction of one array type holds the same allocation, so cloning a
+/// type never allocates.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub enum Type {
     /// A 64-bit signed integer (the only numeric type).
@@ -15,7 +20,7 @@ pub enum Type {
     /// A boolean produced by comparison instructions.
     Bool,
     /// A reference to an array with the given element type.
-    Array(Box<Type>),
+    Array(Arc<Type>),
 }
 
 impl Type {
@@ -26,7 +31,7 @@ impl Type {
     /// assert_eq!(Type::array_of(Type::Int).to_string(), "int[]");
     /// ```
     pub fn array_of(elem: Type) -> Type {
-        Type::Array(Box::new(elem))
+        Type::Array(Arc::new(elem))
     }
 
     /// Returns the element type if `self` is an array type.
