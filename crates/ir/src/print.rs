@@ -67,6 +67,19 @@ impl Default for Fnv1a {
     }
 }
 
+/// As a [`Hasher`](std::hash::Hasher), for hash maps keyed by short
+/// strings.
+impl std::hash::Hasher for Fnv1a {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv1a::write(self, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 impl Sink for Fnv1a {
     #[inline]
     fn put(&mut self, s: &str) {
