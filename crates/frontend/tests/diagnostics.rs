@@ -42,7 +42,7 @@ const CASES: &[(&str, &str)] = &[
     ),
     (
         "fn f() { let x: foo = 1; }",
-        "parse error at 1:21: expected type, found `foo`",
+        "parse error at 1:17: expected type, found `foo`",
     ),
     (
         "let x: int = 1;",
@@ -54,7 +54,7 @@ const CASES: &[(&str, &str)] = &[
     ),
     (
         "fn f() { let a: int[] = new foo[3]; }",
-        "parse error at 1:32: expected element type after `new`, found `foo`",
+        "parse error at 1:29: expected element type after `new`, found `foo`",
     ),
     // Type and name-resolution errors.
     (
