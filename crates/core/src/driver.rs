@@ -9,7 +9,7 @@
 
 use crate::cache::{AnalysisCache, CacheEntry, CacheKey, Replay};
 use crate::faults::{current_pass, set_current_pass, FaultPlan};
-use crate::graph::{InequalityGraph, Problem, Vertex};
+use crate::graph::{InequalityGraph, Problem, Scope, Vertex};
 use crate::pre::{apply_insertions, merge_remaining_checks};
 use crate::report::{
     CheckOutcome, EliminatedCheck, FunctionReport, HoistedCheck, Incident, ModuleReport,
@@ -779,10 +779,13 @@ impl Optimizer {
             plan.maybe_panic(func.name(), "graph_build");
         }
         let graph_started = Instant::now();
-        let mut upper_graph = arena.take_graph(Problem::Upper);
-        upper_graph.rebuild_excluding(func, Problem::Upper, None, &[]);
-        let mut lower_graph = arena.take_graph(Problem::Lower);
-        lower_graph.rebuild_excluding(func, Problem::Lower, None, &[]);
+        // One walk of the IR; every graph below is filled from its log.
+        let mut log = std::mem::take(&mut arena.log);
+        log.record(func);
+        let mut upper_graph = arena.take_graph();
+        upper_graph.fill(&log, Problem::Upper, Scope::Function);
+        let mut lower_graph = arena.take_graph();
+        lower_graph.fill(&log, Problem::Lower, Scope::Function);
         crate::interproc::apply_facts(facts, func, &mut upper_graph);
         crate::interproc::apply_facts(facts, func, &mut lower_graph);
         if let Some(plan) = &self.fault_plan {
@@ -849,7 +852,8 @@ impl Optimizer {
             None => None,
         };
         let mut pre_provers: HashMap<(Problem, Vertex), PreProver> = HashMap::new();
-        // Block-restricted graphs for the local/global classification.
+        // The Figure 6 local/global split re-proves each removal on the
+        // graph of its block's facts alone, filled once per block.
         let mut local_graphs: HashMap<(Block, Problem), InequalityGraph> = HashMap::new();
 
         // Definition sites for the §7.1 retries, found once: the function
@@ -970,17 +974,17 @@ impl Optimizer {
                     array,
                     index,
                 });
-                let local = opts.classify_local
-                    && self.provable_locally(
-                        func,
-                        block,
-                        problem,
-                        source,
-                        index,
-                        c,
-                        &mut local_graphs,
-                        arena,
-                    );
+                let local = opts.classify_local && {
+                    let graph = local_graphs.entry((block, problem)).or_insert_with(|| {
+                        let mut g = arena.take_graph();
+                        g.fill(&log, problem, Scope::Block(block));
+                        g
+                    });
+                    let mut prover = DemandProver::with_scratch(graph, source, arena.take_demand());
+                    let ok = prover.demand_prove(Vertex::Value(index), c);
+                    arena.put_demand(prover.into_scratch());
+                    ok
+                };
                 report.metrics.solve_time += started.elapsed();
                 CheckOutcome::RemovedFully {
                     local,
@@ -1094,6 +1098,7 @@ impl Optimizer {
         }
         arena.put_graph(upper_graph);
         arena.put_graph(lower_graph);
+        arena.log = log;
 
         // 5: transform. The rewrite runs as a verified stage: if the
         // verifier rejects the transformed function, the pre-transform
@@ -1258,34 +1263,6 @@ impl Optimizer {
             });
         }
         (result, steps)
-    }
-
-    /// Is the check provable using only constraints of its own block?
-    /// (The Figure 6 "local" category.)
-    #[allow(clippy::too_many_arguments)]
-    fn provable_locally(
-        &self,
-        func: &Function,
-        block: Block,
-        problem: Problem,
-        source: Vertex,
-        index: Value,
-        c: i64,
-        cache: &mut HashMap<(Block, Problem), InequalityGraph>,
-        arena: &mut ScratchArena,
-    ) -> bool {
-        let g = match cache.entry((block, problem)) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let mut g = arena.take_graph(problem);
-                g.rebuild_excluding(func, problem, Some(block), &[]);
-                e.insert(g)
-            }
-        };
-        let mut prover = DemandProver::with_scratch(g, source, arena.take_demand());
-        let ok = prover.demand_prove(Vertex::Value(index), c);
-        arena.put_demand(prover.into_scratch());
-        ok
     }
 }
 

@@ -1,8 +1,8 @@
 //! Pooled per-worker scratch for the zero-allocation prove path.
 //!
 //! Everything the analysis allocates per function — SSA construction's
-//! tables and dominator tree, graph shells, the demand and PRE provers'
-//! memo tables, the canonical-numbering maps — lives in a
+//! tables and dominator tree, the constraint log and graph shells, the
+//! demand and PRE provers' memo tables, the canonical-numbering maps — lives in a
 //! [`ScratchArena`] that a worker checks out of a [`ScratchPool`] once and
 //! reuses across every function it analyzes. After the first few functions
 //! warm the buffers to the module's high-water capacities, steady-state
@@ -13,7 +13,7 @@
 //! unwinds mid-function simply fails to return the items it took, so the
 //! pool loses capacity but never observes torn state.
 
-use crate::graph::{InequalityGraph, Problem, Vertex};
+use crate::graph::{ConstraintLog, InequalityGraph, Vertex};
 use crate::solver::{DemandProver, DemandScratch, PreScratch, ProverBackend};
 use abcd_ir::CanonScratch;
 use abcd_ssa::SsaScratch;
@@ -27,6 +27,8 @@ pub struct ScratchArena {
     pub(crate) ssa: SsaScratch,
     /// The canonical-numbering maps of the driver's final stage.
     pub(crate) canon: CanonScratch,
+    /// The constraint log every graph of the function is filled from.
+    pub(crate) log: ConstraintLog,
     graphs: Vec<InequalityGraph>,
     demand: Vec<DemandScratch>,
     pre: Vec<PreScratch>,
@@ -38,12 +40,9 @@ impl ScratchArena {
         ScratchArena::default()
     }
 
-    /// Takes a pooled graph shell (or a cold one), ready for
-    /// `rebuild_excluding`.
-    pub(crate) fn take_graph(&mut self, problem: Problem) -> InequalityGraph {
-        self.graphs
-            .pop()
-            .unwrap_or_else(|| InequalityGraph::empty(problem))
+    /// Takes a pooled graph shell (or a cold one), ready for `fill`.
+    pub(crate) fn take_graph(&mut self) -> InequalityGraph {
+        self.graphs.pop().unwrap_or_default()
     }
 
     /// Returns a graph shell to the pool.
