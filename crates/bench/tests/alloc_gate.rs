@@ -59,12 +59,16 @@
 //!
 //! The graph-construction gate: once a `ConstraintLog` and two graph
 //! shells have seen every input, walking each e-SSA function of the 15
-//! kernels and the generated corpus once and filling its upper and lower
-//! graphs, whole and for every block, allocates nothing.
+//! kernels and the generated corpus once (which also lists its bounds
+//! checks), assuming every candidate parameter fact in the log, and
+//! filling its upper and lower graphs, whole and for every block,
+//! allocates nothing.
 
 use abcd::cache::{canonical_text_hash, key_from_text_hash, DEFAULT_CACHE_BYTES};
+use abcd::interproc::candidate_facts;
 use abcd::{
-    AnalysisCache, ConstraintLog, DemandProver, InequalityGraph, Optimizer, Problem, Scope, Vertex,
+    AnalysisCache, ConstraintLog, DemandProver, InequalityGraph, Optimizer, ParamFact, Problem,
+    Scope, Vertex,
 };
 use abcd_ir::{CanonScratch, CheckKind, Function, InstKind, Module, Value};
 use abcd_ssa::SsaScratch;
@@ -486,14 +490,21 @@ fn warm_graph_construction_allocates_nothing() {
         .flat_map(Module::functions)
         .map(|(_, f)| f)
         .collect();
+    let facts: Vec<Vec<ParamFact>> = functions
+        .iter()
+        .map(|f| candidate_facts(f.param_types()))
+        .collect();
     let mut log = ConstraintLog::default();
     let mut shells = [InequalityGraph::default(), InequalityGraph::default()];
-    // One walk per function; both problems, whole and per block. Returns
-    // the edges filled, so the measured pass is seen to do the same work.
+    // One walk per function, its candidate facts assumed; both problems,
+    // whole and per block. Returns the edges filled plus the checks
+    // listed, so the measured pass is seen to do the same work.
     let construct = |log: &mut ConstraintLog, shells: &mut [InequalityGraph; 2]| -> usize {
         let mut edges = 0;
-        for func in &functions {
+        for (func, facts) in functions.iter().zip(&facts) {
             log.record(func);
+            log.assume(facts, func);
+            edges += log.checks().len();
             for (graph, problem) in shells.iter_mut().zip([Problem::Upper, Problem::Lower]) {
                 graph.fill(log, problem, Scope::Function);
                 edges += graph.edge_count();

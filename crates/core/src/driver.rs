@@ -9,7 +9,8 @@
 
 use crate::cache::{AnalysisCache, CacheEntry, CacheKey, Replay};
 use crate::faults::{current_pass, set_current_pass, FaultPlan};
-use crate::graph::{InequalityGraph, Problem, Scope, Vertex};
+use crate::graph::{InequalityGraph, LoggedCheck, Problem, Scope, Vertex};
+use crate::interproc::{ModuleFacts, ParamFact};
 use crate::pre::{apply_insertions, merge_remaining_checks};
 use crate::report::{
     CheckOutcome, EliminatedCheck, FunctionReport, HoistedCheck, Incident, ModuleReport,
@@ -239,99 +240,66 @@ impl Optimizer {
             .clone()
             .unwrap_or_else(|| Arc::new(ScratchPool::new()));
         let pool = &pool;
-        if !self.options.interprocedural {
-            let facts_fp = crate::cache::facts_fingerprint(&[]);
-            report.functions = self.map_functions(module, |id, func| {
-                if let Some(r) = self.cold_skip_report(func, id, profile) {
-                    return r;
-                }
-                // Content-addressed lookup before any pipeline work: the
-                // key is derived from the *input* (canonicalized), the
-                // options, and the profile slice for this function. No
-                // interproc facts in this mode, so that component is the
-                // fingerprint of the empty fact set.
-                let keyed = self.effective_cache().map(|cache| {
-                    let key = crate::cache::key_from_text_hash(
-                        crate::cache::canonical_text_hash(func),
-                        options_fp,
-                        facts_fp,
-                        crate::cache::profile_fingerprint(profile, id, self.options.hot_threshold),
-                    );
-                    (cache, key)
-                });
-                let mut corrupt = None;
-                if let Some((cache, key)) = keyed {
-                    match self.try_replay(cache, key, func) {
-                        Ok(Some(mut rep)) => {
-                            self.attach_cache_span(&mut rep, true);
-                            return rep;
-                        }
-                        Ok(None) => {}
-                        Err(incident) => corrupt = Some(incident),
-                    }
-                }
+        // Interprocedural mode adds one phase: prepare every function, then
+        // infer the parameter-fact fixpoint over the whole module
+        // (inherently a sequential whole-module step). Prepare is
+        // panic-isolated per function; one whose prepare failed ships as-is.
+        // The cache key needs the *input* text, so its canonical print is
+        // hashed before prepare mutates anything. The fact component of the
+        // key is only known after inference, which is what gives editing
+        // one function its transitive reach: callees whose verified
+        // parameter facts change get new keys and recompile cold.
+        let mut prepared: Vec<PreparedSlot> = Vec::new();
+        let mut facts = ModuleFacts::default();
+        if self.options.interprocedural {
+            let caching = self.effective_cache().is_some();
+            prepared = self.map_functions(module, |_, func| {
+                let text_hash = caching.then(|| crate::cache::canonical_text_hash(func));
                 let mut arena = pool.checkout();
-                let mut rep = self
-                    .isolated(func, |f| {
-                        self.optimize_function_inner(f, id, profile, &mut arena)
-                    })
-                    .merge();
+                let prep = self.isolated(func, |f| self.prepare_function(f, &mut arena.ssa));
                 pool.checkin(arena);
-                // Store before surfacing the corruption incident: the cold
-                // recompile is the healthy entry that heals the cache.
-                if let Some((cache, key)) = keyed {
-                    self.maybe_store(cache, key, func, &rep);
-                    self.attach_cache_span(&mut rep, false);
-                }
-                if let Some(incident) = corrupt {
-                    rep.incidents.insert(0, incident);
-                }
-                rep
+                Mutex::new(Some((text_hash, prep)))
             });
-            return report;
+            facts = crate::interproc::infer_param_facts(module);
         }
-        // Interprocedural mode: prepare every function first, infer the
-        // parameter-fact fixpoint over the whole module (inherently a
-        // sequential whole-module step), then analyze each function under
-        // its verified assumptions. Each phase is panic-isolated per
-        // function; a function whose prepare failed ships as-is and is
-        // skipped by analyze.
-        // The cache key needs the *input* text, so hash its canonical
-        // print before prepare mutates anything. The interproc-fact
-        // component of the key is only known after inference, which is
-        // what gives editing one function its transitive reach: callees
-        // whose verified parameter facts change get new keys and
-        // recompile cold.
-        let caching = self.effective_cache().is_some();
-        let prepared = self.map_functions(module, |_, func| {
-            let text_hash = caching.then(|| crate::cache::canonical_text_hash(func));
-            let mut arena = pool.checkout();
-            let prep = self.isolated(func, |f| self.prepare_function(f, &mut arena.ssa));
-            pool.checkin(arena);
-            (text_hash, prep)
-        });
-        let facts = crate::interproc::infer_param_facts(module);
         let facts = &facts;
-        let prepared: Vec<PreparedSlot> =
-            prepared.into_iter().map(|g| Mutex::new(Some(g))).collect();
         report.functions = self.map_functions(module, |id, func| {
-            let (text_hash, prep) = prepared[id.index()]
-                .lock()
-                .expect("prepared state lock")
-                .take()
-                .expect("each function analyzed once");
-            let keyed = match (self.effective_cache(), text_hash) {
-                (Some(cache), Some(text_hash)) => {
-                    let key = crate::cache::key_from_text_hash(
-                        text_hash,
-                        options_fp,
-                        crate::cache::facts_fingerprint(facts.of(id)),
-                        crate::cache::profile_fingerprint(profile, id, self.options.hot_threshold),
-                    );
-                    Some((cache, key))
+            if let Some(r) = self.cold_skip_report(func, id, profile) {
+                return r;
+            }
+            // What the phase above left for this function (nothing outside
+            // interprocedural mode): its input hash when caching, and its
+            // prepared state or the report it fails open with.
+            let slot = prepared.get(id.index()).map(|slot| {
+                slot.lock()
+                    .expect("prepared state lock")
+                    .take()
+                    .expect("each function analyzed once")
+            });
+            let (text_hash, prepared) = match slot {
+                None => (None, Ok(None)),
+                Some((hash, FailOpen::Done(Ok(gvn)))) => (hash, Ok(Some(gvn))),
+                Some((hash, FailOpen::Done(Err(incident)))) => {
+                    (hash, Err(fail_open_report(func, incident)))
                 }
-                _ => None,
+                Some((hash, FailOpen::Panicked(r))) => (hash, Err(*r)),
             };
+            let facts = facts.of(id);
+            // Content-addressed lookup before any pipeline work: the key is
+            // derived from the *input* (canonicalized), the options, the
+            // verified parameter facts and the profile slice for this
+            // function.
+            let keyed = self.effective_cache().map(|cache| {
+                let text_hash =
+                    text_hash.unwrap_or_else(|| crate::cache::canonical_text_hash(func));
+                let key = crate::cache::key_from_text_hash(
+                    text_hash,
+                    options_fp,
+                    crate::cache::facts_fingerprint(facts),
+                    crate::cache::profile_fingerprint(profile, id, self.options.hot_threshold),
+                );
+                (cache, key)
+            });
             let mut corrupt = None;
             if let Some((cache, key)) = keyed {
                 match self.try_replay(cache, key, func) {
@@ -343,20 +311,28 @@ impl Optimizer {
                     Err(incident) => corrupt = Some(incident),
                 }
             }
-            let mut rep = match prep {
-                FailOpen::Done(Ok(gvn)) => {
+            // The cold run: prepare (unless the phase above did) and
+            // analyze under one isolation.
+            let mut rep = match prepared {
+                Err(rep) => rep,
+                Ok(prepared) => {
                     let mut arena = pool.checkout();
-                    let rep = self
-                        .isolated(func, |f| {
-                            self.analyze_function(f, id, profile, gvn, facts.of(id), &mut arena)
-                        })
-                        .merge();
+                    let rep = self.isolated(func, |f| {
+                        let prepared =
+                            prepared.map_or_else(|| self.prepare_function(f, &mut arena.ssa), Ok);
+                        match prepared {
+                            Ok(gvn) => {
+                                self.analyze_function(f, id, profile, gvn, facts, &mut arena)
+                            }
+                            Err(incident) => fail_open_report(f, incident),
+                        }
+                    });
                     pool.checkin(arena);
-                    rep
+                    rep.merge()
                 }
-                FailOpen::Done(Err(incident)) => fail_open_report(func, incident),
-                FailOpen::Panicked(r) => *r,
             };
+            // Store before surfacing the corruption incident: the cold
+            // recompile is the healthy entry that heals the cache.
             if let Some((cache, key)) = keyed {
                 self.maybe_store(cache, key, func, &rep);
                 self.attach_cache_span(&mut rep, false);
@@ -602,41 +578,6 @@ impl Optimizer {
         );
     }
 
-    /// Optimizes a single function. `func_id` keys profile lookups.
-    pub fn optimize_function(
-        &self,
-        func: &mut Function,
-        func_id: FuncId,
-        profile: Option<&Profile>,
-    ) -> FunctionReport {
-        let mut arena = match &self.scratch {
-            Some(pool) => pool.checkout(),
-            None => ScratchArena::new(),
-        };
-        let rep = self
-            .isolated(func, |f| {
-                self.optimize_function_inner(f, func_id, profile, &mut arena)
-            })
-            .merge();
-        if let Some(pool) = &self.scratch {
-            pool.checkin(arena);
-        }
-        rep
-    }
-
-    fn optimize_function_inner(
-        &self,
-        func: &mut Function,
-        func_id: FuncId,
-        profile: Option<&Profile>,
-        arena: &mut ScratchArena,
-    ) -> FunctionReport {
-        match self.prepare_function(func, &mut arena.ssa) {
-            Ok(gvn) => self.analyze_function(func, func_id, profile, gvn, &[], arena),
-            Err(incident) => fail_open_report(func, incident),
-        }
-    }
-
     /// Runs one IR-mutating pipeline stage with the robustness hooks: the
     /// fault plan may panic at its boundary, and `verify_ir` re-verifies
     /// the output — on rejection the pre-pass snapshot is restored and the
@@ -751,7 +692,7 @@ impl Optimizer {
         func_id: FuncId,
         profile: Option<&Profile>,
         prepared: PreparedGvn,
-        facts: &[crate::interproc::ParamFact],
+        facts: &[ParamFact],
         arena: &mut ScratchArena,
     ) -> FunctionReport {
         let opts = &self.options;
@@ -779,15 +720,15 @@ impl Optimizer {
             plan.maybe_panic(func.name(), "graph_build");
         }
         let graph_started = Instant::now();
-        // One walk of the IR; every graph below is filled from its log.
+        // One walk of the IR, plus the assumed parameter facts; every graph
+        // below is filled from this log.
         let mut log = std::mem::take(&mut arena.log);
         log.record(func);
+        log.assume(facts, func);
         let mut upper_graph = arena.take_graph();
         upper_graph.fill(&log, Problem::Upper, Scope::Function);
         let mut lower_graph = arena.take_graph();
         lower_graph.fill(&log, Problem::Lower, Scope::Function);
-        crate::interproc::apply_facts(facts, func, &mut upper_graph);
-        crate::interproc::apply_facts(facts, func, &mut lower_graph);
         if let Some(plan) = &self.fault_plan {
             // Deterministic sabotage of the constraint system; translation
             // validation rebuilds clean graphs and must catch any wrong
@@ -816,26 +757,12 @@ impl Optimizer {
             });
         }
 
-        // The checks, in program order, hottest-first when profiled.
-        let mut checks: Vec<(Block, InstId, CheckSite, Value, Value, CheckKind)> = Vec::new();
-        for b in func.blocks() {
-            for &id in func.block(b).insts() {
-                if let InstKind::BoundsCheck {
-                    site,
-                    array,
-                    index,
-                    kind,
-                } = func.inst(id).kind
-                {
-                    checks.push((b, id, site, array, index, kind));
-                }
-            }
-        }
+        // The checks the walk listed, in program order, hottest-first when
+        // profiled.
+        let mut checks = log.checks().to_vec();
         report.checks_total = checks.len();
         if let Some(p) = profile {
-            checks.sort_by_key(|(_, _, site, _, _, _)| {
-                std::cmp::Reverse(p.site_count(func_id, *site))
-            });
+            checks.sort_by_key(|check| std::cmp::Reverse(p.site_count(func_id, check.site)));
         }
 
         // Provers are cached per source vertex so memoization spans all
@@ -868,7 +795,15 @@ impl Optimizer {
         if let Some(plan) = &self.fault_plan {
             plan.maybe_panic(func.name(), "solve");
         }
-        for (block, inst, site, array, index, kind) in checks {
+        for LoggedCheck {
+            block,
+            inst,
+            site,
+            array,
+            index,
+            kind,
+        } in checks
+        {
             let enabled = match kind {
                 CheckKind::Upper => opts.upper,
                 CheckKind::Lower => opts.lower,
@@ -1352,8 +1287,8 @@ struct PreparedGvn {
 
 /// A prepared function's analysis state — the hash of its canonical
 /// *input* text (for cache keying, captured before prepare mutated
-/// anything) and the prepare outcome — handed from the parallel prepare
-/// phase to the parallel analyze phase of interprocedural mode.
+/// anything) and the prepare outcome — handed from interprocedural mode's
+/// prepare phase to the per-function path.
 type PreparedSlot = Mutex<Option<(Option<u64>, FailOpen<Result<PreparedGvn, Incident>>)>>;
 
 /// Result of an isolated pipeline run: the work's own output, or the

@@ -24,7 +24,16 @@
 //! that establishes it. The facts sit in block-major instruction order with
 //! per-block offsets, next to the φ rows, the max marks and the exact
 //! values of constants and constant-length arrays; a branch π's partner is
-//! resolved during the walk, in the π's own block.
+//! resolved during the walk, in the π's own block. The same walk lists the
+//! function's bounds checks ([`ConstraintLog::checks`]), so the analyses
+//! that query them never walk the IR again.
+//!
+//! Assumed parameter facts (the interprocedural extension and function
+//! versioning, see [`crate::interproc`]) are rows of the same log:
+//! [`ConstraintLog::assume`] appends them, each confined to its problem,
+//! after the last block. A whole-function fill therefore includes them
+//! and a block fill never does; a second `assume` replaces them.
+//!
 //! [`InequalityGraph::fill`] then replays the log for one problem and
 //! one [`Scope`]: the whole function, one block's facts (the Figure 6
 //! local/global split), or the whole function minus the C5 edges of some
@@ -33,6 +42,7 @@
 //! graph is read off the same facts as the upper one — one constraint set
 //! read in two directions, as §7.2 derives it.
 
+use crate::interproc::ParamFact;
 use abcd_ir::{
     Block, CheckKind, CheckSite, CmpOp, Function, InstId, InstKind, PiGuard, Terminator, Type,
     Value, ValueDef,
@@ -224,10 +234,11 @@ enum Fact {
 /// Which facts of a [`ConstraintLog`] a fill replays.
 #[derive(Clone, Copy, Debug)]
 pub enum Scope<'a> {
-    /// Every fact of the function.
+    /// Every fact of the function, assumed parameter facts included.
     Function,
     /// Only the facts of one block's instructions: a check this graph
-    /// proves is *local* (the Figure 6 split).
+    /// proves is *local* (the Figure 6 split). Assumed facts belong to no
+    /// block.
     Block(Block),
     /// Every fact except the C5 edges of these check sites, so translation
     /// validation can re-prove an eliminated check without the fact it
@@ -235,14 +246,35 @@ pub enum Scope<'a> {
     Excluding(&'a [CheckSite]),
 }
 
+/// One bounds check of a function, as its [`ConstraintLog`] lists it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct LoggedCheck {
+    /// The block holding the check.
+    pub block: Block,
+    /// The check instruction.
+    pub inst: InstId,
+    /// Its stable site id.
+    pub site: CheckSite,
+    /// The array it guards.
+    pub array: Value,
+    /// The index it tests.
+    pub index: Value,
+    /// Which bounds it tests.
+    pub kind: CheckKind,
+}
+
 /// Every Table 1 fact of one function, recorded by one walk of its IR in
 /// block-major instruction order, with the exact values of its constants
-/// and constant-length arrays. See the module docs.
+/// and constant-length arrays, plus the parameter facts assumed for it and
+/// its bounds checks. See the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct ConstraintLog {
     facts: Vec<Fact>,
-    /// Block `b`'s facts are `facts[block_off[b]..block_off[b + 1]]`.
+    /// Block `b`'s facts are `facts[block_off[b]..block_off[b + 1]]`; the
+    /// assumed facts follow the last block's.
     block_off: Vec<usize>,
+    /// The function's bounds checks, in block-major order.
+    checks: Vec<LoggedCheck>,
     /// Exact values, dense by value index: a constant-defined value's
     /// constant and a constant-length allocation's length. A vertex whose
     /// runtime value is a known constant k gets potential k (upper) / −k
@@ -258,6 +290,7 @@ impl ConstraintLog {
     pub fn record(&mut self, func: &Function) {
         self.facts.clear();
         self.block_off.clear();
+        self.checks.clear();
         self.raw_value.clear();
         self.raw_len.clear();
         self.raw_value.resize(func.value_count(), None);
@@ -269,6 +302,25 @@ impl ConstraintLog {
             }
         }
         self.block_off.push(self.facts.len());
+    }
+
+    /// Assumes `facts` about the parameters of `func` (the function this
+    /// log recorded): each becomes a row confined to its problem, after the
+    /// last block's facts, replacing the rows of any previous `assume`.
+    /// The caller answers for the facts' validity: verified at every call
+    /// site, or guarded at run time.
+    pub fn assume(&mut self, facts: &[ParamFact], func: &Function) {
+        self.facts
+            .truncate(self.block_off.last().copied().unwrap_or(0));
+        for fact in facts {
+            let (problem, u, v, c) = fact.relation(|i| func.param(i));
+            self.edge(u, v, c, Some(problem), None);
+        }
+    }
+
+    /// The function's bounds checks, in block-major order.
+    pub fn checks(&self) -> &[LoggedCheck] {
+        &self.checks
     }
 
     /// The exact value of `v`, where the log knows it.
@@ -403,6 +455,19 @@ impl ConstraintLog {
                     }
                 }
             }
+            InstKind::BoundsCheck {
+                site,
+                array,
+                index,
+                kind,
+            } => self.checks.push(LoggedCheck {
+                block,
+                inst: id,
+                site: *site,
+                array: *array,
+                index: *index,
+                kind: *kind,
+            }),
             _ => {}
         }
     }
@@ -479,11 +544,11 @@ fn konst(func: &Function, v: Value) -> Option<i64> {
 ///
 /// The graph is stored struct-of-arrays: per-vertex attributes live in
 /// dense `VertexId`-indexed vectors, the vertex lookup is an
-/// open-addressed [`VertexTable`], and edges are kept twice — an
+/// open-addressed `VertexTable`, and edges are kept twice — an
 /// insertion-ordered flat log (`building`, the source of truth every
 /// mutation appends to) and CSR-packed in/out adjacency derived from it by
-/// [`refresh`](Self::refresh). The provers read the CSR slices;
-/// nothing on the prove path chases per-vertex `Vec`s or hashes a key.
+/// `refresh`. The provers read the CSR slices; nothing on the prove path
+/// chases per-vertex `Vec`s or hashes a key.
 ///
 /// The default graph is an empty shell: pool shells and
 /// [`fill`](Self::fill) them to reuse capacity across functions.
@@ -493,7 +558,7 @@ pub struct InequalityGraph {
     vertices: Vec<Vertex>,
     table: VertexTable,
     /// Flat `(dst, edge)` log in canonical (vertex-major, insertion-stable)
-    /// order. Appends from `assume_fact` trigger a CSR refresh.
+    /// order, from which [`refresh`](Self::refresh) derives the CSR views.
     building: Vec<(u32, InEdge)>,
     /// CSR in-edge offsets (`vertex_count() + 1` entries once finalized).
     csr_off: Vec<u32>,
@@ -691,20 +756,6 @@ impl InequalityGraph {
         self.building.len()
     }
 
-    /// Adds an *assumed* fact `v ≤ u + c` (upper graph) / `v ≥ u + c`
-    /// (lower graph) to the system — used by the interprocedural extension
-    /// to inject verified parameter facts (see [`crate::interproc`]).
-    ///
-    /// The caller is responsible for the fact's validity; like every edge,
-    /// it must not create a φ-free cycle (facts about parameters cannot:
-    /// parameter vertices have no out-edges leading back to array lengths
-    /// or constants).
-    pub fn assume_fact(&mut self, u: Vertex, v: Vertex, c: i64) {
-        self.add_fact(u, v, c, &ConstraintLog::default());
-        // Facts arrive after construction, so keep the CSR views current.
-        self.refresh();
-    }
-
     /// Fault injection: deterministically strengthens one edge by
     /// `1..=max_delta` (solver domain). Strengthening fabricates an
     /// unjustified fact, the *dangerous* direction — proofs get easier, so
@@ -791,6 +842,15 @@ impl InequalityGraph {
         let us = self.intern(u, log);
         let vs = self.intern(v, log);
         self.building.push((vs.0, InEdge { src: us, weight }));
+    }
+
+    /// Adds the fact `v ≤ u + c` (upper graph) / `v ≥ u + c` (lower graph)
+    /// to a built graph, so solver tests can hand-craft systems without
+    /// running the full frontend.
+    #[cfg(test)]
+    pub(crate) fn assume_fact(&mut self, u: Vertex, v: Vertex, c: i64) {
+        self.add_fact(u, v, c, &ConstraintLog::default());
+        self.refresh();
     }
 
     /// Marks `v` as a max (φ) vertex, so solver tests can hand-craft
@@ -1004,6 +1064,143 @@ mod tests {
             let mut cut = InequalityGraph::default();
             cut.fill(&log, problem, Scope::Excluding(&sites));
             assert_eq!(cut.edge_count() + c5, full.edge_count(), "{problem:?}");
+        }
+    }
+
+    /// Every vertex in id order with its potential, max flag and in-edges.
+    fn render(g: &InequalityGraph) -> String {
+        let mut out = String::new();
+        for id in (0..g.vertex_count()).map(VertexId::from_index) {
+            out += &format!("{} {:?} {}:", g.vertex(id), g.potential(id), g.is_max(id));
+            for e in g.in_edges(id) {
+                out += &format!(" {}/{}", e.src.index(), e.weight);
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The log lists exactly the function's `BoundsCheck` instructions, in
+    /// block-major order, for every kernel and generated-corpus function.
+    #[test]
+    fn check_list_matches_the_bounds_checks_in_block_major_order() {
+        let sources = abcd_benchsuite::BENCHMARKS
+            .iter()
+            .map(|b| b.source.to_string())
+            .chain(abcd_loadgen::corpus(1, 24));
+        let mut log = ConstraintLog::default();
+        let (mut functions, mut checks) = (0, 0);
+        for src in sources {
+            let mut m = compile(&src).unwrap();
+            module_to_essa(&mut m).unwrap();
+            for (_, f) in m.functions() {
+                let mut expected = Vec::new();
+                for b in f.blocks() {
+                    for &inst in f.block(b).insts() {
+                        if let InstKind::BoundsCheck {
+                            site,
+                            array,
+                            index,
+                            kind,
+                        } = f.inst(inst).kind
+                        {
+                            expected.push(LoggedCheck {
+                                block: b,
+                                inst,
+                                site,
+                                array,
+                                index,
+                                kind,
+                            });
+                        }
+                    }
+                }
+                log.record(f);
+                assert_eq!(log.checks(), &expected[..], "{}", f.name());
+                functions += 1;
+                checks += expected.len();
+            }
+        }
+        assert!(
+            functions >= 120 && checks > 500,
+            "{functions} functions, {checks} checks"
+        );
+    }
+
+    const THREE_PARAMS: &str = "fn f(a: int[], b: int[], i: int) -> int {
+        if (i < b.length) { return a[i] + b[i]; }
+        return 0;
+    }";
+
+    /// Assumed facts are rows of the log: a whole-function or excluding
+    /// fill holds exactly what assuming each fact on the finished graph
+    /// did (same vertex ids, potentials and in-edge order), and no block
+    /// fill ever sees them.
+    #[test]
+    fn assumed_rows_fill_function_and_excluding_scopes_but_never_blocks() {
+        let f = essa(THREE_PARAMS);
+        let facts = crate::interproc::candidate_facts(f.param_types());
+        let sites: Vec<CheckSite> = {
+            let mut log = ConstraintLog::default();
+            log.record(&f);
+            log.checks().iter().map(|c| c.site).collect()
+        };
+        let (mut plain, mut assumed) = (ConstraintLog::default(), ConstraintLog::default());
+        plain.record(&f);
+        assumed.record(&f);
+        assumed.assume(&facts, &f);
+        for problem in [Problem::Upper, Problem::Lower] {
+            let rows = facts
+                .iter()
+                .filter(|fact| fact.relation(|i| f.param(i)).0 == problem)
+                .count();
+            assert!(rows > 0, "{problem:?}: no fact confined to this problem");
+            for scope in [Scope::Function, Scope::Excluding(&sites)] {
+                let mut by_hand = InequalityGraph::default();
+                by_hand.fill(&plain, problem, scope);
+                let before = by_hand.edge_count();
+                for fact in &facts {
+                    let (p, u, v, c) = fact.relation(|i| f.param(i));
+                    if p == problem {
+                        by_hand.assume_fact(u, v, c);
+                    }
+                }
+                let mut g = InequalityGraph::default();
+                g.fill(&assumed, problem, scope);
+                assert_eq!(g.edge_count(), before + rows, "{problem:?} {scope:?}");
+                assert_eq!(render(&g), render(&by_hand), "{problem:?} {scope:?}");
+            }
+            for b in f.blocks() {
+                let (mut with, mut without) =
+                    (InequalityGraph::default(), InequalityGraph::default());
+                with.fill(&assumed, problem, Scope::Block(b));
+                without.fill(&plain, problem, Scope::Block(b));
+                assert_eq!(render(&with), render(&without), "{problem:?} block {b}");
+            }
+        }
+    }
+
+    /// A second `assume` replaces the first set of rows: each trial of
+    /// function versioning refills from the log under its own facts only.
+    #[test]
+    fn a_second_assume_replaces_the_first() {
+        let f = essa(THREE_PARAMS);
+        let facts = crate::interproc::candidate_facts(f.param_types());
+        let mut log = ConstraintLog::default();
+        log.record(&f);
+        log.assume(&facts, &f);
+        for trial in [&facts[1..2], &[][..], &facts[..]] {
+            log.assume(trial, &f);
+            let mut fresh = ConstraintLog::default();
+            fresh.record(&f);
+            fresh.assume(trial, &f);
+            for problem in [Problem::Upper, Problem::Lower] {
+                let (mut g, mut expected) =
+                    (InequalityGraph::default(), InequalityGraph::default());
+                g.fill(&log, problem, Scope::Function);
+                expected.fill(&fresh, problem, Scope::Function);
+                assert_eq!(render(&g), render(&expected), "{trial:?} {problem:?}");
+            }
         }
     }
 

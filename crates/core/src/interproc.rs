@@ -12,13 +12,19 @@
 //!    classes ABCD already reasons about (C2/C5-shaped, Table 1).
 //! 2. **Optimistic fixpoint.** Assume all candidates, then repeatedly
 //!    *verify* each fact at every call site by running `demandProve` in the
-//!    caller's graph (itself augmented with the caller's currently-assumed
+//!    caller's graph (itself filled with the caller's currently-assumed
 //!    facts) on the actual arguments; drop facts that fail anywhere and
 //!    repeat until stable. The set shrinks monotonically, so this
 //!    terminates; by induction over the call tree (roots assume nothing),
 //!    every surviving fact holds on all executions entered through a root.
-//! 3. **Use.** The surviving facts become extra inequality-graph edges when
-//!    the callee's own checks are analyzed.
+//! 3. **Use.** The surviving facts become rows of the callee's
+//!    [`ConstraintLog`] ([`ConstraintLog::assume`]) when its own checks
+//!    are analyzed, so its whole-function graphs carry them as edges.
+//!
+//! What a fact means is defined once, by [`ParamFact`]'s Table 1 relation:
+//! the same `(problem, u, v, c)` tuple is a log row in the callee, the
+//! query proven at each call site in the caller, and (in
+//! [`crate::versioning`]) the runtime guard of a fast version.
 //!
 //! **Closed-world caveat**: a function is a *root* (gets no assumed facts)
 //! if it is named `main` or has no call site inside the module. With the
@@ -29,7 +35,7 @@
 
 use crate::graph::{ConstraintLog, InequalityGraph, Problem, Scope, Vertex};
 use crate::solver::DemandProver;
-use abcd_ir::{FuncId, Function, InstKind, Module, Type, Value};
+use abcd_ir::{FuncId, InstKind, Module, Type, Value};
 use std::collections::HashMap;
 
 /// A fact about a function's parameters, indexed by parameter position.
@@ -64,6 +70,25 @@ pub enum ParamFact {
     },
 }
 
+impl ParamFact {
+    /// The fact as a Table 1 relation over the values `param` maps each
+    /// parameter position to: `(problem, u, v, c)` states `v ≤ u + c` in
+    /// the upper problem, `v ≥ u + c` in the lower one. The only code that
+    /// gives a fact its meaning.
+    pub(crate) fn relation(self, param: impl Fn(usize) -> Value) -> (Problem, Vertex, Vertex, i64) {
+        let value = |i| Vertex::Value(param(i));
+        let len = |i| Vertex::ArrayLen(param(i));
+        match self {
+            ParamFact::NonNegative { param } => (Problem::Lower, Vertex::Const(0), value(param), 0),
+            ParamFact::WithinBounds { param, array } => {
+                (Problem::Upper, len(array), value(param), -1)
+            }
+            ParamFact::AtMostLen { param, array } => (Problem::Upper, len(array), value(param), 0),
+            ParamFact::LenLe { a, b } => (Problem::Upper, len(b), len(a), 0),
+        }
+    }
+}
+
 /// The verified facts for every function in a module.
 #[derive(Clone, Debug, Default)]
 pub struct ModuleFacts {
@@ -84,46 +109,6 @@ impl ModuleFacts {
     /// Whether no facts survived.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Applies the facts of `func_id` as extra edges to a graph built for
-    /// that function (Table 1-shaped constraints on parameter vertices).
-    pub fn apply(&self, func_id: FuncId, func: &Function, graph: &mut InequalityGraph) {
-        apply_facts(self.of(func_id), func, graph);
-    }
-}
-
-/// Applies a fact slice to a graph (Table 1-shaped constraints on
-/// parameter vertices); see [`ModuleFacts::apply`].
-pub fn apply_facts(facts: &[ParamFact], func: &Function, graph: &mut InequalityGraph) {
-    for fact in facts {
-        match (*fact, graph.problem()) {
-            (ParamFact::NonNegative { param }, Problem::Lower) => {
-                graph.assume_fact(Vertex::Const(0), Vertex::Value(func.param(param)), 0);
-            }
-            (ParamFact::WithinBounds { param, array }, Problem::Upper) => {
-                graph.assume_fact(
-                    Vertex::ArrayLen(func.param(array)),
-                    Vertex::Value(func.param(param)),
-                    -1,
-                );
-            }
-            (ParamFact::AtMostLen { param, array }, Problem::Upper) => {
-                graph.assume_fact(
-                    Vertex::ArrayLen(func.param(array)),
-                    Vertex::Value(func.param(param)),
-                    0,
-                );
-            }
-            (ParamFact::LenLe { a, b }, Problem::Upper) => {
-                graph.assume_fact(
-                    Vertex::ArrayLen(func.param(b)),
-                    Vertex::ArrayLen(func.param(a)),
-                    0,
-                );
-            }
-            _ => {}
-        }
     }
 }
 
@@ -184,8 +169,7 @@ pub fn infer_param_facts(module: &Module) -> ModuleFacts {
     }
 
     // Fixpoint: drop any fact that fails verification at some call site.
-    let current = ModuleFacts { facts };
-    let mut current = current;
+    let mut current = ModuleFacts { facts };
     loop {
         let mut next = ModuleFacts::default();
         let mut dropped = false;
@@ -202,46 +186,25 @@ pub fn infer_param_facts(module: &Module) -> ModuleFacts {
                 }
                 let f = module.function(*caller);
                 log.record(f);
+                log.assume(current.of(*caller), f);
                 for problem in [Problem::Upper, Problem::Lower] {
                     let mut g = InequalityGraph::default();
                     g.fill(&log, problem, Scope::Function);
-                    current.apply(*caller, f, &mut g);
                     caller_graphs.insert((*caller, problem), g);
                 }
             }
         }
-        let graph_for = |caller: FuncId, problem: Problem| -> &InequalityGraph {
-            &caller_graphs[&(caller, problem)]
-        };
 
         for (callee, cand) in &current.facts {
-            let sites = call_sites.get(callee).cloned().unwrap_or_default();
+            let sites = call_sites.get(callee).map_or(&[][..], Vec::as_slice);
             let mut kept = Vec::new();
             'facts: for fact in cand {
-                for (caller, args) in &sites {
-                    let ok = match *fact {
-                        ParamFact::NonNegative { param } => {
-                            let g = graph_for(*caller, Problem::Lower);
-                            let mut p = DemandProver::new(g, Vertex::Const(0));
-                            p.demand_prove(Vertex::Value(args[param]), 0)
-                        }
-                        ParamFact::WithinBounds { param, array } => {
-                            let g = graph_for(*caller, Problem::Upper);
-                            let mut p = DemandProver::new(g, Vertex::ArrayLen(args[array]));
-                            p.demand_prove(Vertex::Value(args[param]), -1)
-                        }
-                        ParamFact::AtMostLen { param, array } => {
-                            let g = graph_for(*caller, Problem::Upper);
-                            let mut p = DemandProver::new(g, Vertex::ArrayLen(args[array]));
-                            p.demand_prove(Vertex::Value(args[param]), 0)
-                        }
-                        ParamFact::LenLe { a, b } => {
-                            let g = graph_for(*caller, Problem::Upper);
-                            let mut p = DemandProver::new(g, Vertex::ArrayLen(args[b]));
-                            p.demand_prove(Vertex::ArrayLen(args[a]), 0)
-                        }
-                    };
-                    if !ok {
+                for (caller, args) in sites {
+                    // The fact, stated over the actual arguments, proven in
+                    // the caller's graph of its problem.
+                    let (problem, u, v, c) = fact.relation(|i| args[i]);
+                    let graph = &caller_graphs[&(*caller, problem)];
+                    if !DemandProver::new(graph, u).demand_prove(v, c) {
                         dropped = true;
                         continue 'facts;
                     }

@@ -73,7 +73,9 @@ pub use cache::{AnalysisCache, CacheEntry, CacheKey, CacheStats};
 pub use driver::{clamp_jobs, Optimizer, OptimizerOptions};
 pub use exhaustive::ExhaustiveDistances;
 pub use faults::{ChaosPlan, ChaosSite, Fault, FaultPlan, CHAOS_SITES};
-pub use graph::{ConstraintLog, InEdge, InequalityGraph, Problem, Scope, Vertex, VertexId};
+pub use graph::{
+    ConstraintLog, InEdge, InequalityGraph, LoggedCheck, Problem, Scope, Vertex, VertexId,
+};
 pub use interproc::{infer_param_facts, ModuleFacts, ParamFact};
 pub use metrics::{module_metrics_json, FunctionMetrics, RunInfo};
 pub use pre::{apply_insertions, compensation_delta, merge_remaining_checks};

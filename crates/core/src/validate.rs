@@ -52,10 +52,12 @@ pub(crate) fn validate_function(
     }
 
     // Nothing below changes `func` until the reinstatements: one walk of
-    // the final IR, refilled without the suspect sites per iteration.
+    // the final IR, under the same parameter facts the analysis assumed,
+    // refilled without the suspect sites per iteration.
     let locations = func.inst_locations();
     let mut log = ConstraintLog::default();
     log.record(func);
+    log.assume(facts, func);
     let (mut upper, mut lower) = (InequalityGraph::default(), InequalityGraph::default());
     loop {
         let excluded: Vec<CheckSite> = pending_elim
@@ -65,8 +67,6 @@ pub(crate) fn validate_function(
             .collect();
         upper.fill(&log, Problem::Upper, Scope::Excluding(&excluded));
         lower.fill(&log, Problem::Lower, Scope::Excluding(&excluded));
-        crate::interproc::apply_facts(facts, func, &mut upper);
-        crate::interproc::apply_facts(facts, func, &mut lower);
         let graph_of = |problem| match problem {
             Problem::Upper => &upper,
             Problem::Lower => &lower,

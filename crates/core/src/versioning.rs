@@ -2,7 +2,7 @@
 //! runtime tests, the technique the paper lists as deliberately out of scope
 //! ("We do not perform any code duplication, such as generation of multiple
 //! versions of a loop or partitioning a loop iteration space into safe and
-//! unsafe regions [MMS98]").
+//! unsafe regions \[MMS98\]").
 //!
 //! For a function whose remaining checks would become provable under
 //! parameter facts (the same `p ≥ 0` / `p ≤ A.length − 1` /
@@ -21,15 +21,18 @@
 //!
 //! The facts guarding the fast path are minimized greedily, so a typical
 //! dispatcher tests one or two comparisons (e.g. `n <= a.length`), exactly
-//! the guard [MMS98]-style loop versioning would synthesize.
+//! the guard \[MMS98\]-style loop versioning would synthesize.
+//!
+//! Facts mean here what they mean to the interprocedural extension: one
+//! walk records the function's [`ConstraintLog`] (which also lists its
+//! remaining checks), each minimization trial assumes its facts as rows of
+//! that log and refills both graphs from it, and the dispatcher tests each
+//! fact's Table 1 relation on the actual arguments as one comparison.
 
 use crate::graph::{ConstraintLog, InequalityGraph, Problem, Scope, Vertex};
-use crate::interproc::{apply_facts, ParamFact};
+use crate::interproc::{candidate_facts, ParamFact};
 use crate::solver::DemandProver;
-use abcd_ir::{
-    Block, CheckKind, CmpOp, FuncId, Function, FunctionBuilder, InstId, InstKind, Module, Type,
-    Value,
-};
+use abcd_ir::{Block, CmpOp, FuncId, Function, FunctionBuilder, InstId, Module, Type, Value};
 use abcd_vm::Profile;
 
 /// Statistics from [`version_functions`].
@@ -110,54 +113,43 @@ type Plan = (Vec<ParamFact>, Vec<(Block, InstId)>);
 
 /// Decides whether versioning `func` pays.
 fn plan_for(func: &Function) -> Option<Plan> {
-    // Remaining checks.
-    let mut checks: Vec<(Block, InstId, Value, Value, CheckKind)> = Vec::new();
-    for b in func.blocks() {
-        for &id in func.block(b).insts() {
-            if let InstKind::BoundsCheck {
-                array, index, kind, ..
-            } = func.inst(id).kind
-            {
-                checks.push((b, id, array, index, kind));
-            }
-        }
-    }
-    if checks.is_empty() {
-        return None;
-    }
-
     // Candidate facts over the parameters (shared vocabulary with the
     // interprocedural extension; stronger facts first so minimization
     // prefers the weaker guard).
-    let candidates = crate::interproc::candidate_facts(func.param_types());
+    let candidates = candidate_facts(func.param_types());
     if candidates.is_empty() {
         return None;
     }
 
-    // One walk; every trial below refills its graphs from the log.
+    // One walk lists the remaining checks; every trial below assumes its
+    // facts in the log and refills the graphs from it.
     let mut log = ConstraintLog::default();
     log.record(func);
+    if log.checks().is_empty() {
+        return None;
+    }
     let (mut upper, mut lower) = (InequalityGraph::default(), InequalityGraph::default());
     let mut provable_under = |facts: &[ParamFact]| -> Vec<(Block, InstId)> {
+        log.assume(facts, func);
         upper.fill(&log, Problem::Upper, Scope::Function);
         lower.fill(&log, Problem::Lower, Scope::Function);
-        apply_facts(facts, func, &mut upper);
-        apply_facts(facts, func, &mut lower);
-        let mut out = Vec::new();
-        for (b, id, array, index, kind) in &checks {
-            let ok = Problem::of_check(*kind).iter().all(|&problem| {
-                let graph = match problem {
-                    Problem::Upper => &upper,
-                    Problem::Lower => &lower,
-                };
-                let (source, c) = problem.check_query(*array);
-                DemandProver::new(graph, source).demand_prove(Vertex::Value(*index), c)
-            });
-            if ok {
-                out.push((*b, *id));
-            }
-        }
-        out
+        let provable = |problem: &Problem, array, index| {
+            let graph = match problem {
+                Problem::Upper => &upper,
+                Problem::Lower => &lower,
+            };
+            let (source, c) = problem.check_query(array);
+            DemandProver::new(graph, source).demand_prove(Vertex::Value(index), c)
+        };
+        log.checks()
+            .iter()
+            .filter(|check| {
+                Problem::of_check(check.kind)
+                    .iter()
+                    .all(|problem| provable(problem, check.array, check.index))
+            })
+            .map(|check| (check.block, check.inst))
+            .collect()
     };
 
     let removable = provable_under(&candidates);
@@ -224,27 +216,24 @@ fn build_dispatcher(
     b.finish().expect("dispatcher verifies")
 }
 
-/// Emits the (side-effect-free) runtime test for one fact.
+/// Emits the (side-effect-free) runtime test for one fact: its relation
+/// `v ≤ u + c` (upper) / `v ≥ u + c` (lower) over the actual arguments, as
+/// one comparison of `v` against `u`.
 fn emit_fact_cond(b: &mut FunctionBuilder, fact: ParamFact, args: &[Value]) -> Value {
-    match fact {
-        ParamFact::NonNegative { param } => {
-            let zero = b.iconst(0);
-            b.compare(CmpOp::Ge, args[param], zero)
-        }
-        ParamFact::WithinBounds { param, array } => {
-            let len = b.array_len(args[array]);
-            b.compare(CmpOp::Lt, args[param], len)
-        }
-        ParamFact::AtMostLen { param, array } => {
-            let len = b.array_len(args[array]);
-            b.compare(CmpOp::Le, args[param], len)
-        }
-        ParamFact::LenLe { a, b: bigger } => {
-            let la = b.array_len(args[a]);
-            let lb = b.array_len(args[bigger]);
-            b.compare(CmpOp::Le, la, lb)
-        }
-    }
+    let (problem, u, v, c) = fact.relation(|i| args[i]);
+    let mut operand = |x| match x {
+        Vertex::Value(x) => x,
+        Vertex::ArrayLen(array) => b.array_len(array),
+        Vertex::Const(k) => b.iconst(k),
+    };
+    let (v, u) = (operand(v), operand(u));
+    let op = match (problem, c) {
+        (Problem::Upper, -1) => CmpOp::Lt,
+        (Problem::Upper, 0) => CmpOp::Le,
+        (Problem::Lower, 0) => CmpOp::Ge,
+        _ => unreachable!("no parameter fact has the offset {c} in {problem:?}"),
+    };
+    b.compare(op, v, u)
 }
 
 #[cfg(test)]
