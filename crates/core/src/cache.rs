@@ -19,7 +19,7 @@
 //!   `hot_threshold` is in force).
 //!
 //! The cached value is the *canonical printed optimized IR* plus the
-//! summary counters needed to reconstruct the [`FunctionReport`]. Replay
+//! summary counters needed to reconstruct the [`FunctionReport`](crate::FunctionReport). Replay
 //! never re-proves: the first hit parses; later hits clone the memoized
 //! function. Each in-memory slot keeps the [`Function`] parsed from its
 //! text (a disk load hands over the one its re-verification parsed), and

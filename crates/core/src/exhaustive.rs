@@ -204,7 +204,7 @@ impl ExhaustiveDistances {
     }
 
     /// Is `target − source ≤ c` implied? (The exhaustive analogue of
-    /// [`DemandProver::demand_prove`](crate::DemandProver::demand_prove).)
+    /// `DemandProver::demand_prove`.)
     pub fn proves(&self, graph: &InequalityGraph, target: Vertex, c: i64) -> bool {
         if target == self.source_vertex {
             return c >= 0;

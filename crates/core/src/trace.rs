@@ -5,7 +5,7 @@
 //!
 //! Tracing is **off by default** and enabling it never changes verdicts:
 //! the provers carry an `Option<Vec<ProveEvent>>` that stays `None` unless
-//! [`DemandProver::enable_trace`](crate::DemandProver::enable_trace) is
+//! `DemandProver::enable_trace` is
 //! called, so the disabled hot path is a single branch with no allocation.
 //! When enabled, each `demandProve` query records its traversal tree
 //! (vertex visits, memo hits, cycle detections, fuel exhaustion) as a flat
@@ -14,9 +14,8 @@
 //! lookups, ring-buffered per function in a [`FunctionTrace`].
 //!
 //! Per-function traces ride the driver's deterministic function-order
-//! merge (they live on the
-//! [`FunctionReport`](crate::report::FunctionReport)), so a parallel run
-//! emits the same trace as a sequential one.
+//! merge (they live on the [`FunctionReport`]), so a parallel run emits
+//! the same trace as a sequential one.
 //!
 //! # Schema (`abcd-trace/4`)
 //!
