@@ -9,10 +9,20 @@
 //!
 //! On a mismatch the test prints the recomputed file; after an intended
 //! change to the tables, replace the golden file with that output.
+//!
+//! A second test holds EXPERIMENTS.md to the golden: every number its E1–E4
+//! and A1 tables quote for this reproduction must be printed, digit for
+//! digit, somewhere in the golden, so a table change has to update the
+//! prose with it.
 
+use std::collections::HashSet;
 use std::process::Command;
 
 const GOLDEN: &str = include_str!("../../../tests/golden/experiments.txt");
+const EXPERIMENTS_MD: &str = include_str!("../../../EXPERIMENTS.md");
+
+/// The EXPERIMENTS.md sections whose tables quote the experiment binaries.
+const QUOTING_SECTIONS: [&str; 5] = ["## E1 ", "## E2 ", "## E3 ", "## E4 ", "## A1 "];
 
 /// The experiment binaries, in the golden's order.
 const BINARIES: [(&str, &str); 5] = [
@@ -72,4 +82,92 @@ fn experiment_tables_match_the_golden() {
             "golden line count"
         );
     }
+}
+
+/// The numbers in `text`, thousands separators stripped. A number starts
+/// at a digit that follows no letter, digit, `.` or `§`, so identifiers
+/// (`E1`, `MMS98`, `x86`) and section references (`§7.2`) are not numbers.
+fn numbers(text: &str) -> Vec<String> {
+    let chars: Vec<char> = text.chars().collect();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        let starts = chars[i].is_ascii_digit()
+            && (i == 0 || !(chars[i - 1].is_alphanumeric() || matches!(chars[i - 1], '.' | '§')));
+        if !starts {
+            i += 1;
+            continue;
+        }
+        let mut number = String::new();
+        while i < chars.len() {
+            let c = chars[i];
+            let digit_at = |k: usize| chars.get(k).is_some_and(char::is_ascii_digit);
+            if c.is_ascii_digit() {
+                number.push(c);
+            } else if c == ',' && (1..=3).all(|k| digit_at(i + k)) && !digit_at(i + 4) {
+                // A thousands separator: dropped.
+            } else if c == '.' && digit_at(i + 1) && !number.contains('.') {
+                number.push(c);
+            } else {
+                break;
+            }
+            i += 1;
+        }
+        out.push(number);
+    }
+    out
+}
+
+/// Is this table cell a wall-time measurement (µs or ms)? Those vary
+/// with the host and are not in the golden.
+fn is_timing(cell: &str) -> bool {
+    cell.contains("µs")
+        || cell
+            .split(|c: char| !c.is_alphanumeric())
+            .any(|w| w == "ms")
+}
+
+/// The reproduction cell (the last column) of every table row in the E1–E4
+/// and A1 sections, minus inline code spans.
+fn quoted_cells() -> Vec<String> {
+    let mut cells = Vec::new();
+    let mut quoting = false;
+    for line in EXPERIMENTS_MD.lines() {
+        if line.starts_with("## ") {
+            quoting = QUOTING_SECTIONS.iter().any(|s| line.starts_with(s));
+            continue;
+        }
+        let Some(row) = line.strip_prefix('|').and_then(|r| r.strip_suffix('|')) else {
+            continue;
+        };
+        let cell = row.rsplit('|').next().unwrap_or_default();
+        if !quoting || cell.trim_start().starts_with("---") || is_timing(cell) {
+            continue;
+        }
+        // Drop `code` spans: file paths and expressions, not quotes.
+        let cell: String = cell.split('`').step_by(2).collect();
+        cells.push(cell);
+    }
+    cells
+}
+
+#[test]
+fn experiments_md_quotes_only_numbers_the_golden_prints() {
+    let printed: HashSet<String> = numbers(GOLDEN).into_iter().collect();
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for cell in quoted_cells() {
+        for number in numbers(&cell) {
+            checked += 1;
+            if !printed.contains(&number) {
+                missing.push(format!("{number} in `{}`", cell.trim()));
+            }
+        }
+    }
+    assert!(checked >= 50, "only {checked} quoted numbers found");
+    assert!(
+        missing.is_empty(),
+        "EXPERIMENTS.md quotes numbers the experiment golden does not print:\n{}",
+        missing.join("\n")
+    );
 }
