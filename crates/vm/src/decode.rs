@@ -1,16 +1,30 @@
 //! The decoded form the interpreter runs on.
 //!
 //! The first time a [`Vm`](crate::Vm) enters a function it appends the
-//! function to one flat op array: every instruction becomes one [`Op`]
-//! whose operands are `u32` register indices (a value's register is its
-//! index) and whose cycle cost [`CostModel::cost_of`] has already priced,
-//! and every block ends in one terminator op. A φ decodes to a no-op that
-//! only counts: its value travels on the CFG edge instead, as one move of
-//! the parallel move list that the edge's jump or branch carries.
+//! function to one flat op array. Only instructions that compute
+//! something become ops; their operands are `u32` register indices (a
+//! value's register is its index) and every block ends in one terminator
+//! op. Two kinds of instruction compute nothing at run time and get no op:
+//!
+//! * a φ, whose value travels on the CFG edge instead, as one move of the
+//!   parallel move list that the edge's jump or branch carries;
+//! * a π or copy whose operand chain ends in a value that is not itself a
+//!   π or copy. SSA makes such an instruction a pure rename, so its
+//!   register becomes an *alias*: every operand that names it names the
+//!   end of the chain instead.
+//!
+//! These *folded* instructions still execute as far as [`ExecStats`] and
+//! the step budget can tell. The op that follows them in their block (the
+//! terminator, if none does) carries a `weight`: its own instruction
+//! (none for a terminator) plus the folded ones just before it, and its
+//! `cost` is the sum of their cycle costs as [`CostModel::cost_of`] priced
+//! them. The interpreter charges both at once; `first` lets its cold path
+//! replay the run one instruction at a time when the step budget runs out
+//! inside it.
 //!
 //! Everything an op refers to by position lives in one `u32` side table:
-//! per function its block start table, per call its argument list and per
-//! CFG edge an edge record,
+//! per function its alias table and its block start table, per call its
+//! argument list and per CFG edge an edge record,
 //!
 //! ```text
 //! [target pc, target block, edge counter slot, head, (dst, src)*]
@@ -19,13 +33,17 @@
 //! whose `head` is the number of moves, with [`STAGED`] set when a move
 //! reads a register an earlier move of the list writes (the list then
 //! runs through staging registers, keeping its parallel semantics), or
-//! [`FAULTY`] when some φ of the target has no argument for the edge.
+//! [`FAULTY`] when some φ of the target has no argument for the edge; a
+//! faulty record ends in the index of the function's alias table instead
+//! of moves.
 //!
 //! Malformed IR decodes without complaint, to ops that fail only if
 //! executed: an unterminated block ends in [`Fault::MissingTerminator`],
 //! a function whose entry block starts with a φ enters through
-//! [`Fault::PhiInEntry`], and a [`FAULTY`] edge replays the φ lookup that
-//! finds the missing argument.
+//! [`Fault::PhiInEntry`], a [`FAULTY`] edge replays the φ lookup that
+//! finds the missing argument, and a cycle of copies keeps its ops.
+//!
+//! [`ExecStats`]: crate::ExecStats
 
 use crate::cost::CostModel;
 use abcd_ir::{
@@ -58,8 +76,6 @@ pub(crate) enum Fault {
 /// One decoded operation.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum OpKind {
-    /// A φ: its value arrived with the edge's moves.
-    Phi,
     Const {
         dst: Reg,
         val: i64,
@@ -126,7 +142,7 @@ pub(crate) enum OpKind {
         index: Reg,
         kind: CheckKind,
     },
-    /// A π or a copy.
+    /// A π or a copy whose operand chain cycles, so it has no alias.
     Copy {
         dst: Reg,
         src: Reg,
@@ -164,12 +180,18 @@ pub(crate) enum OpKind {
     Fail(Fault),
 }
 
-/// An op and, for an instruction, its precomputed cycle cost
-/// (terminators cost nothing and are not counted).
+/// An op and what executing it charges.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Op {
     pub(crate) kind: OpKind,
+    /// Model cycles of the instructions the op stands for.
     pub(crate) cost: u64,
+    /// Instructions the op stands for: its own (none for a terminator)
+    /// plus the folded ones just before it.
+    pub(crate) weight: u32,
+    /// When `weight` is not 0, the first of those instructions, as its
+    /// ordinal in the function's instructions taken in block order.
+    pub(crate) first: u32,
 }
 
 /// What a frame needs to know about a decoded function.
@@ -201,6 +223,69 @@ fn index(i: usize) -> u32 {
     u32::try_from(i).expect("decoded code exceeds u32 indices")
 }
 
+/// Where a function's alias table starts in the side table, and how many
+/// values it covers. Entry `v` of the table is the register that holds
+/// value `v`: the end of `v`'s π/copy chain, `v` itself for every other
+/// value.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Aliases {
+    at: usize,
+    len: usize,
+}
+
+impl Aliases {
+    /// The alias table of `func` at side-table index `at`.
+    pub(crate) fn new(at: usize, func: &Function) -> Aliases {
+        Aliases {
+            at,
+            len: func.value_count(),
+        }
+    }
+
+    /// The register that holds `v` (out-of-range values of malformed IR
+    /// keep their index).
+    pub(crate) fn reg(self, side: &[u32], v: Value) -> Reg {
+        if v.index() < self.len {
+            side[self.at + v.index()]
+        } else {
+            reg(v)
+        }
+    }
+}
+
+/// Returns the end of `v`'s chain in `table`, where `table[x] == x` ends a
+/// chain and any other entry is the operand of a π or copy, and points
+/// every entry on the way straight at that end. Each member of a cycle
+/// (malformed IR) is made the end of its own chain, so its op stays.
+fn resolve(table: &mut [u32], v: usize) -> u32 {
+    let mut end = v;
+    let mut hops = 0;
+    while table[end] as usize != end {
+        end = table[end] as usize;
+        hops += 1;
+        if hops > table.len() {
+            // More hops than entries: `end` lies on a cycle.
+            let start = end;
+            loop {
+                let next = table[end] as usize;
+                table[end] = index(end);
+                end = next;
+                if end == start {
+                    break;
+                }
+            }
+            return resolve(table, v);
+        }
+    }
+    let mut x = v;
+    while x != end {
+        let next = table[x] as usize;
+        table[x] = index(end);
+        x = next;
+    }
+    index(end)
+}
+
 impl Code {
     /// Function `id`, decoded on its first entry.
     pub(crate) fn enter(&mut self, module: &Module, cost: &CostModel, id: FuncId) -> Decoded {
@@ -222,10 +307,9 @@ impl Code {
             .first()
             .is_some_and(|&id| matches!(func.inst(id).kind, InstKind::Phi { .. }));
         // Both buffers grow by at most one allocation per function.
-        let (mut ops, mut side) = (usize::from(phi_in_entry), func.block_count());
+        let mut side = func.value_count() + func.block_count();
         for b in func.blocks() {
             let block = func.block(b);
-            ops += block.insts().len() + 1;
             for &id in block.insts() {
                 if let InstKind::Call { args, .. } = &func.inst(id).kind {
                     side += 1 + args.len();
@@ -239,7 +323,7 @@ impl Code {
                         .take_while(|&&id| matches!(func.inst(id).kind, InstKind::Phi { .. }))
                         .count()
                 });
-                side += 4 + 2 * phis.unwrap_or(0);
+                side += 5 + 2 * phis.unwrap_or(0);
             };
             match block.terminator_opt() {
                 Some(Terminator::Jump(to)) => edge(to),
@@ -252,56 +336,81 @@ impl Code {
                 _ => {}
             }
         }
-        self.ops.reserve(ops);
         self.side.reserve(side);
-        // Block start table: each block is its instructions plus one
-        // terminator, so every start is known before any edge is decoded.
+        let aliases = self.aliases(func);
+        // Block start table: each block is its unfolded instructions plus
+        // one terminator, so every start is known before any edge is
+        // decoded.
         let starts = self.side.len();
         let base = self.ops.len() + usize::from(phi_in_entry);
         let mut pc = base;
         for b in func.blocks() {
             self.side.push(index(pc));
-            pc += func.block(b).insts().len() + 1;
+            let insts = func.block(b).insts();
+            pc += 1 + insts
+                .iter()
+                .filter(|&&id| !self.folds(aliases, func, id))
+                .count();
         }
+        self.ops.reserve(pc - self.ops.len());
         let entry = if phi_in_entry {
             self.ops.push(Op {
                 kind: OpKind::Fail(Fault::PhiInEntry),
                 cost: 0,
+                weight: 0,
+                first: 0,
             });
             base - 1
         } else {
             self.side[starts + func.entry().index()] as usize
         };
         let discard = index(func.value_count());
+        let mut ordinal = 0;
         for b in func.blocks() {
+            // The folded run so far: instruction count and cycles.
+            let (mut weight, mut cycles) = (0, 0u64);
             for &id in func.block(b).insts() {
                 let inst = func.inst(id);
+                weight += 1;
+                cycles = cycles.saturating_add(cost.cost_of(&inst.kind));
+                ordinal += 1;
+                if self.folds(aliases, func, id) {
+                    continue;
+                }
                 let dst = inst.result.map_or(discard, reg);
-                let kind = self.decode_inst(&inst.kind, dst, id);
+                let kind = self.decode_inst(aliases, &inst.kind, dst, id);
                 self.ops.push(Op {
                     kind,
-                    cost: cost.cost_of(&inst.kind),
+                    cost: cycles,
+                    weight,
+                    first: ordinal - weight,
                 });
+                (weight, cycles) = (0, 0);
             }
             let kind = match func.block(b).terminator_opt() {
                 None => OpKind::Fail(Fault::MissingTerminator),
                 Some(Terminator::Jump(to)) => OpKind::Jump {
-                    edge: self.edge(func, starts, b, *to, 0),
+                    edge: self.edge(func, aliases, starts, b, *to, 0),
                 },
                 Some(Terminator::Branch {
                     cond,
                     then_dst,
                     else_dst,
                 }) => OpKind::Branch {
-                    cond: reg(*cond),
-                    then_edge: self.edge(func, starts, b, *then_dst, 0),
-                    else_edge: self.edge(func, starts, b, *else_dst, 1),
+                    cond: aliases.reg(&self.side, *cond),
+                    then_edge: self.edge(func, aliases, starts, b, *then_dst, 0),
+                    else_edge: self.edge(func, aliases, starts, b, *else_dst, 1),
                 },
                 Some(Terminator::Return(v)) => OpKind::Return {
-                    value: v.map_or(NO_REG, reg),
+                    value: v.map_or(NO_REG, |v| aliases.reg(&self.side, v)),
                 },
             };
-            self.ops.push(Op { kind, cost: 0 });
+            self.ops.push(Op {
+                kind,
+                cost: cycles,
+                weight,
+                first: ordinal - weight,
+            });
         }
         debug_assert_eq!(self.ops.len(), pc);
         Decoded {
@@ -313,55 +422,86 @@ impl Code {
         }
     }
 
-    fn decode_inst(&mut self, kind: &InstKind, dst: Reg, id: InstId) -> OpKind {
+    /// Appends `func`'s alias table.
+    fn aliases(&mut self, func: &Function) -> Aliases {
+        let aliases = Aliases::new(self.side.len(), func);
+        self.side.extend((0..aliases.len).map(index));
+        let table = &mut self.side[aliases.at..];
+        for b in func.blocks() {
+            for &id in func.block(b).insts() {
+                let inst = func.inst(id);
+                if let (InstKind::Pi { input: src, .. } | InstKind::Copy { arg: src }, Some(dst)) =
+                    (&inst.kind, inst.result)
+                {
+                    if src.index() < table.len() {
+                        table[dst.index()] = reg(*src);
+                    }
+                }
+            }
+        }
+        for v in 0..table.len() {
+            resolve(table, v);
+        }
+        aliases
+    }
+
+    /// Does instruction `id` get no op of its own: is it a φ, or a π or
+    /// copy whose register is an alias?
+    fn folds(&self, aliases: Aliases, func: &Function, id: InstId) -> bool {
+        let inst = func.inst(id);
+        match inst.kind {
+            InstKind::Phi { .. } => true,
+            InstKind::Pi { .. } | InstKind::Copy { .. } => inst
+                .result
+                .is_some_and(|v| aliases.reg(&self.side, v) != reg(v)),
+            _ => false,
+        }
+    }
+
+    fn decode_inst(&mut self, aliases: Aliases, kind: &InstKind, dst: Reg, id: InstId) -> OpKind {
+        let reg = |v: &Value| aliases.reg(&self.side, *v);
         match kind {
-            InstKind::Phi { .. } => OpKind::Phi,
+            InstKind::Phi { .. } => unreachable!("φs fold"),
             InstKind::Const(val) => OpKind::Const { dst, val: *val },
             InstKind::BoolConst(val) => OpKind::BoolConst { dst, val: *val },
             InstKind::Unary { op, arg } => match op {
-                UnOp::Neg => OpKind::Neg {
-                    dst,
-                    arg: reg(*arg),
-                },
-                UnOp::Not => OpKind::Not {
-                    dst,
-                    arg: reg(*arg),
-                },
+                UnOp::Neg => OpKind::Neg { dst, arg: reg(arg) },
+                UnOp::Not => OpKind::Not { dst, arg: reg(arg) },
             },
             InstKind::Binary { op, lhs, rhs } => OpKind::Binary {
                 op: *op,
                 dst,
-                lhs: reg(*lhs),
-                rhs: reg(*rhs),
+                lhs: reg(lhs),
+                rhs: reg(rhs),
             },
             InstKind::Compare { op, lhs, rhs } => OpKind::Compare {
                 op: *op,
                 dst,
-                lhs: reg(*lhs),
-                rhs: reg(*rhs),
+                lhs: reg(lhs),
+                rhs: reg(rhs),
             },
             InstKind::NewArray { len, .. } => OpKind::NewArray {
                 dst,
-                len: reg(*len),
+                len: reg(len),
                 inst: id,
             },
             InstKind::ArrayLen { array } => OpKind::ArrayLen {
                 dst,
-                array: reg(*array),
+                array: reg(array),
             },
             InstKind::Load { array, index } => OpKind::Load {
                 dst,
-                array: reg(*array),
-                index: reg(*index),
+                array: reg(array),
+                index: reg(index),
             },
             InstKind::Store {
                 array,
                 index,
                 value,
             } => OpKind::Store {
-                array: reg(*array),
-                index: reg(*index),
-                value: reg(*value),
+                array: reg(array),
+                index: reg(index),
+                value: reg(value),
             },
             InstKind::BoundsCheck {
                 site,
@@ -370,8 +510,8 @@ impl Code {
                 kind,
             } => OpKind::BoundsCheck {
                 site: *site,
-                array: reg(*array),
-                index: reg(*index),
+                array: reg(array),
+                index: reg(index),
                 kind: *kind,
             },
             InstKind::SpecCheck {
@@ -381,8 +521,8 @@ impl Code {
                 kind,
             } => OpKind::SpecCheck {
                 site: *site,
-                array: reg(*array),
-                index: reg(*index),
+                array: reg(array),
+                index: reg(index),
                 kind: *kind,
             },
             InstKind::TrapIfFlagged {
@@ -392,39 +532,49 @@ impl Code {
                 kind,
             } => OpKind::TrapIfFlagged {
                 site: *site,
-                array: reg(*array),
-                index: reg(*index),
+                array: reg(array),
+                index: reg(index),
                 kind: *kind,
             },
-            InstKind::Pi { input: src, .. } | InstKind::Copy { arg: src } => OpKind::Copy {
-                dst,
-                src: reg(*src),
-            },
+            InstKind::Pi { input: src, .. } | InstKind::Copy { arg: src } => {
+                OpKind::Copy { dst, src: reg(src) }
+            }
             InstKind::Call { func, args } => {
                 let at = index(self.side.len());
                 self.side.push(index(args.len()));
-                self.side.extend(args.iter().map(|&a| reg(a)));
+                for &a in args {
+                    let r = aliases.reg(&self.side, a);
+                    self.side.push(r);
+                }
                 OpKind::Call {
                     dst,
                     callee: index(func.index()),
                     args: at,
                 }
             }
-            InstKind::Output { arg } => OpKind::Output { arg: reg(*arg) },
+            InstKind::Output { arg } => OpKind::Output { arg: reg(arg) },
             InstKind::GetLocal { local } => OpKind::GetLocal {
                 dst,
                 local: index(local.index()),
             },
             InstKind::SetLocal { local, value } => OpKind::SetLocal {
                 local: index(local.index()),
-                value: reg(*value),
+                value: reg(value),
             },
         }
     }
 
     /// Appends the record of edge `from → to`, `from`'s successor `slot`,
     /// and returns its side-table index.
-    fn edge(&mut self, func: &Function, starts: usize, from: Block, to: Block, slot: usize) -> u32 {
+    fn edge(
+        &mut self,
+        func: &Function,
+        aliases: Aliases,
+        starts: usize,
+        from: Block,
+        to: Block,
+        slot: usize,
+    ) -> u32 {
         let at = self.side.len();
         let known = to.index() < func.block_count();
         let pc = if known {
@@ -436,6 +586,7 @@ impl Code {
             .extend([pc, index(to.index()), index(2 * from.index() + slot), 0]);
         if !known {
             self.side[at + 3] = FAULTY;
+            self.side.push(index(aliases.at));
             return index(at);
         }
         let mut head = 0;
@@ -449,7 +600,7 @@ impl Code {
                 head = FAULTY;
                 break;
             };
-            let src = reg(src);
+            let src = aliases.reg(&self.side, src);
             if self.side[at + 4..].chunks_exact(2).any(|m| m[0] == src) {
                 head |= STAGED;
             }
@@ -458,6 +609,7 @@ impl Code {
         }
         if head == FAULTY {
             self.side.truncate(at + 4);
+            self.side.push(index(aliases.at));
         }
         self.side[at + 3] = head;
         index(at)

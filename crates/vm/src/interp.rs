@@ -7,8 +7,14 @@
 //! It runs on the decoded form of the `decode` module, not on the
 //! `Function` arena: the first time a function is entered it is decoded,
 //! once per `Vm`, into ops with resolved registers and precomputed cycle
-//! costs, and φs into parallel move lists on the CFG edges, which a jump
-//! or branch runs as it transfers. Decoding is lazy because a caller may
+//! costs. Only instructions that compute something are dispatched: φs
+//! become parallel move lists on the CFG edges, which a jump or branch
+//! runs as it transfers, and πs and copies become register aliases. Each
+//! op charges its *weight*, its own instruction plus the folded ones
+//! before it, so [`ExecStats`], the step budget and the profile read as if
+//! every instruction ran on its own; when the budget runs out inside a
+//! folded run, a cold path charges the run one instruction at a time and
+//! traps where the budget does. Decoding is lazy because a caller may
 //! build a fresh `Vm` per call over a large module and enter only a few of
 //! its functions.
 //!
@@ -21,11 +27,11 @@
 //! the hashed [`Profile`] once, when the top-level call returns or traps.
 
 use crate::cost::CostModel;
-use crate::decode::{Code, Decoded, Fault, OpKind, Reg, FAULTY, NO_REG, STAGED};
+use crate::decode::{Aliases, Code, Decoded, Fault, OpKind, Reg, FAULTY, NO_REG, STAGED};
 use crate::profile::{Counters, Profile, Slots};
 use crate::trap::{Trap, TrapKind};
 use crate::value::{Heap, RtVal, MAX_ARRAY_LEN};
-use abcd_ir::{Block, CheckKind, FuncId, Function, InstKind, Module};
+use abcd_ir::{Block, CheckKind, FuncId, Function, InstKind, Module, Value};
 
 /// Interpreter configuration.
 #[derive(Clone, Copy, Debug)]
@@ -212,7 +218,8 @@ impl Stack {
         if head == FAULTY {
             let from = Block::new(side[at + 2] as usize / 2);
             let to = Block::new(side[at + 1] as usize);
-            phi_fault(func, &self.regs[base..], from, to);
+            let reg = |v| Aliases::new(side[at + 4] as usize, func).reg(side, v);
+            phi_fault(func, &self.regs[base..], reg, from, to);
         }
         let n = (head & !STAGED) as usize;
         let moves = side[at + 4..at + 4 + 2 * n].chunks_exact(2);
@@ -238,10 +245,17 @@ impl Stack {
     }
 }
 
-/// Panics as evaluating the φs of `to` on entry from `from` does: the edge
-/// decoded as [`FAULTY`] because one of them has no argument for it.
+/// Panics as evaluating the φs of `to` on entry from `from` does, reading
+/// each argument from the register `reg` names for it: the edge decoded
+/// as [`FAULTY`] because one of them has no argument for it.
 #[cold]
-fn phi_fault(func: &Function, regs: &[Option<RtVal>], from: Block, to: Block) -> ! {
+fn phi_fault(
+    func: &Function,
+    regs: &[Option<RtVal>],
+    reg: impl Fn(Value) -> Reg,
+    from: Block,
+    to: Block,
+) -> ! {
     for &id in func.block(to).insts() {
         let inst = func.inst(id);
         let InstKind::Phi { args } = &inst.kind else {
@@ -251,7 +265,7 @@ fn phi_fault(func: &Function, regs: &[Option<RtVal>], from: Block, to: Block) ->
             .iter()
             .find(|(p, _)| *p == from)
             .unwrap_or_else(|| panic!("phi {id} lacks arg for pred {from}"));
-        regs[v.index()].expect("phi argument unset");
+        regs[reg(*v) as usize].expect("phi argument unset");
         inst.result.expect("phi result");
     }
     unreachable!("edge {from} -> {to} decoded as faulty, yet every phi has an argument")
@@ -448,21 +462,22 @@ impl<'m> Vm<'m> {
         loop {
             let op = code.ops[fr.pc];
             fr.pc += 1;
-            // Every op but a terminator is one instruction execution.
+            // Charges the instructions the op stands for, its own and the
+            // folded ones before it; a budget too small for all of them
+            // replays them one at a time.
             macro_rules! step {
                 () => {
-                    stats.insts += 1;
-                    stats.cycles = stats.cycles.saturating_add(op.cost);
-                    if *steps_left == 0 {
+                    let weight = u64::from(op.weight);
+                    if *steps_left < weight {
+                        out_of_steps(func, &options.cost, op.first, steps_left, stats);
                         return Err(trap(TrapKind::StepLimitExceeded, fr.func));
                     }
-                    *steps_left -= 1;
+                    *steps_left -= weight;
+                    stats.insts += weight;
+                    stats.cycles = stats.cycles.saturating_add(op.cost);
                 };
             }
             match op.kind {
-                OpKind::Phi => {
-                    step!();
-                }
                 OpKind::Const { dst, val } => {
                     step!();
                     set!(dst, RtVal::Int(val));
@@ -655,12 +670,16 @@ impl<'m> Vm<'m> {
                     step!();
                     stack.locals[fr.locals + local as usize] = Some(get!(value));
                 }
-                OpKind::Jump { edge } => transfer!(edge),
+                OpKind::Jump { edge } => {
+                    step!();
+                    transfer!(edge)
+                }
                 OpKind::Branch {
                     cond,
                     then_edge,
                     else_edge,
                 } => {
+                    step!();
                     if get!(cond, "branch cond unset").as_bool() {
                         transfer!(then_edge)
                     } else {
@@ -668,6 +687,7 @@ impl<'m> Vm<'m> {
                     }
                 }
                 OpKind::Return { value } => {
+                    step!();
                     let out = (value != NO_REG).then(|| get!(value, "return value unset"));
                     stack.close(&fr);
                     let Some(caller) = stack.frames.pop() else {
@@ -683,10 +703,42 @@ impl<'m> Vm<'m> {
                     }
                 }
                 OpKind::Fail(Fault::PhiInEntry) => panic!("phi in entry block"),
-                OpKind::Fail(Fault::MissingTerminator) => panic!("block missing terminator"),
+                OpKind::Fail(Fault::MissingTerminator) => {
+                    step!();
+                    panic!("block missing terminator")
+                }
             }
         }
     }
+}
+
+/// Charges the instructions of `func` from ordinal `first` on (counted in
+/// block order) one at a time, as far as the step budget `left` pays for
+/// them plus the one that exceeds it, and empties the budget.
+#[cold]
+fn out_of_steps(
+    func: &Function,
+    cost: &CostModel,
+    first: u32,
+    left: &mut u64,
+    stats: &mut ExecStats,
+) {
+    let mut at = first as usize;
+    for b in func.blocks() {
+        let insts = func.block(b).insts();
+        if at < insts.len() {
+            for &id in &insts[at..=at + *left as usize] {
+                stats.insts += 1;
+                stats.cycles = stats
+                    .cycles
+                    .saturating_add(cost.cost_of(&func.inst(id).kind));
+            }
+            *left = 0;
+            return;
+        }
+        at -= insts.len();
+    }
+    unreachable!("a folded run lies in its function")
 }
 
 /// Does `index` violate `kind` for an array of length `len`?
@@ -701,7 +753,8 @@ fn violates(kind: CheckKind, index: i64, len: i64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abcd_ir::{BinOp, CheckSite, CmpOp, FunctionBuilder, Terminator, Type};
+    use crate::decode::Op;
+    use abcd_ir::{BinOp, CheckSite, CmpOp, FunctionBuilder, PiGuard, Terminator, Type};
 
     /// sum(a) with full checks, in locals form.
     fn checked_sum_module() -> Module {
@@ -963,6 +1016,248 @@ mod tests {
             let mut vm = Vm::new(&m);
             let r = vm.call_by_name("swap", &[RtVal::Int(n)]).unwrap();
             assert_eq!(r, Some(RtVal::Int(expected)), "n={n}");
+        }
+    }
+
+    /// `f(a)`: the entry block makes two constants and jumps to a block of
+    /// φ, φ, π, π-of-π, copy, an upper bounds check on `a`, a copy and a
+    /// `return`. Every instruction of that block but the check folds, into
+    /// the check or into the `return`.
+    fn folded_block_module() -> Module {
+        let mut b = FunctionBuilder::new("f", vec![Type::array_of(Type::Int)], Some(Type::Int));
+        let a = b.param(0);
+        let (zero, one) = (b.iconst(0), b.iconst(1));
+        let entry = b.current_block();
+        let body = b.new_block();
+        b.jump(body);
+        b.switch_to_block(body);
+        let x = b.phi(vec![(entry, zero)]);
+        let y = b.phi(vec![(entry, one)]);
+        let site = CheckSite::new(0);
+        let guard = PiGuard::Check {
+            site,
+            array: a,
+            kind: CheckKind::Upper,
+        };
+        let p = b.pi(x, guard.clone());
+        let q = b.pi(p, guard);
+        let c = b.copy(q);
+        b.bounds_check(a, c, CheckKind::Upper);
+        let r = b.copy(y);
+        b.ret(Some(r));
+        let mut m = Module::new();
+        m.add_function(b.finish_unverified());
+        m
+    }
+
+    /// The first function of `m`, decoded.
+    fn decoded(m: &Module) -> Code {
+        let mut code = Code::default();
+        code.enter(m, &CostModel::default(), FuncId::new(0));
+        code
+    }
+
+    /// The ops of `code`, one list per block (each ends in its terminator).
+    fn block_ops(code: &Code) -> Vec<Vec<Op>> {
+        let mut blocks = vec![Vec::new()];
+        for op in &code.ops {
+            blocks.last_mut().unwrap().push(*op);
+            if matches!(
+                op.kind,
+                OpKind::Jump { .. }
+                    | OpKind::Branch { .. }
+                    | OpKind::Return { .. }
+                    | OpKind::Fail(_)
+            ) {
+                blocks.push(Vec::new());
+            }
+        }
+        blocks.pop();
+        blocks
+    }
+
+    #[test]
+    fn a_folded_block_decodes_to_its_check_and_terminator() {
+        let m = folded_block_module();
+        let blocks = block_ops(&decoded(&m));
+        let weights: Vec<Vec<u32>> = blocks
+            .iter()
+            .map(|ops| ops.iter().map(|op| op.weight).collect())
+            .collect();
+        // Entry: two constants and the jump; body: the check carries the
+        // φ, φ, π, π and copy before it, the `return` the copy before it.
+        assert_eq!(weights, [vec![1, 1, 0], vec![6, 1]]);
+        assert!(matches!(blocks[1][0].kind, OpKind::BoundsCheck { .. }));
+        // φ 1 + φ 1 + π 0 + π 0 + copy 1 + upper check 2.
+        assert_eq!(blocks[1][0].cost, 5);
+    }
+
+    #[test]
+    fn step_limits_inside_folded_runs_trap_as_one_instruction_at_a_time() {
+        let m = folded_block_module();
+        let f = FuncId::new(0);
+        let func = m.function(f);
+        let (entry, body) = (Block::new(0), Block::new(1));
+        // The instructions as they execute, one at a time.
+        let run: Vec<&InstKind> = [entry, body]
+            .iter()
+            .flat_map(|&b| func.block(b).insts())
+            .map(|&id| &func.inst(id).kind)
+            .collect();
+        let cost = CostModel::default();
+        let check_at = run
+            .iter()
+            .position(|k| matches!(k, InstKind::BoundsCheck { .. }))
+            .unwrap();
+        let entry_len = func.block(entry).insts().len();
+        for limit in 0..=run.len() as u64 + 1 {
+            // A budget of `limit` instructions lets that many run; the next
+            // one traps, counted.
+            let executed = (limit as usize + 1).min(run.len());
+            let expected = ExecStats {
+                insts: executed as u64,
+                cycles: run[..executed].iter().map(|k| cost.cost_of(k)).sum(),
+                checks: [0, u64::from(limit as usize > check_at), 0],
+                ..ExecStats::default()
+            };
+            let mut vm = Vm::with_options(
+                &m,
+                VmOptions {
+                    step_limit: limit,
+                    ..VmOptions::default()
+                },
+            );
+            let arr = vm.alloc_int_array(&[7]);
+            let out = vm.call(f, &[arr]);
+            if (limit as usize) < run.len() {
+                let trap = out.unwrap_err();
+                assert_eq!(trap.kind, TrapKind::StepLimitExceeded, "limit {limit}");
+                assert_eq!(trap.func, f);
+            } else {
+                assert_eq!(out.unwrap(), Some(RtVal::Int(1)), "limit {limit}");
+            }
+            assert_eq!(vm.stats(), &expected, "limit {limit}");
+            let entered = u64::from(limit as usize >= entry_len);
+            let profile = vm.profile();
+            assert_eq!(profile.block_count(f, entry), 1);
+            assert_eq!(profile.block_count(f, body), entered, "limit {limit}");
+            assert_eq!(profile.edge_count(f, entry, body), entered);
+            assert_eq!(
+                profile.site_count(f, CheckSite::new(0)),
+                expected.checks[1],
+                "limit {limit}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_back_edge_move_reading_an_aliased_pi_still_assigns_in_parallel() {
+        // swap(n) as in the test above, but the back edge carries πs of the
+        // two φs: `a <- π(b), b <- π(a)`. The πs alias `b` and `a`, so the
+        // moves read registers an earlier move writes.
+        let mut b = FunctionBuilder::new("swap", vec![Type::Int], Some(Type::Int));
+        let n = b.param(0);
+        let (x, y, zero) = (b.iconst(1), b.iconst(2), b.iconst(0));
+        let entry = b.current_block();
+        let (head, body, exit) = (b.new_block(), b.new_block(), b.new_block());
+        b.jump(head);
+        b.switch_to_block(head);
+        let a = b.phi(vec![(entry, x)]);
+        let bv = b.phi(vec![(entry, y)]);
+        let i = b.phi(vec![(entry, zero)]);
+        let c = b.compare(CmpOp::Lt, i, n);
+        b.branch(c, body, exit);
+        b.switch_to_block(body);
+        let taken = PiGuard::Branch {
+            block: head,
+            taken: true,
+        };
+        let (pa, pb) = (b.pi(a, taken.clone()), b.pi(bv, taken));
+        let one = b.iconst(1);
+        let i1 = b.binary(BinOp::Add, i, one);
+        b.jump(head);
+        b.switch_to_block(exit);
+        let ten = b.iconst(10);
+        let t = b.binary(BinOp::Mul, a, ten);
+        let r = b.binary(BinOp::Add, t, bv);
+        b.ret(Some(r));
+        let mut f = b.finish_unverified();
+        let phis = f.block(head).insts().to_vec();
+        for (id, arg) in [(phis[0], pb), (phis[1], pa), (phis[2], i1)] {
+            let InstKind::Phi { args } = &mut f.inst_mut(id).kind else {
+                unreachable!()
+            };
+            args.push((body, arg));
+        }
+        abcd_ir::verify_function(&f, None).unwrap();
+        let mut m = Module::new();
+        m.add_function(f);
+        let code = decoded(&m);
+        let back_edge = block_ops(&code)[body.index()]
+            .iter()
+            .find_map(|op| match op.kind {
+                OpKind::Jump { edge } => Some(edge as usize),
+                _ => None,
+            })
+            .unwrap();
+        assert_ne!(code.side[back_edge + 3] & STAGED, 0, "moves must be staged");
+        for (n, expected) in [(0, 12), (1, 21), (2, 12), (3, 21)] {
+            let mut vm = Vm::new(&m);
+            let r = vm.call_by_name("swap", &[RtVal::Int(n)]).unwrap();
+            assert_eq!(r, Some(RtVal::Int(expected)), "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_copy_cycle_keeps_its_ops() {
+        // Malformed: `v1 = copy v2; v2 = copy v1`. Neither chain ends, so
+        // neither register can alias the other; decoding still terminates.
+        let b = FunctionBuilder::new("f", vec![], Some(Type::Int));
+        let mut f = b.finish_unverified();
+        let entry = f.entry();
+        let c1 = f.create_inst(InstKind::Copy { arg: Value::new(0) }, Some(Type::Int));
+        let v1 = f.inst(c1).result.unwrap();
+        let c2 = f.create_inst(InstKind::Copy { arg: v1 }, Some(Type::Int));
+        let v2 = f.inst(c2).result.unwrap();
+        f.inst_mut(c1).kind = InstKind::Copy { arg: v2 };
+        f.append_inst(entry, c1);
+        f.append_inst(entry, c2);
+        f.set_terminator(entry, Terminator::Return(Some(v2)));
+        let mut m = Module::new();
+        m.add_function(f);
+        let ops = block_ops(&decoded(&m));
+        let copies: Vec<(Reg, Reg)> = ops[0]
+            .iter()
+            .filter_map(|op| match op.kind {
+                OpKind::Copy { dst, src } => Some((dst, src)),
+                _ => None,
+            })
+            .collect();
+        let (r1, r2) = (v1.index() as Reg, v2.index() as Reg);
+        assert_eq!(copies, [(r1, r2), (r2, r1)]);
+    }
+
+    #[test]
+    fn an_essa_loop_decodes_to_no_phi_or_pi_op() {
+        let mut m = checked_sum_module();
+        abcd_ssa::module_to_essa(&mut m).unwrap();
+        let func = m.function(FuncId::new(0));
+        let count = |pick: fn(&InstKind) -> bool| {
+            func.blocks()
+                .flat_map(|b| func.block(b).insts())
+                .filter(|&&id| pick(&func.inst(id).kind))
+                .count()
+        };
+        assert!(count(|k| matches!(k, InstKind::Phi { .. })) > 0);
+        assert!(count(|k| matches!(k, InstKind::Pi { .. })) > 0);
+        let blocks = block_ops(&decoded(&m));
+        assert_eq!(blocks.len(), func.block_count());
+        for (b, ops) in func.blocks().zip(&blocks) {
+            // πs alias their inputs and φs travel on the edges, so no op
+            // copies; every instruction is still charged, exactly once.
+            assert!(!ops.iter().any(|op| matches!(op.kind, OpKind::Copy { .. })));
+            let weight: u32 = ops.iter().map(|op| op.weight).sum();
+            assert_eq!(weight as usize, func.block(b).insts().len(), "{b}");
         }
     }
 
