@@ -12,6 +12,9 @@
 //!   passed through `version_functions(.., None, 0)`, as digests of the
 //!   resulting module IR and of the `VersioningReport`.
 //!
+//! A second test holds printing and parsing the versioned kernel modules
+//! to a fixpoint: their `f$fast`/`f$slow` clones must parse back.
+//!
 //! Any change to which facts the fixpoint verifies, how the analysis uses
 //! them, or which guards versioning emits shows here.
 //!
@@ -19,7 +22,9 @@
 //! change to these paths, replace the golden file with that output.
 
 use abcd::cache::fnv1a64;
-use abcd::{module_metrics_json, version_functions, Optimizer, OptimizerOptions, RunInfo};
+use abcd::{
+    module_metrics_json, version_functions, Optimizer, OptimizerOptions, RunInfo, VersioningReport,
+};
 use abcd_ir::Module;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -80,13 +85,19 @@ fn ipa(src: &str, validate: bool) -> String {
     )
 }
 
-/// One default run followed by versioning, rendered.
-fn version(src: &str) -> String {
+/// One default run followed by versioning.
+fn versioned(src: &str) -> (Module, VersioningReport) {
     let mut module = compile(src);
     Optimizer::with_options(base())
         .with_threads(1)
         .optimize_module(&mut module, None);
     let report = version_functions(&mut module, None, 0);
+    (module, report)
+}
+
+/// One default run followed by versioning, rendered.
+fn version(src: &str) -> String {
+    let (module, report) = versioned(src);
     format!(
         "ir={} report={} versioned={}",
         digest(&module.to_string()),
@@ -119,4 +130,18 @@ fn parameter_fact_paths_match_the_golden_runs() {
             "golden line count"
         );
     }
+}
+
+#[test]
+fn versioned_kernel_modules_print_and_parse_to_a_fixpoint() {
+    let mut clones = 0;
+    for b in abcd_benchsuite::BENCHMARKS {
+        let (module, report) = versioned(b.source);
+        clones += report.count();
+        let text = module.to_string();
+        let reparsed = abcd_ir::parse_module(&text)
+            .unwrap_or_else(|e| panic!("{}: versioned IR does not parse: {e}", b.name));
+        assert_eq!(reparsed.to_string(), text, "{}: print∘parse moved", b.name);
+    }
+    assert!(clones > 0, "no kernel was versioned");
 }

@@ -23,9 +23,12 @@
 //!    with positive gain — the paper's *amplifying* cycle — and is pinned
 //!    at `+∞` (re-iterating until no new pins appear);
 //! 3. the §4 consistency invariant (every cycle passes a φ; no φ-free
-//!    cycles, which the graph builder enforces) guarantees `−∞` is never a
-//!    self-justifying fixpoint, so surviving `−∞` means "no derivation",
-//!    reported as unconstrained.
+//!    cycles, which the graph builder enforces for a function's own
+//!    constraints) guarantees `−∞` is never a self-justifying fixpoint, so
+//!    surviving `−∞` means "no derivation", reported as unconstrained.
+//!    (Assumed parameter facts can close a φ-free cycle; the demand
+//!    prover refutes through one, and this oracle is not run on graphs
+//!    with assumed facts.)
 //!
 //! Besides reproducing the paper's cost comparison (work proportional to
 //! the whole graph instead of to the queried check), this solver is an

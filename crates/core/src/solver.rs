@@ -13,7 +13,9 @@
 //!   *smaller* than when the vertex was first entered, the cycle has
 //!   positive weight — an *amplifying* cycle (an induction variable
 //!   incremented in a loop) — and the path is refuted; otherwise the cycle
-//!   is harmless and reports `Reduced`;
+//!   is harmless and reports `Reduced` — provided a max (φ) vertex lies on
+//!   it, as §4 assumes of every cycle; a φ-free cycle, which assumed
+//!   parameter facts can close, refutes the path;
 //! * results merge with **meet** at max (φ) vertices — all paths must prove
 //!   — and **join** at min vertices — any path suffices — over the lattice
 //!   `True > Reduced > False`.
@@ -243,6 +245,9 @@ pub struct Prover<'g, M: Mode> {
     /// weights? Overflow verdicts are conservative (`False`, the check
     /// stays) and — like exhaustion — never enter the memo table.
     overflow_in_query: bool,
+    /// One more than the stack depth of the deepest active max (φ)
+    /// vertex; 0 while none is active.
+    max_depth: u32,
     /// Invocations of `prove` — the paper's "analysis steps".
     pub steps: u64,
     /// Queries answered from the memo table.
@@ -281,6 +286,7 @@ impl<'g, M: Mode> Prover<'g, M> {
             fuel_stop: u64::MAX,
             exhausted_in_query: false,
             overflow_in_query: false,
+            max_depth: 0,
             steps: 0,
             memo_hits: 0,
             memo_misses: 0,
@@ -439,7 +445,12 @@ impl<'g, M: Mode> Prover<'g, M> {
                 },
                 v,
             );
-            let l = if amplifying {
+            // §4: every cycle of a consistent system passes a max (φ)
+            // vertex, which is what makes a non-amplifying one harmless. A
+            // cycle without one (assumed facts can close `len(a) ≤ len(b)
+            // ≤ len(a)`) bounds nothing, so it refutes like a dead end.
+            let through_max = self.max_depth > ad;
+            let l = if amplifying || !through_max {
                 Lattice::False
             } else {
                 Lattice::Reduced
@@ -452,7 +463,12 @@ impl<'g, M: Mode> Prover<'g, M> {
         self.scratch.active_c[at] = c;
         self.scratch.active_d[at] = d;
         self.record(|v| ProveEvent::Visit { v, c, d }, v);
+        let outer_max = self.max_depth;
+        if self.graph.is_max(v) {
+            self.max_depth = d + 1;
+        }
         let (result, dep) = M::merge(self, v, c, edges, d);
+        self.max_depth = outer_max;
         self.scratch.mark[at] = 0;
         let verdict = M::lattice(&result).name();
         self.record(|v| ProveEvent::Resolved { v, d, verdict }, v);
@@ -1060,6 +1076,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// §4: every cycle of a consistent system passes a max (φ) vertex.
+    /// Two assumed facts can close one that does not, `a ≤ b ≤ a` (the
+    /// `LenLe` pair over two equal-length arrays); it bounds nothing, so a
+    /// query that reaches it must fail, in both modes. Through a φ the same
+    /// cycle is the harmless kind and reduces.
+    #[test]
+    fn a_cycle_without_a_max_vertex_refutes() {
+        use abcd_ir::Value;
+        let f = essa("fn f() -> int { return 0; }");
+        let mut g = InequalityGraph::build(&f, Problem::Upper, None);
+        let (src, t, a, b) = (
+            Vertex::Value(Value::new(100)),
+            Vertex::Value(Value::new(101)),
+            Vertex::Value(Value::new(102)),
+            Vertex::Value(Value::new(103)),
+        );
+        g.assume_fact(a, t, -1); // t ≤ a − 1
+        g.assume_fact(b, a, 0); // a ≤ b
+        g.assume_fact(a, b, 0); // b ≤ a (closes the cycle)
+        assert!(!DemandProver::new(&g, src).demand_prove(t, -1));
+        assert_eq!(
+            PreProver::new(&g, src, None).demand_prove(t, -1),
+            PreOutcome::Failed
+        );
+        g.mark_max(a);
+        assert!(DemandProver::new(&g, src).demand_prove(t, -1));
     }
 
     /// Regression: verdicts derived while an ancestor vertex is still on

@@ -213,7 +213,9 @@ fn build_dispatcher(
     let r = b.call(slow_id, args.clone(), ret.clone());
     b.ret(r);
 
-    b.finish().expect("dispatcher verifies")
+    // The guards define values in blocks printed after the calls' blocks;
+    // renumbering in print order makes the text parse back to itself.
+    abcd_ir::canonicalize(&b.finish().expect("dispatcher verifies"))
 }
 
 /// Emits the (side-effect-free) runtime test for one fact: its relation

@@ -256,6 +256,67 @@ bb1:
     }
 }
 
+/// `f`'s two array parameters have equal lengths at its only call, so the
+/// interprocedural fixpoint keeps both `LenLe { a, b }` and `LenLe { a: b,
+/// b: a }`, and versioning's first trial assumes both. Together they close
+/// the cycle len(a) → len(b) → len(a), which passes no φ: §4's harmless
+/// cycles all do, so this one bounds nothing. The check on the unrelated
+/// array `c` must stay in both modes and trap as `bounds check ck1`.
+#[test]
+fn equal_length_facts_prove_nothing_about_a_third_array() {
+    let source = "fn f(a: int[], b: int[], i: int) -> int {
+             let c: int[] = new int[3];
+             if (i >= 0) { if (i < a.length) { return c[i]; } }
+             return 0;
+         }
+         fn main() -> int { return f(new int[10], new int[10], 9); }";
+    let expect_ck1 = |trap: abcd_vm::Trap, mode: &str| {
+        assert!(
+            matches!(
+                trap.kind,
+                TrapKind::BoundsCheckFailed {
+                    site,
+                    index: 9,
+                    len: 3,
+                } if site.index() == 1
+            ),
+            "{mode}: expected bounds check ck1 to fail, got {:?}",
+            trap.kind
+        );
+    };
+    let reference = abcd_frontend::compile(source).unwrap();
+    expect_ck1(
+        run_entry(&reference, "main").result.unwrap_err(),
+        "reference",
+    );
+
+    let mut ipa = reference.clone();
+    Optimizer::with_options(OptimizerOptions {
+        interprocedural: true,
+        ..OptimizerOptions::default()
+    })
+    .optimize_module(&mut ipa, None);
+    expect_ck1(run_entry(&ipa, "main").result.unwrap_err(), "--ipa");
+
+    let mut versioned = reference.clone();
+    Optimizer::new().optimize_module(&mut versioned, None);
+    abcd::version_functions(&mut versioned, None, 0);
+    expect_ck1(
+        run_entry(&versioned, "main").result.unwrap_err(),
+        "--version-fns",
+    );
+    // Had `f` been versioned under both facts, its fast path is what the
+    // guard dispatches to for these arguments.
+    if versioned.function_by_name("f$fast").is_some() {
+        let mut vm = abcd_vm::Vm::new(&versioned);
+        let (a, b) = (vm.alloc_int_array(&[0; 10]), vm.alloc_int_array(&[0; 10]));
+        let trap = vm
+            .call_by_name("f$fast", &[a, b, RtVal::Int(9)])
+            .unwrap_err();
+        expect_ck1(trap, "f$fast");
+    }
+}
+
 /// The oracle has teeth: delete an unprovable bounds check by hand (the
 /// miscompilation a buggy optimizer would commit) and the differential
 /// reports it — the sabotaged module raises the unchecked-access variant
