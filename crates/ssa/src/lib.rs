@@ -63,7 +63,7 @@ pub use liveness::LocalLiveness;
 pub use mem2reg::{promote_locals, SsaError};
 pub use scratch::SsaScratch;
 pub use split::{split_critical_edges, split_looping_entry};
-pub use verify::{verify_ssa, SsaViolation};
+pub use verify::{verify_dominance, verify_ssa, SsaViolation};
 
 /// Statistics from the full [`to_essa`] pipeline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

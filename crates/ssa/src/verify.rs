@@ -1,4 +1,6 @@
 //! SSA-form verification: definitions dominate uses, no locals remain.
+//! The dominance half holds in locals form too, and [`verify_dominance`]
+//! checks it alone.
 
 use crate::dom::DomTree;
 use abcd_ir::{Block, Function, InstId, InstKind, Value, ValueDef};
@@ -50,6 +52,22 @@ impl Error for SsaViolation {}
 ///
 /// Returns the first violation found.
 pub fn verify_ssa(func: &Function) -> Result<(), SsaViolation> {
+    check(func, false)
+}
+
+/// Verifies that every value's definition dominates its uses, as
+/// [`verify_ssa`] does, but accepts `get_local`/`set_local`, so locals-form
+/// IR passes. An interpreter may then hold a value from its definition on
+/// without tracking whether it has been set.
+///
+/// # Errors
+///
+/// Returns the first violation found.
+pub fn verify_dominance(func: &Function) -> Result<(), SsaViolation> {
+    check(func, true)
+}
+
+fn check(func: &Function, locals: bool) -> Result<(), SsaViolation> {
     let dt = DomTree::compute(func);
     let locations = func.inst_locations();
 
@@ -85,7 +103,7 @@ pub fn verify_ssa(func: &Function) -> Result<(), SsaViolation> {
         for (pos, &id) in func.block(b).insts().iter().enumerate() {
             let inst = func.inst(id);
             match &inst.kind {
-                InstKind::GetLocal { .. } | InstKind::SetLocal { .. } => {
+                InstKind::GetLocal { .. } | InstKind::SetLocal { .. } if !locals => {
                     return Err(SsaViolation::LocalOpRemains(id));
                 }
                 InstKind::Phi { args } => {
@@ -155,6 +173,32 @@ mod tests {
         assert!(matches!(
             verify_ssa(&f),
             Err(SsaViolation::LocalOpRemains(_))
+        ));
+    }
+
+    #[test]
+    fn dominance_alone_accepts_locals_but_not_a_use_before_its_def() {
+        let mut b = FunctionBuilder::new("f", vec![Type::Int], None);
+        let l = b.new_local(Type::Int);
+        let x = b.param(0);
+        b.set_local(l, x);
+        b.ret(None);
+        let f = b.finish().unwrap();
+        assert_eq!(verify_dominance(&f), Ok(()));
+
+        // `v1 = add v0, v0` moved before `v0 = const 1`.
+        let mut b = FunctionBuilder::new("g", vec![], Some(Type::Int));
+        let one = b.iconst(1);
+        let sum = b.binary(abcd_ir::BinOp::Add, one, one);
+        b.ret(Some(sum));
+        let mut f = b.finish().unwrap();
+        let entry = f.entry();
+        let add = f.block(entry).insts()[1];
+        f.remove_inst(entry, add);
+        f.insert_inst(entry, 0, add);
+        assert!(matches!(
+            verify_dominance(&f),
+            Err(SsaViolation::UseNotDominated { value, .. }) if value == one
         ));
     }
 

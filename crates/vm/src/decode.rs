@@ -4,27 +4,38 @@
 //! function to one flat op array. Only instructions that compute
 //! something become ops; their operands are `u32` register indices (a
 //! value's register is its index) and every block ends in one terminator
-//! op. Two kinds of instruction compute nothing at run time and get no op:
+//! op. Three kinds of instruction compute nothing at run time and get no
+//! op:
 //!
 //! * a φ, whose value travels on the CFG edge instead, as one move of the
 //!   parallel move list that the edge's jump or branch carries;
 //! * a π or copy whose operand chain ends in a value that is not itself a
 //!   π or copy. SSA makes such an instruction a pure rename, so its
 //!   register becomes an *alias*: every operand that names it names the
-//!   end of the chain instead.
+//!   end of the chain instead;
+//! * a constant, which writes the same value every time. The function's
+//!   constant table lists each constant's register and value, and every
+//!   new register window starts out holding them. That is exact as long
+//!   as each constant's definition dominates its uses, which the front
+//!   end and the optimizer guarantee and `abcd_ssa::verify_dominance`
+//!   checks for IR from elsewhere.
+//!
+//! A block whose last op would be a `compare` and whose `branch` tests
+//! that compare's register decodes the two as one [`OpKind::CmpBranch`],
+//! which writes the register (other ops may read it) and then transfers.
 //!
 //! These *folded* instructions still execute as far as [`ExecStats`] and
 //! the step budget can tell. The op that follows them in their block (the
 //! terminator, if none does) carries a `weight`: its own instruction
 //! (none for a terminator) plus the folded ones just before it, and its
 //! `cost` is the sum of their cycle costs as [`CostModel::cost_of`] priced
-//! them. The interpreter charges both at once; `first` lets its cold path
-//! replay the run one instruction at a time when the step budget runs out
-//! inside it.
+//! them; a fused compare-and-branch carries both runs. The interpreter
+//! charges both at once; `first` lets its cold path replay the run one
+//! instruction at a time when the step budget runs out inside it.
 //!
 //! Everything an op refers to by position lives in one `u32` side table:
-//! per function its alias table and its block start table, per call its
-//! argument list and per CFG edge an edge record,
+//! per function its alias table, block start table and constant table,
+//! per call its argument list and per CFG edge an edge record,
 //!
 //! ```text
 //! [target pc, target block, edge counter slot, head, (dst, src)*]
@@ -35,7 +46,9 @@
 //! runs through staging registers, keeping its parallel semantics), or
 //! [`FAULTY`] when some φ of the target has no argument for the edge; a
 //! faulty record ends in the index of the function's alias table instead
-//! of moves.
+//! of moves. An edge on a cycle of instruction-free blocks has the head
+//! [`SPIN`]: walking such a cycle runs nothing and charges nothing, so
+//! the interpreter counts those transfers instead of steps.
 //!
 //! Malformed IR decodes without complaint, to ops that fail only if
 //! executed: an unterminated block ends in [`Fault::MissingTerminator`],
@@ -46,6 +59,7 @@
 //! [`ExecStats`]: crate::ExecStats
 
 use crate::cost::CostModel;
+use crate::value::RtVal;
 use abcd_ir::{
     BinOp, Block, CheckKind, CheckSite, CmpOp, FuncId, Function, InstId, InstKind, Module,
     Terminator, UnOp, Value,
@@ -64,6 +78,29 @@ pub(crate) const STAGED: u32 = 1 << 31;
 /// edge, so taking it panics.
 pub(crate) const FAULTY: u32 = u32::MAX;
 
+/// Constant-table register flag: the constant is a `bool`.
+const BOOL: u32 = 1 << 31;
+
+/// The register and value of each entry of the constant table at
+/// `side[at.0..at.1]`.
+pub(crate) fn constants(
+    side: &[u32],
+    at: (usize, usize),
+) -> impl Iterator<Item = (Reg, RtVal)> + '_ {
+    side[at.0..at.1].chunks_exact(3).map(|c| {
+        let val = if c[0] & BOOL != 0 {
+            RtVal::Bool(c[1] != 0)
+        } else {
+            RtVal::Int((u64::from(c[1]) | u64::from(c[2]) << 32) as i64)
+        };
+        (c[0] & !BOOL, val)
+    })
+}
+
+/// Edge-record `head`: the edge lies on a cycle of instruction-free
+/// blocks (and, its target having no φ, carries no moves).
+pub(crate) const SPIN: u32 = 1 << 30;
+
 /// Why an op panics when executed.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Fault {
@@ -76,14 +113,6 @@ pub(crate) enum Fault {
 /// One decoded operation.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum OpKind {
-    Const {
-        dst: Reg,
-        val: i64,
-    },
-    BoolConst {
-        dst: Reg,
-        val: bool,
-    },
     Neg {
         dst: Reg,
         arg: Reg,
@@ -173,6 +202,16 @@ pub(crate) enum OpKind {
         then_edge: u32,
         else_edge: u32,
     },
+    /// A `Compare` and the `Branch` on its result: writes `dst`, which
+    /// other ops may read, and then transfers.
+    CmpBranch {
+        op: CmpOp,
+        dst: Reg,
+        lhs: Reg,
+        rhs: Reg,
+        then_edge: u32,
+        else_edge: u32,
+    },
     /// `value` is [`NO_REG`] for a `return` without a value.
     Return {
         value: Reg,
@@ -205,6 +244,8 @@ pub(crate) struct Decoded {
     pub(crate) params: usize,
     pub(crate) locals: usize,
     pub(crate) sites: usize,
+    /// Where the function's constant table lies in the side table.
+    pub(crate) consts: (usize, usize),
 }
 
 /// The decoded functions of one module, filled in as they are entered.
@@ -308,39 +349,44 @@ impl Code {
             .is_some_and(|&id| matches!(func.inst(id).kind, InstKind::Phi { .. }));
         // Both buffers grow by at most one allocation per function.
         let mut side = func.value_count() + func.block_count();
+        // Does an edge join two instruction-free blocks? The front end
+        // never makes one, but where one exists `flag_spins` needs
+        // scratch.
+        let idle_edges = func.blocks().any(|b| {
+            idle(func, b)
+                && successors(func, b)
+                    .into_iter()
+                    .flatten()
+                    .any(|to| idle(func, to))
+        });
+        if idle_edges {
+            side += 2 * func.block_count();
+        }
         for b in func.blocks() {
             let block = func.block(b);
             for &id in block.insts() {
-                if let InstKind::Call { args, .. } = &func.inst(id).kind {
-                    side += 1 + args.len();
+                match &func.inst(id).kind {
+                    InstKind::Call { args, .. } => side += 1 + args.len(),
+                    InstKind::Const(_) | InstKind::BoolConst(_) => side += 3,
+                    _ => {}
                 }
             }
-            let mut edge = |to: &Block| {
+            for to in successors(func, b).into_iter().flatten() {
                 let phis = (to.index() < func.block_count()).then(|| {
-                    func.block(*to)
+                    func.block(to)
                         .insts()
                         .iter()
                         .take_while(|&&id| matches!(func.inst(id).kind, InstKind::Phi { .. }))
                         .count()
                 });
                 side += 5 + 2 * phis.unwrap_or(0);
-            };
-            match block.terminator_opt() {
-                Some(Terminator::Jump(to)) => edge(to),
-                Some(Terminator::Branch {
-                    then_dst, else_dst, ..
-                }) => {
-                    edge(then_dst);
-                    edge(else_dst);
-                }
-                _ => {}
             }
         }
         self.side.reserve(side);
         let aliases = self.aliases(func);
         // Block start table: each block is its unfolded instructions plus
-        // one terminator, so every start is known before any edge is
-        // decoded.
+        // one terminator, less the compare a branch fuses with, so every
+        // start is known before any edge is decoded.
         let starts = self.side.len();
         let base = self.ops.len() + usize::from(phi_in_entry);
         let mut pc = base;
@@ -350,9 +396,11 @@ impl Code {
             pc += 1 + insts
                 .iter()
                 .filter(|&&id| !self.folds(aliases, func, id))
-                .count();
+                .count()
+                - usize::from(self.fuses(aliases, func, b));
         }
         self.ops.reserve(pc - self.ops.len());
+        let consts = self.consts(func);
         let entry = if phi_in_entry {
             self.ops.push(Op {
                 kind: OpKind::Fail(Fault::PhiInEntry),
@@ -396,11 +444,33 @@ impl Code {
                     cond,
                     then_dst,
                     else_dst,
-                }) => OpKind::Branch {
-                    cond: aliases.reg(&self.side, *cond),
-                    then_edge: self.edge(func, aliases, starts, b, *then_dst, 0),
-                    else_edge: self.edge(func, aliases, starts, b, *else_dst, 1),
-                },
+                }) => {
+                    let then_edge = self.edge(func, aliases, starts, b, *then_dst, 0);
+                    let else_edge = self.edge(func, aliases, starts, b, *else_dst, 1);
+                    if self.fuses(aliases, func, b) {
+                        // The compare's run and this branch's are one run.
+                        let cmp = self.ops.pop().expect("a fused compare");
+                        let OpKind::Compare { op, dst, lhs, rhs } = cmp.kind else {
+                            unreachable!("a branch fuses only with a compare");
+                        };
+                        weight += cmp.weight;
+                        cycles = cycles.saturating_add(cmp.cost);
+                        OpKind::CmpBranch {
+                            op,
+                            dst,
+                            lhs,
+                            rhs,
+                            then_edge,
+                            else_edge,
+                        }
+                    } else {
+                        OpKind::Branch {
+                            cond: aliases.reg(&self.side, *cond),
+                            then_edge,
+                            else_edge,
+                        }
+                    }
+                }
                 Some(Terminator::Return(v)) => OpKind::Return {
                     value: v.map_or(NO_REG, |v| aliases.reg(&self.side, v)),
                 },
@@ -413,13 +483,36 @@ impl Code {
             });
         }
         debug_assert_eq!(self.ops.len(), pc);
+        if idle_edges {
+            self.flag_spins(func, starts);
+        }
         Decoded {
             entry,
             regs: func.value_count() + 1,
             params: func.param_count(),
             locals: func.local_count(),
             sites: func.check_site_count(),
+            consts,
         }
+    }
+
+    /// Appends `func`'s constant table and returns where it lies: one
+    /// `[register, low half, high half]` entry per constant, with
+    /// [`BOOL`] set in the register of a `bool` one.
+    fn consts(&mut self, func: &Function) -> (usize, usize) {
+        let at = self.side.len();
+        for b in func.blocks() {
+            for &id in func.block(b).insts() {
+                let inst = func.inst(id);
+                let (r, val) = match (&inst.kind, inst.result) {
+                    (InstKind::Const(val), Some(v)) => (reg(v), *val),
+                    (InstKind::BoolConst(val), Some(v)) => (reg(v) | BOOL, i64::from(*val)),
+                    _ => continue,
+                };
+                self.side.extend([r, val as u32, (val >> 32) as u32]);
+            }
+        }
+        (at, self.side.len())
     }
 
     /// Appends `func`'s alias table.
@@ -445,12 +538,12 @@ impl Code {
         aliases
     }
 
-    /// Does instruction `id` get no op of its own: is it a φ, or a π or
-    /// copy whose register is an alias?
+    /// Does instruction `id` get no op of its own: is it a φ, a constant,
+    /// or a π or copy whose register is an alias?
     fn folds(&self, aliases: Aliases, func: &Function, id: InstId) -> bool {
         let inst = func.inst(id);
         match inst.kind {
-            InstKind::Phi { .. } => true,
+            InstKind::Phi { .. } | InstKind::Const(_) | InstKind::BoolConst(_) => true,
             InstKind::Pi { .. } | InstKind::Copy { .. } => inst
                 .result
                 .is_some_and(|v| aliases.reg(&self.side, v) != reg(v)),
@@ -458,12 +551,34 @@ impl Code {
         }
     }
 
+    /// Does block `b` end in a `branch` on the result of a `compare` that
+    /// is the block's last unfolded instruction, so that the two decode to
+    /// one [`OpKind::CmpBranch`]?
+    fn fuses(&self, aliases: Aliases, func: &Function, b: Block) -> bool {
+        let block = func.block(b);
+        let Some(Terminator::Branch { cond, .. }) = block.terminator_opt() else {
+            return false;
+        };
+        let last = block
+            .insts()
+            .iter()
+            .rev()
+            .find(|&&id| !self.folds(aliases, func, id));
+        last.is_some_and(|&id| {
+            let inst = func.inst(id);
+            matches!(inst.kind, InstKind::Compare { .. })
+                && inst
+                    .result
+                    .is_some_and(|v| aliases.reg(&self.side, *cond) == reg(v))
+        })
+    }
+
     fn decode_inst(&mut self, aliases: Aliases, kind: &InstKind, dst: Reg, id: InstId) -> OpKind {
         let reg = |v: &Value| aliases.reg(&self.side, *v);
         match kind {
-            InstKind::Phi { .. } => unreachable!("φs fold"),
-            InstKind::Const(val) => OpKind::Const { dst, val: *val },
-            InstKind::BoolConst(val) => OpKind::BoolConst { dst, val: *val },
+            InstKind::Phi { .. } | InstKind::Const(_) | InstKind::BoolConst(_) => {
+                unreachable!("φs and constants fold")
+            }
             InstKind::Unary { op, arg } => match op {
                 UnOp::Neg => OpKind::Neg { dst, arg: reg(arg) },
                 UnOp::Not => OpKind::Not { dst, arg: reg(arg) },
@@ -564,6 +679,63 @@ impl Code {
         }
     }
 
+    /// Sets the `head` of every edge record on a cycle of instruction-free
+    /// blocks to [`SPIN`]. No instruction and no φ move runs on such a
+    /// cycle, so the step budget never shrinks there, and a branch on it
+    /// tests the same register value every time round. Uses two entries
+    /// per block past the end of the side table as scratch.
+    fn flag_spins(&mut self, func: &Function, starts: usize) {
+        let n = func.block_count();
+        let scratch = self.side.len();
+        self.side.resize(scratch + 2 * n, 0);
+        let mut query = 0;
+        for b in func.blocks().filter(|&b| idle(func, b)) {
+            // An instruction-free block's one op is its terminator.
+            let edges = match self.ops[self.side[starts + b.index()] as usize].kind {
+                OpKind::Jump { edge } => [Some(edge), None],
+                OpKind::Branch {
+                    then_edge,
+                    else_edge,
+                    ..
+                } => [Some(then_edge), Some(else_edge)],
+                _ => [None, None],
+            };
+            for at in edges.into_iter().flatten().map(|e| e as usize) {
+                let to = self.side[at + 1];
+                if !idle(func, Block::new(to as usize)) {
+                    continue;
+                }
+                // The edge is on a cycle if its target reaches `b` through
+                // instruction-free blocks: a depth-first search whose
+                // marks are `query` and whose stack holds each block once.
+                query += 1;
+                let (seen, stack) = self.side[scratch..].split_at_mut(n);
+                (seen[to as usize], stack[0]) = (query, to);
+                let mut top = 1;
+                let mut cycle = false;
+                while top > 0 {
+                    top -= 1;
+                    let x = Block::new(stack[top] as usize);
+                    if x == b {
+                        cycle = true;
+                        break;
+                    }
+                    for y in successors(func, x).into_iter().flatten() {
+                        if idle(func, y) && seen[y.index()] != query {
+                            (seen[y.index()], stack[top]) = (query, index(y.index()));
+                            top += 1;
+                        }
+                    }
+                }
+                if cycle {
+                    debug_assert_eq!(self.side[at + 3], 0, "an instruction-free target has no φ");
+                    self.side[at + 3] = SPIN;
+                }
+            }
+        }
+        self.side.truncate(scratch);
+    }
+
     /// Appends the record of edge `from → to`, `from`'s successor `slot`,
     /// and returns its side-table index.
     fn edge(
@@ -613,5 +785,21 @@ impl Code {
         }
         self.side[at + 3] = head;
         index(at)
+    }
+}
+
+/// Is `b` a block of `func` with no instruction, not even a φ?
+fn idle(func: &Function, b: Block) -> bool {
+    b.index() < func.block_count() && func.block(b).insts().is_empty()
+}
+
+/// The successors of `b`, by successor slot.
+fn successors(func: &Function, b: Block) -> [Option<Block>; 2] {
+    match func.block(b).terminator_opt() {
+        Some(Terminator::Jump(to)) => [Some(*to), None],
+        Some(Terminator::Branch {
+            then_dst, else_dst, ..
+        }) => [Some(*then_dst), Some(*else_dst)],
+        _ => [None, None],
     }
 }

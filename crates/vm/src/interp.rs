@@ -9,25 +9,33 @@
 //! once per `Vm`, into ops with resolved registers and precomputed cycle
 //! costs. Only instructions that compute something are dispatched: φs
 //! become parallel move lists on the CFG edges, which a jump or branch
-//! runs as it transfers, and πs and copies become register aliases. Each
-//! op charges its *weight*, its own instruction plus the folded ones
-//! before it, so [`ExecStats`], the step budget and the profile read as if
-//! every instruction ran on its own; when the budget runs out inside a
-//! folded run, a cold path charges the run one instruction at a time and
-//! traps where the budget does. Decoding is lazy because a caller may
-//! build a fresh `Vm` per call over a large module and enter only a few of
-//! its functions.
+//! runs as it transfers, πs and copies become register aliases, and
+//! constants are written into each new frame's registers when it opens. A
+//! compare and the branch on it are one op. Each op charges its *weight*,
+//! its own instructions plus the folded ones before them, so
+//! [`ExecStats`], the step budget and the profile read as if every
+//! instruction ran on its own; when the budget runs out inside a folded
+//! run, a cold path charges the run one instruction at a time and traps
+//! where the budget does. A loop of blocks that hold only their
+//! terminators charges nothing, so it traps after more consecutive
+//! transfers around it than its function has blocks instead. Decoding is
+//! lazy because a caller may build a fresh `Vm` per call over a large
+//! module and enter only a few of its functions.
 //!
 //! Execution allocates nothing per instruction, block or call; what
 //! allocates is decoding, a few times per entered function. Calls run on
 //! an explicit frame stack whose frames own windows of one reused
 //! register, local and flag store, so recursion depth is bounded by
 //! [`VmOptions::call_depth_limit`] and not by the host thread's stack.
-//! Profile events bump dense per-function counters that are folded into
-//! the hashed [`Profile`] once, when the top-level call returns or traps.
+//! Profile events bump dense per-function counters, one per call entry,
+//! CFG edge and check executed, that are folded into the hashed
+//! [`Profile`] once, when the top-level call returns or traps; block
+//! counts are derived then, from entries and in-edges.
 
 use crate::cost::CostModel;
-use crate::decode::{Aliases, Code, Decoded, Fault, OpKind, Reg, FAULTY, NO_REG, STAGED};
+use crate::decode::{
+    constants, Aliases, Code, Decoded, Fault, OpKind, Reg, FAULTY, NO_REG, SPIN, STAGED,
+};
 use crate::profile::{Counters, Profile, Slots};
 use crate::trap::{Trap, TrapKind};
 use crate::value::{Heap, RtVal, MAX_ARRAY_LEN};
@@ -38,6 +46,11 @@ use abcd_ir::{Block, CheckKind, FuncId, Function, InstKind, Module, Value};
 pub struct VmOptions {
     /// Abort with [`TrapKind::StepLimitExceeded`] after this many
     /// instructions (guards generated test programs against divergence).
+    /// A loop that runs no instruction at all, a cycle of blocks that
+    /// hold only their terminators, spends no budget; it traps the same
+    /// way, whatever the limit, once it has made more consecutive
+    /// transfers along the cycle than its function has blocks, and
+    /// charges nothing.
     pub step_limit: u64,
     /// Maximum call depth: the called function runs at depth 0, and a call
     /// that would run deeper than this traps with
@@ -173,12 +186,14 @@ impl Stack {
         self.flags.clear();
     }
 
-    /// Opens a frame for `id`, decoded as `func`, whose arguments are the
-    /// registers from `regs` to the end of the store, at the depth of the
-    /// suspended frames.
+    /// Opens a frame for `id`, decoded as `func` with side table `side`,
+    /// whose arguments are the registers from `regs` to the end of the
+    /// store, at the depth of the suspended frames. The frame's registers
+    /// start out holding the function's constants.
     fn open(
         &mut self,
         func: Decoded,
+        side: &[u32],
         depth_limit: usize,
         id: FuncId,
         regs: usize,
@@ -199,6 +214,9 @@ impl Stack {
             dst: 0,
         };
         self.regs.resize(regs + func.regs, None);
+        for (r, v) in constants(side, func.consts) {
+            self.regs[regs + r as usize] = Some(v);
+        }
         self.locals.resize(frame.locals + func.locals, None);
         self.flags.resize(frame.flags + func.sites, false);
         Ok(frame)
@@ -410,13 +428,15 @@ impl<'m> Vm<'m> {
         stack.clear();
         stack.regs.extend(args.iter().map(|&a| Some(a)));
         let decoded = code.enter(module, &options.cost, entry);
-        let mut fr = stack.open(decoded, options.call_depth_limit, entry, 0)?;
+        let mut fr = stack.open(decoded, &code.side, options.call_depth_limit, entry, 0)?;
         let mut func: &Function = module.function(entry);
         let mut slots = Slots::default();
         if profiling {
             slots = counters.slots(module, entry);
-            counters.block(slots, func.entry());
+            counters.enter(slots, func.entry());
         }
+        // Consecutive transfers along `SPIN` edges.
+        let mut spins = 0;
 
         macro_rules! get {
             ($r:expr, $what:literal) => {
@@ -444,15 +464,26 @@ impl<'m> Vm<'m> {
                 ))
             };
         }
-        // Takes the edge whose record starts at `side[$edge]`.
+        // Takes the edge whose record starts at `side[$edge]`. Along a
+        // cycle of instruction-free blocks nothing changes, so more
+        // consecutive `SPIN` transfers than the function has blocks
+        // repeat a block in the same state: the program never halts.
         macro_rules! transfer {
             ($edge:expr) => {{
                 let at = $edge as usize;
+                let head = code.side[at + 3];
+                if head == SPIN {
+                    spins += 1;
+                    if spins > func.block_count() {
+                        return Err(trap(TrapKind::StepLimitExceeded, fr.func));
+                    }
+                } else {
+                    spins = 0;
+                }
                 if profiling {
                     counters.edge(slots, code.side[at + 2]);
-                    counters.block(slots, Block::new(code.side[at + 1] as usize));
                 }
-                if code.side[at + 3] != 0 {
+                if head & !SPIN != 0 {
                     stack.moves(&code.side, at, fr.regs, func);
                 }
                 fr.pc = code.side[at] as usize;
@@ -478,14 +509,6 @@ impl<'m> Vm<'m> {
                 };
             }
             match op.kind {
-                OpKind::Const { dst, val } => {
-                    step!();
-                    set!(dst, RtVal::Int(val));
-                }
-                OpKind::BoolConst { dst, val } => {
-                    step!();
-                    set!(dst, RtVal::Bool(val));
-                }
                 OpKind::Neg { dst, arg } => {
                     step!();
                     set!(dst, RtVal::Int(get!(arg).as_int().wrapping_neg()));
@@ -647,11 +670,11 @@ impl<'m> Vm<'m> {
                     stack.frames.push(Frame { dst, ..fr });
                     let callee = FuncId::new(callee as usize);
                     let decoded = code.enter(module, &options.cost, callee);
-                    fr = stack.open(decoded, options.call_depth_limit, callee, base)?;
+                    fr = stack.open(decoded, &code.side, options.call_depth_limit, callee, base)?;
                     func = module.function(callee);
                     if profiling {
                         slots = counters.slots(module, callee);
-                        counters.block(slots, func.entry());
+                        counters.enter(slots, func.entry());
                     }
                 }
                 OpKind::Output { arg } => {
@@ -681,6 +704,23 @@ impl<'m> Vm<'m> {
                 } => {
                     step!();
                     if get!(cond, "branch cond unset").as_bool() {
+                        transfer!(then_edge)
+                    } else {
+                        transfer!(else_edge)
+                    }
+                }
+                OpKind::CmpBranch {
+                    op,
+                    dst,
+                    lhs,
+                    rhs,
+                    then_edge,
+                    else_edge,
+                } => {
+                    step!();
+                    let taken = op.eval(get!(lhs).as_int(), get!(rhs).as_int());
+                    set!(dst, RtVal::Bool(taken));
+                    if taken {
                         transfer!(then_edge)
                     } else {
                         transfer!(else_edge)
@@ -1024,6 +1064,15 @@ mod tests {
     /// `return`. Every instruction of that block but the check folds, into
     /// the check or into the `return`.
     fn folded_block_module() -> Module {
+        folded_module(false)
+    }
+
+    /// [`folded_block_module`], but with `cmp_branch` its folded block
+    /// ends in a constant, a compare of the returned copy with it, a π of
+    /// the compare and a branch on the π instead of the `return`. The
+    /// branch fuses with the compare, and the constant and the π fold into
+    /// the fused op. Both branch targets are instruction-free and return.
+    fn folded_module(cmp_branch: bool) -> Module {
         let mut b = FunctionBuilder::new("f", vec![Type::array_of(Type::Int)], Some(Type::Int));
         let a = b.param(0);
         let (zero, one) = (b.iconst(0), b.iconst(1));
@@ -1040,11 +1089,23 @@ mod tests {
             kind: CheckKind::Upper,
         };
         let p = b.pi(x, guard.clone());
-        let q = b.pi(p, guard);
+        let q = b.pi(p, guard.clone());
         let c = b.copy(q);
         b.bounds_check(a, c, CheckKind::Upper);
         let r = b.copy(y);
-        b.ret(Some(r));
+        if cmp_branch {
+            let five = b.iconst(5);
+            let lt = b.compare(CmpOp::Lt, r, five);
+            let cond = b.pi(lt, guard);
+            let (yes, no) = (b.new_block(), b.new_block());
+            b.branch(cond, yes, no);
+            b.switch_to_block(yes);
+            b.ret(Some(r));
+            b.switch_to_block(no);
+            b.ret(Some(five));
+        } else {
+            b.ret(Some(r));
+        }
         let mut m = Module::new();
         m.add_function(b.finish_unverified());
         m
@@ -1066,6 +1127,7 @@ mod tests {
                 op.kind,
                 OpKind::Jump { .. }
                     | OpKind::Branch { .. }
+                    | OpKind::CmpBranch { .. }
                     | OpKind::Return { .. }
                     | OpKind::Fail(_)
             ) {
@@ -1084,9 +1146,10 @@ mod tests {
             .iter()
             .map(|ops| ops.iter().map(|op| op.weight).collect())
             .collect();
-        // Entry: two constants and the jump; body: the check carries the
-        // φ, φ, π, π and copy before it, the `return` the copy before it.
-        assert_eq!(weights, [vec![1, 1, 0], vec![6, 1]]);
+        // Entry: the jump carries the two constants; body: the check
+        // carries the φ, φ, π, π and copy before it, the `return` the copy
+        // before it.
+        assert_eq!(weights, [vec![2], vec![6, 1]]);
         assert!(matches!(blocks[1][0].kind, OpKind::BoundsCheck { .. }));
         // φ 1 + φ 1 + π 0 + π 0 + copy 1 + upper check 2.
         assert_eq!(blocks[1][0].cost, 5);
@@ -1094,34 +1157,55 @@ mod tests {
 
     #[test]
     fn step_limits_inside_folded_runs_trap_as_one_instruction_at_a_time() {
-        let m = folded_block_module();
+        let (entry, body, yes) = (Block::new(0), Block::new(1), Block::new(2));
+        for (m, path) in [
+            (folded_module(false), &[entry, body][..]),
+            (folded_module(true), &[entry, body, yes][..]),
+        ] {
+            assert_step_limits_exact(&m, path, RtVal::Int(1));
+        }
+    }
+
+    /// Runs the first function of `m` on `[7]` under every step limit up
+    /// to one past its instruction count, where it runs the blocks of
+    /// `path` and returns `result`, and checks that each limit gives the
+    /// trap, `ExecStats` and profile of running one instruction at a time.
+    fn assert_step_limits_exact(m: &Module, path: &[Block], result: RtVal) {
         let f = FuncId::new(0);
         let func = m.function(f);
-        let (entry, body) = (Block::new(0), Block::new(1));
-        // The instructions as they execute, one at a time.
-        let run: Vec<&InstKind> = [entry, body]
+        // The instructions as they execute, one at a time, and how many
+        // of them run before each block of the path is entered.
+        let run: Vec<&InstKind> = path
             .iter()
             .flat_map(|&b| func.block(b).insts())
             .map(|&id| &func.inst(id).kind)
             .collect();
-        let cost = CostModel::default();
-        let check_at = run
+        let before: Vec<usize> = path
             .iter()
-            .position(|k| matches!(k, InstKind::BoundsCheck { .. }))
-            .unwrap();
-        let entry_len = func.block(entry).insts().len();
+            .scan(0, |n, &b| {
+                let at = *n;
+                *n += func.block(b).insts().len();
+                Some(at)
+            })
+            .collect();
+        let cost = CostModel::default();
         for limit in 0..=run.len() as u64 + 1 {
             // A budget of `limit` instructions lets that many run; the next
             // one traps, counted.
             let executed = (limit as usize + 1).min(run.len());
+            let completed = (limit as usize).min(run.len());
+            let upper = run[..completed]
+                .iter()
+                .filter(|k| matches!(k, InstKind::BoundsCheck { .. }))
+                .count() as u64;
             let expected = ExecStats {
                 insts: executed as u64,
                 cycles: run[..executed].iter().map(|k| cost.cost_of(k)).sum(),
-                checks: [0, u64::from(limit as usize > check_at), 0],
+                checks: [0, upper, 0],
                 ..ExecStats::default()
             };
             let mut vm = Vm::with_options(
-                &m,
+                m,
                 VmOptions {
                     step_limit: limit,
                     ..VmOptions::default()
@@ -1134,14 +1218,16 @@ mod tests {
                 assert_eq!(trap.kind, TrapKind::StepLimitExceeded, "limit {limit}");
                 assert_eq!(trap.func, f);
             } else {
-                assert_eq!(out.unwrap(), Some(RtVal::Int(1)), "limit {limit}");
+                assert_eq!(out.unwrap(), Some(result), "limit {limit}");
             }
             assert_eq!(vm.stats(), &expected, "limit {limit}");
-            let entered = u64::from(limit as usize >= entry_len);
             let profile = vm.profile();
-            assert_eq!(profile.block_count(f, entry), 1);
-            assert_eq!(profile.block_count(f, body), entered, "limit {limit}");
-            assert_eq!(profile.edge_count(f, entry, body), entered);
+            assert_eq!(profile.block_count(f, path[0]), 1);
+            for k in 1..path.len() {
+                let entered = u64::from(limit as usize >= before[k]);
+                assert_eq!(profile.block_count(f, path[k]), entered, "limit {limit}");
+                assert_eq!(profile.edge_count(f, path[k - 1], path[k]), entered);
+            }
             assert_eq!(
                 profile.site_count(f, CheckSite::new(0)),
                 expected.checks[1],
@@ -1238,7 +1324,7 @@ mod tests {
     }
 
     #[test]
-    fn an_essa_loop_decodes_to_no_phi_or_pi_op() {
+    fn an_essa_loop_decodes_to_no_phi_pi_or_constant_op() {
         let mut m = checked_sum_module();
         abcd_ssa::module_to_essa(&mut m).unwrap();
         let func = m.function(FuncId::new(0));
@@ -1250,15 +1336,151 @@ mod tests {
         };
         assert!(count(|k| matches!(k, InstKind::Phi { .. })) > 0);
         assert!(count(|k| matches!(k, InstKind::Pi { .. })) > 0);
+        assert!(count(|k| matches!(k, InstKind::Const(_))) > 0);
         let blocks = block_ops(&decoded(&m));
         assert_eq!(blocks.len(), func.block_count());
+        // The loop head: φs, the length, the compare and the branch on it,
+        // which fuse.
+        let head = &blocks[1];
+        assert!(matches!(
+            head.last().unwrap().kind,
+            OpKind::CmpBranch { .. }
+        ));
+        assert!(!head[..head.len() - 1]
+            .iter()
+            .any(|op| matches!(op.kind, OpKind::Compare { .. } | OpKind::Branch { .. })));
         for (b, ops) in func.blocks().zip(&blocks) {
-            // πs alias their inputs and φs travel on the edges, so no op
-            // copies; every instruction is still charged, exactly once.
-            assert!(!ops.iter().any(|op| matches!(op.kind, OpKind::Copy { .. })));
+            // πs alias their inputs, φs travel on the edges and constants
+            // are preloaded, so only the other instructions get ops, plus
+            // the terminator unless it fused with a compare; every
+            // instruction is still charged, exactly once.
+            let computing = func
+                .block(b)
+                .insts()
+                .iter()
+                .filter(|&&id| {
+                    !matches!(
+                        func.inst(id).kind,
+                        InstKind::Phi { .. }
+                            | InstKind::Pi { .. }
+                            | InstKind::Copy { .. }
+                            | InstKind::Const(_)
+                            | InstKind::BoolConst(_)
+                    )
+                })
+                .count();
+            let fused = ops
+                .iter()
+                .filter(|op| matches!(op.kind, OpKind::CmpBranch { .. }))
+                .count();
+            assert_eq!(ops.len(), computing + 1 - fused, "{b}");
             let weight: u32 = ops.iter().map(|op| op.weight).sum();
             assert_eq!(weight as usize, func.block(b).insts().len(), "{b}");
         }
+    }
+
+    #[test]
+    fn an_instruction_free_jump_cycle_traps_without_charging() {
+        // main() { bb0: jump bb1; bb1: jump bb1 }: no instruction ever
+        // runs, so only the cycle rule stops it.
+        let mut m = Module::new();
+        let mut b = FunctionBuilder::new("main", vec![], Some(Type::Int));
+        let l = b.new_block();
+        b.jump(l);
+        b.switch_to_block(l);
+        b.jump(l);
+        m.add_function(b.finish().unwrap());
+        let mut vm = Vm::new(&m);
+        let err = vm.call_by_name("main", &[]).unwrap_err();
+        assert_eq!(err.kind, TrapKind::StepLimitExceeded);
+        assert_eq!(vm.stats(), &ExecStats::default());
+    }
+
+    #[test]
+    fn an_instruction_free_branch_cycle_traps_only_when_taken() {
+        // f(c) { bb0: jump bb1; bb1: br c, bb2, bb3; bb2: jump bb1;
+        // bb3: ret }: bb1 and bb2 form a cycle that `c` keeps or leaves.
+        let mut m = Module::new();
+        let mut b = FunctionBuilder::new("f", vec![Type::Bool], None);
+        let c = b.param(0);
+        let (head, back, exit) = (b.new_block(), b.new_block(), b.new_block());
+        b.jump(head);
+        b.switch_to_block(head);
+        b.branch(c, back, exit);
+        b.switch_to_block(back);
+        b.jump(head);
+        b.switch_to_block(exit);
+        b.ret(None);
+        m.add_function(b.finish().unwrap());
+        let mut vm = Vm::new(&m);
+        let err = vm.call_by_name("f", &[RtVal::Bool(true)]).unwrap_err();
+        assert_eq!(err.kind, TrapKind::StepLimitExceeded);
+        assert_eq!(vm.stats(), &ExecStats::default());
+        let mut vm = Vm::new(&m);
+        assert_eq!(vm.call_by_name("f", &[RtVal::Bool(false)]), Ok(None));
+        let f = FuncId::new(0);
+        assert_eq!(vm.profile().block_count(f, exit), 1);
+        assert_eq!(vm.profile().block_count(f, back), 0);
+    }
+
+    #[test]
+    fn block_counts_derive_from_entries_and_in_edges() {
+        // fact(n) recurses n - 1 times: its entry block runs once per
+        // call, though no edge enters it.
+        let mut m = Module::new();
+        let mut b = FunctionBuilder::new("fact", vec![Type::Int], Some(Type::Int));
+        let n = b.param(0);
+        let one = b.iconst(1);
+        let c = b.compare(CmpOp::Le, n, one);
+        let (base, rec) = (b.new_block(), b.new_block());
+        b.branch(c, base, rec);
+        b.switch_to_block(base);
+        b.ret(Some(one));
+        b.switch_to_block(rec);
+        let nm1 = b.binary(BinOp::Sub, n, one);
+        let r = b.call(FuncId::new(0), vec![nm1], Some(Type::Int)).unwrap();
+        let p = b.binary(BinOp::Mul, n, r);
+        b.ret(Some(p));
+        m.add_function(b.finish().unwrap());
+        let f = FuncId::new(0);
+        let mut vm = Vm::new(&m);
+        assert_eq!(vm.call(f, &[RtVal::Int(5)]), Ok(Some(RtVal::Int(120))));
+        let profile = vm.profile();
+        assert_eq!(profile.block_count(f, Block::new(0)), 5);
+        assert_eq!(profile.block_count(f, base), 1);
+        assert_eq!(profile.block_count(f, rec), 4);
+        assert_eq!(profile.edge_count(f, Block::new(0), rec), 4);
+
+        // A trap in the middle of a block: the block was entered, so it
+        // counts, and a second call adds to the counts of the first.
+        let m = checked_sum_module();
+        let sum = FuncId::new(0);
+        let mut vm = Vm::with_options(
+            &m,
+            VmOptions {
+                step_limit: 8,
+                ..VmOptions::default()
+            },
+        );
+        let arr = vm.alloc_int_array(&[1, 2, 3]);
+        let err = vm.call(sum, &[arr]).unwrap_err();
+        assert_eq!(err.kind, TrapKind::StepLimitExceeded);
+        let profile = vm.profile();
+        // Three instructions of the entry, three of the loop head, then
+        // the body's lower check; its upper check is the ninth, which
+        // traps.
+        assert_eq!(vm.stats().insts, 9);
+        assert_eq!(profile.block_count(sum, Block::new(0)), 1);
+        assert_eq!(profile.block_count(sum, Block::new(1)), 1);
+        assert_eq!(profile.block_count(sum, Block::new(2)), 1);
+        assert_eq!(profile.site_count(sum, CheckSite::new(0)), 1);
+        assert_eq!(profile.site_count(sum, CheckSite::new(1)), 0);
+        // The budget is spent, so the next call traps in its entry block.
+        let arr = vm.alloc_int_array(&[]);
+        let err = vm.call(sum, &[arr]).unwrap_err();
+        assert_eq!(err.kind, TrapKind::StepLimitExceeded);
+        assert_eq!(vm.profile().block_count(sum, Block::new(0)), 2);
+        assert_eq!(vm.profile().block_count(sum, Block::new(1)), 1);
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! cumulative execution frequency of the insertion points with the frequency
 //! of the partially redundant check" (§6.1). This module records exactly
 //! those frequencies.
+//!
+//! The interpreter counts into dense `Counters`: entries into each
+//! function, traversals of each CFG edge and executions of each
+//! `bounds_check`. It does not count blocks. A block runs once per entry
+//! into its function at it and once per traversal of an edge into it, so
+//! its count is derived from those when the counters are folded into a
+//! [`Profile`].
 
 use abcd_ir::{Block, CheckSite, FuncId, Module, Terminator};
 use std::collections::HashMap;
@@ -107,7 +114,8 @@ impl Profile {
 }
 
 /// Where one function's counters start in [`Counters`]: `blocks` holds one
-/// count per block; `edges` two per block, the jump or branch-then slot and
+/// count of entries per block (only an entry block's can be nonzero);
+/// `edges` two per block, the jump or branch-then slot and
 /// the branch-else slot; `sites` one per check site.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Slots {
@@ -155,9 +163,10 @@ impl Counters {
         }
     }
 
-    /// Counts one execution of `block`.
+    /// Counts one entry into the function at `block`, its entry block.
+    /// Every other execution of a block is counted by its in-edge.
     #[inline]
-    pub(crate) fn block(&mut self, at: Slots, block: Block) {
+    pub(crate) fn enter(&mut self, at: Slots, block: Block) {
         self.counts[at.blocks + block.index()] += 1;
     }
 
@@ -174,7 +183,8 @@ impl Counters {
         self.counts[at.sites + site.index()] += 1;
     }
 
-    /// Adds every nonzero counter to `profile` and zeroes it.
+    /// Adds every nonzero count to `profile` and zeroes the counters. A
+    /// block's count is its entries plus the sum of its in-edge counts.
     pub(crate) fn fold_into(&mut self, module: &Module, profile: &mut Profile) {
         for &id in &self.entered {
             let func = module.function(id);
@@ -183,11 +193,6 @@ impl Counters {
             let counts = &mut self.counts[at..at + 3 * n + func.check_site_count()];
             let (blocks, rest) = counts.split_at_mut(n);
             let (edges, sites) = rest.split_at_mut(2 * n);
-            for (b, c) in blocks.iter_mut().enumerate() {
-                if *c > 0 {
-                    profile.add_block_count(id, Block::new(b), std::mem::take(c));
-                }
-            }
             for (i, c) in edges.iter_mut().enumerate() {
                 if *c > 0 {
                     let from = Block::new(i / 2);
@@ -197,7 +202,15 @@ impl Counters {
                         (Terminator::Branch { else_dst, .. }, _) => *else_dst,
                         (t, slot) => unreachable!("{from} has no successor slot {slot}: {t:?}"),
                     };
+                    if let Some(count) = blocks.get_mut(to.index()) {
+                        *count += *c;
+                    }
                     profile.add_edge_count(id, from, to, std::mem::take(c));
+                }
+            }
+            for (b, c) in blocks.iter_mut().enumerate() {
+                if *c > 0 {
+                    profile.add_block_count(id, Block::new(b), std::mem::take(c));
                 }
             }
             for (s, c) in sites.iter_mut().enumerate() {

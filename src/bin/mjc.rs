@@ -162,10 +162,17 @@ fn usage() -> String {
 
 /// Loads `file` as a module: textual IR when the extension is `.ir`, MJ
 /// source otherwise. All failure modes are structured errors, never panics.
+/// Textual IR must verify, and every definition must dominate its uses,
+/// as the front end guarantees for MJ (the interpreter relies on it).
 fn load_module(file: &str) -> Result<Module, String> {
     let source = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
     if file.ends_with(".ir") {
-        abcd_ir::parse_module(&source).map_err(|e| format!("{file}: {e}"))
+        let module = abcd_ir::parse_module(&source).map_err(|e| format!("{file}: {e}"))?;
+        abcd_ir::verify_module(&module).map_err(|(f, e)| format!("{file}: {f}: {e}"))?;
+        for (_, f) in module.functions() {
+            abcd_ssa::verify_dominance(f).map_err(|e| format!("{file}: {}: {e}", f.name()))?;
+        }
+        Ok(module)
     } else {
         compile(&source).map_err(|e| format!("{file}: {e}"))
     }
@@ -410,6 +417,15 @@ fn cmd_run(file: &str, rest: &[String]) -> Result<ExitCode, String> {
         emit_metrics(&report, threads, wall, cache.as_deref(), rest, true)?;
         emit_trace(&report, threads, rest)?;
         exit = incident_exit(&report);
+        if has(rest, "--version-fns") {
+            // As `mjc opt` does; stdout is the program's.
+            let v = abcd::version_functions(&mut module, None, 0);
+            for (name, facts, removed) in &v.versioned {
+                eprintln!(
+                    "versioned {name}: {removed} checks removed in fast path under {facts:?}"
+                );
+            }
+        }
     }
 
     let int_args: Vec<RtVal> = rest

@@ -177,7 +177,12 @@ fn malformed_source_is_a_structured_error() {
     let mj = scratch("broken.mj", "fn main( -> int { retur 1; }");
     let ir = scratch("broken.ir", "func @main {\n  blergh\n}");
     let truncated = scratch("trunc.mj", "fn main() -> int { return a[");
-    for file in [&mj, &ir, &truncated] {
+    // Parses and verifies, but uses `v1` before its definition.
+    let use_before_def = scratch(
+        "use_before_def.ir",
+        "func @main() -> int {\nbb0:\n    v0: int = add v1, v1\n    v1: int = const 1\n    ret v0\n}\n",
+    );
+    for file in [&mj, &ir, &truncated, &use_before_def] {
         for cmd in ["run", "opt", "dump", "graph"] {
             let out = mjc(&[cmd, file.to_str().unwrap()]);
             assert_eq!(exit_code(&out), 1, "{cmd} {}", file.display());
@@ -261,11 +266,21 @@ fn full_fail_open_flags_run_clean() {
 
 #[test]
 fn trapping_program_exits_one_with_trap_message() {
-    let file = scratch(
+    let oob = scratch(
         "trap.mj",
         "fn main() -> int { let a: int[] = new int[2]; let i: int = 5; return a[i]; }",
     );
-    for extra in [&[][..], &["--opt", "--validate"][..]] {
+    // Runs no instruction, so only the step limit's cycle rule stops it.
+    let spin = scratch(
+        "spin.ir",
+        "func @main() -> int {\nbb0:\n    jump bb1\nbb1:\n    jump bb1\n}\n",
+    );
+    for (file, extra, what) in [
+        (&oob, &[][..], "index 5, length 2"),
+        (&oob, &["--opt", "--validate"][..], "index 5, length 2"),
+        (&spin, &[][..], "step limit exceeded"),
+        (&spin, &["--opt", "--validate"][..], "step limit exceeded"),
+    ] {
         let mut args = vec!["run", file.to_str().unwrap()];
         args.extend_from_slice(extra);
         let out = mjc(&args);
@@ -275,7 +290,7 @@ fn trapping_program_exits_one_with_trap_message() {
         // be a structured `mjc: ` line.
         assert!(
             err.lines()
-                .any(|l| l.starts_with("mjc: ") && l.contains("trap")),
+                .any(|l| l.starts_with("mjc: ") && l.contains("trap") && l.contains(what)),
             "{err}"
         );
         assert!(!err.contains("panicked"), "{err}");
@@ -301,4 +316,47 @@ fn huge_array_length_traps_instead_of_aborting() {
         );
         assert!(!err.contains("panicked"), "{err}");
     }
+}
+
+#[test]
+fn run_opt_versions_functions_as_opt_does() {
+    let hanoi = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/benchsuite/programs/hanoi.mj"
+    );
+    let plain = mjc(&["run", hanoi, "--opt", "--stats"]);
+    let versioned = mjc(&["run", hanoi, "--opt", "--version-fns", "--stats"]);
+    assert_eq!(exit_code(&plain), 0, "{}", stderr(&plain));
+    assert_eq!(exit_code(&versioned), 0, "{}", stderr(&versioned));
+    let (plain_err, versioned_err) = (stderr(&plain), stderr(&versioned));
+    assert!(
+        versioned_err
+            .lines()
+            .any(|l| l.starts_with("versioned move_disc: ")),
+        "{versioned_err}"
+    );
+    assert_eq!(plain.stdout, versioned.stdout);
+    let result = |err: &str| {
+        err.lines()
+            .find(|l| l.starts_with("=> "))
+            .map(str::to_owned)
+    };
+    assert_eq!(result(&plain_err), result(&versioned_err));
+    // `checks: lower L / upper U / …` of the `--stats` line.
+    let upper = |err: &str| -> u64 {
+        let stats = err
+            .lines()
+            .find(|l| l.starts_with("instructions: "))
+            .unwrap();
+        let at = stats.find("upper ").unwrap() + "upper ".len();
+        let digits: String = stats[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
+    };
+    assert!(
+        upper(&versioned_err) <= upper(&plain_err),
+        "{versioned_err}\n{plain_err}"
+    );
 }
