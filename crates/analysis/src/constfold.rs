@@ -6,7 +6,7 @@
 //! optimization set and matters for ABCD: a folded `0 - 1` becomes a `-1`
 //! literal, which the inequality graph represents exactly.
 
-use abcd_ir::{BinOp, Function, InstKind, UnOp, Value, ValueDef};
+use abcd_ir::{BinOp, Block, Function, InstKind, UnOp, Value, ValueDef};
 
 fn const_of(func: &Function, v: Value) -> Option<i64> {
     match func.value_def(v) {
@@ -33,9 +33,9 @@ fn bool_of(func: &Function, v: Value) -> Option<bool> {
 /// rewrite happens in program order).
 pub fn fold_constants(func: &mut Function) -> usize {
     let mut folded = 0;
-    for b in func.blocks().collect::<Vec<_>>() {
-        let ids = func.block(b).insts().to_vec();
-        for id in ids {
+    for b in (0..func.block_count()).map(Block::new) {
+        for pos in 0..func.block(b).insts().len() {
+            let id = func.block(b).insts()[pos];
             let new_kind = match &func.inst(id).kind {
                 InstKind::Binary { op, lhs, rhs } => {
                     match (const_of(func, *lhs), const_of(func, *rhs)) {

@@ -13,13 +13,13 @@
 //! * it supplies the **congruence classes** the §7.1 extension consults on
 //!   demand ("if A and B were congruent, we obtained the desired proof").
 
-use abcd_ir::{BinOp, Function, InstId, InstKind, UnOp, Value};
+use crate::scratch::{CleanupScratch, FnvMap};
+use abcd_ir::{BinOp, Block, Function, InstKind, UnOp, Value};
 use abcd_ssa::DomTree;
-use std::collections::HashMap;
 
 /// A hashable key for pure expressions.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-enum ExprKey {
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) enum ExprKey {
     Const(i64),
     BoolConst(bool),
     Unary(UnOp, Value),
@@ -28,25 +28,50 @@ enum ExprKey {
     ArrayLen(Value),
 }
 
+/// One step of value numbering's dominator-tree walk.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Step {
+    Enter(Block),
+    /// Undo the log down to this length.
+    Exit(usize),
+}
+
 /// The result of value numbering: rewrite counts and congruence classes.
 #[derive(Clone, Debug, Default)]
 pub struct GvnResult {
     /// Instructions removed as redundant.
     pub removed: usize,
-    /// Value → canonical (congruent) representative, for every value that
-    /// was unified. Queried by ABCD's §7.1 hook.
-    pub leader: HashMap<Value, Value>,
+    /// Per value: the value it was unified with (itself if never). Queried
+    /// by ABCD's §7.1 hook; values past the end are their own leaders.
+    leader: Vec<Value>,
 }
 
 impl GvnResult {
+    pub(crate) fn with_table(leader: Vec<Value>) -> GvnResult {
+        GvnResult { removed: 0, leader }
+    }
+
+    pub(crate) fn into_table(self) -> Vec<Value> {
+        self.leader
+    }
+
+    /// Records that `v` is congruent to `leader` (later records win).
+    fn unify(&mut self, v: Value, leader: Value) {
+        if self.leader.len() <= v.index() {
+            let len = self.leader.len();
+            self.leader.extend((len..=v.index()).map(Value::new));
+        }
+        self.leader[v.index()] = leader;
+    }
+
     /// The congruence-class representative of `v` (itself if never unified).
     pub fn leader_of(&self, v: Value) -> Value {
         let mut cur = v;
-        while let Some(next) = self.leader.get(&cur) {
-            if *next == cur {
+        while let Some(&next) = self.leader.get(cur.index()) {
+            if next == cur {
                 break;
             }
-            cur = *next;
+            cur = next;
         }
         cur
     }
@@ -54,6 +79,15 @@ impl GvnResult {
     /// Are `a` and `b` congruent?
     pub fn congruent(&self, a: Value, b: Value) -> bool {
         self.leader_of(a) == self.leader_of(b)
+    }
+
+    /// Points every value straight at its representative, so later
+    /// [`leader_of`](GvnResult::leader_of) reads take one hop. The classes
+    /// do not change.
+    fn flatten(&mut self) {
+        for i in 0..self.leader.len() {
+            self.leader[i] = self.leader_of(Value::new(i));
+        }
     }
 }
 
@@ -65,104 +99,178 @@ pub fn value_number(func: &mut Function) -> GvnResult {
 /// [`value_number`] over `func`'s dominator tree `dt`, which GVN leaves
 /// valid: it never changes the CFG.
 pub fn value_number_with_tree(func: &mut Function, dt: &DomTree) -> GvnResult {
-    let mut result = GvnResult::default();
-    // Scoped expression table; `undo` logs each block's insertions (a key
-    // is only ever inserted where it was absent) so the block's exit
-    // removes them.
-    let mut table: HashMap<ExprKey, Value> = HashMap::new();
-    let mut undo: Vec<ExprKey> = Vec::new();
-    // Dense rename map: every value starts as its own representative.
-    let mut rename: Vec<Value> = func.values().collect();
+    CleanupScratch::new().value_number(func, dt)
+}
 
-    enum Step {
-        Enter(abcd_ir::Block),
-        /// Undo the log down to this length.
-        Exit(usize),
+/// Records *load congruence* into `gvn` (see
+/// [`CleanupScratch::record_load_congruence`]).
+pub fn record_load_congruence(func: &Function, gvn: &mut GvnResult) {
+    CleanupScratch::new().record_load_congruence(func, gvn);
+}
+
+impl CleanupScratch {
+    /// [`value_number_with_tree`] on this scratch's tables.
+    pub fn value_number(&mut self, func: &mut Function, dt: &DomTree) -> GvnResult {
+        let mut gvn = self.fresh_result(func);
+        gvn.removed = self.number_into(func, dt, &mut gvn);
+        gvn
     }
-    let mut work = vec![Step::Enter(func.entry())];
-    let mut to_remove: Vec<(abcd_ir::Block, InstId)> = Vec::new();
 
-    while let Some(step) = work.pop() {
-        match step {
-            Step::Exit(mark) => {
-                for k in undo.drain(mark..) {
-                    table.remove(&k);
-                }
-            }
-            Step::Enter(b) => {
-                let mark = undo.len();
-                for pos in 0..func.block(b).insts().len() {
-                    let id = func.block(b).insts()[pos];
-                    // Rewrite uses through accumulated renames first.
-                    func.inst_mut(id).kind.map_uses(|v| rename[v.index()]);
-                    let inst = func.inst(id);
-                    let key = match &inst.kind {
-                        InstKind::Const(c) => Some(ExprKey::Const(*c)),
-                        InstKind::BoolConst(c) => Some(ExprKey::BoolConst(*c)),
-                        InstKind::Unary { op, arg } => Some(ExprKey::Unary(*op, *arg)),
-                        InstKind::Binary { op, lhs, rhs } => {
-                            // Canonicalize commutative operands by index.
-                            let (a, c) = if commutative(*op) && rhs < lhs {
-                                (*rhs, *lhs)
-                            } else {
-                                (*lhs, *rhs)
-                            };
-                            // Div/Rem can trap; still pure *value-wise*, and
-                            // replacing with a dominating twin never adds a
-                            // trap, so it is safe to unify.
-                            Some(ExprKey::Binary(*op, a, c))
-                        }
-                        InstKind::Compare { op, lhs, rhs } => {
-                            Some(ExprKey::Compare(*op, *lhs, *rhs))
-                        }
-                        InstKind::ArrayLen { array } => Some(ExprKey::ArrayLen(*array)),
-                        InstKind::Copy { arg } => {
-                            // Copy propagation: uses of the copy see the
-                            // original; the copy itself is removed.
-                            let r = inst.result.expect("copy has result");
-                            rename[r.index()] = *arg;
-                            result.leader.insert(r, *arg);
-                            to_remove.push((b, id));
-                            result.removed += 1;
-                            None
-                        }
-                        _ => None,
-                    };
-                    if let Some(key) = key {
-                        let r = inst.result.expect("pure inst has result");
-                        if let Some(&canon) = table.get(&key) {
-                            rename[r.index()] = canon;
-                            result.leader.insert(r, canon);
-                            to_remove.push((b, id));
-                            result.removed += 1;
-                        } else {
-                            undo.push(key.clone());
-                            table.insert(key, r);
-                        }
+    /// Value-numbers `func`, recording every unification into `gvn`;
+    /// returns the number of instructions removed.
+    pub(crate) fn number_into(
+        &mut self,
+        func: &mut Function,
+        dt: &DomTree,
+        gvn: &mut GvnResult,
+    ) -> usize {
+        let CleanupScratch {
+            exprs,
+            undo,
+            walk,
+            rename,
+            unlink,
+            ..
+        } = self;
+        // Scoped expression table; `undo` logs each block's insertions (a
+        // key is only ever inserted where it was absent) so the block's
+        // exit removes them.
+        exprs.clear();
+        undo.clear();
+        // Dense rename map: every value starts as its own representative.
+        rename.clear();
+        rename.extend(func.values());
+        unlink.reset(func);
+        let mut removed = 0;
+        walk.clear();
+        walk.push(Step::Enter(func.entry()));
+
+        while let Some(step) = walk.pop() {
+            match step {
+                Step::Exit(mark) => {
+                    for k in undo.drain(mark..) {
+                        exprs.remove(&k);
                     }
                 }
-                // The terminator sees the renames made so far.
-                if let Some(term) = func.block(b).terminator_opt() {
-                    let mut t = term.clone();
-                    t.map_uses(|v| rename[v.index()]);
-                    func.set_terminator(b, t);
-                }
-                work.push(Step::Exit(mark));
-                for &c in dt.children(b) {
-                    work.push(Step::Enter(c));
+                Step::Enter(b) => {
+                    let mark = undo.len();
+                    for pos in 0..func.block(b).insts().len() {
+                        let id = func.block(b).insts()[pos];
+                        // Rewrite uses through accumulated renames first.
+                        func.inst_mut(id).kind.map_uses(|v| rename[v.index()]);
+                        let inst = func.inst(id);
+                        let key = match inst.kind {
+                            InstKind::Const(c) => Some(ExprKey::Const(c)),
+                            InstKind::BoolConst(c) => Some(ExprKey::BoolConst(c)),
+                            InstKind::Unary { op, arg } => Some(ExprKey::Unary(op, arg)),
+                            InstKind::Binary { op, lhs, rhs } => {
+                                // Canonicalize commutative operands by index.
+                                let (a, c) = if commutative(op) && rhs < lhs {
+                                    (rhs, lhs)
+                                } else {
+                                    (lhs, rhs)
+                                };
+                                // Div/Rem can trap; still pure *value-wise*,
+                                // and replacing with a dominating twin never
+                                // adds a trap, so it is safe to unify.
+                                Some(ExprKey::Binary(op, a, c))
+                            }
+                            InstKind::Compare { op, lhs, rhs } => {
+                                Some(ExprKey::Compare(op, lhs, rhs))
+                            }
+                            InstKind::ArrayLen { array } => Some(ExprKey::ArrayLen(array)),
+                            InstKind::Copy { arg } => {
+                                // Copy propagation: uses of the copy see the
+                                // original; the copy itself is removed.
+                                let r = inst.result.expect("copy has result");
+                                rename[r.index()] = arg;
+                                gvn.unify(r, arg);
+                                unlink.mark(b, id);
+                                removed += 1;
+                                None
+                            }
+                            _ => None,
+                        };
+                        if let Some(key) = key {
+                            let r = inst.result.expect("pure inst has result");
+                            if let Some(&canon) = exprs.get(&key) {
+                                rename[r.index()] = canon;
+                                gvn.unify(r, canon);
+                                unlink.mark(b, id);
+                                removed += 1;
+                            } else {
+                                undo.push(key);
+                                exprs.insert(key, r);
+                            }
+                        }
+                    }
+                    // The terminator sees the renames made so far.
+                    if let Some(term) = func.block(b).terminator_opt() {
+                        let mut t = term.clone();
+                        t.map_uses(|v| rename[v.index()]);
+                        func.set_terminator(b, t);
+                    }
+                    walk.push(Step::Exit(mark));
+                    walk.extend(dt.children(b).iter().map(|&c| Step::Enter(c)));
                 }
             }
         }
+
+        // φ arguments may reference renamed values defined in
+        // non-dominating predecessors; apply the full rename map once at
+        // the end.
+        func.map_all_uses(|v| rename[v.index()]);
+        unlink.sweep(func);
+        removed
     }
 
-    // φ arguments may reference renamed values defined in non-dominating
-    // predecessors; apply the full rename map once at the end.
-    func.map_all_uses(|v| rename[v.index()]);
-
-    for (b, id) in to_remove {
-        func.remove_inst(b, id);
+    /// Records *load congruence* into `gvn`: two loads of the same
+    /// `array[index]` with no intervening store or call yield the same
+    /// value — in particular, two loads of an array-of-arrays slot yield
+    /// the *same array reference*, so their lengths are equal. This is
+    /// exactly the congruence ABCD's §7.1 hook consults ("if A and B were
+    /// congruent, we obtained the desired proof that x ≤ A.length"):
+    /// pure-expression CSE can never supply it because loads read memory.
+    ///
+    /// The analysis is deliberately block-local (the table resets at block
+    /// entry and at every store/call), which keeps it trivially sound in
+    /// the presence of loops and joins. No instruction is rewritten —
+    /// matching the paper's "we do not encode the results … we consult the
+    /// congruence information on demand".
+    pub fn record_load_congruence(&mut self, func: &Function, gvn: &mut GvnResult) {
+        let table = &mut self.loads;
+        for b in func.blocks() {
+            reset(table);
+            for &id in func.block(b).insts() {
+                let inst = func.inst(id);
+                match inst.kind {
+                    InstKind::Load { array, index } => {
+                        // Canonicalize through existing congruence so
+                        // renamed indices still match.
+                        let key = (gvn.leader_of(array), gvn.leader_of(index));
+                        let r = inst.result.expect("load has result");
+                        match table.get(&key) {
+                            Some(&first) => gvn.unify(r, first),
+                            None => {
+                                table.insert(key, r);
+                            }
+                        }
+                    }
+                    InstKind::Store { .. } | InstKind::Call { .. } => reset(table),
+                    _ => {}
+                }
+            }
+        }
+        gvn.flatten();
     }
-    result
+}
+
+/// Empties `table`; clearing one that is already empty would still sweep
+/// every bucket of its high-water capacity.
+fn reset(table: &mut FnvMap<(Value, Value), Value>) {
+    if !table.is_empty() {
+        table.clear();
+    }
 }
 
 fn commutative(op: BinOp) -> bool {
@@ -170,46 +278,6 @@ fn commutative(op: BinOp) -> bool {
         op,
         BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
     )
-}
-
-/// Records *load congruence* into `gvn`: two loads of the same
-/// `array[index]` with no intervening store or call yield the same value —
-/// in particular, two loads of an array-of-arrays slot yield the *same
-/// array reference*, so their lengths are equal. This is exactly the
-/// congruence ABCD's §7.1 hook consults ("if A and B were congruent, we
-/// obtained the desired proof that x ≤ A.length"): pure-expression CSE can
-/// never supply it because loads read memory.
-///
-/// The analysis is deliberately block-local (the table resets at block
-/// entry and at every store/call), which keeps it trivially sound in the
-/// presence of loops and joins. No instruction is rewritten — matching the
-/// paper's "we do not encode the results … we consult the congruence
-/// information on demand".
-pub fn record_load_congruence(func: &Function, gvn: &mut GvnResult) {
-    for b in func.blocks() {
-        let mut table: HashMap<(Value, Value), Value> = HashMap::new();
-        for &id in func.block(b).insts() {
-            let inst = func.inst(id);
-            match &inst.kind {
-                InstKind::Load { array, index } => {
-                    // Canonicalize through existing congruence so renamed
-                    // indices still match.
-                    let key = (gvn.leader_of(*array), gvn.leader_of(*index));
-                    let r = inst.result.expect("load has result");
-                    match table.get(&key) {
-                        Some(&first) => {
-                            gvn.leader.insert(r, first);
-                        }
-                        None => {
-                            table.insert(key, r);
-                        }
-                    }
-                }
-                InstKind::Store { .. } | InstKind::Call { .. } => table.clear(),
-                _ => {}
-            }
-        }
-    }
 }
 
 /// Convenience accessor used by ABCD's §7.1 hook: all array-typed values

@@ -17,6 +17,7 @@ mod constfold;
 mod dce;
 mod gvn;
 mod range;
+mod scratch;
 
 pub use constfold::fold_constants;
 pub use dce::eliminate_dead_code;
@@ -25,6 +26,7 @@ pub use gvn::{
     value_number_with_tree, GvnResult,
 };
 pub use range::{eliminate_checks_by_range, Bound, Range, RangeStats};
+pub use scratch::CleanupScratch;
 
 use abcd_ir::Function;
 use abcd_ssa::DomTree;
@@ -43,7 +45,7 @@ pub struct CleanupStats {
 /// Runs the pre-ABCD cleanup pipeline on an SSA-form function:
 /// constant folding → value numbering → (repeat once) → DCE.
 ///
-/// Returns the last GVN result so ABCD's §7.1 hook can query congruence.
+/// Returns the GVN result so ABCD's §7.1 hook can query congruence.
 pub fn cleanup(func: &mut Function) -> (CleanupStats, GvnResult) {
     cleanup_with_tree(func, &DomTree::compute(func))
 }
@@ -51,22 +53,29 @@ pub fn cleanup(func: &mut Function) -> (CleanupStats, GvnResult) {
 /// [`cleanup`] over `func`'s dominator tree `dt`. No cleanup pass changes
 /// the CFG, so `dt` stays valid throughout (and after).
 pub fn cleanup_with_tree(func: &mut Function, dt: &DomTree) -> (CleanupStats, GvnResult) {
-    let mut stats = CleanupStats::default();
-    stats.folded += fold_constants(func);
-    let mut gvn = value_number_with_tree(func, dt);
-    stats.value_numbered += gvn.removed;
-    let folded2 = fold_constants(func);
-    if folded2 > 0 {
-        stats.folded += folded2;
-        let g2 = value_number_with_tree(func, dt);
-        stats.value_numbered += g2.removed;
-        // Keep the union of congruence facts (later leaders win).
-        for (k, v) in g2.leader {
-            gvn.leader.insert(k, v);
+    CleanupScratch::new().cleanup(func, dt)
+}
+
+impl CleanupScratch {
+    /// [`cleanup_with_tree`] on this scratch's tables. Hand the returned
+    /// result back with [`recycle`](CleanupScratch::recycle) once its
+    /// congruence classes are no longer needed.
+    pub fn cleanup(&mut self, func: &mut Function, dt: &DomTree) -> (CleanupStats, GvnResult) {
+        let mut stats = CleanupStats::default();
+        stats.folded += fold_constants(func);
+        let mut gvn = self.fresh_result(func);
+        stats.value_numbered += self.number_into(func, dt, &mut gvn);
+        let folded2 = fold_constants(func);
+        if folded2 > 0 {
+            stats.folded += folded2;
+            // The second pass's unifications join the first's (later
+            // leaders win).
+            stats.value_numbered += self.number_into(func, dt, &mut gvn);
         }
+        gvn.removed = stats.value_numbered;
+        stats.dce_removed += self.eliminate_dead_code(func);
+        (stats, gvn)
     }
-    stats.dce_removed += eliminate_dead_code(func);
-    (stats, gvn)
 }
 
 #[cfg(test)]
@@ -96,6 +105,41 @@ mod tests {
         assert!(stats.value_numbered >= 1);
         abcd_ssa::verify_ssa(f).unwrap();
         abcd_ir::verify_function(f, None).unwrap();
+    }
+
+    #[test]
+    fn a_reused_scratch_matches_a_fresh_one() {
+        let src = "fn big(a: int[], b: int[]) -> int {
+                let s: int = 0;
+                for (let i: int = 0; i < a.length; i = i + 1) {
+                    s = s + a[i] + a[i] + b.length + b.length + (3 - 3);
+                }
+                return s;
+            }
+            fn small(a: int[]) -> int { return a.length + a.length; }";
+        let module = compile(src).unwrap();
+        let mut scratch = CleanupScratch::new();
+        // Twice over both functions, so the second pass runs on tables a
+        // larger function left behind.
+        for _ in 0..2 {
+            for (_, func) in module.functions() {
+                let mut warm = func.clone();
+                abcd_ssa::split_critical_edges(&mut warm);
+                abcd_ssa::promote_locals(&mut warm).unwrap();
+                let mut fresh = warm.clone();
+                let dt = DomTree::compute(&warm);
+                let (stats, mut gvn) = scratch.cleanup(&mut warm, &dt);
+                scratch.record_load_congruence(&warm, &mut gvn);
+                let (fresh_stats, mut fresh_gvn) = cleanup(&mut fresh);
+                record_load_congruence(&fresh, &mut fresh_gvn);
+                assert_eq!(stats, fresh_stats);
+                assert_eq!(warm.to_string(), fresh.to_string());
+                for v in warm.values() {
+                    assert_eq!(gvn.leader_of(v), fresh_gvn.leader_of(v));
+                }
+                scratch.recycle(gvn);
+            }
+        }
     }
 
     #[test]

@@ -63,6 +63,13 @@
 //! checks), assuming every candidate parameter fact in the log, and
 //! filling its upper and lower graphs, whole and for every block,
 //! allocates nothing.
+//!
+//! The cleanup gate: once a `CleanupScratch` has cleaned up every SSA
+//! function of the 15 kernels and the generated corpus, cleaning them up
+//! again — constant folding, value numbering, dead-code elimination and
+//! load congruence, the leader table handed back after each — allocates
+//! nothing, and every result equals the free functions' on a fresh
+//! scratch.
 
 use abcd::cache::{canonical_text_hash, key_from_text_hash, DEFAULT_CACHE_BYTES};
 use abcd::interproc::candidate_facts;
@@ -71,7 +78,7 @@ use abcd::{
     Scope, Vertex,
 };
 use abcd_ir::{CanonScratch, CheckKind, Function, InstKind, Module, Value};
-use abcd_ssa::SsaScratch;
+use abcd_ssa::{DomTree, SsaScratch};
 use std::sync::{Arc, Mutex, PoisonError};
 
 #[global_allocator]
@@ -534,5 +541,73 @@ fn warm_graph_construction_allocates_nothing() {
         d.allocs,
         d.bytes,
         functions.len()
+    );
+}
+
+/// A digest of `gvn`'s congruence classes over `func`'s values.
+fn classes_digest(func: &Function, gvn: &abcd_analysis::GvnResult) -> u64 {
+    let mut h = abcd_ir::Fnv1a::new();
+    for v in func.values() {
+        h.write(&gvn.leader_of(v).index().to_le_bytes());
+    }
+    h.finish()
+}
+
+#[test]
+fn warm_cleanup_allocates_nothing() {
+    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut inputs: Vec<(Function, DomTree)> = Vec::new();
+    let mut ssa = SsaScratch::new();
+    for src in sources() {
+        let mut module = abcd_frontend::compile(&src).expect("source compiles");
+        for (_, func) in module.functions_mut() {
+            ssa.normalize(func);
+            ssa.promote_locals(func)
+                .expect("frontend guarantees definite assignment");
+            inputs.push((func.clone(), ssa.dom_tree().clone()));
+        }
+    }
+    let mut scratch = abcd_analysis::CleanupScratch::new();
+    // Warm-up: the scratch's tables reach the inputs' high-water sizes.
+    for (func, dt) in &inputs {
+        let mut func = func.clone();
+        let (_, mut gvn) = scratch.cleanup(&mut func, dt);
+        scratch.record_load_congruence(&func, &mut gvn);
+        scratch.recycle(gvn);
+    }
+    let mut funcs: Vec<Function> = inputs.iter().map(|(f, _)| f.clone()).collect();
+    let mut results = Vec::with_capacity(funcs.len());
+    let before = abcd_alloc::snapshot();
+    for (func, (_, dt)) in funcs.iter_mut().zip(&inputs) {
+        let (stats, mut gvn) = scratch.cleanup(func, dt);
+        scratch.record_load_congruence(func, &mut gvn);
+        results.push((stats, classes_digest(func, &gvn)));
+        scratch.recycle(gvn);
+    }
+    let d = abcd_alloc::delta(before);
+
+    // The warm scratch does what the free functions do on a fresh one.
+    let mut removed = 0;
+    for (((input, _), func), &(stats, classes)) in inputs.iter().zip(&funcs).zip(&results) {
+        let mut fresh = input.clone();
+        let (fresh_stats, mut gvn) = abcd_analysis::cleanup(&mut fresh);
+        abcd_analysis::record_load_congruence(&fresh, &mut gvn);
+        assert_eq!(stats, fresh_stats, "{}", input.name());
+        assert_eq!(func.to_string(), fresh.to_string(), "{}", input.name());
+        assert_eq!(classes, classes_digest(&fresh, &gvn), "{}", input.name());
+        removed += stats.value_numbered + stats.dce_removed;
+    }
+    assert!(
+        inputs.len() >= 120 && removed > 500,
+        "gate coverage collapsed: {} functions, {removed} instructions removed",
+        inputs.len()
+    );
+    assert_eq!(
+        d.allocs,
+        0,
+        "warm cleanup allocated {} times ({} bytes) over {} functions",
+        d.allocs,
+        d.bytes,
+        inputs.len()
     );
 }

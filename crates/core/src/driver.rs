@@ -19,7 +19,7 @@ use crate::scratch::{ScratchArena, ScratchPool};
 use crate::solver::{DemandProver, PreOutcome, PreProver, ProverBackend};
 use crate::trace::{FunctionTrace, PreInsertionRecord, Span};
 use abcd_ir::{Block, CheckKind, CheckSite, FuncId, Function, InstId, InstKind, Module, Value};
-use abcd_ssa::{DomTree, SsaScratch};
+use abcd_ssa::DomTree;
 use abcd_vm::Profile;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -256,7 +256,8 @@ impl Optimizer {
             prepared = self.map_functions(module, |_, func| {
                 let text_hash = caching.then(|| crate::cache::canonical_text_hash(func));
                 let mut arena = pool.checkout();
-                let prep = self.isolated(func, |f| self.prepare_function(f, &mut arena.ssa));
+                let prep =
+                    self.isolated(func, &mut arena, |f, arena| self.prepare_function(f, arena));
                 pool.checkin(arena);
                 Mutex::new(Some((text_hash, prep)))
             });
@@ -317,13 +318,10 @@ impl Optimizer {
                 Err(rep) => rep,
                 Ok(prepared) => {
                     let mut arena = pool.checkout();
-                    let rep = self.isolated(func, |f| {
-                        let prepared =
-                            prepared.map_or_else(|| self.prepare_function(f, &mut arena.ssa), Ok);
+                    let rep = self.isolated(func, &mut arena, |f, arena| {
+                        let prepared = prepared.map_or_else(|| self.prepare_function(f, arena), Ok);
                         match prepared {
-                            Ok(gvn) => {
-                                self.analyze_function(f, id, profile, gvn, facts, &mut arena)
-                            }
+                            Ok(gvn) => self.analyze_function(f, id, profile, gvn, facts, arena),
                             Err(incident) => fail_open_report(f, incident),
                         }
                     });
@@ -358,33 +356,33 @@ impl Optimizer {
             .push_front(Span::Cache { hit });
     }
 
-    /// Runs `work` on a scratch clone of `func` under `catch_unwind` (when
-    /// isolation is enabled), copying the result back only on success. A
-    /// panic leaves `func` exactly as it was — the function ships
-    /// unoptimized — and is reported as a [`Incident::PassPanic`] carrying
-    /// the pass that was running.
+    /// Runs `work` on `func` in place under `catch_unwind` (when isolation
+    /// is enabled), after copying `func` into the arena's pooled snapshot.
+    /// A panic swaps the snapshot back, so `func` is exactly as it was —
+    /// the function ships unoptimized — and is reported as a
+    /// [`Incident::PassPanic`] carrying the pass that was running.
     ///
-    /// The clone/copy-back discipline is identical in sequential and
-    /// parallel runs, so isolation never perturbs byte-identity.
-    fn isolated<T, F>(&self, func: &mut Function, work: F) -> FailOpen<T>
+    /// The snapshot discipline is identical in sequential and parallel
+    /// runs, so isolation never perturbs byte-identity.
+    fn isolated<T, F>(&self, func: &mut Function, arena: &mut ScratchArena, work: F) -> FailOpen<T>
     where
-        F: FnOnce(&mut Function) -> T,
+        F: FnOnce(&mut Function, &mut ScratchArena) -> T,
     {
         if !self.options.isolate_panics {
-            return FailOpen::Done(work(func));
+            return FailOpen::Done(work(func, arena));
         }
-        let scratch = func.clone();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let mut scratch = scratch;
-            let out = work(&mut scratch);
-            (scratch, out)
-        }));
-        match result {
-            Ok((scratch, out)) => {
-                *func = scratch;
-                FailOpen::Done(out)
+        let mut snapshot = match arena.snapshot.take() {
+            Some(mut snapshot) => {
+                snapshot.clone_from(func);
+                snapshot
             }
+            None => func.clone(),
+        };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(func, arena)));
+        let out = match result {
+            Ok(out) => FailOpen::Done(out),
             Err(payload) => {
+                std::mem::swap(func, &mut snapshot);
                 let incident = Incident::PassPanic {
                     function: func.name_symbol(),
                     pass: current_pass().to_string(),
@@ -392,7 +390,9 @@ impl Optimizer {
                 };
                 FailOpen::Panicked(Box::new(fail_open_report(func, incident)))
             }
-        }
+        };
+        arena.snapshot = Some(snapshot);
+        out
     }
 
     /// Applies `f` to every function and collects the results in function
@@ -637,8 +637,9 @@ impl Optimizer {
     fn prepare_function(
         &self,
         func: &mut Function,
-        ssa: &mut SsaScratch,
+        arena: &mut ScratchArena,
     ) -> Result<PreparedGvn, Incident> {
+        let ScratchArena { ssa, cleanup, .. } = arena;
         let prepare_started = Instant::now();
         let opts = &self.options;
         let mut cleanup_stats = abcd_analysis::CleanupStats::default();
@@ -652,7 +653,7 @@ impl Optimizer {
         let mut gvn = abcd_analysis::GvnResult::default();
         if opts.cleanup {
             self.run_stage(func, "cleanup", true, |f| {
-                let (stats, g) = abcd_analysis::cleanup_with_tree(f, ssa.dom_tree());
+                let (stats, g) = cleanup.cleanup(f, ssa.dom_tree());
                 cleanup_stats = stats;
                 gvn = g;
             })?;
@@ -661,12 +662,12 @@ impl Optimizer {
             // value-number a throwaway clone (value ids are stable) and keep
             // only the congruence classes.
             let mut scratch = func.clone();
-            gvn = abcd_analysis::value_number_with_tree(&mut scratch, ssa.dom_tree());
+            gvn = cleanup.value_number(&mut scratch, ssa.dom_tree());
         }
         if opts.gvn_hook {
             // Loads of the same array slot yield the same reference (and
             // hence the same length) — congruence no rewriting CSE can see.
-            abcd_analysis::record_load_congruence(func, &mut gvn);
+            cleanup.record_load_congruence(func, &mut gvn);
         }
         let pi_started = Instant::now();
         self.run_stage(func, "insert_pi", true, |f| {
@@ -1043,9 +1044,7 @@ impl Optimizer {
         let mut spec_inserted = 0usize;
         let mut merged = 0usize;
         let transform = self.run_stage(func, "transform", true, |f| {
-            for (b, id) in to_remove {
-                f.remove_inst(b, id);
-            }
+            arena.cleanup.unlink_insts(f, to_remove);
             for (b, id, points, problem) in pre_jobs {
                 spec_inserted += apply_insertions(f, b, id, &points, problem);
             }
@@ -1097,6 +1096,7 @@ impl Optimizer {
             crate::validate::validate_function(func, &mut report, facts, &gvn, &dt, opts.gvn_hook);
         }
         arena.ssa.put_dom_tree(dt);
+        arena.cleanup.recycle(gvn);
 
         // Final stage, always on: renumber into the parser's canonical
         // form. This makes the printed module a `print ∘ parse` fixpoint —

@@ -1,8 +1,9 @@
 //! Pooled per-worker scratch for the zero-allocation prove path.
 //!
 //! Everything the analysis allocates per function — SSA construction's
-//! tables and dominator tree, the constraint log and graph shells, the
-//! demand and PRE provers' memo tables, the canonical-numbering maps — lives in a
+//! tables and dominator tree, the cleanup passes' tables, the constraint
+//! log and graph shells, the demand and PRE provers' memo tables, the
+//! canonical-numbering maps and the panic snapshot — lives in a
 //! [`ScratchArena`] that a worker checks out of a [`ScratchPool`] once and
 //! reuses across every function it analyzes. After the first few functions
 //! warm the buffers to the module's high-water capacities, steady-state
@@ -15,7 +16,8 @@
 
 use crate::graph::{ConstraintLog, InequalityGraph, Vertex};
 use crate::solver::{DemandProver, DemandScratch, PreScratch, ProverBackend};
-use abcd_ir::CanonScratch;
+use abcd_analysis::CleanupScratch;
+use abcd_ir::{CanonScratch, Function};
 use abcd_ssa::SsaScratch;
 use std::sync::Mutex;
 
@@ -25,8 +27,13 @@ pub struct ScratchArena {
     /// SSA and e-SSA construction tables, including the dominator tree the
     /// analysis borrows for a function and hands back.
     pub(crate) ssa: SsaScratch,
+    /// The cleanup passes' tables; congruence-leader tables come back here
+    /// once a function's analysis is done.
+    pub(crate) cleanup: CleanupScratch,
     /// The canonical-numbering maps of the driver's final stage.
     pub(crate) canon: CanonScratch,
+    /// The copy of the function under analysis that a panic restores.
+    pub(crate) snapshot: Option<Function>,
     /// The constraint log every graph of the function is filled from.
     pub(crate) log: ConstraintLog,
     graphs: Vec<InequalityGraph>,
