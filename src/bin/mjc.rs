@@ -31,7 +31,7 @@
 use abcd::{FaultPlan, InequalityGraph, Optimizer, OptimizerOptions, Problem, VertexId};
 use abcd_frontend::compile;
 use abcd_ir::Module;
-use abcd_vm::{RtVal, Vm};
+use abcd_vm::{RtVal, Trap, Vm};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -399,7 +399,8 @@ fn cmd_run(file: &str, rest: &[String]) -> Result<ExitCode, String> {
         if has(rest, "--profile") {
             // Training run first (the JIT scenario).
             let mut vm = Vm::new(&module);
-            vm.call_by_name("main", &[]).map_err(|t| t.to_string())?;
+            vm.call_by_name("main", &[])
+                .map_err(|t| trap_message(&module, &t))?;
             profile = Some(vm.into_profile());
         }
         let (optimizer, cache) = optimizer_for(options, rest)?;
@@ -439,7 +440,7 @@ fn cmd_run(file: &str, rest: &[String]) -> Result<ExitCode, String> {
     let mut vm = Vm::new(&module);
     let result = vm
         .call_by_name("main", &int_args)
-        .map_err(|t| t.to_string())?;
+        .map_err(|t| trap_message(&module, &t))?;
     for v in vm.output() {
         println!("{v}");
     }
@@ -460,6 +461,12 @@ fn cmd_run(file: &str, rest: &[String]) -> Result<ExitCode, String> {
         );
     }
     Ok(exit)
+}
+
+/// A trap with the trapping function named, e.g. `trap in main (fn0): …`.
+fn trap_message(module: &Module, trap: &Trap) -> String {
+    let name = module.function(trap.func).name();
+    format!("trap in {name} ({}): {}", trap.func, trap.kind)
 }
 
 fn cmd_opt(file: &str, rest: &[String]) -> Result<ExitCode, String> {

@@ -298,6 +298,29 @@ fn trapping_program_exits_one_with_trap_message() {
 }
 
 #[test]
+fn trap_names_the_function_that_trapped() {
+    // The trap is raised in the callee, the second function (fn1).
+    let two = scratch(
+        "callee_trap.mj",
+        "fn main() -> int { let a: int[] = new int[2]; return pick(a, 5); }
+         fn pick(a: int[], i: int) -> int { return a[i]; }",
+    );
+    for extra in [&[][..], &["--opt"][..]] {
+        let mut args = vec!["run", two.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        let out = mjc(&args);
+        assert_eq!(exit_code(&out), 1, "args {args:?}");
+        let err = stderr(&out);
+        assert!(
+            err.lines()
+                .any(|l| l.starts_with("mjc: trap in pick (fn1): ")
+                    && l.ends_with("index 5, length 2")),
+            "args {args:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn huge_array_length_traps_instead_of_aborting() {
     // One length would abort on a failed 1.6 TB allocation, the other
     // overflow the element vector's capacity: both must be ordinary traps.
