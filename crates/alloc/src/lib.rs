@@ -10,17 +10,37 @@
 //! static ALLOC: abcd_alloc::CountingAlloc = abcd_alloc::CountingAlloc;
 //! ```
 //!
-//! then bracket the region under measurement with [`snapshot`]/[`delta`].
-//! Counters are global and monotonic; concurrent allocations from other
-//! threads are counted too, so gates should measure on a single thread.
+//! then bracket the region under measurement with [`thread_snapshot`] and
+//! [`thread_delta`], which count what the calling thread allocates and
+//! nothing else: a test harness's or a pool's other threads cannot land in
+//! the window. The process-wide [`snapshot`] and [`delta`] count every
+//! thread, for a measurement that spans worker threads.
 
 #![warn(missing_docs)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// What the current thread has allocated. Const-initialized with no
+    /// destructor, so updating or reading them never allocates.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation of `bytes`, process-wide and on this thread.
+fn count(bytes: usize) {
+    let bytes = bytes as u64;
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes, Ordering::Relaxed);
+    // `try_with`: a thread's last frees may run after its slots are gone.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = THREAD_BYTES.try_with(|n| n.set(n.get() + bytes));
+}
 
 /// A [`System`]-backed allocator that counts every allocation.
 ///
@@ -32,14 +52,12 @@ pub struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -48,13 +66,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
 
-/// A point-in-time reading of the global counters.
+/// A point-in-time reading of the counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// Allocations (including reallocs) observed so far.
@@ -63,7 +80,16 @@ pub struct Snapshot {
     pub bytes: u64,
 }
 
-/// Reads the current counters.
+impl Snapshot {
+    fn since(self, before: Snapshot) -> Snapshot {
+        Snapshot {
+            allocs: self.allocs - before.allocs,
+            bytes: self.bytes - before.bytes,
+        }
+    }
+}
+
+/// Reads the process-wide counters.
 pub fn snapshot() -> Snapshot {
     Snapshot {
         allocs: ALLOCS.load(Ordering::Relaxed),
@@ -71,66 +97,31 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// Counter movement since `before`.
+/// Process-wide counter movement since `before`, a [`snapshot`].
 pub fn delta(before: Snapshot) -> Snapshot {
-    let now = snapshot();
+    snapshot().since(before)
+}
+
+/// Reads the calling thread's counters.
+pub fn thread_snapshot() -> Snapshot {
     Snapshot {
-        allocs: now.allocs - before.allocs,
-        bytes: now.bytes - before.bytes,
+        allocs: THREAD_ALLOCS.with(Cell::get),
+        bytes: THREAD_BYTES.with(Cell::get),
     }
+}
+
+/// The calling thread's counter movement since `before`, a
+/// [`thread_snapshot`] taken on the same thread.
+pub fn thread_delta(before: Snapshot) -> Snapshot {
+    thread_snapshot().since(before)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Allocations made by the current thread. Const-initialized with
-        /// no destructor, so reading it never allocates.
-        static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// The test binary's allocator: [`CountingAlloc`] plus a per-thread
-    /// count, so a measurement on one test thread ignores what the
-    /// harness's other threads allocate meanwhile.
-    struct PerThread;
-
-    fn count_on_this_thread() {
-        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
-    }
-
-    fn thread_allocs() -> u64 {
-        THREAD_ALLOCS.with(Cell::get)
-    }
-
-    // SAFETY: every method forwards its arguments unchanged to
-    // `CountingAlloc`, so it meets `GlobalAlloc`'s contract whenever
-    // `CountingAlloc` does; the per-thread count is a const-initialized
-    // `Cell` that never allocates.
-    unsafe impl GlobalAlloc for PerThread {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            count_on_this_thread();
-            CountingAlloc.alloc(layout)
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            count_on_this_thread();
-            CountingAlloc.alloc_zeroed(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            CountingAlloc.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            count_on_this_thread();
-            CountingAlloc.realloc(ptr, layout, new_size)
-        }
-    }
 
     #[global_allocator]
-    static ALLOC: PerThread = PerThread;
+    static ALLOC: CountingAlloc = CountingAlloc;
 
     #[test]
     fn counts_a_vec_allocation() {
@@ -147,12 +138,27 @@ mod tests {
         let mut v: Vec<u64> = Vec::with_capacity(1024);
         v.extend(0..1024);
         v.clear();
-        let before = thread_allocs();
+        let before = thread_snapshot();
         v.extend(0..1024); // into retained capacity
-        assert_eq!(thread_allocs() - before, 0);
+        assert_eq!(thread_delta(before).allocs, 0);
         // The per-thread count sees this thread's allocations.
         let grown: Vec<u64> = Vec::with_capacity(1);
-        assert_eq!(thread_allocs() - before, 1);
+        assert_eq!(
+            thread_delta(before),
+            Snapshot {
+                allocs: 1,
+                bytes: 8
+            }
+        );
         drop(grown);
+    }
+
+    #[test]
+    fn another_threads_allocations_stay_out_of_this_threads_count() {
+        let before = thread_snapshot();
+        let child = std::thread::spawn(|| drop(Vec::<u8>::with_capacity(1 << 20)));
+        child.join().unwrap();
+        let d = thread_delta(before);
+        assert!(d.bytes < 1 << 20, "{d:?}");
     }
 }

@@ -1,6 +1,6 @@
 //! Micro-benchmark: full-pipeline compile-time cost — what a JIT pays:
-//! SSA construction, e-SSA π insertion, and the complete ABCD pass, per
-//! benchmark program. The paper's pitch is that this must be cheap enough
+//! the driver's preparation through π insertion (SSA, cleanup, e-SSA), and
+//! the complete ABCD pass, per benchmark program. The paper's pitch is that this must be cheap enough
 //! for dynamic compilation.
 //!
 //! Run with: `cargo bench -p abcd-bench --bench pipeline`
@@ -15,10 +15,11 @@
 //! assertion-backed twin of this number).
 
 use abcd::{
-    DemandProver, InequalityGraph, Optimizer, OptimizerOptions, Problem, ScratchPool, Vertex,
+    ConstraintLog, DemandProver, InequalityGraph, Optimizer, OptimizerOptions, Problem,
+    ScratchPool, Stage, Vertex,
 };
 use abcd_bench::micro::bench;
-use abcd_ir::{CheckKind, InstKind, Value};
+use abcd_ir::{CheckKind, Module, Value};
 use std::sync::{Arc, OnceLock};
 
 #[global_allocator]
@@ -30,6 +31,15 @@ static ALLOC: abcd_alloc::CountingAlloc = abcd_alloc::CountingAlloc;
 fn shared_pool() -> Arc<ScratchPool> {
     static POOL: OnceLock<Arc<ScratchPool>> = OnceLock::new();
     Arc::clone(POOL.get_or_init(|| Arc::new(ScratchPool::new())))
+}
+
+/// Runs the driver's preparation of `module` through π insertion on the
+/// shared pool: the e-SSA form the prover analyzes.
+fn to_essa(module: &mut Module) {
+    Optimizer::new()
+        .with_scratch_pool(shared_pool())
+        .run_to(module, Stage::InsertPi)
+        .unwrap();
 }
 
 /// Wall time plus the allocation count of one additional iteration.
@@ -50,7 +60,7 @@ fn bench_essa(results: &mut Vec<(String, f64, u64)>) {
         let name = format!("pipeline/to_essa/{}", b.name);
         let (ns, allocs) = counted(&name, || {
             let mut m = module.clone();
-            abcd_ssa::module_to_essa(&mut m).unwrap();
+            to_essa(&mut m);
             m.function_count()
         });
         results.push((name, ns, allocs));
@@ -141,21 +151,15 @@ fn prepare_suite() -> Vec<PreparedFn> {
     let mut prepared = Vec::new();
     for b in abcd_benchsuite::BENCHMARKS {
         let mut module = b.compile().unwrap();
-        for (_, func) in module.functions_mut() {
-            abcd_ssa::split_critical_edges(func);
-            abcd_ssa::promote_locals(func).unwrap();
-            abcd_ssa::insert_pi_nodes(func);
-            let mut checks = Vec::new();
-            for blk in func.blocks() {
-                for &id in func.block(blk).insts() {
-                    if let InstKind::BoundsCheck {
-                        array, index, kind, ..
-                    } = func.inst(id).kind
-                    {
-                        checks.push((array, index, kind));
-                    }
-                }
-            }
+        to_essa(&mut module);
+        let mut log = ConstraintLog::default();
+        for (_, func) in module.functions() {
+            log.record(func);
+            let checks: Vec<_> = log
+                .checks()
+                .iter()
+                .map(|c| (c.array, c.index, c.kind))
+                .collect();
             if checks.is_empty() {
                 continue;
             }
@@ -202,7 +206,7 @@ fn bench_phases() -> Vec<(&'static str, f64, u64)> {
         let mut functions = 0usize;
         for module in &modules {
             let mut m = module.clone();
-            abcd_ssa::module_to_essa(&mut m).unwrap();
+            to_essa(&mut m);
             functions += m.function_count();
         }
         functions

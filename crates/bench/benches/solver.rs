@@ -7,15 +7,22 @@
 //!
 //! Run with: `cargo bench -p abcd-bench --bench solver`
 
-use abcd::{DemandProver, InequalityGraph, Problem, Vertex};
+use abcd::{ConstraintLog, DemandProver, InequalityGraph, Optimizer, Problem, Stage, Vertex};
 use abcd_bench::micro::bench;
-use abcd_ir::{CheckKind, Function, InstKind, Value};
+use abcd_ir::{CheckKind, Function, Module, Value};
+
+/// `module` in the e-SSA form the driver analyzes.
+fn to_essa(mut module: Module) -> Module {
+    Optimizer::new()
+        .run_to(&mut module, Stage::InsertPi)
+        .unwrap();
+    module
+}
 
 fn essa_function(src: &str) -> Function {
-    let mut m = abcd_frontend::compile(src).unwrap();
-    abcd_ssa::module_to_essa(&mut m).unwrap();
-    let id = m.functions().next().unwrap().0;
-    m.function(id).clone()
+    let m = to_essa(abcd_frontend::compile(src).unwrap());
+    let (_, f) = m.functions().next().unwrap();
+    f.clone()
 }
 
 /// A deep chain of `i := i ± c` copies between the guard and the check.
@@ -43,45 +50,20 @@ fn chain_source(depth: usize) -> String {
     body
 }
 
-fn first_upper_check(f: &Function) -> (Value, Value) {
-    for b in f.blocks() {
-        for &id in f.block(b).insts() {
-            if let InstKind::BoundsCheck {
-                array,
-                index,
-                kind: CheckKind::Upper,
-                ..
-            } = f.inst(id).kind
-            {
-                return (array, index);
-            }
-        }
-    }
-    panic!("no upper check");
-}
-
-fn all_upper_checks(f: &Function) -> Vec<(Value, Value)> {
-    let mut checks = Vec::new();
-    for b in f.blocks() {
-        for &id in f.block(b).insts() {
-            if let InstKind::BoundsCheck {
-                array,
-                index,
-                kind: CheckKind::Upper,
-                ..
-            } = f.inst(id).kind
-            {
-                checks.push((array, index));
-            }
-        }
-    }
-    checks
+/// The `(array, index)` of every upper check of `f`, in block-major order.
+fn upper_checks(f: &Function) -> Vec<(Value, Value)> {
+    let mut log = ConstraintLog::default();
+    log.record(f);
+    log.checks()
+        .iter()
+        .filter(|check| check.kind == CheckKind::Upper)
+        .map(|check| (check.array, check.index))
+        .collect()
 }
 
 fn bench_suite_queries() {
     for bench_prog in abcd_benchsuite::BENCHMARKS.iter().take(5) {
-        let mut m = bench_prog.compile().unwrap();
-        abcd_ssa::module_to_essa(&mut m).unwrap();
+        let m = to_essa(bench_prog.compile().unwrap());
         // Analyze every upper check of every function, fresh prover each
         // iteration (worst case: no cross-check memoization).
         let funcs: Vec<Function> = m.functions().map(|(_, f)| f.clone()).collect();
@@ -90,7 +72,7 @@ fn bench_suite_queries() {
             .map(|f| {
                 (
                     InequalityGraph::build(f, Problem::Upper, None),
-                    all_upper_checks(f),
+                    upper_checks(f),
                 )
             })
             .collect();
@@ -113,7 +95,7 @@ fn bench_chain_scaling() {
     for depth in [4usize, 16, 64, 256] {
         let f = essa_function(&chain_source(depth));
         let g = InequalityGraph::build(&f, Problem::Upper, None);
-        let (array, index) = first_upper_check(&f);
+        let (array, index) = upper_checks(&f)[0];
         bench(&format!("demand_prove/chain_depth/{depth}"), || {
             let mut p = DemandProver::new(&g, Vertex::ArrayLen(array));
             p.demand_prove(Vertex::Value(index), -1)
@@ -123,8 +105,7 @@ fn bench_chain_scaling() {
 
 fn bench_graph_construction() {
     let bench_prog = abcd_benchsuite::by_name("db").unwrap();
-    let mut m = bench_prog.compile().unwrap();
-    abcd_ssa::module_to_essa(&mut m).unwrap();
+    let m = to_essa(bench_prog.compile().unwrap());
     let funcs: Vec<Function> = m.functions().map(|(_, f)| f.clone()).collect();
     bench("inequality_graph/build_db", || {
         funcs
@@ -140,8 +121,7 @@ fn bench_demand_vs_exhaustive() {
     use abcd::ExhaustiveDistances;
     for name in ["db", "jess", "biDirBubbleSort"] {
         let bench_prog = abcd_benchsuite::by_name(name).unwrap();
-        let mut m = bench_prog.compile().unwrap();
-        abcd_ssa::module_to_essa(&mut m).unwrap();
+        let m = to_essa(bench_prog.compile().unwrap());
         // Largest function by check count.
         let func = m
             .functions()
@@ -149,7 +129,7 @@ fn bench_demand_vs_exhaustive() {
             .max_by_key(|f| f.count_checks().0)
             .unwrap();
         let g = InequalityGraph::build(&func, Problem::Upper, None);
-        let (array, index) = first_upper_check(&func);
+        let (array, index) = upper_checks(&func)[0];
 
         bench(
             &format!("demand_vs_exhaustive/demand_one_check/{name}"),

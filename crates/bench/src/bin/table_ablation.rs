@@ -5,24 +5,24 @@
 //!
 //! Run with: `cargo run --release -p abcd-bench --bin table_ablation`
 
-use abcd::OptimizerOptions;
+use abcd::{Optimizer, OptimizerOptions, Stage};
 use abcd_bench::{evaluate, evaluate_with_versioning, print_incident_summary};
 use abcd_benchsuite::BENCHMARKS;
 use abcd_vm::Vm;
 
-/// Dynamic upper-removal fraction for the value-range baseline.
-fn range_baseline(bench: &abcd_benchsuite::Benchmark) -> f64 {
+/// Dynamic upper-removal fraction for the value-range baseline, run on
+/// the e-SSA form ABCD analyzes under `options`.
+fn range_baseline(bench: &abcd_benchsuite::Benchmark, options: OptimizerOptions) -> f64 {
     let baseline_module = bench.compile().unwrap();
     let mut vm = Vm::new(&baseline_module);
     vm.call_by_name("main", &[]).unwrap();
     let before = vm.stats().dynamic_upper_checks();
 
     let mut module = bench.compile().unwrap();
-    abcd_ssa::module_to_essa(&mut module).unwrap();
-    let ids: Vec<_> = module.functions().map(|(i, _)| i).collect();
-    for id in ids {
-        let f = module.function_mut(id);
-        abcd_analysis::cleanup(f);
+    Optimizer::with_options(options)
+        .run_to(&mut module, Stage::InsertPi)
+        .unwrap();
+    for (_, f) in module.functions_mut() {
         abcd_analysis::eliminate_checks_by_range(f);
     }
     let mut vm = Vm::new(&module);
@@ -71,7 +71,7 @@ fn main() {
         let p = evaluate(b, no_pre).upper_removed_fraction() * 100.0;
         let g = evaluate(b, no_gvn).upper_removed_fraction() * 100.0;
         let c = evaluate(b, no_cleanup).upper_removed_fraction() * 100.0;
-        let r = range_baseline(b) * 100.0;
+        let r = range_baseline(b, full) * 100.0;
         let ipa = evaluate(b, interproc).upper_removed_fraction() * 100.0;
         let ver = evaluate_with_versioning(b, full).upper_removed_fraction() * 100.0;
         sums[0] += f;

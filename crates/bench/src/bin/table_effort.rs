@@ -7,35 +7,36 @@
 //!
 //! Run with: `cargo run --release -p abcd-bench --bin table_effort`
 
-use abcd::{ExhaustiveDistances, InequalityGraph, OptimizerOptions, Problem, Vertex};
+use abcd::{
+    ConstraintLog, ExhaustiveDistances, InequalityGraph, Optimizer, OptimizerOptions, Problem,
+    Scope, Stage, Vertex,
+};
 use abcd_bench::{evaluate_all, print_incident_summary};
-use abcd_ir::InstKind;
 
-/// Vertex relaxations an exhaustive single-source pass would spend: one pass
-/// per distinct array-length source (plus the constant-0 source for lower
-/// checks), per function — the exhaustive alternative §5 rejects for JIT use.
-fn exhaustive_steps(bench: &abcd_benchsuite::Benchmark) -> u64 {
+/// Vertex relaxations an exhaustive single-source pass would spend on the
+/// graphs the demand prover solved under `options`: one pass per distinct
+/// array-length source (plus the constant-0 source for lower checks), per
+/// function — the exhaustive alternative §5 rejects for JIT use.
+fn exhaustive_steps(bench: &abcd_benchsuite::Benchmark, options: OptimizerOptions) -> u64 {
     let mut module = bench.compile().unwrap();
-    abcd_ssa::module_to_essa(&mut module).unwrap();
+    Optimizer::with_options(options)
+        .run_to(&mut module, Stage::InsertPi)
+        .unwrap();
+    let mut log = ConstraintLog::default();
     let mut steps = 0;
     for (_, func) in module.functions() {
-        let mut arrays = Vec::new();
-        for b in func.blocks() {
-            for &id in func.block(b).insts() {
-                if let InstKind::BoundsCheck { array, .. } = func.inst(id).kind {
-                    if !arrays.contains(&array) {
-                        arrays.push(array);
-                    }
-                }
-            }
-        }
+        log.record(func);
+        let mut arrays: Vec<_> = log.checks().iter().map(|check| check.array).collect();
+        arrays.sort_unstable();
+        arrays.dedup();
         if arrays.is_empty() {
             continue;
         }
-        let upper = InequalityGraph::build(func, Problem::Upper, None);
-        let lower = InequalityGraph::build(func, Problem::Lower, None);
-        for a in &arrays {
-            steps += ExhaustiveDistances::compute(&upper, Vertex::ArrayLen(*a)).steps;
+        let (mut upper, mut lower) = (InequalityGraph::default(), InequalityGraph::default());
+        upper.fill(&log, Problem::Upper, Scope::Function);
+        lower.fill(&log, Problem::Lower, Scope::Function);
+        for a in arrays {
+            steps += ExhaustiveDistances::compute(&upper, Vertex::ArrayLen(a)).steps;
         }
         steps += ExhaustiveDistances::compute(&lower, Vertex::Const(0)).steps;
     }
@@ -68,7 +69,7 @@ fn main() {
         };
         total_steps += steps;
         total_checks += checks;
-        let ex = exhaustive_steps(abcd_benchsuite::by_name(r.name).unwrap());
+        let ex = exhaustive_steps(abcd_benchsuite::by_name(r.name).unwrap(), options);
         println!(
             "{:<18} {:>8} {:>9} {:>12.2} {:>10} {:>10.2} {:>12}",
             r.name,

@@ -70,23 +70,24 @@
 //! load congruence, the leader table handed back after each — allocates
 //! nothing, and every result equals the free functions' on a fresh
 //! scratch.
+//!
+//! Every gate runs on its test's thread and counts that thread's
+//! allocations only (`abcd_alloc::thread_snapshot`), so the test harness's
+//! other threads, and the gates running beside it, cannot land in a
+//! window.
 
 use abcd::cache::{canonical_text_hash, key_from_text_hash, DEFAULT_CACHE_BYTES};
 use abcd::interproc::candidate_facts;
 use abcd::{
     AnalysisCache, ConstraintLog, DemandProver, InequalityGraph, Optimizer, ParamFact, Problem,
-    Scope, Vertex,
+    Scope, Stage, Vertex,
 };
-use abcd_ir::{CanonScratch, CheckKind, Function, InstKind, Module, Value};
+use abcd_ir::{CanonScratch, CheckKind, Function, Module, Value};
 use abcd_ssa::{DomTree, SsaScratch};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: abcd_alloc::CountingAlloc = abcd_alloc::CountingAlloc;
-
-/// The allocation counter is process-wide, so the gates take turns, each
-/// holding this lock from its first allocation to its last measurement.
-static COUNTER: Mutex<()> = Mutex::new(());
 
 /// The VM gate's calibrated total: 15 kernels, checked and optimized, each
 /// run once on a fresh `Vm` (before dense profile counters and the
@@ -112,34 +113,28 @@ const WARM_SSA_ALLOCS: u64 = 3_458;
 /// block scope it was 35,907 (3.46 per instruction).
 const FRONTEND_ALLOCS: u64 = 7_214;
 
-/// Stages 1–3 of the driver pipeline, minus the optional cleanup: the
-/// e-SSA form the constraint graphs are defined over.
-fn to_essa(func: &mut abcd_ir::Function) {
-    abcd_ssa::split_critical_edges(func);
-    abcd_ssa::promote_locals(func).expect("frontend guarantees definite assignment");
-    abcd_ssa::insert_pi_nodes(func);
+/// The e-SSA form the driver's constraint graphs are defined over.
+fn to_essa(module: &mut Module) {
+    Optimizer::new()
+        .run_to(module, Stage::InsertPi)
+        .expect("benchmark prepares");
 }
 
 #[test]
 fn steady_state_prove_allocates_nothing() {
-    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let mut gated_queries = 0u64;
     let mut gated_functions = 0u64;
     for bench in abcd_benchsuite::BENCHMARKS {
         let mut module = bench.compile().expect("benchmark compiles");
-        for (_, func) in module.functions_mut() {
-            to_essa(func);
-            let mut checks: Vec<(Value, Value, CheckKind)> = Vec::new();
-            for b in func.blocks() {
-                for &id in func.block(b).insts() {
-                    if let InstKind::BoundsCheck {
-                        array, index, kind, ..
-                    } = func.inst(id).kind
-                    {
-                        checks.push((array, index, kind));
-                    }
-                }
-            }
+        to_essa(&mut module);
+        let mut log = ConstraintLog::default();
+        for (_, func) in module.functions() {
+            log.record(func);
+            let checks: Vec<_> = log
+                .checks()
+                .iter()
+                .map(|c| (c.array, c.index, c.kind))
+                .collect();
             if checks.is_empty() {
                 continue;
             }
@@ -185,9 +180,9 @@ fn steady_state_prove_allocates_nothing() {
             }
             lower_prover.reset_memo();
             // Pass 2: the measured steady state.
-            let before = abcd_alloc::snapshot();
+            let before = abcd_alloc::thread_snapshot();
             let again = run(&mut upper_provers, &mut lower_prover);
-            let d = abcd_alloc::delta(before);
+            let d = abcd_alloc::thread_delta(before);
             assert_eq!(
                 d.allocs,
                 0,
@@ -211,7 +206,6 @@ fn steady_state_prove_allocates_nothing() {
 
 #[test]
 fn vm_run_allocations_stay_within_the_calibrated_total() {
-    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let mut modules = Vec::new();
     for bench in abcd_benchsuite::BENCHMARKS {
         let checked = bench.compile().expect("benchmark compiles");
@@ -223,10 +217,10 @@ fn vm_run_allocations_stay_within_the_calibrated_total() {
     let mut total = 0;
     let mut per_run = Vec::new();
     for (name, module) in &modules {
-        let before = abcd_alloc::snapshot();
+        let before = abcd_alloc::thread_snapshot();
         let mut vm = abcd_vm::Vm::new(module);
         vm.call_by_name("main", &[]).expect("benchmark runs");
-        let allocs = abcd_alloc::delta(before).allocs;
+        let allocs = abcd_alloc::thread_delta(before).allocs;
         drop(vm);
         total += allocs;
         per_run.push((*name, allocs));
@@ -239,14 +233,11 @@ fn vm_run_allocations_stay_within_the_calibrated_total() {
 
 #[test]
 fn key_derivation_and_printing_allocate_only_the_numbering() {
-    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let mut modules = Vec::new();
     for bench in abcd_benchsuite::BENCHMARKS {
         let locals = bench.compile().expect("benchmark compiles");
         let mut essa = locals.clone();
-        for (_, func) in essa.functions_mut() {
-            to_essa(func);
-        }
+        to_essa(&mut essa);
         let mut optimized = locals.clone();
         Optimizer::new().optimize_module(&mut optimized, None);
         modules.extend([
@@ -259,9 +250,9 @@ fn key_derivation_and_printing_allocate_only_the_numbering() {
     for (name, module) in &modules {
         for (_, func) in module.functions() {
             functions += 1;
-            let before = abcd_alloc::snapshot();
+            let before = abcd_alloc::thread_snapshot();
             let key = key_from_text_hash(canonical_text_hash(func), 1, 2, 3);
-            let d = abcd_alloc::delta(before);
+            let d = abcd_alloc::thread_delta(before);
             assert!(
                 d.allocs <= 2,
                 "{name}/{}: deriving key {key} allocated {} times ({} bytes)",
@@ -272,9 +263,9 @@ fn key_derivation_and_printing_allocate_only_the_numbering() {
 
             let expected = func.to_string();
             let mut text = String::with_capacity(expected.len());
-            let before = abcd_alloc::snapshot();
+            let before = abcd_alloc::thread_snapshot();
             abcd_ir::print_function(func, &mut text);
-            let d = abcd_alloc::delta(before);
+            let d = abcd_alloc::thread_delta(before);
             assert_eq!(text, expected);
             assert_eq!(
                 d.allocs,
@@ -294,7 +285,6 @@ fn key_derivation_and_printing_allocate_only_the_numbering() {
 
 #[test]
 fn warm_replay_allocations_stay_within_the_calibrated_total() {
-    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let cache = Arc::new(AnalysisCache::in_memory(DEFAULT_CACHE_BYTES));
     let optimizer = Optimizer::new().with_cache(Arc::clone(&cache));
     let inputs: Vec<_> = abcd_benchsuite::BENCHMARKS
@@ -309,11 +299,11 @@ fn warm_replay_allocations_stay_within_the_calibrated_total() {
     }
     let mut modules = inputs.clone();
     let mut reports = Vec::with_capacity(modules.len());
-    let before = abcd_alloc::snapshot();
+    let before = abcd_alloc::thread_snapshot();
     for module in &mut modules {
         reports.push(optimizer.optimize_module(module, None));
     }
-    let total = abcd_alloc::delta(before).allocs;
+    let total = abcd_alloc::thread_delta(before).allocs;
     let functions: usize = reports.iter().map(|r| r.functions.len()).sum();
     let replayed: usize = reports.iter().map(|r| r.functions_from_cache()).sum();
     assert!(
@@ -328,7 +318,6 @@ fn warm_replay_allocations_stay_within_the_calibrated_total() {
 
 #[test]
 fn warm_ssa_construction_stays_within_the_calibrated_total() {
-    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let inputs: Vec<Module> = abcd_benchsuite::BENCHMARKS
         .iter()
         .map(|bench| bench.compile().expect("benchmark compiles"))
@@ -353,9 +342,9 @@ fn warm_ssa_construction_stays_within_the_calibrated_total() {
     // Warm-up: the scratch's tables reach the inputs' high-water sizes.
     build(&mut inputs.clone());
     let mut modules = inputs.clone();
-    let before = abcd_alloc::snapshot();
+    let before = abcd_alloc::thread_snapshot();
     build(&mut modules);
-    let total = abcd_alloc::delta(before).allocs;
+    let total = abcd_alloc::thread_delta(before).allocs;
 
     let (mut functions, mut insts) = (0u64, 0u64);
     for (_, func) in inputs.iter().flat_map(Module::functions) {
@@ -392,18 +381,17 @@ fn sources() -> Vec<String> {
 
 #[test]
 fn front_end_stays_within_the_calibrated_total() {
-    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let sources = sources();
     // Warm-up: function names enter the process-wide interner once.
     for src in &sources {
         abcd_frontend::compile(src).expect("source compiles");
     }
     let mut modules = Vec::with_capacity(sources.len());
-    let before = abcd_alloc::snapshot();
+    let before = abcd_alloc::thread_snapshot();
     for src in &sources {
         modules.push(abcd_frontend::compile(src).expect("source compiles"));
     }
-    let total = abcd_alloc::delta(before).allocs;
+    let total = abcd_alloc::thread_delta(before).allocs;
 
     let (mut functions, mut insts) = (0u64, 0u64);
     for (_, func) in modules.iter().flat_map(Module::functions) {
@@ -432,17 +420,14 @@ fn front_end_stays_within_the_calibrated_total() {
 
 #[test]
 fn warm_in_place_canonicalization_allocates_nothing() {
-    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let mut inputs: Vec<(&str, Function)> = Vec::new();
     for bench in abcd_benchsuite::BENCHMARKS {
         let locals = bench.compile().expect("benchmark compiles");
         let mut optimized = locals.clone();
         Optimizer::new().optimize_module(&mut optimized, None);
-        for (_, func) in locals.functions() {
-            let mut essa = func.clone();
-            to_essa(&mut essa);
-            inputs.push((bench.name, essa));
-        }
+        let mut essa = locals.clone();
+        to_essa(&mut essa);
+        inputs.extend(essa.functions().map(|(_, f)| (bench.name, f.clone())));
         inputs.extend(optimized.functions().map(|(_, f)| (bench.name, f.clone())));
     }
     let mut scratch = CanonScratch::default();
@@ -452,9 +437,9 @@ fn warm_in_place_canonicalization_allocates_nothing() {
     }
     let mut renumbered: Vec<Function> = inputs.iter().map(|(_, f)| f.clone()).collect();
     for ((name, input), func) in inputs.iter().zip(&mut renumbered) {
-        let before = abcd_alloc::snapshot();
+        let before = abcd_alloc::thread_snapshot();
         func.canonicalize_in_place(&mut scratch);
-        let d = abcd_alloc::delta(before);
+        let d = abcd_alloc::thread_delta(before);
         assert_eq!(
             d.allocs,
             0,
@@ -479,7 +464,6 @@ fn warm_in_place_canonicalization_allocates_nothing() {
 
 #[test]
 fn warm_graph_construction_allocates_nothing() {
-    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let mut modules: Vec<Module> = abcd_benchsuite::BENCHMARKS
         .iter()
         .map(|bench| bench.compile().expect("benchmark compiles"))
@@ -489,8 +473,8 @@ fn warm_graph_construction_allocates_nothing() {
                 .map(|src| abcd_frontend::compile(src).expect("corpus module compiles")),
         )
         .collect();
-    for (_, func) in modules.iter_mut().flat_map(Module::functions_mut) {
-        to_essa(func);
+    for module in &mut modules {
+        to_essa(module);
     }
     let functions: Vec<&Function> = modules
         .iter()
@@ -525,9 +509,9 @@ fn warm_graph_construction_allocates_nothing() {
     };
     // Warm-up: the log and the shells reach the inputs' high-water sizes.
     let warm = construct(&mut log, &mut shells);
-    let before = abcd_alloc::snapshot();
+    let before = abcd_alloc::thread_snapshot();
     let again = construct(&mut log, &mut shells);
-    let d = abcd_alloc::delta(before);
+    let d = abcd_alloc::thread_delta(before);
     assert_eq!(warm, again, "the measured pass filled different graphs");
     assert!(
         functions.len() >= 120 && again > 10_000,
@@ -555,7 +539,6 @@ fn classes_digest(func: &Function, gvn: &abcd_analysis::GvnResult) -> u64 {
 
 #[test]
 fn warm_cleanup_allocates_nothing() {
-    let _turn = COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let mut inputs: Vec<(Function, DomTree)> = Vec::new();
     let mut ssa = SsaScratch::new();
     for src in sources() {
@@ -577,14 +560,14 @@ fn warm_cleanup_allocates_nothing() {
     }
     let mut funcs: Vec<Function> = inputs.iter().map(|(f, _)| f.clone()).collect();
     let mut results = Vec::with_capacity(funcs.len());
-    let before = abcd_alloc::snapshot();
+    let before = abcd_alloc::thread_snapshot();
     for (func, (_, dt)) in funcs.iter_mut().zip(&inputs) {
         let (stats, mut gvn) = scratch.cleanup(func, dt);
         scratch.record_load_congruence(func, &mut gvn);
         results.push((stats, classes_digest(func, &gvn)));
         scratch.recycle(gvn);
     }
-    let d = abcd_alloc::delta(before);
+    let d = abcd_alloc::thread_delta(before);
 
     // The warm scratch does what the free functions do on a fresh one.
     let mut removed = 0;

@@ -2,8 +2,8 @@
 //!
 //! `tests/golden/cleanup.txt` pins one line per function of every
 //! benchsuite kernel and every `abcd_loadgen::corpus(1, 24)` and
-//! `corpus(3, 24)` program, taken after CFG normalization and local
-//! promotion: the `CleanupStats` that `abcd_analysis::cleanup` reports,
+//! `corpus(3, 24)` program, taken after the driver's CFG normalization and
+//! local promotion: the `CleanupStats` that `abcd_analysis::cleanup` reports,
 //! an FNV-1a digest of the function printed after cleanup, and a digest of
 //! its congruence classes — `leader_of` of every value once
 //! `record_load_congruence` has added the load congruences. A change to
@@ -14,6 +14,7 @@
 //! change to cleanup, replace the golden file with that output.
 
 use abcd::cache::fnv1a64;
+use abcd::{Optimizer, Stage};
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("../../../tests/golden/cleanup.txt");
@@ -33,12 +34,12 @@ fn programs() -> Vec<(String, String)> {
 }
 
 fn recompute() -> String {
+    let optimizer = Optimizer::new();
     let mut out = String::new();
     for (label, src) in programs() {
         let mut module = abcd_frontend::compile(&src).expect("golden program compiles");
+        optimizer.run_to(&mut module, Stage::PromoteLocals).unwrap();
         for (_, func) in module.functions_mut() {
-            abcd_ssa::split_critical_edges(func);
-            abcd_ssa::promote_locals(func).expect("frontend guarantees definite assignment");
             let (stats, mut gvn) = abcd_analysis::cleanup(func);
             abcd_analysis::record_load_congruence(func, &mut gvn);
             let mut classes = String::new();

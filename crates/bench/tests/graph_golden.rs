@@ -14,9 +14,7 @@
 //! change to graph construction, replace the golden file with that output.
 
 use abcd::cache::fnv1a64;
-use abcd::{InequalityGraph, Problem, VertexId};
-use abcd_ir::Module;
-use abcd_ssa::SsaScratch;
+use abcd::{InequalityGraph, Optimizer, Problem, Stage, VertexId};
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("../../../tests/golden/graphs.txt");
@@ -31,17 +29,6 @@ fn programs() -> Vec<(String, String)> {
         out.push((format!("corpus{i}"), src));
     }
     out
-}
-
-/// The driver's e-SSA path under the default options.
-fn to_essa(module: &mut Module, ssa: &mut SsaScratch) {
-    for (_, func) in module.functions_mut() {
-        ssa.normalize(func);
-        ssa.promote_locals(func)
-            .expect("frontend guarantees definite assignment");
-        abcd_analysis::cleanup_with_tree(func, ssa.dom_tree());
-        ssa.insert_pi_nodes(func);
-    }
 }
 
 /// Appends every vertex of `g` in id order, with its potential, max flag
@@ -63,11 +50,11 @@ fn render(g: &InequalityGraph, out: &mut String) {
 }
 
 fn recompute() -> String {
-    let mut ssa = SsaScratch::new();
+    let optimizer = Optimizer::new();
     let mut out = String::new();
     for (label, src) in programs() {
         let mut module = abcd_frontend::compile(&src).expect("golden program compiles");
-        to_essa(&mut module, &mut ssa);
+        optimizer.run_to(&mut module, Stage::InsertPi).unwrap();
         for (name, problem) in [("upper", Problem::Upper), ("lower", Problem::Lower)] {
             let mut text = String::new();
             for (_, func) in module.functions() {

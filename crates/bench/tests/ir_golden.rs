@@ -21,7 +21,7 @@ use abcd::cache::{
     cache_key, canonical_text_hash, facts_fingerprint, fnv1a64, key_from_text_hash,
     options_fingerprint, profile_fingerprint,
 };
-use abcd::{Optimizer, OptimizerOptions};
+use abcd::{Optimizer, OptimizerOptions, Stage};
 use abcd_ir::{canonicalize, is_canonical, print_canonical, Module};
 use abcd_vm::{Profile, Vm};
 use std::fmt::Write as _;
@@ -80,12 +80,15 @@ fn reference_key(module: &Module, profile: &Profile) -> Vec<(String, abcd::Cache
         .collect()
 }
 
+/// The driver's e-SSA form without cleanup, which the golden pins.
 fn to_essa(module: &mut Module) {
-    for (_, func) in module.functions_mut() {
-        abcd_ssa::split_critical_edges(func);
-        abcd_ssa::promote_locals(func).expect("frontend guarantees definite assignment");
-        abcd_ssa::insert_pi_nodes(func);
-    }
+    let options = OptimizerOptions {
+        cleanup: false,
+        ..OptimizerOptions::default()
+    };
+    Optimizer::with_options(options)
+        .run_to(module, Stage::InsertPi)
+        .unwrap();
 }
 
 fn digest(text: &str) -> String {

@@ -17,6 +17,7 @@ use crate::report::{
 };
 use crate::scratch::{ScratchArena, ScratchPool};
 use crate::solver::{DemandProver, PreOutcome, PreProver, ProverBackend};
+use crate::stage::Stage;
 use crate::trace::{FunctionTrace, PreInsertionRecord, Span};
 use abcd_ir::{Block, CheckKind, CheckSite, FuncId, Function, InstId, InstKind, Module, Value};
 use abcd_ssa::DomTree;
@@ -233,13 +234,7 @@ impl Optimizer {
     pub fn optimize_module(&self, module: &mut Module, profile: Option<&Profile>) -> ModuleReport {
         let mut report = ModuleReport::default();
         let options_fp = crate::cache::options_fingerprint(&self.options);
-        // Without an attached pool, a transient one still shares warm
-        // buffers across this module's functions.
-        let pool = self
-            .scratch
-            .clone()
-            .unwrap_or_else(|| Arc::new(ScratchPool::new()));
-        let pool = &pool;
+        let pool = &self.pool();
         // Interprocedural mode adds one phase: prepare every function, then
         // infer the parameter-fact fixpoint over the whole module
         // (inherently a sequential whole-module step). Prepare is
@@ -256,8 +251,9 @@ impl Optimizer {
             prepared = self.map_functions(module, |_, func| {
                 let text_hash = caching.then(|| crate::cache::canonical_text_hash(func));
                 let mut arena = pool.checkout();
-                let prep =
-                    self.isolated(func, &mut arena, |f, arena| self.prepare_function(f, arena));
+                let prep = self.isolated(func, &mut arena, |f, arena| {
+                    self.prepare_function(f, arena, Stage::InsertPi)
+                });
                 pool.checkin(arena);
                 Mutex::new(Some((text_hash, prep)))
             });
@@ -319,9 +315,9 @@ impl Optimizer {
                 Ok(prepared) => {
                     let mut arena = pool.checkout();
                     let rep = self.isolated(func, &mut arena, |f, arena| {
-                        let prepared = prepared.map_or_else(|| self.prepare_function(f, arena), Ok);
-                        match prepared {
-                            Ok(gvn) => self.analyze_function(f, id, profile, gvn, facts, arena),
+                        let (pi, last) = (Stage::InsertPi, Stage::Canonicalize);
+                        match prepared.map_or_else(|| self.prepare_function(f, arena, pi), Ok) {
+                            Ok(p) => self.analyze_function(f, id, profile, p, facts, arena, last),
                             Err(incident) => fail_open_report(f, incident),
                         }
                     });
@@ -341,6 +337,57 @@ impl Optimizer {
             rep
         });
         report
+    }
+
+    /// Runs the driver's own per-function pipeline over every function of
+    /// `module`, in order, through stage `last`, and leaves each function
+    /// as that stage left it: the IR the driver's later stages would read.
+    /// It is the one definition of the intermediate forms that `mjc dump`,
+    /// `mjc graph`, the experiment binaries, the goldens and the benches
+    /// show or measure.
+    ///
+    /// `parse` and `lower` belong to the front end, so they leave the
+    /// module as given. `graph_build`, `solve` and `pre` read the IR
+    /// without changing it, so they leave it as `insert_pi` did. From
+    /// `transform` on, each function is analyzed as
+    /// [`optimize_module`](Self::optimize_module) would, with no profile
+    /// and no parameter facts. One arena from the attached
+    /// [scratch pool](Self::with_scratch_pool) serves every function.
+    /// There is no cache, panic isolation or fail-open here: a panic
+    /// propagates.
+    ///
+    /// # Errors
+    ///
+    /// The first degraded incident, such as a verifier rejection under
+    /// [`OptimizerOptions::verify_ir`]. The failing function is left as
+    /// it was before the stage that failed.
+    pub fn run_to(&self, module: &mut Module, last: Stage) -> Result<(), Incident> {
+        if last < Stage::SplitCriticalEdges {
+            return Ok(());
+        }
+        let pool = self.pool();
+        let mut arena = pool.checkout();
+        let result = module.functions_mut().try_for_each(|(id, func)| {
+            let prepared = self.prepare_function(func, &mut arena, last)?;
+            if last < Stage::Transform {
+                arena.ssa.put_dom_tree(prepared.dt);
+                arena.cleanup.recycle(prepared.gvn);
+                return Ok(());
+            }
+            let report = self.analyze_function(func, id, None, prepared, &[], &mut arena, last);
+            let degraded = report.incidents.into_iter().find(Incident::is_degraded);
+            degraded.map_or(Ok(()), Err)
+        });
+        pool.checkin(arena);
+        result
+    }
+
+    /// The attached scratch pool or, without one, a transient pool that
+    /// still shares warm buffers across one call's functions.
+    fn pool(&self) -> Arc<ScratchPool> {
+        self.scratch
+            .clone()
+            .unwrap_or_else(|| Arc::new(ScratchPool::new()))
     }
 
     /// Prepends the cache-lookup span to a function's trace (tracing runs
@@ -385,7 +432,7 @@ impl Optimizer {
                 std::mem::swap(func, &mut snapshot);
                 let incident = Incident::PassPanic {
                     function: func.name_symbol(),
-                    pass: current_pass().to_string(),
+                    pass: current_pass(),
                     payload: payload_message(payload.as_ref()),
                 };
                 FailOpen::Panicked(Box::new(fail_open_report(func, incident)))
@@ -472,23 +519,15 @@ impl Optimizer {
             // stays byte-identical to an unthresholded run.
             return None;
         }
-        let mut checks = Vec::new();
-        for b in func.blocks() {
-            for &id in func.block(b).insts() {
-                if let InstKind::BoundsCheck { site, kind, .. } = func.inst(id).kind {
-                    if profile.site_count(func_id, site) >= threshold {
-                        return None; // at least one hot site: run the pipeline
-                    }
-                    checks.push((site, kind));
-                }
-            }
-        }
-        let mut report = FunctionReport::new(func.name());
-        report.checks_total = checks.len();
-        for (site, kind) in checks {
-            report.record(site, kind, CheckOutcome::Skipped);
-        }
-        Some(report)
+        let hot = func
+            .blocks()
+            .flat_map(|b| func.block(b).insts())
+            .any(|&id| {
+                matches!(func.inst(id).kind, InstKind::BoundsCheck { site, .. }
+                if profile.site_count(func_id, site) >= threshold)
+            });
+        // At least one hot site: run the pipeline.
+        (!hot).then(|| report_every_check(func, CheckOutcome::Skipped))
     }
 
     /// Attempts to replay a cached result for `func`. `Ok(Some(report))`:
@@ -578,6 +617,15 @@ impl Optimizer {
         );
     }
 
+    /// Publishes `stage` as the one running on this thread and lets the
+    /// fault plan panic at its boundary.
+    fn enter(&self, func: &Function, stage: Stage) {
+        set_current_pass(stage);
+        if let Some(plan) = &self.fault_plan {
+            plan.maybe_panic(func.name(), stage);
+        }
+    }
+
     /// Runs one IR-mutating pipeline stage with the robustness hooks: the
     /// fault plan may panic at its boundary, and `verify_ir` re-verifies
     /// the output — on rejection the pre-pass snapshot is restored and the
@@ -590,20 +638,17 @@ impl Optimizer {
     fn run_stage(
         &self,
         func: &mut Function,
-        pass: &'static str,
+        stage: Stage,
         ssa_form: bool,
-        stage: impl FnOnce(&mut Function),
+        work: impl FnOnce(&mut Function),
     ) -> Result<(), Incident> {
-        set_current_pass(pass);
-        if let Some(plan) = &self.fault_plan {
-            plan.maybe_panic(func.name(), pass);
-        }
+        self.enter(func, stage);
         if !self.options.verify_ir {
-            stage(func);
+            work(func);
             return Ok(());
         }
         let snapshot = func.clone();
-        stage(func);
+        work(func);
         let verdict = abcd_ir::verify_function(func, None)
             .map_err(|e| e.to_string())
             .and_then(|()| {
@@ -618,7 +663,7 @@ impl Optimizer {
             Err(error) => {
                 let incident = Incident::VerifyFailed {
                     function: func.name_symbol(),
-                    pass: pass.to_string(),
+                    pass: stage,
                     error,
                 };
                 *func = snapshot;
@@ -627,7 +672,8 @@ impl Optimizer {
         }
     }
 
-    /// Stages 1–3 of Figure 2: SSA construction, basic cleanup, e-SSA.
+    /// Stages 1–3 of Figure 2, `split_critical_edges` through `insert_pi`
+    /// and stopping after `last`: SSA construction, basic cleanup, e-SSA.
     /// Fails open: a verifier rejection ships the pre-pass function.
     ///
     /// The dominator tree `ssa` builds after CFG normalization serves
@@ -638,43 +684,50 @@ impl Optimizer {
         &self,
         func: &mut Function,
         arena: &mut ScratchArena,
+        last: Stage,
     ) -> Result<PreparedGvn, Incident> {
         let ScratchArena { ssa, cleanup, .. } = arena;
         let prepare_started = Instant::now();
         let opts = &self.options;
         let mut cleanup_stats = abcd_analysis::CleanupStats::default();
-        self.run_stage(func, "split_critical_edges", false, |f| {
+        let mut gvn = abcd_analysis::GvnResult::default();
+        let mut pi_time = std::time::Duration::ZERO;
+        self.run_stage(func, Stage::SplitCriticalEdges, false, |f| {
             ssa.normalize(f);
         })?;
-        self.run_stage(func, "promote_locals", true, |f| {
-            ssa.promote_locals(f)
-                .expect("frontend guarantees definite assignment");
-        })?;
-        let mut gvn = abcd_analysis::GvnResult::default();
-        if opts.cleanup {
-            self.run_stage(func, "cleanup", true, |f| {
+        if last >= Stage::PromoteLocals {
+            self.run_stage(func, Stage::PromoteLocals, true, |f| {
+                ssa.promote_locals(f)
+                    .expect("the parse stage guarantees definite assignment");
+            })?;
+        }
+        if last >= Stage::Cleanup && opts.cleanup {
+            self.run_stage(func, Stage::Cleanup, true, |f| {
                 let (stats, g) = cleanup.cleanup(f, ssa.dom_tree());
                 cleanup_stats = stats;
                 gvn = g;
             })?;
-        } else if opts.gvn_hook {
+        } else if last >= Stage::Cleanup && opts.gvn_hook {
             // §7.1 needs congruence even when the rewriting cleanup is off:
             // value-number a throwaway clone (value ids are stable) and keep
             // only the congruence classes.
             let mut scratch = func.clone();
             gvn = cleanup.value_number(&mut scratch, ssa.dom_tree());
         }
-        if opts.gvn_hook {
+        if last >= Stage::Congruence && opts.gvn_hook {
             // Loads of the same array slot yield the same reference (and
             // hence the same length) — congruence no rewriting CSE can see.
+            self.enter(func, Stage::Congruence);
             cleanup.record_load_congruence(func, &mut gvn);
         }
-        let pi_started = Instant::now();
-        self.run_stage(func, "insert_pi", true, |f| {
-            ssa.insert_pi_nodes(f);
-        })?;
-        let pi_time = pi_started.elapsed();
-        debug_assert_eq!(abcd_ssa::verify_ssa(func), Ok(()));
+        if last >= Stage::InsertPi {
+            let pi_started = Instant::now();
+            self.run_stage(func, Stage::InsertPi, true, |f| {
+                ssa.insert_pi_nodes(f);
+            })?;
+            pi_time = pi_started.elapsed();
+            debug_assert_eq!(abcd_ssa::verify_ssa(func), Ok(()));
+        }
         Ok(PreparedGvn {
             gvn,
             dt: ssa.take_dom_tree(),
@@ -686,7 +739,9 @@ impl Optimizer {
 
     /// Stages 4–5 of Figure 2: build the constraint systems (optionally
     /// augmented with verified parameter facts) and run `demandProve` per
-    /// check, transforming as directed.
+    /// check, transforming as directed, through `last` (`transform` or
+    /// later).
+    #[allow(clippy::too_many_arguments)]
     fn analyze_function(
         &self,
         func: &mut Function,
@@ -695,6 +750,7 @@ impl Optimizer {
         prepared: PreparedGvn,
         facts: &[ParamFact],
         arena: &mut ScratchArena,
+        last: Stage,
     ) -> FunctionReport {
         let opts = &self.options;
         let mut report = FunctionReport::new(func.name());
@@ -705,21 +761,17 @@ impl Optimizer {
         let PreparedGvn { gvn, dt, .. } = prepared;
         let mut ftrace: Option<Box<FunctionTrace>> = self.trace.then(Box::default);
         if let Some(t) = &mut ftrace {
-            t.push(Span::Pass {
-                pass: "prepare",
+            t.push(Span::Prepare {
                 dur: prepared.prepare_time,
             });
             t.push(Span::Pass {
-                pass: "insert_pi",
+                stage: Stage::InsertPi,
                 dur: prepared.pi_time,
             });
         }
 
         // 4: the two sparse constraint systems.
-        set_current_pass("graph_build");
-        if let Some(plan) = &self.fault_plan {
-            plan.maybe_panic(func.name(), "graph_build");
-        }
+        self.enter(func, Stage::GraphBuild);
         let graph_started = Instant::now();
         // One walk of the IR, plus the assumed parameter facts; every graph
         // below is filled from this log.
@@ -792,10 +844,7 @@ impl Optimizer {
         let mut pre_jobs: Vec<(Block, InstId, Vec<crate::solver::InsertionPoint>, Problem)> =
             Vec::new();
 
-        set_current_pass("solve");
-        if let Some(plan) = &self.fault_plan {
-            plan.maybe_panic(func.name(), "solve");
-        }
+        self.enter(func, Stage::Solve);
         for LoggedCheck {
             block,
             inst,
@@ -950,10 +999,7 @@ impl Optimizer {
                 CheckOutcome::Kept
             } else if opts.pre && kind != CheckKind::Both {
                 report.metrics.solve_time += started.elapsed();
-                set_current_pass("pre");
-                if let Some(plan) = &self.fault_plan {
-                    plan.maybe_panic(func.name(), "pre");
-                }
+                self.enter(func, Stage::Pre);
                 let pre_started = Instant::now();
                 let tracing = self.trace;
                 let prover = pre_provers.entry((problem, source)).or_insert_with(|| {
@@ -977,7 +1023,7 @@ impl Optimizer {
                 );
                 report.pre_steps += pre_steps;
                 report.metrics.pre_time += pre_started.elapsed();
-                set_current_pass("solve");
+                set_current_pass(Stage::Solve);
                 if prover.last_query_exhausted() {
                     report.incidents.push(Incident::BudgetExhausted {
                         function: func.name_symbol(),
@@ -1043,7 +1089,7 @@ impl Optimizer {
         let merge_checks = opts.merge_checks;
         let mut spec_inserted = 0usize;
         let mut merged = 0usize;
-        let transform = self.run_stage(func, "transform", true, |f| {
+        let transform = self.run_stage(func, Stage::Transform, true, |f| {
             arena.cleanup.unlink_insts(f, to_remove);
             for (b, id, points, problem) in pre_jobs {
                 spec_inserted += apply_insertions(f, b, id, &points, problem);
@@ -1077,22 +1123,19 @@ impl Optimizer {
             // Summary spans: total solver and transform wall time, after the
             // per-check Prove/Pre spans they aggregate.
             t.push(Span::Pass {
-                pass: "solve",
+                stage: Stage::Solve,
                 dur: report.metrics.solve_time,
             });
             t.push(Span::Pass {
-                pass: "transform",
+                stage: Stage::Transform,
                 dur: report.metrics.transform_time,
             });
         }
 
         // Translation validation (fail-open layer): independently
         // re-justify every elimination from the final e-SSA form.
-        if opts.validate {
-            set_current_pass("validate");
-            if let Some(plan) = &self.fault_plan {
-                plan.maybe_panic(func.name(), "validate");
-            }
+        if opts.validate && last >= Stage::Validate {
+            self.enter(func, Stage::Validate);
             crate::validate::validate_function(func, &mut report, facts, &gvn, &dt, opts.gvn_hook);
         }
         arena.ssa.put_dom_tree(dt);
@@ -1103,10 +1146,12 @@ impl Optimizer {
         // the property the content-addressed cache stores and re-verifies,
         // and what keeps batch, served, warm, and cold outputs
         // byte-identical to each other.
-        if let Err(incident) = self.run_stage(func, "canonicalize", true, |f| {
-            f.canonicalize_in_place(&mut arena.canon);
-        }) {
-            report.incidents.push(incident);
+        if last >= Stage::Canonicalize {
+            if let Err(incident) = self.run_stage(func, Stage::Canonicalize, true, |f| {
+                f.canonicalize_in_place(&mut arena.canon);
+            }) {
+                report.incidents.push(incident);
+            }
         }
 
         report.fuel_spent = report.steps + report.pre_steps;
@@ -1310,16 +1355,23 @@ impl FailOpen<FunctionReport> {
 /// The report of a function that ships un-transformed after a pipeline
 /// failure: every check is recorded as kept, plus the triggering incident.
 fn fail_open_report(func: &Function, incident: Incident) -> FunctionReport {
+    let mut report = report_every_check(func, CheckOutcome::Kept);
+    report.incidents.push(incident);
+    report
+}
+
+/// A report recording every bounds check of `func`, in program order,
+/// with `outcome`.
+fn report_every_check(func: &Function, outcome: CheckOutcome) -> FunctionReport {
     let mut report = FunctionReport::new(func.name());
     for b in func.blocks() {
         for &id in func.block(b).insts() {
             if let InstKind::BoundsCheck { site, kind, .. } = func.inst(id).kind {
                 report.checks_total += 1;
-                report.record(site, kind, CheckOutcome::Kept);
+                report.record(site, kind, outcome);
             }
         }
     }
-    report.incidents.push(incident);
     report
 }
 

@@ -248,28 +248,16 @@ mod tests {
     use super::*;
     use crate::graph::Problem;
     use crate::solver::DemandProver;
-    use abcd_ir::{CheckKind, Function, InstKind};
-
-    fn essa(src: &str) -> Function {
-        let mut m = abcd_frontend::compile(src).unwrap();
-        abcd_ssa::module_to_essa(&mut m).unwrap();
-        let id = m.functions().next().unwrap().0;
-        m.function(id).clone()
-    }
+    use crate::stage::essa;
+    use abcd_ir::{CheckKind, Function};
 
     fn checks(f: &Function) -> Vec<(abcd_ir::Value, abcd_ir::Value, CheckKind)> {
-        let mut out = Vec::new();
-        for b in f.blocks() {
-            for &id in f.block(b).insts() {
-                if let InstKind::BoundsCheck {
-                    array, index, kind, ..
-                } = f.inst(id).kind
-                {
-                    out.push((array, index, kind));
-                }
-            }
-        }
-        out
+        let mut log = crate::ConstraintLog::default();
+        log.record(f);
+        log.checks()
+            .iter()
+            .map(|c| (c.array, c.index, c.kind))
+            .collect()
     }
 
     /// On a battery of shapes, the demand prover must never prove anything

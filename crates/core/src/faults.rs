@@ -20,9 +20,9 @@
 //! edge:FUNC:SEED     deterministically perturb one inequality-graph edge
 //! ```
 //!
-//! `FUNC` may be `*` to match every function. Pass names are the stage
-//! labels the driver publishes (`split_critical_edges`, `promote_locals`,
-//! `cleanup`, `insert_pi`, `graph_build`, `solve`, `pre`, `transform`).
+//! `FUNC` may be `*` to match every function. `PASS` is the name of a
+//! [`Stage`] the driver runs, from `split_critical_edges` through
+//! `canonicalize`; any other name is a parse error.
 //!
 //! # Service-layer chaos
 //!
@@ -48,6 +48,7 @@
 
 use crate::cache::fnv1a64;
 use crate::graph::InequalityGraph;
+use crate::stage::Stage;
 use abcd_ir::SplitMix64;
 use std::cell::Cell;
 use std::fmt;
@@ -60,8 +61,8 @@ pub enum Fault {
     PassPanic {
         /// Function name, or `*` for all functions.
         function: String,
-        /// Pipeline pass label.
-        pass: String,
+        /// The stage to panic in.
+        pass: Stage,
     },
     /// Treat every solver query of a matching function as budget-exhausted:
     /// the driver keeps all of its checks and records incidents.
@@ -125,10 +126,14 @@ impl FaultPlan {
                 .to_string();
             match kind {
                 "panic" => {
-                    let pass = fields
+                    let pass: Stage = fields
                         .next()
                         .ok_or_else(|| format!("`{part}`: panic fault needs a pass name"))?
-                        .to_string();
+                        .parse()
+                        .map_err(|e| format!("`{part}`: {e}"))?;
+                    if pass < Stage::SplitCriticalEdges {
+                        return Err(format!("`{part}`: the optimizer does not run `{pass}`"));
+                    }
                     faults.push(Fault::PassPanic { function, pass });
                 }
                 "fuel" => faults.push(Fault::ExhaustFuel { function }),
@@ -156,14 +161,14 @@ impl FaultPlan {
     /// Panics if the plan demands a pass panic for `(function, pass)`.
     /// Called by the driver at every stage boundary; the panic is caught by
     /// the per-function isolation layer.
-    pub(crate) fn maybe_panic(&self, function: &str, pass: &str) {
+    pub(crate) fn maybe_panic(&self, function: &str, pass: Stage) {
         for f in &self.faults {
             if let Fault::PassPanic {
                 function: target,
                 pass: p,
             } = f
             {
-                if Fault::matches(target, function) && p == pass {
+                if Fault::matches(target, function) && *p == pass {
                     panic!("injected fault: pass `{pass}` in `{function}`");
                 }
             }
@@ -419,19 +424,19 @@ impl fmt::Display for ChaosPlan {
 }
 
 thread_local! {
-    /// The pipeline pass currently running on this worker thread, read by
-    /// the isolation layer when a pass panics. Thread-local because each
+    /// The pipeline stage currently running on this worker thread, read by
+    /// the isolation layer when a stage panics. Thread-local because each
     /// scoped worker owns exactly one function at a time.
-    static CURRENT_PASS: Cell<&'static str> = const { Cell::new("") };
+    static CURRENT_PASS: Cell<Stage> = const { Cell::new(Stage::SplitCriticalEdges) };
 }
 
-/// Publishes the pass now running (driver stage boundaries).
-pub(crate) fn set_current_pass(name: &'static str) {
-    CURRENT_PASS.with(|c| c.set(name));
+/// Publishes the stage now running (driver stage boundaries).
+pub(crate) fn set_current_pass(stage: Stage) {
+    CURRENT_PASS.with(|c| c.set(stage));
 }
 
-/// The pass that was running when a panic unwound (same thread).
-pub(crate) fn current_pass() -> &'static str {
+/// The stage that was running when a panic unwound (same thread).
+pub(crate) fn current_pass() -> Stage {
     CURRENT_PASS.with(|c| c.get())
 }
 
@@ -453,6 +458,8 @@ mod tests {
         assert!(FaultPlan::parse("edge:f:notanumber").is_err());
         assert!(FaultPlan::parse("meteor:f").is_err());
         assert!(FaultPlan::parse("fuel:f:extra").is_err());
+        assert!(FaultPlan::parse("panic:main:sovle").is_err());
+        assert!(FaultPlan::parse("panic:main:parse").is_err());
         assert!(FaultPlan::parse("").unwrap().faults.is_empty());
     }
 
@@ -468,9 +475,9 @@ mod tests {
     #[test]
     fn injected_panic_fires_only_on_match() {
         let plan = FaultPlan::parse("panic:f:cleanup").unwrap();
-        plan.maybe_panic("f", "transform"); // no panic
-        plan.maybe_panic("g", "cleanup"); // no panic
-        let err = std::panic::catch_unwind(|| plan.maybe_panic("f", "cleanup"));
+        plan.maybe_panic("f", Stage::Transform); // no panic
+        plan.maybe_panic("g", Stage::Cleanup); // no panic
+        let err = std::panic::catch_unwind(|| plan.maybe_panic("f", Stage::Cleanup));
         assert!(err.is_err());
     }
 

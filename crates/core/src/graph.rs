@@ -72,7 +72,7 @@ impl Problem {
     /// A check on `array[index]` as the difference query
     /// `index − source ≤ c`, returned as `(source, c)`: upper asks it from
     /// `len(array)` with `c = −1`, lower from the constant `0` with `c = 0`.
-    pub(crate) fn check_query(self, array: Value) -> (Vertex, i64) {
+    pub fn check_query(self, array: Value) -> (Vertex, i64) {
         match self {
             Problem::Upper => (Vertex::ArrayLen(array), -1),
             Problem::Lower => (Vertex::Const(0), 0),
@@ -756,6 +756,26 @@ impl InequalityGraph {
         self.building.len()
     }
 
+    /// Appends this graph as Graphviz text, as `mjc graph` prints it: a `;`
+    /// comment naming the problem and `function`, then a `digraph` with one
+    /// node per vertex in id order (double-circled for a max vertex) and
+    /// one edge `u -> v`, labeled `w`, per constraint `v ≤ u + w`.
+    pub fn write_dot(&self, function: &str, out: &mut String) {
+        use std::fmt::Write as _;
+        let problem = self.problem();
+        let _ = writeln!(out, "; inequality graph ({problem:?}) of @{function}");
+        let _ = writeln!(out, "digraph \"{function}\" {{");
+        for id in (0..self.vertex_count()).map(VertexId::from_index) {
+            let (v, label) = (id.index(), self.vertex(id));
+            let double = if self.is_max(id) { "double" } else { "" };
+            let _ = writeln!(out, "  n{v} [label=\"{label}\", shape={double}circle];");
+            for InEdge { src, weight } in self.in_edges(id) {
+                let _ = writeln!(out, "  n{} -> n{v} [label=\"{weight}\"];", src.index());
+            }
+        }
+        out.push_str("}\n");
+    }
+
     /// Fault injection: deterministically strengthens one edge by
     /// `1..=max_delta` (solver domain). Strengthening fabricates an
     /// unjustified fact, the *dangerous* direction — proofs get easier, so
@@ -918,15 +938,7 @@ fn find_partner_pi(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abcd_frontend::compile;
-    use abcd_ssa::module_to_essa;
-
-    fn essa(src: &str) -> Function {
-        let mut m = compile(src).unwrap();
-        module_to_essa(&mut m).unwrap();
-        let id = m.functions().next().unwrap().0;
-        m.function(id).clone()
-    }
+    use crate::stage::{essa, essa_module};
 
     #[test]
     fn const_assignment_creates_edge_from_constant() {
@@ -1091,8 +1103,7 @@ mod tests {
         let mut log = ConstraintLog::default();
         let (mut functions, mut checks) = (0, 0);
         for src in sources {
-            let mut m = compile(&src).unwrap();
-            module_to_essa(&mut m).unwrap();
+            let m = essa_module(&src);
             for (_, f) in m.functions() {
                 let mut expected = Vec::new();
                 for b in f.blocks() {

@@ -226,20 +226,7 @@ pub fn infer_param_facts(module: &Module) -> ModuleFacts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abcd_frontend::compile;
-
-    fn prepared(src: &str) -> Module {
-        let mut m = compile(src).unwrap();
-        let ids: Vec<_> = m.functions().map(|(i, _)| i).collect();
-        for id in ids {
-            let f = m.function_mut(id);
-            abcd_ssa::split_critical_edges(f);
-            abcd_ssa::promote_locals(f).unwrap();
-            abcd_analysis::cleanup(f);
-            abcd_ssa::insert_pi_nodes(f);
-        }
-        m
-    }
+    use crate::stage::essa_module as prepared;
 
     #[test]
     fn verified_constant_arguments_survive() {

@@ -65,6 +65,7 @@ mod pre;
 mod report;
 mod scratch;
 mod solver;
+mod stage;
 pub mod trace;
 mod validate;
 pub mod versioning;
@@ -87,6 +88,7 @@ pub use solver::{
     AnyProver, DemandProver, DemandScratch, InsertionPoint, Lattice, PreOutcome, PreProver,
     PreScratch, ProverBackend,
 };
+pub use stage::{parse_ir, Stage};
 pub use trace::{
     explain_function, json_escape, module_trace_jsonl, request_span_jsonl, witness_path,
     FunctionTrace, ProveEvent, Span, TRACE_SCHEMA,

@@ -251,7 +251,7 @@ fn incident_json(incident: &Incident, out: &mut String) {
                 out,
                 ",\"function\":\"{}\",\"pass\":\"{}\",\"payload\":\"{}\"",
                 json_escape(function.as_str()),
-                json_escape(pass),
+                pass,
                 json_escape(payload),
             );
         }
@@ -264,7 +264,7 @@ fn incident_json(incident: &Incident, out: &mut String) {
                 out,
                 ",\"function\":\"{}\",\"pass\":\"{}\",\"error\":\"{}\"",
                 json_escape(function.as_str()),
-                json_escape(pass),
+                pass,
                 json_escape(error),
             );
         }
@@ -587,7 +587,7 @@ mod tests {
         });
         f.incidents.push(Incident::PassPanic {
             function: "f".into(),
-            pass: "cleanup".to_string(),
+            pass: crate::Stage::Cleanup,
             payload: "injected \"quote\"".to_string(),
         });
         report.functions.push(f);

@@ -196,14 +196,12 @@ fn root_of(func: &Function, v: Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abcd_frontend::compile;
-    use abcd_ssa::module_to_essa;
+    use crate::stage::essa_module;
     use abcd_vm::{RtVal, Vm};
 
     #[test]
     fn merge_pairs_lower_with_upper_through_pi() {
-        let mut m = compile("fn f(a: int[], i: int) -> int { return a[i]; }").unwrap();
-        module_to_essa(&mut m).unwrap();
+        let mut m = essa_module("fn f(a: int[], i: int) -> int { return a[i]; }");
         let id = m.functions().next().unwrap().0;
         let f = m.function_mut(id);
         assert_eq!(f.count_checks(), (2, 0, 0));
@@ -235,9 +233,7 @@ mod tests {
 
     #[test]
     fn merge_skips_mismatched_arrays() {
-        let mut m =
-            compile("fn f(a: int[], b: int[], i: int) -> int { return a[i] + b[i]; }").unwrap();
-        module_to_essa(&mut m).unwrap();
+        let mut m = essa_module("fn f(a: int[], b: int[], i: int) -> int { return a[i] + b[i]; }");
         let id = m.functions().next().unwrap().0;
         let f = m.function_mut(id);
         // two pairs, each merges with its own array only

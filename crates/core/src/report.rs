@@ -5,6 +5,7 @@
 //! (hoisted), or kept; how many `prove` steps the solver spent per check;
 //! and the analysis wall-clock time.
 
+use crate::stage::Stage;
 use abcd_ir::{Block, CheckKind, CheckSite, InstId, Symbol, Value};
 use std::fmt;
 use std::time::Duration;
@@ -56,7 +57,7 @@ pub enum Incident {
         /// Function whose pipeline unwound.
         function: Symbol,
         /// The pass that was running when the panic unwound.
-        pass: String,
+        pass: Stage,
         /// Panic payload (message), when it was a string.
         payload: String,
     },
@@ -66,7 +67,7 @@ pub enum Incident {
         /// Function the verifier rejected.
         function: Symbol,
         /// The pass whose output failed verification.
-        pass: String,
+        pass: Stage,
         /// The verifier's error message.
         error: String,
     },

@@ -840,34 +840,15 @@ pub type AnyProver<'g> = DemandProver<'g>;
 mod tests {
     use super::*;
     use crate::graph::Problem;
-    use abcd_frontend::compile;
-    use abcd_ir::{CheckKind, Function, InstKind};
-    use abcd_ssa::module_to_essa;
-
-    fn essa(src: &str) -> Function {
-        let mut m = compile(src).unwrap();
-        module_to_essa(&mut m).unwrap();
-        let id = m.functions().next().unwrap().0;
-        m.function(id).clone()
-    }
+    use crate::stage::essa;
+    use abcd_ir::{CheckKind, Function};
 
     /// All upper-bound checks of `f` with (array, index) values.
     fn upper_checks(f: &Function) -> Vec<(abcd_ir::Value, abcd_ir::Value)> {
-        let mut out = Vec::new();
-        for b in f.blocks() {
-            for &id in f.block(b).insts() {
-                if let InstKind::BoundsCheck {
-                    array,
-                    index,
-                    kind: CheckKind::Upper,
-                    ..
-                } = f.inst(id).kind
-                {
-                    out.push((array, index));
-                }
-            }
-        }
-        out
+        let mut log = crate::ConstraintLog::default();
+        log.record(f);
+        let upper = log.checks().iter().filter(|c| c.kind == CheckKind::Upper);
+        upper.map(|c| (c.array, c.index)).collect()
     }
 
     #[test]
@@ -1252,14 +1233,20 @@ mod tests {
     /// path and the `trivial` fallback for un-interned vertices.
     #[test]
     fn constant_vs_constant_sign_mapping() {
-        // x := 3 and y := 5 intern Const(3) and Const(5) in the graph.
-        let f = essa(
+        // x := 3 and y := 5 intern Const(3) and Const(5) in the graph, as
+        // long as cleanup does not fold `x + y`.
+        let m = crate::stage::essa_module_with(
             "fn f() -> int {
                 let x: int = 3;
                 let y: int = 5;
                 return x + y;
             }",
+            crate::OptimizerOptions {
+                cleanup: false,
+                ..Default::default()
+            },
         );
+        let (_, f) = m.functions().next().unwrap();
         for (interned, label) in [(true, "interned"), (false, "trivial")] {
             let (t3, s5) = if interned {
                 (Vertex::Const(3), Vertex::Const(5))
@@ -1270,7 +1257,7 @@ mod tests {
             let (tv, sv) = if interned { (3i64, 5i64) } else { (30, 50) };
 
             // Upper: t − s ≤ c.
-            let gu = InequalityGraph::build(&f, Problem::Upper, None);
+            let gu = InequalityGraph::build(f, Problem::Upper, None);
             if interned {
                 assert!(gu.lookup(t3).is_some(), "Const({tv}) should be interned");
             }
@@ -1280,7 +1267,7 @@ mod tests {
             assert!(!pu.demand_prove(t3, tv - sv - 1), "{label}: bound is tight");
 
             // Lower: t ≥ s − c, i.e. (−t) − (−s) ≤ c.
-            let gl = InequalityGraph::build(&f, Problem::Lower, None);
+            let gl = InequalityGraph::build(f, Problem::Lower, None);
             let mut pl = DemandProver::new(&gl, s5);
             assert!(pl.demand_prove(t3, sv - tv), "{label}: t ≥ s − (s−t)");
             assert!(pl.demand_prove(t3, sv - tv + 1));

@@ -56,6 +56,7 @@
 //! again in version 4).
 
 use crate::report::{FunctionReport, ModuleReport};
+use crate::stage::Stage;
 use abcd_ir::CheckSite;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -262,11 +263,17 @@ pub struct PreInsertionRecord {
 /// deterministic mode; everything else is deterministic by construction.
 #[derive(Clone, Debug)]
 pub enum Span {
-    /// A timed pipeline stage (`insert_pi`, `prepare`, `transform`, …).
+    /// A timed pipeline stage (`insert_pi`, `solve`, `transform`).
     Pass {
-        /// Pass label (the fail-open layer's pass taxonomy).
-        pass: &'static str,
+        /// The stage.
+        stage: Stage,
         /// Wall time of the stage.
+        dur: Duration,
+    },
+    /// The whole of preparation, `split_critical_edges` through
+    /// `insert_pi`, rendered as the pass `prepare`.
+    Prepare {
+        /// Wall time of the prepare stages.
         dur: Duration,
     },
     /// Inequality-graph construction with the resulting sizes.
@@ -337,14 +344,8 @@ impl Span {
         let us = |d: Duration| if deterministic { 0 } else { d.as_micros() };
         let func = json_escape(function);
         match self {
-            Span::Pass { pass, dur } => {
-                let _ = write!(
-                    out,
-                    "{{\"span\":\"pass\",\"function\":\"{func}\",\"pass\":\"{pass}\",\
-                     \"dur_us\":{}}}",
-                    us(*dur)
-                );
-            }
+            Span::Pass { stage, dur } => pass_json(out, &func, stage.name(), us(*dur)),
+            Span::Prepare { dur } => pass_json(out, &func, "prepare", us(*dur)),
             Span::GraphBuild {
                 dur,
                 upper_vertices,
@@ -422,6 +423,13 @@ impl Span {
             }
         }
     }
+}
+
+fn pass_json(out: &mut String, func: &str, pass: &str, dur_us: u128) {
+    let _ = write!(
+        out,
+        "{{\"span\":\"pass\",\"function\":\"{func}\",\"pass\":\"{pass}\",\"dur_us\":{dur_us}}}"
+    );
 }
 
 fn events_json(events: &[ProveEvent], out: &mut String) {
@@ -516,7 +524,7 @@ pub fn module_trace_jsonl(report: &ModuleReport, threads: usize, deterministic: 
                  \"pass\":\"{}\",\"detail\":\"{}\"}}",
                 json_escape(f.name.as_str()),
                 incident.kind_name(),
-                json_escape(incident_pass(incident)),
+                incident_pass(incident),
                 json_escape(&incident.to_string()),
             );
         }
@@ -524,12 +532,12 @@ pub fn module_trace_jsonl(report: &ModuleReport, threads: usize, deterministic: 
     out
 }
 
-fn incident_pass(incident: &crate::report::Incident) -> &str {
+fn incident_pass(incident: &crate::report::Incident) -> &'static str {
     use crate::report::Incident;
     match incident {
-        Incident::PassPanic { pass, .. } | Incident::VerifyFailed { pass, .. } => pass,
-        Incident::BudgetExhausted { .. } | Incident::SolverOverflow { .. } => "solve",
-        Incident::ValidationReinstated { .. } => "validate",
+        Incident::PassPanic { pass, .. } | Incident::VerifyFailed { pass, .. } => pass.name(),
+        Incident::BudgetExhausted { .. } | Incident::SolverOverflow { .. } => Stage::Solve.name(),
+        Incident::ValidationReinstated { .. } => Stage::Validate.name(),
         Incident::CacheCorrupt { .. } => "cache",
         Incident::DeadlineExceeded { .. } => "request",
     }
@@ -895,7 +903,7 @@ mod tests {
         let mut f = FunctionReport::new("weird\"name");
         let mut trace = FunctionTrace::new();
         trace.push(Span::Pass {
-            pass: "insert_pi",
+            stage: Stage::InsertPi,
             dur: Duration::from_micros(5),
         });
         trace.push(Span::Prove {

@@ -3,35 +3,33 @@
 //! PRE prover's recursive salvage.
 
 use abcd::{
-    DemandProver, ExhaustiveDistances, InequalityGraph, PreOutcome, PreProver, Problem, Vertex,
+    ConstraintLog, DemandProver, ExhaustiveDistances, InequalityGraph, Optimizer, OptimizerOptions,
+    PreOutcome, PreProver, Problem, Stage, Vertex,
 };
-use abcd_ir::{CheckKind, Function, InstKind, Value};
+use abcd_ir::{CheckKind, Function, Value};
 
+/// The first function of `src` in the driver's e-SSA form without
+/// cleanup, whose value numbering would merge the tests' repeated
+/// constants.
 fn essa(src: &str) -> Function {
     let mut m = abcd_frontend::compile(src).unwrap();
-    abcd_ssa::module_to_essa(&mut m).unwrap();
-    let id = m.functions().next().unwrap().0;
-    let mut f = m.function(id).clone();
-    abcd_analysis::cleanup(&mut f);
-    f
+    let options = OptimizerOptions {
+        cleanup: false,
+        ..OptimizerOptions::default()
+    };
+    Optimizer::with_options(options)
+        .run_to(&mut m, Stage::InsertPi)
+        .unwrap();
+    let (_, f) = m.functions().next().unwrap();
+    f.clone()
 }
 
-fn upper_checks(f: &Function) -> Vec<(Value, Value)> {
-    let mut out = Vec::new();
-    for b in f.blocks() {
-        for &id in f.block(b).insts() {
-            if let InstKind::BoundsCheck {
-                array,
-                index,
-                kind: CheckKind::Upper,
-                ..
-            } = f.inst(id).kind
-            {
-                out.push((array, index));
-            }
-        }
-    }
-    out
+/// The `(array, index)` of every `kind` check of `f`, in block-major order.
+fn checks_of(f: &Function, kind: CheckKind) -> Vec<(Value, Value)> {
+    let mut log = ConstraintLog::default();
+    log.record(f);
+    let of_kind = log.checks().iter().filter(|c| c.kind == kind);
+    of_kind.map(|c| (c.array, c.index)).collect()
 }
 
 #[test]
@@ -46,7 +44,7 @@ fn memo_subsumption_makes_repeat_queries_cheap() {
         }",
     );
     let g = InequalityGraph::build(&f, Problem::Upper, None);
-    let checks = upper_checks(&f);
+    let checks = checks_of(&f, CheckKind::Upper);
     assert_eq!(checks.len(), 4);
     let (array, _) = checks[0];
     let mut p = DemandProver::new(&g, Vertex::ArrayLen(array));
@@ -81,7 +79,7 @@ fn long_pi_chains_prove_with_linear_steps() {
         }",
     );
     let g = InequalityGraph::build(&f, Problem::Upper, None);
-    let checks = upper_checks(&f);
+    let checks = checks_of(&f, CheckKind::Upper);
     assert_eq!(checks.len(), 7);
     let (array, _) = checks[0];
     let mut p = DemandProver::new(&g, Vertex::ArrayLen(array));
@@ -97,17 +95,8 @@ fn long_pi_chains_prove_with_linear_steps() {
     // Lower bounds hold too (i ≥ 6 covers the −6 offset exactly).
     let gl = InequalityGraph::build(&f, Problem::Lower, None);
     let mut pl = DemandProver::new(&gl, Vertex::Const(0));
-    for b in f.blocks() {
-        for &id in f.block(b).insts() {
-            if let InstKind::BoundsCheck {
-                index,
-                kind: CheckKind::Lower,
-                ..
-            } = f.inst(id).kind
-            {
-                assert!(pl.demand_prove(Vertex::Value(index), 0), "{f}");
-            }
-        }
+    for (_, index) in checks_of(&f, CheckKind::Lower) {
+        assert!(pl.demand_prove(Vertex::Value(index), 0), "{f}");
     }
 }
 
@@ -126,19 +115,9 @@ fn off_by_one_over_the_guard_fails_exactly() {
     );
     let gl = InequalityGraph::build(&f, Problem::Lower, None);
     let mut pl = DemandProver::new(&gl, Vertex::Const(0));
-    let mut lower = None;
-    for b in f.blocks() {
-        for &id in f.block(b).insts() {
-            if let InstKind::BoundsCheck {
-                index,
-                kind: CheckKind::Lower,
-                ..
-            } = f.inst(id).kind
-            {
-                lower = Some(index);
-            }
-        }
-    }
+    let lower = checks_of(&f, CheckKind::Lower)
+        .last()
+        .map(|&(_, index)| index);
     assert!(!pl.demand_prove(Vertex::Value(lower.unwrap()), 0), "{f}");
     // The exhaustive solver agrees: the distance is exactly one too weak.
     let ex = ExhaustiveDistances::compute(&gl, Vertex::Const(0));
@@ -164,7 +143,7 @@ fn pre_salvage_recurses_through_nested_phis() {
         }",
     );
     let g = InequalityGraph::build(&f, Problem::Upper, None);
-    let (array, index) = upper_checks(&f)[0];
+    let (array, index) = checks_of(&f, CheckKind::Upper)[0];
     let mut pre = PreProver::new(&g, Vertex::ArrayLen(array), None);
     match pre.demand_prove(Vertex::Value(index), -1) {
         PreOutcome::ProvenWithInsertions(points) => {
@@ -188,7 +167,7 @@ fn unrelated_array_does_not_leak_constraints() {
         }",
     );
     let g = InequalityGraph::build(&f, Problem::Upper, None);
-    let (array, index) = upper_checks(&f)[0];
+    let (array, index) = checks_of(&f, CheckKind::Upper)[0];
     let mut p = DemandProver::new(&g, Vertex::ArrayLen(array));
     assert!(!p.demand_prove(Vertex::Value(index), -1), "{f}");
     // …but the same index against b would be fine.
@@ -213,7 +192,7 @@ fn equality_guard_proves_both_directions_without_cycles() {
         }",
     );
     let g = InequalityGraph::build(&f, Problem::Upper, None);
-    let (array, index) = upper_checks(&f)[0];
+    let (array, index) = checks_of(&f, CheckKind::Upper)[0];
     let mut p = DemandProver::new(&g, Vertex::ArrayLen(array));
     assert!(p.demand_prove(Vertex::Value(index), -1), "{f}");
     // And mirrored operands:
@@ -229,7 +208,7 @@ fn equality_guard_proves_both_directions_without_cycles() {
         }",
     );
     let g2 = InequalityGraph::build(&f2, Problem::Upper, None);
-    let (array2, index2) = upper_checks(&f2)[0];
+    let (array2, index2) = checks_of(&f2, CheckKind::Upper)[0];
     let mut p2 = DemandProver::new(&g2, Vertex::ArrayLen(array2));
     assert!(p2.demand_prove(Vertex::Value(index2), -1), "{f2}");
 }

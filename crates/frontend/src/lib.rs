@@ -60,19 +60,3 @@ use abcd_ir::Module;
 pub fn compile(src: &str) -> Result<Module, FrontendError> {
     lower(&parse(src)?)
 }
-
-/// Compiles MJ source text and converts every function to e-SSA form —
-/// the input ABCD itself consumes.
-///
-/// # Errors
-///
-/// Returns frontend errors; SSA-construction failures are impossible for
-/// frontend-produced code and would indicate an internal bug.
-pub fn compile_to_essa(src: &str) -> Result<Module, FrontendError> {
-    let mut module = compile(src)?;
-    abcd_ssa::module_to_essa(&mut module).map_err(|(name, e)| FrontendError::Type {
-        pos: Pos { line: 0, col: 0 },
-        message: format!("internal: SSA construction failed in `{name}`: {e}"),
-    })?;
-    Ok(module)
-}

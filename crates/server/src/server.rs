@@ -644,7 +644,7 @@ fn handle_optimize(
     let front = || -> Result<Module, String> {
         match (&req.source, &req.ir) {
             (Some(src), None) => compile(src).map_err(|e| format!("compile: {e}")),
-            (None, Some(ir)) => abcd_ir::parse_module(ir).map_err(|e| format!("parse: {e}")),
+            (None, Some(ir)) => abcd::parse_ir(ir).map_err(|e| format!("parse: {e}")),
             _ => unreachable!("validated by parse_request"),
         }
     };

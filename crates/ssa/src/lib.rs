@@ -26,13 +26,23 @@
 //! refills in place. The driver keeps one scratch per worker, so
 //! construction stops allocating for its own bookkeeping once the scratch
 //! is warm; what remains is the IR it creates. The free functions run the
-//! same code on a fresh scratch, and [`to_essa`] runs 1–4 in order.
+//! same code on a fresh scratch.
+//!
+//! # Not the optimizer's pipeline
+//!
+//! The optimizer runs these steps with its own stages between them: its
+//! cleanup and load congruence run after promotion and before π insertion.
+//! `abcd::Optimizer::run_to` runs that pipeline up to any named stage, and
+//! every tool that shows or measures the form the prover analyzes uses
+//! it. [`module_to_essa`] is steps 1, 3 and 4 alone, for the crates below
+//! `abcd` (analysis, interpreter, front end) that test on e-SSA without
+//! depending on the optimizer.
 //!
 //! # Example
 //!
 //! ```
 //! use abcd_ir::{FunctionBuilder, Type, CheckKind};
-//! use abcd_ssa::to_essa;
+//! use abcd_ssa::{insert_pi_nodes, promote_locals, split_critical_edges};
 //!
 //! let mut b = FunctionBuilder::new("f", vec![Type::array_of(Type::Int)], Some(Type::Int));
 //! let a = b.param(0);
@@ -41,8 +51,9 @@
 //! let x = b.load(a, i);
 //! b.ret(Some(x));
 //! let mut f = b.finish()?;
-//! let stats = to_essa(&mut f)?;
-//! assert_eq!(stats.pi.check_pis, 1);
+//! split_critical_edges(&mut f);
+//! promote_locals(&mut f)?;
+//! assert_eq!(insert_pi_nodes(&mut f).check_pis, 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -65,37 +76,24 @@ pub use scratch::SsaScratch;
 pub use split::{split_critical_edges, split_looping_entry};
 pub use verify::{verify_dominance, verify_ssa, SsaViolation};
 
-/// Statistics from the full [`to_essa`] pipeline.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EssaStats {
-    /// Critical edges split.
-    pub edges_split: usize,
-    /// π-insertion statistics.
-    pub pi: PiStats,
-}
-
-/// Converts a pre-SSA function (locals form) to e-SSA:
-/// normalizes the CFG, promotes locals to SSA, inserts π-assignments.
+/// Converts every function of a module from locals form to e-SSA, on one
+/// scratch: normalizes the CFG, promotes locals to SSA and inserts
+/// π-assignments, with no cleanup between. This is not the optimizer's
+/// pipeline (see the crate docs).
 ///
 /// # Errors
 ///
-/// Propagates [`SsaError`] from SSA construction (e.g. a read of a local
-/// that is never written on some path).
-pub fn to_essa(func: &mut abcd_ir::Function) -> Result<EssaStats, SsaError> {
-    SsaScratch::new().to_essa(func)
-}
-
-/// Converts every function of a module to e-SSA, on one scratch.
-///
-/// # Errors
-///
-/// Returns the offending function's name alongside the error.
+/// The offending function's name alongside the [`SsaError`] of its
+/// promotion (e.g. a read of a local that is never written on some path).
 pub fn module_to_essa(module: &mut abcd_ir::Module) -> Result<(), (String, SsaError)> {
     let mut scratch = SsaScratch::new();
     for (_, func) in module.functions_mut() {
+        scratch.normalize(func);
         scratch
-            .to_essa(func)
+            .promote_locals(func)
             .map_err(|e| (func.name().to_string(), e))?;
+        scratch.insert_pi_nodes(func);
+        debug_assert_eq!(verify_ssa(func), Ok(()));
     }
     Ok(())
 }

@@ -9,14 +9,12 @@
 //!
 //! The free functions ([`split_critical_edges`](crate::split_critical_edges),
 //! [`promote_locals`](crate::promote_locals),
-//! [`insert_pi_nodes`](crate::insert_pi_nodes), [`to_essa`](crate::to_essa))
-//! run the same code on a fresh scratch.
+//! [`insert_pi_nodes`](crate::insert_pi_nodes)) run the same code on a
+//! fresh scratch.
 
 use crate::dom::{reset, DomTree, Frontiers, IdfScratch};
 use crate::liveness::LocalLiveness;
-use crate::mem2reg::SsaError;
 use crate::split::{normalize_cfg, split_looping_entry};
-use crate::EssaStats;
 use abcd_ir::{Block, Function, Local, Value};
 
 /// Marks an empty slot in the dense tables.
@@ -27,8 +25,7 @@ pub(crate) const NONE: u32 = u32::MAX;
 ///
 /// One function's pipeline is [`normalize`](SsaScratch::normalize), then
 /// [`promote_locals`](SsaScratch::promote_locals) and
-/// [`insert_pi_nodes`](SsaScratch::insert_pi_nodes) (or all three via
-/// [`to_essa`](SsaScratch::to_essa)). `normalize` builds the function's one
+/// [`insert_pi_nodes`](SsaScratch::insert_pi_nodes). `normalize` builds the function's one
 /// dominator tree; the later steps and any caller of
 /// [`dom_tree`](SsaScratch::dom_tree) share it, since nothing after
 /// normalization changes the reachable CFG. A step run without `normalize`
@@ -73,21 +70,6 @@ impl SsaScratch {
         self.tree.recompute(func);
         self.tree_current = true;
         split
-    }
-
-    /// Converts a pre-SSA function (locals form) to e-SSA: normalizes the
-    /// CFG, promotes locals to SSA, inserts π-assignments.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SsaError`] from SSA construction (e.g. a read of a local
-    /// that is never written on some path).
-    pub fn to_essa(&mut self, func: &mut Function) -> Result<EssaStats, SsaError> {
-        let edges_split = self.normalize(func);
-        self.promote_locals(func)?;
-        let pi = self.insert_pi_nodes(func);
-        debug_assert_eq!(crate::verify_ssa(func), Ok(()));
-        Ok(EssaStats { edges_split, pi })
     }
 
     /// The dominator tree built by the last [`normalize`](Self::normalize)

@@ -4,9 +4,11 @@
 //!
 //!     cargo run --example prover_explorer
 
-use abcd::{DemandProver, InequalityGraph, Problem, Vertex, VertexId};
+use abcd::{
+    ConstraintLog, DemandProver, InequalityGraph, Optimizer, Problem, Stage, Vertex, VertexId,
+};
 use abcd_frontend::compile;
-use abcd_ir::{CheckKind, InstKind};
+use abcd_ir::CheckKind;
 
 const SRC: &str = r#"
     fn fragment(a: int[]) {
@@ -29,17 +31,14 @@ const SRC: &str = r#"
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut module = compile(SRC)?;
-    abcd_ssa::module_to_essa(&mut module).map_err(|(name, e)| format!("{name}: {e}"))?;
+    // The optimizer's own preparation, so the dump is what ABCD analyzes.
+    Optimizer::new()
+        .run_to(&mut module, Stage::InsertPi)
+        .map_err(|e| e.to_string())?;
     let id = module
         .function_by_name("fragment")
         .expect("function exists");
-    // Clean the function up like the optimizer would, so the dump matches
-    // what ABCD analyzes.
-    let func = {
-        let f = module.function_mut(id);
-        abcd_analysis::cleanup(f);
-        module.function(id).clone()
-    };
+    let func = module.function(id).clone();
 
     println!("==== e-SSA form (Figure 3 analogue) ====\n{func}\n");
 
@@ -68,24 +67,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n==== demandProve per upper-bound check ====");
-    for b in func.blocks() {
-        for &iid in func.block(b).insts() {
-            if let InstKind::BoundsCheck {
-                site,
-                array,
-                index,
-                kind: CheckKind::Upper,
-            } = func.inst(iid).kind
-            {
-                let mut prover = DemandProver::new(&graph, Vertex::ArrayLen(array));
-                let proven = prover.demand_prove(Vertex::Value(index), -1);
-                println!(
-                    "  {site}: prove {index} - len({array}) <= -1  =>  {}  ({} steps)",
-                    if proven { "REDUNDANT" } else { "needed" },
-                    prover.steps
-                );
-            }
-        }
+    let mut log = ConstraintLog::default();
+    log.record(&func);
+    for check in log.checks().iter().filter(|c| c.kind == CheckKind::Upper) {
+        let (site, array, index) = (check.site, check.array, check.index);
+        let mut prover = DemandProver::new(&graph, Vertex::ArrayLen(array));
+        let proven = prover.demand_prove(Vertex::Value(index), -1);
+        println!(
+            "  {site}: prove {index} - len({array}) <= -1  =>  {}  ({} steps)",
+            if proven { "REDUNDANT" } else { "needed" },
+            prover.steps
+        );
     }
     Ok(())
 }

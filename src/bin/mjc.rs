@@ -4,13 +4,15 @@
 //! mjc run <file.mj> [--opt] [--stats] [--arg N]...   compile and execute main()
 //! mjc opt <file.mj> [passes…] [--dump]               optimize and report
 //! mjc explain <file.mj> <fn> [--check N]             print proof certificates
-//! mjc dump <file.mj> [--stage ir|ssa|essa|opt]       print the IR of a stage
+//! mjc dump <file.mj> [--stage STAGE]                 print the IR after a stage
 //! mjc graph <file.mj> [--fn NAME] [--lower]          print the inequality graph
 //! mjc serve --socket PATH [server flags]             run the abcdd daemon
 //! mjc client <file|ping|stats|metrics|shutdown> --socket P   talk to abcdd
 //! ```
 //!
 //! Inputs ending in `.ir` are parsed as textual IR instead of MJ source.
+//! `STAGE` is any name of [`abcd::Stage`], or `ir`, `ssa`, `essa` and `opt`
+//! for `lower`, `promote_locals`, `insert_pi` and the whole optimizer.
 //!
 //! Pass flags for `opt`/`run --opt`: `--no-pre`, `--no-lower`, `--no-upper`,
 //! `--no-cleanup`, `--no-gvn-hook`, `--merge`, `--ipa` (closed-world
@@ -28,7 +30,7 @@
 //! validation reinstated a check — the output is still correct, just less
 //! optimized), `3` internal panic (a bug in `mjc` itself).
 
-use abcd::{FaultPlan, InequalityGraph, Optimizer, OptimizerOptions, Problem, VertexId};
+use abcd::{FaultPlan, InequalityGraph, Optimizer, OptimizerOptions, Problem, Stage};
 use abcd_frontend::compile;
 use abcd_ir::Module;
 use abcd_vm::{RtVal, Trap, Vm};
@@ -64,8 +66,8 @@ USAGE:
     mjc run   <file.mj|file.ir> [--opt] [--profile] [--stats] [--arg N]...
     mjc opt   <file.mj|file.ir> [pass flags] [--version-fns] [--dump]
     mjc explain <file.mj|file.ir> <fn> [--check N] [pass flags]
-    mjc dump  <file.mj|file.ir> [--stage ir|ssa|essa|opt]
-    mjc graph <file.mj|file.ir> [--fn NAME] [--lower]        (Graphviz output)
+    mjc dump  <file.mj|file.ir> [--stage STAGE] [pass flags]
+    mjc graph <file.mj|file.ir> [--fn NAME] [--lower] [pass flags]  (Graphviz)
     mjc serve --socket PATH [--listen ADDR]... [--shards N] [--workers N]
               [--queue N] [--jobs N]
               [--cache-dir DIR] [--cache-bytes N] [--no-cache]
@@ -75,7 +77,12 @@ USAGE:
                [--metrics] [--timeout MS] [--deadline MS] [--batch N]
     mjc client ping|stats|metrics|shutdown (--socket PATH | --tcp ADDR)
 
-PASS FLAGS (for `opt`, `run --opt` and `client <file>`):
+STAGE (for `dump`, default essa): any `abcd::Stage` name, parse … canonicalize
+    (the IR after that stage of the optimizer's own pipeline), or ir|ssa|essa|opt
+    for lower|promote_locals|insert_pi|the whole optimizer. `graph` draws the
+    graphs of the insert_pi form: the ones the prover solves.
+
+PASS FLAGS (for `opt`, `run --opt`, `client <file>`, `dump` and `graph`):
     --no-pre --no-lower --no-upper --no-cleanup --no-gvn-hook
     --merge            merge surviving lower+upper pairs (§7.2)
     --ipa              closed-world interprocedural parameter facts
@@ -162,20 +169,16 @@ fn usage() -> String {
 
 /// Loads `file` as a module: textual IR when the extension is `.ir`, MJ
 /// source otherwise. All failure modes are structured errors, never panics.
-/// Textual IR must verify, and every definition must dominate its uses,
-/// as the front end guarantees for MJ (the interpreter relies on it).
+/// Textual IR goes through [`abcd::parse_ir`], which holds it to what the
+/// front end guarantees for MJ.
 fn load_module(file: &str) -> Result<Module, String> {
     let source = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
     if file.ends_with(".ir") {
-        let module = abcd_ir::parse_module(&source).map_err(|e| format!("{file}: {e}"))?;
-        abcd_ir::verify_module(&module).map_err(|(f, e)| format!("{file}: {f}: {e}"))?;
-        for (_, f) in module.functions() {
-            abcd_ssa::verify_dominance(f).map_err(|e| format!("{file}: {}: {e}", f.name()))?;
-        }
-        Ok(module)
+        abcd::parse_ir(&source)
     } else {
-        compile(&source).map_err(|e| format!("{file}: {e}"))
+        compile(&source).map_err(|e| e.to_string())
     }
+    .map_err(|e| format!("{file}: {e}"))
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
@@ -273,29 +276,32 @@ fn value_of<'a>(rest: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// The value given with `flag`, parsed, if the flag is given; `what`
+/// names the expected value in the error.
+fn parsed<T: std::str::FromStr>(
+    rest: &[String],
+    flag: &str,
+    what: &str,
+) -> Result<Option<T>, String> {
+    value_of(rest, flag)
+        .map(|v| v.parse().map_err(|_| format!("`{flag}` needs {what}")))
+        .transpose()
+}
+
 fn jobs_of(rest: &[String]) -> Result<usize, String> {
     // Requests are clamped to the host's available parallelism: extra
     // workers on an undersized host only add contention (the benchsuite ran
     // ~40% slower oversubscribed — see `pipeline/abcd_suite_threads/*` in
     // `BENCH_pipeline.json`). `--jobs 0` / absent means "all host CPUs".
-    match value_of(rest, "--jobs") {
-        None => Ok(abcd::clamp_jobs(0)),
-        Some(v) => v
-            .parse()
-            .map(abcd::clamp_jobs)
-            .map_err(|_| "`--jobs` needs a count".to_string()),
-    }
+    let jobs = parsed(rest, "--jobs", "a count")?;
+    Ok(abcd::clamp_jobs(jobs.unwrap_or(0)))
 }
 
 /// Builds the analysis cache requested by `--cache-dir`/`--cache-bytes`
 /// (batch mode caches only when asked; `serve` defaults the other way).
 fn cache_for(rest: &[String]) -> Result<Option<std::sync::Arc<abcd::AnalysisCache>>, String> {
-    let bytes = match value_of(rest, "--cache-bytes") {
-        None => abcd::cache::DEFAULT_CACHE_BYTES,
-        Some(v) => v
-            .parse()
-            .map_err(|_| "`--cache-bytes` needs a byte count".to_string())?,
-    };
+    let bytes = parsed(rest, "--cache-bytes", "a byte count")?;
+    let bytes = bytes.unwrap_or(abcd::cache::DEFAULT_CACHE_BYTES);
     match value_of(rest, "--cache-dir") {
         Some(dir) => {
             let cache = abcd::AnalysisCache::with_dir(std::path::Path::new(dir), bytes)
@@ -513,13 +519,7 @@ fn cmd_explain(file: &str, rest: &[String]) -> Result<ExitCode, String> {
         .ok_or("`explain` needs a function name: mjc explain <file> <fn> [--check N]")?
         .clone();
     let flags = &rest[1..];
-    let check = match value_of(flags, "--check") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| "`--check` needs a check number".to_string())?,
-        ),
-    };
+    let check = parsed(flags, "--check", "a check number")?;
     let options = parse_options(flags)?;
     let mut module = load_module(file)?;
     let (optimizer, _cache) = optimizer_for(options, flags)?;
@@ -543,25 +543,24 @@ fn cmd_explain(file: &str, rest: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_dump(file: &str, rest: &[String]) -> Result<ExitCode, String> {
-    let stage = value_of(rest, "--stage").unwrap_or("essa");
+    let optimizer = Optimizer::with_options(parse_options(rest)?);
+    let stage = match value_of(rest, "--stage").unwrap_or("essa") {
+        "ir" => Stage::Lower,
+        "ssa" => Stage::PromoteLocals,
+        "essa" => Stage::InsertPi,
+        "opt" => Stage::Canonicalize,
+        name => name
+            .parse()
+            .map_err(|e| format!("{e}, or ir|ssa|essa|opt"))?,
+    };
     let mut module = load_module(file)?;
-    match stage {
-        "ir" => {}
-        "ssa" => {
-            let ids: Vec<_> = module.functions().map(|(i, _)| i).collect();
-            for id in ids {
-                let f = module.function_mut(id);
-                abcd_ssa::split_critical_edges(f);
-                abcd_ssa::promote_locals(f).map_err(|e| e.to_string())?;
-            }
-        }
-        "essa" => {
-            abcd_ssa::module_to_essa(&mut module).map_err(|(n, e)| format!("{n}: {e}"))?;
-        }
-        "opt" => {
-            Optimizer::new().optimize_module(&mut module, None);
-        }
-        other => return Err(format!("unknown stage `{other}` (ir|ssa|essa|opt)")),
+    if stage == Stage::Canonicalize {
+        // The whole driver, exactly as `opt` and `abcdd` run it.
+        optimizer.optimize_module(&mut module, None);
+    } else {
+        optimizer
+            .run_to(&mut module, stage)
+            .map_err(|e| e.to_string())?;
     }
     emit(format!("{module}\n"));
     Ok(ExitCode::SUCCESS)
@@ -577,8 +576,8 @@ fn emit(text: String) {
 /// sends `shutdown`, then drain and exit 0. The cache is on by default
 /// here (the whole point of a persistent service); `--no-cache` opts out.
 fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
-    let options = parse_options(rest)?; // reject typos even though serve ignores pass flags
-    let _ = options;
+    // Reject typos, even though serve ignores pass flags.
+    parse_options(rest)?;
     // Every `--socket PATH` and `--listen uds:…|tcp:…`, in argv order.
     let mut listen: Vec<abcd_server::ListenAddr> = Vec::new();
     let mut i = 0;
@@ -603,11 +602,8 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
     if listen.is_empty() {
         return Err("`serve` needs `--socket PATH` or `--listen ADDR`".to_string());
     }
-    let count = |flag: &str, default: usize| -> Result<usize, String> {
-        match value_of(rest, flag) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("`{flag}` needs a count")),
-        }
+    let count = |flag, default| -> Result<usize, String> {
+        Ok(parsed(rest, flag, "a count")?.unwrap_or(default))
     };
     let cache = if has(rest, "--no-cache") {
         None
@@ -619,15 +615,7 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
             ))),
         }
     };
-    let ms = |flag: &str| -> Result<Option<u64>, String> {
-        match value_of(rest, flag) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("`{flag}` needs milliseconds")),
-        }
-    };
+    let ms = |flag| parsed::<u64>(rest, flag, "milliseconds");
     let nonzero = |default_ms: u64, v: Option<u64>| match v.unwrap_or(default_ms) {
         0 => None,
         n => Some(std::time::Duration::from_millis(n)),
@@ -713,15 +701,7 @@ fn cmd_client(file: &str, rest: &[String]) -> Result<ExitCode, String> {
         _ => {
             let options = parse_options(rest)?;
             let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-            let ms = |flag: &str| -> Result<Option<u64>, String> {
-                match value_of(rest, flag) {
-                    None => Ok(None),
-                    Some(v) => v
-                        .parse()
-                        .map(Some)
-                        .map_err(|_| format!("`{flag}` needs milliseconds")),
-                }
-            };
+            let ms = |flag| parsed::<u64>(rest, flag, "milliseconds");
             let call = abcd_server::CallOptions {
                 metrics: has(rest, "--metrics") || value_of(rest, "--metrics-out").is_some(),
                 deterministic_metrics: has(rest, "--deterministic-metrics"),
@@ -801,9 +781,14 @@ fn cmd_client(file: &str, rest: &[String]) -> Result<ExitCode, String> {
     }
 }
 
+/// `mjc graph`: the inequality graphs the prover solves, built from the
+/// optimizer's own e-SSA form.
 fn cmd_graph(file: &str, rest: &[String]) -> Result<ExitCode, String> {
+    let optimizer = Optimizer::with_options(parse_options(rest)?);
     let mut module = load_module(file)?;
-    abcd_ssa::module_to_essa(&mut module).map_err(|(n, e)| format!("{n}: {e}"))?;
+    optimizer
+        .run_to(&mut module, Stage::InsertPi)
+        .map_err(|e| e.to_string())?;
     let problem = if has(rest, "--lower") {
         Problem::Lower
     } else {
@@ -812,34 +797,13 @@ fn cmd_graph(file: &str, rest: &[String]) -> Result<ExitCode, String> {
     let wanted = value_of(rest, "--fn");
 
     let mut out = String::new();
-    use std::fmt::Write as _;
     for (_, func) in module.functions() {
-        if let Some(w) = wanted {
-            if func.name() != w {
-                continue;
-            }
+        if wanted.is_none_or(|w| w == func.name()) {
+            InequalityGraph::build(func, problem, None).write_dot(func.name(), &mut out);
         }
-        let _ = writeln!(out, "; inequality graph ({problem:?}) of @{}", func.name());
-        let g = InequalityGraph::build(func, problem, None);
-        let _ = writeln!(out, "digraph \"{}\" {{", func.name());
-        for v in 0..g.vertex_count() {
-            let vid = VertexId::from_index(v);
-            let shape = if g.is_max(vid) {
-                "doublecircle"
-            } else {
-                "circle"
-            };
-            let _ = writeln!(out, "  n{v} [label=\"{}\", shape={shape}];", g.vertex(vid));
-            for e in g.in_edges(vid) {
-                let _ = writeln!(
-                    out,
-                    "  n{} -> n{v} [label=\"{}\"];",
-                    e.src.index(),
-                    e.weight
-                );
-            }
-        }
-        let _ = writeln!(out, "}}");
+    }
+    if let Some(w) = wanted.filter(|_| out.is_empty()) {
+        return Err(format!("no function `{w}` in {file}"));
     }
     emit(out);
     Ok(ExitCode::SUCCESS)

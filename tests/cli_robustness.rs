@@ -8,6 +8,7 @@
 //!   validation reinstatement)
 //! * 3 — an internal `mjc` panic (never expected; tested only for absence)
 
+use abcd::{InequalityGraph, Optimizer, Problem, Stage};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -182,7 +183,12 @@ fn malformed_source_is_a_structured_error() {
         "use_before_def.ir",
         "func @main() -> int {\nbb0:\n    v0: int = add v1, v1\n    v1: int = const 1\n    ret v0\n}\n",
     );
-    for file in [&mj, &ir, &truncated, &use_before_def] {
+    // Parses, verifies and dominates, but reads a local never written.
+    let uninit_local = scratch(
+        "uninit_local.ir",
+        "func @main() -> int {\n  locals loc0: int\nbb0:\n    v0: int = get loc0\n    ret v0\n}\n",
+    );
+    for file in [&mj, &ir, &truncated, &use_before_def, &uninit_local] {
         for cmd in ["run", "opt", "dump", "graph"] {
             let out = mjc(&[cmd, file.to_str().unwrap()]);
             assert_eq!(exit_code(&out), 1, "{cmd} {}", file.display());
@@ -190,6 +196,50 @@ fn malformed_source_is_a_structured_error() {
             assert!(err.starts_with("mjc: "), "{cmd}: {err}");
             assert!(!err.contains("panicked"), "{cmd} panicked: {err}");
         }
+    }
+}
+
+/// `mjc graph` prints the graphs the prover solves: for every function of
+/// every kernel, in both problems, those of the optimizer's own e-SSA form.
+#[test]
+fn graph_prints_the_graphs_the_prover_solves() {
+    let mut functions = 0;
+    for bench in abcd_benchsuite::BENCHMARKS {
+        let file = scratch(&format!("{}.mj", bench.name), bench.source);
+        let mut module = bench.compile().expect("benchmark compiles");
+        Optimizer::new()
+            .run_to(&mut module, Stage::InsertPi)
+            .expect("benchmark prepares");
+        for (_, func) in module.functions() {
+            functions += 1;
+            for (flag, problem) in [(None, Problem::Upper), (Some("--lower"), Problem::Lower)] {
+                let mut expected = String::new();
+                InequalityGraph::build(func, problem, None).write_dot(func.name(), &mut expected);
+                let mut args = vec!["graph", file.to_str().unwrap(), "--fn", func.name()];
+                args.extend(flag);
+                let out = mjc(&args);
+                assert_eq!(exit_code(&out), 0, "{args:?}: {}", stderr(&out));
+                assert!(
+                    out.stdout == expected.as_bytes(),
+                    "{}::{} ({problem:?}): `mjc graph` printed another graph",
+                    bench.name,
+                    func.name()
+                );
+            }
+        }
+    }
+    assert_eq!(functions, 46, "kernel function count");
+}
+
+/// `mjc dump --stage` takes every name of the stage table and the old
+/// `ir|ssa|essa|opt` names.
+#[test]
+fn dump_accepts_every_stage_name() {
+    let file = scratch("stages.mj", GOOD_PROGRAM);
+    let names = Stage::all().map(Stage::name).chain(["ir", "ssa", "essa", "opt"]);
+    for name in names {
+        let out = mjc(&["dump", file.to_str().unwrap(), "--stage", name]);
+        assert_eq!(exit_code(&out), 0, "--stage {name}: {}", stderr(&out));
     }
 }
 
@@ -203,6 +253,11 @@ fn unknown_and_malformed_flags_are_rejected() {
         &["opt", file, "--fuel", "lots"][..],
         &["opt", file, "--fault-plan", "meteor:main"][..],
         &["run", file, "--opt", "--jobs", "many"][..],
+        &["opt", file, "--fault-plan", "panic:main:sovle"][..],
+        &["dump", file, "--stage", "opt", "--bogus"][..],
+        &["dump", file, "--stage", "sovle"][..],
+        &["graph", file, "--bogus"][..],
+        &["graph", file, "--fn", "nosuch"][..],
     ] {
         let out = mjc(args);
         assert_eq!(exit_code(&out), 1, "args {args:?}");

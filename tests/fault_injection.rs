@@ -4,21 +4,14 @@
 //! produce a module that runs and is VM-differentially indistinguishable
 //! from the unoptimized program. Fail open, never miscompile.
 
-use abcd::{CheckOutcome, FaultPlan, Incident, ModuleReport, Optimizer, OptimizerOptions};
+use abcd::{CheckOutcome, FaultPlan, Incident, ModuleReport, Optimizer, OptimizerOptions, Stage};
 use abcd_ir::Module;
 
-/// Every pipeline stage label a `panic:FUNC:PASS` fault can target.
-const PASS_LABELS: &[&str] = &[
-    "split_critical_edges",
-    "promote_locals",
-    "cleanup",
-    "insert_pi",
-    "graph_build",
-    "solve",
-    "pre",
-    "transform",
-    "validate",
-];
+/// Every stage a `panic:FUNC:PASS` fault can target: those the driver
+/// runs, `split_critical_edges` on.
+fn driver_stages() -> impl Iterator<Item = Stage> {
+    Stage::all().filter(|s| *s >= Stage::SplitCriticalEdges)
+}
 
 /// The full fail-open configuration: per-pass IR verification plus
 /// translation validation, so a corrupted graph's wrong eliminations are
@@ -67,15 +60,15 @@ fn assert_clean(bench: &abcd_benchsuite::Benchmark, plan: &str, faulted: &Module
 /// incident naming the pass.
 #[test]
 fn injected_pass_panics_are_contained_and_differentially_clean() {
-    let mut fired: Vec<&str> = Vec::new();
+    let mut fired: Vec<Stage> = Vec::new();
     for name in ["db", "qsort", "sieve"] {
         let bench = abcd_benchsuite::by_name(name).unwrap();
-        for pass in PASS_LABELS {
+        for pass in driver_stages() {
             let plan = format!("panic:*:{pass}");
             let (module, report) = optimize_with_plan(bench, fail_open_options(), &plan, 1);
             let hit = report
                 .incidents()
-                .any(|i| matches!(i, Incident::PassPanic { pass: p, .. } if p == pass));
+                .any(|i| matches!(i, Incident::PassPanic { pass: p, .. } if *p == pass));
             if hit {
                 fired.push(pass);
                 assert!(
@@ -86,16 +79,17 @@ fn injected_pass_panics_are_contained_and_differentially_clean() {
                 // Only stages that run conditionally may fail to trip the
                 // fault: PRE runs only when a full proof fails first.
                 assert_eq!(
-                    *pass, "pre",
+                    pass,
+                    Stage::Pre,
                     "{name}: no PassPanic incident recorded for `{plan}`"
                 );
             }
             assert_clean(bench, &plan, &module);
         }
     }
-    for pass in PASS_LABELS {
+    for pass in driver_stages() {
         assert!(
-            fired.contains(pass),
+            fired.contains(&pass),
             "fault `panic:*:{pass}` never fired on any benchmark"
         );
     }
@@ -183,9 +177,13 @@ fn pass_panic_isolates_the_faulty_function() {
         "the panicking function must ship unoptimized"
     );
     assert!(
-        part.incidents
-            .iter()
-            .any(|i| matches!(i, Incident::PassPanic { pass, .. } if pass == "solve")),
+        part.incidents.iter().any(|i| matches!(
+            i,
+            Incident::PassPanic {
+                pass: Stage::Solve,
+                ..
+            }
+        )),
         "the panic must be attributed to the solve stage"
     );
 

@@ -329,16 +329,15 @@ fn check_pipeline_stages(bytes: &[u8]) {
     let mut module = compile(&src).expect("generated program compiles");
     abcd_ir::verify_module(&module).expect("locals form verifies");
 
-    let id = module.functions().next().unwrap().0;
-    let func = module.function_mut(id);
-    abcd_ssa::split_critical_edges(func);
-    abcd_ssa::promote_locals(func).expect("ssa construction");
-    abcd_ssa::verify_ssa(func).expect("ssa verifies");
-    abcd_analysis::cleanup(func);
-    abcd_ssa::verify_ssa(func).expect("cleanup keeps ssa");
-    abcd_ssa::insert_pi_nodes(func);
-    abcd_ssa::verify_ssa(func).expect("e-ssa verifies");
-    abcd_ir::verify_function(func, None).expect("e-ssa structurally ok");
+    // With `verify_ir`, every stage's output is held to the structural
+    // verifier and, from promotion on, to the SSA verifier.
+    let options = abcd::OptimizerOptions {
+        verify_ir: true,
+        ..abcd::OptimizerOptions::default()
+    };
+    abcd::Optimizer::with_options(options)
+        .run_to(&mut module, abcd::Stage::InsertPi)
+        .unwrap_or_else(|incident| panic!("{incident}\n{src}"));
 }
 
 #[test]
@@ -353,10 +352,17 @@ fn printed_ir_reparses_and_behaves_identically() {
     }
 }
 
+/// Runs the optimizer's own preparation of `module` through π insertion.
+fn essa(module: &mut abcd_ir::Module) {
+    abcd::Optimizer::new()
+        .run_to(module, abcd::Stage::InsertPi)
+        .unwrap();
+}
+
 fn check_reparse(bytes: &[u8], data: &[i64], x: i64) {
     let src = Gen::new(bytes).program();
     let mut module = compile(&src).unwrap();
-    abcd_ssa::module_to_essa(&mut module).unwrap();
+    essa(&mut module);
 
     // Textual round trip reaches a fixed point after one parse
     // (block ids may renumber once if unreachable blocks were cleared).
@@ -385,36 +391,28 @@ fn demand_prover_never_exceeds_exhaustive_distances() {
 }
 
 fn check_demand_vs_exhaustive(bytes: &[u8]) {
-    use abcd::{DemandProver, ExhaustiveDistances, InequalityGraph, Problem, Vertex};
+    use abcd::{
+        ConstraintLog, DemandProver, ExhaustiveDistances, InequalityGraph, Problem, Vertex,
+    };
     let src = Gen::new(bytes).program();
     let mut module = compile(&src).unwrap();
-    abcd_ssa::module_to_essa(&mut module).unwrap();
-    let id = module.functions().next().unwrap().0;
-    let func = module.function_mut(id);
-    abcd_analysis::cleanup(func);
-    abcd_ssa::insert_pi_nodes(func);
-    let func = module.function(id);
+    essa(&mut module);
+    let (_, func) = module.functions().next().unwrap();
 
+    let mut log = ConstraintLog::default();
+    log.record(func);
     for problem in [Problem::Upper, Problem::Lower] {
         let graph = InequalityGraph::build(func, problem, None);
-        for b in func.blocks() {
-            for &iid in func.block(b).insts() {
-                let abcd_ir::InstKind::BoundsCheck { array, index, .. } = func.inst(iid).kind
-                else {
-                    continue;
-                };
-                let (source, c) = match problem {
-                    Problem::Upper => (Vertex::ArrayLen(array), -1),
-                    Problem::Lower => (Vertex::Const(0), 0),
-                };
-                let mut demand = DemandProver::new(&graph, source);
-                if demand.demand_prove(Vertex::Value(index), c) {
-                    let ex = ExhaustiveDistances::compute(&graph, source);
-                    assert!(
-                        ex.proves(&graph, Vertex::Value(index), c),
-                        "demand prover overclaims ({problem:?}, {index}) in\n{src}\n{func}"
-                    );
-                }
+        for check in log.checks() {
+            let (source, c) = problem.check_query(check.array);
+            let index = check.index;
+            let mut demand = DemandProver::new(&graph, source);
+            if demand.demand_prove(Vertex::Value(index), c) {
+                let ex = ExhaustiveDistances::compute(&graph, source);
+                assert!(
+                    ex.proves(&graph, Vertex::Value(index), c),
+                    "demand prover overclaims ({problem:?}, {index}) in\n{src}\n{func}"
+                );
             }
         }
     }
@@ -436,7 +434,7 @@ fn check_range_baseline(bytes: &[u8], data: &[i64], x: i64) {
     let src = Gen::new(bytes).program();
     let baseline = compile(&src).unwrap();
     let mut optimized = compile(&src).unwrap();
-    abcd_ssa::module_to_essa(&mut optimized).unwrap();
+    essa(&mut optimized);
     let ids: Vec<_> = optimized.functions().map(|(i, _)| i).collect();
     for id in ids {
         abcd_analysis::eliminate_checks_by_range(optimized.function_mut(id));
@@ -468,44 +466,35 @@ fn check_range_baseline(bytes: &[u8], data: &[i64], x: i64) {
 /// check of every function of `src`, in both problems; returns how many
 /// queries were compared.
 fn assert_demand_matches_exhaustive(src: &str) -> usize {
-    use abcd::{DemandProver, ExhaustiveDistances, InequalityGraph, Problem, Vertex};
+    use abcd::{
+        ConstraintLog, DemandProver, ExhaustiveDistances, InequalityGraph, Problem, Vertex,
+    };
     use std::collections::HashMap;
     let mut module = compile(src).expect("program compiles");
+    essa(&mut module);
     let mut compared = 0;
-    for (_, func) in module.functions_mut() {
-        abcd_ssa::split_critical_edges(func);
-        abcd_ssa::promote_locals(func).expect("ssa construction");
-        abcd_analysis::cleanup(func);
-        abcd_ssa::insert_pi_nodes(func);
-        let func = &*func;
+    let mut log = ConstraintLog::default();
+    for (_, func) in module.functions() {
+        log.record(func);
         for problem in [Problem::Upper, Problem::Lower] {
             let graph = InequalityGraph::build(func, problem, None);
             let mut provers: HashMap<Vertex, (DemandProver, ExhaustiveDistances)> = HashMap::new();
-            for b in func.blocks() {
-                for &iid in func.block(b).insts() {
-                    let abcd_ir::InstKind::BoundsCheck { array, index, .. } = func.inst(iid).kind
-                    else {
-                        continue;
-                    };
-                    let (source, c) = match problem {
-                        Problem::Upper => (Vertex::ArrayLen(array), -1),
-                        Problem::Lower => (Vertex::Const(0), 0),
-                    };
-                    let (demand, oracle) = provers.entry(source).or_insert_with(|| {
-                        (
-                            DemandProver::new(&graph, source),
-                            ExhaustiveDistances::compute(&graph, source),
-                        )
-                    });
-                    let target = Vertex::Value(index);
-                    assert_eq!(
-                        demand.demand_prove(target, c),
-                        oracle.proves(&graph, target, c),
-                        "demand and exhaustive disagree ({problem:?}, {index} vs {source}) \
-                         in\n{src}\n{func}"
-                    );
-                    compared += 1;
-                }
+            for check in log.checks() {
+                let (source, c) = problem.check_query(check.array);
+                let (demand, oracle) = provers.entry(source).or_insert_with(|| {
+                    (
+                        DemandProver::new(&graph, source),
+                        ExhaustiveDistances::compute(&graph, source),
+                    )
+                });
+                let target = Vertex::Value(check.index);
+                assert_eq!(
+                    demand.demand_prove(target, c),
+                    oracle.proves(&graph, target, c),
+                    "demand and exhaustive disagree ({problem:?}, {target} vs {source}) \
+                     in\n{src}\n{func}"
+                );
+                compared += 1;
             }
         }
     }

@@ -194,6 +194,18 @@ fn malformed_requests_get_structured_errors_not_disconnects() {
             "compile",
         ),
         ("{\"cmd\":\"optimize\",\"ir\":\"garbage\"}", "parse"),
+        // Parses, but uses `v1` before its definition.
+        (
+            "{\"cmd\":\"optimize\",\"ir\":\"func @main() -> int {\\nbb0:\\n    \
+             v0: int = add v1, v1\\n    v1: int = const 1\\n    ret v0\\n}\\n\"}",
+            "parse: main:",
+        ),
+        // Parses, but reads a local that is never written.
+        (
+            "{\"cmd\":\"optimize\",\"ir\":\"func @main() -> int {\\n  locals loc0: int\\n\
+             bb0:\\n    v0: int = get loc0\\n    ret v0\\n}\\n\"}",
+            "read before any write",
+        ),
         (
             "{\"cmd\":\"optimize\",\"source\":\"fn main() -> int { return 0; }\",\
              \"options\":{\"warp_drive\":true}}",

@@ -4,9 +4,11 @@
 //! schema is pinned by a golden file, fault injections surface in the
 //! trace, and tracing disabled is a no-op on the prove path.
 
-use abcd::{DemandProver, InequalityGraph, Optimizer, Problem, Vertex, VertexId};
+use abcd::{
+    ConstraintLog, DemandProver, InequalityGraph, Optimizer, Problem, Stage, Vertex, VertexId,
+};
 use abcd_frontend::compile;
-use abcd_ir::{CheckKind, InstKind, Value};
+use abcd_ir::{CheckKind, Value};
 use abcd_server::json::Json;
 use std::collections::HashMap;
 
@@ -21,20 +23,10 @@ fn find_check(module: &abcd_ir::Module, name: &str, kind: CheckKind) -> (Value, 
         .find(|(_, f)| f.name() == name)
         .map(|(_, f)| f)
         .expect("function exists");
-    for b in func.blocks() {
-        for &id in func.block(b).insts() {
-            if let InstKind::BoundsCheck {
-                array,
-                index,
-                kind: k,
-                ..
-            } = func.inst(id).kind
-            {
-                if k == kind {
-                    return (array, index);
-                }
-            }
-        }
+    let mut log = ConstraintLog::default();
+    log.record(func);
+    if let Some(check) = log.checks().iter().find(|c| c.kind == kind) {
+        return (check.array, check.index);
     }
     panic!("no {kind:?} check in {name}");
 }
@@ -45,7 +37,9 @@ fn find_check(module: &abcd_ir::Module, name: &str, kind: CheckKind) -> (Value, 
 #[test]
 fn witness_path_weights_reverify_against_the_inequality_graph() {
     let mut module = compile(PROGRAM).unwrap();
-    abcd_ssa::module_to_essa(&mut module).unwrap();
+    Optimizer::new()
+        .run_to(&mut module, Stage::InsertPi)
+        .unwrap();
     let (array, index) = find_check(&module, "sum", CheckKind::Upper);
     let func = module
         .functions()
@@ -197,7 +191,9 @@ fn armed_fault_plan_is_the_last_span_of_the_panicked_function() {
 #[test]
 fn tracing_disabled_is_a_no_op_on_the_prove_path() {
     let mut module = compile(PROGRAM).unwrap();
-    abcd_ssa::module_to_essa(&mut module).unwrap();
+    Optimizer::new()
+        .run_to(&mut module, Stage::InsertPi)
+        .unwrap();
     let (array, index) = find_check(&module, "sum", CheckKind::Upper);
     let func = module
         .functions()
