@@ -45,7 +45,7 @@ fn to_essa(module: &mut Module) {
 /// Wall time plus the allocation count of one additional iteration.
 ///
 /// `bench` runs its calibration loop first, so by the time the counted
-/// iteration executes, every lazy global (interner, benchsuite sources) is
+/// iteration executes, every lazy global (the benchsuite sources) is
 /// warm and the count is reproducible run to run.
 fn counted<R>(name: &str, mut f: impl FnMut() -> R) -> (f64, u64) {
     let ns = bench(name, &mut f);

@@ -382,7 +382,7 @@ fn sources() -> Vec<String> {
 #[test]
 fn front_end_stays_within_the_calibrated_total() {
     let sources = sources();
-    // Warm-up: function names enter the process-wide interner once.
+    // Warm-up: any one-time lazy initialization is paid before the window.
     for src in &sources {
         abcd_frontend::compile(src).expect("source compiles");
     }

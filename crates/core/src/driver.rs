@@ -431,7 +431,7 @@ impl Optimizer {
             Err(payload) => {
                 std::mem::swap(func, &mut snapshot);
                 let incident = Incident::PassPanic {
-                    function: func.name_symbol(),
+                    function: func.name_arc(),
                     pass: current_pass(),
                     payload: payload_message(payload.as_ref()),
                 };
@@ -545,7 +545,7 @@ impl Optimizer {
             Replay::Hit(report) => Ok(Some(report)),
             Replay::Miss => Ok(None),
             Replay::Corrupt(detail) => Err(Incident::CacheCorrupt {
-                function: func.name_symbol(),
+                function: func.name_arc(),
                 detail,
             }),
         }
@@ -570,7 +570,7 @@ impl Optimizer {
         abcd_ir::verify_function(parsed, None)
             .map_err(|e| format!("cached IR fails verification: {e}"))?;
         *func = parsed.clone();
-        let mut report = FunctionReport::new(func.name());
+        let mut report = FunctionReport::new(func.name_arc());
         report.from_cache = true;
         report.checks_total = entry.checks_total;
         report.outcomes = entry.outcomes.clone();
@@ -662,7 +662,7 @@ impl Optimizer {
             Ok(()) => Ok(()),
             Err(error) => {
                 let incident = Incident::VerifyFailed {
-                    function: func.name_symbol(),
+                    function: func.name_arc(),
                     pass: stage,
                     error,
                 };
@@ -753,7 +753,7 @@ impl Optimizer {
         last: Stage,
     ) -> FunctionReport {
         let opts = &self.options;
-        let mut report = FunctionReport::new(func.name());
+        let mut report = FunctionReport::new(func.name_arc());
         report.cleanup = prepared.cleanup;
         report.param_facts_used = facts.len();
         report.metrics.prepare_time = prepared.prepare_time;
@@ -880,7 +880,7 @@ impl Optimizer {
                 .map(|budget| budget.saturating_sub(already_spent));
             if fuel_fault || function_fuel_left == Some(0) {
                 report.incidents.push(Incident::BudgetExhausted {
-                    function: func.name_symbol(),
+                    function: func.name_arc(),
                     site,
                     kind,
                     fuel: if fuel_fault { 0 } else { already_spent },
@@ -979,7 +979,7 @@ impl Optimizer {
                 // Conservative: keep the check, surface the budget stop.
                 report.metrics.solve_time += started.elapsed();
                 report.incidents.push(Incident::BudgetExhausted {
-                    function: func.name_symbol(),
+                    function: func.name_arc(),
                     site,
                     kind,
                     fuel: spent_steps,
@@ -992,7 +992,7 @@ impl Optimizer {
                 // the precision loss is surfaced as a non-degraded incident.
                 report.metrics.solve_time += started.elapsed();
                 report.incidents.push(Incident::SolverOverflow {
-                    function: func.name_symbol(),
+                    function: func.name_arc(),
                     site,
                     kind,
                 });
@@ -1026,7 +1026,7 @@ impl Optimizer {
                 set_current_pass(Stage::Solve);
                 if prover.last_query_exhausted() {
                     report.incidents.push(Incident::BudgetExhausted {
-                        function: func.name_symbol(),
+                        function: func.name_arc(),
                         site,
                         kind,
                         fuel: spent_steps + pre_steps,
@@ -1363,7 +1363,7 @@ fn fail_open_report(func: &Function, incident: Incident) -> FunctionReport {
 /// A report recording every bounds check of `func`, in program order,
 /// with `outcome`.
 fn report_every_check(func: &Function, outcome: CheckOutcome) -> FunctionReport {
-    let mut report = FunctionReport::new(func.name());
+    let mut report = FunctionReport::new(func.name_arc());
     for b in func.blocks() {
         for &id in func.block(b).insts() {
             if let InstKind::BoundsCheck { site, kind, .. } = func.inst(id).kind {

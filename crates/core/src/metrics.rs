@@ -238,7 +238,7 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"site\":\"{site}\",\"check\":\"{}\",\"fuel\":{fuel}",
-                json_escape(function.as_str()),
+                json_escape(function),
                 kind_str(*kind),
             );
         }
@@ -250,7 +250,7 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"pass\":\"{}\",\"payload\":\"{}\"",
-                json_escape(function.as_str()),
+                json_escape(function),
                 pass,
                 json_escape(payload),
             );
@@ -263,7 +263,7 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"pass\":\"{}\",\"error\":\"{}\"",
-                json_escape(function.as_str()),
+                json_escape(function),
                 pass,
                 json_escape(error),
             );
@@ -276,7 +276,7 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"site\":\"{site}\",\"check\":\"{}\"",
-                json_escape(function.as_str()),
+                json_escape(function),
                 kind_str(*kind),
             );
         }
@@ -284,7 +284,7 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"detail\":\"{}\"",
-                json_escape(function.as_str()),
+                json_escape(function),
                 json_escape(detail),
             );
         }
@@ -296,7 +296,7 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"site\":\"{site}\",\"check\":\"{}\"",
-                json_escape(function.as_str()),
+                json_escape(function),
                 kind_str(*kind),
             );
         }
@@ -308,7 +308,7 @@ fn incident_json(incident: &Incident, out: &mut String) {
             let _ = write!(
                 out,
                 ",\"function\":\"{}\",\"deadline_ms\":{deadline_ms},\"elapsed_ms\":{elapsed_ms}",
-                json_escape(function.as_str()),
+                json_escape(function),
             );
         }
     }
@@ -385,7 +385,7 @@ fn function_json(report: &crate::report::FunctionReport, det: bool, out: &mut St
          \"checks_validated\":{},\"checks_reinstated\":{},\"from_cache\":{},\
          \"memo_hits\":{},\"memo_misses\":{},\"memo_hit_rate\":{},\
          \"pre_memo_hits\":{},\"pre_memo_misses\":{}",
-        json_escape(report.name.as_str()),
+        json_escape(&report.name),
         report.checks_total,
         report.removed_fully(),
         report.hoisted(),
@@ -571,6 +571,46 @@ mod tests {
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.chars().all(|c| (c as u32) >= 0x20));
+    }
+
+    #[test]
+    fn hostile_function_names_round_trip_and_escape() {
+        // Quotes, backslashes, control characters, non-ASCII, embedded
+        // NULs and the empty name: a function keeps each one verbatim,
+        // and the metrics JSON names it (entry and incident) escaped.
+        let corpus = [
+            "a\"b\\c",
+            "x\ny",
+            "\u{1}",
+            "tab\there",
+            "quote\"inside",
+            "back\\slash",
+            "null\0byte",
+            "ünïcódé·名前",
+            "",
+            " ",
+            "weird\"name",
+            "injected \"quote\"",
+        ];
+        for name in corpus {
+            let func = abcd_ir::Function::new(name, Vec::new(), None);
+            assert_eq!(func.name(), name);
+            let mut report = ModuleReport::default();
+            let mut f = crate::report::FunctionReport::new(func.name_arc());
+            f.incidents.push(Incident::CacheCorrupt {
+                function: func.name_arc(),
+                detail: String::new(),
+            });
+            report.functions.push(f);
+            let json = module_metrics_json(&report, RunInfo::new(1, Duration::ZERO));
+            let escaped = json_escape(name);
+            assert!(json.contains(&format!("\"name\":\"{escaped}\"")), "{json}");
+            assert!(
+                json.contains(&format!("\"function\":\"{escaped}\"")),
+                "{json}"
+            );
+            assert!(json.chars().all(|c| (c as u32) >= 0x20), "{json}");
+        }
     }
 
     #[test]

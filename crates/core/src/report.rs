@@ -6,8 +6,9 @@
 //! and the analysis wall-clock time.
 
 use crate::stage::Stage;
-use abcd_ir::{Block, CheckKind, CheckSite, InstId, Symbol, Value};
+use abcd_ir::{Block, CheckKind, CheckSite, InstId, Value};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What happened to one static bounds check.
@@ -43,7 +44,7 @@ pub enum Incident {
     /// A prover hit its fuel budget; the check was kept conservatively.
     BudgetExhausted {
         /// Function the query ran in.
-        function: Symbol,
+        function: Arc<str>,
         /// Site of the check that stayed in place.
         site: CheckSite,
         /// Which bound was being proven.
@@ -55,7 +56,7 @@ pub enum Incident {
     /// A pipeline pass panicked; the function shipped unoptimized.
     PassPanic {
         /// Function whose pipeline unwound.
-        function: Symbol,
+        function: Arc<str>,
         /// The pass that was running when the panic unwound.
         pass: Stage,
         /// Panic payload (message), when it was a string.
@@ -65,7 +66,7 @@ pub enum Incident {
     /// shipped instead.
     VerifyFailed {
         /// Function the verifier rejected.
-        function: Symbol,
+        function: Arc<str>,
         /// The pass whose output failed verification.
         pass: Stage,
         /// The verifier's error message.
@@ -75,7 +76,7 @@ pub enum Incident {
     /// the check was reinstated.
     ValidationReinstated {
         /// Function the check belongs to.
-        function: Symbol,
+        function: Arc<str>,
         /// Site of the reinstated check.
         site: CheckSite,
         /// Which bound had been eliminated.
@@ -87,7 +88,7 @@ pub enum Incident {
     /// writer crash mid-entry), never a correctness one.
     CacheCorrupt {
         /// Function whose entry was rejected.
-        function: Symbol,
+        function: Arc<str>,
         /// Why re-verification rejected the entry.
         detail: String,
     },
@@ -96,7 +97,7 @@ pub enum Incident {
     /// budget stop, this is a precision loss, never a soundness one.
     SolverOverflow {
         /// Function the query ran in.
-        function: Symbol,
+        function: Arc<str>,
         /// Site of the check that stayed in place.
         site: CheckSite,
         /// Which bound was being proven.
@@ -109,7 +110,7 @@ pub enum Incident {
     DeadlineExceeded {
         /// Function the report entry belongs to (`*` when the whole
         /// module was cut off before per-function attribution existed).
-        function: Symbol,
+        function: Arc<str>,
         /// The deadline that was in force, in milliseconds.
         deadline_ms: u64,
         /// Elapsed time when the deadline tripped, in milliseconds
@@ -249,8 +250,8 @@ pub struct HoistedCheck {
 /// Report for one function.
 #[derive(Clone, Debug, Default)]
 pub struct FunctionReport {
-    /// Function name (interned; resolve with [`Symbol::as_str`]).
-    pub name: Symbol,
+    /// Function name, shared with the [`abcd_ir::Function`] it reports on.
+    pub name: Arc<str>,
     /// Static checks present before optimization.
     pub checks_total: usize,
     /// Outcome per analyzed check.
@@ -304,7 +305,7 @@ pub struct FunctionReport {
 }
 
 impl FunctionReport {
-    pub(crate) fn new(name: impl Into<Symbol>) -> Self {
+    pub(crate) fn new(name: impl Into<Arc<str>>) -> Self {
         FunctionReport {
             name: name.into(),
             ..FunctionReport::default()
@@ -484,23 +485,22 @@ impl ModuleReport {
     ) -> ModuleReport {
         let mut report = ModuleReport::default();
         for (_, f) in module.functions() {
-            let mut fr = FunctionReport::new(f.name());
+            let mut fr = FunctionReport::new(f.name_arc());
             fr.checks_total = f.check_site_count();
             report.functions.push(fr);
         }
-        let incident = |function: Symbol| Incident::DeadlineExceeded {
+        let incident = |function: Arc<str>| Incident::DeadlineExceeded {
             function,
             deadline_ms,
             elapsed_ms,
         };
         match report.functions.first_mut() {
             Some(first) => {
-                let name = first.name;
-                first.incidents.push(incident(name));
+                first.incidents.push(incident(first.name.clone()));
             }
             None => {
                 let mut fr = FunctionReport::new("*");
-                fr.incidents.push(incident(Symbol::intern("*")));
+                fr.incidents.push(incident(fr.name.clone()));
                 report.functions.push(fr);
             }
         }

@@ -501,14 +501,14 @@ pub fn module_trace_jsonl(report: &ModuleReport, threads: usize, deterministic: 
     for f in &report.functions {
         if let Some(trace) = &f.trace {
             for span in trace.spans() {
-                span.json(f.name.as_str(), deterministic, &mut out);
+                span.json(&f.name, deterministic, &mut out);
                 out.push('\n');
             }
             if trace.dropped > 0 {
                 let _ = writeln!(
                     out,
                     "{{\"span\":\"dropped\",\"function\":\"{}\",\"count\":{}}}",
-                    json_escape(f.name.as_str()),
+                    json_escape(&f.name),
                     trace.dropped,
                 );
             }
@@ -522,7 +522,7 @@ pub fn module_trace_jsonl(report: &ModuleReport, threads: usize, deterministic: 
                 out,
                 "{{\"span\":\"incident\",\"function\":\"{}\",\"kind\":\"{}\",\
                  \"pass\":\"{}\",\"detail\":\"{}\"}}",
-                json_escape(f.name.as_str()),
+                json_escape(&f.name),
                 incident.kind_name(),
                 incident_pass(incident),
                 json_escape(&incident.to_string()),

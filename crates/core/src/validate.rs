@@ -127,7 +127,7 @@ pub(crate) fn validate_function(
         report.mark_reinstated(e.site, e.kind);
         report.checks_reinstated += 1;
         report.incidents.push(Incident::ValidationReinstated {
-            function: func.name_symbol(),
+            function: func.name_arc(),
             site: e.site,
             kind: e.kind,
         });
@@ -164,7 +164,7 @@ pub(crate) fn validate_function(
         report.mark_reinstated(h.site, h.kind);
         report.checks_reinstated += 1;
         report.incidents.push(Incident::ValidationReinstated {
-            function: func.name_symbol(),
+            function: func.name_arc(),
             site: h.site,
             kind: h.kind,
         });

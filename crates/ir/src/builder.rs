@@ -51,7 +51,7 @@ pub struct BuildArena {
 impl FunctionBuilder {
     /// Starts building a function; the current block is the entry block.
     pub fn new(
-        name: impl Into<crate::Symbol>,
+        name: impl Into<std::sync::Arc<str>>,
         param_types: Vec<Type>,
         ret_type: Option<Type>,
     ) -> Self {
@@ -63,7 +63,7 @@ impl FunctionBuilder {
     /// [`FunctionBuilder::new`], building in `arena`'s storage.
     pub fn new_in(
         arena: &mut BuildArena,
-        name: impl Into<crate::Symbol>,
+        name: impl Into<std::sync::Arc<str>>,
         param_types: Vec<Type>,
         ret_type: Option<Type>,
     ) -> Self {

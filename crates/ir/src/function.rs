@@ -2,8 +2,8 @@
 
 use crate::entities::{Block, CheckSite, InstId, Local, Value};
 use crate::inst::{Inst, InstKind, Terminator};
-use crate::intern::Symbol;
 use crate::types::Type;
+use std::sync::Arc;
 
 /// Where a [`Value`] comes from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -68,7 +68,7 @@ impl BlockData {
 /// slots are invisible.
 #[derive(Debug)]
 pub struct Function {
-    name: Symbol,
+    name: Arc<str>,
     param_types: Vec<Type>,
     ret_type: Option<Type>,
     local_types: Vec<Type>,
@@ -84,7 +84,7 @@ impl Clone for Function {
     #[inline]
     fn clone(&self) -> Function {
         Function {
-            name: self.name,
+            name: self.name.clone(),
             param_types: self.param_types.clone(),
             ret_type: self.ret_type.clone(),
             local_types: self.local_types.clone(),
@@ -101,7 +101,7 @@ impl Clone for Function {
     /// instruction list: a pooled copy that has held functions of the
     /// source's size allocates only for call and φ argument lists.
     fn clone_from(&mut self, source: &Function) {
-        self.name = source.name;
+        self.name.clone_from(&source.name);
         self.param_types.clone_from(&source.param_types);
         self.ret_type.clone_from(&source.ret_type);
         self.local_types.clone_from(&source.local_types);
@@ -118,7 +118,7 @@ impl Function {
     /// Creates an empty function with one (entry) block.
     ///
     /// Parameters become values `v0..vN` in order.
-    pub fn new(name: impl Into<Symbol>, param_types: Vec<Type>, ret_type: Option<Type>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, param_types: Vec<Type>, ret_type: Option<Type>) -> Self {
         let mut f = Function {
             name: name.into(),
             values: Vec::new(),
@@ -140,7 +140,7 @@ impl Function {
 
     /// Re-initializes `self` as [`Function::new`] would, keeping the
     /// capacity of every arena.
-    pub(crate) fn reset(&mut self, name: Symbol, param_types: Vec<Type>, ret_type: Option<Type>) {
+    pub(crate) fn reset(&mut self, name: Arc<str>, param_types: Vec<Type>, ret_type: Option<Type>) {
         self.name = name;
         self.local_types.clear();
         self.values.clear();
@@ -163,7 +163,7 @@ impl Function {
     /// capacity for the next [`reset`](Function::reset).
     pub(crate) fn take_compact(&mut self) -> Function {
         Function {
-            name: self.name,
+            name: self.name.clone(),
             param_types: std::mem::take(&mut self.param_types),
             ret_type: self.ret_type.take(),
             local_types: self.local_types.drain(..).collect(),
@@ -177,18 +177,19 @@ impl Function {
     }
 
     /// The function's name.
-    pub fn name(&self) -> &'static str {
-        self.name.as_str()
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
-    /// The function's name as its interned handle (cheap to copy, compare
-    /// and hash; resolve with [`Symbol::as_str`] at display time).
-    pub fn name_symbol(&self) -> Symbol {
-        self.name
+    /// The function's name as a new handle on the string it owns: a
+    /// reference-count bump, so reports and incidents name the function
+    /// without copying the text.
+    pub fn name_arc(&self) -> Arc<str> {
+        self.name.clone()
     }
 
     /// Renames the function (used when cloning specialized versions).
-    pub fn set_name(&mut self, name: impl Into<Symbol>) {
+    pub fn set_name(&mut self, name: impl Into<Arc<str>>) {
         self.name = name.into();
     }
 

@@ -45,7 +45,6 @@ mod cfg;
 mod entities;
 mod function;
 mod inst;
-mod intern;
 mod module;
 mod parse;
 mod print;
@@ -59,7 +58,6 @@ pub use cfg::{postorder, predecessors, reverse_postorder, successors, Successors
 pub use entities::{Block, CheckSite, FuncId, InstId, Local, Value};
 pub use function::{BlockData, Function, ValueDef};
 pub use inst::{BinOp, CheckKind, CmpOp, Inst, InstKind, PiGuard, Terminator, UnOp};
-pub use intern::Symbol;
 pub use module::Module;
 pub use parse::{parse_function_text, parse_module, ParseIrError};
 pub use print::{print_function, Fnv1a, Sink};

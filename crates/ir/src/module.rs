@@ -49,14 +49,11 @@ impl Module {
         self.functions.len()
     }
 
-    /// Looks a function up by name: one interner lookup, then integer
-    /// compares (resolving every function's name would take the
-    /// interner's lock once per function).
+    /// Looks a function up by name (a linear scan; the first match wins).
     pub fn function_by_name(&self, name: &str) -> Option<FuncId> {
-        let name = crate::Symbol::find(name)?;
         self.functions
             .iter()
-            .position(|f| f.name_symbol() == name)
+            .position(|f| f.name() == name)
             .map(FuncId::new)
     }
 

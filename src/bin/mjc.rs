@@ -82,7 +82,9 @@ STAGE (for `dump`, default essa): any `abcd::Stage` name, parse … canonicalize
     for lower|promote_locals|insert_pi|the whole optimizer. `graph` draws the
     graphs of the insert_pi form: the ones the prover solves.
 
-PASS FLAGS (for `opt`, `run --opt`, `client <file>`, `dump` and `graph`):
+PASS FLAGS (for `opt`, `run --opt`, `client <file>`, `dump` and `graph`;
+`dump` and `graph` reject --jobs, --trace-out, --cache-dir, --cache-bytes
+and --fault-plan):
     --no-pre --no-lower --no-upper --no-cleanup --no-gvn-hook
     --merge            merge surviving lower+upper pairs (§7.2)
     --ipa              closed-world interprocedural parameter facts
@@ -251,13 +253,13 @@ fn parse_options(rest: &[String]) -> Result<OptimizerOptions, String> {
             | "--dump"
             | "--metrics"
             | "--deterministic-metrics"
-            | "--no-cache" => {}
+            | "--no-cache"
+            | "--lower" => {}
             "--arg" | "--stage" | "--fn" | "--jobs" | "--metrics-out" | "--trace-out"
             | "--check" | "--fault-plan" | "--cache-dir" | "--cache-bytes" | "--socket"
             | "--listen" | "--shards" | "--tcp" | "--batch" | "--workers" | "--queue"
             | "--request-timeout" | "--io-timeout" | "--stuck-after" | "--chaos" | "--timeout"
             | "--deadline" => i += 1,
-            "--lower" if rest[i] == "--lower" => {}
             other => return Err(format!("unknown flag `{other}`")),
         }
         i += 1;
@@ -526,11 +528,7 @@ fn cmd_explain(file: &str, rest: &[String]) -> Result<ExitCode, String> {
     let report = optimizer
         .with_trace(true)
         .optimize_module(&mut module, None);
-    let Some(frep) = report
-        .functions
-        .iter()
-        .find(|f| f.name.as_str() == func_name)
-    else {
+    let Some(frep) = report.functions.iter().find(|f| *f.name == *func_name) else {
         return Err(format!("no function `{func_name}` in {file}"));
     };
     match abcd::explain_function(frep, check) {
@@ -542,7 +540,24 @@ fn cmd_explain(file: &str, rest: &[String]) -> Result<ExitCode, String> {
     }
 }
 
+/// The optimizer-wiring flags that only `optimizer_for` applies: `dump`
+/// and `graph` reject them rather than ignore them.
+fn reject_wiring_flags(command: &str, rest: &[String]) -> Result<(), String> {
+    let wiring = [
+        "--fault-plan",
+        "--jobs",
+        "--cache-dir",
+        "--cache-bytes",
+        "--trace-out",
+    ];
+    match wiring.into_iter().find(|flag| has(rest, flag)) {
+        Some(flag) => Err(format!("`mjc {command}` does not take `{flag}`")),
+        None => Ok(()),
+    }
+}
+
 fn cmd_dump(file: &str, rest: &[String]) -> Result<ExitCode, String> {
+    reject_wiring_flags("dump", rest)?;
     let optimizer = Optimizer::with_options(parse_options(rest)?);
     let stage = match value_of(rest, "--stage").unwrap_or("essa") {
         "ir" => Stage::Lower,
@@ -784,6 +799,7 @@ fn cmd_client(file: &str, rest: &[String]) -> Result<ExitCode, String> {
 /// `mjc graph`: the inequality graphs the prover solves, built from the
 /// optimizer's own e-SSA form.
 fn cmd_graph(file: &str, rest: &[String]) -> Result<ExitCode, String> {
+    reject_wiring_flags("graph", rest)?;
     let optimizer = Optimizer::with_options(parse_options(rest)?);
     let mut module = load_module(file)?;
     optimizer

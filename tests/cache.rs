@@ -256,9 +256,9 @@ fn editing_one_function_invalidates_only_it() {
         total - 1,
         "exactly the edited function recompiles"
     );
-    let rev = second.functions.iter().find(|f| f.name == "rev").unwrap();
+    let rev = second.functions.iter().find(|f| &*f.name == "rev").unwrap();
     assert!(!rev.from_cache, "the edited function must not replay");
-    let sum = second.functions.iter().find(|f| f.name == "sum").unwrap();
+    let sum = second.functions.iter().find(|f| &*f.name == "sum").unwrap();
     assert!(sum.from_cache, "untouched functions must replay");
 }
 
@@ -304,8 +304,12 @@ fn interproc_caller_edit_invalidates_callee() {
     assert_eq!(first.functions_from_cache(), 0);
 
     let (weak_ir, second) = run(&cache, &src_weak);
-    let get = second.functions.iter().find(|f| f.name == "get").unwrap();
-    let other = second.functions.iter().find(|f| f.name == "other").unwrap();
+    let get = second.functions.iter().find(|f| &*f.name == "get").unwrap();
+    let other = second
+        .functions
+        .iter()
+        .find(|f| &*f.name == "other")
+        .unwrap();
     assert!(
         !get.from_cache,
         "callee facts changed with the caller edit; it must recompile"

@@ -347,8 +347,11 @@ fn chaos_soak_no_wrong_bytes_no_deadlock_healthy_after_storm() {
     }
     assert!(plan.total_injected() > 0, "the plan must have fired");
 
-    // Drain to exit 0 — shutdown itself can be hit by chaos, so retry.
-    while abcd_server::shutdown(&socket).is_err() {
+    // Drain to exit 0 — shutdown itself can be hit by chaos, so retry
+    // until the server has taken it (chaos may drop the reply to a
+    // shutdown that took effect; retrying then would dial a dead socket
+    // forever).
+    while abcd_server::shutdown(&socket).is_err() && !handle.stopping() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     handle.join();

@@ -236,7 +236,9 @@ fn graph_prints_the_graphs_the_prover_solves() {
 #[test]
 fn dump_accepts_every_stage_name() {
     let file = scratch("stages.mj", GOOD_PROGRAM);
-    let names = Stage::all().map(Stage::name).chain(["ir", "ssa", "essa", "opt"]);
+    let names = Stage::all()
+        .map(Stage::name)
+        .chain(["ir", "ssa", "essa", "opt"]);
     for name in names {
         let out = mjc(&["dump", file.to_str().unwrap(), "--stage", name]);
         assert_eq!(exit_code(&out), 0, "--stage {name}: {}", stderr(&out));
@@ -262,6 +264,25 @@ fn unknown_and_malformed_flags_are_rejected() {
         let out = mjc(args);
         assert_eq!(exit_code(&out), 1, "args {args:?}");
         assert!(stderr(&out).starts_with("mjc: "), "args {args:?}");
+    }
+    // `dump` and `graph` do not wire up an optimizer's fault plan, threads,
+    // cache or trace, so they refuse those flags by name.
+    for command in ["dump", "graph"] {
+        for (flag, value) in [
+            ("--fault-plan", "panic:main:solve"),
+            ("--jobs", "2"),
+            ("--cache-dir", "cache"),
+            ("--cache-bytes", "4096"),
+            ("--trace-out", "t.jsonl"),
+        ] {
+            let out = mjc(&[command, file, flag, value]);
+            assert_eq!(exit_code(&out), 1, "{command} {flag}");
+            assert!(
+                stderr(&out).contains(flag),
+                "{command} {flag}: {}",
+                stderr(&out)
+            );
+        }
     }
 }
 

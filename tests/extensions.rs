@@ -161,7 +161,7 @@ fn hot_threshold_skips_cold_checks() {
         ..OptimizerOptions::default()
     };
     let report = Optimizer::with_options(opts).optimize_module(&mut module, Some(&profile));
-    let f_report = report.functions.iter().find(|fr| fr.name == "f").unwrap();
+    let f_report = report.functions.iter().find(|fr| &*fr.name == "f").unwrap();
     let skipped = f_report
         .outcomes
         .iter()

@@ -165,7 +165,7 @@ fn pass_panic_isolates_the_faulty_function() {
     let find = |r: &ModuleReport, name: &str| {
         r.functions
             .iter()
-            .find(|f| f.name == name)
+            .find(|f| &*f.name == name)
             .cloned()
             .unwrap_or_else(|| panic!("no report for `{name}`"))
     };
@@ -222,7 +222,7 @@ fn faulted_runs_stay_byte_identical_in_parallel() {
         let outcomes = |r: &ModuleReport| {
             r.functions
                 .iter()
-                .map(|f| (f.name, f.outcomes.clone()))
+                .map(|f| (f.name.clone(), f.outcomes.clone()))
                 .collect::<Vec<_>>()
         };
         assert_eq!(

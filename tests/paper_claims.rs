@@ -62,7 +62,7 @@ fn figure1_all_bubble_sort_checks_removed() {
     let sort_report = report
         .functions
         .iter()
-        .find(|f| f.name == "sort")
+        .find(|f| &*f.name == "sort")
         .expect("sort function report");
     // Figure 1 has 4 array accesses in each direction's loop… our MJ version
     // performs 6 accesses per loop body (condition + swap), each with a

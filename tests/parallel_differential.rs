@@ -26,12 +26,15 @@ fn train(bench: &abcd_benchsuite::Benchmark) -> Profile {
     vm.into_profile()
 }
 
-type FunctionOutcomes = (abcd_ir::Symbol, Vec<(CheckSite, CheckKind, CheckOutcome)>);
+type FunctionOutcomes = (
+    std::sync::Arc<str>,
+    Vec<(CheckSite, CheckKind, CheckOutcome)>,
+);
 
 fn outcomes(r: &ModuleReport) -> Vec<FunctionOutcomes> {
     r.functions
         .iter()
-        .map(|f| (f.name, f.outcomes.clone()))
+        .map(|f| (f.name.clone(), f.outcomes.clone()))
         .collect()
 }
 

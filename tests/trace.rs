@@ -95,12 +95,16 @@ fn explain_renders_eliminated_and_kept_certificates() {
     let report = Optimizer::new()
         .with_trace(true)
         .optimize_module(&mut module, None);
-    let sum = report.functions.iter().find(|f| f.name == "sum").unwrap();
+    let sum = report.functions.iter().find(|f| &*f.name == "sum").unwrap();
     let text = abcd::explain_function(sum, None).expect("sum has a trace");
     assert!(text.contains("eliminated: "), "{text}");
     assert!(text.contains("via path "), "{text}");
     assert!(text.contains("weight "), "{text}");
-    let peek = report.functions.iter().find(|f| f.name == "peek").unwrap();
+    let peek = report
+        .functions
+        .iter()
+        .find(|f| &*f.name == "peek")
+        .unwrap();
     let text = abcd::explain_function(peek, None).expect("peek has a trace");
     assert!(text.contains("kept: "), "{text}");
     // Narrowing to one site filters the others out.
