@@ -87,7 +87,6 @@ fn bench_abcd_without_pre(results: &mut Vec<(String, f64, u64)>) {
     let module = b.compile().unwrap();
     let opts = OptimizerOptions {
         pre: false,
-        classify_local: false,
         ..OptimizerOptions::default()
     };
     let (ns, allocs) = counted("pipeline/abcd_minimal_bidir", || {

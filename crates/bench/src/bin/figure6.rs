@@ -11,7 +11,7 @@
 //! sequential-vs-parallel wall-clock comparison of the optimize phase.
 
 use abcd::OptimizerOptions;
-use abcd_bench::{bar, evaluate_all, print_incident_summary};
+use abcd_bench::{bar, evaluate_all, local_global_split, print_incident_summary};
 use abcd_benchsuite::Group;
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
     println!("{:-<78}", "");
 
     let mut fractions = Vec::new();
-    for r in &results {
+    for (bench, r) in abcd_benchsuite::BENCHMARKS.iter().zip(&results) {
         let before = r.baseline.dynamic_upper_checks();
         let after = r.optimized.dynamic_upper_checks();
         let removed = before.saturating_sub(after);
@@ -41,8 +41,7 @@ fn main() {
         fractions.push(frac);
         let split = if r.group == Group::Spec {
             // The paper splits the SPEC bars into local and global parts.
-            let l = r.dynamic_upper_removed_local;
-            let g = r.dynamic_upper_removed_global;
+            let (l, g) = local_global_split(bench, options, r);
             format!("local {l} / global {g}")
         } else {
             String::new()

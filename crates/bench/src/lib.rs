@@ -15,9 +15,12 @@
 
 pub mod micro;
 
-use abcd::{CheckOutcome, ModuleReport, Optimizer, OptimizerOptions};
+use abcd::{
+    CheckOutcome, ConstraintLog, DemandProver, InequalityGraph, ModuleReport, Optimizer,
+    OptimizerOptions, Problem, Scope, Stage, Vertex,
+};
 use abcd_benchsuite::{Benchmark, Group};
-use abcd_ir::FuncId;
+use abcd_ir::{CheckKind, CheckSite, FuncId, Module};
 use abcd_vm::{ExecStats, Profile, Vm};
 
 /// Everything measured for one benchmark.
@@ -33,12 +36,8 @@ pub struct BenchResult {
     pub optimized: ExecStats,
     /// Static optimization report.
     pub report: ModuleReport,
-    /// Dynamic upper-bound checks attributable to *locally* proven sites
-    /// (Figure 6's local slice), measured against the training profile.
-    pub dynamic_upper_removed_local: u64,
-    /// Dynamic upper-bound checks attributable to globally proven or
-    /// hoisted sites.
-    pub dynamic_upper_removed_global: u64,
+    /// The training run's profile the module was optimized with.
+    pub profile: Profile,
 }
 
 impl BenchResult {
@@ -145,36 +144,92 @@ fn evaluate_inner(bench: &Benchmark, options: OptimizerOptions, versioning: bool
     vm.call_by_name("main", &[]).expect("optimized run");
     let optimized = *vm.stats();
 
-    // Attribute removed dynamic upper checks to local/global proofs using
-    // the training profile's per-site counts.
-    let mut local = 0u64;
-    let mut global = 0u64;
-    for (i, freport) in report.functions.iter().enumerate() {
-        let fid = FuncId::new(i);
-        for (site, kind, outcome) in &freport.outcomes {
-            if *kind != abcd_ir::CheckKind::Upper {
-                continue;
-            }
-            let count = profile.site_count(fid, *site);
-            match outcome {
-                CheckOutcome::RemovedFully { local: true, .. } => local += count,
-                CheckOutcome::RemovedFully { local: false, .. } | CheckOutcome::Hoisted { .. } => {
-                    global += count
-                }
-                _ => {}
-            }
-        }
-    }
-
     BenchResult {
         name: bench.name,
         group: bench.group,
         baseline,
         optimized,
         report,
-        dynamic_upper_removed_local: local,
-        dynamic_upper_removed_global: global,
+        profile,
     }
+}
+
+/// The upper checks `report` removed fully from `module` (as compiled,
+/// before optimization under `options`) that Figure 6 counts as *local*:
+/// provable from the facts of their own basic block alone.
+///
+/// Each removal is re-proven on the upper graph of its block's
+/// constraints, filled from the constraint log of the driver's own e-SSA
+/// form ([`Optimizer::run_to`] up to [`Stage::InsertPi`]). The optimizer
+/// does not compute this split; only the Figure 6 experiment reports it.
+///
+/// # Panics
+///
+/// Panics if the pipeline up to π insertion degrades on `module`.
+pub fn local_upper_removals(
+    module: &Module,
+    options: OptimizerOptions,
+    report: &ModuleReport,
+) -> Vec<(FuncId, CheckSite)> {
+    let mut essa = module.clone();
+    Optimizer::with_options(options)
+        .run_to(&mut essa, Stage::InsertPi)
+        .expect("e-SSA construction succeeds");
+    let mut log = ConstraintLog::default();
+    let mut graph = InequalityGraph::default();
+    let mut local = Vec::new();
+    for ((fid, func), freport) in essa.functions().zip(&report.functions) {
+        log.record(func);
+        for check in log.checks() {
+            let removed = freport.outcomes.iter().any(|&(site, kind, outcome)| {
+                site == check.site
+                    && kind == CheckKind::Upper
+                    && matches!(outcome, CheckOutcome::RemovedFully { .. })
+            });
+            if !removed {
+                continue;
+            }
+            graph.fill(&log, Problem::Upper, Scope::Block(check.block));
+            let (source, c) = Problem::Upper.check_query(check.array);
+            if DemandProver::new(&graph, source).demand_prove(Vertex::Value(check.index), c) {
+                local.push((fid, check.site));
+            }
+        }
+    }
+    local
+}
+
+/// Figure 6's split of the dynamic upper checks `result` removed from
+/// `bench` under `options`, weighted by the training profile: `(local,
+/// global)`. Local removals are those of [`local_upper_removals`]; every
+/// other full removal and every hoisted check is global.
+pub fn local_global_split(
+    bench: &Benchmark,
+    options: OptimizerOptions,
+    result: &BenchResult,
+) -> (u64, u64) {
+    let module = bench.compile().expect("benchmark compiles");
+    let local = local_upper_removals(&module, options, &result.report);
+    let (mut local_count, mut global_count) = (0u64, 0u64);
+    for (i, freport) in result.report.functions.iter().enumerate() {
+        let fid = FuncId::new(i);
+        for &(site, kind, outcome) in &freport.outcomes {
+            if kind != CheckKind::Upper {
+                continue;
+            }
+            let count = result.profile.site_count(fid, site);
+            match outcome {
+                CheckOutcome::RemovedFully { .. } if local.contains(&(fid, site)) => {
+                    local_count += count
+                }
+                CheckOutcome::RemovedFully { .. } | CheckOutcome::Hoisted { .. } => {
+                    global_count += count
+                }
+                _ => {}
+            }
+        }
+    }
+    (local_count, global_count)
 }
 
 /// Evaluates the whole suite with the given options.
@@ -225,7 +280,7 @@ pub fn stress_module() -> abcd_ir::Module {
 
 /// Measures the optimize phase of `benches` at one worker and at
 /// `threads` workers and renders the comparison — plus each benchmark's
-/// `abcd-metrics/7` object from the parallel run — as one JSON document
+/// `abcd-metrics/8` object from the parallel run — as one JSON document
 /// (schema `abcd-bench-metrics/4`).
 ///
 /// Version 3 adds a `"cache"` object comparing a cold run against a warm
@@ -467,9 +522,52 @@ mod tests {
         assert!(r.upper_removed_fraction() > 0.5, "{r:?}");
         assert!(r.speedup() >= 1.0);
         // Local + global attribution never exceeds the baseline count.
-        assert!(
-            r.dynamic_upper_removed_local + r.dynamic_upper_removed_global
-                <= r.baseline.dynamic_upper_checks()
+        let (local, global) = local_global_split(b, OptimizerOptions::default(), &r);
+        assert!(local + global <= r.baseline.dynamic_upper_checks());
+    }
+
+    #[test]
+    fn classify_local_does_not_change_the_optimizer() {
+        for b in abcd_benchsuite::BENCHMARKS {
+            let optimize = |classify_local| {
+                let options = OptimizerOptions {
+                    classify_local,
+                    ..OptimizerOptions::default()
+                };
+                let mut module = b.compile().unwrap();
+                let report = Optimizer::with_options(options).optimize_module(&mut module, None);
+                let outcomes: Vec<_> = report.functions.into_iter().map(|f| f.outcomes).collect();
+                (module.to_string(), outcomes)
+            };
+            assert_eq!(optimize(true), optimize(false), "{}", b.name);
+        }
+    }
+
+    #[test]
+    fn local_classification_flags_same_block_proofs() {
+        // a[i] then a[i] again: the second access' upper check is provable
+        // from the first's π constraints, all within one block.
+        let module =
+            abcd_frontend::compile("fn f(a: int[], i: int) -> int { return a[i] + a[i]; }")
+                .unwrap();
+        let mut optimized = module.clone();
+        let options = OptimizerOptions::default();
+        let report = Optimizer::with_options(options).optimize_module(&mut optimized, None);
+        let f = &report.functions[0];
+        // The first pair is not removable at all; the second pair is.
+        assert_eq!(f.removed_fully(), 2, "{:#?}", f.outcomes);
+        let removed_upper: Vec<CheckSite> = f
+            .outcomes
+            .iter()
+            .filter(|(_, k, o)| {
+                *k == CheckKind::Upper && matches!(o, CheckOutcome::RemovedFully { .. })
+            })
+            .map(|&(site, _, _)| site)
+            .collect();
+        assert_eq!(removed_upper.len(), 1, "{:#?}", f.outcomes);
+        assert_eq!(
+            local_upper_removals(&module, options, &report),
+            [(FuncId::new(0), removed_upper[0])]
         );
     }
 
@@ -495,9 +593,9 @@ mod tests {
         assert!(json.contains("\"sequential_wall_us\":"), "{json}");
         assert!(json.contains("\"parallel_wall_us\":"), "{json}");
         assert!(json.contains("\"speedup\":\""), "{json}");
-        // Each of the two benchmarks embeds a full abcd-metrics/7 object.
+        // Each of the two benchmarks embeds a full abcd-metrics/8 object.
         assert_eq!(
-            json.matches("\"metrics\":{\"schema\":\"abcd-metrics/7\"")
+            json.matches("\"metrics\":{\"schema\":\"abcd-metrics/8\"")
                 .count(),
             2,
             "{json}"

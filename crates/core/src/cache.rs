@@ -7,6 +7,8 @@
 //! function-level cache keyed by everything that determines the
 //! optimizer's output —
 //!
+//! * the **analysis semantics** version ([`ANALYSIS_SEMANTICS`]), so an
+//!   entry written by an older analysis never replays,
 //! * the **canonicalized input IR** (via [`abcd_ir::canonicalize`], so the
 //!   key is insensitive to arena numbering accidents),
 //! * the **options fingerprint** (every [`OptimizerOptions`] knob),
@@ -129,6 +131,15 @@ pub fn canonical_text_hash(func: &Function) -> u64 {
     h.finish()
 }
 
+/// The version of what a cached entry means: the analysis that produced
+/// it and the shape of its summary. Every key mixes it in, so bumping it
+/// turns every entry written by an older analysis into a miss, in memory
+/// and on disk. Bump it whenever the same input and options can yield a
+/// different optimized function or report.
+///
+/// Version 2 dropped Figure 6's local flag from removal outcomes.
+pub const ANALYSIS_SEMANTICS: u64 = 2;
+
 /// [`cache_key`] from an already-hashed text component:
 /// `key_from_text_hash(canonical_text_hash(f), …)` equals
 /// `cache_key(&canonicalize(f).to_string(), …)`.
@@ -138,27 +149,27 @@ pub fn key_from_text_hash(
     facts_fp: u64,
     profile_fp: u64,
 ) -> CacheKey {
-    CacheKey(mix(mix(mix(text_hash, options_fp), facts_fp), profile_fp))
+    let h = mix(mix(text_hash, ANALYSIS_SEMANTICS), options_fp);
+    CacheKey(mix(mix(h, facts_fp), profile_fp))
 }
 
-/// Fingerprints every [`OptimizerOptions`] knob. All knobs participate —
-/// even ones (like `isolate_panics`) that cannot change a healthy run's
-/// output — because a byte of hash is cheaper than an argument about
-/// which knob is observable. The trailing `prover=demand` names the one
-/// query engine; it stays so keys match entries already on disk.
+/// Fingerprints every [`OptimizerOptions`] knob the optimizer reads. All
+/// of them participate — even ones (like `isolate_panics`) that cannot
+/// change a healthy run's output — because a byte of hash is cheaper than
+/// an argument about which knob is observable. `classify_local` and
+/// `prover` are ignored by the optimizer and left out.
 pub fn options_fingerprint(o: &OptimizerOptions) -> u64 {
     let text = format!(
         "upper={} lower={} cleanup={} pre={} gvn_hook={} merge_checks={} \
-         classify_local={} hot_threshold={:?} interprocedural={} \
+         hot_threshold={:?} interprocedural={} \
          fuel_per_query={:?} fuel_per_function={:?} verify_ir={} validate={} \
-         isolate_panics={} prover=demand",
+         isolate_panics={}",
         o.upper,
         o.lower,
         o.cleanup,
         o.pre,
         o.gvn_hook,
         o.merge_checks,
-        o.classify_local,
         o.hot_threshold,
         o.interprocedural,
         o.fuel_per_query,
@@ -281,11 +292,8 @@ impl CacheEntry {
         for (site, kind, outcome) in &self.outcomes {
             let _ = write!(out, "outcome {} {} ", site.index(), kind_str(*kind));
             match outcome {
-                CheckOutcome::RemovedFully {
-                    local,
-                    via_congruence,
-                } => {
-                    let _ = writeln!(out, "removed {} {}", *local as u8, *via_congruence as u8);
+                CheckOutcome::RemovedFully { via_congruence } => {
+                    let _ = writeln!(out, "removed {}", *via_congruence as u8);
                 }
                 CheckOutcome::Hoisted { insertions } => {
                     let _ = writeln!(out, "hoisted {insertions}");
@@ -341,14 +349,9 @@ impl CacheEntry {
                 _ => return Err(format!("bad check kind in `{line}`")),
             };
             let outcome = match f.next() {
-                Some("removed") => {
-                    let local = f.next() == Some("1");
-                    let via_congruence = f.next() == Some("1");
-                    CheckOutcome::RemovedFully {
-                        local,
-                        via_congruence,
-                    }
-                }
+                Some("removed") => CheckOutcome::RemovedFully {
+                    via_congruence: f.next() == Some("1"),
+                },
                 Some("hoisted") => CheckOutcome::Hoisted {
                     insertions: f
                         .next()
@@ -385,7 +388,7 @@ fn kind_str(kind: CheckKind) -> &'static str {
 
 // ---- the cache ----------------------------------------------------------
 
-/// Counters exposed in `abcd-metrics/7` and the server `stats` command.
+/// Counters exposed in `abcd-metrics/8` and the server `stats` command.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries currently resident in memory.
@@ -422,7 +425,7 @@ impl CacheStats {
     pub const EVENTS: usize = 8;
 
     /// Every field as `(name, value)`, in the one order that every
-    /// rendering of cache statistics (`abcd-metrics/7`, `abcdd`) iterates.
+    /// rendering of cache statistics (`abcd-metrics/8`, `abcdd`) iterates.
     pub fn fields(&self) -> [(&'static str, u64); 11] {
         [
             ("hits", self.hits),
@@ -665,11 +668,6 @@ impl AnalysisCache {
     /// Each stripe's share of the in-memory byte budget.
     fn stripe_budget(&self) -> usize {
         self.budget / self.stripes.len()
-    }
-
-    /// How many lock stripes back the in-memory tier.
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
     }
 
     /// Snapshot of the counters, aggregated across stripes.
@@ -1069,8 +1067,7 @@ mod tests {
                     CheckSite::new(0),
                     CheckKind::Upper,
                     CheckOutcome::RemovedFully {
-                        local: true,
-                        via_congruence: false,
+                        via_congruence: true,
                     },
                 ),
                 (CheckSite::new(1), CheckKind::Lower, CheckOutcome::Kept),
@@ -1400,5 +1397,88 @@ bb0:
             profile_fingerprint(None, f, None),
             profile_fingerprint(Some(&p1), f, None)
         );
+    }
+
+    /// The key the previous analysis semantics filed a function under: no
+    /// semantics version mixed in, and an options fingerprint that still
+    /// named `classify_local` and the `demand` prover.
+    fn previous_key(func: &Function, id: FuncId, o: &OptimizerOptions) -> CacheKey {
+        let options = format!(
+            "upper={} lower={} cleanup={} pre={} gvn_hook={} merge_checks={} \
+             classify_local={} hot_threshold={:?} interprocedural={} \
+             fuel_per_query={:?} fuel_per_function={:?} verify_ir={} validate={} \
+             isolate_panics={} prover=demand",
+            o.upper,
+            o.lower,
+            o.cleanup,
+            o.pre,
+            o.gvn_hook,
+            o.merge_checks,
+            o.classify_local,
+            o.hot_threshold,
+            o.interprocedural,
+            o.fuel_per_query,
+            o.fuel_per_function,
+            o.verify_ir,
+            o.validate,
+            o.isolate_panics,
+        );
+        let h = mix(canonical_text_hash(func), fnv1a64(options.as_bytes()));
+        let h = mix(h, facts_fingerprint(&[]));
+        CacheKey(mix(h, profile_fingerprint(None, id, None)))
+    }
+
+    #[test]
+    fn entries_under_the_previous_semantics_miss() {
+        let module = abcd_frontend::compile(
+            "fn sum(a: int[]) -> int {
+                let s: int = 0;
+                for (let i: int = 0; i < a.length; i = i + 1) { s = s + a[i]; }
+                return s;
+            }",
+        )
+        .unwrap();
+        let options = OptimizerOptions::default();
+        let optimize = |cache: AnalysisCache| {
+            let mut m = module.clone();
+            let report = crate::Optimizer::with_options(options)
+                .with_cache(Arc::new(cache))
+                .optimize_module(&mut m, None);
+            report.functions_from_cache()
+        };
+        // A cold run files each function under today's key; refile its
+        // entries under the previous semantics' keys.
+        let today = Arc::new(AnalysisCache::in_memory(1 << 20));
+        crate::Optimizer::with_options(options)
+            .with_cache(Arc::clone(&today))
+            .optimize_module(&mut module.clone(), None);
+        let refile = |stale: &AnalysisCache| {
+            for (id, func) in module.functions() {
+                let key = key_from_text_hash(
+                    canonical_text_hash(func),
+                    options_fingerprint(&options),
+                    facts_fingerprint(&[]),
+                    profile_fingerprint(None, id, None),
+                );
+                let Lookup::Hit(entry) = today.lookup(key) else {
+                    panic!("the cold run stored {}", func.name());
+                };
+                stale.insert(previous_key(func, id, &options), *entry);
+            }
+        };
+
+        let stale = AnalysisCache::in_memory(1 << 20);
+        refile(&stale);
+        assert_eq!(stale.stats().entries, module.function_count());
+        assert_eq!(optimize(stale), 0, "a stale in-memory entry must miss");
+
+        let dir = std::env::temp_dir().join(format!("abcd-cache-semver-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        refile(&AnalysisCache::with_dir(&dir, 1 << 20).unwrap());
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, module.function_count(), "entries persisted");
+        let reopened = AnalysisCache::with_dir(&dir, 1 << 20).unwrap();
+        assert_eq!(optimize(reopened), 0, "a stale disk entry must miss");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

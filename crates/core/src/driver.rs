@@ -44,8 +44,9 @@ pub struct OptimizerOptions {
     pub gvn_hook: bool,
     /// Merge surviving lower+upper pairs into unsigned checks (§7.2).
     pub merge_checks: bool,
-    /// Classify each removal as local (provable within its basic block) or
-    /// global — the split shown for the SPEC benchmarks in Figure 6.
+    /// Ignored by the optimizer: Figure 6's local/global split is computed
+    /// by the experiment that prints it. Stays only for the frozen
+    /// benchmark replay, like `prover`.
     pub classify_local: bool,
     /// With a profile: only analyze check sites executed at least this many
     /// times (the "hot bounds checks" work-list). `None` analyzes all.
@@ -832,9 +833,6 @@ impl Optimizer {
             None => None,
         };
         let mut pre_provers: HashMap<(Problem, Vertex), PreProver> = HashMap::new();
-        // The Figure 6 local/global split re-proves each removal on the
-        // graph of its block's facts alone, filled once per block.
-        let mut local_graphs: HashMap<(Block, Problem), InequalityGraph> = HashMap::new();
 
         // Definition sites for the §7.1 retries, found once: the function
         // does not change until the transform.
@@ -897,8 +895,8 @@ impl Optimizer {
             let mut exhausted = false;
             let mut overflowed = false;
 
-            // `Both` checks need both proofs; PRE and the local/global split
-            // treat them as upper checks.
+            // `Both` checks need both proofs; PRE treats them as upper
+            // checks.
             let problem = Problem::of_check(kind)[0];
             let (source, c) = problem.check_query(array);
             let mut proven = Problem::of_check(kind).iter().all(|&problem| {
@@ -959,22 +957,8 @@ impl Optimizer {
                     array,
                     index,
                 });
-                let local = opts.classify_local && {
-                    let graph = local_graphs.entry((block, problem)).or_insert_with(|| {
-                        let mut g = arena.take_graph();
-                        g.fill(&log, problem, Scope::Block(block));
-                        g
-                    });
-                    let mut prover = DemandProver::with_scratch(graph, source, arena.take_demand());
-                    let ok = prover.demand_prove(Vertex::Value(index), c);
-                    arena.put_demand(prover.into_scratch());
-                    ok
-                };
                 report.metrics.solve_time += started.elapsed();
-                CheckOutcome::RemovedFully {
-                    local,
-                    via_congruence,
-                }
+                CheckOutcome::RemovedFully { via_congruence }
             } else if exhausted {
                 // Conservative: keep the check, surface the budget stop.
                 report.metrics.solve_time += started.elapsed();
@@ -1074,9 +1058,6 @@ impl Optimizer {
         }
         for (_, p) in pre_provers {
             arena.put_pre(p.into_scratch());
-        }
-        for (_, g) in local_graphs {
-            arena.put_graph(g);
         }
         arena.put_graph(upper_graph);
         arena.put_graph(lower_graph);
@@ -1389,7 +1370,6 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::CheckOutcome;
     use abcd_frontend::compile;
     use abcd_vm::Vm;
 
@@ -1441,23 +1421,6 @@ mod tests {
         assert_eq!(f.checks_total, 0);
         assert_eq!(f.steps, 0);
         assert_eq!(f.steps_per_check(), 0.0);
-    }
-
-    #[test]
-    fn local_classification_flags_same_block_proofs() {
-        // a[i] then a[i] again: the second access' checks are provable from
-        // the first's π constraints, all within one block.
-        let mut m = compile("fn f(a: int[], i: int) -> int { return a[i] + a[i]; }").unwrap();
-        let report = Optimizer::new().optimize_module(&mut m, None);
-        let f = &report.functions[0];
-        let locals = f
-            .outcomes
-            .iter()
-            .filter(|(_, _, o)| matches!(o, CheckOutcome::RemovedFully { local: true, .. }))
-            .count();
-        assert!(locals >= 2, "{:#?}", f.outcomes);
-        // The first pair is not removable at all.
-        assert_eq!(f.removed_fully(), 2, "{:#?}", f.outcomes);
     }
 
     #[test]

@@ -91,15 +91,21 @@ impl ExhaustiveDistances {
             }
         }
 
-        // Step 1: plain edge reachability from the axioms over the graph's
-        // out-neighbor CSR; everything not reached carries no constraint
-        // at all.
+        // Step 1: plain edge reachability from the axioms over a forward
+        // adjacency built from the in-edges; everything not reached
+        // carries no constraint at all.
+        let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for v in 0..n {
+            for e in graph.in_edges(VertexId::from_index(v)) {
+                out[e.src.index()].push(v);
+            }
+        }
         let mut reach = axiom.clone();
-        let mut work: Vec<u32> = (0..n as u32).filter(|&v| axiom[v as usize]).collect();
+        let mut work: Vec<usize> = (0..n).filter(|&v| axiom[v]).collect();
         while let Some(v) = work.pop() {
-            for &w in graph.out_neighbors(VertexId::from_index(v as usize)) {
-                if !reach[w as usize] {
-                    reach[w as usize] = true;
+            for &w in &out[v] {
+                if !reach[w] {
+                    reach[w] = true;
                     work.push(w);
                 }
             }

@@ -544,11 +544,10 @@ fn konst(func: &Function, v: Value) -> Option<i64> {
 ///
 /// The graph is stored struct-of-arrays: per-vertex attributes live in
 /// dense `VertexId`-indexed vectors, the vertex lookup is an
-/// open-addressed `VertexTable`, and edges are kept twice — an
-/// insertion-ordered flat log (`building`, the source of truth every
-/// mutation appends to) and CSR-packed in/out adjacency derived from it by
-/// `refresh`. The provers read the CSR slices; nothing on the prove path
-/// chases per-vertex `Vec`s or hashes a key.
+/// open-addressed `VertexTable`, and edges are appended to an
+/// insertion-ordered flat log (`building`) that `refresh` packs into a
+/// CSR of in-edges. The provers read the CSR slices; nothing on the prove
+/// path chases per-vertex `Vec`s or hashes a key.
 ///
 /// The default graph is an empty shell: pool shells and
 /// [`fill`](Self::fill) them to reuse capacity across functions.
@@ -557,18 +556,13 @@ pub struct InequalityGraph {
     problem: Problem,
     vertices: Vec<Vertex>,
     table: VertexTable,
-    /// Flat `(dst, edge)` log in canonical (vertex-major, insertion-stable)
-    /// order, from which [`refresh`](Self::refresh) derives the CSR views.
+    /// Flat `(dst, edge)` log in insertion order, from which
+    /// [`refresh`](Self::refresh) derives the CSR.
     building: Vec<(u32, InEdge)>,
     /// CSR in-edge offsets (`vertex_count() + 1` entries once finalized).
     csr_off: Vec<u32>,
     /// CSR-packed in-edges, vertex-major.
     csr: Vec<InEdge>,
-    /// CSR out-neighbor offsets (same indexing).
-    out_off: Vec<u32>,
-    /// CSR-packed out-neighbors (destination vertex ids), source-major —
-    /// what the exhaustive solver's reachability pass walks.
-    out_dst: Vec<u32>,
     is_max: Vec<bool>,
     /// Solver-domain potential of constant vertices.
     potential: Vec<Option<i64>>,
@@ -576,7 +570,7 @@ pub struct InequalityGraph {
     /// `(result, argument, seq)` once finalized; `seq` preserves the
     /// insertion order of duplicate pairs so lookups are deterministic.
     phi: Vec<(Value, Value, u32, Block)>,
-    /// Counting-sort scratch for the CSR derivations, reused across
+    /// Counting-sort scratch for the CSR derivation, reused across
     /// refreshes (and across functions when the graph shell is pooled).
     counts: Vec<u32>,
 }
@@ -644,15 +638,18 @@ impl InequalityGraph {
         self.refresh();
     }
 
-    /// (Re)derives the CSR in/out views and the sorted φ table from the
-    /// edge log, and rewrites the log itself into canonical (vertex-major,
-    /// insertion-stable) order so indices into the log and the CSR agree.
-    /// O(V + E), allocation-free once capacities are warm.
+    /// (Re)derives the in-edge CSR and the sorted φ table from the edge
+    /// log. O(V + E), allocation-free once capacities are warm.
     fn refresh(&mut self) {
-        let n = self.vertices.len();
-        // In-edges: stable counting sort of the log by destination.
+        // Stable counting sort of the log by destination: each vertex's
+        // in-edges keep their insertion order.
         let by_dst = self.building.iter().map(|&(dst, _)| dst as usize);
-        counting_offsets(by_dst, n, &mut self.counts, &mut self.csr_off);
+        counting_offsets(
+            by_dst,
+            self.vertices.len(),
+            &mut self.counts,
+            &mut self.csr_off,
+        );
         let unset = InEdge {
             src: VertexId(0),
             weight: 0,
@@ -662,25 +659,6 @@ impl InequalityGraph {
         for &(dst, edge) in &self.building {
             let pos = &mut self.counts[dst as usize];
             self.csr[*pos as usize] = edge;
-            *pos += 1;
-        }
-        // Canonicalize the log to CSR order so flat indices agree between
-        // the two views (what lets fault perturbation mutate both in
-        // lockstep). Per-vertex insertion order is preserved: the counting
-        // sort is stable.
-        self.building.clear();
-        for v in 0..n {
-            let edges = &self.csr[self.csr_off[v] as usize..self.csr_off[v + 1] as usize];
-            self.building.extend(edges.iter().map(|&e| (v as u32, e)));
-        }
-        // Out-neighbors: counting sort of the canonical log by source.
-        let by_src = self.building.iter().map(|&(_, e)| e.src.index());
-        counting_offsets(by_src, n, &mut self.counts, &mut self.out_off);
-        self.out_dst.clear();
-        self.out_dst.resize(self.building.len(), 0);
-        for &(dst, edge) in &self.building {
-            let pos = &mut self.counts[edge.src.index()];
-            self.out_dst[*pos as usize] = dst;
             *pos += 1;
         }
         // φ rows sort by (result, argument, seq): deterministic, duplicate
@@ -711,15 +689,6 @@ impl InequalityGraph {
         let lo = self.csr_off[v.0 as usize] as usize;
         let hi = self.csr_off[v.0 as usize + 1] as usize;
         &self.csr[lo..hi]
-    }
-
-    /// Out-neighbors of `v` (vertices `v` constrains), as a CSR slice of
-    /// destination ids — the adjacency the exhaustive solver's
-    /// reachability pass walks without rebuilding per-vertex vectors.
-    pub fn out_neighbors(&self, v: VertexId) -> &[u32] {
-        let lo = self.out_off[v.0 as usize] as usize;
-        let hi = self.out_off[v.0 as usize + 1] as usize;
-        &self.out_dst[lo..hi]
     }
 
     /// Is `v` a max (φ) vertex?
@@ -753,7 +722,7 @@ impl InequalityGraph {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.building.len()
+        self.csr.len()
     }
 
     /// Appends this graph as Graphviz text, as `mjc graph` prints it: a `;`
@@ -788,10 +757,9 @@ impl InequalityGraph {
         }
         let pick = (rng.next_u64() % total as u64) as usize;
         let delta = 1 + (rng.next_u64() % max_delta.max(1) as u64) as i64;
-        // The canonical log and the CSR share flat indices (vertex-major
-        // order); mutate both so later refreshes keep the perturbation.
+        // Only the CSR is read by the provers, and no refresh follows a
+        // perturbation.
         self.csr[pick].weight -= delta;
-        self.building[pick].1.weight -= delta;
     }
 
     // ---- construction --------------------------------------------------
@@ -881,7 +849,7 @@ impl InequalityGraph {
         let id = self.intern(v, &ConstraintLog::default());
         self.is_max[id.0 as usize] = true;
         // Interning after a build may add vertices (tests hand-crafting
-        // systems); re-derive the CSR views so their offsets cover them.
+        // systems); re-derive the CSR so its offsets cover them.
         if self.vertices.len() != before {
             self.refresh();
         }

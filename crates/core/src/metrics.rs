@@ -5,14 +5,14 @@
 //! The driver fills a [`FunctionMetrics`] per function (stored on its
 //! [`FunctionReport`](crate::report::FunctionReport)); [`module_metrics_json`]
 //! renders the whole run — including the worker-thread count and measured
-//! wall-clock time — in the stable `abcd-metrics/7` schema consumed by the
+//! wall-clock time — in the stable `abcd-metrics/8` schema consumed by the
 //! `mjc` CLI, the `abcdd` server, and the bench binaries.
 //!
-//! # Schema (`abcd-metrics/7`)
+//! # Schema (`abcd-metrics/8`)
 //!
 //! ```json
 //! {
-//!   "schema": "abcd-metrics/7",
+//!   "schema": "abcd-metrics/8",
 //!   "threads": 2,
 //!   "wall_time_us": 1234,
 //!   "deterministic": false,
@@ -37,7 +37,7 @@
 //!   ],
 //!   "functions": [ { "name": "f", ..., "from_cache": false,
 //!                    "fuel_spent": 57, "fuel_limit": 64,
-//!                    "provenance": { "removed_local": 2, "removed_global": 4,
+//!                    "provenance": { "removed": 6,
 //!                                    "removed_congruent": 0, "hoisted": 1,
 //!                                    "kept": 3, "kept_exhausted": 0,
 //!                                    "skipped": 0, "reinstated": 0 },
@@ -45,6 +45,11 @@
 //!                    "times_us": {...} } ]
 //! }
 //! ```
+//!
+//! Relative to `abcd-metrics/7`, version 8 merges the `provenance`
+//! object's `removed_local` and `removed_global` into one `removed`
+//! count. Figure 6's local/global split is computed by the experiment
+//! that prints it (`abcd-bench`'s `figure6`), not by the optimizer.
 //!
 //! Relative to `abcd-metrics/6`, version 7 drops the per-backend solver
 //! accounting: the per-function `backend` object and the two module-wide
@@ -67,9 +72,9 @@
 //!
 //! Relative to `abcd-metrics/3`, version 4 adds the per-function
 //! `provenance` object summarizing *why* each verdict happened (the
-//! Figure 6 accounting: local vs. global vs. congruence-only removals,
-//! hoists, kept checks split by fuel exhaustion, skips and validation
-//! reinstatements) — the aggregate companion to the full derivation
+//! Figure 6 accounting: local vs. global (merged in version 8) vs.
+//! congruence-only removals, hoists, kept checks split by fuel
+//! exhaustion, skips and validation reinstatements) — the aggregate companion to the full derivation
 //! traces recorded by [`crate::trace`].
 //!
 //! Relative to `abcd-metrics/2`, version 3 added the serving + caching
@@ -102,8 +107,8 @@ pub struct FunctionMetrics {
     pub prepare_time: Duration,
     /// Stage 4: building the upper and lower inequality graphs.
     pub graph_build_time: Duration,
-    /// Stage 5a: `demandProve` queries (including §7.1 congruence retries
-    /// and the local/global classification probes).
+    /// Stage 5a: `demandProve` queries (including §7.1 congruence
+    /// retries).
     pub solve_time: Duration,
     /// Stage 5b: the PRE-collecting pass over failed checks (§6).
     pub pre_time: Duration,
@@ -326,12 +331,11 @@ fn incidents_json<'a>(incidents: impl Iterator<Item = &'a Incident>, out: &mut S
     out.push(']');
 }
 
-/// Renders the schema-4 verdict-provenance object: the Figure 6
-/// accounting of *why* each check ended where it did.
+/// Renders the verdict-provenance object: the accounting of *why* each
+/// check ended where it did.
 fn provenance_json(report: &crate::report::FunctionReport, out: &mut String) {
     use crate::report::CheckOutcome;
-    let mut removed_local = 0usize;
-    let mut removed_global = 0usize;
+    let mut removed = 0usize;
     let mut removed_congruent = 0usize;
     let mut hoisted = 0usize;
     let mut kept = 0usize;
@@ -339,15 +343,8 @@ fn provenance_json(report: &crate::report::FunctionReport, out: &mut String) {
     let mut reinstated = 0usize;
     for (_, _, o) in &report.outcomes {
         match o {
-            CheckOutcome::RemovedFully {
-                local,
-                via_congruence,
-            } => {
-                if *local {
-                    removed_local += 1;
-                } else {
-                    removed_global += 1;
-                }
+            CheckOutcome::RemovedFully { via_congruence } => {
+                removed += 1;
                 if *via_congruence {
                     removed_congruent += 1;
                 }
@@ -365,8 +362,7 @@ fn provenance_json(report: &crate::report::FunctionReport, out: &mut String) {
         .count();
     let _ = write!(
         out,
-        ",\"provenance\":{{\"removed_local\":{removed_local},\
-         \"removed_global\":{removed_global},\
+        ",\"provenance\":{{\"removed\":{removed},\
          \"removed_congruent\":{removed_congruent},\"hoisted\":{hoisted},\
          \"kept\":{kept},\"kept_exhausted\":{kept_exhausted},\
          \"skipped\":{skipped},\"reinstated\":{reinstated}}}"
@@ -427,7 +423,7 @@ fn function_json(report: &crate::report::FunctionReport, det: bool, out: &mut St
     );
 }
 
-/// Renders the `abcd-metrics/7` JSON document for one optimized module.
+/// Renders the `abcd-metrics/8` JSON document for one optimized module.
 pub fn module_metrics_json(report: &ModuleReport, run: RunInfo) -> String {
     let mut hits = 0u64;
     let mut misses = 0u64;
@@ -450,7 +446,7 @@ pub fn module_metrics_json(report: &ModuleReport, run: RunInfo) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"schema\":\"abcd-metrics/7\",\"threads\":{},\"wall_time_us\":{},\
+        "{{\"schema\":\"abcd-metrics/8\",\"threads\":{},\"wall_time_us\":{},\
          \"deterministic\":{},\
          \"totals\":{{\"functions\":{},\"checks_total\":{},\"removed_fully\":{},\
          \"hoisted\":{},\"reinstated\":{},\"steps\":{},\"pre_steps\":{},\
@@ -547,8 +543,8 @@ mod tests {
         f.metrics.memo_misses = 1;
         report.functions.push(f);
         let json = module_metrics_json(&report, RunInfo::new(2, Duration::from_micros(7)));
-        assert!(json.starts_with("{\"schema\":\"abcd-metrics/7\""));
-        assert!(json.contains("\"provenance\":{\"removed_local\":0"));
+        assert!(json.starts_with("{\"schema\":\"abcd-metrics/8\""));
+        assert!(json.contains("\"provenance\":{\"removed\":0,"));
         assert!(!json.contains("backend"));
         assert!(json.contains("\"threads\":2"));
         assert!(json.contains("\"wall_time_us\":7"));
@@ -703,7 +699,6 @@ mod tests {
             0,
             CheckKind::Upper,
             CheckOutcome::RemovedFully {
-                local: true,
                 via_congruence: false,
             },
         ));
@@ -711,7 +706,6 @@ mod tests {
             1,
             CheckKind::Upper,
             CheckOutcome::RemovedFully {
-                local: false,
                 via_congruence: true,
             },
         ));
@@ -730,7 +724,7 @@ mod tests {
         let json = module_metrics_json(&report, RunInfo::new(1, Duration::ZERO));
         assert!(
             json.contains(
-                "\"provenance\":{\"removed_local\":1,\"removed_global\":1,\
+                "\"provenance\":{\"removed\":2,\
                  \"removed_congruent\":1,\"hoisted\":1,\"kept\":1,\
                  \"kept_exhausted\":0,\"skipped\":1,\"reinstated\":1}"
             ),

@@ -1,8 +1,7 @@
 //! Per-check and aggregate optimization reports.
 //!
-//! The reports carry everything §8 of the paper tabulates: how many checks
-//! were fully redundant (split local/global), partially redundant
-//! (hoisted), or kept; how many `prove` steps the solver spent per check;
+//! The reports carry what §8 of the paper tabulates: how many checks
+//! were fully redundant, partially redundant (hoisted), or kept; how many `prove` steps the solver spent per check;
 //! and the analysis wall-clock time.
 
 use crate::stage::Stage;
@@ -16,9 +15,6 @@ use std::time::Duration;
 pub enum CheckOutcome {
     /// Proven fully redundant and deleted.
     RemovedFully {
-        /// Provable using only constraints of its own basic block
-        /// (Figure 6's "local" category).
-        local: bool,
         /// Proven only via the §7.1 value-numbering congruence hook.
         via_congruence: bool,
     },
@@ -332,14 +328,6 @@ impl FunctionReport {
             .count()
     }
 
-    /// Fully redundant checks provable within their own block.
-    pub fn removed_locally(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|(_, _, o)| matches!(o, CheckOutcome::RemovedFully { local: true, .. }))
-            .count()
-    }
-
     /// Checks hoisted by PRE.
     pub fn hoisted(&self) -> usize {
         self.outcomes
@@ -398,11 +386,6 @@ impl ModuleReport {
     /// Checks removed as fully redundant.
     pub fn checks_removed_fully(&self) -> usize {
         self.functions.iter().map(|f| f.removed_fully()).sum()
-    }
-
-    /// Fully redundant checks provable within one block.
-    pub fn checks_removed_locally(&self) -> usize {
-        self.functions.iter().map(|f| f.removed_locally()).sum()
     }
 
     /// Checks hoisted by PRE.

@@ -47,11 +47,6 @@ impl VersioningReport {
     pub fn count(&self) -> usize {
         self.versioned.len()
     }
-
-    /// Total checks deleted across all fast versions.
-    pub fn checks_removed_fast(&self) -> usize {
-        self.versioned.iter().map(|(_, _, n)| n).sum()
-    }
 }
 
 /// Versions every function whose residual checks become provable under

@@ -408,15 +408,6 @@ impl Function {
         loc
     }
 
-    /// The defining block of a value, if it is an instruction result that is
-    /// currently linked into a block (parameters define in the entry block).
-    pub fn def_block(&self, v: Value, locations: &[Option<(Block, usize)>]) -> Option<Block> {
-        match self.value_def(v) {
-            ValueDef::Param(_) => Some(self.entry),
-            ValueDef::Inst(id) => locations[id.index()].map(|(b, _)| b),
-        }
-    }
-
     /// Counts the check instructions currently linked into blocks, by kind:
     /// `(bounds_checks, spec_checks, traps)`.
     pub fn count_checks(&self) -> (usize, usize, usize) {

@@ -67,13 +67,6 @@ impl Module {
             .map(|(i, f)| (FuncId::new(i), f))
     }
 
-    /// Applies `f` to every function in place.
-    pub fn for_each_function_mut(&mut self, mut f: impl FnMut(FuncId, &mut Function)) {
-        for (i, func) in self.functions.iter_mut().enumerate() {
-            f(FuncId::new(i), func);
-        }
-    }
-
     /// Replaces the function behind `id` wholesale, keeping the id (and so
     /// every call instruction referencing it) valid. Used by transformations
     /// that substitute a dispatcher for the original body (e.g. function

@@ -10,188 +10,53 @@
 //!
 //! Runs in the foreground until a `shutdown` request arrives (e.g. from
 //! `mjc client --socket … shutdown`), then drains admitted requests and
-//! exits 0. Exit 1 means bad usage or a bind failure.
+//! exits 0. Exit 1 means bad usage or a bind failure. The flags are
+//! [`abcd_server::ServerConfig::from_args`]'s, shared with `mjc serve`.
 
-use abcd::{AnalysisCache, ChaosPlan};
-use abcd_server::{ListenAddr, ServerConfig, ServerHandle};
+use abcd_server::{ServerConfig, ServerHandle, SERVE_FLAGS};
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::Duration;
 
-const HELP: &str = "\
-abcdd — persistent ABCD optimization service
+fn help() -> String {
+    format!(
+        "abcdd — persistent ABCD optimization service
 
 USAGE:
     abcdd [--socket PATH | --listen ADDR]... [options]
 
 OPTIONS:
-    --socket PATH      Unix-domain socket to listen on (same as
-                       `--listen uds:PATH`)
-    --listen ADDR      endpoint to listen on: `uds:/path/to.sock` or
-                       `tcp:host:port` (`tcp:127.0.0.1:0` picks a free
-                       port). Repeatable; all endpoints are served
-                       concurrently by the same shard set.
-    --shards N         independent run queues with work stealing between
-                       them (default 1); admission places each connection
-                       on the least-loaded shard
-    --workers N        request handlers PER SHARD (default: all host CPUs;
-                       requests beyond the available parallelism are clamped)
-    --queue N          bounded admission queue per shard; when every shard
-                       is full the connection gets a queue-position reply
-                       `{\"queued\":P,\"retry_after_ms\":...}` (default 8)
-    --jobs N           optimizer threads per request (default: all host
-                       CPUs; clamped to the available parallelism)
-    --cache-bytes N    in-memory analysis-cache budget (default 64 MiB)
-    --cache-dir DIR    also persist cache entries to DIR (content-addressed,
-                       re-verified on load; corruption falls back to cold)
-    --no-cache         disable the analysis cache entirely
-    --request-timeout MS
-                       default per-request deadline for requests that carry
-                       no deadline_ms; tripping it FAILS OPEN (the module is
-                       served unoptimized, every check kept)
-    --io-timeout MS    socket read/write timeout per frame (default 30000;
-                       0 disables)
-    --stuck-after MS   supervision threshold: an in-flight request older
-                       than this gets its connection kicked; 4x older gets
-                       its worker detached and replaced (default 30000)
-    --chaos PLAN       seeded fault injection, e.g.
-                       `seed:42,worker_panic:20,disk_corrupt:10` (permille
-                       rates; sites: worker_panic, disk_short, disk_corrupt,
-                       disk_full, frame_truncate, frame_slow, disconnect)
-    --help             this text
+{SERVE_FLAGS}    --help             this text
 
 Protocol, deadline and retry contract: see DESIGN.md §5e/§5h. Shut down
 with `mjc client --socket PATH shutdown`; exit code 0 after a graceful
 drain — even under chaos.
-";
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("abcdd: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+"
+    )
 }
 
-fn run() -> Result<ExitCode, String> {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{HELP}");
-        return Ok(ExitCode::SUCCESS);
+        print!("{}", help());
+        return ExitCode::SUCCESS;
     }
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-    };
-    let count_of = |flag: &str, default: usize| -> Result<usize, String> {
-        match value_of(flag) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("`{flag}` needs a count")),
+    let config = match ServerConfig::from_args(&args) {
+        Ok(config) => config,
+        Err(msg) => {
+            eprintln!("abcdd: {msg}\n{}", help());
+            return ExitCode::FAILURE;
         }
     };
-    // Reject unknown flags up front (structured error, not silent ignore).
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" | "--listen" | "--shards" | "--workers" | "--queue" | "--jobs"
-            | "--cache-bytes" | "--cache-dir" | "--request-timeout" | "--io-timeout"
-            | "--stuck-after" | "--chaos" => i += 1,
-            "--no-cache" => {}
-            other => return Err(format!("unknown flag `{other}`\n{HELP}")),
-        }
-        i += 1;
-    }
-
-    // Gather every endpoint: each `--socket PATH` (UDS, the historical
-    // spelling) and each `--listen uds:…|tcp:…`, in argv order.
-    let mut listen: Vec<ListenAddr> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or(format!("`--socket` needs a path\n{HELP}"))?;
-                listen.push(ListenAddr::Uds(path.into()));
-                i += 1;
-            }
-            "--listen" => {
-                let spec = args
-                    .get(i + 1)
-                    .ok_or(format!("`--listen` needs an address\n{HELP}"))?;
-                listen.push(ListenAddr::parse(spec).map_err(|e| format!("--listen: {e}"))?);
-                i += 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    if listen.is_empty() {
-        return Err(format!(
-            "at least one `--socket PATH` or `--listen ADDR` is required\n{HELP}"
-        ));
-    }
-    let cache_bytes = count_of("--cache-bytes", abcd::cache::DEFAULT_CACHE_BYTES)?;
-    let shards = count_of("--shards", 1)?.max(1);
-    let cache = if args.iter().any(|a| a == "--no-cache") {
-        None
-    } else {
-        // Stripe the shared cache to match the shard count so parallel
-        // shards don't serialize on one cache lock.
-        Some(Arc::new(
-            match value_of("--cache-dir") {
-                None => AnalysisCache::in_memory(cache_bytes),
-                Some(dir) => AnalysisCache::with_dir(std::path::Path::new(dir), cache_bytes)
-                    .map_err(|e| format!("--cache-dir {dir}: {e}"))?,
-            }
-            .with_stripes(shards),
-        ))
-    };
-    let ms_of = |flag: &str| -> Result<Option<u64>, String> {
-        match value_of(flag) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("`{flag}` needs milliseconds")),
+    let handle: ServerHandle = match abcd_server::start(config) {
+        Ok(handle) => handle,
+        Err(e) => {
+            eprintln!("abcdd: bind: {e}");
+            return ExitCode::FAILURE;
         }
     };
-    let duration_of = |flag: &str, default_ms: u64| -> Result<Option<Duration>, String> {
-        Ok(match ms_of(flag)?.unwrap_or(default_ms) {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        })
-    };
-    let chaos = match value_of("--chaos") {
-        None => None,
-        Some(spec) => Some(Arc::new(
-            ChaosPlan::parse(spec).map_err(|e| format!("--chaos: {e}"))?,
-        )),
-    };
-    let config = ServerConfig {
-        listen,
-        shards,
-        // Both knobs are clamped to the host's available parallelism:
-        // oversubscribing a small host ran the benchsuite ~40% slower (see
-        // `pipeline/abcd_suite_threads/*` in `BENCH_pipeline.json`).
-        workers: abcd::clamp_jobs(count_of("--workers", 0)?),
-        queue: count_of("--queue", 8)?,
-        jobs: abcd::clamp_jobs(count_of("--jobs", 0)?),
-        cache,
-        request_timeout: ms_of("--request-timeout")?.map(Duration::from_millis),
-        io_timeout: duration_of("--io-timeout", 30_000)?,
-        stuck_after: duration_of("--stuck-after", 30_000)?.unwrap_or(Duration::from_secs(86_400)),
-        chaos,
-    };
-    let handle: ServerHandle = abcd_server::start(config).map_err(|e| format!("bind: {e}"))?;
     for endpoint in handle.endpoints() {
         eprintln!("abcdd: listening on {}", endpoint.describe());
     }
     handle.join();
     eprintln!("abcdd: drained, bye");
-    Ok(ExitCode::SUCCESS)
+    ExitCode::SUCCESS
 }

@@ -47,7 +47,7 @@ pub enum Reply {
 /// Per-request observation knobs for [`optimize`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CallOptions {
-    /// Attach the `abcd-metrics/7` blob to the reply.
+    /// Attach the `abcd-metrics/8` blob to the reply.
     pub metrics: bool,
     /// Zero all durations in the metrics/trace blobs.
     pub deterministic_metrics: bool,
@@ -143,7 +143,7 @@ pub struct Optimized {
     /// True when the server blew the deadline and failed open: `ir` is
     /// the compiled but unoptimized module, every check kept.
     pub deadline_exceeded: bool,
-    /// The `abcd-metrics/7` document, verbatim as the server emitted it,
+    /// The `abcd-metrics/8` document, verbatim as the server emitted it,
     /// when requested.
     pub metrics: Option<String>,
     /// The `abcd-trace/4` JSONL document, when requested.

@@ -57,25 +57,12 @@ impl Json {
         }
     }
 
-    /// The value as an `i64`.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The value as a `u64` (rejects negatives).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Int(n) if *n >= 0 => Some(*n as u64),
             _ => None,
         }
-    }
-
-    /// The value as a `usize` (rejects negatives).
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|n| n as usize)
     }
 
     /// The value as a bool.

@@ -11,6 +11,8 @@
 //! - [`proto`] — framing, request/response schema (v1 single + v2
 //!   pipelined batches), deadline + retry contract;
 //! - [`transport`] — UDS and TCP listeners/connections behind one type;
+//! - [`ServerConfig::from_args`] — the daemon's command line, shared by
+//!   `abcdd` and `mjc serve`;
 //! - [`server`] — per-listener acceptors / sharded work-stealing run
 //!   queues / supervised worker pools / graceful drain, with optional
 //!   seeded fault injection;
@@ -26,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cli;
 pub mod client;
 pub mod json;
 pub mod proto;
@@ -34,6 +37,7 @@ pub mod server;
 mod shard;
 pub mod transport;
 
+pub use cli::SERVE_FLAGS;
 pub use client::{
     metrics, metrics_at, optimize, optimize_at, optimize_batch_at, ping, ping_at, roundtrip,
     roundtrip_at, roundtrip_timeout, shutdown, shutdown_at, stats, stats_at, BatchItem,

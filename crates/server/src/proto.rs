@@ -133,7 +133,7 @@ pub struct OptimizeRequest {
     pub options: OptimizerOptions,
     /// Optional execution profile.
     pub profile: Option<Profile>,
-    /// Attach the `abcd-metrics/7` blob to the response.
+    /// Attach the `abcd-metrics/8` blob to the response.
     pub metrics: bool,
     /// Zero all durations in the metrics blob (byte-comparable output).
     /// Also zeroes trace durations when `trace` is set.
@@ -285,7 +285,6 @@ fn parse_options(doc: &Json) -> Result<OptimizerOptions, String> {
             "pre" => o.pre = flag()?,
             "gvn_hook" => o.gvn_hook = flag()?,
             "merge_checks" => o.merge_checks = flag()?,
-            "classify_local" => o.classify_local = flag()?,
             "interprocedural" => o.interprocedural = flag()?,
             "verify_ir" => o.verify_ir = flag()?,
             "validate" => o.validate = flag()?,
@@ -398,7 +397,7 @@ pub fn options_json(o: &OptimizerOptions) -> String {
     let count = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |n| n.to_string());
     format!(
         "{{\"upper\":{},\"lower\":{},\"cleanup\":{},\"pre\":{},\"gvn_hook\":{},\
-         \"merge_checks\":{},\"classify_local\":{},\"hot_threshold\":{},\
+         \"merge_checks\":{},\"hot_threshold\":{},\
          \"interprocedural\":{},\"fuel_per_query\":{},\"fuel_per_function\":{},\
          \"verify_ir\":{},\"validate\":{},\"isolate_panics\":{}}}",
         o.upper,
@@ -407,7 +406,6 @@ pub fn options_json(o: &OptimizerOptions) -> String {
         o.pre,
         o.gvn_hook,
         o.merge_checks,
-        o.classify_local,
         count(o.hot_threshold),
         o.interprocedural,
         count(o.fuel_per_query),
@@ -442,7 +440,7 @@ pub fn optimize_request_json(
 }
 
 /// Builds the success response for an optimized module. `metrics` is a
-/// pre-rendered `abcd-metrics/7` document spliced in verbatim; `trace` is
+/// pre-rendered `abcd-metrics/8` document spliced in verbatim; `trace` is
 /// a pre-rendered `abcd-trace/4` JSONL document attached as a string.
 /// `deadline_exceeded` marks a fail-open reply whose `ir` is the compiled
 /// but unoptimized module. `metrics` must stay the final field — clients

@@ -426,7 +426,7 @@ mod tests {
     }
 
     /// The cache series read the [`CacheStats`] field each is named for:
-    /// `stats`' `cache` object equals `abcd-metrics/7`'s, and the
+    /// `stats`' `cache` object equals `abcd-metrics/8`'s, and the
     /// exposition carries every field under its own name.
     #[test]
     fn cache_series_render_every_cache_stats_field() {

@@ -126,11 +126,6 @@ impl Heap {
     pub fn len_of(&self, r: ArrayRef) -> usize {
         self.arrays[r.0].data.len()
     }
-
-    /// Number of arrays allocated so far.
-    pub fn array_count(&self) -> usize {
-        self.arrays.len()
-    }
 }
 
 #[cfg(test)]

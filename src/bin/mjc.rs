@@ -18,7 +18,7 @@
 //! `--no-cleanup`, `--no-gvn-hook`, `--merge`, `--ipa` (closed-world
 //! interprocedural facts), `--version-fns` (guarded fast/slow clones),
 //! `--hot N` (with `--profile`), `--jobs N` (parallel driver),
-//! `--metrics`/`--metrics-out FILE` (`abcd-metrics/7` JSON),
+//! `--metrics`/`--metrics-out FILE` (`abcd-metrics/8` JSON),
 //! `--trace-out FILE` (`abcd-trace/4` JSONL structured trace),
 //! `--deterministic-metrics` (zero every duration for byte-comparable
 //! output), `--cache-dir DIR`/`--cache-bytes N` (content-addressed analysis
@@ -68,11 +68,8 @@ USAGE:
     mjc explain <file.mj|file.ir> <fn> [--check N] [pass flags]
     mjc dump  <file.mj|file.ir> [--stage STAGE] [pass flags]
     mjc graph <file.mj|file.ir> [--fn NAME] [--lower] [pass flags]  (Graphviz)
-    mjc serve --socket PATH [--listen ADDR]... [--shards N] [--workers N]
-              [--queue N] [--jobs N]
-              [--cache-dir DIR] [--cache-bytes N] [--no-cache]
-              [--request-timeout MS] [--io-timeout MS] [--stuck-after MS]
-              [--chaos PLAN]
+    mjc serve [--socket PATH | --listen ADDR]... [server flags]
+              (abcdd's flags; `mjc serve --help` lists them)
     mjc client <file.mj|file.ir> (--socket PATH | --tcp ADDR) [pass flags]
                [--metrics] [--timeout MS] [--deadline MS] [--batch N]
     mjc client ping|stats|metrics|shutdown (--socket PATH | --tcp ADDR)
@@ -93,7 +90,7 @@ and --fault-plan):
     --jobs N           optimize functions on N worker threads (default and
                        ceiling: all host CPUs — requests are clamped to the
                        available parallelism)
-    --metrics          emit abcd-metrics/7 JSON (stdout for opt, stderr for run)
+    --metrics          emit abcd-metrics/8 JSON (stdout for opt, stderr for run)
     --metrics-out F    write the metrics JSON to file F
     --trace-out F      record an abcd-trace/4 JSONL structured trace to F
                        (spans for every pass, prove query, PRE decision and
@@ -115,39 +112,16 @@ CACHING (for `opt`, `run --opt`; always on in `serve` unless --no-cache):
                        is reported as an incident and recompiled cold
     --cache-bytes N    in-memory cache budget in bytes (default 64 MiB)
 
-SERVER (for `serve`; `client` retries `busy` and queue-position replies
-with exponential backoff + jitter, floored by the server's adaptive hint):
-    --socket PATH      Unix-domain socket (serve: same as --listen uds:PATH;
-                       client: where to connect)
-    --listen ADDR      (serve) extra endpoint: uds:/path.sock or
-                       tcp:host:port (tcp:127.0.0.1:0 picks a free port);
-                       repeatable — all endpoints share one shard set
-    --shards N         (serve) independent run queues with work stealing
-                       between them; admission is least-loaded (default 1)
-    --tcp ADDR         (client) connect over TCP to host:port instead of
-                       the Unix socket
-    --batch N          (client) send the request N times as one pipelined
+CLIENT (`client` retries `busy` and queue-position replies with exponential
+backoff + jitter, floored by the server's adaptive hint):
+    --socket PATH      the daemon's Unix-domain socket
+    --tcp ADDR         connect over TCP to host:port instead
+    --batch N          send the request N times as one pipelined
                        protocol-v2 frame; replies stream back in order and
                        must all carry identical IR (printed once)
-    --workers N        request handlers per shard (default: all host CPUs;
-                       clamped to the available parallelism)
-    --queue N          bounded admission queue per shard; when every shard
-                       is full the reply is a queue-position `busy` with
-                       `queued`/`retry_after_ms` instead of blocking
-                       (default 8)
-    --request-timeout MS   (serve) default per-request deadline; tripping it
-                       fails open: the module is served unoptimized with a
-                       non-degraded deadline_exceeded incident
-    --io-timeout MS    (serve) socket read/write timeout per frame
-                       (default 30000; 0 disables)
-    --stuck-after MS   (serve) supervision threshold: a request in flight
-                       longer than this gets its connection kicked, 4x
-                       longer gets its worker replaced (default 30000)
-    --chaos PLAN       (serve) seeded fault injection, e.g.
-                       `seed:42,worker_panic:20` (see `abcd::ChaosPlan`)
-    --timeout MS       (client) end-to-end budget: connect, each frame, all
+    --timeout MS       end-to-end budget: connect, each frame, all
                        retries and backoff sleeps combined
-    --deadline MS      (client) per-request deadline_ms sent to the server
+    --deadline MS      per-request deadline_ms sent to the server
 
 FAIL-OPEN CONTROLS (for `opt` and `run --opt`):
     --fuel N           per-query solver step budget (exhaustion keeps the check)
@@ -163,6 +137,15 @@ FAIL-OPEN CONTROLS (for `opt` and `run --opt`):
 EXIT CODES:
     0  success     1  error (bad input, trap, usage)
     2  degraded    3  internal panic
+";
+
+const SERVE_USAGE: &str = "\
+mjc serve — run the abcdd daemon in the foreground, with abcdd's flags
+
+USAGE:
+    mjc serve [--socket PATH | --listen ADDR]... [options]
+
+OPTIONS:
 ";
 
 fn usage() -> String {
@@ -246,20 +229,17 @@ fn parse_options(rest: &[String]) -> Result<OptimizerOptions, String> {
                     .ok_or("`--fuel-fn` needs a step count")?;
                 o.fuel_per_function = Some(n);
             }
-            // run/dump/serve/client flags handled by callers
+            // run/dump/client flags handled by callers
             "--opt"
             | "--stats"
             | "--profile"
             | "--dump"
             | "--metrics"
             | "--deterministic-metrics"
-            | "--no-cache"
             | "--lower" => {}
             "--arg" | "--stage" | "--fn" | "--jobs" | "--metrics-out" | "--trace-out"
             | "--check" | "--fault-plan" | "--cache-dir" | "--cache-bytes" | "--socket"
-            | "--listen" | "--shards" | "--tcp" | "--batch" | "--workers" | "--queue"
-            | "--request-timeout" | "--io-timeout" | "--stuck-after" | "--chaos" | "--timeout"
-            | "--deadline" => i += 1,
+            | "--tcp" | "--batch" | "--timeout" | "--deadline" => i += 1,
             other => return Err(format!("unknown flag `{other}`")),
         }
         i += 1;
@@ -352,7 +332,7 @@ fn incident_exit(report: &abcd::ModuleReport) -> ExitCode {
     }
 }
 
-/// Emits the `abcd-metrics/7` JSON if `--metrics` or `--metrics-out` was
+/// Emits the `abcd-metrics/8` JSON if `--metrics` or `--metrics-out` was
 /// given. `to_stderr` keeps `run`'s program output clean on stdout.
 fn emit_metrics(
     report: &abcd::ModuleReport,
@@ -495,11 +475,10 @@ fn cmd_opt(file: &str, rest: &[String]) -> Result<ExitCode, String> {
     }
     for f in &report.functions {
         println!(
-            "{}: {} checks — {} fully redundant ({} local), {} hoisted ({} compensating inserted), {} merged, {} steps",
+            "{}: {} checks — {} fully redundant, {} hoisted ({} compensating inserted), {} merged, {} steps",
             f.name,
             f.checks_total,
             f.removed_fully(),
-            f.removed_locally(),
             f.hoisted(),
             f.spec_checks_inserted,
             f.checks_merged,
@@ -591,78 +570,11 @@ fn emit(text: String) {
 /// sends `shutdown`, then drain and exit 0. The cache is on by default
 /// here (the whole point of a persistent service); `--no-cache` opts out.
 fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
-    // Reject typos, even though serve ignores pass flags.
-    parse_options(rest)?;
-    // Every `--socket PATH` and `--listen uds:…|tcp:…`, in argv order.
-    let mut listen: Vec<abcd_server::ListenAddr> = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--socket" => {
-                let path = rest.get(i + 1).ok_or("`--socket` needs a path")?;
-                listen.push(abcd_server::ListenAddr::Uds(path.into()));
-                i += 1;
-            }
-            "--listen" => {
-                let spec = rest.get(i + 1).ok_or("`--listen` needs an address")?;
-                listen.push(
-                    abcd_server::ListenAddr::parse(spec).map_err(|e| format!("--listen: {e}"))?,
-                );
-                i += 1;
-            }
-            _ => {}
-        }
-        i += 1;
+    if has(rest, "--help") {
+        print!("{SERVE_USAGE}{}", abcd_server::SERVE_FLAGS);
+        return Ok(ExitCode::SUCCESS);
     }
-    if listen.is_empty() {
-        return Err("`serve` needs `--socket PATH` or `--listen ADDR`".to_string());
-    }
-    let count = |flag, default| -> Result<usize, String> {
-        Ok(parsed(rest, flag, "a count")?.unwrap_or(default))
-    };
-    let cache = if has(rest, "--no-cache") {
-        None
-    } else {
-        match cache_for(rest)? {
-            Some(cache) => Some(cache),
-            None => Some(std::sync::Arc::new(abcd::AnalysisCache::in_memory(
-                abcd::cache::DEFAULT_CACHE_BYTES,
-            ))),
-        }
-    };
-    let ms = |flag| parsed::<u64>(rest, flag, "milliseconds");
-    let nonzero = |default_ms: u64, v: Option<u64>| match v.unwrap_or(default_ms) {
-        0 => None,
-        n => Some(std::time::Duration::from_millis(n)),
-    };
-    let chaos = match value_of(rest, "--chaos") {
-        None => None,
-        Some(spec) => Some(std::sync::Arc::new(
-            abcd::ChaosPlan::parse(spec).map_err(|e| format!("--chaos: {e}"))?,
-        )),
-    };
-    let shards = count("--shards", 1)?.max(1);
-    let config = abcd_server::ServerConfig {
-        listen,
-        shards,
-        // Clamped like abcdd: worker counts beyond the host's available
-        // parallelism only add contention.
-        workers: abcd::clamp_jobs(count("--workers", 0)?),
-        queue: count("--queue", 8)?,
-        jobs: jobs_of(rest)?,
-        // Stripe the shared cache to the shard count so parallel shards
-        // don't serialize on one cache lock (the Arc is freshly built
-        // above, so the unwrap never actually fails).
-        cache: cache.map(|c| match std::sync::Arc::try_unwrap(c) {
-            Ok(inner) => std::sync::Arc::new(inner.with_stripes(shards)),
-            Err(shared) => shared,
-        }),
-        request_timeout: ms("--request-timeout")?.map(std::time::Duration::from_millis),
-        io_timeout: nonzero(30_000, ms("--io-timeout")?),
-        stuck_after: nonzero(30_000, ms("--stuck-after")?)
-            .unwrap_or(std::time::Duration::from_secs(86_400)),
-        chaos,
-    };
+    let config = abcd_server::ServerConfig::from_args(rest)?;
     let handle = abcd_server::start(config).map_err(|e| format!("bind: {e}"))?;
     for endpoint in handle.endpoints() {
         eprintln!("mjc: serving on {}", endpoint.describe());

@@ -54,7 +54,7 @@ fn help_exits_zero() {
         "mjc client",
         "--cache-dir",
         "--deterministic-metrics",
-        "abcd-metrics/7",
+        "abcd-metrics/8",
         "EXIT CODES",
         "0  success",
         "2  degraded",
@@ -68,11 +68,13 @@ fn help_exits_zero() {
 fn serve_and_client_usage_errors_are_structured() {
     let file = scratch("client.mj", GOOD_PROGRAM);
     for args in [
-        // serve without a socket, with a bad flag value, with a typo
+        // serve without a socket, with a bad flag value, with a typo,
+        // with a pass flag it would not apply
         &["serve"][..],
         &["serve", "--socket"][..],
         &["serve", "--socket", "/tmp/x.sock", "--workers", "many"][..],
         &["serve", "--socket", "/tmp/x.sock", "--frobnicate"][..],
+        &["serve", "--socket", "/tmp/x.sock", "--no-pre"][..],
         // client without a socket / against a dead socket
         &["client", file.to_str().unwrap()][..],
         &["client", "ping", "--socket", "/nonexistent/dir/abcdd.sock"][..],
@@ -336,7 +338,7 @@ fn full_fail_open_flags_run_clean() {
     ]);
     assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
     let err = stderr(&out);
-    assert!(err.contains("\"schema\":\"abcd-metrics/7\""), "{err}");
+    assert!(err.contains("\"schema\":\"abcd-metrics/8\""), "{err}");
     assert!(err.contains("\"incidents\":[]"), "{err}");
 }
 

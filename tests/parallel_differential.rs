@@ -193,7 +193,7 @@ fn metrics_json_reports_parallel_run() {
         .with_threads(2)
         .optimize_module(&mut m, None);
     let json = abcd::module_metrics_json(&report, abcd::RunInfo::new(2, started.elapsed()));
-    assert!(json.starts_with("{\"schema\":\"abcd-metrics/7\""), "{json}");
+    assert!(json.starts_with("{\"schema\":\"abcd-metrics/8\""), "{json}");
     assert!(json.contains("\"threads\":2"), "{json}");
     assert!(json.contains("\"memo_hits\":"), "{json}");
     assert!(json.contains("\"graph\":"), "{json}");

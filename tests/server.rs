@@ -74,7 +74,7 @@ fn served_output_is_byte_identical_to_local() {
         assert!(trace.contains("\"span\":\"request\""), "{trace}");
         let metrics = reply.metrics.expect("metrics requested");
         assert!(
-            metrics.contains("\"schema\":\"abcd-metrics/7\""),
+            metrics.contains("\"schema\":\"abcd-metrics/8\""),
             "{metrics}"
         );
         assert!(metrics.contains("\"deterministic\":true"), "{metrics}");
@@ -210,6 +210,12 @@ fn malformed_requests_get_structured_errors_not_disconnects() {
             "{\"cmd\":\"optimize\",\"source\":\"fn main() -> int { return 0; }\",\
              \"options\":{\"warp_drive\":true}}",
             "unknown option",
+        ),
+        // Figure 6's split is no longer an optimizer option.
+        (
+            "{\"cmd\":\"optimize\",\"source\":\"fn main() -> int { return 0; }\",\
+             \"options\":{\"classify_local\":true}}",
+            "unknown option `classify_local`",
         ),
     ] {
         match abcd_server::roundtrip(&socket, request).unwrap() {

@@ -249,12 +249,9 @@ fn provenance_object_reports_verdicts_per_function() {
         .iter()
         .find(|f| f.get("name").and_then(Json::as_str) == Some("sum"))
         .unwrap();
-    let prov = sum.get("provenance").expect("abcd-metrics/7 provenance");
+    let prov = sum.get("provenance").expect("abcd-metrics/8 provenance");
     let n = |key: &str| prov.get(key).and_then(Json::as_u64).unwrap();
-    assert_eq!(
-        n("removed_local") + n("removed_global") + n("removed_congruent"),
-        2
-    );
+    assert_eq!(n("removed") + n("removed_congruent"), 2);
     assert_eq!(n("kept"), 0);
     let peek = funcs
         .iter()
