@@ -1,12 +1,13 @@
 //! Experiment A1 (ablation, beyond the paper's tables but grounded in its
 //! §9 comparisons): ABCD vs. the exhaustive value-range baseline, and ABCD
 //! with individual features disabled — PRE (§6), the GVN hook (§7.1), and
-//! the pre-cleanup "basic set".
+//! the pre-cleanup "basic set" — and with interprocedural parameter facts
+//! added, together with that extension's static size and model cycles.
 //!
 //! Run with: `cargo run --release -p abcd-bench --bin table_ablation`
 
 use abcd::{Optimizer, OptimizerOptions, Stage};
-use abcd_bench::{evaluate, evaluate_with_versioning, print_incident_summary};
+use abcd_bench::{evaluate, print_incident_summary};
 use abcd_benchsuite::BENCHMARKS;
 use abcd_vm::Vm;
 
@@ -56,58 +57,75 @@ fn main() {
     };
 
     println!("Ablation: % of dynamic upper-bound checks removed");
-    println!("{:-<98}", "");
+    println!("{:-<88}", "");
     println!(
-        "{:<18} {:>10} {:>10} {:>10} {:>12} {:>12} {:>10} {:>9}",
-        "benchmark", "ABCD", "-PRE", "-GVN", "-cleanup", "range-only", "+IPA", "+VER"
+        "{:<18} {:>10} {:>10} {:>10} {:>12} {:>12} {:>10}",
+        "benchmark", "ABCD", "-PRE", "-GVN", "-cleanup", "range-only", "+IPA"
     );
-    println!("{:-<98}", "");
-    let mut sums = [0.0f64; 7];
+    println!("{:-<88}", "");
+    let mut sums = [0.0f64; 6];
     let mut full_results = Vec::with_capacity(BENCHMARKS.len());
+    let mut ipa_results = Vec::with_capacity(BENCHMARKS.len());
     for b in BENCHMARKS {
         let rf = evaluate(b, full);
-        let f = rf.upper_removed_fraction() * 100.0;
+        let ri = evaluate(b, interproc);
+        let row = [
+            rf.upper_removed_fraction() * 100.0,
+            evaluate(b, no_pre).upper_removed_fraction() * 100.0,
+            evaluate(b, no_gvn).upper_removed_fraction() * 100.0,
+            evaluate(b, no_cleanup).upper_removed_fraction() * 100.0,
+            range_baseline(b, full) * 100.0,
+            ri.upper_removed_fraction() * 100.0,
+        ];
         full_results.push(rf);
-        let p = evaluate(b, no_pre).upper_removed_fraction() * 100.0;
-        let g = evaluate(b, no_gvn).upper_removed_fraction() * 100.0;
-        let c = evaluate(b, no_cleanup).upper_removed_fraction() * 100.0;
-        let r = range_baseline(b, full) * 100.0;
-        let ipa = evaluate(b, interproc).upper_removed_fraction() * 100.0;
-        let ver = evaluate_with_versioning(b, full).upper_removed_fraction() * 100.0;
-        sums[0] += f;
-        sums[1] += p;
-        sums[2] += g;
-        sums[3] += c;
-        sums[4] += r;
-        sums[5] += ipa;
-        sums[6] += ver;
-        println!(
-            "{:<18} {:>9.1}% {:>9.1}% {:>9.1}% {:>11.1}% {:>11.1}% {:>9.1}% {:>8.1}%",
-            b.name, f, p, g, c, r, ipa, ver
-        );
+        ipa_results.push(ri);
+        for (sum, x) in sums.iter_mut().zip(row) {
+            *sum += x;
+        }
+        print_row(b.name, row);
     }
-    println!("{:-<98}", "");
+    println!("{:-<88}", "");
     let n = BENCHMARKS.len() as f64;
-    println!(
-        "{:<18} {:>9.1}% {:>9.1}% {:>9.1}% {:>11.1}% {:>11.1}% {:>9.1}% {:>8.1}%",
-        "AVERAGE",
-        sums[0] / n,
-        sums[1] / n,
-        sums[2] / n,
-        sums[3] / n,
-        sums[4] / n,
-        sums[5] / n,
-        sums[6] / n
-    );
+    print_row("AVERAGE", sums.map(|s| s / n));
     println!();
     println!("Notes: the range baseline removes fully redundant checks only (the");
     println!("paper's §9 positioning); -cleanup shows how much ABCD relies on the");
     println!("host compiler's basic optimizations to canonicalize constraints;");
-    println!("+IPA enables the closed-world interprocedural parameter facts that");
-    println!("address the paper's stated intraprocedural limitation; +VER adds");
-    println!("guarded function versioning (the [MMS98]-style code duplication the");
-    println!("paper also lists as missing), which is unconditionally sound.");
+    println!("+IPA adds interprocedural parameter facts, verified at every call");
+    println!("site, that address the paper's stated intraprocedural limitation.");
+    println!("Each function whose facts pay gets a check-free fast body for the");
+    println!("module's own calls and a guarded entry, the [MMS98]-style code");
+    println!("duplication the paper lists as missing, for every other caller.");
+
+    println!();
+    println!("+IPA against ABCD alone: static size (instructions) and model cycles");
+    println!("{:-<88}", "");
+    println!(
+        "{:<18} {:>10} {:>10} {:>8} {:>12} {:>12} {:>9}",
+        "benchmark", "size", "+IPA", "growth", "cycles", "+IPA", "ratio"
+    );
+    println!("{:-<88}", "");
+    let (mut growth_sum, mut ratio_sum) = (0.0, 0.0);
+    for (rf, ri) in full_results.iter().zip(&ipa_results) {
+        let (size, ipa_size) = (rf.optimized_size, ri.optimized_size);
+        let (cycles, ipa_cycles) = (rf.optimized.cycles, ri.optimized.cycles);
+        let growth = (ipa_size as f64 / size as f64 - 1.0) * 100.0;
+        let ratio = ipa_cycles as f64 / cycles as f64;
+        growth_sum += growth;
+        ratio_sum += ratio;
+        let name = rf.name;
+        println!("{name:<18} {size:>10} {ipa_size:>10} {growth:>7.1}% {cycles:>12} {ipa_cycles:>12} {ratio:>9.3}");
+    }
+    println!("{:-<88}", "");
+    let (growth, ratio) = (growth_sum / n, ratio_sum / n);
+    println!("{:<18}{:22} {growth:>7.1}%{ratio:>36.3}", "AVERAGE", "");
     print_incident_summary(&full_results);
 
     abcd_bench::emit_cli_metrics(full);
+}
+
+/// One row of the removal table: a name and six percentages.
+fn print_row(name: &str, row: [f64; 6]) {
+    let [f, p, g, c, r, ipa] = row;
+    println!("{name:<18} {f:>9.1}% {p:>9.1}% {g:>9.1}% {c:>11.1}% {r:>11.1}% {ipa:>9.1}%");
 }

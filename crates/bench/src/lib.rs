@@ -38,6 +38,9 @@ pub struct BenchResult {
     pub report: ModuleReport,
     /// The training run's profile the module was optimized with.
     pub profile: Profile,
+    /// Static size of the optimized module: its instructions, one
+    /// terminator per block included.
+    pub optimized_size: usize,
 }
 
 impl BenchResult {
@@ -97,28 +100,6 @@ impl BenchResult {
 /// deterministic and trap-free by construction, so a panic here indicates
 /// an optimizer bug.
 pub fn evaluate(bench: &Benchmark, options: OptimizerOptions) -> BenchResult {
-    evaluate_inner(bench, options, false)
-}
-
-/// Like [`evaluate`], but additionally applies function versioning (the
-/// guarded fast/slow clones) after the regular pass.
-pub fn evaluate_with_versioning(bench: &Benchmark, options: OptimizerOptions) -> BenchResult {
-    evaluate_inner(bench, options, true)
-}
-
-/// The baseline configuration of `options`: the host compiler's basic
-/// optimizations with every check kept (ABCD, PRE and check merging off).
-pub fn baseline_options(options: OptimizerOptions) -> OptimizerOptions {
-    OptimizerOptions {
-        upper: false,
-        lower: false,
-        pre: false,
-        merge_checks: false,
-        ..options
-    }
-}
-
-fn evaluate_inner(bench: &Benchmark, options: OptimizerOptions, versioning: bool) -> BenchResult {
     // 1. Training run. The baseline has the host compiler's *basic*
     //    optimizations applied but every check intact — the paper's
     //    Jalapeño configuration ("copy propagation, … constant folding,
@@ -135,9 +116,6 @@ fn evaluate_inner(bench: &Benchmark, options: OptimizerOptions, versioning: bool
     let mut optimized_module = bench.compile().expect("benchmark compiles");
     let report =
         Optimizer::with_options(options).optimize_module(&mut optimized_module, Some(&profile));
-    if versioning {
-        abcd::version_functions(&mut optimized_module, Some(&profile), 1);
-    }
 
     // 3. Measured run.
     let mut vm = Vm::new(&optimized_module);
@@ -151,6 +129,27 @@ fn evaluate_inner(bench: &Benchmark, options: OptimizerOptions, versioning: bool
         optimized,
         report,
         profile,
+        optimized_size: static_size(&optimized_module),
+    }
+}
+
+/// [`BenchResult::optimized_size`] of `module`.
+fn static_size(module: &Module) -> usize {
+    module
+        .functions()
+        .flat_map(|(_, f)| f.blocks().map(move |b| f.block(b).insts().len() + 1))
+        .sum()
+}
+
+/// The baseline configuration of `options`: the host compiler's basic
+/// optimizations with every check kept (ABCD, PRE and check merging off).
+pub fn baseline_options(options: OptimizerOptions) -> OptimizerOptions {
+    OptimizerOptions {
+        upper: false,
+        lower: false,
+        pre: false,
+        merge_checks: false,
+        ..options
     }
 }
 

@@ -1,30 +1,25 @@
-//! Golden for the parameter-fact paths: interprocedural inference and
-//! function versioning.
+//! Golden for the parameter-fact paths: interprocedural inference, the
+//! analysis under the verified facts and the guarded entries.
 //!
-//! `tests/golden/facts_runs.txt` pins one line per run over every
+//! `tests/golden/facts_runs.txt` pins two lines per program, over every
 //! benchsuite kernel and every `abcd_loadgen::corpus(3, 24)` program:
+//! `ipa` and `ipa+validate`, the module optimized with
+//! `interprocedural: true` (without and with translation validation), as
+//! FNV-1a digests of the optimized IR and of the deterministic
+//! `abcd-metrics` JSON, plus every output function's `param_facts_used`.
 //!
-//! * `ipa` and `ipa+validate`: the module optimized with
-//!   `interprocedural: true` (without and with translation validation),
-//!   as FNV-1a digests of the optimized IR and of the deterministic
-//!   `abcd-metrics` JSON, plus every function's `param_facts_used`;
-//! * `version`: the module optimized under the default options and then
-//!   passed through `version_functions(.., None, 0)`, as digests of the
-//!   resulting module IR and of the `VersioningReport`.
-//!
-//! A second test holds printing and parsing the versioned kernel modules
-//! to a fixpoint: their `f$fast`/`f$slow` clones must parse back.
+//! A second test holds printing and parsing the kernel modules to a
+//! fixpoint: their dispatchers and `f$fast`/`f$slow` bodies must parse
+//! back.
 //!
 //! Any change to which facts the fixpoint verifies, how the analysis uses
-//! them, or which guards versioning emits shows here.
+//! them, or which functions get guarded entries shows here.
 //!
 //! On a mismatch the test prints the recomputed file; after an intended
 //! change to these paths, replace the golden file with that output.
 
 use abcd::cache::fnv1a64;
-use abcd::{
-    module_metrics_json, version_functions, Optimizer, OptimizerOptions, RunInfo, VersioningReport,
-};
+use abcd::{module_metrics_json, Optimizer, OptimizerOptions, RunInfo};
 use abcd_ir::Module;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -60,8 +55,8 @@ fn base() -> OptimizerOptions {
     }
 }
 
-/// One interprocedural run, rendered.
-fn ipa(src: &str, validate: bool) -> String {
+/// One interprocedural run.
+fn optimized(src: &str, validate: bool) -> (Module, abcd::ModuleReport) {
     let mut module = compile(src);
     let options = OptimizerOptions {
         interprocedural: true,
@@ -71,6 +66,12 @@ fn ipa(src: &str, validate: bool) -> String {
     let report = Optimizer::with_options(options)
         .with_threads(1)
         .optimize_module(&mut module, None);
+    (module, report)
+}
+
+/// One interprocedural run, rendered.
+fn ipa(src: &str, validate: bool) -> String {
+    let (module, report) = optimized(src, validate);
     let metrics = module_metrics_json(&report, RunInfo::new(1, Duration::ZERO).deterministic());
     let facts: Vec<String> = report
         .functions
@@ -85,33 +86,11 @@ fn ipa(src: &str, validate: bool) -> String {
     )
 }
 
-/// One default run followed by versioning.
-fn versioned(src: &str) -> (Module, VersioningReport) {
-    let mut module = compile(src);
-    Optimizer::with_options(base())
-        .with_threads(1)
-        .optimize_module(&mut module, None);
-    let report = version_functions(&mut module, None, 0);
-    (module, report)
-}
-
-/// One default run followed by versioning, rendered.
-fn version(src: &str) -> String {
-    let (module, report) = versioned(src);
-    format!(
-        "ir={} report={} versioned={}",
-        digest(&module.to_string()),
-        digest(&format!("{report:?}")),
-        report.count(),
-    )
-}
-
 fn recompute() -> String {
     let mut out = String::new();
     for (label, src) in programs() {
         let _ = writeln!(out, "{label} ipa {}", ipa(&src, false));
         let _ = writeln!(out, "{label} ipa+validate {}", ipa(&src, true));
-        let _ = writeln!(out, "{label} version {}", version(&src));
     }
     out
 }
@@ -133,15 +112,18 @@ fn parameter_fact_paths_match_the_golden_runs() {
 }
 
 #[test]
-fn versioned_kernel_modules_print_and_parse_to_a_fixpoint() {
-    let mut clones = 0;
+fn guarded_kernel_modules_print_and_parse_to_a_fixpoint() {
+    let mut entries = 0;
     for b in abcd_benchsuite::BENCHMARKS {
-        let (module, report) = versioned(b.source);
-        clones += report.count();
+        let (module, _) = optimized(b.source, false);
+        entries += module
+            .functions()
+            .filter(|(_, f)| f.name().ends_with("$fast"))
+            .count();
         let text = module.to_string();
         let reparsed = abcd_ir::parse_module(&text)
-            .unwrap_or_else(|e| panic!("{}: versioned IR does not parse: {e}", b.name));
+            .unwrap_or_else(|e| panic!("{}: guarded IR does not parse: {e}", b.name));
         assert_eq!(reparsed.to_string(), text, "{}: print∘parse moved", b.name);
     }
-    assert!(clones > 0, "no kernel was versioned");
+    assert!(entries > 0, "no kernel has a guarded entry");
 }

@@ -3,7 +3,7 @@
 //! long before anyone re-reads `EXPERIMENTS.md`.
 
 use abcd::OptimizerOptions;
-use abcd_bench::{evaluate, evaluate_with_versioning};
+use abcd_bench::evaluate;
 
 #[test]
 fn bidir_bubble_sort_stays_fully_optimized() {
@@ -48,11 +48,15 @@ fn hanoi_remains_the_hard_case_intraprocedurally() {
         frac > 0.15 && frac < 0.5,
         "hanoi moved out of its expected band: {frac}"
     );
-    // …and versioning is what rescues it.
-    let v = evaluate_with_versioning(b, OptimizerOptions::default());
+    // …and interprocedural parameter facts are what rescue it.
+    let ipa = OptimizerOptions {
+        interprocedural: true,
+        ..OptimizerOptions::default()
+    };
+    let v = evaluate(b, ipa);
     assert!(
         v.upper_removed_fraction() > frac + 0.15,
-        "versioning no longer helps hanoi: {} vs {}",
+        "parameter facts no longer help hanoi: {} vs {}",
         v.upper_removed_fraction(),
         frac
     );

@@ -10,7 +10,7 @@
 use crate::cache::{AnalysisCache, CacheEntry, CacheKey, Replay};
 use crate::faults::{current_pass, set_current_pass, FaultPlan};
 use crate::graph::{InequalityGraph, LoggedCheck, Problem, Scope, Vertex};
-use crate::interproc::{ModuleFacts, ParamFact};
+use crate::interproc::ParamFact;
 use crate::pre::{apply_insertions, merge_remaining_checks};
 use crate::report::{
     CheckOutcome, EliminatedCheck, FunctionReport, HoistedCheck, Incident, ModuleReport,
@@ -51,7 +51,8 @@ pub struct OptimizerOptions {
     /// With a profile: only analyze check sites executed at least this many
     /// times (the "hot bounds checks" work-list). `None` analyzes all.
     pub hot_threshold: Option<u64>,
-    /// Infer and use interprocedural parameter facts (closed-world; see
+    /// Infer and use interprocedural parameter facts, behind a guarded
+    /// entry for each function that assumes them (see
     /// [`crate::interproc`]). Off by default — the paper is intraprocedural.
     pub interprocedural: bool,
     /// Solver-step budget per `demandProve` query. On exhaustion the verdict
@@ -232,61 +233,26 @@ impl Optimizer {
     /// Optimizes every function of `module` (which must be in locals form or
     /// plain SSA — the driver builds SSA/e-SSA itself). A [`Profile`] from a
     /// prior training run drives hot-check selection and PRE profitability.
+    ///
+    /// The report has one entry per function of the output module, in its
+    /// order. Only [`OptimizerOptions::interprocedural`] adds functions: the
+    /// `$fast` and `$slow` bodies behind a guarded entry (see
+    /// [`crate::interproc`]).
     pub fn optimize_module(&self, module: &mut Module, profile: Option<&Profile>) -> ModuleReport {
-        let mut report = ModuleReport::default();
         let options_fp = crate::cache::options_fingerprint(&self.options);
         let pool = &self.pool();
-        // Interprocedural mode adds one phase: prepare every function, then
-        // infer the parameter-fact fixpoint over the whole module
-        // (inherently a sequential whole-module step). Prepare is
-        // panic-isolated per function; one whose prepare failed ships as-is.
-        // The cache key needs the *input* text, so its canonical print is
-        // hashed before prepare mutates anything. The fact component of the
-        // key is only known after inference, which is what gives editing
-        // one function its transitive reach: callees whose verified
-        // parameter facts change get new keys and recompile cold.
-        let mut prepared: Vec<PreparedSlot> = Vec::new();
-        let mut facts = ModuleFacts::default();
-        if self.options.interprocedural {
-            let caching = self.effective_cache().is_some();
-            prepared = self.map_functions(module, |_, func| {
-                let text_hash = caching.then(|| crate::cache::canonical_text_hash(func));
-                let mut arena = pool.checkout();
-                let prep = self.isolated(func, &mut arena, |f, arena| {
-                    self.prepare_function(f, arena, Stage::InsertPi)
-                });
-                pool.checkin(arena);
-                Mutex::new(Some((text_hash, prep)))
-            });
-            facts = crate::interproc::infer_param_facts(module);
-        }
-        let facts = &facts;
-        report.functions = self.map_functions(module, |id, func| {
+        // The per-function path: the content-addressed lookup, else the
+        // cold run (prepare unless `prepared` carries it, then analyze,
+        // under one isolation) and the store. The key is derived from the
+        // *input* (canonicalized), the options, the assumed parameter
+        // facts and the profile slice.
+        let one = |id: FuncId,
+                   func: &mut Function,
+                   (text_hash, prepared): Prepared,
+                   facts: &[ParamFact]| {
             if let Some(r) = self.cold_skip_report(func, id, profile) {
                 return r;
             }
-            // What the phase above left for this function (nothing outside
-            // interprocedural mode): its input hash when caching, and its
-            // prepared state or the report it fails open with.
-            let slot = prepared.get(id.index()).map(|slot| {
-                slot.lock()
-                    .expect("prepared state lock")
-                    .take()
-                    .expect("each function analyzed once")
-            });
-            let (text_hash, prepared) = match slot {
-                None => (None, Ok(None)),
-                Some((hash, FailOpen::Done(Ok(gvn)))) => (hash, Ok(Some(gvn))),
-                Some((hash, FailOpen::Done(Err(incident)))) => {
-                    (hash, Err(fail_open_report(func, incident)))
-                }
-                Some((hash, FailOpen::Panicked(r))) => (hash, Err(*r)),
-            };
-            let facts = facts.of(id);
-            // Content-addressed lookup before any pipeline work: the key is
-            // derived from the *input* (canonicalized), the options, the
-            // verified parameter facts and the profile slice for this
-            // function.
             let keyed = self.effective_cache().map(|cache| {
                 let text_hash =
                     text_hash.unwrap_or_else(|| crate::cache::canonical_text_hash(func));
@@ -309,8 +275,6 @@ impl Optimizer {
                     Err(incident) => corrupt = Some(incident),
                 }
             }
-            // The cold run: prepare (unless the phase above did) and
-            // analyze under one isolation.
             let mut rep = match prepared {
                 Err(rep) => rep,
                 Ok(prepared) => {
@@ -336,8 +300,55 @@ impl Optimizer {
                 rep.incidents.insert(0, incident);
             }
             rep
+        };
+        if !self.options.interprocedural {
+            let functions =
+                self.map_functions(module, |id, func| one(id, func, (None, Ok(None)), &[]));
+            return ModuleReport { functions };
+        }
+        // Interprocedural mode prepares every function first, then infers
+        // the parameter-fact fixpoint over the whole module (inherently a
+        // sequential whole-module step). Prepare is panic-isolated per
+        // function; one whose prepare failed ships as-is. The cache key
+        // needs the *input* text, so its canonical print is hashed before
+        // prepare mutates anything. The fact component of the key is only
+        // known after inference, which is what gives editing one function
+        // its transitive reach: callees whose verified parameter facts
+        // change get new keys and recompile cold.
+        let caching = self.effective_cache().is_some();
+        let prepared: Vec<Mutex<Option<Prepared>>> = self.map_functions(module, |_, func| {
+            let text_hash = caching.then(|| crate::cache::canonical_text_hash(func));
+            let mut arena = pool.checkout();
+            let prep = self.isolated(func, &mut arena, |f, arena| {
+                self.prepare_function(f, arena, Stage::InsertPi)
+            });
+            pool.checkin(arena);
+            let prep = match prep {
+                FailOpen::Done(Ok(gvn)) => Ok(Some(gvn)),
+                FailOpen::Done(Err(incident)) => Err(fail_open_report(func, incident)),
+                FailOpen::Panicked(r) => Err(*r),
+            };
+            Mutex::new(Some((text_hash, prep)))
         });
-        report
+        let facts = crate::interproc::infer_param_facts(module);
+        let analyzed = self.map_functions(module, |id, func| {
+            let prepared = prepared[id.index()]
+                .lock()
+                .expect("prepared state lock")
+                .take()
+                .expect("each function analyzed once");
+            let facts = facts.of(id);
+            // A function that assumes facts is analyzed without them too:
+            // that body is what its guarded entry falls back to.
+            let slow = (!facts.is_empty()).then(|| {
+                let mut slow = func.clone();
+                let report = one(id, &mut slow, prepared.clone(), &[]);
+                (slow, report)
+            });
+            (one(id, func, prepared, facts), slow)
+        });
+        let functions = crate::interproc::guard_entries(module, &facts, analyzed);
+        ModuleReport { functions }
     }
 
     /// Runs the driver's own per-function pipeline over every function of
@@ -1300,6 +1311,7 @@ pub fn clamp_jobs(requested: usize) -> usize {
 
 /// GVN result, the dominator tree and cleanup statistics, carried from
 /// prepare to analyze.
+#[derive(Clone)]
 struct PreparedGvn {
     gvn: abcd_analysis::GvnResult,
     /// The tree built after CFG normalization; the analysis returns its
@@ -1311,11 +1323,12 @@ struct PreparedGvn {
     pi_time: std::time::Duration,
 }
 
-/// A prepared function's analysis state — the hash of its canonical
-/// *input* text (for cache keying, captured before prepare mutated
-/// anything) and the prepare outcome — handed from interprocedural mode's
-/// prepare phase to the per-function path.
-type PreparedSlot = Mutex<Option<(Option<u64>, FailOpen<Result<PreparedGvn, Incident>>)>>;
+/// What interprocedural mode's prepare phase leaves for one function's
+/// per-function path: the hash of its canonical *input* text (when
+/// caching; captured before prepare mutated anything), and its prepared
+/// state, or the report it fails open with. Outside that mode it is
+/// `(None, Ok(None))`: the per-function path prepares the function itself.
+type Prepared = (Option<u64>, Result<Option<PreparedGvn>, FunctionReport>);
 
 /// Result of an isolated pipeline run: the work's own output, or the
 /// fail-open report of a function whose pipeline panicked.

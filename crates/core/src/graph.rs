@@ -28,8 +28,8 @@
 //! function's bounds checks ([`ConstraintLog::checks`]), so the analyses
 //! that query them never walk the IR again.
 //!
-//! Assumed parameter facts (the interprocedural extension and function
-//! versioning, see [`crate::interproc`]) are rows of the same log:
+//! Assumed parameter facts (the interprocedural extension, see
+//! [`crate::interproc`]) are rows of the same log:
 //! [`ConstraintLog::assume`] appends them, each confined to its problem,
 //! after the last block. A whole-function fill therefore includes them
 //! and a block fill never does; a second `assume` replaces them.
@@ -1159,8 +1159,8 @@ mod tests {
         }
     }
 
-    /// A second `assume` replaces the first set of rows: each trial of
-    /// function versioning refills from the log under its own facts only.
+    /// A second `assume` replaces the first set of rows: a refill sees the
+    /// latest facts only.
     #[test]
     fn a_second_assume_replaces_the_first() {
         let f = essa(THREE_PARAMS);

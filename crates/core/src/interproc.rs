@@ -1,41 +1,52 @@
-//! Optional interprocedural extension: parameter-fact inference.
+//! Optional interprocedural extension: verified parameter facts behind
+//! guarded entries.
 //!
 //! The paper's evaluation is purely intraprocedural and names that as its
 //! main limitation ("We do not use any interprocedural summary information
-//! … results should be considered a lower bound"). This module implements
-//! the natural ABCD-flavored summary scheme as an opt-in extension
+//! … results should be considered a lower bound"); it also names code
+//! duplication \[MMS98\] as a step it did not take. This module implements
+//! both as one opt-in pass of the driver
 //! ([`OptimizerOptions::interprocedural`](crate::OptimizerOptions)):
 //!
 //! 1. **Candidates.** For every non-root function, guess difference facts
 //!    about its parameters — `p ≥ 0`, `p ≤ A.length − 1`, and
 //!    `A.length ≤ B.length` for parameter arrays — the same constraint
-//!    classes ABCD already reasons about (C2/C5-shaped, Table 1).
+//!    classes ABCD already reasons about (C2/C5-shaped, Table 1). A root
+//!    is `main` or a function with no call site in the module.
 //! 2. **Optimistic fixpoint.** Assume all candidates, then repeatedly
 //!    *verify* each fact at every call site by running `demandProve` in the
 //!    caller's graph (itself filled with the caller's currently-assumed
 //!    facts) on the actual arguments; drop facts that fail anywhere and
 //!    repeat until stable. The set shrinks monotonically, so this
-//!    terminates; by induction over the call tree (roots assume nothing),
-//!    every surviving fact holds on all executions entered through a root.
-//! 3. **Use.** The surviving facts become rows of the callee's
-//!    [`ConstraintLog`] ([`ConstraintLog::assume`]) when its own checks
-//!    are analyzed, so its whole-function graphs carry them as edges.
+//!    terminates; every surviving fact of `f`, `V(f)`, holds at each call
+//!    of `f` in the module whose caller's own facts hold.
+//! 3. **Use.** The driver analyzes a function with facts twice: once with
+//!    `V(f)` as rows of its [`ConstraintLog`] ([`ConstraintLog::assume`]),
+//!    giving the *fast* body, and once without, giving the *slow* body —
+//!    exactly what the default options emit.
+//! 4. **Guarded entries.** `f` keeps both bodies if `V(f)` changed its
+//!    fast body, or if it calls a function that keeps both (the least such
+//!    set). Then `f` itself becomes a dispatcher that tests every fact of
+//!    `V(f)` on its actual arguments and calls `f$fast` or `f$slow`. Calls
+//!    in slow bodies go to the dispatcher: a slow body runs when its own
+//!    facts failed, and with them the facts its call sites were verified
+//!    under. Every other call goes straight to the fast body, so internal
+//!    calls never pay the guard. Any other `f` keeps one body, equal to
+//!    its slow body: its facts changed nothing, and it calls no fast body.
+//!
+//! A fast body therefore runs only where its facts hold, whoever calls it:
+//! a caller outside the module reaches `f` by name or id, which is the
+//! dispatcher.
 //!
 //! What a fact means is defined once, by [`ParamFact`]'s Table 1 relation:
 //! the same `(problem, u, v, c)` tuple is a log row in the callee, the
-//! query proven at each call site in the caller, and (in
-//! [`crate::versioning`]) the runtime guard of a fast version.
-//!
-//! **Closed-world caveat**: a function is a *root* (gets no assumed facts)
-//! if it is named `main` or has no call site inside the module. With the
-//! extension enabled, only executions entered through roots are covered —
-//! calling an assumed function directly with violating arguments is outside
-//! the contract. This is why the option defaults to off, keeping the
-//! paper-faithful behavior.
+//! query proven at each call site in the caller, and the comparison the
+//! dispatcher runs.
 
 use crate::graph::{ConstraintLog, InequalityGraph, Problem, Scope, Vertex};
+use crate::report::FunctionReport;
 use crate::solver::DemandProver;
-use abcd_ir::{FuncId, InstKind, Module, Type, Value};
+use abcd_ir::{CmpOp, FuncId, Function, FunctionBuilder, InstId, InstKind, Module, Type, Value};
 use std::collections::HashMap;
 
 /// A fact about a function's parameters, indexed by parameter position.
@@ -112,10 +123,8 @@ impl ModuleFacts {
     }
 }
 
-/// All candidate facts for a parameter list — the vocabulary both the
-/// interprocedural fixpoint and function versioning draw from. Stronger
-/// facts precede weaker ones about the same parameters, so greedy
-/// minimizers keep the weakest sufficient guard.
+/// All candidate facts for a parameter list, the optimistic start of the
+/// fixpoint.
 pub fn candidate_facts(param_types: &[Type]) -> Vec<ParamFact> {
     let mut c = Vec::new();
     for (i, ti) in param_types.iter().enumerate() {
@@ -223,6 +232,174 @@ pub fn infer_param_facts(module: &Module) -> ModuleFacts {
     }
 }
 
+/// A function's analysis without facts: its slow body and report.
+pub(crate) type SlowBody = (Function, FunctionReport);
+
+/// Gives every function whose facts pay a guarded entry, and returns one
+/// report per function of the resulting module, in its order.
+///
+/// `module` holds each function as analyzed under its facts, and
+/// `analyzed` its report, plus, for a function with facts, its slow
+/// body. A function with facts is *versioned* if they changed its body,
+/// or if it calls a versioned function: the least such set, so a
+/// recursive function whose facts change nothing stays single. The fast
+/// and slow bodies of a versioned `f`, renamed `f$fast` and `f$slow`, are
+/// appended in that order, and `f` becomes their dispatcher, which
+/// reports no checks. Any other function keeps the body it has and its
+/// report: that body equals its slow body, if it has one.
+pub(crate) fn guard_entries(
+    module: &mut Module,
+    facts: &ModuleFacts,
+    analyzed: Vec<(FunctionReport, Option<SlowBody>)>,
+) -> Vec<FunctionReport> {
+    let n = module.function_count();
+    let callees: Vec<Vec<FuncId>> = module.functions().map(|(_, f)| calls_of(f)).collect();
+    // Versioned: the functions whose facts changed their body, then, to a
+    // fixpoint, every function with facts that calls a versioned one.
+    let mut versioned: Vec<bool> = module
+        .functions()
+        .zip(&analyzed)
+        .map(|((_, fast), (_, slow))| {
+            slow.as_ref()
+                .is_some_and(|(slow, _)| slow.to_string() != fast.to_string())
+        })
+        .collect();
+    let mut grew = true;
+    while grew {
+        grew = false;
+        for f in 0..n {
+            if !versioned[f] && analyzed[f].1.is_some() {
+                versioned[f] = callees[f].iter().any(|g| versioned[g.index()]);
+                grew |= versioned[f];
+            }
+        }
+    }
+
+    // The k-th versioned function's fast and slow bodies get ids n + 2k
+    // and n + 2k + 1. Every body in the module now (fast or single) calls
+    // the fast body of a versioned callee; slow bodies keep calling the
+    // dispatcher.
+    let mut fast_of: Vec<Option<FuncId>> = vec![None; n];
+    let mut next = n;
+    for (f, fast) in fast_of.iter_mut().enumerate() {
+        if versioned[f] {
+            *fast = Some(FuncId::new(next));
+            next += 2;
+        }
+    }
+    for (_, func) in module.functions_mut() {
+        for i in 0..func.inst_count() {
+            if let InstKind::Call { func: callee, .. } = &mut func.inst_mut(InstId::new(i)).kind {
+                *callee = fast_of[callee.index()].unwrap_or(*callee);
+            }
+        }
+    }
+
+    let mut reports = Vec::with_capacity(next);
+    let mut bodies = Vec::with_capacity(next - n);
+    for (f, (report, slow)) in analyzed.into_iter().enumerate() {
+        let (Some(fast_id), Some((mut slow, mut slow_report))) = (fast_of[f], slow) else {
+            reports.push(report);
+            continue;
+        };
+        let id = FuncId::new(f);
+        let slow_id = FuncId::new(fast_id.index() + 1);
+        let entry = build_dispatcher(module.function(id), facts.of(id), fast_id, slow_id);
+        // A traced run traces the dispatcher as a function without checks.
+        let mut entry_report = FunctionReport::new(entry.name_arc());
+        entry_report.trace = report.trace.as_ref().map(|_| Box::default());
+        reports.push(entry_report);
+        let mut fast = module.replace_function(id, entry);
+        let mut fast_report = report;
+        for (body, report, suffix) in [
+            (&mut fast, &mut fast_report, "fast"),
+            (&mut slow, &mut slow_report, "slow"),
+        ] {
+            body.set_name(format!("{}${suffix}", body.name()));
+            report.name = body.name_arc();
+        }
+        bodies.push((fast, fast_report));
+        bodies.push((slow, slow_report));
+    }
+    for (body, report) in bodies {
+        module.add_function(body);
+        reports.push(report);
+    }
+    debug_assert_eq!(abcd_ir::verify_module(module).map_err(|e| e.0), Ok(()));
+    reports
+}
+
+/// The functions `func` calls.
+fn calls_of(func: &Function) -> Vec<FuncId> {
+    func.blocks()
+        .flat_map(|b| func.block(b).insts())
+        .filter_map(|&id| match func.inst(id).kind {
+            InstKind::Call { func, .. } => Some(func),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Builds `fn f(params…) { if (guards) { return f$fast(…) } return f$slow(…) }`
+/// as a guard chain: each failing fact jumps straight to the slow body.
+fn build_dispatcher(
+    original: &Function,
+    facts: &[ParamFact],
+    fast_id: FuncId,
+    slow_id: FuncId,
+) -> Function {
+    let params: Vec<Type> = original.param_types().to_vec();
+    let ret = original.ret_type().cloned();
+    let mut b = FunctionBuilder::new(original.name_arc(), params.clone(), ret.clone());
+    let args: Vec<Value> = (0..params.len()).map(|i| b.param(i)).collect();
+
+    let fast_b = b.new_block();
+    let slow_b = b.new_block();
+    for (i, fact) in facts.iter().enumerate() {
+        let cond = emit_fact_cond(&mut b, *fact, &args);
+        let next = if i + 1 == facts.len() {
+            fast_b
+        } else {
+            b.new_block()
+        };
+        b.branch(cond, next, slow_b);
+        if next != fast_b {
+            b.switch_to_block(next);
+        }
+    }
+
+    b.switch_to_block(fast_b);
+    let r = b.call(fast_id, args.clone(), ret.clone());
+    b.ret(r);
+    b.switch_to_block(slow_b);
+    let r = b.call(slow_id, args.clone(), ret.clone());
+    b.ret(r);
+
+    // The guards define values in blocks printed after the calls' blocks;
+    // renumbering in print order makes the text parse back to itself.
+    abcd_ir::canonicalize(&b.finish().expect("dispatcher verifies"))
+}
+
+/// Emits the (side-effect-free) runtime test for one fact: its relation
+/// `v ≤ u + c` (upper) / `v ≥ u + c` (lower) over the actual arguments, as
+/// one comparison of `v` against `u` — no arithmetic that could wrap.
+fn emit_fact_cond(b: &mut FunctionBuilder, fact: ParamFact, args: &[Value]) -> Value {
+    let (problem, u, v, c) = fact.relation(|i| args[i]);
+    let mut operand = |x| match x {
+        Vertex::Value(x) => x,
+        Vertex::ArrayLen(array) => b.array_len(array),
+        Vertex::Const(k) => b.iconst(k),
+    };
+    let (v, u) = (operand(v), operand(u));
+    let op = match (problem, c) {
+        (Problem::Upper, -1) => CmpOp::Lt,
+        (Problem::Upper, 0) => CmpOp::Le,
+        (Problem::Lower, 0) => CmpOp::Ge,
+        _ => unreachable!("no parameter fact has the offset {c} in {problem:?}"),
+    };
+    b.compare(op, v, u)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,5 +498,80 @@ mod tests {
         // helper has no call sites → root-like → no facts.
         let facts = infer_param_facts(&m);
         assert!(facts.is_empty());
+    }
+
+    /// `src` through the driver with interprocedural facts.
+    fn optimized(src: &str) -> (Module, Vec<FunctionReport>) {
+        let mut m = abcd_frontend::compile(src).unwrap();
+        let options = crate::OptimizerOptions {
+            interprocedural: true,
+            ..crate::OptimizerOptions::default()
+        };
+        let report = crate::Optimizer::with_options(options).optimize_module(&mut m, None);
+        abcd_ir::verify_module(&m).unwrap();
+        (m, report.functions)
+    }
+
+    /// The callee of the one call in `func`.
+    fn callee(m: &Module, func: &str) -> String {
+        let f = m.function(m.function_by_name(func).unwrap());
+        m.function(calls_of(f)[0]).name().to_string()
+    }
+
+    #[test]
+    fn parameter_bounded_loop_gets_a_guarded_entry() {
+        let (m, reports) = optimized(
+            "fn scan(a: int[], n: int) -> int {
+                 let s: int = 0;
+                 for (let i: int = 0; i < n; i = i + 1) { s = s + a[i]; }
+                 return s;
+             }
+             fn main() -> int { let a: int[] = new int[8]; return scan(a, a.length); }",
+        );
+        let names: Vec<&str> = m.functions().map(|(_, f)| f.name()).collect();
+        assert_eq!(names, ["scan", "main", "scan$fast", "scan$slow"]);
+        let report_names: Vec<&str> = reports.iter().map(|r| &*r.name).collect();
+        assert_eq!(report_names, names);
+        // The dispatcher reports no checks; the fast body removes more.
+        assert_eq!(reports[0].checks_total, 0);
+        assert!(reports[2].removed_fully() > reports[3].removed_fully());
+        assert!(reports[2].param_facts_used > 0);
+        assert_eq!(reports[3].param_facts_used, 0);
+        // `main` calls the fast body; the guard picks either.
+        assert_eq!(callee(&m, "main"), "scan$fast");
+        let fast = m.function(m.function_by_name("scan$fast").unwrap());
+        let slow = m.function(m.function_by_name("scan$slow").unwrap());
+        assert!(fast.count_checks().0 < slow.count_checks().0);
+    }
+
+    #[test]
+    fn caller_of_a_guarded_function_gets_one_too() {
+        // `outer` has no check its facts could remove, but its call's
+        // facts were verified under them: its slow body must call the
+        // guarded entry of `inner`, its fast body the fast one.
+        let (m, _) = optimized(
+            "fn inner(a: int[], i: int) -> int { return a[i]; }
+             fn outer(a: int[], i: int) -> int { return inner(a, i); }
+             fn main() -> int { let a: int[] = new int[8]; return outer(a, 3); }",
+        );
+        assert_eq!(callee(&m, "main"), "outer$fast");
+        assert_eq!(callee(&m, "outer$fast"), "inner$fast");
+        assert_eq!(callee(&m, "outer$slow"), "inner");
+    }
+
+    #[test]
+    fn recursion_whose_facts_change_nothing_keeps_one_body() {
+        let src = "fn count(a: int[], n: int) -> int {
+                 if (n <= 0) { return 0; }
+                 return 1 + count(a, n - 1);
+             }
+             fn main() -> int { let a: int[] = new int[4]; return count(a, a.length); }";
+        let m = prepared(src);
+        let count = m.function_by_name("count").unwrap();
+        assert!(!infer_param_facts(&m).of(count).is_empty());
+        let (m, reports) = optimized(src);
+        assert_eq!(m.function_count(), 2, "{m}");
+        assert_eq!(callee(&m, "count"), "count");
+        assert_eq!(reports.len(), 2);
     }
 }

@@ -68,7 +68,6 @@ mod solver;
 mod stage;
 pub mod trace;
 mod validate;
-pub mod versioning;
 
 pub use cache::{AnalysisCache, CacheEntry, CacheKey, CacheStats};
 pub use driver::{clamp_jobs, Optimizer, OptimizerOptions};
@@ -93,4 +92,3 @@ pub use trace::{
     explain_function, json_escape, module_trace_jsonl, request_span_jsonl, witness_path,
     FunctionTrace, ProveEvent, Span, TRACE_SCHEMA,
 };
-pub use versioning::{version_functions, VersioningReport};

@@ -269,7 +269,8 @@ pub struct FunctionReport {
     /// Cleanup (basic set) statistics.
     pub cleanup: abcd_analysis::CleanupStats,
     /// Verified interprocedural parameter facts applied to this function's
-    /// graphs (0 unless `interprocedural` was enabled).
+    /// graphs (0 unless `interprocedural` was enabled; a `$fast` body, or a
+    /// function that keeps one body, reports its facts).
     pub param_facts_used: usize,
     /// Pipeline observability: per-pass wall time, memo effectiveness, and
     /// graph sizes (see [`crate::metrics`]).

@@ -69,8 +69,8 @@ impl Module {
 
     /// Replaces the function behind `id` wholesale, keeping the id (and so
     /// every call instruction referencing it) valid. Used by transformations
-    /// that substitute a dispatcher for the original body (e.g. function
-    /// versioning).
+    /// that substitute a dispatcher for the original body (e.g. the
+    /// optimizer's guarded entries).
     pub fn replace_function(&mut self, id: FuncId, f: Function) -> Function {
         std::mem::replace(&mut self.functions[id.index()], f)
     }

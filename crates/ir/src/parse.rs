@@ -128,8 +128,8 @@ impl<'a> P<'a> {
         }
     }
 
-    /// An identifier; `$` is allowed because function versioning names its
-    /// clones `f$fast` and `f$slow`.
+    /// An identifier; `$` is allowed because the optimizer names the bodies
+    /// behind a guarded entry `f$fast` and `f$slow`.
     fn ident(&mut self) -> Result<&'a str, ParseIrError> {
         self.skip_ws();
         let end = self

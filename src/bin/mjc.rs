@@ -15,9 +15,8 @@
 //! for `lower`, `promote_locals`, `insert_pi` and the whole optimizer.
 //!
 //! Pass flags for `opt`/`run --opt`: `--no-pre`, `--no-lower`, `--no-upper`,
-//! `--no-cleanup`, `--no-gvn-hook`, `--merge`, `--ipa` (closed-world
-//! interprocedural facts), `--version-fns` (guarded fast/slow clones),
-//! `--hot N` (with `--profile`), `--jobs N` (parallel driver),
+//! `--no-cleanup`, `--no-gvn-hook`, `--merge`, `--ipa` (interprocedural
+//! parameter facts behind guarded entries), `--hot N` (with `--profile`), `--jobs N` (parallel driver),
 //! `--metrics`/`--metrics-out FILE` (`abcd-metrics/8` JSON),
 //! `--trace-out FILE` (`abcd-trace/4` JSONL structured trace),
 //! `--deterministic-metrics` (zero every duration for byte-comparable
@@ -64,7 +63,7 @@ mjc — the MJ compiler driver of the ABCD reproduction
 
 USAGE:
     mjc run   <file.mj|file.ir> [--opt] [--profile] [--stats] [--arg N]...
-    mjc opt   <file.mj|file.ir> [pass flags] [--version-fns] [--dump]
+    mjc opt   <file.mj|file.ir> [pass flags] [--dump]
     mjc explain <file.mj|file.ir> <fn> [--check N] [pass flags]
     mjc dump  <file.mj|file.ir> [--stage STAGE] [pass flags]
     mjc graph <file.mj|file.ir> [--fn NAME] [--lower] [pass flags]  (Graphviz)
@@ -77,15 +76,17 @@ USAGE:
 STAGE (for `dump`, default essa): any `abcd::Stage` name, parse … canonicalize
     (the IR after that stage of the optimizer's own pipeline), or ir|ssa|essa|opt
     for lower|promote_locals|insert_pi|the whole optimizer. `graph` draws the
-    graphs of the insert_pi form: the ones the prover solves.
+    graphs of the insert_pi form: the ones the prover solves without parameter
+    facts (so `graph`, and `dump` before canonicalize|opt, reject --ipa).
 
 PASS FLAGS (for `opt`, `run --opt`, `client <file>`, `dump` and `graph`;
 `dump` and `graph` reject --jobs, --trace-out, --cache-dir, --cache-bytes
 and --fault-plan):
     --no-pre --no-lower --no-upper --no-cleanup --no-gvn-hook
     --merge            merge surviving lower+upper pairs (§7.2)
-    --ipa              closed-world interprocedural parameter facts
-    --version-fns      guarded fast/slow function clones
+    --ipa              interprocedural parameter facts: each function whose
+                       verified facts pay gets f$fast and f$slow bodies and
+                       a guard at its entry f
     --hot N            with --profile: analyze only sites with ≥N hits
     --jobs N           optimize functions on N worker threads (default and
                        ceiling: all host CPUs — requests are clamped to the
@@ -200,7 +201,6 @@ fn parse_options(rest: &[String]) -> Result<OptimizerOptions, String> {
             "--no-cleanup" => o.cleanup = false,
             "--no-gvn-hook" => o.gvn_hook = false,
             "--ipa" => o.interprocedural = true,
-            "--version-fns" => {}
             "--merge" => o.merge_checks = true,
             "--validate" => o.validate = true,
             "--verify-ir" => o.verify_ir = true,
@@ -406,15 +406,6 @@ fn cmd_run(file: &str, rest: &[String]) -> Result<ExitCode, String> {
         emit_metrics(&report, threads, wall, cache.as_deref(), rest, true)?;
         emit_trace(&report, threads, rest)?;
         exit = incident_exit(&report);
-        if has(rest, "--version-fns") {
-            // As `mjc opt` does; stdout is the program's.
-            let v = abcd::version_functions(&mut module, None, 0);
-            for (name, facts, removed) in &v.versioned {
-                eprintln!(
-                    "versioned {name}: {removed} checks removed in fast path under {facts:?}"
-                );
-            }
-        }
     }
 
     let int_args: Vec<RtVal> = rest
@@ -467,12 +458,6 @@ fn cmd_opt(file: &str, rest: &[String]) -> Result<ExitCode, String> {
     let wall = started.elapsed();
     emit_metrics(&report, threads, wall, cache.as_deref(), rest, false)?;
     emit_trace(&report, threads, rest)?;
-    if has(rest, "--version-fns") {
-        let v = abcd::version_functions(&mut module, None, 0);
-        for (name, facts, removed) in &v.versioned {
-            println!("versioned {name}: {removed} checks removed in fast path under {facts:?}");
-        }
-    }
     for f in &report.functions {
         println!(
             "{}: {} checks — {} fully redundant, {} hoisted ({} compensating inserted), {} merged, {} steps",
@@ -537,7 +522,7 @@ fn reject_wiring_flags(command: &str, rest: &[String]) -> Result<(), String> {
 
 fn cmd_dump(file: &str, rest: &[String]) -> Result<ExitCode, String> {
     reject_wiring_flags("dump", rest)?;
-    let optimizer = Optimizer::with_options(parse_options(rest)?);
+    let options = parse_options(rest)?;
     let stage = match value_of(rest, "--stage").unwrap_or("essa") {
         "ir" => Stage::Lower,
         "ssa" => Stage::PromoteLocals,
@@ -547,6 +532,13 @@ fn cmd_dump(file: &str, rest: &[String]) -> Result<ExitCode, String> {
             .parse()
             .map_err(|e| format!("{e}, or ir|ssa|essa|opt"))?,
     };
+    if options.interprocedural && stage != Stage::Canonicalize {
+        // `run_to` assumes no parameter facts; only the whole driver does.
+        return Err(format!(
+            "`mjc dump --stage {stage}` does not take `--ipa`: only canonicalize|opt applies parameter facts"
+        ));
+    }
+    let optimizer = Optimizer::with_options(options);
     let mut module = load_module(file)?;
     if stage == Stage::Canonicalize {
         // The whole driver, exactly as `opt` and `abcdd` run it.
@@ -712,7 +704,14 @@ fn cmd_client(file: &str, rest: &[String]) -> Result<ExitCode, String> {
 /// optimizer's own e-SSA form.
 fn cmd_graph(file: &str, rest: &[String]) -> Result<ExitCode, String> {
     reject_wiring_flags("graph", rest)?;
-    let optimizer = Optimizer::with_options(parse_options(rest)?);
+    let options = parse_options(rest)?;
+    if options.interprocedural {
+        return Err(
+            "`mjc graph` does not take `--ipa`: it draws the graphs without parameter facts"
+                .to_string(),
+        );
+    }
+    let optimizer = Optimizer::with_options(options);
     let mut module = load_module(file)?;
     optimizer
         .run_to(&mut module, Stage::InsertPi)

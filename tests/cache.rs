@@ -263,9 +263,9 @@ fn editing_one_function_invalidates_only_it() {
 }
 
 /// Acceptance (c), interprocedural: an edit in a *caller* that weakens the
-/// callee's inferred parameter facts recompiles the callee too — its
-/// summary fingerprint is part of the key — while unrelated functions
-/// still replay.
+/// callee's inferred parameter facts recompiles the callee's fast body too
+/// — its summary fingerprint is part of the key — while its facts-free
+/// slow body and unrelated functions still replay.
 #[test]
 fn interproc_caller_edit_invalidates_callee() {
     let src_strong = r#"
@@ -304,17 +304,19 @@ fn interproc_caller_edit_invalidates_callee() {
     assert_eq!(first.functions_from_cache(), 0);
 
     let (weak_ir, second) = run(&cache, &src_weak);
-    let get = second.functions.iter().find(|f| &*f.name == "get").unwrap();
-    let other = second
-        .functions
-        .iter()
-        .find(|f| &*f.name == "other")
-        .unwrap();
+    let report = |name: &str| second.functions.iter().find(|f| &*f.name == name).unwrap();
     assert!(
-        !get.from_cache,
-        "callee facts changed with the caller edit; it must recompile"
+        !report("get$fast").from_cache,
+        "callee facts changed with the caller edit; its fast body must recompile"
     );
-    assert!(other.from_cache, "an unrelated function still replays");
+    assert!(
+        report("get$slow").from_cache,
+        "the body analyzed without facts still replays"
+    );
+    assert!(
+        report("other").from_cache,
+        "an unrelated function still replays"
+    );
 
     // And the cached run of the edited program equals the uncached one.
     let mut module = compile(src_weak.as_str()).expect("compiles");

@@ -419,30 +419,50 @@ fn huge_array_length_traps_instead_of_aborting() {
     }
 }
 
+/// Function versioning is part of `--ipa` now; its old flag is an
+/// ordinary unknown flag on every subcommand that takes pass flags.
 #[test]
-fn run_opt_versions_functions_as_opt_does() {
+fn version_fns_is_an_unknown_flag() {
+    let file = scratch("version_fns.mj", GOOD_PROGRAM);
+    let file = file.to_str().unwrap();
+    let socket = std::env::temp_dir().join(format!("mjc_cli_nosuch_{}.sock", std::process::id()));
+    let socket = socket.to_str().unwrap();
+    for args in [
+        &["run", file, "--opt", "--version-fns"][..],
+        &["opt", file, "--version-fns"][..],
+        &["explain", file, "main", "--version-fns"][..],
+        &["dump", file, "--stage", "opt", "--version-fns"][..],
+        &["graph", file, "--version-fns"][..],
+        &["client", file, "--socket", socket, "--version-fns"][..],
+    ] {
+        let out = mjc(args);
+        assert_eq!(exit_code(&out), 1, "args {args:?}");
+        assert!(
+            stderr(&out).contains("unknown flag `--version-fns`"),
+            "args {args:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+/// `run --opt --ipa` runs the module the guarded entries are part of:
+/// `main` reaches only fast bodies, so `hanoi` prints what `--opt` prints
+/// and executes fewer upper checks.
+#[test]
+fn run_opt_ipa_prints_what_opt_prints_with_fewer_upper_checks() {
     let hanoi = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/crates/benchsuite/programs/hanoi.mj"
     );
     let plain = mjc(&["run", hanoi, "--opt", "--stats"]);
-    let versioned = mjc(&["run", hanoi, "--opt", "--version-fns", "--stats"]);
+    let ipa = mjc(&["run", hanoi, "--opt", "--ipa", "--stats"]);
     assert_eq!(exit_code(&plain), 0, "{}", stderr(&plain));
-    assert_eq!(exit_code(&versioned), 0, "{}", stderr(&versioned));
-    let (plain_err, versioned_err) = (stderr(&plain), stderr(&versioned));
-    assert!(
-        versioned_err
-            .lines()
-            .any(|l| l.starts_with("versioned move_disc: ")),
-        "{versioned_err}"
-    );
-    assert_eq!(plain.stdout, versioned.stdout);
-    let result = |err: &str| {
-        err.lines()
-            .find(|l| l.starts_with("=> "))
-            .map(str::to_owned)
-    };
-    assert_eq!(result(&plain_err), result(&versioned_err));
+    assert_eq!(exit_code(&ipa), 0, "{}", stderr(&ipa));
+    assert_eq!(plain.stdout, ipa.stdout);
+    let (plain_err, ipa_err) = (stderr(&plain), stderr(&ipa));
+    for err in [&plain_err, &ipa_err] {
+        assert!(err.lines().any(|l| l == "=> 1000"), "{err}");
+    }
     // `checks: lower L / upper U / …` of the `--stats` line.
     let upper = |err: &str| -> u64 {
         let stats = err
@@ -456,8 +476,34 @@ fn run_opt_versions_functions_as_opt_does() {
             .collect();
         digits.parse().unwrap()
     };
-    assert!(
-        upper(&versioned_err) <= upper(&plain_err),
-        "{versioned_err}\n{plain_err}"
-    );
+    assert_eq!(upper(&plain_err), 6151, "{plain_err}");
+    assert_eq!(upper(&ipa_err), 4105, "{ipa_err}");
+}
+
+/// Only the whole driver applies parameter facts: `graph` and every
+/// `dump` stage before `canonicalize` would print the facts-free form, so
+/// they refuse `--ipa` rather than ignore it.
+#[test]
+fn ipa_is_rejected_where_no_facts_apply() {
+    let file = scratch("ipa_stages.mj", GOOD_PROGRAM);
+    let file = file.to_str().unwrap();
+    for args in [
+        &["graph", file, "--ipa"][..],
+        &["dump", file, "--ipa"][..],
+        &["dump", file, "--stage", "essa", "--ipa"][..],
+        &["dump", file, "--stage", "transform", "--ipa"][..],
+        &["dump", file, "--stage", "validate", "--ipa"][..],
+    ] {
+        let out = mjc(args);
+        assert_eq!(exit_code(&out), 1, "args {args:?}");
+        assert!(
+            stderr(&out).contains("--ipa"),
+            "args {args:?}: {}",
+            stderr(&out)
+        );
+    }
+    for stage in ["canonicalize", "opt"] {
+        let out = mjc(&["dump", file, "--stage", stage, "--ipa"]);
+        assert_eq!(exit_code(&out), 0, "{stage}: {}", stderr(&out));
+    }
 }

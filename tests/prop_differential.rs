@@ -207,13 +207,14 @@ impl<'a> Gen<'a> {
     }
 }
 
-/// Runs `f` and normalizes the observable outcome. The returned check
+/// Runs `entry` and normalizes the observable outcome. The returned check
 /// count excludes speculative (`spec_check`) executions: speculation may
 /// legitimately execute on paths where the original checks never ran
 /// (zero-trip loops, early traps) — the §6.1 profitability argument is
 /// about expected frequency, not per-input counts.
 fn run(
     module: &abcd_ir::Module,
+    entry: &str,
     data: &[i64],
     x: i64,
 ) -> (Result<Option<RtVal>, String>, Vec<i64>, u64) {
@@ -226,7 +227,7 @@ fn run(
     );
     let arr = vm.alloc_int_array(data);
     let r = vm
-        .call_by_name("f", &[arr, RtVal::Int(x)])
+        .call_by_name(entry, &[arr, RtVal::Int(x)])
         .map_err(|t| format!("{:?}", t.kind));
     let out = vm.output().to_vec();
     let checks = vm.stats().checks.iter().sum::<u64>();
@@ -234,16 +235,19 @@ fn run(
 }
 
 /// The core differential property for one `(bytes, data, x)` case: the
-/// default pipeline, the interprocedural extension, and function versioning
-/// must all be observationally equivalent to the unoptimized program.
+/// default pipeline and the interprocedural extension must both be
+/// observationally equivalent to the unoptimized program. Under the
+/// extension that holds for every entry a caller outside the module can
+/// take: `f`, and the helpers `guarded` and `raw`, called directly with
+/// arguments their verified facts may not cover.
 fn check_observational_equivalence(bytes: &[u8], data: &[i64], x: i64) {
     let src = Gen::new(bytes).program();
     let baseline = compile(&src).expect("generated program compiles");
     let mut optimized = compile(&src).unwrap();
     Optimizer::new().optimize_module(&mut optimized, None);
 
-    let (r1, out1, checks1) = run(&baseline, data, x);
-    let (r2, out2, checks2) = run(&optimized, data, x);
+    let (r1, out1, checks1) = run(&baseline, "f", data, x);
+    let (r2, out2, checks2) = run(&optimized, "f", data, x);
 
     // Any unchecked OOB access in the optimized run is an unsound
     // removal — it can never match the baseline's outcome.
@@ -260,40 +264,24 @@ fn check_observational_equivalence(bytes: &[u8], data: &[i64], x: i64) {
         "optimization added non-speculative dynamic checks ({checks1} -> {checks2})\n{src}"
     );
 
-    // The interprocedural extension must also be observationally
-    // equivalent. (The generated entry `f` is a root — it has no call
-    // sites — so calling it directly is within the closed-world contract.)
     let mut ipa = compile(&src).unwrap();
     let opts = OptimizerOptions {
         interprocedural: true,
         ..OptimizerOptions::default()
     };
     Optimizer::with_options(opts).optimize_module(&mut ipa, None);
-    let (r3, out3, _) = run(&ipa, data, x);
-    if let Err(k) = &r3 {
-        assert!(
-            !k.contains("UncheckedAccess"),
-            "unsound interprocedural removal!\n{src}\ntrap: {k}"
-        );
+    for entry in ["f", "guarded", "raw"] {
+        let (want, want_out, _) = run(&baseline, entry, data, x);
+        let (got, got_out, _) = run(&ipa, entry, data, x);
+        if let Err(k) = &got {
+            assert!(
+                !k.contains("UncheckedAccess"),
+                "unsound interprocedural removal in {entry}!\n{src}\ntrap: {k}"
+            );
+        }
+        assert_eq!(&want, &got, "interprocedural {entry} diverged\n{src}");
+        assert_eq!(&want_out, &got_out, "interprocedural {entry} output\n{src}");
     }
-    assert_eq!(&r1, &r3, "interprocedural diverged\n{src}");
-    assert_eq!(&out1, &out3);
-
-    // Function versioning (dispatcher + fast/slow clones) is
-    // unconditionally sound — the guards are executed, not assumed —
-    // so it must hold for every input, including adversarial ones.
-    let mut versioned = compile(&src).unwrap();
-    Optimizer::new().optimize_module(&mut versioned, None);
-    abcd::version_functions(&mut versioned, None, 0);
-    let (r4, out4, _) = run(&versioned, data, x);
-    if let Err(k) = &r4 {
-        assert!(
-            !k.contains("UncheckedAccess"),
-            "unsound versioning!\n{src}\ntrap: {k}"
-        );
-    }
-    assert_eq!(&r1, &r4, "versioning diverged\n{src}");
-    assert_eq!(&out1, &out4);
 }
 
 #[test]
@@ -374,8 +362,8 @@ fn check_reparse(bytes: &[u8], data: &[i64], x: i64) {
     assert_eq!(&text2, &reparsed2.to_string(), "print/parse not stable");
 
     // And the reparsed module is observationally identical.
-    let (r1, out1, _) = run(&module, data, x);
-    let (r2, out2, _) = run(&reparsed, data, x);
+    let (r1, out1, _) = run(&module, "f", data, x);
+    let (r2, out2, _) = run(&reparsed, "f", data, x);
     assert_eq!(r1, r2, "reparse diverged\n{src}");
     assert_eq!(out1, out2);
 }
@@ -439,8 +427,8 @@ fn check_range_baseline(bytes: &[u8], data: &[i64], x: i64) {
     for id in ids {
         abcd_analysis::eliminate_checks_by_range(optimized.function_mut(id));
     }
-    let (r1, out1, _) = run(&baseline, data, x);
-    let (r2, out2, _) = run(&optimized, data, x);
+    let (r1, out1, _) = run(&baseline, "f", data, x);
+    let (r2, out2, _) = run(&optimized, "f", data, x);
     if let Err(k) = &r2 {
         assert!(
             !k.contains("UncheckedAccess"),
@@ -567,7 +555,7 @@ fn fuel_starved_backends_stay_fail_open() {
         let x = rng.range(-100, 100);
         let src = Gen::new(&bytes).program();
         let baseline = compile(&src).unwrap();
-        let (r1, out1, _) = run(&baseline, &data, x);
+        let (r1, out1, _) = run(&baseline, "f", &data, x);
         for (per_query, per_function) in [(Some(3), None), (None, Some(5)), (Some(2), Some(4))] {
             let mut optimized = compile(&src).unwrap();
             let opts = OptimizerOptions {
@@ -576,7 +564,7 @@ fn fuel_starved_backends_stay_fail_open() {
                 ..OptimizerOptions::default()
             };
             Optimizer::with_options(opts).optimize_module(&mut optimized, None);
-            let (r2, out2, _) = run(&optimized, &data, x);
+            let (r2, out2, _) = run(&optimized, "f", &data, x);
             if let Err(k) = &r2 {
                 assert!(
                     !k.contains("UncheckedAccess"),
@@ -633,8 +621,8 @@ fn trap_kinds_match_exactly_on_known_oob() {
     let baseline = compile(src).unwrap();
     let mut optimized = compile(src).unwrap();
     Optimizer::with_options(OptimizerOptions::default()).optimize_module(&mut optimized, None);
-    let (r1, _, _) = run(&baseline, &[1, 2], 5);
-    let (r2, _, _) = run(&optimized, &[1, 2], 5);
+    let (r1, _, _) = run(&baseline, "f", &[1, 2], 5);
+    let (r2, _, _) = run(&optimized, "f", &[1, 2], 5);
     assert!(r1.is_err());
     assert_eq!(r1, r2);
     assert!(matches!(

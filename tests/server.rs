@@ -89,6 +89,67 @@ fn served_output_is_byte_identical_to_local() {
     handle.join();
 }
 
+/// An `optimize` request with `"interprocedural": true` gets the bytes of
+/// the one-shot optimizer, cold and warm, and the served module stays
+/// sound for callers outside it: `get` assumes facts that `main`'s calls
+/// satisfy, and called directly with an index they do not cover it traps
+/// at the original check, as the unoptimized module does.
+#[test]
+fn served_interprocedural_module_is_local_and_guards_its_entries() {
+    const GET: &str = "fn get(a: int[], i: int) -> int { return a[i]; }
+        fn main() -> int { let a: int[] = new int[8]; return get(a, 3) + get(a, 0); }";
+    let socket = sock("ipa");
+    let mut config = ServerConfig::new(&socket);
+    config.cache = Some(Arc::new(AnalysisCache::in_memory(1 << 20)));
+    let handle = abcd_server::start(config).unwrap();
+
+    let options = OptimizerOptions {
+        interprocedural: true,
+        ..OptimizerOptions::default()
+    };
+    let mut local = compile(GET).unwrap();
+    Optimizer::with_options(options).optimize_module(&mut local, None);
+    let local = local.to_string();
+    assert!(local.contains("func @get$fast("), "{local}");
+    let mut served = String::new();
+    for pass in 0..2 {
+        served = abcd_server::optimize(
+            &socket,
+            (GET, false),
+            &options,
+            None,
+            &abcd_server::CallOptions::default(),
+            &abcd_server::RetryPolicy::default(),
+        )
+        .unwrap()
+        .ir;
+        assert_eq!(served, local, "pass {pass}");
+    }
+    abcd_server::shutdown(&socket).unwrap();
+    handle.join();
+
+    let direct = |module: &abcd_ir::Module| {
+        let mut vm = abcd_vm::Vm::new(module);
+        let a = vm.alloc_int_array(&[1, 2, 3]);
+        vm.call_by_name("get", &[a, abcd_vm::RtVal::Int(100)])
+            .unwrap_err()
+            .kind
+    };
+    let want = direct(&compile(GET).unwrap());
+    assert!(
+        matches!(
+            want,
+            abcd_vm::TrapKind::BoundsCheckFailed {
+                index: 100,
+                len: 3,
+                ..
+            }
+        ),
+        "{want:?}"
+    );
+    assert_eq!(direct(&abcd::parse_ir(&served).unwrap()), want);
+}
+
 #[test]
 fn concurrent_clients_all_get_the_sequential_answer() {
     let socket = sock("concurrent");

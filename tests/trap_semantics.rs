@@ -258,10 +258,12 @@ bb1:
 
 /// `f`'s two array parameters have equal lengths at its only call, so the
 /// interprocedural fixpoint keeps both `LenLe { a, b }` and `LenLe { a: b,
-/// b: a }`, and versioning's first trial assumes both. Together they close
-/// the cycle len(a) → len(b) → len(a), which passes no φ: §4's harmless
+/// b: a }`, and the analysis of `f` assumes both. Together they close the
+/// cycle len(a) → len(b) → len(a), which passes no φ: §4's harmless
 /// cycles all do, so this one bounds nothing. The check on the unrelated
-/// array `c` must stay in both modes and trap as `bounds check ck1`.
+/// array `c` must stay, and trap as `bounds check ck1` whether `main`
+/// calls `f` or a caller outside the module does, with arrays of unequal
+/// length.
 #[test]
 fn equal_length_facts_prove_nothing_about_a_third_array() {
     let source = "fn f(a: int[], b: int[], i: int) -> int {
@@ -290,31 +292,101 @@ fn equal_length_facts_prove_nothing_about_a_third_array() {
         "reference",
     );
 
-    let mut ipa = reference.clone();
+    let ipa = interprocedural(source);
+    expect_ck1(run_entry(&ipa, "main").result.unwrap_err(), "--ipa");
+    let mut vm = abcd_vm::Vm::new(&ipa);
+    let (a, b) = (vm.alloc_int_array(&[0; 10]), vm.alloc_int_array(&[0; 2]));
+    let trap = vm.call_by_name("f", &[a, b, RtVal::Int(9)]).unwrap_err();
+    expect_ck1(trap, "--ipa, f called directly");
+}
+
+/// `source` optimized with interprocedural parameter facts.
+fn interprocedural(source: &str) -> Module {
+    let mut module = abcd_frontend::compile(source).expect("program compiles");
     Optimizer::with_options(OptimizerOptions {
         interprocedural: true,
+        verify_ir: true,
+        validate: true,
         ..OptimizerOptions::default()
     })
-    .optimize_module(&mut ipa, None);
-    expect_ck1(run_entry(&ipa, "main").result.unwrap_err(), "--ipa");
+    .optimize_module(&mut module, None);
+    module
+}
 
-    let mut versioned = reference.clone();
-    Optimizer::new().optimize_module(&mut versioned, None);
-    abcd::version_functions(&mut versioned, None, 0);
-    expect_ck1(
-        run_entry(&versioned, "main").result.unwrap_err(),
-        "--version-fns",
+/// Calls `name(a, i)` on an `len`-element array `a`, as a caller outside
+/// the module would, and returns its trap.
+fn call_directly(module: &Module, name: &str, len: usize, i: i64) -> TrapKind {
+    let mut vm = abcd_vm::Vm::new(module);
+    let a = vm.alloc_int_array(&vec![0; len]);
+    vm.call_by_name(name, &[a, RtVal::Int(i)])
+        .expect_err("the direct call traps")
+        .kind
+}
+
+/// `name` assumes parameter facts that the module's own calls satisfy;
+/// called directly with `(a, i)` that break them, it must trap as in the
+/// unoptimized module (same site, index and length), never reach an
+/// unchecked access: its entry tests the facts and falls back to the
+/// body analyzed without them.
+fn assert_entry_is_guarded(source: &str, name: &str, len: usize, i: i64) {
+    let module = interprocedural(source);
+    assert!(
+        module.function_by_name(&format!("{name}$fast")).is_some(),
+        "`{name}` has no fast body, so this test checks nothing\n{module}"
     );
-    // Had `f` been versioned under both facts, its fast path is what the
-    // guard dispatches to for these arguments.
-    if versioned.function_by_name("f$fast").is_some() {
-        let mut vm = abcd_vm::Vm::new(&versioned);
-        let (a, b) = (vm.alloc_int_array(&[0; 10]), vm.alloc_int_array(&[0; 10]));
-        let trap = vm
-            .call_by_name("f$fast", &[a, b, RtVal::Int(9)])
-            .unwrap_err();
-        expect_ck1(trap, "f$fast");
-    }
+    let reference = abcd_frontend::compile(source).unwrap();
+    let want = call_directly(&reference, name, len, i);
+    assert!(
+        matches!(want, TrapKind::BoundsCheckFailed { .. }),
+        "{want:?}"
+    );
+    assert_eq!(call_directly(&module, name, len, i), want, "{module}");
+}
+
+#[test]
+fn direct_call_breaking_verified_facts_traps_at_the_original_site() {
+    assert_entry_is_guarded(
+        "fn get(a: int[], i: int) -> int { return a[i]; }
+         fn main() -> int {
+             let a: int[] = new int[8];
+             return get(a, 3) + get(a, 0);
+         }",
+        "get",
+        3,
+        100,
+    );
+}
+
+/// `walk`'s only call site is its own, so it is no root: it assumes
+/// `i ≥ 0` and `i ≤ a.length − 1`, which nothing inside the module
+/// checks, since `main` never calls it.
+#[test]
+fn self_recursive_function_main_never_calls_has_a_guarded_entry() {
+    assert_entry_is_guarded(
+        "fn walk(a: int[], i: int) -> int {
+             if (i + 1 < a.length) { return a[i] + walk(a, i + 1); }
+             return 0;
+         }
+         fn main() -> int { return 0; }",
+        "walk",
+        4,
+        -5,
+    );
+}
+
+#[test]
+fn mutually_recursive_pair_main_never_calls_has_guarded_entries() {
+    let source = "fn ping(a: int[], i: int) -> int {
+             if (i + 1 < a.length) { return a[i] + pong(a, i + 1); }
+             return 0;
+         }
+         fn pong(a: int[], i: int) -> int {
+             if (i + 1 < a.length) { return a[i] + ping(a, i + 1); }
+             return 0;
+         }
+         fn main() -> int { return 0; }";
+    assert_entry_is_guarded(source, "ping", 4, -5);
+    assert_entry_is_guarded(source, "pong", 4, -5);
 }
 
 /// The oracle has teeth: delete an unprovable bounds check by hand (the
