@@ -69,7 +69,7 @@ use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Magic line prefix of the on-disk entry format.
 const DISK_MAGIC: &str = "abcd-cache/1";
@@ -137,8 +137,10 @@ pub fn canonical_text_hash(func: &Function) -> u64 {
 /// and on disk. Bump it whenever the same input and options can yield a
 /// different optimized function or report.
 ///
-/// Version 2 dropped Figure 6's local flag from removal outcomes.
-pub const ANALYSIS_SEMANTICS: u64 = 2;
+/// Version 2 dropped Figure 6's local flag from removal outcomes;
+/// version 3 reads a constant through the π that renames it, so `i − c`
+/// keeps its edge after cleanup shares `c` with a branch.
+pub const ANALYSIS_SEMANTICS: u64 = 3;
 
 /// [`cache_key`] from an already-hashed text component:
 /// `key_from_text_hash(canonical_text_hash(f), …)` equals
@@ -552,7 +554,7 @@ impl Inner {
     }
 
     /// Evicts least-recently-used slots other than `keep` until the
-    /// stripe is within `budget`.
+    /// cache is within `budget`.
     fn evict_past(&mut self, budget: usize, keep: u64) {
         while self.bytes > budget {
             let Some((&victim, _)) = self
@@ -573,12 +575,7 @@ impl Inner {
 /// The function-level analysis cache: in-memory LRU under a byte budget,
 /// optionally backed by an on-disk tier (`--cache-dir`) whose entries are
 /// re-verified on every load. Shared across driver worker threads (and
-/// server requests) behind **lock stripes**: keys hash onto one of N
-/// independent `Mutex<Inner>` maps, so N shards' workers probing disjoint
-/// functions never serialize on one lock. The default is a single stripe
-/// (exactly the old one-mutex behavior, including global LRU order);
-/// sharded servers call [`AnalysisCache::with_stripes`] to split the
-/// budget into per-stripe LRU domains.
+/// server requests) behind one lock.
 pub struct AnalysisCache {
     budget: usize,
     dir: Option<PathBuf>,
@@ -587,7 +584,7 @@ pub struct AnalysisCache {
     recovered: u64,
     /// Armed chaos plan driving disk-fault injection, if any.
     chaos: Mutex<Option<Arc<ChaosPlan>>>,
-    stripes: Vec<Mutex<Inner>>,
+    inner: Mutex<Inner>,
 }
 
 impl fmt::Debug for AnalysisCache {
@@ -610,20 +607,8 @@ impl AnalysisCache {
             dir: None,
             recovered: 0,
             chaos: Mutex::new(None),
-            stripes: vec![Mutex::new(Inner::default())],
+            inner: Mutex::new(Inner::default()),
         }
-    }
-
-    /// Splits the in-memory tier into `n` lock stripes (clamped to ≥ 1).
-    /// Keys hash onto a stripe; each stripe runs its own LRU over an equal
-    /// share of the byte budget. With `n = 1` this is a no-op. Stripes are
-    /// a concurrency knob, not a semantic one: hits, misses, and disk-tier
-    /// behavior are identical for any `n` — only eviction *order* under
-    /// budget pressure can differ, because LRU age is tracked per stripe.
-    pub fn with_stripes(mut self, n: usize) -> AnalysisCache {
-        let n = n.max(1);
-        self.stripes = (0..n).map(|_| Mutex::new(Inner::default())).collect();
-        self
     }
 
     /// A cache persisted under `dir` (created if absent) with the given
@@ -643,7 +628,7 @@ impl AnalysisCache {
             dir: Some(dir),
             recovered,
             chaos: Mutex::new(None),
-            stripes: vec![Mutex::new(Inner::default())],
+            inner: Mutex::new(Inner::default()),
         })
     }
 
@@ -660,43 +645,34 @@ impl AnalysisCache {
         self.dir.as_deref()
     }
 
-    /// The stripe holding `key` (stable: pure function of the key bits).
-    fn stripe(&self, key: CacheKey) -> &Mutex<Inner> {
-        &self.stripes[(key.0 as usize) % self.stripes.len()]
+    /// The in-memory tier, locked.
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("cache lock")
     }
 
-    /// Each stripe's share of the in-memory byte budget.
-    fn stripe_budget(&self) -> usize {
-        self.budget / self.stripes.len()
-    }
-
-    /// Snapshot of the counters, aggregated across stripes.
+    /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        let mut s = CacheStats {
+        let inner = self.inner();
+        CacheStats {
             budget_bytes: self.budget,
             recovered: self.recovered,
-            ..CacheStats::default()
-        };
-        for stripe in &self.stripes {
-            let inner = stripe.lock().expect("cache lock");
-            s.entries += inner.map.len();
-            s.bytes += inner.bytes;
-            s.hits += inner.hits;
-            s.misses += inner.misses;
-            s.stores += inner.stores;
-            s.evictions += inner.evictions;
-            s.corrupt += inner.corrupt;
-            s.disk_hits += inner.disk_hits;
-            s.write_errors += inner.write_errors;
+            entries: inner.map.len(),
+            bytes: inner.bytes,
+            hits: inner.hits,
+            misses: inner.misses,
+            stores: inner.stores,
+            evictions: inner.evictions,
+            corrupt: inner.corrupt,
+            disk_hits: inner.disk_hits,
+            write_errors: inner.write_errors,
         }
-        s
     }
 
     /// Looks `key` up: memory first, then the disk tier (with full
     /// re-verification). Never panics and never returns unverified data.
     pub fn lookup(&self, key: CacheKey) -> Lookup {
         {
-            let mut inner = self.stripe(key).lock().expect("cache lock");
+            let mut inner = self.inner();
             if let Some((entry, _)) = inner.touch(key) {
                 inner.hits += 1;
                 return Lookup::Hit(Box::new((*entry).clone()));
@@ -704,7 +680,7 @@ impl AnalysisCache {
         }
         match self.load_disk(key) {
             None => {
-                self.stripe(key).lock().expect("cache lock").misses += 1;
+                self.inner().misses += 1;
                 Lookup::Miss
             }
             Some(Ok((entry, func))) => {
@@ -732,7 +708,7 @@ impl AnalysisCache {
         key: CacheKey,
         accept: impl FnOnce(&CacheEntry, &Arc<Function>) -> Result<T, String>,
     ) -> Replay<T> {
-        let resident = self.stripe(key).lock().expect("cache lock").touch(key);
+        let resident = self.inner().touch(key);
         let (entry, parsed, source) = match resident {
             Some((entry, Some(func))) => (entry, Ok(func), Source::Memo),
             Some((entry, None)) => {
@@ -741,7 +717,7 @@ impl AnalysisCache {
             }
             None => match self.load_disk(key) {
                 None => {
-                    self.stripe(key).lock().expect("cache lock").misses += 1;
+                    self.inner().misses += 1;
                     return Replay::Miss;
                 }
                 Some(Err(reason)) => {
@@ -760,13 +736,12 @@ impl AnalysisCache {
             }
         };
         match source {
-            Source::Memo => self.stripe(key).lock().expect("cache lock").hits += 1,
+            Source::Memo => self.inner().hits += 1,
             Source::Text => {
                 let extra = memo_byte_size(&func);
-                let budget = self.stripe_budget();
-                let mut inner = self.stripe(key).lock().expect("cache lock");
+                let mut inner = self.inner();
                 inner.hits += 1;
-                inner.fill_memo(key.0, &entry, func, extra, budget);
+                inner.fill_memo(key.0, &entry, func, extra, self.budget);
             }
             Source::Disk => self.admit_disk_hit(key, entry, func),
         }
@@ -775,7 +750,7 @@ impl AnalysisCache {
 
     /// Whether `key`'s in-memory slot holds a memoized parsed function.
     pub fn is_memoized(&self, key: CacheKey) -> bool {
-        let inner = self.stripe(key).lock().expect("cache lock");
+        let inner = self.inner();
         inner
             .map
             .get(&key.0)
@@ -786,7 +761,7 @@ impl AnalysisCache {
     /// the function its re-verification parsed.
     fn admit_disk_hit(&self, key: CacheKey, entry: Arc<CacheEntry>, func: Arc<Function>) {
         {
-            let mut inner = self.stripe(key).lock().expect("cache lock");
+            let mut inner = self.inner();
             inner.hits += 1;
             inner.disk_hits += 1;
         }
@@ -798,7 +773,7 @@ impl AnalysisCache {
     /// copy: a corrupt entry must not be served twice.
     fn quarantine(&self, key: CacheKey, resident: Option<&Arc<CacheEntry>>) {
         {
-            let mut inner = self.stripe(key).lock().expect("cache lock");
+            let mut inner = self.inner();
             inner.misses += 1;
             inner.corrupt += 1;
             let stale = resident.is_some_and(|entry| {
@@ -822,12 +797,11 @@ impl AnalysisCache {
     pub fn insert(&self, key: CacheKey, entry: CacheEntry) {
         self.store_disk(key, &entry);
         self.insert_memory(key, Arc::new(entry), None);
-        self.stripe(key).lock().expect("cache lock").stores += 1;
+        self.inner().stores += 1;
     }
 
     fn insert_memory(&self, key: CacheKey, entry: Arc<CacheEntry>, parsed: Option<Arc<Function>>) {
-        let bare = entry.byte_size();
-        let budget = self.stripe_budget();
+        let (bare, budget) = (entry.byte_size(), self.budget);
         if bare > budget {
             // Oversized for the memory tier entirely; the disk tier (if
             // any) still has it.
@@ -838,7 +812,7 @@ impl AnalysisCache {
             Some((size, f)) if size <= budget => (Some(f), size),
             _ => (None, bare),
         };
-        let mut inner = self.stripe(key).lock().expect("cache lock");
+        let mut inner = self.inner();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner.map.insert(
@@ -904,7 +878,7 @@ impl AnalysisCache {
             if plan.decide(ChaosSite::DiskFull) {
                 // ENOSPC: the persist fails cleanly, nothing is left behind
                 // and the published entry (if any) is untouched.
-                self.stripe(key).lock().expect("cache lock").write_errors += 1;
+                self.inner().write_errors += 1;
                 return;
             }
             if plan.decide(ChaosSite::DiskShortWrite) {
@@ -913,7 +887,7 @@ impl AnalysisCache {
                 // place deliberately — the next startup's recovery sweep
                 // must quarantine it.
                 let _ = std::fs::write(&tmp, &buf[..buf.len() / 2]);
-                self.stripe(key).lock().expect("cache lock").write_errors += 1;
+                self.inner().write_errors += 1;
                 return;
             }
         }
@@ -925,7 +899,7 @@ impl AnalysisCache {
         // back — a cache that cannot persist is merely cold, not broken.
         if persist_atomically(&tmp, &path, &buf).is_err() {
             let _ = std::fs::remove_file(&tmp);
-            self.stripe(key).lock().expect("cache lock").write_errors += 1;
+            self.inner().write_errors += 1;
             return;
         }
 

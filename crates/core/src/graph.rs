@@ -527,14 +527,19 @@ impl ConstraintLog {
     }
 }
 
-/// The constant `v` is defined as, if any.
-fn konst(func: &Function, v: Value) -> Option<i64> {
-    match func.value_def(v) {
-        ValueDef::Inst(i) => match func.inst(i).kind {
-            InstKind::Const(c) => Some(c),
-            _ => None,
-        },
-        ValueDef::Param(_) => None,
+/// The constant `v` is defined as, if any. A π equals its input, so a
+/// constant renamed by π insertion (cleanup may have shared it with a
+/// branch's operand) is still that constant.
+fn konst(func: &Function, mut v: Value) -> Option<i64> {
+    loop {
+        let ValueDef::Inst(i) = func.value_def(v) else {
+            return None;
+        };
+        match func.inst(i).kind {
+            InstKind::Const(c) => return Some(c),
+            InstKind::Pi { input, .. } => v = input,
+            _ => return None,
+        }
     }
 }
 

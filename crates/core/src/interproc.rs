@@ -329,6 +329,15 @@ pub(crate) fn guard_entries(
     reports
 }
 
+/// The function a name belongs to in the source module: `f` for the
+/// `f$fast` and `f$slow` bodies of a guarded entry, any other name as it
+/// is (MJ identifiers cannot hold `$`).
+pub fn source_name(name: &str) -> &str {
+    name.strip_suffix("$fast")
+        .or_else(|| name.strip_suffix("$slow"))
+        .unwrap_or(name)
+}
+
 /// The functions `func` calls.
 fn calls_of(func: &Function) -> Vec<FuncId> {
     func.blocks()

@@ -12,6 +12,7 @@
 //! [`TrapKind::BoundsCheckFailed`] — are exactly the miscompilations the
 //! oracle exists to expose.
 
+use crate::interproc::source_name;
 use abcd_ir::Module;
 use abcd_vm::{RtVal, Trap, TrapKind, Vm};
 use std::fmt;
@@ -109,7 +110,7 @@ pub fn differential(reference: &Module, candidate: &Module, entry: &str) -> Opti
     };
     let results_agree = match (&want.result, &got.result) {
         (Ok(a), Ok(b)) => a == b,
-        (Err(a), Err(b)) => traps_equivalent(a, b),
+        (Err(a), Err(b)) => traps_equivalent((reference, a), (candidate, b)),
         _ => false,
     };
     if !results_agree {
@@ -127,16 +128,23 @@ pub fn differential(reference: &Module, candidate: &Module, entry: &str) -> Opti
     None
 }
 
-/// Site-insensitive trap equivalence: same function, same variant, same
-/// observable data (index/length where applicable), ignoring [`CheckSite`]
-/// labels that `merge_remaining_checks` may have reassigned.
+/// Site-insensitive trap equivalence: same source function, same
+/// variant, same observable data (index/length where applicable),
+/// ignoring [`CheckSite`] labels that `merge_remaining_checks` may have
+/// reassigned. Each trap is read with the module that raised it: under
+/// `interprocedural` a guarded function's trap is raised in its `$fast`
+/// or `$slow` body, which is the same source function
+/// ([`interproc::source_name`](crate::interproc::source_name)).
 ///
 /// [`CheckSite`]: abcd_ir::CheckSite
-pub fn traps_equivalent(a: &Trap, b: &Trap) -> bool {
-    if a.func != b.func {
+pub fn traps_equivalent(reference: (&Module, &Trap), candidate: (&Module, &Trap)) -> bool {
+    fn source<'m>((module, trap): (&'m Module, &Trap)) -> &'m str {
+        source_name(module.function(trap.func).name())
+    }
+    if source(reference) != source(candidate) {
         return false;
     }
-    match (&a.kind, &b.kind) {
+    match (&reference.1.kind, &candidate.1.kind) {
         (
             TrapKind::BoundsCheckFailed {
                 index: i1, len: l1, ..
@@ -161,8 +169,13 @@ mod tests {
         }
     }
 
+    fn module() -> Module {
+        abcd_frontend::compile("fn main() -> int { return 0; }").unwrap()
+    }
+
     #[test]
     fn traps_compare_site_insensitively() {
+        let m = module();
         let a = trap(TrapKind::BoundsCheckFailed {
             site: CheckSite::new(1),
             index: 7,
@@ -173,11 +186,12 @@ mod tests {
             index: 7,
             len: 5,
         });
-        assert!(traps_equivalent(&a, &b));
+        assert!(traps_equivalent((&m, &a), (&m, &b)));
     }
 
     #[test]
     fn traps_distinguish_data_and_variant() {
+        let m = module();
         let a = trap(TrapKind::BoundsCheckFailed {
             site: CheckSite::new(1),
             index: 7,
@@ -189,8 +203,8 @@ mod tests {
             len: 5,
         });
         let unchecked = trap(TrapKind::UncheckedAccessOutOfBounds { index: 7, len: 5 });
-        assert!(!traps_equivalent(&a, &wrong_index));
-        assert!(!traps_equivalent(&a, &unchecked));
+        assert!(!traps_equivalent((&m, &a), (&m, &wrong_index)));
+        assert!(!traps_equivalent((&m, &a), (&m, &unchecked)));
     }
 
     #[test]

@@ -212,3 +212,31 @@ fn equality_guard_proves_both_directions_without_cycles() {
     let mut p2 = DemandProver::new(&g2, Vertex::ArrayLen(array2));
     assert!(p2.demand_prove(Vertex::Value(index2), -1), "{f2}");
 }
+
+#[test]
+fn a_constant_shared_with_a_guard_keeps_its_offset_edges() {
+    // Cleanup value-numbers the `6` of `a[i-6]` into the guard's `6`, and π
+    // insertion renames it under the guard; `i − π(6)` must still be
+    // `i − 6` to the graph, so cleanup costs no removal.
+    let src = "fn f(a: int[], i: int) -> int {
+        let s: int = 0;
+        if (i >= 6) {
+            if (i < a.length) {
+                s = a[i] + a[i-1] + a[i-2] + a[i-3] + a[i-4] + a[i-5] + a[i-6];
+            }
+        }
+        return s;
+    }
+    fn main() -> int { let a: int[] = new int[8]; return f(a, 7); }";
+    for cleanup in [true, false] {
+        let mut m = abcd_frontend::compile(src).unwrap();
+        let options = OptimizerOptions {
+            cleanup,
+            ..OptimizerOptions::default()
+        };
+        let report = Optimizer::with_options(options).optimize_module(&mut m, None);
+        let f = &report.functions[0];
+        assert_eq!(f.checks_analyzed(), 14, "cleanup: {cleanup}");
+        assert_eq!(f.removed_fully(), 14, "cleanup: {cleanup}");
+    }
+}

@@ -1,10 +1,10 @@
 //! `loadgen` — replay deterministic synthetic traffic against `abcdd`.
 //!
-//! Default mode starts an in-process sharded server listening on both a
+//! Default mode starts an in-process server listening on both a
 //! Unix-domain socket and a loopback TCP port, replays the identical
 //! seeded schedule through the four `{uds,tcp} × {batch 1,8}` scenarios,
 //! and writes the measured trajectory to `BENCH_abcdd.json`
-//! (schema `abcd-bench-abcdd/1`). `--connect` instead targets an
+//! (schema `abcd-bench-abcdd/2`). `--connect` instead targets an
 //! already-running server with a single scenario.
 
 use abcd::OptimizerOptions;
@@ -34,10 +34,8 @@ OPTIONS:
                        (default 150)
     --zipf-s X         zipf skew over the corpus (default 1.2)
     --corpus N         synthetic corpus size (default 24)
-    --shards N         (in-process server) shard count (default 2)
-    --workers N        (in-process server) workers per shard (default 1)
-    --queue N          (in-process server) queue slots per shard
-                       (default 32)
+    --workers N        (in-process server) workers (default 2)
+    --queue N          (in-process server) queue slots (default 64)
     --deadline MS      per-request deadline; tripping it fails open
     --verify           byte-check every reply against the one-shot
                        pipeline (differential guarantee; mismatch = error)
@@ -69,8 +67,9 @@ fn run() -> Result<ExitCode, String> {
     while i < args.len() {
         match args[i].as_str() {
             "--out" | "--seed" | "--requests" | "--clients" | "--rate" | "--zipf-s"
-            | "--corpus" | "--shards" | "--workers" | "--queue" | "--deadline" | "--connect"
-            | "--batch" => i += 1,
+            | "--corpus" | "--workers" | "--queue" | "--deadline" | "--connect" | "--batch" => {
+                i += 1
+            }
             "--verify" => {}
             other => return Err(format!("unknown flag `{other}`\n{HELP}")),
         }
@@ -101,9 +100,8 @@ fn run() -> Result<ExitCode, String> {
     let rate = fnum("--rate", 150.0)?;
     let zipf_s = fnum("--zipf-s", 1.2)?;
     let corpus_len = (num("--corpus", 24)? as usize).max(1);
-    let shards = (num("--shards", 2)? as usize).max(1);
-    let workers = (num("--workers", 1)? as usize).max(1);
-    let queue = num("--queue", 32)? as usize;
+    let workers = (num("--workers", 2)? as usize).max(1);
+    let queue = num("--queue", 64)? as usize;
     let deadline_ms = value_of("--deadline")
         .map(|v| v.parse().map_err(|_| "`--deadline` needs milliseconds"))
         .transpose()?;
@@ -120,7 +118,7 @@ fn run() -> Result<ExitCode, String> {
     let offered = schedule(seed, requests, rate, corpus_len, zipf_s);
 
     let mut results = Vec::new();
-    let (shards_doc, workers_doc);
+    let workers_doc;
     if let Some(spec) = value_of("--connect") {
         // External server: one scenario, transport taken from the spec.
         let endpoint = Endpoint::parse(spec).map_err(|e| format!("--connect: {e}"))?;
@@ -144,20 +142,18 @@ fn run() -> Result<ExitCode, String> {
             deadline_ms,
             expected: expected.as_ref(),
         })?);
-        (shards_doc, workers_doc) = (0, 0); // unknown: not our server
+        workers_doc = 0; // unknown: not our server
     } else {
-        // In-process matrix: one sharded server on UDS + loopback TCP.
+        // In-process matrix: one server on UDS + loopback TCP.
         let sock = std::env::temp_dir().join(format!("loadgen-{}.sock", std::process::id()));
         let mut config = ServerConfig::new(&sock);
         config.listen.push(ListenAddr::Tcp("127.0.0.1:0".into()));
-        config.shards = shards;
         config.workers = workers;
         config.queue = queue;
-        config.jobs = 1;
-        // A cache striped to the shard count, like `abcdd --shards` sets up.
-        config.cache = Some(Arc::new(
-            abcd::AnalysisCache::in_memory(abcd::cache::DEFAULT_CACHE_BYTES).with_stripes(shards),
-        ));
+        // The in-memory cache `abcdd` sets up by default.
+        config.cache = Some(Arc::new(abcd::AnalysisCache::in_memory(
+            abcd::cache::DEFAULT_CACHE_BYTES,
+        )));
         let handle = abcd_server::start(config).map_err(|e| format!("bind: {e}"))?;
         let uds = Endpoint::uds(handle.socket().ok_or("no UDS endpoint")?);
         let tcp = Endpoint::Tcp(handle.tcp_addr().ok_or("no TCP endpoint")?.to_string());
@@ -180,7 +176,7 @@ fn run() -> Result<ExitCode, String> {
         }
         abcd_server::shutdown_at(&uds)?;
         handle.join();
-        (shards_doc, workers_doc) = (shards, workers);
+        workers_doc = workers;
     }
 
     let params = BenchParams {
@@ -190,8 +186,7 @@ fn run() -> Result<ExitCode, String> {
         rate_per_sec: rate,
         zipf_s,
         corpus: corpus_len,
-        shards: shards_doc,
-        workers_per_shard: workers_doc,
+        workers: workers_doc,
         verified: expected.is_some(),
     };
     let doc = bench_json(&params, &results);
@@ -200,7 +195,7 @@ fn run() -> Result<ExitCode, String> {
     let mut failed = false;
     for r in &results {
         eprintln!(
-            "loadgen: {:>10}  sent {:>5}  ok {:>5}  fail_open {:>3}  errors {:>3}  {:>7.1} rps  p50 {:>6}us  p99 {:>7}us  p999 {:>7}us  steals {:>3}  queued {:>3}",
+            "loadgen: {:>10}  sent {:>5}  ok {:>5}  fail_open {:>3}  errors {:>3}  {:>7.1} rps  p50 {:>6}us  p99 {:>7}us  p999 {:>7}us  queued {:>3}",
             r.name,
             r.requests_sent,
             r.ok,
@@ -211,7 +206,6 @@ fn run() -> Result<ExitCode, String> {
             abcd_loadgen::percentile(&r.latency_us, 99.0),
             abcd_loadgen::percentile(&r.latency_us, 99.9),
             r.server_delta.0,
-            r.server_delta.1,
         );
         for e in &r.error_samples {
             eprintln!("loadgen:   error: {e}");

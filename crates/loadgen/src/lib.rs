@@ -6,8 +6,8 @@
 //! owner actually cares about. Which module each request carries is drawn
 //! from a **zipf** popularity distribution over a seeded synthetic corpus
 //! whose per-module optimization cost is deliberately imbalanced (a
-//! popular cheap head, a rare expensive tail), so a sharded server sees
-//! realistic skew and must steal work to keep its tail latency flat.
+//! popular cheap head, a rare expensive tail), so the server sees
+//! realistic skew: a slow tail request must not hold up the cheap head.
 //!
 //! # Determinism
 //!
@@ -23,9 +23,9 @@
 //! the one-shot pipeline (`mjc dump --stage opt` semantics): served IR
 //! must be byte-identical, or — when the server failed open on a
 //! deadline — byte-identical to the *unoptimized* compile. Batching,
-//! stealing, and transport choice must all be invisible in the bytes.
+//! queueing, and transport choice must all be invisible in the bytes.
 //!
-//! Results serialize as schema `abcd-bench-abcdd/1` (see [`bench_json`]),
+//! Results serialize as schema `abcd-bench-abcdd/2` (see [`bench_json`]),
 //! gated in CI by `tools/bench_gate.py`.
 
 #![forbid(unsafe_code)]
@@ -38,7 +38,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The schema identifier pinned by `BENCH_abcdd.json` and the gate.
-pub const SCHEMA: &str = "abcd-bench-abcdd/1";
+pub const SCHEMA: &str = "abcd-bench-abcdd/2";
 
 /// The repository's seeded generator, re-exported for the load
 /// generator's users.
@@ -223,8 +223,8 @@ pub struct ScenarioResult {
     /// ascending, microseconds. Open-loop: includes queueing delay.
     pub latency_us: Vec<u64>,
     /// Server-side counter deltas over the scenario, from `stats`:
-    /// (steals, queued_replies, shed, deadline_exceeded).
-    pub server_delta: (u64, u64, u64, u64),
+    /// (queued_replies, shed, deadline_exceeded).
+    pub server_delta: (u64, u64, u64),
 }
 
 impl ScenarioResult {
@@ -246,21 +246,16 @@ pub fn percentile(sorted_us: &[u64], p: f64) -> u64 {
     sorted_us[rank.saturating_sub(1).min(sorted_us.len() - 1)]
 }
 
-/// Reads the (steals, queued_replies, shed, deadline_exceeded) counters
-/// from a `stats` reply; absent fields (an older server) read as zero.
-fn service_counters(endpoint: &Endpoint) -> (u64, u64, u64, u64) {
+/// Reads the (queued_replies, shed, deadline_exceeded) counters from a
+/// `stats` reply; absent fields (an older server) read as zero.
+fn service_counters(endpoint: &Endpoint) -> (u64, u64, u64) {
     use abcd_server::json::Json;
     match abcd_server::stats_at(endpoint) {
         Ok(doc) => {
             let n = |key: &str| doc.get(key).and_then(Json::as_u64).unwrap_or(0);
-            (
-                n("steals"),
-                n("queued_replies"),
-                n("shed"),
-                n("deadline_exceeded"),
-            )
+            (n("queued_replies"), n("shed"), n("deadline_exceeded"))
         }
-        Err(_) => (0, 0, 0, 0),
+        Err(_) => (0, 0, 0),
     }
 }
 
@@ -424,7 +419,6 @@ pub fn run_scenario(params: &ScenarioParams) -> Result<ScenarioResult, String> {
             after.0.saturating_sub(before.0),
             after.1.saturating_sub(before.1),
             after.2.saturating_sub(before.2),
-            after.3.saturating_sub(before.3),
         ),
     })
 }
@@ -445,35 +439,32 @@ pub struct BenchParams {
     pub zipf_s: f64,
     /// Corpus size.
     pub corpus: usize,
-    /// Server shards (0 = external server, unknown).
-    pub shards: usize,
-    /// Workers per shard (0 = external server, unknown).
-    pub workers_per_shard: usize,
+    /// Server workers (0 = external server, unknown).
+    pub workers: usize,
     /// Whether every reply was byte-checked against the one-shot pipeline.
     pub verified: bool,
 }
 
-/// Serializes the run as a schema-pinned `abcd-bench-abcdd/1` document.
+/// Serializes the run as a schema-pinned `abcd-bench-abcdd/2` document.
 pub fn bench_json(params: &BenchParams, results: &[ScenarioResult]) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"params\": {{\"seed\": {}, \"requests\": {}, \"clients\": {}, \"rate_per_sec\": {}, \"zipf_s\": {}, \"corpus\": {}, \"shards\": {}, \"workers_per_shard\": {}, \"verified\": {}}},\n  \"scenarios\": [",
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"params\": {{\"seed\": {}, \"requests\": {}, \"clients\": {}, \"rate_per_sec\": {}, \"zipf_s\": {}, \"corpus\": {}, \"workers\": {}, \"verified\": {}}},\n  \"scenarios\": [",
         params.seed,
         params.requests,
         params.clients,
         params.rate_per_sec,
         params.zipf_s,
         params.corpus,
-        params.shards,
-        params.workers_per_shard,
+        params.workers,
         params.verified,
     );
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
         let _ = write!(
             out,
-            "\n    {{\"name\": \"{}\", \"transport\": \"{}\", \"batch\": {}, \"requests_sent\": {}, \"ok\": {}, \"fail_open\": {}, \"errors\": {}, \"throughput_rps\": {:.1}, \"latency_us\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}}, \"server\": {{\"steals\": {}, \"queued_replies\": {}, \"shed\": {}, \"deadline_exceeded\": {}}}}}{comma}",
+            "\n    {{\"name\": \"{}\", \"transport\": \"{}\", \"batch\": {}, \"requests_sent\": {}, \"ok\": {}, \"fail_open\": {}, \"errors\": {}, \"throughput_rps\": {:.1}, \"latency_us\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}}, \"server\": {{\"queued_replies\": {}, \"shed\": {}, \"deadline_exceeded\": {}}}}}{comma}",
             r.name,
             r.transport,
             r.batch,
@@ -489,7 +480,6 @@ pub fn bench_json(params: &BenchParams, results: &[ScenarioResult]) -> String {
             r.server_delta.0,
             r.server_delta.1,
             r.server_delta.2,
-            r.server_delta.3,
         );
     }
     out.push_str("\n  ]\n}\n");

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! abcdd --socket /tmp/abcdd.sock [--listen tcp:127.0.0.1:7433]...
-//!       [--shards N] [--workers N] [--queue N] [--jobs N]
+//!       [--workers N] [--queue N] [--jobs N]
 //!       [--cache-bytes N] [--cache-dir DIR] [--no-cache]
 //!       [--request-timeout MS] [--io-timeout MS] [--stuck-after MS]
 //!       [--chaos PLAN]

@@ -14,17 +14,15 @@ pub const SERVE_FLAGS: &str = "    --socket PATH      Unix-domain socket to list
     --listen ADDR      endpoint to listen on: `uds:/path/to.sock` or
                        `tcp:host:port` (`tcp:127.0.0.1:0` picks a free
                        port). Repeatable; all endpoints are served
-                       concurrently by the same shard set.
-    --shards N         independent run queues with work stealing between
-                       them (default 1); admission places each connection
-                       on the least-loaded shard
-    --workers N        request handlers PER SHARD (default: all host CPUs;
-                       requests beyond the available parallelism are clamped)
-    --queue N          bounded admission queue per shard; when every shard
-                       is full the connection gets a queue-position reply
-                       `{\"queued\":P,\"retry_after_ms\":...}` (default 8)
-    --jobs N           optimizer threads per request (default: all host
-                       CPUs; clamped to the available parallelism)
+                       concurrently by the same run queue.
+    --workers N        request handlers (default: all host CPUs; clamped to
+                       the available parallelism)
+    --queue N          bounded admission queue; when it is full the
+                       connection gets a queue-position reply
+                       `{\"queued\":P,\"retry_after_ms\":...}` (default 8;
+                       0 admits a connection only while a worker is idle)
+    --jobs N           optimizer threads per request (default 1; clamped to
+                       the available parallelism)
     --cache-bytes N    in-memory analysis-cache budget (default 64 MiB)
     --cache-dir DIR    also persist cache entries to DIR (content-addressed,
                        re-verified on load; corruption falls back to cold)
@@ -49,10 +47,9 @@ impl ServerConfig {
     /// Parses the daemon's flags (see [`SERVE_FLAGS`]). Every endpoint of
     /// `--socket` and `--listen` is served, in argv order; at least one is
     /// required. A flag that is not given keeps [`ServerConfig::new`]'s
-    /// default, except that `--workers` and `--jobs` default to all host
-    /// CPUs (both are clamped to the available parallelism) and the
-    /// analysis cache is on (in memory, lock-striped to the shard count)
-    /// unless `--no-cache` is given.
+    /// default, except that `--workers` defaults to all host CPUs (it and
+    /// `--jobs` are clamped to the available parallelism) and the
+    /// analysis cache is on (in memory) unless `--no-cache` is given.
     ///
     /// # Errors
     ///
@@ -62,7 +59,6 @@ impl ServerConfig {
         let mut config = ServerConfig {
             listen: Vec::new(),
             workers: abcd::clamp_jobs(0),
-            jobs: abcd::clamp_jobs(0),
             ..ServerConfig::new("")
         };
         let mut cache_bytes = abcd::cache::DEFAULT_CACHE_BYTES;
@@ -92,7 +88,6 @@ impl ServerConfig {
                     let addr = ListenAddr::parse(value()?).map_err(|e| format!("--listen: {e}"))?;
                     config.listen.push(addr);
                 }
-                "--shards" => config.shards = count(value()?)?.max(1),
                 "--workers" => config.workers = abcd::clamp_jobs(count(value()?)?),
                 "--queue" => config.queue = count(value()?)?,
                 "--jobs" => config.jobs = abcd::clamp_jobs(count(value()?)?),
@@ -122,9 +117,7 @@ impl ServerConfig {
                 Some(dir) => AnalysisCache::with_dir(std::path::Path::new(dir), cache_bytes)
                     .map_err(|e| format!("--cache-dir {dir}: {e}"))?,
             };
-            // One lock stripe per shard, so parallel shards don't
-            // serialize on one cache lock.
-            config.cache = Some(Arc::new(cache.with_stripes(config.shards)));
+            config.cache = Some(Arc::new(cache));
         }
         Ok(config)
     }
@@ -144,14 +137,13 @@ mod tests {
         let parsed = parse(&["--socket", "s.sock"]).unwrap();
         let library = ServerConfig::new("s.sock");
         assert_eq!(parsed.listen, library.listen);
-        assert_eq!(parsed.shards, library.shards);
         assert_eq!(parsed.queue, library.queue);
+        assert_eq!(parsed.jobs, library.jobs);
         assert_eq!(parsed.request_timeout, library.request_timeout);
         assert_eq!(parsed.io_timeout, library.io_timeout);
         assert_eq!(parsed.stuck_after, library.stuck_after);
         assert!(parsed.chaos.is_none());
         assert_eq!(parsed.workers, abcd::clamp_jobs(0));
-        assert_eq!(parsed.jobs, abcd::clamp_jobs(0));
         let cache = parsed.cache.expect("the cache is on by default");
         assert_eq!(cache.stats().budget_bytes, abcd::cache::DEFAULT_CACHE_BYTES);
         assert!(parse(&["--socket", "s.sock", "--no-cache"])
@@ -195,6 +187,13 @@ mod tests {
         }
         let err = parse(&["--socket", "s.sock", "--bogus"]).unwrap_err();
         assert!(err.contains("unknown flag `--bogus`"), "{err}");
+    }
+
+    /// The daemon has one run queue, so there are no shards to ask for.
+    #[test]
+    fn shards_is_an_unknown_flag() {
+        let err = parse(&["--socket", "s.sock", "--shards", "2"]).unwrap_err();
+        assert!(err.contains("unknown flag `--shards`"), "{err}");
     }
 
     #[test]

@@ -3,16 +3,12 @@
 //! One call = one connection = one request frame, mirroring the server's
 //! admission model; a protocol-v2 batch call reads its N streamed reply
 //! frames back on the same connection. The only non-terminal failure is
-//! `busy` — including the sharded server's queue-position replies —
-//! surfaced as [`Reply::Busy`] so callers can implement the documented
-//! retry contract; [`RetryPolicy`] implements it (exponential backoff with
+//! `busy` — including the server's queue-position replies — surfaced as
+//! [`Reply::Busy`] so callers can implement the documented retry
+//! contract; [`RetryPolicy`] implements it (exponential backoff with
 //! jitter, floored by the server's adaptive hint, bounded by an attempt
 //! cap and an overall deadline) for callers that just want the right
-//! behavior.
-//!
-//! The `&Path` entry points ([`optimize`], [`ping`], [`stats`], …) are the
-//! original UDS API and remain unchanged; each has an `_at` twin taking an
-//! [`Endpoint`] that also speaks TCP.
+//! behavior. Every call takes an [`Endpoint`], UDS or TCP.
 
 use crate::json::Json;
 use crate::proto::{batch_request_json, optimize_request_json, read_frame, write_frame};
@@ -20,7 +16,6 @@ use crate::transport::{Conn, Endpoint};
 use abcd::OptimizerOptions;
 use abcd_ir::SplitMix64;
 use abcd_vm::Profile;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// A parsed server reply.
@@ -30,21 +25,21 @@ pub enum Reply {
     /// reply text (the `metrics` field must be extracted verbatim — a
     /// re-serialization would not be byte-comparable with batch `mjc`).
     Ok(Json, String),
-    /// Every shard's admission queue was full; retry after the delay.
+    /// The admission queue was full; retry after the delay.
     Busy {
         /// Advisory back-off before resending the identical request —
         /// adaptive: the server scales it with the backlog it shed at.
         retry_after_ms: u64,
-        /// Queue position the request would have held (sharded servers
-        /// only): patience can scale with the backlog instead of being
-        /// guessed. `None` from pre-shard `busy` replies.
+        /// Queue position the request would have held: patience can
+        /// scale with the backlog instead of being guessed. `None` from
+        /// bare `busy` replies.
         queued: Option<u64>,
     },
     /// A terminal, structured error.
     Err(String),
 }
 
-/// Per-request observation knobs for [`optimize`].
+/// Per-request observation knobs for [`optimize_at`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CallOptions {
     /// Attach the `abcd-metrics/8` blob to the reply.
@@ -58,7 +53,7 @@ pub struct CallOptions {
     pub deadline_ms: Option<u64>,
 }
 
-/// How [`optimize`] retries `busy` replies and bounds its own time.
+/// How [`optimize_at`] retries `busy` replies and bounds its own time.
 ///
 /// Each busy reply sleeps `max(server_hint, jittered_backoff)` where the
 /// backoff doubles from [`base_ms`](RetryPolicy::base_ms) up to
@@ -189,20 +184,6 @@ fn dial(endpoint: &Endpoint, io_timeout: Option<Duration>) -> Result<Conn, Strin
     Ok(conn)
 }
 
-/// Sends one raw request frame and returns the parsed reply.
-pub fn roundtrip(socket: &Path, request: &str) -> Result<Reply, String> {
-    roundtrip_timeout(socket, request, None)
-}
-
-/// [`roundtrip`] with a socket read/write timeout bounding each frame.
-pub fn roundtrip_timeout(
-    socket: &Path,
-    request: &str,
-    io_timeout: Option<Duration>,
-) -> Result<Reply, String> {
-    roundtrip_at(&Endpoint::uds(socket), request, io_timeout)
-}
-
 /// Sends one raw request frame to `endpoint` (UDS or TCP) and returns the
 /// parsed reply.
 pub fn roundtrip_at(
@@ -223,27 +204,8 @@ pub fn roundtrip_at(
     parse_reply(&payload)
 }
 
-/// Optimizes a module remotely over UDS, retrying `busy` replies per
-/// `retry`; any other failure is terminal.
-pub fn optimize(
-    socket: &Path,
-    source_or_ir: (&str, bool),
-    options: &OptimizerOptions,
-    profile: Option<&Profile>,
-    call: &CallOptions,
-    retry: &RetryPolicy,
-) -> Result<Optimized, String> {
-    optimize_at(
-        &Endpoint::uds(socket),
-        source_or_ir,
-        options,
-        profile,
-        call,
-        retry,
-    )
-}
-
-/// [`optimize`] against any [`Endpoint`] (UDS or TCP).
+/// Optimizes a module remotely, retrying `busy` replies per `retry`; any
+/// other failure is terminal.
 pub fn optimize_at(
     endpoint: &Endpoint,
     source_or_ir: (&str, bool),
@@ -433,11 +395,6 @@ fn extract_metrics(doc: &Json, raw: &str) -> Option<String> {
 }
 
 /// Sends a `ping`; true when a live server answered.
-pub fn ping(socket: &Path) -> bool {
-    ping_at(&Endpoint::uds(socket))
-}
-
-/// [`ping`] against any endpoint.
 pub fn ping_at(endpoint: &Endpoint) -> bool {
     matches!(
         roundtrip_at(endpoint, "{\"cmd\":\"ping\"}", None),
@@ -446,11 +403,6 @@ pub fn ping_at(endpoint: &Endpoint) -> bool {
 }
 
 /// Sends a `shutdown` request.
-pub fn shutdown(socket: &Path) -> Result<(), String> {
-    shutdown_at(&Endpoint::uds(socket))
-}
-
-/// [`shutdown`] against any endpoint.
 pub fn shutdown_at(endpoint: &Endpoint) -> Result<(), String> {
     match roundtrip_at(endpoint, "{\"cmd\":\"shutdown\"}", None)? {
         Reply::Ok(..) => Ok(()),
@@ -460,11 +412,6 @@ pub fn shutdown_at(endpoint: &Endpoint) -> Result<(), String> {
 }
 
 /// Sends a `stats` request and returns the raw document.
-pub fn stats(socket: &Path) -> Result<Json, String> {
-    stats_at(&Endpoint::uds(socket))
-}
-
-/// [`stats`] against any endpoint.
 pub fn stats_at(endpoint: &Endpoint) -> Result<Json, String> {
     match roundtrip_at(endpoint, "{\"cmd\":\"stats\"}", None)? {
         Reply::Ok(doc, _) => Ok(doc),
@@ -475,11 +422,6 @@ pub fn stats_at(endpoint: &Endpoint) -> Result<Json, String> {
 
 /// Sends a `metrics` request and returns the Prometheus-style text
 /// exposition, unescaped and ready to print or scrape.
-pub fn metrics(socket: &Path, deterministic: bool) -> Result<String, String> {
-    metrics_at(&Endpoint::uds(socket), deterministic)
-}
-
-/// [`metrics`] against any endpoint.
 pub fn metrics_at(endpoint: &Endpoint, deterministic: bool) -> Result<String, String> {
     let request = format!("{{\"cmd\":\"metrics\",\"deterministic\":{deterministic}}}");
     match roundtrip_at(endpoint, &request, None)? {
@@ -549,7 +491,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // Pre-shard busy replies still parse, with no position.
+        // Bare busy replies still parse, with no position.
         let payload = crate::proto::busy_response(40);
         match parse_reply(payload.as_bytes()).unwrap() {
             Reply::Busy { queued, .. } => assert_eq!(queued, None),

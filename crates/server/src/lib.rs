@@ -13,9 +13,9 @@
 //! - [`transport`] — UDS and TCP listeners/connections behind one type;
 //! - [`ServerConfig::from_args`] — the daemon's command line, shared by
 //!   `abcdd` and `mjc serve`;
-//! - [`server`] — per-listener acceptors / sharded work-stealing run
-//!   queues / supervised worker pools / graceful drain, with optional
-//!   seeded fault injection;
+//! - [`server`] — per-listener acceptors / one bounded run queue /
+//!   a supervised worker pool / graceful drain, with optional seeded
+//!   fault injection;
 //! - [`client`] — a blocking client used by `mjc client`, `loadgen`, and
 //!   the tests;
 //! - [`json`] — the dependency-free JSON reader behind both.
@@ -32,16 +32,15 @@ mod cli;
 pub mod client;
 pub mod json;
 pub mod proto;
+mod queue;
 mod registry;
 pub mod server;
-mod shard;
 pub mod transport;
 
 pub use cli::SERVE_FLAGS;
 pub use client::{
-    metrics, metrics_at, optimize, optimize_at, optimize_batch_at, ping, ping_at, roundtrip,
-    roundtrip_at, roundtrip_timeout, shutdown, shutdown_at, stats, stats_at, BatchItem,
-    CallOptions, Optimized, Reply, RetryPolicy,
+    metrics_at, optimize_at, optimize_batch_at, ping_at, roundtrip_at, shutdown_at, stats_at,
+    BatchItem, CallOptions, Optimized, Reply, RetryPolicy,
 };
 pub use server::{start, ServerConfig, ServerHandle};
 pub use transport::{Endpoint, ListenAddr};

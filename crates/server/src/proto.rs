@@ -64,14 +64,13 @@
 //!
 //! # Retry contract
 //!
-//! A `busy` response means every shard's admission queue was full at
-//! connect time. The request was *not* partially processed; clients
+//! A `busy` response means the admission queue was full at connect
+//! time. The request was *not* partially processed; clients
 //! should resend the identical frame after backing off. `retry_after_ms`
 //! is an **adaptive hint**: the server scales it with the backlog it saw
 //! when it shed the connection (a loaded queue advises a longer pause),
-//! so a thundering herd spreads out instead of re-colliding. The sharded
-//! server degrades to **queue-position replies** instead of bare
-//! busy-shedding: `{"ok":false,"busy":true,"queued":P,...}` tells the
+//! so a thundering herd spreads out instead of re-colliding. The server
+//! degrades to **queue-position replies** instead of bare busy-shedding: `{"ok":false,"busy":true,"queued":P,...}` tells the
 //! client it would have been P-th in line, so patience can scale with P
 //! rather than be guessed. `busy:true` is retained so v1 clients parse
 //! queue-position replies as ordinary backpressure. Clients should treat
@@ -482,14 +481,14 @@ pub fn busy_response(retry_after_ms: u64) -> String {
     )
 }
 
-/// Builds a queue-position backpressure reply: all shards were full, and
-/// the request would have been `position`-th in line. Keeps `busy:true`
+/// Builds a queue-position backpressure reply: the run queue was full,
+/// and the request would have been `position`-th in line. Keeps `busy:true`
 /// so protocol-v1 clients treat it as ordinary backpressure.
 pub fn queued_response(position: u64, retry_after_ms: u64) -> String {
     format!(
         "{{\"ok\":false,\"busy\":true,\"queued\":{position},\
          \"retry_after_ms\":{retry_after_ms},\
-         \"error\":\"all shards at capacity\"}}"
+         \"error\":\"run queue at capacity\"}}"
     )
 }
 

@@ -1,5 +1,5 @@
 //! The one declaration of every series `abcdd` exports: [`SERIES`] names
-//! each once, and `stats` (`abcdd-stats/2` JSON) and the Prometheus
+//! each once, and `stats` (`abcdd-stats/3` JSON) and the Prometheus
 //! exposition are two generic renderings of one [`Snapshot`] of it.
 //!
 //! The server's own counters and histograms are [`Registry`] slots named
@@ -7,13 +7,13 @@
 //! no name lookup, no allocation. Every other series is read from its
 //! owner when a snapshot is taken.
 
-use crate::shard::ShardSet;
+use crate::queue::RunQueue;
 use abcd::{CacheStats, ChaosPlan, CHAOS_SITES};
 use std::fmt::Write as _;
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use Kind::{Config, Counter, Gauge, Log2};
-use Label::{Cache, Event, Outcome, Shard, Single, Site};
+use Label::{Cache, Event, Outcome, Single, Site};
 
 /// Buckets of a log2 histogram. Bucket 0 counts zero samples, bucket
 /// `i ≥ 1` counts samples in `[2^(i−1), 2^i − 1]` (its `le` bound is
@@ -69,15 +69,14 @@ enum Kind {
 }
 
 /// The static label set of a series, which also places it in `stats`:
-/// `Single` and each `Outcome` are top-level keys, `Shard` values go in
-/// the `shards` array, `Site` values in the `chaos` object, and `Event`
-/// values and unlabelled `Cache` series in the `cache` object. `chaos`
-/// and `cache` are `null` without a chaos plan or a cache.
+/// `Single` and each `Outcome` are top-level keys, `Site` values go in the
+/// `chaos` object, and `Event` values and unlabelled `Cache` series in the
+/// `cache` object. `chaos` and `cache` are `null` without a chaos plan or
+/// a cache.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Label {
     Single,
     Outcome(&'static [&'static str]),
-    Shard,
     Site,
     Event,
     Cache,
@@ -88,7 +87,6 @@ impl Label {
     fn group(self) -> Option<&'static str> {
         match self {
             Single | Outcome(_) => None,
-            Shard => Some("shards"),
             Site => Some("chaos"),
             Event | Cache => Some("cache"),
         }
@@ -98,7 +96,6 @@ impl Label {
     fn pair(self, i: usize) -> Option<(&'static str, String)> {
         match self {
             Outcome(names) => Some(("outcome", names[i].to_string())),
-            Shard => Some(("shard", i.to_string())),
             Site => Some(("site", CHAOS_SITES[i].name().to_string())),
             Event => Some(("event", CacheStats::default().fields()[i].0.to_string())),
             Single | Cache => None,
@@ -109,7 +106,7 @@ impl Label {
 /// Everything a snapshot reads.
 pub(crate) struct Sources<'a> {
     pub registry: &'a Registry,
-    pub shards: &'a ShardSet,
+    pub queue: &'a RunQueue,
     pub cache: Option<CacheStats>,
     pub chaos: Option<&'a ChaosPlan>,
 }
@@ -127,7 +124,6 @@ fn len(series: &Series, s: &Sources<'_>) -> usize {
         (Log2, _) => BUCKETS + 1,
         (_, Single) => 1,
         (_, Outcome(names)) => names.len(),
-        (_, Shard) => s.shards.shard_count(),
         (_, Site) => s.chaos.map_or(0, |_| CHAOS_SITES.len()),
         (_, Event) => s.cache.map_or(0, |_| CacheStats::EVENTS),
         (_, Cache) => s.cache.map_or(0, |_| 1),
@@ -139,21 +135,16 @@ fn len(series: &Series, s: &Sources<'_>) -> usize {
 #[rustfmt::skip]
 const SERIES: &[Series] = &[
     ("abcdd_requests_total", "", Counter, Outcome(&["accepted", "served", "shed", "errors"]), |s, i| {
-        [s.registry.get(ACCEPTED), s.registry.get(SERVED), s.shards.queued_replies.load(Relaxed), s.registry.get(ERRORS)][i]
+        [s.registry.get(ACCEPTED), s.registry.get(SERVED), s.queue.queued_replies.load(Relaxed), s.registry.get(ERRORS)][i]
     }),
     ("abcdd_deadline_exceeded_total", "deadline_exceeded", Counter, Single, |s, _| s.registry.get(DEADLINE_EXCEEDED)),
     ("abcdd_worker_restarts_total", "worker_restarts", Counter, Single, |s, _| s.registry.get(WORKER_RESTARTS)),
     ("abcdd_worker_kicks_total", "worker_kicks", Counter, Single, |s, _| s.registry.get(WORKER_KICKS)),
-    ("abcdd_steals_total", "steals", Counter, Single, |s, _| s.shards.steals()),
-    ("abcdd_queued_replies_total", "queued_replies", Counter, Single, |s, _| s.shards.queued_replies.load(Relaxed)),
-    ("abcdd_queue_depth", "queue_depth", Gauge, Single, |s, _| s.shards.total_depth() as u64),
-    ("abcdd_shard_queue_depth", "queue_depth", Gauge, Shard, |s, i| s.shards.shard(i).depth.load(SeqCst) as u64),
-    ("abcdd_shard_busy", "busy", Gauge, Shard, |s, i| s.shards.shard(i).busy.load(SeqCst) as u64),
-    ("abcdd_shard_enqueued_total", "enqueued", Counter, Shard, |s, i| s.shards.shard(i).enqueued_total.load(Relaxed)),
-    ("abcdd_shard_steals_total", "stolen_from", Counter, Shard, |s, i| s.shards.shard(i).stolen_from.load(Relaxed)),
-    ("abcdd_workers", "workers", Config, Single, |s, _| s.shards.workers_per_shard as u64),
-    ("abcdd_queue_capacity", "queue", Config, Single, |s, _| s.shards.capacity as u64),
-    ("abcdd_shards", "shard_count", Config, Single, |s, _| s.shards.shard_count() as u64),
+    ("abcdd_queued_replies_total", "queued_replies", Counter, Single, |s, _| s.queue.queued_replies.load(Relaxed)),
+    ("abcdd_queue_depth", "queue_depth", Gauge, Single, |s, _| s.queue.depth() as u64),
+    ("abcdd_busy", "busy", Gauge, Single, |s, _| s.queue.busy.load(SeqCst) as u64),
+    ("abcdd_workers", "workers", Config, Single, |s, _| s.queue.workers as u64),
+    ("abcdd_queue_capacity", "queue", Config, Single, |s, _| s.queue.capacity as u64),
     ("abcdd_cache_events_total", "", Counter, Event, |s, i| s.cache.map_or(0, |c| c.fields()[i].1)),
     ("abcdd_cache_entries", "entries", Gauge, Cache, |s, _| s.cache.map_or(0, |c| c.entries as u64)),
     ("abcdd_cache_bytes", "bytes", Gauge, Cache, |s, _| s.cache.map_or(0, |c| c.bytes as u64)),
@@ -163,9 +154,8 @@ const SERIES: &[Series] = &[
     ("abcdd_queue_depth_at_dequeue", "queue_depth_at_dequeue", Log2, Single, |s, i| s.registry.get(QUEUE_DEPTH_AT_DEQUEUE + i)),
 ];
 
-/// Each series' values by label index (none when its group is absent),
-/// and the shard count.
-pub(crate) struct Snapshot(Vec<Vec<u64>>, usize);
+/// Each series' values by label index (none when its group is absent).
+pub(crate) struct Snapshot(Vec<Vec<u64>>);
 
 impl Snapshot {
     /// Samples every series. `deterministic` zeroes every value except the
@@ -176,7 +166,7 @@ impl Snapshot {
             let value = |i| if zero { 0 } else { series.4(s, i) };
             (0..len(series, s)).map(value).collect()
         };
-        Snapshot(SERIES.iter().map(sample).collect(), s.shards.shard_count())
+        Snapshot(SERIES.iter().map(sample).collect())
     }
 
     fn sampled(&self) -> impl Iterator<Item = (&'static Series, &Vec<u64>)> {
@@ -218,30 +208,22 @@ impl Snapshot {
         out
     }
 
-    /// The `abcdd-stats/2` document (see [`Label`] for the nesting); a
+    /// The `abcdd-stats/3` document (see [`Label`] for the nesting); a
     /// histogram is `{"buckets":[…],"sum":…,"count":…}`, not cumulative.
     pub fn stats(&self) -> String {
-        let object = |members: Vec<String>| format!("{{{}}}", members.join(","));
-        let shard = |id| {
-            let mut members = vec![format!("\"shard\":{id}")];
-            members.extend(self.members(Some("shards"), id));
-            object(members)
-        };
-        let shards: Vec<String> = (0..self.1).map(shard).collect();
-        let mut members = self.members(None, 0);
-        members.push(format!("\"shards\":[{}]", shards.join(",")));
+        let mut members = self.members(None);
         for group in ["cache", "chaos"] {
-            let inner = self.members(Some(group), 0);
-            let inner = (!inner.is_empty()).then(|| object(inner));
+            let inner = self.members(Some(group));
+            let inner = (!inner.is_empty()).then(|| format!("{{{}}}", inner.join(",")));
             let inner = inner.unwrap_or_else(|| "null".to_string());
             members.push(format!("\"{group}\":{inner}"));
         }
         let members = members.join(",");
-        format!("{{\"ok\":true,\"schema\":\"abcdd-stats/2\",{members}}}")
+        format!("{{\"ok\":true,\"schema\":\"abcdd-stats/3\",{members}}}")
     }
 
-    /// The `"key":value` members of `group`; in `shards`, shard `id`'s.
-    fn members(&self, group: Option<&str>, id: usize) -> Vec<String> {
+    /// The `"key":value` members of `group`.
+    fn members(&self, group: Option<&str>) -> Vec<String> {
         let mut members = Vec::new();
         for ((_, key, kind, label, _), values) in self.sampled() {
             if label.group() != group {
@@ -255,7 +237,7 @@ impl Snapshot {
                     let hist = format!("{{\"buckets\":[{list}],\"sum\":{sum},\"count\":{count}}}");
                     members.push(format!("\"{key}\":{hist}"));
                 }
-                (_, Single | Shard | Cache) => members.push(format!("\"{key}\":{}", values[id])),
+                (_, Single | Cache) => members.push(format!("\"{key}\":{}", values[0])),
                 _ => {
                     for (i, n) in values.iter().enumerate() {
                         members.push(format!("\"{}\":{n}", label.pair(i).unwrap_or_default().1));
@@ -287,10 +269,10 @@ mod tests {
         for sample in samples {
             registry.observe(REQUEST_LATENCY_US, sample);
         }
-        let shards = ShardSet::new(2, 8, 3);
+        let queue = RunQueue::new(8, 3);
         let sources = Sources {
             registry: &registry,
-            shards: &shards,
+            queue: &queue,
             cache: None,
             chaos: None,
         };
@@ -326,11 +308,7 @@ mod tests {
         // Deterministic: every sampled value reads 0 and the configuration
         // gauges keep their values.
         let text = Snapshot::take(&sources, true).exposition();
-        let config = [
-            "abcdd_workers 3",
-            "abcdd_queue_capacity 8",
-            "abcdd_shards 2",
-        ];
+        let config = ["abcdd_workers 3", "abcdd_queue_capacity 8"];
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             assert!(line.ends_with(" 0") || config.contains(&line), "{line}");
         }
@@ -340,14 +318,13 @@ mod tests {
     }
 
     /// Every registered series, with every label value, appears in both
-    /// renderings of a live server with two shards, a cache and a chaos
-    /// plan, and the exposition holds no other sample.
+    /// renderings of a live server with a cache and a chaos plan, and the
+    /// exposition holds no other sample.
     #[test]
     fn every_series_and_label_value_is_in_stats_and_the_exposition() {
         let socket = std::env::temp_dir().join(format!("abcdd-reg-{}.sock", std::process::id()));
         let plan = ChaosPlan::parse("seed:1").unwrap();
         let mut config = crate::ServerConfig::new(&socket);
-        config.shards = 2;
         config.cache = Some(std::sync::Arc::new(abcd::AnalysisCache::in_memory(1 << 20)));
         config.chaos = Some(std::sync::Arc::new(ChaosPlan::parse("seed:1").unwrap()));
         let handle = crate::start(config).unwrap();
@@ -362,10 +339,10 @@ mod tests {
         crate::shutdown_at(&endpoint).unwrap();
         handle.join();
 
-        let (registry, shards) = (Registry::new(), ShardSet::new(2, 8, 1));
+        let (registry, queue) = (Registry::new(), RunQueue::new(8, 1));
         let sources = Sources {
             registry: &registry,
-            shards: &shards,
+            queue: &queue,
             cache: Some(CacheStats::default()),
             chaos: Some(&plan),
         };
@@ -409,12 +386,11 @@ mod tests {
                 });
                 samples += 1;
                 let member = match label {
-                    Single | Shard | Cache => key.to_string(),
+                    Single | Cache => key.to_string(),
                     _ => pair.unwrap().1,
                 };
                 let object = match label.group() {
                     None => Some(&stats),
-                    Some("shards") => stats.get("shards").and_then(Json::as_arr).map(|a| &a[i]),
                     Some(group) => stats.get(group),
                 };
                 let value = object.and_then(|o| o.get(&member)).and_then(Json::as_u64);
@@ -443,10 +419,10 @@ mod tests {
             bytes: 10,
             budget_bytes: 11,
         };
-        let (registry, shards) = (Registry::new(), ShardSet::new(1, 0, 1));
+        let (registry, queue) = (Registry::new(), RunQueue::new(0, 1));
         let sources = Sources {
             registry: &registry,
-            shards: &shards,
+            queue: &queue,
             cache: Some(cache),
             chaos: None,
         };

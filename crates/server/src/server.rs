@@ -1,30 +1,27 @@
-//! The `abcdd` daemon: a sharded, bounded-admission optimization service
-//! over Unix-domain sockets and TCP, with work-stealing between shards.
+//! The `abcdd` daemon: a bounded-admission optimization service over
+//! Unix-domain sockets and TCP, with one run queue for all its workers.
 //!
 //! # Architecture
 //!
 //! ```text
-//!              accept()                admit (least-loaded)
-//!   clients ─────────────► acceptor ───────────────────────► shard 0 ─ worker × W
-//!        (UDS and/or TCP,     │  all shards full?            shard 1 ─ worker × W
-//!         one thread each)    └─► queue-position reply          ⋮    (steal ⇄)
-//!                                 and close                   shard N-1
-//!                                                                │
-//!                                          supervisor ──────────┘
-//!                                          (respawn / kick / detach)
+//!              accept()                admit
+//!   clients ─────────────► acceptor ──────────► run queue ─► worker × W
+//!        (UDS and/or TCP,     │  queue full?                    │
+//!         one thread each)    └─► queue-position reply          │
+//!                                 and close      supervisor ────┘
+//!                                                (respawn / kick / detach)
 //! ```
 //!
-//! Each listener gets an acceptor thread that *only* accepts: admission is
-//! a lock-light placement onto the least-loaded shard's bounded queue, so
-//! overload is detected without reading a byte of the request. When every
-//! shard is full the connection is answered with a **queue-position
-//! reply** (`{"queued":P,"retry_after_ms":...}`, still `busy:true` for v1
+//! Each listener gets an acceptor thread that *only* accepts: admission
+//! appends the connection to one bounded FIFO, so overload is detected
+//! without reading a byte of the request. When the queue is full the
+//! connection is answered with a **queue-position reply**
+//! (`{"queued":P,"retry_after_ms":...}`, still `busy:true` for v1
 //! clients) instead of being silently shed. Workers own the whole request
-//! lifecycle (read frame → parse → optimize → write frame(s)); an idle
-//! worker **steals** the oldest job from the deepest sibling shard, so one
-//! hot shard cannot starve requests while others idle. All shards share
-//! one [`AnalysisCache`] (lock-striped per shard), so a function optimized
-//! for any client is a cache hit for every later client on any transport.
+//! lifecycle (read frame → parse → optimize → write frame(s)) and all take
+//! from the same queue, so no request waits while a worker idles. They
+//! share one [`AnalysisCache`], so a function optimized for any client is
+//! a cache hit for every later client on any transport.
 //!
 //! # Protocol v2
 //!
@@ -77,8 +74,8 @@ use crate::proto::{
     error_response, ok_response, parse_request, queued_response, read_frame, write_frame,
     OptimizeRequest, Request,
 };
+use crate::queue::{Dequeue, Job, RunQueue};
 use crate::registry::{self, Registry, Snapshot, Sources};
-use crate::shard::{Dequeue, Job, ShardSet};
 use crate::transport::{self, Conn, ListenAddr, Listener};
 use abcd::{
     module_metrics_json, AnalysisCache, ChaosPlan, ChaosSite, ModuleReport, Optimizer, RunInfo,
@@ -108,15 +105,13 @@ fn busy_hint_ms(backlog: usize) -> u64 {
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Addresses to listen on — any mix of UDS paths and TCP binds, all
-    /// served concurrently by the same shard set.
+    /// served concurrently by the same run queue.
     pub listen: Vec<ListenAddr>,
-    /// Number of shards; each owns a worker pool and a bounded run queue.
-    pub shards: usize,
-    /// Worker threads *per shard* handling requests concurrently.
+    /// Worker threads handling requests concurrently.
     pub workers: usize,
-    /// Bounded admission-queue depth *per shard*; `0` means a worker of
-    /// that shard must be idle at connect time (rendezvous), anything
-    /// else queues that many requests.
+    /// Bounded admission-queue depth; `0` means a worker must be idle at
+    /// connect time (rendezvous), anything else queues that many
+    /// requests.
     pub queue: usize,
     /// `Optimizer::with_threads` parallelism *within* one request.
     pub jobs: usize,
@@ -137,15 +132,13 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A single-shard, single-worker server on UDS `socket` with library
-    /// defaults.
+    /// A single-worker server on UDS `socket` with library defaults.
     pub fn new(socket: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
             listen: vec![ListenAddr::Uds(socket.into())],
-            shards: 1,
             workers: 1,
             queue: 8,
-            jobs: 0,
+            jobs: 1,
             cache: None,
             request_timeout: None,
             io_timeout: Some(Duration::from_secs(30)),
@@ -159,18 +152,17 @@ struct Shared {
     config: ServerConfig,
     stop: AtomicBool,
     registry: Registry,
-    shards: ShardSet,
+    queue: RunQueue,
     /// The addresses actually bound (TCP ephemeral ports resolved) —
     /// what shutdown wakes and [`ServerHandle::endpoints`] reports.
     resolved: Vec<ListenAddr>,
     /// Acceptor threads still running; drain completes only at zero, so
     /// a connection admitted concurrently with shutdown is never orphaned.
     acceptors_live: AtomicUsize,
-    /// Pooled analysis scratch, one pool per shard: arenas warmed by one
-    /// request serve the next on the same shard, so steady-state
-    /// re-optimization allocates nothing on the prove path and shards
-    /// never contend on the pool mutex.
-    scratch: Vec<Arc<abcd::ScratchPool>>,
+    /// Pooled analysis scratch: arenas warmed by one request serve the
+    /// next, so steady-state re-optimization allocates nothing on the
+    /// prove path.
+    scratch: Arc<abcd::ScratchPool>,
 }
 
 /// Locks a mutex, riding through poison: a worker that panicked while
@@ -203,11 +195,10 @@ struct SlotState {
     detached: AtomicBool,
 }
 
-/// A supervised worker: its thread handle, shared slot, and home shard.
+/// A supervised worker: its thread handle and shared slot.
 struct WorkerCell {
     handle: Option<std::thread::JoinHandle<()>>,
     slot: Arc<SlotState>,
-    shard: usize,
 }
 
 /// A running server; join or drop to clean up the socket files.
@@ -267,8 +258,8 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Starts the daemon: binds every listener, spawns the acceptors, shard
-/// workers and supervisor, and returns immediately.
+/// Starts the daemon: binds every listener, spawns the acceptors, workers
+/// and supervisor, and returns immediately.
 pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     if config.listen.is_empty() {
         return Err(std::io::Error::new(
@@ -281,27 +272,22 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         listeners.push(Listener::bind(addr)?);
     }
     let resolved: Vec<ListenAddr> = listeners.iter().map(Listener::resolved).collect();
-    let shard_count = config.shards.max(1);
-    let workers = config.workers.max(1);
     if let (Some(cache), Some(plan)) = (&config.cache, &config.chaos) {
         cache.set_chaos(Arc::clone(plan));
     }
-    let shards = ShardSet::new(shard_count, config.queue, workers);
+    let queue = RunQueue::new(config.queue, config.workers);
     let shared = Arc::new(Shared {
         stop: AtomicBool::new(false),
         registry: Registry::new(),
-        shards,
         resolved,
         acceptors_live: AtomicUsize::new(listeners.len()),
-        scratch: (0..shard_count)
-            .map(|_| Arc::new(abcd::ScratchPool::new()))
-            .collect(),
+        scratch: Arc::new(abcd::ScratchPool::new()),
         config,
+        queue,
     });
 
-    let cells: Vec<WorkerCell> = (0..shard_count)
-        .flat_map(|shard| (0..workers).map(move |_| shard))
-        .map(|shard| spawn_worker(&shared, shard))
+    let cells: Vec<WorkerCell> = (0..shared.queue.workers)
+        .map(|_| spawn_worker(&shared))
         .collect();
     let supervisor = {
         let shared = Arc::clone(&shared);
@@ -321,17 +307,16 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-fn spawn_worker(shared: &Arc<Shared>, shard: usize) -> WorkerCell {
+fn spawn_worker(shared: &Arc<Shared>) -> WorkerCell {
     let slot = Arc::new(SlotState::default());
     let handle = {
         let shared = Arc::clone(shared);
         let slot = Arc::clone(&slot);
-        std::thread::spawn(move || worker_loop(&shared, shard, &slot))
+        std::thread::spawn(move || worker_loop(&shared, &slot))
     };
     WorkerCell {
         handle: Some(handle),
         slot,
-        shard,
     }
 }
 
@@ -354,7 +339,7 @@ fn supervise(shared: &Arc<Shared>, mut cells: Vec<WorkerCell>) {
                 if !clean {
                     rescue_inflight(shared, cell, "worker panicked; request failed");
                     shared.registry.inc(registry::WORKER_RESTARTS);
-                    *cell = spawn_worker(shared, cell.shard);
+                    *cell = spawn_worker(shared);
                     alive = true;
                 }
                 continue;
@@ -386,7 +371,7 @@ fn supervise(shared: &Arc<Shared>, mut cells: Vec<WorkerCell>) {
                 cell.slot.detached.store(true, Ordering::SeqCst);
                 drop(cell.handle.take()); // never joined; exits on its own if it ever unsticks
                 shared.registry.inc(registry::WORKER_RESTARTS);
-                *cell = spawn_worker(shared, cell.shard);
+                *cell = spawn_worker(shared);
             }
         }
         if !alive {
@@ -398,8 +383,8 @@ fn supervise(shared: &Arc<Shared>, mut cells: Vec<WorkerCell>) {
 
 /// Answers a rescued worker's in-flight connection with a structured
 /// error so the client sees a reply, not a hangup. The panicked worker
-/// never reached [`ShardSet::finish`], so the shard's busy gauge is
-/// rebalanced here.
+/// never reached [`RunQueue::finish`], so the busy gauge is rebalanced
+/// here.
 fn rescue_inflight(shared: &Shared, cell: &WorkerCell, message: &str) {
     if let Some(mut inf) = lock_tolerant(&cell.slot.inflight).take() {
         if let Some(conn) = inf.conn.as_mut() {
@@ -407,7 +392,7 @@ fn rescue_inflight(shared: &Shared, cell: &WorkerCell, message: &str) {
             let _ = conn.shutdown(Shutdown::Both);
         }
         shared.registry.inc(registry::ERRORS);
-        shared.shards.finish(cell.shard);
+        shared.queue.finish();
     }
 }
 
@@ -434,8 +419,8 @@ fn accept_loop(shared: &Shared, listener: Listener) {
             conn,
             enqueued: Instant::now(),
         };
-        if let Err((job, position)) = shared.shards.admit(job) {
-            let hint = busy_hint_ms(shared.shards.total_load());
+        if let Err((job, position)) = shared.queue.admit(job) {
+            let hint = busy_hint_ms(position - 1);
             // Backpressure without reading the request: tiny frame, the
             // socket buffer absorbs it even if the client is mid-write.
             let mut conn = job.conn;
@@ -445,7 +430,7 @@ fn accept_loop(shared: &Shared, listener: Listener) {
     shared.acceptors_live.fetch_sub(1, Ordering::SeqCst);
 }
 
-fn worker_loop(shared: &Shared, shard: usize, slot: &SlotState) {
+fn worker_loop(shared: &Shared, slot: &SlotState) {
     loop {
         if slot.detached.load(Ordering::SeqCst) {
             // Replaced by the supervisor while we were wedged; our slot
@@ -456,12 +441,12 @@ fn worker_loop(shared: &Shared, shard: usize, slot: &SlotState) {
         // job admitted concurrently with shutdown is still served.
         let drain =
             shared.stop.load(Ordering::SeqCst) && shared.acceptors_live.load(Ordering::SeqCst) == 0;
-        match shared.shards.next_job(shard, drain) {
+        match shared.queue.next_job(drain) {
             Dequeue::TimedOut => continue,
             Dequeue::Drained => break,
-            Dequeue::Job(job, _stolen) => {
-                serve_job(shared, shard, slot, job);
-                shared.shards.finish(shard);
+            Dequeue::Job(job) => {
+                serve_job(shared, slot, job);
+                shared.queue.finish();
             }
         }
     }
@@ -470,9 +455,9 @@ fn worker_loop(shared: &Shared, shard: usize, slot: &SlotState) {
 
 /// Serves one admitted connection end to end: inflight registration,
 /// chaos, dispatch, reply frame(s), latency accounting.
-fn serve_job(shared: &Shared, shard: usize, slot: &SlotState, job: Job) {
+fn serve_job(shared: &Shared, slot: &SlotState, job: Job) {
     let Job { mut conn, enqueued } = job;
-    let depth = shared.shards.total_depth() as u64;
+    let depth = shared.queue.depth() as u64;
     shared
         .registry
         .observe(registry::QUEUE_DEPTH_AT_DEQUEUE, depth);
@@ -499,7 +484,7 @@ fn serve_job(shared: &Shared, shard: usize, slot: &SlotState, job: Job) {
     if chaos.is_some_and(|p| p.decide(ChaosSite::WorkerPanic)) {
         panic!("chaos: injected worker panic");
     }
-    handle_connection(shared, shard, &mut conn, enqueued);
+    handle_connection(shared, &mut conn, enqueued);
     *lock_tolerant(&slot.inflight) = None;
     let latency_us = enqueued.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
     shared
@@ -546,7 +531,7 @@ fn write_response(shared: &Shared, conn: &mut Conn, response: &str) -> std::io::
 /// Reads, parses and dispatches one request frame, writing every reply
 /// frame; every outcome is answered (the server never drops a connection
 /// silently). A v2 batch streams one reply per element, in order.
-fn handle_connection(shared: &Shared, shard: usize, conn: &mut Conn, enqueued: Instant) {
+fn handle_connection(shared: &Shared, conn: &mut Conn, enqueued: Instant) {
     let payload = match read_frame(conn) {
         Ok(p) => p,
         Err(e) => {
@@ -566,7 +551,7 @@ fn handle_connection(shared: &Shared, shard: usize, conn: &mut Conn, enqueued: I
     let response = match request {
         Request::Batch(reqs) => {
             for req in &reqs {
-                let reply = optimize_reply(shared, shard, req, enqueued);
+                let reply = optimize_reply(shared, req, enqueued);
                 if write_response(shared, conn, &reply).is_err() {
                     // The stream is broken; later elements cannot be
                     // delivered in order, so stop rather than desync.
@@ -603,11 +588,11 @@ fn handle_connection(shared: &Shared, shard: usize, conn: &mut Conn, enqueued: I
             for addr in &shared.resolved {
                 transport::wake(addr);
             }
-            shared.shards.wake_all();
+            shared.queue.wake_all();
             shared.registry.inc(registry::SERVED);
             "{\"ok\":true,\"shutting_down\":true}".to_string()
         }
-        Request::Optimize(req) => optimize_reply(shared, shard, &req, enqueued),
+        Request::Optimize(req) => optimize_reply(shared, &req, enqueued),
     };
     if write_response(shared, conn, &response).is_err() {
         shared.registry.inc(registry::ERRORS);
@@ -618,7 +603,7 @@ fn handle_connection(shared: &Shared, shard: usize, conn: &mut Conn, enqueued: I
 fn snapshot(shared: &Shared, deterministic: bool) -> Snapshot {
     let sources = Sources {
         registry: &shared.registry,
-        shards: &shared.shards,
+        queue: &shared.queue,
         cache: shared.config.cache.as_ref().map(|cache| cache.stats()),
         chaos: shared.config.chaos.as_deref(),
     };
@@ -626,8 +611,8 @@ fn snapshot(shared: &Shared, deterministic: bool) -> Snapshot {
 }
 
 /// Serves one optimize request, counting it as served or as an error.
-fn optimize_reply(shared: &Shared, shard: usize, req: &OptimizeRequest, at: Instant) -> String {
-    let reply = handle_optimize(shared, shard, req, at);
+fn optimize_reply(shared: &Shared, req: &OptimizeRequest, at: Instant) -> String {
+    let reply = handle_optimize(shared, req, at);
     shared.registry.inc(match reply {
         Ok(_) => registry::SERVED,
         Err(_) => registry::ERRORS,
@@ -637,7 +622,6 @@ fn optimize_reply(shared: &Shared, shard: usize, req: &OptimizeRequest, at: Inst
 
 fn handle_optimize(
     shared: &Shared,
-    shard: usize,
     req: &OptimizeRequest,
     enqueued: Instant,
 ) -> Result<String, String> {
@@ -661,7 +645,7 @@ fn handle_optimize(
     let mut optimizer = Optimizer::with_options(req.options)
         .with_threads(shared.config.jobs)
         .with_trace(req.trace)
-        .with_scratch_pool(Arc::clone(&shared.scratch[shard]));
+        .with_scratch_pool(Arc::clone(&shared.scratch));
     if let Some(cache) = &shared.config.cache {
         optimizer = optimizer.with_cache(Arc::clone(cache));
     }
@@ -717,7 +701,7 @@ fn reply(
 ) -> String {
     let ir = module.to_string();
     let det = req.deterministic_metrics;
-    let (depth, deadline) = (shared.shards.total_depth(), deadline_ms(shared, req));
+    let (depth, deadline) = (shared.queue.depth(), deadline_ms(shared, req));
     let trace = req.trace.then(|| {
         let mut doc = abcd::module_trace_jsonl(report, run.threads, det);
         doc += &abcd::request_span_jsonl(depth, enqueued.elapsed(), deadline, det);

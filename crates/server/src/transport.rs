@@ -3,8 +3,8 @@
 //!
 //! A [`ListenAddr`] is parsed from `--listen uds:PATH` / `--listen
 //! tcp:HOST:PORT` (a bare path means UDS, for compatibility with
-//! `--socket`). Every listener feeds the same shard set, so a TCP client
-//! and a UDS client hit the same caches and the same queues; the only
+//! `--socket`). Every listener feeds the same run queue, so a TCP client
+//! and a UDS client hit the same cache and the same queue; the only
 //! transport-visible differences are connection setup cost and
 //! `TCP_NODELAY`, which is always set — the protocol is strictly
 //! request/reply and Nagle would serialize pipelined batch replies.

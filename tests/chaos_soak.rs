@@ -18,10 +18,9 @@
 //!    the cache dir exactly like `kill -9` mid-write would; a restart
 //!    quarantines them and reports `recovered` in the stats.
 //!
-//! Scale via `CHAOS_SOAK_REQUESTS` (default 2000; CI smoke uses less) and
-//! `CHAOS_SOAK_SHARDS` (default 2 — the storm runs against a sharded,
-//! work-stealing server, with half the clients sending pipelined
-//! protocol-v2 batches).
+//! Scale via `CHAOS_SOAK_REQUESTS` (default 2000; CI smoke uses less).
+//! The storm runs against six workers sharing one run queue, with half
+//! the clients sending pipelined protocol-v2 batches.
 
 use abcd::{AnalysisCache, ChaosPlan, Optimizer, OptimizerOptions};
 use abcd_frontend::compile;
@@ -102,14 +101,6 @@ fn soak_requests() -> usize {
         .unwrap_or(2000)
 }
 
-fn soak_shards() -> usize {
-    std::env::var("CHAOS_SOAK_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-        .max(1)
-}
-
 #[test]
 fn chaos_soak_no_wrong_bytes_no_deadlock_healthy_after_storm() {
     quiet_injected_panics();
@@ -135,9 +126,8 @@ fn chaos_soak_no_wrong_bytes_no_deadlock_healthy_after_storm() {
         .unwrap(),
     );
     let mut config = ServerConfig::new(&socket);
-    config.shards = soak_shards();
-    config.workers = 3; // per shard
-    config.queue = 16;
+    config.workers = 6;
+    config.queue = 32;
     config.cache = Some(Arc::new(
         AnalysisCache::with_dir(&cache_dir, 1 << 20).unwrap(),
     ));
@@ -210,8 +200,8 @@ fn chaos_soak_no_wrong_bytes_no_deadlock_healthy_after_storm() {
                             .collect();
                         let replies = if items.len() == 1 {
                             // v1 single-request path, unchanged.
-                            vec![abcd_server::optimize(
-                                &socket, items[0].0, &options, None, &calls[0], &retry,
+                            vec![abcd_server::optimize_at(
+                                &Endpoint::uds(&socket), items[0].0, &options, None, &calls[0], &retry,
                             )]
                         } else {
                             abcd_server::optimize_batch_at(&endpoint, &items, &retry)
@@ -268,8 +258,8 @@ fn chaos_soak_no_wrong_bytes_no_deadlock_healthy_after_storm() {
     // probe until a clean request gets through.
     let mut healthy = false;
     for _ in 0..100 {
-        if let Ok(reply) = abcd_server::optimize(
-            &socket,
+        if let Ok(reply) = abcd_server::optimize_at(
+            &Endpoint::uds(&socket),
             (&refs[0].source, false),
             &OptimizerOptions::default(),
             None,
@@ -292,7 +282,7 @@ fn chaos_soak_no_wrong_bytes_no_deadlock_healthy_after_storm() {
 
     // Counters prove the chaos actually happened and was survived.
     let stats = loop {
-        match abcd_server::stats(&socket) {
+        match abcd_server::stats_at(&Endpoint::uds(&socket)) {
             Ok(s) => break s,
             Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
         }
@@ -328,7 +318,7 @@ fn chaos_soak_no_wrong_bytes_no_deadlock_healthy_after_storm() {
         "stats must count the injected worker panics: {stats:?}"
     );
     let exposition = loop {
-        match abcd_server::metrics(&socket, false) {
+        match abcd_server::metrics_at(&Endpoint::uds(&socket), false) {
             Ok(e) => break e,
             Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
         }
@@ -351,7 +341,7 @@ fn chaos_soak_no_wrong_bytes_no_deadlock_healthy_after_storm() {
     // until the server has taken it (chaos may drop the reply to a
     // shutdown that took effect; retrying then would dial a dead socket
     // forever).
-    while abcd_server::shutdown(&socket).is_err() && !handle.stopping() {
+    while abcd_server::shutdown_at(&Endpoint::uds(&socket)).is_err() && !handle.stopping() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     handle.join();
@@ -387,8 +377,8 @@ fn chaos_soak_no_wrong_bytes_no_deadlock_healthy_after_storm() {
     config2.cache = Some(Arc::new(reborn));
     let handle2 = abcd_server::start(config2).unwrap();
     for r in &refs {
-        let reply = abcd_server::optimize(
-            &socket2,
+        let reply = abcd_server::optimize_at(
+            &Endpoint::uds(&socket2),
             (&r.source, false),
             &OptimizerOptions::default(),
             None,
@@ -401,7 +391,7 @@ fn chaos_soak_no_wrong_bytes_no_deadlock_healthy_after_storm() {
             "post-recovery cache serves exact bytes"
         );
     }
-    abcd_server::shutdown(&socket2).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket2)).unwrap();
     handle2.join();
     let _ = std::fs::remove_dir_all(&cache_dir);
 }

@@ -476,8 +476,8 @@ fn run_opt_ipa_prints_what_opt_prints_with_fewer_upper_checks() {
             .collect();
         digits.parse().unwrap()
     };
-    assert_eq!(upper(&plain_err), 6151, "{plain_err}");
-    assert_eq!(upper(&ipa_err), 4105, "{ipa_err}");
+    assert_eq!(upper(&plain_err), 6148, "{plain_err}");
+    assert_eq!(upper(&ipa_err), 2056, "{ipa_err}");
 }
 
 /// Only the whole driver applies parameter facts: `graph` and every

@@ -11,7 +11,7 @@
 //! a worker.
 
 use abcd_server::proto::MAX_FRAME;
-use abcd_server::ServerConfig;
+use abcd_server::{Endpoint, ServerConfig};
 use std::io::{Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
@@ -22,7 +22,7 @@ fn sock(tag: &str) -> std::path::PathBuf {
 
 fn ping_eventually(socket: &std::path::Path) -> bool {
     for _ in 0..100 {
-        if abcd_server::ping(socket) {
+        if abcd_server::ping_at(&Endpoint::uds(socket)) {
             return true;
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
@@ -93,7 +93,7 @@ fn hostile_frames_get_structured_errors_and_the_daemon_stays_healthy() {
         "daemon healthy after hostile frames"
     );
 
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }
 
@@ -126,7 +126,7 @@ fn frame_exactly_at_the_cap_is_read_and_parse_rejected() {
         ping_eventually(&socket),
         "daemon healthy after a max-size frame"
     );
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }
 
@@ -203,7 +203,7 @@ fn zero_request_batch_is_a_structured_error() {
     assert_error_frame(&reply, "only `optimize`", "batched ping");
 
     assert!(ping_eventually(&socket), "daemon healthy after batch edges");
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }
 
@@ -251,7 +251,7 @@ fn batch_frame_at_and_over_the_cap() {
         ping_eventually(&socket),
         "daemon healthy after at-cap batch"
     );
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }
 
@@ -277,8 +277,8 @@ fn mixed_version_clients_share_one_socket() {
             scope.spawn(|| {
                 // A v1 client: single frames, one per connection.
                 for _ in 0..8 {
-                    let reply = abcd_server::optimize(
-                        &socket,
+                    let reply = abcd_server::optimize_at(
+                        &Endpoint::uds(&socket),
                         (SRC, false),
                         &abcd::OptimizerOptions::default(),
                         None,
@@ -313,7 +313,7 @@ fn mixed_version_clients_share_one_socket() {
         }
     });
 
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }
 
@@ -362,7 +362,7 @@ fn partial_batch_deadline_trip_fails_open_per_element() {
     assert!(!replies[2].deadline_exceeded, "element 2 unaffected");
     assert_eq!(replies[2].ir, optimized, "element 2 optimized");
 
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }
 
@@ -388,8 +388,8 @@ fn prover_option_is_an_unknown_option() {
         abcd::Optimizer::new().optimize_module(&mut module, None);
         module.to_string()
     };
-    let reply = abcd_server::optimize(
-        &socket,
+    let reply = abcd_server::optimize_at(
+        &Endpoint::uds(&socket),
         (SRC, false),
         &abcd::OptimizerOptions::default(),
         None,
@@ -399,6 +399,6 @@ fn prover_option_is_an_unknown_option() {
     .expect("optimize after the rejected option");
     assert_eq!(reply.ir, reference);
 
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }

@@ -5,7 +5,7 @@
 
 use abcd::{AnalysisCache, Optimizer, OptimizerOptions};
 use abcd_frontend::compile;
-use abcd_server::{Reply, ServerConfig};
+use abcd_server::{Endpoint, Reply, ServerConfig};
 use std::sync::Arc;
 
 const PROGRAM: &str = r#"
@@ -26,7 +26,7 @@ fn sock(tag: &str) -> std::path::PathBuf {
 
 fn ping_eventually(socket: &std::path::Path) -> bool {
     for _ in 0..100 {
-        if abcd_server::ping(socket) {
+        if abcd_server::ping_at(&Endpoint::uds(socket)) {
             return true;
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
@@ -57,8 +57,8 @@ fn served_output_is_byte_identical_to_local() {
             trace: true,
             deadline_ms: None,
         };
-        let reply = abcd_server::optimize(
-            &socket,
+        let reply = abcd_server::optimize_at(
+            &Endpoint::uds(&socket),
             (PROGRAM, false),
             &options,
             None,
@@ -85,7 +85,7 @@ fn served_output_is_byte_identical_to_local() {
         }
     }
 
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }
 
@@ -113,8 +113,8 @@ fn served_interprocedural_module_is_local_and_guards_its_entries() {
     assert!(local.contains("func @get$fast("), "{local}");
     let mut served = String::new();
     for pass in 0..2 {
-        served = abcd_server::optimize(
-            &socket,
+        served = abcd_server::optimize_at(
+            &Endpoint::uds(&socket),
             (GET, false),
             &options,
             None,
@@ -125,7 +125,7 @@ fn served_interprocedural_module_is_local_and_guards_its_entries() {
         .ir;
         assert_eq!(served, local, "pass {pass}");
     }
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 
     let direct = |module: &abcd_ir::Module| {
@@ -165,8 +165,8 @@ fn concurrent_clients_all_get_the_sequential_answer() {
             .map(|_| {
                 let socket = socket.clone();
                 scope.spawn(move || {
-                    abcd_server::optimize(
-                        &socket,
+                    abcd_server::optimize_at(
+                        &Endpoint::uds(&socket),
                         (PROGRAM, false),
                         &OptimizerOptions::default(),
                         None,
@@ -190,7 +190,7 @@ fn concurrent_clients_all_get_the_sequential_answer() {
         );
     }
 
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }
 
@@ -208,10 +208,16 @@ fn full_queue_sheds_load_with_busy_and_recovers() {
     // Pin the only worker, then probe: the probe must be shed, not queued.
     let pin = std::thread::spawn({
         let socket = socket.clone();
-        move || abcd_server::roundtrip(&socket, "{\"cmd\":\"sleep\",\"ms\":600}")
+        move || {
+            abcd_server::roundtrip_at(
+                &Endpoint::uds(&socket),
+                "{\"cmd\":\"sleep\",\"ms\":600}",
+                None,
+            )
+        }
     });
     std::thread::sleep(std::time::Duration::from_millis(150));
-    match abcd_server::roundtrip(&socket, "{\"cmd\":\"ping\"}").unwrap() {
+    match abcd_server::roundtrip_at(&Endpoint::uds(&socket), "{\"cmd\":\"ping\"}", None).unwrap() {
         Reply::Busy { retry_after_ms, .. } => assert!(retry_after_ms > 0),
         other => panic!("expected busy, got {other:?}"),
     }
@@ -222,10 +228,12 @@ fn full_queue_sheds_load_with_busy_and_recovers() {
     assert!(ping_eventually(&socket));
     let stats = (0..100)
         .find_map(|_| {
-            abcd_server::stats(&socket).ok().or_else(|| {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                None
-            })
+            abcd_server::stats_at(&Endpoint::uds(&socket))
+                .ok()
+                .or_else(|| {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    None
+                })
         })
         .expect("stats should be admitted once the worker idles");
     let shed = stats
@@ -234,7 +242,7 @@ fn full_queue_sheds_load_with_busy_and_recovers() {
         .unwrap();
     assert!(shed >= 1, "{stats:?}");
 
-    while abcd_server::shutdown(&socket).is_err() {
+    while abcd_server::shutdown_at(&Endpoint::uds(&socket)).is_err() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     handle.join();
@@ -279,13 +287,13 @@ fn malformed_requests_get_structured_errors_not_disconnects() {
             "unknown option `classify_local`",
         ),
     ] {
-        match abcd_server::roundtrip(&socket, request).unwrap() {
+        match abcd_server::roundtrip_at(&Endpoint::uds(&socket), request, None).unwrap() {
             Reply::Err(e) => assert!(e.contains(needle), "{request} → {e}"),
             other => panic!("{request} → {other:?}"),
         }
     }
 
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }
 
@@ -307,8 +315,8 @@ fn deadline_fails_open_with_all_checks_kept() {
         deadline_ms: Some(0), // trips at the first checkpoint, deterministically
         ..abcd_server::CallOptions::default()
     };
-    let reply = abcd_server::optimize(
-        &socket,
+    let reply = abcd_server::optimize_at(
+        &Endpoint::uds(&socket),
         (PROGRAM, false),
         &OptimizerOptions::default(),
         None,
@@ -331,8 +339,8 @@ fn deadline_fails_open_with_all_checks_kept() {
     );
 
     // A request under no deadline on the same server still optimizes.
-    let normal = abcd_server::optimize(
-        &socket,
+    let normal = abcd_server::optimize_at(
+        &Endpoint::uds(&socket),
         (PROGRAM, false),
         &OptimizerOptions::default(),
         None,
@@ -343,10 +351,10 @@ fn deadline_fails_open_with_all_checks_kept() {
     assert!(!normal.deadline_exceeded);
     assert_eq!(normal.ir, local_reference(PROGRAM));
 
-    let stats = abcd_server::stats(&socket).unwrap();
+    let stats = abcd_server::stats_at(&Endpoint::uds(&socket)).unwrap();
     let n = |k: &str| stats.get(k).and_then(abcd_server::json::Json::as_u64);
     assert_eq!(n("deadline_exceeded"), Some(1), "{stats:?}");
-    let exposition = abcd_server::metrics(&socket, false).unwrap();
+    let exposition = abcd_server::metrics_at(&Endpoint::uds(&socket), false).unwrap();
     assert!(
         exposition.contains("abcdd_deadline_exceeded_total 1"),
         "{exposition}"
@@ -360,7 +368,7 @@ fn deadline_fails_open_with_all_checks_kept() {
         "{exposition}"
     );
 
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }
 
@@ -373,8 +381,8 @@ fn server_default_request_timeout_fails_open() {
     config.request_timeout = Some(std::time::Duration::from_millis(0));
     let handle = abcd_server::start(config).unwrap();
 
-    let reply = abcd_server::optimize(
-        &socket,
+    let reply = abcd_server::optimize_at(
+        &Endpoint::uds(&socket),
         (PROGRAM, false),
         &OptimizerOptions::default(),
         None,
@@ -385,7 +393,7 @@ fn server_default_request_timeout_fails_open() {
     assert!(reply.deadline_exceeded, "server default must apply");
     assert_eq!(reply.ir, compile(PROGRAM).unwrap().to_string());
 
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }
 
@@ -405,7 +413,7 @@ fn panicked_workers_are_respawned_and_requests_fail_cleanly() {
 
     let (mut panics, mut pongs) = (0u32, 0u32);
     for _ in 0..40 {
-        match abcd_server::roundtrip(&socket, "{\"cmd\":\"ping\"}") {
+        match abcd_server::roundtrip_at(&Endpoint::uds(&socket), "{\"cmd\":\"ping\"}", None) {
             Ok(Reply::Ok(..)) => pongs += 1,
             Ok(Reply::Err(e)) => {
                 assert!(e.contains("worker panicked"), "{e}");
@@ -418,7 +426,7 @@ fn panicked_workers_are_respawned_and_requests_fail_cleanly() {
     assert!(pongs > 0, "respawned workers must keep serving");
 
     let stats = loop {
-        match abcd_server::stats(&socket) {
+        match abcd_server::stats_at(&Endpoint::uds(&socket)) {
             Ok(s) => break s,
             Err(_) => std::thread::sleep(std::time::Duration::from_millis(5)),
         }
@@ -429,7 +437,7 @@ fn panicked_workers_are_respawned_and_requests_fail_cleanly() {
         .unwrap();
     assert!(restarts >= u64::from(panics), "{stats:?}");
 
-    while abcd_server::shutdown(&socket).is_err() {
+    while abcd_server::shutdown_at(&Endpoint::uds(&socket)).is_err() {
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     handle.join();
@@ -452,7 +460,13 @@ fn stuck_workers_are_kicked_then_replaced() {
     // so only detachment can recover the worker's slot.
     let wedged = std::thread::spawn({
         let socket = socket.clone();
-        move || abcd_server::roundtrip(&socket, "{\"cmd\":\"sleep\",\"ms\":1500}")
+        move || {
+            abcd_server::roundtrip_at(
+                &Endpoint::uds(&socket),
+                "{\"cmd\":\"sleep\",\"ms\":1500}",
+                None,
+            )
+        }
     });
     // Kick fires ~100ms in; detach+respawn fires ~400ms in. By 800ms a
     // fresh worker must be serving again even though the old one still
@@ -467,7 +481,7 @@ fn stuck_workers_are_kicked_then_replaced() {
         "the kicked request must fail, not hang: {wedged:?}"
     );
 
-    let stats = abcd_server::stats(&socket).unwrap();
+    let stats = abcd_server::stats_at(&Endpoint::uds(&socket)).unwrap();
     let n = |k: &str| {
         stats
             .get(k)
@@ -477,7 +491,7 @@ fn stuck_workers_are_kicked_then_replaced() {
     assert!(n("worker_kicks") >= 1, "{stats:?}");
     assert!(n("worker_restarts") >= 1, "{stats:?}");
 
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }
 
@@ -495,12 +509,16 @@ fn shutdown_drains_admitted_requests() {
         .map(|_| {
             let socket = socket.clone();
             std::thread::spawn(move || {
-                abcd_server::roundtrip(&socket, "{\"cmd\":\"sleep\",\"ms\":400}")
+                abcd_server::roundtrip_at(
+                    &Endpoint::uds(&socket),
+                    "{\"cmd\":\"sleep\",\"ms\":400}",
+                    None,
+                )
             })
         })
         .collect();
     std::thread::sleep(std::time::Duration::from_millis(100));
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     for sleeper in sleepers {
         assert!(
             matches!(sleeper.join().unwrap(), Ok(Reply::Ok(..))),
@@ -509,23 +527,27 @@ fn shutdown_drains_admitted_requests() {
     }
     handle.join();
     assert!(!socket.exists(), "socket file removed after join");
-    assert!(!abcd_server::ping(&socket), "server is gone");
+    assert!(
+        !abcd_server::ping_at(&Endpoint::uds(&socket)),
+        "server is gone"
+    );
 }
 
 /// `abcd_loadgen::service_counters` and perfbench's `server_counters` read
 /// these top-level `stats` keys and take a missing one as 0, so renaming a
 /// series would silently zero the server columns of `BENCH_abcdd.json` and
-/// perfbench's `server.*` rows.
+/// perfbench's `server.*` rows. (perfbench also reads `steals`, which the
+/// server does not export, so its `server.steals` row reads 0.)
 #[test]
 fn stats_has_every_key_loadgen_and_perfbench_read() {
     let socket = sock("stats-keys");
     let handle = abcd_server::start(ServerConfig::new(&socket)).unwrap();
     assert!(ping_eventually(&socket), "server must come up");
-    let stats = abcd_server::stats(&socket).unwrap();
-    for key in ["steals", "queued_replies", "shed", "deadline_exceeded"] {
+    let stats = abcd_server::stats_at(&Endpoint::uds(&socket)).unwrap();
+    for key in ["queued_replies", "shed", "deadline_exceeded"] {
         let value = stats.get(key).and_then(abcd_server::json::Json::as_u64);
         assert!(value.is_some(), "stats lacks `{key}`: {stats:?}");
     }
-    abcd_server::shutdown(&socket).unwrap();
+    abcd_server::shutdown_at(&Endpoint::uds(&socket)).unwrap();
     handle.join();
 }

@@ -313,6 +313,22 @@ fn interprocedural(source: &str) -> Module {
     module
 }
 
+/// Under interprocedural mode a guarded function traps in its `$fast` or
+/// `$slow` body, not in the function of the same id: the oracle compares
+/// the source function, so it accepts the correct module.
+#[test]
+fn oracle_accepts_a_trap_raised_in_a_guarded_body() {
+    let source = "fn g(a: int[], i: int) -> int { let c: int[] = new int[2]; return a[i] + c[i]; }
+fn main() -> int { let a: int[] = new int[8]; return g(a, 5); }";
+    let module = interprocedural(source);
+    let trap = run_entry(&module, "main").result.unwrap_err();
+    assert_eq!(module.function(trap.func).name(), "g$fast", "{module}");
+    let reference = abcd_frontend::compile(source).unwrap();
+    if let Some(div) = differential(&reference, &module, "main") {
+        panic!("a correct --ipa module diverged: {div}\n{module}");
+    }
+}
+
 /// Calls `name(a, i)` on an `len`-element array `a`, as a caller outside
 /// the module would, and returns its trap.
 fn call_directly(module: &Module, name: &str, len: usize, i: i64) -> TrapKind {

@@ -19,16 +19,15 @@ abcd-bench-pipeline/3 (BENCH_pipeline.json)
                                   differs from the calibration host, so only
                                   order-of-magnitude slowdowns fail
 
-abcd-bench-abcdd/1 (BENCH_abcdd.json, written by `loadgen`)
+abcd-bench-abcdd/2 (BENCH_abcdd.json, written by `loadgen`)
   * schema + params             — exact: the offered load is a pure function
                                   of the seed, so both runs must have replayed
-                                  the identical request sequence
+                                  the identical request sequence against the
+                                  same number of server workers
   * per-scenario requests_sent  — exact, and ok + fail_open + errors must
                                   account for every request (nothing dropped)
   * regenerated errors          — exactly 0: the differential guarantee and
                                   the retry contract must hold under load
-  * sum of steals               — >= 1: the work-stealing witness (a sharded
-                                  run over a zipf-skewed corpus must steal)
   * throughput_rps              — regression-banded (x2.5 slowdown allowed):
                                   latency percentiles are reported, not gated
                                   (shared CI boxes make tails meaningless)
@@ -107,7 +106,6 @@ def gate_abcdd(old, new):
         f"scenario sets differ: {sorted(old_scenarios)} vs {sorted(new_scenarios)}",
     )
 
-    total_steals = 0
     for name, row in old_scenarios.items():
         got = new_scenarios.get(name)
         if got is None:
@@ -135,13 +133,6 @@ def gate_abcdd(old, new):
             f"{name}.throughput_rps: {got['throughput_rps']:.1f} vs committed "
             f"{row['throughput_rps']:.1f} (floor {banded_floor:.1f}, x{THROUGHPUT_BAND})",
         )
-        total_steals += got.get("server", {}).get("steals", 0)
-
-    check(
-        total_steals >= 1,
-        "no scenario recorded a steal — work stealing is not exercised "
-        "(shards misconfigured, or the zipf skew collapsed)",
-    )
 
 
 def main(committed_path, regenerated_path):
@@ -151,7 +142,7 @@ def main(committed_path, regenerated_path):
     schema = old.get("schema")
     if schema == "abcd-bench-pipeline/3":
         gate_pipeline(old, new)
-    elif schema == "abcd-bench-abcdd/1":
+    elif schema == "abcd-bench-abcdd/2":
         gate_abcdd(old, new)
     else:
         check(False, f"unknown committed schema {schema!r}")
